@@ -444,6 +444,10 @@ func main() {
 	// metric series registered.
 	var durable beacon.Sink = beacon.Discard
 	switch {
+	case wj != nil && *durableSync:
+		// On the ack path a request is not a flush: whatever its size it
+		// is as durable as -fsync says, one hand-off and one write.
+		durable = wj.RequestSink()
 	case wj != nil:
 		durable = wj
 	case journal != nil:

@@ -1,0 +1,435 @@
+// The batch path (one SubmitBatch per request, DESIGN.md §10) must be
+// observationally invisible: for any request sequence — JSON and binary,
+// duplicates inside one request and across requests, sequential or
+// concurrent — it leaves the store, its counters, the streaming
+// aggregator, the fraud detector and the WAL exactly as the per-event
+// path does. What it may change is counts of work: hand-offs, writes
+// and, under -fsync always, fsyncs per request.
+//
+// External test package like durable_test.go: everything goes through
+// the public API, wired the way cmd/qtag-server wires -durable-sync.
+package beacon_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"qtag/internal/aggregate"
+	. "qtag/internal/beacon"
+	"qtag/internal/detect"
+	"qtag/internal/simrand"
+	"qtag/internal/wal"
+)
+
+var batchT0 = time.Unix(1500000000, 0).UTC()
+
+// ingestStack is the -durable-sync ingest chain with both observers
+// attached: StampSink → Tee(store, breaker → journal.RequestSink()).
+// perEvent hides the same chain behind a SinkFunc, which no batch can
+// cross, so the handler falls back to one Submit per event.
+type ingestStack struct {
+	store  *Store
+	agg    *aggregate.Aggregator
+	det    *detect.Detector
+	wj     *WALJournal
+	server *Server
+	dir    string
+}
+
+func newIngestStack(t testing.TB, opts wal.Options, perEvent bool) *ingestStack {
+	t.Helper()
+	clock := func() time.Time { return batchT0 }
+	s := &ingestStack{
+		store: NewStoreWithShards(8),
+		agg:   aggregate.New(aggregate.Options{Shards: 8, TTL: -1, Now: clock}),
+		det:   detect.New(detect.Options{Shards: 8, TTL: -1, Now: clock}),
+		dir:   opts.Dir,
+	}
+	s.store.AddObserver(s.agg.Observe)
+	s.store.AddObserver(s.det.Observe)
+	s.store.AddDupObserver(s.det.ObserveDup)
+	var err error
+	if s.wj, _, err = OpenDurable(opts, s.store); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.wj.Close() })
+	chain := Tee(s.store, NewCircuitBreaker(s.wj.RequestSink(), 0, 0))
+	if perEvent {
+		chain = SinkFunc(chain.Submit)
+	}
+	s.server = NewServerWithSink(s.store, &StampSink{Next: chain, Now: clock})
+	return s
+}
+
+// post sends one request body and returns the status and reply.
+func (s *ingestStack) post(t testing.TB, body []byte, binary bool) (int, map[string]any) {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/v1/events", bytes.NewReader(body))
+	if binary {
+		req.Header.Set("Content-Type", BinaryContentType)
+	}
+	w := httptest.NewRecorder()
+	s.server.ServeHTTP(w, req)
+	var reply map[string]any
+	if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil {
+		t.Fatalf("reply %q: %v", w.Body.String(), err)
+	}
+	return w.Code, reply
+}
+
+// walRecords closes the journal and returns every record payload in
+// index order.
+func (s *ingestStack) walRecords(t testing.TB) []string {
+	t.Helper()
+	if err := s.wj.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	if _, err := wal.Scan(nil, s.dir, func(_ uint64, payload []byte) error {
+		out = append(out, string(payload))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// batchStream draws n events with deliberate key collisions. Every
+// non-key field is derived from the key, so duplicates are
+// byte-identical — the precondition for order independence — and one
+// impression in eleven carries no timestamp, for StampSink to fill.
+func batchStream(seed uint64, n int) []Event {
+	rng := simrand.New(seed).Fork("batch-path-stream")
+	types := []EventType{EventServed, EventLoaded, EventInView, EventOutOfView}
+	sources := []Source{SourceQTag, SourceCommercial}
+	formats := []string{"banner", "interstitial", "video", ""}
+	sizes := []string{"300x250", "1x1", "728x90", ""}
+	out := make([]Event, 0, n)
+	for i := 0; i < n; i++ {
+		typ := types[rng.Intn(len(types))]
+		imp := rng.Intn(n/4 + 1)
+		e := Event{
+			ImpressionID: fmt.Sprintf("imp-%d", imp),
+			CampaignID:   fmt.Sprintf("camp-%d", imp%5),
+			Type:         typ,
+			Seq:          imp % 2,
+			Meta: Meta{
+				Format: formats[imp%len(formats)],
+				AdSize: sizes[imp%len(sizes)],
+				Slot:   fmt.Sprintf("slot-%d", imp%3),
+				OS:     "android",
+			},
+		}
+		if imp%11 != 0 {
+			e.At = batchT0.Add(time.Duration(imp) * time.Second)
+			if typ == EventOutOfView {
+				e.At = e.At.Add(time.Duration(imp%5) * 700 * time.Millisecond)
+			}
+		}
+		if typ != EventServed {
+			e.Source = sources[imp%len(sources)]
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// requestBodies cuts the stream into requests of 1..64 events,
+// alternating JSON and binary bodies.
+func requestBodies(t testing.TB, seed uint64, stream []Event) (bodies [][]byte, binary []bool) {
+	t.Helper()
+	rng := simrand.New(seed).Fork("batch-path-cuts")
+	for len(stream) > 0 {
+		n := min(1+rng.Intn(64), len(stream))
+		if len(bodies)%2 == 0 {
+			body, err := json.Marshal(stream[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies, binary = append(bodies, body), append(binary, false)
+		} else {
+			bodies, binary = append(bodies, AppendBinaryEvents(nil, stream[:n])), append(binary, true)
+		}
+		stream = stream[n:]
+	}
+	return bodies, binary
+}
+
+// assertSameState compares everything downstream of the handler.
+func assertSameState(t *testing.T, label string, got, want *ingestStack) {
+	t.Helper()
+	if g, w := got.store.Events(), want.store.Events(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: Store.Events() differ: %d vs %d events", label, len(g), len(w))
+	}
+	if g, w := got.store.Counters(), want.store.Counters(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: Store.Counters() differ:\n got %v\nwant %v", label, g, w)
+	}
+	if g, w := got.store.CampaignCount(), len(want.store.CampaignIDs()); g != w {
+		t.Fatalf("%s: CampaignCount = %d, want %d", label, g, w)
+	}
+	if g, w := got.agg.Snapshot(), want.agg.Snapshot(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: aggregate.Snapshot() differs:\n got %+v\nwant %+v", label, g, w)
+	}
+	if g, w := got.det.Snapshot(), want.det.Snapshot(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: detect.Snapshot() differs:\n got %+v\nwant %+v", label, g, w)
+	}
+}
+
+// TestBatchPathEquivalence: the same requests, in the same order,
+// through the batch path and the per-event path — same replies, same
+// state, the same WAL records in the same order, and one group commit
+// per request instead of one per event.
+func TestBatchPathEquivalence(t *testing.T) {
+	for _, seed := range []uint64{1, 2019, 0xdeadbeef} {
+		stream := batchStream(seed, 1500)
+		bodies, binary := requestBodies(t, seed, stream)
+		opts := func() wal.Options { return wal.Options{Dir: t.TempDir(), GroupCommit: true} }
+		batch, perEvent := newIngestStack(t, opts(), false), newIngestStack(t, opts(), true)
+		for i, body := range bodies {
+			gotCode, got := batch.post(t, body, binary[i])
+			wantCode, want := perEvent.post(t, body, binary[i])
+			if gotCode != wantCode || gotCode != http.StatusAccepted || !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed=%d request %d: batch path answered %d %v, per-event path %d %v",
+					seed, i, gotCode, got, wantCode, want)
+			}
+		}
+		label := fmt.Sprintf("seed=%d", seed)
+		assertSameState(t, label, batch, perEvent)
+		if g, w := batch.wj.WAL().GroupCommits(), int64(len(bodies)); g != w {
+			t.Fatalf("%s: batch path made %d group commits for %d requests", label, g, w)
+		}
+		if g, w := perEvent.wj.WAL().GroupCommits(), int64(len(stream)); g != w {
+			t.Fatalf("%s: per-event path made %d group commits for %d events", label, g, w)
+		}
+		if g, w := batch.walRecords(t), perEvent.walRecords(t); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: WAL record sequences differ: %d vs %d records", label, len(g), len(w))
+		}
+	}
+}
+
+// TestBatchPathConcurrentEquivalence: the requests posted from many
+// goroutines at once — plus a full duplicate pass racing them —
+// converge on what the per-event path reaches sequentially. Under -race
+// this is also the proof that shard-grouped apply, the pooled scratch
+// and the shared group committer are race free.
+func TestBatchPathConcurrentEquivalence(t *testing.T) {
+	stream := batchStream(77, 2000)
+	bodies, binary := requestBodies(t, 77, stream)
+	opts := func() wal.Options { return wal.Options{Dir: t.TempDir(), GroupCommit: true} }
+	batch, perEvent := newIngestStack(t, opts(), false), newIngestStack(t, opts(), true)
+	for pass := 0; pass < 2; pass++ {
+		for i, body := range bodies {
+			if code, reply := perEvent.post(t, body, binary[i]); code != http.StatusAccepted {
+				t.Fatalf("per-event request %d: %d %v", i, code, reply)
+			}
+		}
+	}
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(bodies); i += workers {
+				if code, reply := batch.post(t, bodies[i], binary[i]); code != http.StatusAccepted {
+					t.Errorf("request %d: %d %v", i, code, reply)
+				}
+			}
+			if w == 0 {
+				for i, body := range bodies {
+					if code, reply := batch.post(t, body, binary[i]); code != http.StatusAccepted {
+						t.Errorf("duplicate request %d: %d %v", i, code, reply)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	assertSameState(t, "concurrent", batch, perEvent)
+	// The interleaving is unknown, so the WAL is compared as a multiset:
+	// every accepted submission journalled exactly once.
+	got, want := batch.walRecords(t), perEvent.walRecords(t)
+	sort.Strings(got)
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("concurrent: WAL record multisets differ: %d vs %d records", len(got), len(want))
+	}
+}
+
+// TestBatchPathRejectsWhole: on the batch path an infrastructure failure
+// rejects the request as a whole — 422 with rejected = N — and the
+// breaker counts it as one failed request.
+func TestBatchPathRejectsWhole(t *testing.T) {
+	s := newIngestStack(t, wal.Options{Dir: t.TempDir()}, false)
+	body := AppendBinaryEvents(nil, batchStream(5, 64))
+	if err := s.wj.Close(); err != nil { // the journal is down
+		t.Fatal(err)
+	}
+	code, reply := s.post(t, body, true)
+	if code != http.StatusUnprocessableEntity || reply["accepted"] != 0.0 || reply["rejected"] != 64.0 {
+		t.Fatalf("journal down: %d %v, want 422 with rejected=64", code, reply)
+	}
+	if got := s.server.Rejected(); got != 64 {
+		t.Fatalf("qtag_ingest_rejected_total = %d, want 64", got)
+	}
+}
+
+// TestPerEventFallback: a chain with a per-event member keeps the
+// per-event loop, and with it per-event accepted/rejected counts: a
+// failure of some events is a 202 that says how many.
+func TestPerEventFallback(t *testing.T) {
+	store := NewStore()
+	var calls int
+	flaky := SinkFunc(func(e Event) error {
+		calls++
+		if calls%4 == 0 {
+			return ErrQueueFull
+		}
+		return nil
+	})
+	idle := NewQueueSink(Discard, QueueOptions{})
+	defer idle.Close(context.Background())
+	for _, tc := range []struct {
+		name string
+		sink Sink
+	}{
+		{"SinkFunc under Tee", &StampSink{Next: Tee(store, flaky), Now: time.Now}},
+		{"SinkFunc under a breaker", Tee(store, NewCircuitBreaker(flaky, 1000, 0))},
+		{"QueueSink", Tee(store, flaky, idle)},
+	} {
+		calls = 0
+		server := NewServerWithSink(store, tc.sink)
+		req := httptest.NewRequest(http.MethodPost, "/v1/events",
+			bytes.NewReader(AppendBinaryEvents(nil, batchStream(9, 64))))
+		req.Header.Set("Content-Type", BinaryContentType)
+		w := httptest.NewRecorder()
+		server.ServeHTTP(w, req)
+		var reply struct{ Accepted, Rejected int }
+		if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil {
+			t.Fatal(err)
+		}
+		if w.Code != http.StatusAccepted || reply.Accepted != 48 || reply.Rejected != 16 {
+			t.Errorf("%s: %d accepted=%d rejected=%d, want 202 with 48/16", tc.name, w.Code, reply.Accepted, reply.Rejected)
+		}
+	}
+}
+
+// syncCountFS counts fsyncs of WAL files (directory syncs are not
+// record durability and are not counted).
+type syncCountFS struct {
+	wal.FS
+	syncs atomic.Int64
+}
+
+type syncCountFile struct {
+	wal.File
+	fs *syncCountFS
+}
+
+func (f syncCountFile) Sync() error {
+	f.fs.syncs.Add(1)
+	return f.File.Sync()
+}
+
+func (c *syncCountFS) OpenAppend(name string) (wal.File, error) {
+	f, err := c.FS.OpenAppend(name)
+	return syncCountFile{f, c}, err
+}
+
+func (c *syncCountFS) Create(name string) (wal.File, error) {
+	f, err := c.FS.Create(name)
+	return syncCountFile{f, c}, err
+}
+
+// batchCounter counts the SubmitBatch calls that pass through it.
+type batchCounter struct {
+	BatchSink
+	calls atomic.Int64
+}
+
+func (b *batchCounter) SubmitBatch(events []Event) error {
+	b.calls.Add(1)
+	return b.BatchSink.SubmitBatch(events)
+}
+
+// TestAckDurabilityFollowsThePolicy: what a 202 means is set by -fsync,
+// not by how many events the POST held. A 64-event POST on the
+// -durable-sync chain costs exactly one fsync under always (one per
+// event before the batch path), none under batch — a request is not a
+// flush — while the async queue's flush under batch still costs one.
+func TestAckDurabilityFollowsThePolicy(t *testing.T) {
+	body := AppendBinaryEvents(nil, batchStream(3, 64))
+	single := AppendBinaryEvents(nil, batchStream(4, 1))
+	for _, tc := range []struct {
+		policy wal.FsyncPolicy
+		group  bool
+		want   int64
+	}{
+		{wal.FsyncAlways, true, 1},
+		{wal.FsyncAlways, false, 1},
+		{wal.FsyncOnBatch, true, 0},
+		{wal.FsyncOnBatch, false, 0},
+		{wal.FsyncInterval, true, 0}, // FsyncEvery is an hour away
+	} {
+		fsys := &syncCountFS{FS: wal.OS}
+		s := newIngestStack(t, wal.Options{
+			Dir: t.TempDir(), FS: fsys, Fsync: tc.policy, FsyncEvery: time.Hour, GroupCommit: tc.group,
+		}, false)
+		for _, b := range [][]byte{body, single} {
+			before := fsys.syncs.Load()
+			if code, reply := s.post(t, b, true); code != http.StatusAccepted {
+				t.Fatalf("%v: %d %v", tc.policy, code, reply)
+			}
+			if got := fsys.syncs.Load() - before; got != tc.want {
+				t.Errorf("-fsync %v group=%v: a %d-byte POST cost %d fsyncs before its 202, want %d",
+					tc.policy, tc.group, len(b), got, tc.want)
+			}
+		}
+		if got := s.wj.Pending(); tc.want == 0 && got != 65 {
+			t.Errorf("-fsync %v: %d records pending an fsync, want all 65", tc.policy, got)
+		}
+	}
+
+	// The async wiring: Tee(store, queue → breaker → journal). Each queue
+	// flush is one WALJournal.SubmitBatch — a batch boundary — so under
+	// -fsync batch it is one fsync, as before.
+	fsys := &syncCountFS{FS: wal.OS}
+	store := NewStore()
+	wj, _, err := OpenDurable(wal.Options{Dir: t.TempDir(), FS: fsys, Fsync: wal.FsyncOnBatch, GroupCommit: true}, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wj.Close()
+	flushes := &batchCounter{BatchSink: NewCircuitBreaker(wj, 0, 0)}
+	queue := NewQueueSink(flushes, QueueOptions{})
+	server := NewServerWithSink(store, Tee(store, queue))
+	before := fsys.syncs.Load()
+	req := httptest.NewRequest(http.MethodPost, "/v1/events", bytes.NewReader(body))
+	req.Header.Set("Content-Type", BinaryContentType)
+	w := httptest.NewRecorder()
+	server.ServeHTTP(w, req)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("async POST: %d %s", w.Code, w.Body)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := queue.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, n := fsys.syncs.Load()-before, flushes.calls.Load(); n == 0 || got != n {
+		t.Errorf("async queue under -fsync batch: %d fsyncs for %d flushes, want one each", got, n)
+	}
+	if got := wj.Pending(); got != 0 {
+		t.Errorf("async queue drained but %d records still pending an fsync", got)
+	}
+}

@@ -153,6 +153,8 @@ func (b *CircuitBreaker) SubmitBatch(events []Event) error {
 	return err
 }
 
+func (b *CircuitBreaker) batchWhole() bool { return wholeBatch(b.next) != nil }
+
 // allow decides whether a submission may proceed.
 func (b *CircuitBreaker) allow() error {
 	b.mu.Lock()

@@ -535,3 +535,18 @@ func (s *StampSink) Submit(e Event) error {
 	}
 	return s.Next.Submit(e)
 }
+
+// SubmitBatch implements BatchSink. It stamps in place — the caller's
+// slice carries the timestamps afterwards — and forwards the batch.
+func (s *StampSink) SubmitBatch(events []Event) error {
+	if s.Now != nil {
+		for i := range events {
+			if events[i].At.IsZero() {
+				events[i].At = s.Now()
+			}
+		}
+	}
+	return submitBatch(s.Next, events)
+}
+
+func (s *StampSink) batchWhole() bool { return wholeBatch(s.Next) != nil }

@@ -44,6 +44,22 @@ type DurableRecovery struct {
 // replay unchanged, and qtag-replay reads both. Snapshots stay JSONL
 // either way: they are line-framed store dumps, not per-event records.
 // It is safe for concurrent use.
+//
+// The journal has two faces, and which one a chain holds — not how many
+// events a call carries — decides what a nil return means:
+//
+//   - WALJournal itself ends a queue flush. Submit is one wal.Append;
+//     SubmitBatch is one wal.AppendBatch, a batch boundary, which under
+//     -fsync batch is the one fsync per flush that policy is named for.
+//   - RequestSink sits on an HTTP request's ack path (-durable-sync).
+//     One event or a whole request, it is wal.AppendRecords: one
+//     hand-off to the group committer and one write, durable as the
+//     policy says and no more. always: the fsync covering the request
+//     has returned before the 202 (one per request — per commit group —
+//     not one per event). batch: the records are written to the file
+//     but not fsynced; a process crash keeps them, a power loss may not,
+//     until the next rotation, snapshot, Flush or Close. interval: as
+//     batch, plus an fsync whenever -fsync-every has elapsed.
 type WALJournal struct {
 	w   *wal.WAL
 	fs  wal.FS
@@ -181,30 +197,64 @@ func (j *WALJournal) Submit(e Event) error {
 }
 
 // SubmitBatch implements BatchSink: the batch lands as consecutive WAL
-// records in a single write, synced per the WAL's fsync policy. All
-// records encode into one pooled buffer (sliced per event afterwards —
-// appending first would invalidate earlier slices on growth). A
-// failed batch may leave a prefix behind; retrying callers re-append
-// the whole batch, which is safe because replay feeds an idempotent
-// store.
+// records in a single write and ends a batch for the fsync policy
+// (wal.AppendBatch) — the queue-flush face of the journal. A failed
+// batch may leave a prefix behind; retrying callers re-append the whole
+// batch, which is safe because replay feeds an idempotent store.
 func (j *WALJournal) SubmitBatch(events []Event) error {
-	buf := getEncBuf()
-	defer putEncBuf(buf)
-	b := (*buf)[:0]
-	offsets := make([]int, len(events)+1)
-	for i, e := range events {
-		if err := e.Validate(); err != nil {
+	return j.appendEvents(events, j.w.AppendBatch)
+}
+
+// RequestSink returns the journal as it sits on a request's ack path:
+// the same records through wal.AppendRecords, so that a request of any
+// size is one hand-off and one write and is exactly as durable as the
+// fsync policy says (see WALJournal) — in particular a request is not a
+// batch boundary, and under -fsync batch costs no fsync.
+func (j *WALJournal) RequestSink() BatchSink { return walRequestSink{j} }
+
+type walRequestSink struct{ j *WALJournal }
+
+func (r walRequestSink) Submit(e Event) error { return r.j.Submit(e) }
+
+func (r walRequestSink) SubmitBatch(events []Event) error {
+	return r.j.appendEvents(events, r.j.w.AppendRecords)
+}
+
+// recordBatch is appendEvents' pooled working memory: all records of a
+// batch encoded back to back in buf, where each ends, and the
+// per-record views handed to the WAL. The WAL call blocks until the
+// write has returned, so all three are free for reuse afterwards — the
+// reason the single-event encode buffer's reuse is safe.
+type recordBatch struct {
+	buf      []byte
+	ends     []int
+	payloads [][]byte
+}
+
+var recordBatchPool = sync.Pool{New: func() any { return new(recordBatch) }}
+
+// appendEvents validates and encodes the events and hands the records
+// to one of the WAL's multi-record entry points.
+func (j *WALJournal) appendEvents(events []Event, appendFn func([][]byte) error) error {
+	rb := recordBatchPool.Get().(*recordBatch)
+	defer recordBatchPool.Put(rb)
+	buf, ends := rb.buf[:0], rb.ends[:0]
+	for i := range events {
+		if err := events[i].Validate(); err != nil {
 			return err
 		}
-		b = AppendBinaryEvent(b, e)
-		offsets[i+1] = len(b)
+		buf = AppendBinaryEvent(buf, events[i])
+		ends = append(ends, len(buf))
 	}
-	*buf = b[:0]
-	payloads := make([][]byte, len(events))
-	for i := range events {
-		payloads[i] = b[offsets[i]:offsets[i+1]]
+	// Sliced only now: appending first would invalidate earlier slices
+	// on growth.
+	payloads, from := rb.payloads[:0], 0
+	for _, end := range ends {
+		payloads = append(payloads, buf[from:end])
+		from = end
 	}
-	return j.w.AppendBatch(payloads)
+	rb.buf, rb.ends, rb.payloads = buf, ends, payloads
+	return appendFn(payloads)
 }
 
 // Snapshot serializes the store, publishes it as a WAL snapshot and

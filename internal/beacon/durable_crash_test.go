@@ -346,6 +346,118 @@ func TestCrashPointSweepGroupCommit(t *testing.T) {
 	}
 }
 
+// TestCrashPointSweepRequestFrame crashes inside the single frame a
+// 64-event request is written as (RequestSink: one hand-off, one write).
+// A request is acked only when its whole frame — and under FsyncAlways
+// the fsync covering it — has returned, so at ANY byte offset:
+//
+//   - every acked request is recovered whole (acked ⊆ recovered);
+//   - zero duplicates (replayed == store size);
+//   - a torn frame recovers a record-aligned prefix of its request —
+//     never a hole — and that request was never acked;
+//   - with page-cache loss under FsyncAlways, recovered == acked exactly.
+func TestCrashPointSweepRequestFrame(t *testing.T) {
+	const (
+		reqSize  = 64
+		requests = 3
+	)
+	opts := func(dir string, fsys wal.FS, policy wal.FsyncPolicy, group bool) wal.Options {
+		return wal.Options{
+			Dir:          dir,
+			FS:           fsys,
+			Fsync:        policy,
+			SegmentBytes: 5 << 10, // two 2.1 KB request frames a segment: one rotation inside the workload
+			GroupCommit:  group,
+		}
+	}
+	// run posts the requests through j's request face and returns how
+	// many events were acked.
+	run := func(dir string, fsys wal.FS, policy wal.FsyncPolicy, group bool) int {
+		j, _, err := OpenDurable(opts(dir, fsys, policy, group), NewStore())
+		if err != nil {
+			return 0
+		}
+		defer j.Close() // post-crash close errors are irrelevant
+		sink := j.RequestSink()
+		for r := 0; r < requests; r++ {
+			batch := make([]Event, 0, reqSize)
+			for i := 0; i < reqSize; i++ {
+				batch = append(batch, durEvent(r*reqSize+i))
+			}
+			if err := sink.SubmitBatch(batch); err != nil {
+				return r * reqSize
+			}
+		}
+		return requests * reqSize
+	}
+
+	dry := faults.NewCrashFS(nil)
+	if got := run(t.TempDir(), dry, wal.FsyncAlways, false); got != requests*reqSize {
+		t.Fatalf("dry run acked %d, want %d", got, requests*reqSize)
+	}
+	total := dry.BytesWritten()
+
+	for _, tc := range []struct {
+		name    string
+		policy  wal.FsyncPolicy
+		group   bool
+		discard bool
+	}{
+		{"always-discard", wal.FsyncAlways, false, true},
+		{"always-discard-group", wal.FsyncAlways, true, true},
+		{"always-keep", wal.FsyncAlways, false, false},
+		{"batch-keep-group", wal.FsyncOnBatch, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			torn := 0
+			for off := int64(1); off <= total+wal.SegmentHeaderSize; off += 29 {
+				cfs := faults.NewCrashFS(nil)
+				cfs.DiscardUnsynced(tc.discard)
+				cfs.CrashAfterBytes(off)
+				dir := t.TempDir()
+				acked := run(dir, cfs, tc.policy, tc.group)
+
+				store := NewStore()
+				j2, rec, err := OpenDurable(opts(dir, nil, tc.policy, tc.group), store)
+				if err != nil {
+					t.Fatalf("off=%d: recovery failed: %v (%+v)", off, err, rec)
+				}
+				j2.Close()
+				recovered := store.Len()
+				if rec.Replayed != recovered {
+					t.Fatalf("off=%d: replayed %d but store holds %d — duplicates", off, rec.Replayed, recovered)
+				}
+				if recovered < acked {
+					t.Fatalf("off=%d: acked %d events, recovered %d", off, acked, recovered)
+				}
+				if tc.discard && recovered != acked {
+					t.Fatalf("off=%d: FsyncAlways with page-cache loss must recover exactly the acked set: recovered %d, acked %d", off, recovered, acked)
+				}
+				// Whatever survives beyond the acked requests is the front of
+				// the one request whose frame was torn.
+				if recovered >= acked+reqSize && acked < requests*reqSize {
+					t.Fatalf("off=%d: recovered %d events: a whole unacked request on top of the %d acked", off, recovered, acked)
+				}
+				if recovered%reqSize != 0 {
+					torn++
+				}
+				keys := map[string]bool{}
+				for _, e := range store.Events() {
+					keys[e.Key()] = true
+				}
+				for i := 0; i < recovered; i++ {
+					if !keys[durEvent(i).Key()] {
+						t.Fatalf("off=%d: recovered %d events but event %d is missing — hole in the prefix", off, recovered, i)
+					}
+				}
+			}
+			if !tc.discard && torn == 0 {
+				t.Fatal("the sweep never tore a request frame; it is not testing what it claims")
+			}
+		})
+	}
+}
+
 // TestCrashSweepIsDeterministic reruns one crash offset twice and
 // demands identical outcomes — the harness itself must not flake.
 func TestCrashSweepIsDeterministic(t *testing.T) {

@@ -17,7 +17,10 @@ import (
 //   - a batch is never partially applied: any non-2xx response leaves
 //     the store exactly as it was (422 means the WHOLE batch bounced);
 //   - on 2xx the store grows by at most the accepted count (duplicates
-//     are absorbed, never double-counted).
+//     are absorbed, never double-counted);
+//   - the batch path (the store takes the request whole) and the
+//     per-event fallback (a SinkFunc in the chain) answer alike and leave
+//     the same number of events behind.
 func FuzzHandleEvents(f *testing.F) {
 	f.Add(`{"impression_id":"a","campaign_id":"c","type":"served"}`)
 	f.Add(`[{"impression_id":"a","campaign_id":"c","source":"qtag","type":"loaded"}]`)
@@ -35,31 +38,45 @@ func FuzzHandleEvents(f *testing.F) {
 	f.Add("[{\"impression_id\":\"\\u0000\",\"campaign_id\":\"c\",\"type\":\"served\"}]")
 	f.Fuzz(func(t *testing.T, body string) {
 		store := NewStore()
-		server := NewServer(store)
-		server.SetMaxBodyBytes(2048) // small enough for the fuzzer to cross
-
-		before := store.Len()
-		req := httptest.NewRequest(http.MethodPost, "/v1/events", bytes.NewReader([]byte(body)))
-		req.Header.Set("Content-Type", "application/json")
-		w := httptest.NewRecorder()
-		server.ServeHTTP(w, req) // a panic here fails the fuzz run
-
-		code := w.Code
-		if code >= 500 {
-			t.Fatalf("5xx from handler: %d %q for body %q", code, w.Body.String(), body)
+		code := fuzzPost(t, store, NewServer(store), body)
+		perEvent := NewStore()
+		if got := fuzzPost(t, perEvent, NewServerWithSink(perEvent, SinkFunc(perEvent.Submit)), body); got != code {
+			t.Fatalf("batch path answered %d, per-event path %d, for body %q", code, got, body)
 		}
-		if code < 200 || code >= 300 {
-			// Atomic batch: a rejected request applies nothing.
-			if store.Len() != before {
-				t.Fatalf("status %d but store grew %d -> %d for body %q", code, before, store.Len(), body)
-			}
-			if len(body) > 2048 && code != http.StatusRequestEntityTooLarge {
-				t.Fatalf("oversized body answered %d, want 413", code)
-			}
-			return
-		}
-		if got := store.Len(); int64(got) > server.Accepted() {
-			t.Fatalf("store holds %d events but only %d were ever accepted", got, server.Accepted())
+		if store.Len() != perEvent.Len() {
+			t.Fatalf("batch path stored %d events, per-event path %d, for body %q", store.Len(), perEvent.Len(), body)
 		}
 	})
+}
+
+// fuzzPost posts body to a fresh server over store, checks the
+// per-request invariants and returns the status code.
+func fuzzPost(t *testing.T, store *Store, server *Server, body string) int {
+	t.Helper()
+	server.SetMaxBodyBytes(2048) // small enough for the fuzzer to cross
+
+	before := store.Len()
+	req := httptest.NewRequest(http.MethodPost, "/v1/events", bytes.NewReader([]byte(body)))
+	req.Header.Set("Content-Type", "application/json")
+	w := httptest.NewRecorder()
+	server.ServeHTTP(w, req) // a panic here fails the fuzz run
+
+	code := w.Code
+	if code >= 500 {
+		t.Fatalf("5xx from handler: %d %q for body %q", code, w.Body.String(), body)
+	}
+	if code < 200 || code >= 300 {
+		// Atomic batch: a rejected request applies nothing.
+		if store.Len() != before {
+			t.Fatalf("status %d but store grew %d -> %d for body %q", code, before, store.Len(), body)
+		}
+		if len(body) > 2048 && code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversized body answered %d, want 413", code)
+		}
+		return code
+	}
+	if got := store.Len(); int64(got) > server.Accepted() {
+		t.Fatalf("store holds %d events but only %d were ever accepted", got, server.Accepted())
+	}
+	return code
 }

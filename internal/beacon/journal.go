@@ -208,14 +208,52 @@ func ReplayJournal(r io.Reader, sink Sink) (ReplayStats, error) {
 // Tee returns a Sink fanning every event to all sinks in order. The
 // first error aborts the fan-out and is returned; earlier sinks have
 // already ingested the event, which is safe because ingestion is
-// idempotent everywhere in this package.
-func Tee(sinks ...Sink) Sink {
-	return SinkFunc(func(e Event) error {
-		for _, s := range sinks {
-			if err := s.Submit(e); err != nil {
-				return err
-			}
+// idempotent everywhere in this package. The result is also a
+// BatchSink: a batch goes to each sink in turn, whole where the sink is
+// a BatchSink and event by event where it is not.
+func Tee(sinks ...Sink) Sink { return teeSink(sinks) }
+
+type teeSink []Sink
+
+// Submit implements Sink.
+func (t teeSink) Submit(e Event) error {
+	for _, s := range t {
+		if err := s.Submit(e); err != nil {
+			return err
 		}
-		return nil
-	})
+	}
+	return nil
+}
+
+// SubmitBatch implements BatchSink.
+func (t teeSink) SubmitBatch(events []Event) error {
+	for _, s := range t {
+		if err := submitBatch(s, events); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t teeSink) batchWhole() bool {
+	for _, s := range t {
+		if wholeBatch(s) == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// submitBatch hands sink the batch in one call when it is a BatchSink
+// and event by event, stopping at the first error, when it is not.
+func submitBatch(sink Sink, events []Event) error {
+	if bs, ok := sink.(BatchSink); ok {
+		return bs.SubmitBatch(events)
+	}
+	for _, e := range events {
+		if err := sink.Submit(e); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -11,12 +11,36 @@ import (
 	"qtag/internal/obs"
 )
 
-// BatchSink is a Sink that can deliver several events in one call.
-// *HTTPSink and *CircuitBreaker implement it; QueueSink uses it to
-// coalesce queued events into batch submissions.
+// BatchSink is a Sink that can deliver several events in one call, all
+// or nothing: a nil error means every event was taken, an error means
+// the caller re-delivers the whole batch (safe, because ingestion is
+// idempotent everywhere in this package). *Store, *WALJournal (and its
+// RequestSink), *Journal, *HTTPSink and Discard take a batch whole; the
+// wrappers *CircuitBreaker, *StampSink and Tee implement it too and are
+// as whole as what they wrap. QueueSink uses it to coalesce queued
+// events into batch submissions, and Server to carry one request down
+// the ingest chain in one call (see wholeBatch).
 type BatchSink interface {
 	Sink
 	SubmitBatch([]Event) error
+}
+
+// wholeBatch returns sink as a BatchSink when it, and every sink under
+// it, takes a batch in one piece — nil when any member of the chain
+// would fall back to a Submit per event (a SinkFunc, a QueueSink, a
+// cluster.Node), because a per-event member can fail per event and only
+// the per-event loop can report that. Wrapper sinks answer for what they
+// wrap through the unexported batchWhole method; a BatchSink without one
+// is a leaf and is taken at its word.
+func wholeBatch(sink Sink) BatchSink {
+	bs, ok := sink.(BatchSink)
+	if !ok {
+		return nil
+	}
+	if w, ok := sink.(interface{ batchWhole() bool }); ok && !w.batchWhole() {
+		return nil
+	}
+	return bs
 }
 
 // Queue errors.

@@ -20,7 +20,7 @@ import (
 // Server is the HTTP collection endpoint tags send beacons to — the
 // "monitoring server" of §3. It exposes:
 //
-//	POST /v1/events              ingest one event or a JSON array of events
+//	POST /v1/events              ingest one request's events: a JSON object, a JSON array, or a binary batch frame
 //	GET  /v1/stats               global measured/viewability rates per source
 //	GET  /v1/campaigns/{id}/stats  per-campaign rates
 //	GET  /healthz                liveness probe
@@ -29,8 +29,12 @@ import (
 // Ingestion is idempotent (see Store.Submit), so tags may retry beacons
 // freely.
 type Server struct {
-	store     *Store
-	sink      Sink
+	store *Store
+	sink  Sink
+	// batch is sink when the whole chain under it takes a request's
+	// events in one SubmitBatch (wholeBatch), nil when some member is
+	// per-event and handleEvents must loop.
+	batch     BatchSink
 	mux       *http.ServeMux
 	accepted  atomic.Int64
 	rejected  atomic.Int64
@@ -74,9 +78,12 @@ func NewServer(store *Store) *Server { return NewServerWithSink(store, store) }
 // NewServerWithSink separates ingestion from aggregation: incoming events
 // go to sink (typically Tee(store, journal)) while stats endpoints read
 // from store. The sink must (directly or indirectly) feed the store or
-// the stats will stay empty.
+// the stats will stay empty. A chain of batch-capable sinks end to end
+// (StampSink, Tee, Store, CircuitBreaker, a journal) receives each
+// request as one SubmitBatch; any other chain one Submit per event.
 func NewServerWithSink(store *Store, sink Sink) *Server {
-	s := &Server{store: store, sink: sink, mux: http.NewServeMux(), reg: obs.NewRegistry(), now: time.Now}
+	s := &Server{store: store, sink: sink, batch: wholeBatch(sink),
+		mux: http.NewServeMux(), reg: obs.NewRegistry(), now: time.Now}
 	s.maxBody.Store(DefaultMaxBodyBytes)
 	s.reg.CounterFunc("qtag_ingest_accepted_total", "Events accepted by the collection endpoints.", s.accepted.Load)
 	s.reg.CounterFunc("qtag_ingest_rejected_total", "Events refused by validation.", s.rejected.Load)
@@ -85,7 +92,7 @@ func NewServerWithSink(store *Store, sink Sink) *Server {
 	s.reg.GaugeFunc("qtag_store_events", "Distinct events held by the in-memory store.",
 		func() float64 { return float64(store.Len()) })
 	s.reg.GaugeFunc("qtag_store_campaigns", "Distinct campaigns observed by the store.",
-		func() float64 { return float64(len(store.CampaignIDs())) })
+		func() float64 { return float64(store.CampaignCount()) })
 	s.ingestLatency = s.reg.Histogram("qtag_ingest_latency_seconds",
 		"Wall time spent handling one /v1/events ingestion request.", obs.LatencyBuckets)
 	s.mux.HandleFunc("POST /v1/events", s.instrument("ingest.events", s.handleEvents))
@@ -256,11 +263,24 @@ func (s *Server) Oversized() int64 { return s.oversized.Load() }
 // budget was already spent on arrival.
 func (s *Server) Doomed() int64 { return s.doomed.Load() }
 
-// handleEvents ingests one event or a JSON array. A batch is applied
-// atomically with respect to validation: every event is validated before
-// any is submitted, so a malformed or invalid entry rejects the whole
-// request (422) and the store is untouched — a retrying client never
-// has to reason about which half of its batch landed.
+// handleEvents ingests one request: a JSON event object, a JSON array of
+// events, or a binary batch frame (Content-Type application/x-qtag-binary).
+// A request is applied atomically with respect to validation: every
+// event is validated before any is submitted, so a malformed or invalid
+// entry rejects the whole request (422) and the store is untouched — a
+// retrying client never has to reason about which half of its batch
+// landed.
+//
+// The validated events then go down the sink chain in one of two
+// shapes. When every sink of the chain takes a batch whole (s.batch),
+// the request is one SubmitBatch: one pass per shard lock, one WAL
+// hand-off and one write for all of it, and it is accepted or — on an
+// infrastructure failure: breaker open, journal down — rejected as a
+// whole (422, rejected = N), the answer the per-event loop gives when
+// every Submit fails. Otherwise (a cluster.Node, a QueueSink or a
+// SinkFunc somewhere in the chain) each event is its own Submit and the
+// reply counts accepted and rejected per event. Either way the client's
+// remedy is the same: re-send the request; ingestion is idempotent.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// Deadline propagation: a client (or forwarding peer) may stamp its
 	// remaining per-request budget. A request whose budget is already
@@ -382,16 +402,25 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			events[i].Deadline = deadline
 		}
 	}
+	// Validation passed for the whole request; a sink failure from here
+	// on is infrastructure (queue full, breaker open, journal down).
 	resp := ingestResponse{}
-	for _, e := range events {
-		// Validation passed for the whole batch; a Submit failure here is
-		// infrastructure (queue full, journal down), counted per event.
-		if err := s.sink.Submit(e); err != nil {
-			resp.Rejected++
-			resp.Error = err.Error()
-			continue
+	if s.batch == nil {
+		for _, e := range events {
+			if err := s.sink.Submit(e); err != nil {
+				resp.Rejected++
+				resp.Error = err.Error()
+				continue
+			}
+			resp.Accepted++
 		}
-		resp.Accepted++
+	} else if len(events) > 0 { // an empty array is accepted without troubling the chain
+		if err := s.batch.SubmitBatch(events); err != nil {
+			resp.Rejected = len(events)
+			resp.Error = err.Error()
+		} else {
+			resp.Accepted = len(events)
+		}
 	}
 	s.accepted.Add(int64(resp.Accepted))
 	s.rejected.Add(int64(resp.Rejected))

@@ -46,6 +46,13 @@ type Store struct {
 	// under the same shard lock. First-seen events never reach them; the
 	// two hook sets partition every valid submission. See AddDupObserver.
 	dupObservers []func(Event)
+
+	// campaigns is the set of distinct campaign ids seen, so the
+	// qtag_store_campaigns gauge is a len() and not a walk over every
+	// shard's counters. A shard adds to it, under campMu, only when it
+	// inserts a CounterKey it has not held before.
+	campMu    sync.Mutex
+	campaigns map[string]struct{}
 }
 
 // DefaultStoreShards is the shard count NewStore picks.
@@ -75,7 +82,7 @@ func NewStoreWithShards(n int) *Store {
 	for size < n {
 		size <<= 1
 	}
-	s := &Store{shards: make([]storeShard, size), mask: uint32(size - 1)}
+	s := &Store{shards: make([]storeShard, size), mask: uint32(size - 1), campaigns: make(map[string]struct{})}
 	for i := range s.shards {
 		s.shards[i].events = make(map[string]Event)
 		s.shards[i].counters = make(map[CounterKey]int)
@@ -131,14 +138,12 @@ func (s *Store) SetObserver(fn func(Event)) {
 // must not call back into the store.
 func (s *Store) AddDupObserver(fn func(Event)) { s.dupObservers = append(s.dupObservers, fn) }
 
-// shardFor picks the shard for an event via the shared addressing hash
-// (HashID): every event of one impression (and therefore every
+// shardIndex picks the shard for an impression via the shared addressing
+// hash (HashID): every event of one impression (and therefore every
 // duplicate of one idempotency key) lands in the same shard. The same
 // hash drives node selection in internal/cluster, so in-process and
 // cross-node routing never disagree about an impression.
-func (s *Store) shardFor(e Event) *storeShard {
-	return &s.shards[HashID(e.ImpressionID)&s.mask]
-}
+func (s *Store) shardIndex(impressionID string) uint32 { return HashID(impressionID) & s.mask }
 
 // Submit validates and stores the event. Duplicate submissions (same
 // idempotency key) are silently absorbed: at-least-once delivery from tags
@@ -147,6 +152,16 @@ func (s *Store) Submit(e Event) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
+	sh := &s.shards[s.shardIndex(e.ImpressionID)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	s.applyLocked(sh, e)
+	return nil
+}
+
+// applyLocked stores one validated event in its shard, whose lock the
+// caller holds, and fires the first-seen or the duplicate observers.
+func (s *Store) applyLocked(sh *storeShard, e Event) {
 	// The key is built into a stack scratch buffer and the dup check is a
 	// string(key) map lookup, which the compiler performs without
 	// materializing the string — so the steady state (duplicate and
@@ -154,16 +169,14 @@ func (s *Store) Submit(e Event) error {
 	// insert converts for real, because the map must own its key.
 	var kb [96]byte
 	key := e.AppendKey(kb[:0])
-	sh := s.shardFor(e)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	if _, dup := sh.events[string(key)]; dup {
 		for _, fn := range s.dupObservers {
 			fn(e)
 		}
-		return nil
+		return
 	}
 	sh.events[string(key)] = e
+	keys := len(sh.counters)
 	sh.counters[CounterKey{
 		CampaignID: e.CampaignID,
 		Source:     e.Source,
@@ -173,10 +186,88 @@ func (s *Store) Submit(e Event) error {
 		Exchange:   e.Meta.Exchange,
 		Country:    e.Meta.Country,
 	}]++
+	if len(sh.counters) != keys {
+		s.campMu.Lock()
+		s.campaigns[e.CampaignID] = struct{}{}
+		s.campMu.Unlock()
+	}
 	for _, fn := range s.observers {
 		fn(e)
 	}
+}
+
+// batchScratch is SubmitBatch's per-call working memory: a counting sort
+// of the event positions by shard.
+type batchScratch struct {
+	shard []uint32 // shard[i] is events[i]'s shard
+	next  []int    // per shard: its event count, then its cursor into order
+	order []int    // event positions grouped by shard, request order within one
+}
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// SubmitBatch implements BatchSink: one request's events applied with
+// each shard lock taken once. Every event is validated before any is
+// stored, so an invalid event rejects the batch whole and leaves the
+// store untouched. The events of one shard — and so of one impression,
+// and of one idempotency key — are applied in request order under that
+// shard's lock with the first-seen and duplicate observers fired per
+// event, exactly as a Submit of each in turn would; only the
+// interleaving across shards differs, which no observer can see (they
+// are keyed by impression).
+func (s *Store) SubmitBatch(events []Event) error {
+	for i := range events {
+		if err := events[i].Validate(); err != nil {
+			return err
+		}
+	}
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer batchScratchPool.Put(sc)
+	sc.shard = sc.shard[:0]
+	sc.next = append(sc.next[:0], make([]int, len(s.shards))...)
+	for i := range events {
+		k := s.shardIndex(events[i].ImpressionID)
+		sc.shard = append(sc.shard, k)
+		sc.next[k]++
+	}
+	begin := 0
+	for k, n := range sc.next {
+		sc.next[k] = begin
+		begin += n
+	}
+	sc.order = append(sc.order[:0], make([]int, len(events))...)
+	for i, k := range sc.shard {
+		sc.order[sc.next[k]] = i
+		sc.next[k]++
+	}
+	// Each cursor has run to the end of its shard's span, which is where
+	// the next shard's begins.
+	from := 0
+	for k, to := range sc.next {
+		if from < to {
+			s.applyShard(&s.shards[k], events, sc.order[from:to])
+		}
+		from = to
+	}
 	return nil
+}
+
+// applyShard applies the events at the given positions under one hold of
+// the shard's lock.
+func (s *Store) applyShard(sh *storeShard, events []Event, at []int) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, i := range at {
+		s.applyLocked(sh, events[i])
+	}
+}
+
+// CampaignCount returns the number of distinct campaigns observed —
+// len(CampaignIDs()) without the walk and the sort.
+func (s *Store) CampaignCount() int {
+	s.campMu.Lock()
+	defer s.campMu.Unlock()
+	return len(s.campaigns)
 }
 
 // Len returns the number of distinct stored events.

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"testing"
@@ -233,5 +235,47 @@ func TestNodeSingleNodePassThrough(t *testing.T) {
 	}
 	if err := n.Readiness()(); err != nil {
 		t.Fatalf("single node unready: %v", err)
+	}
+}
+
+// TestNodeKeepsPerEventIngest: a Node routes each beacon to its owner, so
+// a server whose chain contains one must not hand it a request whole.
+// The handler keeps its per-event loop — one Submit, one routing
+// decision and one accepted/rejected count per event — even though the
+// chain on either side of the node (StampSink above, Tee(store, journal)
+// below) could take a batch.
+func TestNodeKeepsPerEventIngest(t *testing.T) {
+	store := beacon.NewStore()
+	submits := 0
+	journal := beacon.SinkFunc(func(beacon.Event) error {
+		if submits++; submits%4 == 0 {
+			return beacon.ErrQueueFull
+		}
+		return nil
+	})
+	n, err := NewNode(Config{Self: "solo", Local: beacon.Tee(store, journal)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	server := beacon.NewServerWithSink(store, &beacon.StampSink{Next: n, Now: time.Now})
+
+	events := make([]beacon.Event, 64)
+	for i := range events {
+		events[i] = nodeEvent(fmt.Sprintf("imp-%d", i))
+	}
+	req := httptest.NewRequest("POST", "/v1/events", bytes.NewReader(beacon.AppendBinaryEvents(nil, events)))
+	req.Header.Set("Content-Type", beacon.BinaryContentType)
+	w := httptest.NewRecorder()
+	server.ServeHTTP(w, req)
+	var reply struct{ Accepted, Rejected int }
+	if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil {
+		t.Fatal(err)
+	}
+	if w.Code != 202 || reply.Accepted != 48 || reply.Rejected != 16 {
+		t.Fatalf("%d accepted=%d rejected=%d, want 202 with 48/16", w.Code, reply.Accepted, reply.Rejected)
+	}
+	if got := n.Stats().LocalAccepted; got != 48 {
+		t.Fatalf("node applied %d events locally, want 48 — one routing decision per event", got)
 	}
 }

@@ -6,9 +6,10 @@ import (
 	"time"
 )
 
-// commitReq is one caller's pending append: its framed payloads, whether
-// it came from AppendBatch (the FsyncOnBatch trigger), and the channel
-// the commit outcome is delivered on.
+// commitReq is one caller's pending append: its payloads (one request's
+// records stay together — a request is never split across groups),
+// whether it came from AppendBatch (the FsyncOnBatch trigger), and the
+// channel the commit outcome is delivered on.
 type commitReq struct {
 	payloads [][]byte
 	batch    bool
@@ -37,7 +38,18 @@ type groupCommitter struct {
 	queue   []*commitReq
 	stopped bool
 	done    chan struct{}
+
+	// group and payloads are the committer goroutine's scratch, reused
+	// from one commit to the next: every caller of a group blocks until
+	// its write has returned, so nothing outlives the commit.
+	group    []*commitReq
+	payloads [][]byte
 }
+
+// commitReqPool recycles requests with their reply channel. A request is
+// the caller's again once it has received from err — the committer's
+// send is the last thing it does with it.
+var commitReqPool = sync.Pool{New: func() any { return &commitReq{err: make(chan error, 1)} }}
 
 func newGroupCommitter(w *WAL) *groupCommitter {
 	g := &groupCommitter{
@@ -58,18 +70,22 @@ func newGroupCommitter(w *WAL) *groupCommitter {
 // gets the error; retrying re-appends the whole request, which is safe
 // because replay feeds an idempotent store).
 func (g *groupCommitter) submit(payloads [][]byte, batch bool) error {
-	req := &commitReq{payloads: payloads, batch: batch, enqueued: g.now(), err: make(chan error, 1)}
 	g.mu.Lock()
 	if g.stopped {
 		g.mu.Unlock()
 		return ErrClosed
 	}
+	req := commitReqPool.Get().(*commitReq)
+	req.payloads, req.batch, req.enqueued = payloads, batch, g.now()
 	g.queue = append(g.queue, req)
 	if len(g.queue) == 1 {
 		g.cond.Signal()
 	}
 	g.mu.Unlock()
-	return <-req.err
+	err := <-req.err
+	req.payloads = nil
+	commitReqPool.Put(req)
+	return err
 }
 
 // depth returns the number of callers waiting for a commit.
@@ -104,7 +120,7 @@ func (g *groupCommitter) run() {
 			g.mu.Unlock()
 			return // stopped and drained
 		}
-		take, records := g.takeLocked(nil, 0)
+		take, records := g.takeLocked(g.group[:0], 0)
 		g.mu.Unlock()
 		if records < g.maxBatch && g.maxWait > 0 {
 			// Hold the group open to let concurrent callers join — but
@@ -129,31 +145,40 @@ func (g *groupCommitter) run() {
 			}
 		}
 		g.commit(take, records)
+		clear(take)
+		g.group = take
 	}
 }
 
 // takeLocked moves requests from the queue into the in-progress group
 // until the group reaches maxBatch records (a request is never split, so
-// one oversized AppendBatch can exceed it).
+// one AppendRecords or AppendBatch larger than maxBatch exceeds it).
 func (g *groupCommitter) takeLocked(group []*commitReq, records int) ([]*commitReq, int) {
-	for len(g.queue) > 0 && records < g.maxBatch {
-		req := g.queue[0]
-		g.queue = g.queue[1:]
-		group = append(group, req)
-		records += len(req.payloads)
+	n := 0
+	for n < len(g.queue) && records < g.maxBatch {
+		group = append(group, g.queue[n])
+		records += len(g.queue[n].payloads)
+		n++
 	}
+	// Shift the rest down instead of slicing the front off, so the queue
+	// keeps its backing array from one commit to the next.
+	rest := copy(g.queue, g.queue[n:])
+	clear(g.queue[rest:])
+	g.queue = g.queue[:rest]
 	return group, records
 }
 
 // commit writes one coalesced group and releases its callers.
 func (g *groupCommitter) commit(group []*commitReq, records int) {
-	payloads := make([][]byte, 0, records)
+	payloads := g.payloads[:0]
 	batch := false
 	for _, req := range group {
 		payloads = append(payloads, req.payloads...)
 		batch = batch || req.batch
 	}
 	err := g.w.append(payloads, batch)
+	clear(payloads)
+	g.payloads = payloads
 	if err == nil {
 		g.w.groupCommits.Add(1)
 	}

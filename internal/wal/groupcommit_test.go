@@ -134,6 +134,61 @@ func TestGroupCommitAppendBatchAndReplay(t *testing.T) {
 	}
 }
 
+// TestGroupCommitAppendRecordsIsOneCommit: a request's records are one
+// hand-off — one commit group of N records, one write — however many
+// they are, including more than GroupCommitMaxBatch; and they replay in
+// order between the appends around them.
+func TestGroupCommitAppendRecordsIsOneCommit(t *testing.T) {
+	dir := t.TempDir()
+	var groups []int
+	w := openGC(t, Options{
+		Dir:                 dir,
+		Fsync:               FsyncAlways,
+		GroupCommitMaxBatch: 16,
+		CommitObserver:      func(records int, _ time.Duration) { groups = append(groups, records) },
+	})
+	if err := w.Append([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	syncs := w.Syncs()
+	if err := w.AppendRecords(payloads(64)); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Syncs() - syncs; got != 1 {
+		t.Fatalf("AppendRecords of 64 cost %d fsyncs, want 1", got)
+	}
+	if err := w.AppendRecords(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append([]byte("last")); err != nil {
+		t.Fatal(err)
+	}
+	if gc := w.GroupCommits(); gc != 3 {
+		t.Fatalf("%d group commits, want 3 (the empty call makes none)", gc)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(groups) != 3 || groups[0] != 1 || groups[1] != 64 || groups[2] != 1 {
+		t.Fatalf("commit groups %v, want [1 64 1]", groups)
+	}
+	var got []string
+	if _, err := Scan(nil, dir, func(_ uint64, payload []byte) error {
+		got = append(got, string(payload))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"first"}
+	for _, p := range payloads(64) {
+		want = append(want, string(p))
+	}
+	want = append(want, "last")
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("replayed %d records out of order or incomplete:\n got %v\nwant %v", len(got), got, want)
+	}
+}
+
 func TestGroupCommitCloseDrainsQueue(t *testing.T) {
 	dir := t.TempDir()
 	w := openGC(t, Options{Dir: dir, Fsync: FsyncAlways, GroupCommitMaxWait: time.Millisecond})

@@ -9,10 +9,11 @@
 //
 // Guarantees:
 //
-//   - Append durability follows the fsync policy: FsyncAlways syncs every
-//     append, FsyncOnBatch syncs at the end of each AppendBatch, and
-//     FsyncInterval syncs when FsyncEvery has elapsed (checked on append;
-//     pair it with a periodic Sync for idle streams).
+//   - Append durability follows the fsync policy (see FsyncPolicy):
+//     FsyncAlways syncs every append call, FsyncOnBatch syncs at the end
+//     of each AppendBatch only, and FsyncInterval syncs when FsyncEvery
+//     has elapsed (checked on append; pair it with a periodic Sync for
+//     idle streams).
 //   - Recovery (Open) scans segments in index order, replays every valid
 //     record, truncates a torn tail (a crash mid-write loses at most the
 //     records appended after the last fsync), and quarantines corrupted
@@ -39,15 +40,28 @@ import (
 	"time"
 )
 
-// FsyncPolicy selects when appends are forced to stable storage.
+// FsyncPolicy selects when appends are forced to stable storage. What a
+// returned append — and so an acknowledged request — means is a property
+// of the policy, never of how many records the call carried: Append and
+// AppendRecords are the same promise for one record or sixty-four.
+//
+//	policy    Append / AppendRecords return after   AppendBatch returns after
+//	always    write + the fsync covering the call   write + fsync
+//	batch     write (page cache; no fsync)          write + fsync (flush boundary)
+//	interval  write; fsync if FsyncEvery elapsed    the same
+//
+// Whatever the policy, rotation, Sync/SyncIndex (snapshots) and Close
+// fsync, and Pending counts the records a crash could still lose.
 type FsyncPolicy int
 
 const (
 	// FsyncOnBatch syncs at the end of every AppendBatch (and on
-	// rotation and Close). Single Appends are not synced — the default
-	// trade: one fsync per queue flush.
+	// rotation and Close). Append and AppendRecords are not synced — the
+	// default trade: one fsync per queue flush, none on a request path.
 	FsyncOnBatch FsyncPolicy = iota
-	// FsyncAlways syncs after every Append and AppendBatch.
+	// FsyncAlways syncs before every Append, AppendRecords and
+	// AppendBatch returns: one fsync per call (per commit group with
+	// group commit), whatever the number of records in it.
 	FsyncAlways
 	// FsyncInterval syncs when FsyncEvery has elapsed since the last
 	// sync, checked after each append.
@@ -248,15 +262,25 @@ func Open(opts Options, replay func(index uint64, payload []byte) error) (*WAL, 
 	return w, res, nil
 }
 
-// append frames the payloads and writes them as one Write call,
-// applying rotation and the fsync policy. batch reports whether the
-// call came from AppendBatch (for FsyncOnBatch).
+// framePool recycles append's frame buffers. File.Write does not retain
+// its argument, so a buffer is free again the moment the write returns.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// append frames the payloads (already size-checked by submit) and writes
+// them as one Write call, applying rotation and the fsync policy. batch
+// reports whether the call came from AppendBatch (for FsyncOnBatch).
 func (w *WAL) append(payloads [][]byte, batch bool) error {
-	frame := make([]byte, 0, 64)
+	size := 0
 	for _, p := range payloads {
-		if len(p) > w.opts.MaxRecordBytes {
-			return fmt.Errorf("%w: %d > %d", ErrRecordTooLarge, len(p), w.opts.MaxRecordBytes)
-		}
+		size += RecordHeaderSize + len(p)
+	}
+	fb := framePool.Get().(*[]byte)
+	defer framePool.Put(fb)
+	if cap(*fb) < size {
+		*fb = make([]byte, 0, size)
+	}
+	frame := (*fb)[:0]
+	for _, p := range payloads {
 		frame = EncodeRecord(frame, p)
 	}
 	w.mu.Lock()
@@ -314,37 +338,54 @@ func (w *WAL) append(payloads [][]byte, batch bool) error {
 	return nil
 }
 
+// submit is the one way into the journal: it size-checks the payloads in
+// the caller — an oversized record must fail its own caller, never an
+// innocent member of its commit group — and hands them to the group
+// committer when there is one, or writes them itself.
+func (w *WAL) submit(payloads [][]byte, batch bool) error {
+	for _, p := range payloads {
+		if len(p) > w.opts.MaxRecordBytes {
+			return fmt.Errorf("%w: %d > %d", ErrRecordTooLarge, len(p), w.opts.MaxRecordBytes)
+		}
+	}
+	if w.gc != nil {
+		return w.gc.submit(payloads, batch)
+	}
+	return w.append(payloads, batch)
+}
+
 // Append writes one record. Durability follows the fsync policy. With
 // group commit enabled, concurrent Appends coalesce into one write and
 // one fsync; each call still returns only after the fsync covering its
 // record (policy permitting).
 func (w *WAL) Append(payload []byte) error {
-	if w.gc != nil {
-		if len(payload) > w.opts.MaxRecordBytes {
-			return fmt.Errorf("%w: %d > %d", ErrRecordTooLarge, len(payload), w.opts.MaxRecordBytes)
-		}
-		return w.gc.submit([][]byte{payload}, false)
+	return w.submit([][]byte{payload}, false)
+}
+
+// AppendRecords writes the payloads as consecutive records from one
+// caller: one group-commit hand-off and one write call, durable exactly
+// as an Append of each payload in turn would be under the active policy.
+// FsyncAlways: one fsync covering all of them, before the call returns.
+// FsyncOnBatch: none — the call is not a batch boundary, however many
+// records it carries; use AppendBatch to end a flush. FsyncInterval: by
+// the timer. It is the entry point for a request acknowledged as a
+// whole: what an ack means must follow from the policy, not from how
+// many records the request held.
+func (w *WAL) AppendRecords(payloads [][]byte) error {
+	if len(payloads) == 0 {
+		return nil
 	}
-	return w.append([][]byte{payload}, false)
+	return w.submit(payloads, false)
 }
 
 // AppendBatch writes the payloads as consecutive records in one write
-// call; under FsyncOnBatch the batch is synced before returning.
+// call and marks the end of a batch: under FsyncOnBatch the batch is
+// synced before returning.
 func (w *WAL) AppendBatch(payloads [][]byte) error {
 	if len(payloads) == 0 {
 		return nil
 	}
-	if w.gc != nil {
-		// Size-check here, not in the committer: an oversized record must
-		// fail its own caller, never an innocent group member.
-		for _, p := range payloads {
-			if len(p) > w.opts.MaxRecordBytes {
-				return fmt.Errorf("%w: %d > %d", ErrRecordTooLarge, len(p), w.opts.MaxRecordBytes)
-			}
-		}
-		return w.gc.submit(payloads, true)
-	}
-	return w.append(payloads, true)
+	return w.submit(payloads, true)
 }
 
 // shouldRotateLocked reports whether the active segment must be sealed

@@ -182,6 +182,11 @@ func TestFsyncPolicies(t *testing.T) {
 		if w.Pending() != 0 {
 			t.Fatalf("FsyncAlways left %d pending", w.Pending())
 		}
+		before := w.Syncs()
+		w.AppendRecords(payloads(64))
+		if got := w.Syncs() - before; got != 1 || w.Pending() != 0 {
+			t.Fatalf("AppendRecords of 64 under FsyncAlways: %d fsyncs, %d pending; want one fsync covering all", got, w.Pending())
+		}
 	})
 	t.Run("batch", func(t *testing.T) {
 		w, _, err := Open(Options{Dir: t.TempDir(), Fsync: FsyncOnBatch}, nil)
@@ -192,6 +197,10 @@ func TestFsyncPolicies(t *testing.T) {
 		w.Append([]byte("a"))
 		if w.Pending() != 1 {
 			t.Fatalf("single append under FsyncOnBatch should stay pending, got %d", w.Pending())
+		}
+		w.AppendRecords(payloads(64))
+		if w.Pending() != 65 {
+			t.Fatalf("AppendRecords is not a batch boundary: want 65 pending under FsyncOnBatch, got %d", w.Pending())
 		}
 		w.AppendBatch([][]byte{[]byte("b"), []byte("c")})
 		if w.Pending() != 0 {
@@ -209,6 +218,10 @@ func TestFsyncPolicies(t *testing.T) {
 		w.Append([]byte("a"))
 		if w.Pending() != 1 {
 			t.Fatalf("interval not elapsed, want pending 1, got %d", w.Pending())
+		}
+		w.AppendRecords(payloads(3))
+		if w.Pending() != 4 {
+			t.Fatalf("interval not elapsed, want pending 4, got %d", w.Pending())
 		}
 		now = now.Add(2 * time.Second)
 		w.Append([]byte("b"))
