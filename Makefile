@@ -24,10 +24,12 @@ GOVULNCHECK ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 # the committed BENCH_PR10.json baseline.
 BENCH_FRESH ?= bench-fresh.json
 
-# The allocation gate: the codec/key benchmarks and the one-request
-# ingest benchmark (a 64-event binary POST down the -durable-sync chain
-# to the WAL write), whose allocs/op are deterministic enough to gate
-# exactly (JSON and map benches vary across Go versions and are
+# The allocation gate: the codec/key benchmarks and the two one-request
+# ingest benchmarks (a 64-event binary POST down the -durable-sync chain
+# to the WAL write: BenchmarkIngestBatch64 re-posts one body, the store's
+# duplicate path; BenchmarkIngestBatch64FirstSeen posts fresh bodies, so
+# every event is stored), whose allocs/op are deterministic enough to
+# gate exactly (JSON and map benches vary across Go versions and are
 # deliberately excluded), the committed baseline, and where the fresh
 # run lands.
 ALLOC_BENCH ?= BenchmarkBinaryCodec|BenchmarkEventKey|BenchmarkIngestBatch64
@@ -133,6 +135,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWALRecord -fuzztime=10s ./internal/beacon
 	$(GO) test -run='^$$' -fuzz=FuzzHandleEvents -fuzztime=10s ./internal/beacon
 	$(GO) test -run='^$$' -fuzz=FuzzBinaryCodec -fuzztime=10s ./internal/beacon
+	$(GO) test -run='^$$' -fuzz=FuzzStoreArena -fuzztime=10s ./internal/beacon
 	$(GO) test -run='^$$' -fuzz=FuzzDetectObserve -fuzztime=10s ./internal/detect
 
 # The benchmark harness (package main under bench/) is left out: it is

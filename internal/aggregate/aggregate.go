@@ -27,12 +27,14 @@
 package aggregate
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"qtag/internal/beacon"
 	"qtag/internal/obs"
+	"qtag/internal/pairing"
 )
 
 // Options tunes an Aggregator. The zero value picks sensible defaults.
@@ -91,24 +93,38 @@ func (o Options) withDefaults() Options {
 
 // srcState is one solution's progress on one open impression.
 type srcState struct {
+	source beacon.Source
 	loaded bool
 	viewed bool
-	// inAt / outAt hold unpaired in-view / out-of-view timestamps by
-	// cycle Seq; a completed pair is folded into the dwell histogram and
-	// deleted, so these stay tiny.
-	inAt  map[int]time.Time
-	outAt map[int]time.Time
 }
 
 // impression is the bounded working state for one (campaign, impression
 // id): enough to classify status transitions and pair dwell cycles,
 // nothing more. It is dropped by TTL eviction once the impression goes
 // idle; the campaign counters it contributed to stay.
+//
+// It is flat — one allocation, plus one for sources and one for pending
+// while a cycle is open — and owns every string it holds: format is the
+// row's copy (see campShard.row) and a source is beacon.Source.Owned, so
+// an open impression never pins the request body its events came in.
 type impression struct {
 	format    string // current format bucket (see formatBucket)
 	served    bool
-	lastTouch time.Time // arrival clock, drives TTL eviction
-	sources   map[beacon.Source]*srcState
+	lastTouch time.Time  // arrival clock, drives TTL eviction
+	sources   []srcState // in first-beacon order; one or two entries
+	pending   pairing.Pending
+}
+
+// source returns the index in st.sources of s's progress, adding it if
+// this is the solution's first beacon on the impression.
+func (st *impression) source(s beacon.Source) int {
+	for i := range st.sources {
+		if st.sources[i].source == s {
+			return i
+		}
+	}
+	st.sources = append(st.sources, srcState{source: s.Owned()})
+	return len(st.sources) - 1
 }
 
 // aggShard is one lock-striped partition of the open-impression map.
@@ -135,8 +151,9 @@ type srcCounts struct {
 
 // row is one campaign × format accumulator.
 type row struct {
-	impressions int64 // distinct impressions observed
-	served      int64 // impressions with a served event
+	key         rowKey // the map key, with strings the row owns
+	impressions int64  // distinct impressions observed
+	served      int64  // impressions with a served event
 	src         map[beacon.Source]*srcCounts
 }
 
@@ -163,7 +180,7 @@ type campShard struct {
 // ever sees first-seen events.
 type Aggregator struct {
 	opts   Options
-	shards []aggShard  // open impressions, by hash(campaign|impression)
+	shards []aggShard  // open impressions, by hash(impression id)
 	camps  []campShard // accumulators, by hash(campaign)
 	mask   uint32
 
@@ -203,17 +220,6 @@ func New(opts Options) *Aggregator {
 	return a
 }
 
-// fnv1a is the same hash the beacon store shards by, so co-sharding
-// behaves identically.
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
 // formatBucket decides which format row an impression belongs to: the
 // lexicographically smallest non-empty format seen across its events,
 // or "" when no event carried one. The rule is order-independent, which
@@ -240,78 +246,63 @@ func (a *Aggregator) Observe(e beacon.Event) {
 		return
 	}
 	now := a.opts.Now()
-	key := e.CampaignID + "|" + e.ImpressionID
-	sh := &a.shards[fnv1a(key)&a.mask]
+	// The key is built in a stack buffer and looked up through string(key),
+	// which does not allocate; only opening an impression does.
+	var kb [96]byte
+	key := e.AppendImpressionKey(kb[:0])
+	sh := &a.shards[beacon.HashID(e.ImpressionID)&a.mask]
 
 	sh.mu.Lock()
-	st, ok := sh.open[key]
+	st, ok := sh.open[string(key)]
 	created := !ok
+	var opened string
 	if created {
-		st = &impression{sources: make(map[beacon.Source]*srcState)}
-		sh.open[key] = st
+		st = &impression{}
+		opened = string(key)
+		sh.open[opened] = st
 	}
 	st.lastTouch = now
 
 	// Work out every transition under the impression lock, then apply
 	// them to the campaign shard (nested imp→camp lock order, always).
 	oldFormat := st.format
-	st.format = formatBucket(st.format, e.Meta.Format)
-	migrated := !created && st.format != oldFormat
+	format := formatBucket(oldFormat, e.Meta.Format)
+	migrated := !created && format != oldFormat
 
-	cs := &a.camps[fnv1a(e.CampaignID)&a.mask]
+	cs := &a.camps[beacon.HashID(e.CampaignID)&a.mask]
 	cs.mu.Lock()
 	if migrated {
 		// Move the impression's pre-event contributions first; the deltas
 		// from this event then land on the new row only, never both.
-		cs.migrate(st, e.CampaignID, oldFormat, st.format)
+		cs.migrate(st, e.CampaignID, oldFormat, format)
 	}
 
 	var servedFirst, loadedFirst, viewedFirst bool
-	var dwells []time.Duration
+	var dwell time.Duration
+	var paired bool
+	var src *srcState
 	switch e.Type {
 	case beacon.EventServed:
 		servedFirst = !st.served
 		st.served = true
 	case beacon.EventLoaded, beacon.EventInView, beacon.EventOutOfView:
-		src := st.sources[e.Source]
-		if src == nil {
-			src = &srcState{}
-			st.sources[e.Source] = src
-		}
+		si := st.source(e.Source)
+		src = &st.sources[si]
 		switch e.Type {
 		case beacon.EventLoaded:
 			loadedFirst = !src.loaded
 			src.loaded = true
 		case beacon.EventInView:
-			if !src.viewed {
-				viewedFirst = true
-				src.viewed = true
-			}
-			if src.inAt == nil {
-				src.inAt = make(map[int]time.Time)
-			}
-			if _, dup := src.inAt[e.Seq]; !dup {
-				if out, ok := src.outAt[e.Seq]; ok {
-					dwells = append(dwells, dwellOf(e.At, out))
-					delete(src.outAt, e.Seq)
-				} else {
-					src.inAt[e.Seq] = e.At
-				}
-			}
+			viewedFirst = !src.viewed
+			src.viewed = true
+			dwell, paired = st.pending.InView(si, e.Seq, e.At)
 		case beacon.EventOutOfView:
-			if in, ok := src.inAt[e.Seq]; ok {
-				dwells = append(dwells, dwellOf(in, e.At))
-				delete(src.inAt, e.Seq)
-			} else {
-				if src.outAt == nil {
-					src.outAt = make(map[int]time.Time)
-				}
-				src.outAt[e.Seq] = e.At
-			}
+			dwell, paired, _ = st.pending.OutOfView(si, e.Seq, e.At)
 		}
 	}
 
-	r := cs.row(rowKey{e.CampaignID, st.format})
+	r := cs.row(rowKey{e.CampaignID, format})
+	st.format = r.key.Format
 	if created {
 		r.impressions++
 	}
@@ -319,34 +310,34 @@ func (a *Aggregator) Observe(e beacon.Event) {
 		r.served++
 	}
 	if loadedFirst || viewedFirst {
-		sc := r.srcCounts(e.Source)
+		sc := r.srcCounts(src.source)
 		if loadedFirst {
 			sc.measured++
-			if !st.sources[e.Source].viewed {
+			if !src.viewed {
 				sc.notViewed++
 			}
 		}
 		if viewedFirst {
 			sc.viewed++
-			if st.sources[e.Source].loaded {
+			if src.loaded {
 				sc.notViewed--
 			}
 		}
 	}
-	for _, d := range dwells {
-		cs.dwellHist(dwellKey{e.CampaignID, string(e.Source)}, a.opts.DwellBounds).Observe(d)
+	if paired {
+		cs.dwellHist(dwellKey{e.CampaignID, string(e.Source)}, a.opts.DwellBounds).Observe(dwell)
 	}
 	cs.mu.Unlock()
 	if created {
 		a.openCount.Add(1)
 		if a.opts.MaxOpen > 0 && a.openCount.Load() > int64(a.opts.MaxOpen) {
-			a.evictColdestLocked(sh, key)
+			a.evictColdestLocked(sh, opened)
 		}
 	}
 	sh.mu.Unlock()
 
-	for _, d := range dwells {
-		a.dwellObs.ObserveDuration(d)
+	if paired {
+		a.dwellObs.ObserveDuration(dwell)
 		a.dwellPair.Add(1)
 	}
 	a.updates.Add(1)
@@ -389,28 +380,22 @@ func (a *Aggregator) Windows() []WindowSnapshot {
 	return a.windows.snapshot()
 }
 
-// dwellOf is the dwell of one in-view→out-of-view cycle; negative spans
-// (client clock skew) clamp to zero so the histogram sum stays sane.
-func dwellOf(in, out time.Time) time.Duration {
-	d := out.Sub(in)
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
 // row returns (creating if needed) the accumulator row. Caller holds
-// the shard lock.
+// the shard lock. A new row clones its key: k's strings come from the
+// event in hand. r.key is that clone, which is how an impression comes
+// to hold a format string of its own at no allocation.
 func (c *campShard) row(k rowKey) *row {
 	r := c.rows[k]
 	if r == nil {
-		r = &row{src: make(map[beacon.Source]*srcCounts)}
+		k = rowKey{strings.Clone(k.Campaign), strings.Clone(k.Format)}
+		r = &row{key: k, src: make(map[beacon.Source]*srcCounts)}
 		c.rows[k] = r
 	}
 	return r
 }
 
-// srcCounts returns (creating if needed) a row's per-source counters.
+// srcCounts returns (creating if needed) a row's per-source counters; s
+// must be owned (srcState.source is).
 func (r *row) srcCounts(s beacon.Source) *srcCounts {
 	sc := r.src[s]
 	if sc == nil {
@@ -421,12 +406,12 @@ func (r *row) srcCounts(s beacon.Source) *srcCounts {
 }
 
 // dwellHist returns (creating if needed) the campaign × source dwell
-// histogram. Caller holds the shard lock.
+// histogram, under a clone of k. Caller holds the shard lock.
 func (c *campShard) dwellHist(k dwellKey, bounds []float64) *DwellHist {
 	h := c.dwell[k]
 	if h == nil {
 		h = NewDwellHist(bounds)
-		c.dwell[k] = h
+		c.dwell[dwellKey{strings.Clone(k.Campaign), strings.Clone(k.Source)}] = h
 	}
 	return h
 }
@@ -444,11 +429,11 @@ func (c *campShard) migrate(st *impression, campaign, from, to string) {
 		src.served--
 		dst.served++
 	}
-	for s, state := range st.sources {
+	for _, state := range st.sources {
 		if !state.loaded && !state.viewed {
 			continue
 		}
-		fc, tc := src.srcCounts(s), dst.srcCounts(s)
+		fc, tc := src.srcCounts(state.source), dst.srcCounts(state.source)
 		if state.loaded {
 			fc.measured--
 			tc.measured++

@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -54,7 +55,7 @@ func (r *windowRing) observe(now time.Time, campaign string, created, viewedFirs
 	c := w.camps[campaign]
 	if c == nil {
 		c = &windowCounts{}
-		w.camps[campaign] = c
+		w.camps[strings.Clone(campaign)] = c
 	}
 	c.Events++
 	if created {

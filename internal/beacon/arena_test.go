@@ -1,0 +1,266 @@
+package beacon
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+)
+
+// collidingStore is a store whose index hash is constant, so every key of
+// a shard shares one chain and only the field comparison tells them
+// apart.
+func collidingStore(shards int) *Store {
+	s := NewStoreWithShards(shards)
+	s.hashMask = 0
+	return s
+}
+
+// TestForcedCollisionsStayExact: with the hash out of the picture, N
+// distinct keys are N events, each re-send is a duplicate, and Events
+// returns all N.
+func TestForcedCollisionsStayExact(t *testing.T) {
+	at := time.Unix(1500000000, 0).UTC()
+	var events []Event
+	for i := 0; i < 300; i++ {
+		e := Event{
+			ImpressionID: fmt.Sprintf("imp-%d", i/6),
+			CampaignID:   fmt.Sprintf("camp-%d", i%3),
+			Type:         []EventType{EventServed, EventLoaded, EventInView, EventOutOfView}[i%4],
+			Seq:          i % 2,
+			At:           at.Add(time.Duration(i) * time.Millisecond),
+			Meta:         Meta{OS: "android", Format: "display"},
+		}
+		if e.Type != EventServed {
+			e.Source = []Source{SourceQTag, SourceCommercial, "verifier|3"}[i%3]
+		}
+		events = append(events, e)
+	}
+	distinct := map[[5]string]bool{}
+	for _, e := range events {
+		distinct[[5]string{e.CampaignID, e.ImpressionID, string(e.Source), string(e.Type), fmt.Sprint(e.Seq)}] = true
+	}
+
+	for _, shards := range []int{1, 4} {
+		s := collidingStore(shards)
+		var first, dups int
+		s.AddObserver(func(Event) { first++ })
+		s.AddDupObserver(func(Event) { dups++ })
+		for _, e := range events {
+			if err := s.Submit(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.SubmitBatch(events); err != nil {
+			t.Fatal(err)
+		}
+		if s.Len() != len(distinct) || first != len(distinct) {
+			t.Fatalf("shards=%d: %d events stored, %d observed, want %d distinct keys", shards, s.Len(), first, len(distinct))
+		}
+		if want := 2*len(events) - len(distinct); dups != want {
+			t.Fatalf("shards=%d: %d duplicates absorbed, want %d", shards, dups, want)
+		}
+		for i := range s.shards {
+			if n := len(s.shards[i].index); n > 1 {
+				t.Fatalf("shards=%d: shard %d has %d index entries; the hash was not forced", shards, i, n)
+			}
+		}
+		reference := NewStoreWithShards(shards)
+		for _, e := range events {
+			_ = reference.Submit(e)
+		}
+		if got, want := s.Events(), reference.Events(); len(got) != len(distinct) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: Events() under forced collisions differs from the hashed store (%d vs %d events)", shards, len(got), len(want))
+		}
+	}
+}
+
+// TestArenaOversizedRecord: a record larger than a chunk gets a chunk of
+// its own, wherever it falls, and stays addressable.
+func TestArenaOversizedRecord(t *testing.T) {
+	at := time.Unix(1500000000, 0).UTC()
+	small := func(i int) Event {
+		return Event{ImpressionID: fmt.Sprintf("imp-%d", i), CampaignID: "c", Type: EventServed, At: at}
+	}
+	big := Event{ImpressionID: "big", CampaignID: "c", Type: EventServed, At: at,
+		Meta: Meta{Slot: strings.Repeat("s", 3*arenaChunkSize)}}
+
+	s := NewStoreWithShards(1)
+	var want []Event
+	for i := 0; i < 400; i++ {
+		if i == 0 || i == 200 { // as a shard's first record, and mid-chunk
+			e := big
+			e.ImpressionID = fmt.Sprintf("big-%d", i)
+			want = append(want, e)
+		}
+		want = append(want, small(i))
+	}
+	for _, e := range want {
+		if err := s.Submit(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := &s.shards[0].arena
+	own := 0
+	for _, c := range a.chunks {
+		if len(c) > arenaChunkSize {
+			own++
+		}
+	}
+	if own != 2 {
+		t.Fatalf("%d oversized chunks, want 2", own)
+	}
+	if s.ArenaBytes() != a.bytes || a.bytes < 6*arenaChunkSize {
+		t.Fatalf("ArenaBytes %d, arena %d", s.ArenaBytes(), a.bytes)
+	}
+	for _, e := range want { // every record is still found
+		if err := s.Submit(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Len() != len(want) {
+		t.Fatalf("%d events after the re-send, want %d", s.Len(), len(want))
+	}
+	got := map[string]Event{}
+	for _, e := range s.Events() {
+		got[e.ImpressionID] = e
+	}
+	for _, e := range want {
+		if !reflect.DeepEqual(got[e.ImpressionID], e) {
+			t.Fatalf("event %s did not round-trip", e.ImpressionID)
+		}
+	}
+}
+
+// TestArenaFullIsAnError: a shard that holds every chunk a handle can
+// address refuses first-seen events with ErrStoreFull. Nothing wraps:
+// what it stored is still found, duplicates are still absorbed, and a
+// refused event fires no observer.
+func TestArenaFullIsAnError(t *testing.T) {
+	at := time.Unix(1500000000, 0).UTC()
+	event := func(i int) Event {
+		return Event{ImpressionID: fmt.Sprintf("imp-%d", i), CampaignID: "c", Type: EventServed, At: at}
+	}
+	s := NewStoreWithShards(1)
+	observed := 0
+	s.AddObserver(func(Event) { observed++ })
+	a := &s.shards[0].arena
+	a.chunks = make([][]byte, arenaMaxChunks-1) // all but the last chunk, taken
+
+	stored := 0
+	var err error
+	for ; err == nil; stored++ {
+		if stored > arenaChunkSize {
+			t.Fatal("the last chunk never filled")
+		}
+		err = s.Submit(event(stored))
+	}
+	stored-- // the last Submit is the refused one
+	if !errors.Is(err, ErrStoreFull) {
+		t.Fatalf("Submit into a full shard: %v, want ErrStoreFull", err)
+	}
+	if len(a.chunks) != arenaMaxChunks || stored == 0 {
+		t.Fatalf("%d chunks, %d events stored", len(a.chunks), stored)
+	}
+	if s.Len() != stored || observed != stored {
+		t.Fatalf("Len %d, observed %d, want %d", s.Len(), observed, stored)
+	}
+	// The records in the highest chunk are addressed by the highest
+	// handles; they must still be found, and stay duplicates.
+	for i := 0; i < stored; i++ {
+		if err := s.Submit(event(i)); err != nil {
+			t.Fatalf("duplicate %d in a full shard: %v", i, err)
+		}
+	}
+	batch := []Event{event(0), event(stored + 1), event(1)}
+	if err := s.SubmitBatch(batch); !errors.Is(err, ErrStoreFull) {
+		t.Fatalf("SubmitBatch into a full shard: %v, want ErrStoreFull", err)
+	}
+	if s.Len() != stored || observed != stored || len(s.Events()) != stored {
+		t.Fatalf("after refusals: Len %d, observed %d, Events %d, want %d", s.Len(), observed, len(s.Events()), stored)
+	}
+}
+
+// FuzzStoreArena holds the two properties dedup rests on, for arbitrary
+// events — literal type and source codes, the zero time, any bytes in
+// the ids, none of which Validate need admit:
+//
+//  1. the arena's key confirmation agrees with equality of (campaign,
+//     impression, source, type, seq), whatever the other fields hold;
+//  2. every stored event reads back as DecodeBinaryEvent of its
+//     AppendBinaryEvent encoding.
+func FuzzStoreArena(f *testing.F) {
+	f.Add("camp-1", "imp-1", "qtag", "in-view", 0, int64(1500000000), int64(5), "imp-2", 1, uint8(0))
+	f.Add("a|b", "c", "", "served", 0, int64(0), int64(0), "a", 0, uint8(1))
+	f.Add("a", "b|c", "commercial", "loaded", -3, int64(-1), int64(999999999), "b", -3, uint8(2|32))
+	f.Add("c", "i", "custom-src", "custom-type", 7, int64(1<<40), int64(1), "qtag", 7, uint8(4))
+	f.Add("c", "i", "qtag", "out-of-view", 2, int64(1), int64(1), "served", 3, uint8(8|16))
+	f.Add("", "", "", "", 0, int64(0), int64(0), "", 0, uint8(31))
+	f.Fuzz(func(t *testing.T, camp, imp, src, typ string, seq int, sec, nsec int64, alt string, altSeq int, mut uint8) {
+		a := Event{
+			CampaignID: camp, ImpressionID: imp, Source: Source(src), Type: EventType(typ), Seq: seq,
+			At:    time.Unix(sec, nsec%1_000_000_000),
+			Trace: alt, Meta: Meta{OS: camp, Slot: imp, Format: typ},
+		}
+		if mut&32 != 0 {
+			a.At = time.Time{}
+		}
+		b := Event{CampaignID: camp, ImpressionID: imp, Source: Source(src), Type: EventType(typ), Seq: seq,
+			At: time.Unix(nsec, 0), Meta: Meta{Country: alt}}
+		if mut&1 != 0 {
+			b.CampaignID = alt
+		}
+		if mut&2 != 0 {
+			b.ImpressionID = alt
+		}
+		if mut&4 != 0 {
+			b.Source = Source(alt)
+		}
+		if mut&8 != 0 {
+			b.Type = EventType(alt)
+		}
+		if mut&16 != 0 {
+			b.Seq = altSeq
+		}
+		same := a.CampaignID == b.CampaignID && a.ImpressionID == b.ImpressionID &&
+			a.Source == b.Source && a.Type == b.Type && a.Seq == b.Seq
+
+		var ar arena
+		ha, err := ar.append(noRecord, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hb, err := ar.append(ha, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ar.holds(ha, &a) || !ar.holds(hb, &b) {
+			t.Fatalf("a record does not hold its own event's key:\n a %+v\n b %+v", a, b)
+		}
+		if ar.holds(ha, &b) != same || ar.holds(hb, &a) != same {
+			t.Fatalf("key confirmation says %v, the fields say %v:\n a %+v\n b %+v", ar.holds(ha, &b), same, a, b)
+		}
+		if ar.next(hb) != ha || ar.next(ha) != noRecord {
+			t.Fatalf("chain links: b→%#x a→%#x", ar.next(hb), ar.next(ha))
+		}
+		got := ar.events(nil)
+		if len(got) != 2 || ar.records != 2 {
+			t.Fatalf("%d events read back, %d counted, want 2", len(got), ar.records)
+		}
+		for i, e := range []Event{a, b} {
+			enc := AppendBinaryEvent(nil, e)
+			if bound := maxBinaryEventLen(&e); len(enc) > bound {
+				t.Fatalf("event %d encodes to %d bytes, over its bound %d", i, len(enc), bound)
+			}
+			want, err := DecodeBinaryEvent(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("event %d read back as %+v, want %+v", i, got[i], want)
+			}
+		}
+	})
+}

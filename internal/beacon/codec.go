@@ -176,6 +176,17 @@ func AppendBinaryEvent(dst []byte, e Event) []byte {
 	return dst
 }
 
+// maxBinaryEventLen bounds len(AppendBinaryEvent(nil, *e)) from above —
+// the four header bytes, three varints and a length prefix for each of
+// the twelve strings at their widest — so that a caller can reserve room
+// before encoding.
+func maxBinaryEventLen(e *Event) int {
+	const fixed = 4 + 3*binary.MaxVarintLen64 + 12*binary.MaxVarintLen64
+	return fixed + len(e.ImpressionID) + len(e.CampaignID) + len(e.Type) + len(e.Source) + len(e.Trace) +
+		len(e.Meta.OS) + len(e.Meta.SiteType) + len(e.Meta.AdSize) + len(e.Meta.Format) +
+		len(e.Meta.Country) + len(e.Meta.Exchange) + len(e.Meta.Slot)
+}
+
 // AppendBinaryEvents appends the batch frame for events to dst. The
 // per-event length prefix is what lets the decoder skip or arena-slice
 // each event without re-parsing on framing errors.
@@ -401,8 +412,11 @@ func DecodeBinaryEvent(payload []byte) (Event, error) {
 // strings alias) are valid only while b's buffer is live and unwritten,
 // and only until the next Decode call on the same decoder. The ingest
 // server satisfies it by decoding each request into a fresh GC-owned
-// body buffer — the request body is the arena — and copying event
-// values into the store before the decoder returns to its pool.
+// body buffer — the request body is the arena — and handing the events
+// to its sink before the decoder returns to its pool. A sink that keeps
+// an event value (QueueSink) keeps the body alive through it; the store
+// and its observers keep nothing that aliases it, so on the synchronous
+// chain the body is garbage once the handler returns.
 type BatchDecoder struct {
 	events []Event
 }

@@ -17,9 +17,11 @@
 package beacon
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -49,6 +51,19 @@ const (
 	// SourceCommercial is the anonymous commercial verifier baseline.
 	SourceCommercial Source = "commercial"
 )
+
+// Owned returns s safe to keep after the buffer it was decoded from is
+// gone or rewritten: the solutions this package names as their
+// constants, any other value as a copy.
+func (s Source) Owned() Source {
+	switch s {
+	case SourceQTag:
+		return SourceQTag
+	case SourceCommercial:
+		return SourceCommercial
+	}
+	return Source(strings.Clone(string(s)))
+}
 
 // Meta carries the impression attributes used for slicing (Table 2 slices
 // by OS and site type).
@@ -132,12 +147,9 @@ func (e Event) Validate() error {
 	return nil
 }
 
-// AppendKey appends the idempotency key to dst and returns the extended
-// slice — the zero-copy form of Key. Store.Submit feeds it a
-// stack-allocated scratch buffer and looks the shard map up via
-// string(key), which the compiler compiles to an allocation-free
-// lookup; the only key allocation left on the ingest path is the map
-// insert for a first-seen event, which must own its key anyway.
+// AppendKey appends Key to dst and returns the extended slice. The store
+// hashes it, from a stack buffer, to pick the records it compares an
+// event with; see Key for why it decides nothing.
 func (e Event) AppendKey(dst []byte) []byte {
 	dst = append(dst, e.CampaignID...)
 	dst = append(dst, '|')
@@ -150,11 +162,27 @@ func (e Event) AppendKey(dst []byte) []byte {
 	return strconv.AppendInt(dst, int64(e.Seq), 10)
 }
 
-// Key returns the idempotency key: re-submitting an event with the same
-// key is a no-op at the store.
+// Key renders the idempotency key — (campaign, impression, source, type,
+// seq) — for logs and test oracles. It is for display only: the fields
+// are joined with an unescaped '|', so campaign "a|b" with impression "c"
+// and campaign "a" with impression "b|c" render alike although they are
+// different keys. The store compares the fields themselves, and
+// re-submitting an event whose five fields all match a stored one is a
+// no-op.
 func (e Event) Key() string {
 	var buf [96]byte
 	return string(e.AppendKey(buf[:0]))
+}
+
+// AppendImpressionKey appends the key of the event's impression —
+// (campaign, impression) — to dst: the campaign's length, the campaign,
+// the impression. The length prefix keeps distinct pairs distinct
+// whatever bytes the ids hold; the observers key their per-impression
+// state by it.
+func (e Event) AppendImpressionKey(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(e.CampaignID)))
+	dst = append(dst, e.CampaignID...)
+	return append(dst, e.ImpressionID...)
 }
 
 // String implements fmt.Stringer.

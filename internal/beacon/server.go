@@ -93,6 +93,8 @@ func NewServerWithSink(store *Store, sink Sink) *Server {
 		func() float64 { return float64(store.Len()) })
 	s.reg.GaugeFunc("qtag_store_campaigns", "Distinct campaigns observed by the store.",
 		func() float64 { return float64(store.CampaignCount()) })
+	s.reg.GaugeFunc("qtag_store_arena_bytes", "Memory reserved for the store's event records (summed chunk capacity).",
+		func() float64 { return float64(store.ArenaBytes()) })
 	s.ingestLatency = s.reg.Histogram("qtag_ingest_latency_seconds",
 		"Wall time spent handling one /v1/events ingestion request.", obs.LatencyBuckets)
 	s.mux.HandleFunc("POST /v1/events", s.instrument("ingest.events", s.handleEvents))
@@ -307,12 +309,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var events []Event
 	if binary {
 		// Binary path: the request body buffer is the decode arena. It is
-		// freshly allocated (never pooled) so the alias-decoded events may
-		// outlive the handler — the store retains them, and they pin the
-		// buffer via their strings, which is exactly one allocation of
-		// string memory per request. The decoder's []Event scratch IS
-		// pooled: the store copies event values on Submit, so the slice is
-		// free for reuse the moment the handler returns.
+		// freshly allocated (never pooled) because the alias-decoded events
+		// may outlive the handler — a QueueSink keeps them until it has
+		// flushed, and they pin the buffer via their strings. The store
+		// and its observers keep copies only. The decoder's []Event scratch
+		// IS pooled: every sink copies event values on Submit, so the slice
+		// is free for reuse the moment the handler returns.
 		body, rerr := readBinaryBody(w, r, limit)
 		if rerr != nil {
 			var tooLarge *http.MaxBytesError
@@ -466,10 +468,11 @@ var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // readBinaryBody reads a binary request body into a fresh, exactly
 // sized, GC-owned buffer. Fresh is the point: the alias decoder slices
-// event strings straight out of this buffer and the store retains
-// them, so the buffer's lifetime must be garbage-collector-managed,
-// never pool-managed. Content-Length sizes the single allocation;
-// chunked bodies fall back to io.ReadAll growth.
+// event strings straight out of this buffer, and although the store and
+// its observers copy what they keep, a QueueSink holds the events
+// themselves until its next flush — so the buffer's lifetime must be
+// garbage-collector-managed, never pool-managed. Content-Length sizes
+// the single allocation; chunked bodies fall back to io.ReadAll growth.
 func readBinaryBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
 	rd := http.MaxBytesReader(w, r.Body, limit)
 	if n := r.ContentLength; n > 0 && n <= limit {

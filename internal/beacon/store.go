@@ -1,7 +1,10 @@
 package beacon
 
 import (
+	"errors"
+	"hash/maphash"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -18,14 +21,83 @@ type CounterKey struct {
 	Country    string
 }
 
+// counterKey is a CounterKey as a shard holds it: each string as its
+// number in the shard's names and the type as its codec code. It has no
+// pointers, so the counters, like the records, cost the collector
+// nothing to scan, and a key is 28 bytes where seven string headers are
+// 112 — which matters because every shard holds its own copy of every
+// key its impressions touch.
+type counterKey struct {
+	campaign, source, os, siteType, exchange, country uint32
+	typ                                               byte
+}
+
+// names interns the strings of one shard's counter keys. The shard lock
+// guards it.
+type names struct {
+	ids  map[string]uint32
+	strs []string // strs[id-1]; id 0 is ""
+}
+
+// id returns s's number, cloning s the first time it is seen: s usually
+// aliases a request body, and the table outlives the request.
+func (n *names) id(s string) uint32 {
+	if s == "" {
+		return 0
+	}
+	if id, ok := n.ids[s]; ok {
+		return id
+	}
+	s = strings.Clone(s)
+	n.strs = append(n.strs, s)
+	id := uint32(len(n.strs))
+	n.ids[s] = id
+	return id
+}
+
+func (n *names) str(id uint32) string {
+	if id == 0 {
+		return ""
+	}
+	return n.strs[id-1]
+}
+
+// export turns a shard's key back into the public one.
+func (n *names) export(k counterKey) CounterKey {
+	typ, _ := typeFromCode(k.typ) // Validate admitted it, so it has a code
+	return CounterKey{
+		CampaignID: n.str(k.campaign),
+		Source:     Source(n.str(k.source)),
+		Type:       typ,
+		OS:         n.str(k.os),
+		SiteType:   n.str(k.siteType),
+		Exchange:   n.str(k.exchange),
+		Country:    n.str(k.country),
+	}
+}
+
+// ErrStoreFull reports a first-seen event whose shard already holds as
+// many record chunks as a record handle can address (4 GiB of encoded
+// events in one shard). The event is not stored and no observer fires.
+var ErrStoreFull = errors.New("beacon: store shard is full")
+
 // storeShard is one independently locked partition of the store: its own
-// dedup map and its own aggregation counters, so concurrent Submits on
+// records, dedup index and aggregation counters, so concurrent Submits on
 // different impressions never contend on a shared mutex. Read paths
 // (Len, Events, Count, …) merge across shards under per-shard RLocks.
+//
+// Neither the arena nor the index holds a pointer, so what the store
+// keeps per event is invisible to the garbage collector. index maps 32
+// bits of the seeded hash of an idempotency key to the newest record
+// with that hash; records of one hash chain through their links, and a
+// chain is only ever a candidate list — see arena.holds. (At a million
+// events in a shard about a hundred chains hold two records.)
 type storeShard struct {
 	mu       sync.RWMutex
-	events   map[string]Event
-	counters map[CounterKey]int
+	arena    arena
+	index    map[uint32]uint32
+	names    names
+	counters map[counterKey]int
 }
 
 // Store is an idempotent, thread-safe, in-memory event store with
@@ -53,6 +125,11 @@ type Store struct {
 	// inserts a CounterKey it has not held before.
 	campMu    sync.Mutex
 	campaigns map[string]struct{}
+
+	// seed keys the index hash, fresh per store. hashMask is all ones; the
+	// collision tests zero it so that every key shares one chain.
+	seed     maphash.Seed
+	hashMask uint32
 }
 
 // DefaultStoreShards is the shard count NewStore picks.
@@ -82,10 +159,17 @@ func NewStoreWithShards(n int) *Store {
 	for size < n {
 		size <<= 1
 	}
-	s := &Store{shards: make([]storeShard, size), mask: uint32(size - 1), campaigns: make(map[string]struct{})}
+	s := &Store{
+		shards:    make([]storeShard, size),
+		mask:      uint32(size - 1),
+		campaigns: make(map[string]struct{}),
+		seed:      maphash.MakeSeed(),
+		hashMask:  ^uint32(0),
+	}
 	for i := range s.shards {
-		s.shards[i].events = make(map[string]Event)
-		s.shards[i].counters = make(map[CounterKey]int)
+		s.shards[i].index = make(map[uint32]uint32)
+		s.shards[i].names.ids = make(map[string]uint32)
+		s.shards[i].counters = make(map[counterKey]int)
 	}
 	return s
 }
@@ -155,45 +239,57 @@ func (s *Store) Submit(e Event) error {
 	sh := &s.shards[s.shardIndex(e.ImpressionID)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	s.applyLocked(sh, e)
-	return nil
+	return s.applyLocked(sh, e)
 }
 
 // applyLocked stores one validated event in its shard, whose lock the
 // caller holds, and fires the first-seen or the duplicate observers.
-func (s *Store) applyLocked(sh *storeShard, e Event) {
-	// The key is built into a stack scratch buffer and the dup check is a
-	// string(key) map lookup, which the compiler performs without
-	// materializing the string — so the steady state (duplicate and
-	// counter-only traffic) allocates nothing for keys. Only a first-seen
-	// insert converts for real, because the map must own its key.
+// Nothing it keeps aliases e's strings: the record is a copy, and the
+// strings of a counter key are cloned when — and only when — the shard
+// first sees them.
+func (s *Store) applyLocked(sh *storeShard, e Event) error {
+	// The hash input is the display key built in a stack buffer. Its
+	// '|' ambiguity is harmless here: the hash picks a chain, and every
+	// record on it is compared with e field by field.
 	var kb [96]byte
-	key := e.AppendKey(kb[:0])
-	if _, dup := sh.events[string(key)]; dup {
-		for _, fn := range s.dupObservers {
-			fn(e)
-		}
-		return
+	h := uint32(maphash.Bytes(s.seed, e.AppendKey(kb[:0]))) & s.hashMask
+	head, chained := sh.index[h]
+	if !chained {
+		head = noRecord
 	}
-	sh.events[string(key)] = e
+	for at := head; at != noRecord; at = sh.arena.next(at) {
+		if sh.arena.holds(at, &e) {
+			for _, fn := range s.dupObservers {
+				fn(e)
+			}
+			return nil
+		}
+	}
+	at, err := sh.arena.append(head, e)
+	if err != nil {
+		return err
+	}
+	sh.index[h] = at
 	keys := len(sh.counters)
-	sh.counters[CounterKey{
-		CampaignID: e.CampaignID,
-		Source:     e.Source,
-		Type:       e.Type,
-		OS:         e.Meta.OS,
-		SiteType:   e.Meta.SiteType,
-		Exchange:   e.Meta.Exchange,
-		Country:    e.Meta.Country,
+	campaign := sh.names.id(e.CampaignID)
+	sh.counters[counterKey{
+		campaign: campaign,
+		source:   sh.names.id(string(e.Source)),
+		typ:      typeCode(e.Type),
+		os:       sh.names.id(e.Meta.OS),
+		siteType: sh.names.id(e.Meta.SiteType),
+		exchange: sh.names.id(e.Meta.Exchange),
+		country:  sh.names.id(e.Meta.Country),
 	}]++
 	if len(sh.counters) != keys {
 		s.campMu.Lock()
-		s.campaigns[e.CampaignID] = struct{}{}
+		s.campaigns[sh.names.str(campaign)] = struct{}{}
 		s.campMu.Unlock()
 	}
 	for _, fn := range s.observers {
 		fn(e)
 	}
+	return nil
 }
 
 // batchScratch is SubmitBatch's per-call working memory: a counting sort
@@ -209,12 +305,13 @@ var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // SubmitBatch implements BatchSink: one request's events applied with
 // each shard lock taken once. Every event is validated before any is
 // stored, so an invalid event rejects the batch whole and leaves the
-// store untouched. The events of one shard — and so of one impression,
-// and of one idempotency key — are applied in request order under that
-// shard's lock with the first-seen and duplicate observers fired per
-// event, exactly as a Submit of each in turn would; only the
-// interleaving across shards differs, which no observer can see (they
-// are keyed by impression).
+// store untouched; the only other error is ErrStoreFull, which leaves
+// out exactly the first-seen events of the full shards. The events of
+// one shard — and so of one impression, and of one idempotency key — are
+// applied in request order under that shard's lock with the first-seen
+// and duplicate observers fired per event, exactly as a Submit of each
+// in turn would; only the interleaving across shards differs, which no
+// observer can see (they are keyed by impression).
 func (s *Store) SubmitBatch(events []Event) error {
 	for i := range events {
 		if err := events[i].Validate(); err != nil {
@@ -243,23 +340,45 @@ func (s *Store) SubmitBatch(events []Event) error {
 	// Each cursor has run to the end of its shard's span, which is where
 	// the next shard's begins.
 	from := 0
+	var first error
 	for k, to := range sc.next {
 		if from < to {
-			s.applyShard(&s.shards[k], events, sc.order[from:to])
+			if err := s.applyShard(&s.shards[k], events, sc.order[from:to]); err != nil && first == nil {
+				first = err
+			}
 		}
 		from = to
 	}
-	return nil
+	return first
 }
 
 // applyShard applies the events at the given positions under one hold of
-// the shard's lock.
-func (s *Store) applyShard(sh *storeShard, events []Event, at []int) {
+// the shard's lock. A full shard (ErrStoreFull) refuses its first-seen
+// events and goes on absorbing its duplicates; the first refusal is
+// returned.
+func (s *Store) applyShard(sh *storeShard, events []Event, at []int) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	var first error
 	for _, i := range at {
-		s.applyLocked(sh, events[i])
+		if err := s.applyLocked(sh, events[i]); err != nil && first == nil {
+			first = err
+		}
 	}
+	return first
+}
+
+// ArenaBytes returns the memory reserved for stored events: the summed
+// capacity of every shard's record chunks.
+func (s *Store) ArenaBytes() int {
+	n := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		n += sh.arena.bytes
+		sh.mu.RUnlock()
+	}
+	return n
 }
 
 // CampaignCount returns the number of distinct campaigns observed —
@@ -276,25 +395,26 @@ func (s *Store) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		n += len(sh.events)
+		n += sh.arena.records
 		sh.mu.RUnlock()
 	}
 	return n
 }
 
 // Events returns all stored events sorted by (campaign, impression,
-// source, type, seq) for deterministic inspection. It copies; the result
-// is safe to retain. The merge takes shard locks one at a time, so the
-// result is a consistent snapshot only of each shard, not of the whole
-// store — fine for an append-only event set.
+// source, type, seq) for deterministic inspection. It decodes every
+// record, so it costs a pass over the whole store; the result is a copy
+// and safe to retain. Each event is what the binary codec keeps of the
+// first submission under its key: every field but Deadline, with At as
+// the same instant in UTC. The merge takes shard locks one at a time, so
+// the result is a consistent snapshot only of each shard, not of the
+// whole store — fine for an append-only event set.
 func (s *Store) Events() []Event {
-	out := make([]Event, 0, 64)
+	out := make([]Event, 0, s.Len())
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, e := range sh.events {
-			out = append(out, e)
-		}
+		out = sh.arena.events(out)
 		sh.mu.RUnlock()
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -324,7 +444,7 @@ func (s *Store) Count(match func(CounterKey) bool) int {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for k, c := range sh.counters {
-			if match == nil || match(k) {
+			if match == nil || match(sh.names.export(k)) {
 				n += c
 			}
 		}
@@ -340,7 +460,7 @@ func (s *Store) Counters() map[CounterKey]int {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for k, v := range sh.counters {
-			out[k] += v
+			out[sh.names.export(k)] += v
 		}
 		sh.mu.RUnlock()
 	}
@@ -349,19 +469,12 @@ func (s *Store) Counters() map[CounterKey]int {
 
 // CampaignIDs returns the distinct campaign ids present, sorted.
 func (s *Store) CampaignIDs() []string {
-	seen := make(map[string]bool)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k := range sh.counters {
-			seen[k.CampaignID] = true
-		}
-		sh.mu.RUnlock()
-	}
-	out := make([]string, 0, len(seen))
-	for id := range seen {
+	s.campMu.Lock()
+	out := make([]string, 0, len(s.campaigns))
+	for id := range s.campaigns {
 		out = append(out, id)
 	}
+	s.campMu.Unlock()
 	sort.Strings(out)
 	return out
 }

@@ -114,17 +114,39 @@ func (r *benchResponse) WriteHeader(status int)      { r.status = status }
 // journal.RequestSink() on a temp dir, group commit on) — and its
 // allocs/op is gated exactly by `make alloc-gate`: what one request
 // allocates between the socket and the WAL write. The same body is
-// re-posted, so every iteration is the store's duplicate path: that
-// keeps the count deterministic (first-seen inserts grow maps, whose
-// allocations depend on a per-map random hash seed) and leaves exactly
-// the per-request work — body read, decode, response, shard grouping,
-// record encoding, group-commit hand-off, frame — in the figure.
+// re-posted, so every iteration is the store's duplicate path and
+// exactly the per-request work — body read, decode, response, shard
+// grouping, record encoding, group-commit hand-off, frame — is in the
+// figure.
 func BenchmarkIngestBatch64(b *testing.B) {
+	body := AppendBinaryEvents(nil, benchBatch(0))
+	benchIngestBatch64(b, func(int) []byte { return body })
+}
+
+// BenchmarkIngestBatch64FirstSeen is the same request down the same
+// chain with a fresh body each time, so every event is stored: the
+// figure adds what the store allocates per 64 first-seen events —
+// arena chunks and index growth, amortised over the run.
+func BenchmarkIngestBatch64FirstSeen(b *testing.B) {
+	bodies := make([][]byte, b.N+1)
+	for i := range bodies {
+		bodies[i] = AppendBinaryEvents(nil, benchBatch(i))
+	}
+	benchIngestBatch64(b, func(i int) []byte { return bodies[i] })
+}
+
+// benchBatch is the nth distinct 64-event request.
+func benchBatch(n int) []Event {
 	events := make([]Event, 64)
 	for i := range events {
-		events[i] = benchEvent(int64(i))
+		events[i] = benchEvent(int64(n*len(events) + i))
 	}
-	body := AppendBinaryEvents(nil, events)
+	return events
+}
+
+// benchIngestBatch64 posts body(0) to warm the pools and scratch, then
+// times body(1) … body(b.N).
+func benchIngestBatch64(b *testing.B, body func(i int) []byte) {
 	store := NewStoreWithShards(16)
 	wj, _, err := OpenDurable(wal.Options{Dir: b.TempDir(), GroupCommit: true}, store)
 	if err != nil {
@@ -137,20 +159,20 @@ func BenchmarkIngestBatch64(b *testing.B) {
 	rd := &benchBody{}
 	req := httptest.NewRequest(http.MethodPost, "/v1/events", rd)
 	req.Header.Set("Content-Type", BinaryContentType)
-	req.ContentLength = int64(len(body))
 	resp := &benchResponse{header: http.Header{}}
-	post := func() {
+	post := func(body []byte) {
 		rd.Reset(body)
+		req.ContentLength = int64(len(body))
 		server.ServeHTTP(resp, req)
 		if resp.status != http.StatusAccepted {
 			b.Fatalf("status %d", resp.status)
 		}
 	}
-	post() // first-seen pass; pools and scratch warm
+	post(body(0))
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		post()
+	for i := 1; i <= b.N; i++ {
+		post(body(i))
 	}
 	b.StopTimer()
 	if got := wj.WAL().GroupCommits(); got != int64(b.N)+1 {

@@ -37,12 +37,14 @@
 package detect
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"qtag/internal/beacon"
 	"qtag/internal/obs"
+	"qtag/internal/pairing"
 )
 
 // Detector contribution names, in the order Text renders them.
@@ -212,6 +214,7 @@ const (
 // un-counted if the missing lifecycle event arrives late, so the final
 // counts depend only on the final event set, not arrival order.
 type impSrc struct {
+	source beacon.Source
 	loaded bool
 	viewed bool
 	// noLoadCounted: this source's in-view-without-loaded violation is
@@ -220,18 +223,30 @@ type impSrc struct {
 	// noServeCounted: this source's beacons-without-served violation
 	// is currently counted; a late served event decrements it.
 	noServeCounted bool
-	// inAt / outAt hold unpaired cycle timestamps by Seq, exactly as
-	// in aggregate; a completed pair folds into the dwell counters and
-	// is deleted.
-	inAt  map[int]time.Time
-	outAt map[int]time.Time
 }
 
-// impState is the bounded working state for one (campaign, impression).
+// impState is the bounded working state for one (campaign, impression),
+// flat and owning its strings exactly as aggregate's impression does:
+// sources hold beacon.Source.Owned values, and the cycle stamps waiting
+// for their partner are one pairing.Pending.
 type impState struct {
 	served    bool
 	lastTouch time.Time // arrival clock, drives TTL eviction
-	sources   map[beacon.Source]*impSrc
+	sources   []impSrc  // in first-beacon order; one or two entries
+	pending   pairing.Pending
+}
+
+// source returns the index in st.sources of s's progress, adding it —
+// fresh is then true — if this is the solution's first beacon on the
+// impression.
+func (st *impState) source(s beacon.Source) (i int, fresh bool) {
+	for i := range st.sources {
+		if st.sources[i].source == s {
+			return i, false
+		}
+	}
+	st.sources = append(st.sources, impSrc{source: s.Owned()})
+	return len(st.sources) - 1, true
 }
 
 // impShard is one lock-striped partition of the open-impression map.
@@ -327,16 +342,6 @@ func New(opts Options) *Detector {
 	return d
 }
 
-// fnv1a matches the beacon store's shard hash.
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
 // sourceLabel maps an event source to its row label.
 func sourceLabel(s beacon.Source) string {
 	if s == "" {
@@ -364,21 +369,26 @@ func (d *Detector) Observe(e beacon.Event) {
 		return
 	}
 	now := d.opts.Now()
-	impKey := e.CampaignID + "|" + e.ImpressionID
-	sh := &d.imps[fnv1a(impKey)&d.mask]
+	// The key is built in a stack buffer and looked up through string(key),
+	// which does not allocate; only opening an impression does.
+	var kb [96]byte
+	key := e.AppendImpressionKey(kb[:0])
+	sh := &d.imps[beacon.HashID(e.ImpressionID)&d.mask]
 
 	sh.mu.Lock()
-	st, ok := sh.open[impKey]
+	st, ok := sh.open[string(key)]
 	created := !ok
+	var opened string
 	if created {
-		st = &impState{sources: make(map[beacon.Source]*impSrc)}
-		sh.open[impKey] = st
+		st = &impState{}
+		opened = string(key)
+		sh.open[opened] = st
 	}
 	st.lastTouch = now
 
 	// All row updates for this event happen under the campaign shard
 	// lock (nested imp→row lock order, always — matching aggregate).
-	cs := &d.camps[fnv1a(e.CampaignID)&d.mask]
+	cs := &d.camps[beacon.HashID(e.CampaignID)&d.mask]
 	cs.mu.Lock()
 	r := d.rowLocked(cs, rowKey{e.CampaignID, sourceLabel(e.Source)}, now)
 	r.lastTouch = now
@@ -402,20 +412,20 @@ func (d *Detector) Observe(e beacon.Event) {
 			// already dropped is left absent, not recreated and driven
 			// negative; the clamp guards the same invariant if the row
 			// was evicted and later recreated by fresh traffic.
-			for s, ss := range st.sources {
+			for i := range st.sources {
+				ss := &st.sources[i]
 				if ss.noServeCounted {
 					ss.noServeCounted = false
-					if rr := cs.rows[rowKey{e.CampaignID, sourceLabel(s)}]; rr != nil && rr.seqNoServe > 0 {
+					if rr := cs.rows[rowKey{e.CampaignID, sourceLabel(ss.source)}]; rr != nil && rr.seqNoServe > 0 {
 						rr.seqNoServe--
 					}
 				}
 			}
 		}
 	default:
-		ss := st.sources[e.Source]
-		if ss == nil {
-			ss = &impSrc{}
-			st.sources[e.Source] = ss
+		si, fresh := st.source(e.Source)
+		ss := &st.sources[si]
+		if fresh {
 			r.impressions++
 			if !st.served {
 				ss.noServeCounted = true
@@ -444,32 +454,19 @@ func (d *Detector) Observe(e beacon.Event) {
 			if e.Meta.Slot != "" {
 				r.addSlotView(e.Meta.Slot, d.opts.MaxSlots)
 			}
-			if ss.inAt == nil {
-				ss.inAt = make(map[int]time.Time)
-			}
-			if _, dup := ss.inAt[e.Seq]; !dup {
-				if out, ok := ss.outAt[e.Seq]; ok {
-					delete(ss.outAt, e.Seq)
-					if r.seqOrphanOut > 0 { // clamp: the counted row may have been evicted and recreated
-						r.seqOrphanOut--
-					}
-					r.observeDwell(dwellOf(e.At, out), d.opts)
-				} else {
-					ss.inAt[e.Seq] = e.At
+			if dwell, paired := st.pending.InView(si, e.Seq, e.At); paired {
+				// The out-of-view that was waiting is an orphan no longer.
+				if r.seqOrphanOut > 0 { // clamp: the counted row may have been evicted and recreated
+					r.seqOrphanOut--
 				}
+				r.observeDwell(dwell, d.opts)
 			}
 		case beacon.EventOutOfView:
-			if in, ok := ss.inAt[e.Seq]; ok {
-				delete(ss.inAt, e.Seq)
-				r.observeDwell(dwellOf(in, e.At), d.opts)
-			} else {
-				if ss.outAt == nil {
-					ss.outAt = make(map[int]time.Time)
-				}
-				if _, dup := ss.outAt[e.Seq]; !dup {
-					ss.outAt[e.Seq] = e.At
-					r.seqOrphanOut++
-				}
+			dwell, paired, orphan := st.pending.OutOfView(si, e.Seq, e.At)
+			if paired {
+				r.observeDwell(dwell, d.opts)
+			} else if orphan {
+				r.seqOrphanOut++
 			}
 		}
 	}
@@ -478,7 +475,7 @@ func (d *Detector) Observe(e beacon.Event) {
 	if created {
 		d.openCount.Add(1)
 		if d.opts.MaxOpen > 0 && d.openCount.Load() > int64(d.opts.MaxOpen) {
-			d.evictColdestLocked(sh, impKey)
+			d.evictColdestLocked(sh, opened)
 		}
 	}
 	sh.mu.Unlock()
@@ -494,7 +491,7 @@ func (d *Detector) ObserveDup(e beacon.Event) {
 		return
 	}
 	now := d.opts.Now()
-	cs := &d.camps[fnv1a(e.CampaignID)&d.mask]
+	cs := &d.camps[beacon.HashID(e.CampaignID)&d.mask]
 	cs.mu.Lock()
 	r := d.rowLocked(cs, rowKey{e.CampaignID, sourceLabel(e.Source)}, now)
 	r.lastTouch = now
@@ -504,13 +501,15 @@ func (d *Detector) ObserveDup(e beacon.Event) {
 }
 
 // rowLocked returns (creating if needed) a score row; caller holds
-// cs.mu. Creation over the MaxRows cap evicts the coldest row in the
-// same shard, sparing the new key.
+// cs.mu. A new row goes under a clone of k, whose strings come from the
+// event in hand. Creation over the MaxRows cap evicts the coldest row in
+// the same shard, sparing the new key.
 func (d *Detector) rowLocked(cs *rowShard, k rowKey, now time.Time) *row {
 	r := cs.rows[k]
 	if r != nil {
 		return r
 	}
+	k = rowKey{strings.Clone(k.Campaign), strings.Clone(k.Source)}
 	r = &row{slots: make([]int64, d.opts.RateSlots)}
 	cs.rows[k] = r
 	r.lastTouch = now
@@ -581,20 +580,14 @@ func (r *row) addSlotView(slot string, maxSlots int) {
 	if r.slotViews == nil {
 		r.slotViews = make(map[string]int64)
 	}
-	if _, ok := r.slotViews[slot]; !ok && len(r.slotViews) >= maxSlots {
-		r.slotOther++
-		return
+	if _, ok := r.slotViews[slot]; !ok {
+		if len(r.slotViews) >= maxSlots {
+			r.slotOther++
+			return
+		}
+		slot = strings.Clone(slot) // the map keeps it; the event's copy goes with its request
 	}
 	r.slotViews[slot]++
-}
-
-// dwellOf clamps a cycle span at zero, as in aggregate.
-func dwellOf(in, out time.Time) time.Duration {
-	d := out.Sub(in)
-	if d < 0 {
-		return 0
-	}
-	return d
 }
 
 // evictColdestLocked drops the least-recently-touched impression in
