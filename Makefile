@@ -127,8 +127,10 @@ soak:
 		./internal/beacon/... ./internal/stress/... ./internal/aggregate/...
 
 # Ten seconds of fuzzing each on the WAL record codec, the ingest
-# handler, and the fraud detector's observe path — enough to catch a
-# framing, checksum, batch-atomicity, or score-bound regression without
+# handler, the fraud detector's observe path, and the report encoder
+# (its string and float appenders and the rendered GET /report, each
+# against encoding/json) — enough to catch a framing, checksum,
+# batch-atomicity, score-bound or byte-identity regression without
 # stalling the pipeline. (One -fuzz pattern per invocation: go test
 # rejects fuzzing multiple targets at once.)
 fuzz-smoke:
@@ -137,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBinaryCodec -fuzztime=10s ./internal/beacon
 	$(GO) test -run='^$$' -fuzz=FuzzStoreArena -fuzztime=10s ./internal/beacon
 	$(GO) test -run='^$$' -fuzz=FuzzDetectObserve -fuzztime=10s ./internal/detect
+	$(GO) test -run='^$$' -fuzz=FuzzReportJSON -fuzztime=10s ./internal/report
 
 # The benchmark harness (package main under bench/) is left out: it is
 # exercised out of process by bench-smoke, and since PR 13 added it to

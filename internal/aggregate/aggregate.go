@@ -139,22 +139,27 @@ type rowKey struct {
 	Format   string
 }
 
-// srcCounts are one row's per-solution status counters. notViewed is
-// maintained with decrements (loaded-then-in-view moves the impression
+// srcCounts are one row's status counters for one solution. notViewed
+// is maintained with decrements (loaded-then-in-view moves the impression
 // from not-viewed to viewed), so it is not monotonic — it is a gauge of
 // the current classification, not an event count.
 type srcCounts struct {
-	measured  int64 // impressions with a loaded check-in
-	viewed    int64 // impressions with an in-view
-	notViewed int64 // loaded but (so far) no in-view
+	source    beacon.Source // owned (see beacon.Source.Owned)
+	measured  int64         // impressions with a loaded check-in
+	viewed    int64         // impressions with an in-view
+	notViewed int64         // loaded but (so far) no in-view
 }
 
-// row is one campaign × format accumulator.
+// row is one campaign × format accumulator. Like an impression's
+// sources, src is a slice searched linearly — one or two entries, in
+// first-report order — so Observe and the report encoder reach a
+// solution's counters without a map lookup, a pointer chase or a map
+// iterator.
 type row struct {
 	key         rowKey // the map key, with strings the row owns
 	impressions int64  // distinct impressions observed
 	served      int64  // impressions with a served event
-	src         map[beacon.Source]*srcCounts
+	src         []srcCounts
 }
 
 // dwellKey addresses one campaign × source dwell histogram. Dwell is
@@ -187,6 +192,10 @@ type Aggregator struct {
 	winMu   sync.Mutex
 	windows windowRing
 
+	// boundsJSON is opts.DwellBounds as every dwell row of the report
+	// carries it, encoded once instead of once per histogram per render.
+	boundsJSON []byte
+
 	updates    atomic.Int64 // events folded in
 	evicted    atomic.Int64 // impression states dropped (TTL + pressure)
 	pressureEv atomic.Int64 // the subset evicted by the MaxOpen cap
@@ -208,6 +217,8 @@ func New(opts Options) *Aggregator {
 		camps:    make([]campShard, size),
 		mask:     uint32(size - 1),
 		dwellObs: obs.NewHistogram(opts.DwellBounds...),
+
+		boundsJSON: appendBoundsJSON(nil, opts.DwellBounds),
 	}
 	for i := range a.shards {
 		a.shards[i].open = make(map[string]*impression)
@@ -388,21 +399,31 @@ func (c *campShard) row(k rowKey) *row {
 	r := c.rows[k]
 	if r == nil {
 		k = rowKey{strings.Clone(k.Campaign), strings.Clone(k.Format)}
-		r = &row{key: k, src: make(map[beacon.Source]*srcCounts)}
+		r = &row{key: k}
 		c.rows[k] = r
 	}
 	return r
 }
 
-// srcCounts returns (creating if needed) a row's per-source counters; s
-// must be owned (srcState.source is).
-func (r *row) srcCounts(s beacon.Source) *srcCounts {
-	sc := r.src[s]
-	if sc == nil {
-		sc = &srcCounts{}
-		r.src[s] = sc
+// find returns a row's counters for s, or nil if s never reported on it.
+func (r *row) find(s beacon.Source) *srcCounts {
+	for i := range r.src {
+		if r.src[i].source == s {
+			return &r.src[i]
+		}
 	}
-	return sc
+	return nil
+}
+
+// srcCounts returns (creating if needed) a row's per-source counters; s
+// must be owned (srcState.source is). The pointer is good until the
+// next srcCounts call on the same row.
+func (r *row) srcCounts(s beacon.Source) *srcCounts {
+	if sc := r.find(s); sc != nil {
+		return sc
+	}
+	r.src = append(r.src, srcCounts{source: s})
+	return &r.src[len(r.src)-1]
 }
 
 // dwellHist returns (creating if needed) the campaign × source dwell
@@ -481,17 +502,10 @@ func (a *Aggregator) Sweep(now time.Time) int {
 }
 
 // OpenImpressions returns how many impressions currently hold working
-// state — the quantity TTL eviction bounds.
-func (a *Aggregator) OpenImpressions() int {
-	n := 0
-	for i := range a.shards {
-		sh := &a.shards[i]
-		sh.mu.Lock()
-		n += len(sh.open)
-		sh.mu.Unlock()
-	}
-	return n
-}
+// state — the quantity TTL eviction bounds. It reads the counter kept on
+// open, sweep and pressure eviction, so every /report and /metrics
+// scrape costs one atomic load, not a pass over the shard locks.
+func (a *Aggregator) OpenImpressions() int { return int(a.openCount.Load()) }
 
 // Updates returns how many first-seen events have been folded in.
 func (a *Aggregator) Updates() int64 { return a.updates.Load() }

@@ -53,6 +53,10 @@ type Snapshot struct {
 // checked in.
 var canonicalSources = []beacon.Source{beacon.SourceQTag, beacon.SourceCommercial}
 
+func canonical(s beacon.Source) bool {
+	return s == beacon.SourceQTag || s == beacon.SourceCommercial
+}
+
 // Snapshot copies the accumulators. Shard locks are taken one at a
 // time, so under concurrent ingest the result is consistent per
 // campaign shard; after quiescence it is exact.
@@ -70,11 +74,11 @@ func (a *Aggregator) Snapshot() Snapshot {
 				Sources:     make(map[string]SourceCounts, len(r.src)+2),
 			}
 			for _, s := range canonicalSources {
-				row.Sources[string(s)] = exportSource(r, r.src[s])
+				row.Sources[string(s)] = exportSource(r, r.find(s))
 			}
-			for s, sc := range r.src {
-				if _, done := row.Sources[string(s)]; !done {
-					row.Sources[string(s)] = exportSource(r, sc)
+			for i := range r.src {
+				if sc := &r.src[i]; !canonical(sc.source) {
+					row.Sources[string(sc.source)] = exportSource(r, sc)
 				}
 			}
 			snap.Rows = append(snap.Rows, row)

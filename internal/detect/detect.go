@@ -265,6 +265,8 @@ type rowKey struct {
 // row is one campaign × solution accumulator. Every field is a
 // commutative count or a min/max — order-insensitive by construction.
 type row struct {
+	key rowKey // the map key, with strings the row owns
+
 	events      int64 // first-seen events folded in
 	dups        int64 // duplicate submissions absorbed by the store
 	impressions int64 // distinct impressions this source reported on
@@ -290,7 +292,9 @@ type row struct {
 	slotViews map[string]int64
 	slotOther int64 // in-views on placements beyond the MaxSlots cap
 
-	lastTouch time.Time // arrival clock, drives MaxRows pressure eviction
+	// newer and older link the row into its shard's recency list, which
+	// drives MaxRows pressure eviction.
+	newer, older *row
 }
 
 // rowShard is one lock-striped partition of the score-row table; a
@@ -299,6 +303,49 @@ type row struct {
 type rowShard struct {
 	mu   sync.Mutex
 	rows map[rowKey]*row
+
+	// newest and oldest are the ends of the intrusive recency list:
+	// every row of the shard, most recently touched first. A row is
+	// touched when an event or a duplicate lands on it (rowLocked), so
+	// the MaxRows cap evicts in O(1) instead of scanning the shard for
+	// the coldest row on every insert over the cap.
+	newest, oldest *row
+	// evictVisits counts rows examined by MaxRows eviction; a test
+	// holds it to one per insert.
+	evictVisits int64
+}
+
+// touch makes r the shard's most recently touched row, linking it in if
+// it is new.
+func (cs *rowShard) touch(r *row) {
+	if cs.newest == r {
+		return
+	}
+	if r.newer != nil { // linked, and not at the front: unlink first
+		cs.unlink(r)
+	}
+	r.older = cs.newest
+	if cs.newest != nil {
+		cs.newest.newer = r
+	} else {
+		cs.oldest = r
+	}
+	cs.newest = r
+}
+
+// unlink removes r from the recency list.
+func (cs *rowShard) unlink(r *row) {
+	if r.newer != nil {
+		r.newer.older = r.older
+	} else {
+		cs.newest = r.older
+	}
+	if r.older != nil {
+		r.older.newer = r.newer
+	} else {
+		cs.oldest = r.newer
+	}
+	r.newer, r.older = nil, nil
 }
 
 // Detector is the streaming scorer. All methods are safe for
@@ -390,8 +437,7 @@ func (d *Detector) Observe(e beacon.Event) {
 	// lock (nested imp→row lock order, always — matching aggregate).
 	cs := &d.camps[beacon.HashID(e.CampaignID)&d.mask]
 	cs.mu.Lock()
-	r := d.rowLocked(cs, rowKey{e.CampaignID, sourceLabel(e.Source)}, now)
-	r.lastTouch = now
+	r := d.rowLocked(cs, rowKey{e.CampaignID, sourceLabel(e.Source)})
 	r.events++
 	r.observeRate(d.opts.bucketIndex(e.At), r.events == 1)
 	if e.Meta.AdSize != "" {
@@ -490,43 +536,34 @@ func (d *Detector) ObserveDup(e beacon.Event) {
 	if e.Validate() != nil {
 		return
 	}
-	now := d.opts.Now()
 	cs := &d.camps[beacon.HashID(e.CampaignID)&d.mask]
 	cs.mu.Lock()
-	r := d.rowLocked(cs, rowKey{e.CampaignID, sourceLabel(e.Source)}, now)
-	r.lastTouch = now
-	r.dups++
+	d.rowLocked(cs, rowKey{e.CampaignID, sourceLabel(e.Source)}).dups++
 	cs.mu.Unlock()
 	d.dupEvents.Add(1)
 }
 
-// rowLocked returns (creating if needed) a score row; caller holds
-// cs.mu. A new row goes under a clone of k, whose strings come from the
-// event in hand. Creation over the MaxRows cap evicts the coldest row in
-// the same shard, sparing the new key.
-func (d *Detector) rowLocked(cs *rowShard, k rowKey, now time.Time) *row {
+// rowLocked returns (creating if needed) a score row and marks it the
+// shard's most recently touched; caller holds cs.mu. A new row goes
+// under a clone of k, whose strings come from the event in hand.
+// Creation over the MaxRows cap evicts the least recently touched row of
+// the same shard — never the one just created, which stays even when it
+// is alone in its shard.
+func (d *Detector) rowLocked(cs *rowShard, k rowKey) *row {
 	r := cs.rows[k]
 	if r != nil {
+		cs.touch(r)
 		return r
 	}
 	k = rowKey{strings.Clone(k.Campaign), strings.Clone(k.Source)}
-	r = &row{slots: make([]int64, d.opts.RateSlots)}
+	r = &row{key: k, slots: make([]int64, d.opts.RateSlots)}
 	cs.rows[k] = r
-	r.lastTouch = now
+	cs.touch(r)
 	if d.rowCount.Add(1) > int64(d.opts.MaxRows) {
-		var coldest rowKey
-		var coldestAt time.Time
-		found := false
-		for rk, rr := range cs.rows {
-			if rk == k {
-				continue
-			}
-			if !found || rr.lastTouch.Before(coldestAt) {
-				coldest, coldestAt, found = rk, rr.lastTouch, true
-			}
-		}
-		if found {
-			delete(cs.rows, coldest)
+		cs.evictVisits++
+		if victim := cs.oldest; victim != r {
+			cs.unlink(victim)
+			delete(cs.rows, victim.key)
 			d.rowCount.Add(-1)
 			d.rowEvicted.Add(1)
 		}
@@ -638,17 +675,10 @@ func (d *Detector) Sweep(now time.Time) int {
 	return evicted
 }
 
-// OpenImpressions returns how many impressions hold working state.
-func (d *Detector) OpenImpressions() int {
-	n := 0
-	for i := range d.imps {
-		sh := &d.imps[i]
-		sh.mu.Lock()
-		n += len(sh.open)
-		sh.mu.Unlock()
-	}
-	return n
-}
+// OpenImpressions returns how many impressions hold working state: the
+// counter kept on open, sweep and pressure eviction, not a pass over the
+// shard locks (it is read by every /metrics scrape).
+func (d *Detector) OpenImpressions() int { return int(d.openCount.Load()) }
 
 // Rows returns how many score rows are live.
 func (d *Detector) Rows() int { return int(d.rowCount.Load()) }

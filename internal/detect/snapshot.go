@@ -67,22 +67,30 @@ func (d *Detector) Snapshot() Snapshot {
 	return snap
 }
 
-// score derives one row's contributions. Caller holds the row shard
-// lock.
-func (d *Detector) score(k rowKey, r *row) ScoreRow {
-	o := d.opts
-	c := map[string]float64{
-		DetectorRate:      rateScore(r, o),
-		DetectorDwell:     dwellScore(r),
-		DetectorSequence:  sequenceScore(r),
-		DetectorDuplicate: duplicateScore(r),
-		DetectorGeometry:  geometryScore(r),
-	}
-	composite := 0.0
+// contribs derives one row's detector scores, indexed as Detectors is,
+// and their composite (the max). Caller holds the row shard lock.
+func (d *Detector) contribs(r *row) (c [5]float64, composite float64) {
+	c = [5]float64{rateScore(r, d.opts), dwellScore(r), sequenceScore(r), duplicateScore(r), geometryScore(r)}
 	for _, v := range c {
 		if v > composite {
 			composite = v
 		}
+	}
+	return c, composite
+}
+
+// flags applies the threshold and the MinEvents volume gate to a row's
+// composite score.
+func (d *Detector) flags(r *row, composite float64) bool {
+	return composite >= d.opts.FlagThreshold && r.events+r.dups >= d.opts.MinEvents
+}
+
+// score derives one row's report line. Caller holds the row shard lock.
+func (d *Detector) score(k rowKey, r *row) ScoreRow {
+	c, composite := d.contribs(r)
+	m := make(map[string]float64, len(Detectors))
+	for i, name := range Detectors {
+		m[name] = c[i]
 	}
 	return ScoreRow{
 		CampaignID:  k.Campaign,
@@ -91,8 +99,8 @@ func (d *Detector) score(k rowKey, r *row) ScoreRow {
 		Dups:        r.dups,
 		Impressions: r.impressions,
 		Score:       composite,
-		Flagged:     composite >= o.FlagThreshold && r.events+r.dups >= o.MinEvents,
-		Contribs:    c,
+		Flagged:     d.flags(r, composite),
+		Contribs:    m,
 	}
 }
 

@@ -7,10 +7,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"qtag/internal/aggregate"
 	"qtag/internal/detect"
+	"qtag/internal/jsonenc"
 	"qtag/internal/obs"
 )
 
@@ -23,8 +25,10 @@ import (
 //	GET /report?format=prom      Prometheus text exposition of the same
 //	GET /report?windows=0        JSON without the rollup windows
 //
-// Memory per request is bounded by campaigns × formats — the raw event
-// store is never consulted, let alone scanned.
+// The raw event store is never consulted, let alone scanned; the JSON
+// form is encoded straight from the accumulators into pooled buffers
+// (no Snapshot, no reflection) and sent with a Content-Length in one
+// Write.
 func Handler(a *aggregate.Aggregator, now func() time.Time) http.Handler {
 	return HandlerWithDetect(a, nil, now)
 }
@@ -46,24 +50,17 @@ func HandlerWithDetect(a *aggregate.Aggregator, d *detect.Detector, now func() t
 		sp := obs.SpanFromContext(r.Context())
 		switch r.URL.Query().Get("format") {
 		case "", "json":
-			resp := ViewabilityReport{
-				GeneratedAt:     now().UTC(),
-				Campaigns:       a.Snapshot(),
-				OpenImpressions: a.OpenImpressions(),
-				Evicted:         a.Evicted(),
-			}
-			if r.URL.Query().Get("windows") != "0" {
-				resp.Windows = a.Windows()
-			}
+			rb := renderPool.Get().(*renderBuf)
+			body, rows, flagged, open := rb.appendReport(a, d, now().UTC(), r.URL.Query().Get("windows") != "0")
 			if d != nil {
-				fraud := d.Snapshot()
-				resp.Fraud = &fraud
-				sp.SetAttr("report.flagged_campaigns", strconv.Itoa(len(fraud.Flagged)))
+				sp.SetAttr("report.flagged_campaigns", strconv.Itoa(flagged))
 			}
-			sp.SetAttr("report.campaign_rows", strconv.Itoa(len(resp.Campaigns.Rows)))
-			sp.SetAttr("report.open_impressions", strconv.Itoa(resp.OpenImpressions))
+			sp.SetAttr("report.campaign_rows", strconv.Itoa(rows))
+			sp.SetAttr("report.open_impressions", strconv.Itoa(open))
 			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(resp)
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			_, _ = w.Write(body)
+			rb.release()
 		case "prom", "prometheus":
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			_, _ = w.Write([]byte(Prometheus(a.Snapshot())))
@@ -78,7 +75,11 @@ func HandlerWithDetect(a *aggregate.Aggregator, d *detect.Detector, now func() t
 	})
 }
 
-// ViewabilityReport is the GET /report JSON payload.
+// ViewabilityReport is the GET /report JSON payload. The handler does
+// not marshal one: renderBuf.appendReport writes the same bytes straight
+// from the accumulators. This type is what clients decode into (the
+// federated merge, the benchmark's oracle) and the reference the
+// byte-equality tests marshal — a field added here must be added there.
 type ViewabilityReport struct {
 	GeneratedAt     time.Time                  `json:"generated_at"`
 	Campaigns       aggregate.Snapshot         `json:"campaigns"`
@@ -88,6 +89,65 @@ type ViewabilityReport struct {
 	// Fraud carries the detection layer's scores when the server runs
 	// with -detect; absent otherwise.
 	Fraud *detect.Snapshot `json:"fraud,omitempty"`
+}
+
+// renderBuf is one JSON render's working memory: the response body and
+// the fragment arenas the aggregate and detect encoders fill under their
+// shard locks — together about two bodies' worth. Pooled, so a
+// dashboard polling /report re-uses them instead of allocating (and the
+// GC tracing) a Snapshot's worth of rows, maps and histogram copies per
+// poll.
+type renderBuf struct {
+	body  []byte
+	frags jsonenc.Frags // campaign rows, then each rollup window, then fraud rows
+	dwell jsonenc.Frags // dwell rows: filled in the same lock hold as the campaign rows
+}
+
+var renderPool = sync.Pool{New: func() any { return new(renderBuf) }}
+
+// maxPooledBytes bounds what one renderBuf may keep between renders
+// (about four bodies at 5 000 campaigns): a one-off report of a much
+// larger state is not pinned until the next GC empties the pool.
+const maxPooledBytes = 16 << 20
+
+func (rb *renderBuf) release() {
+	if cap(rb.body)+cap(rb.frags.Buf)+cap(rb.dwell.Buf) > maxPooledBytes {
+		return
+	}
+	rb.frags.Reset() // drop the index's references to row keys
+	rb.dwell.Reset()
+	renderPool.Put(rb)
+}
+
+// appendReport renders the report into rb.body — byte for byte
+// json.NewEncoder(w).Encode(ViewabilityReport{...}), trailing newline
+// included — and returns it with the figures the handler annotates its
+// span with. The sections are read in the order the fields are declared,
+// each under its own locks only.
+func (rb *renderBuf) appendReport(a *aggregate.Aggregator, d *detect.Detector, at time.Time, windows bool) (body []byte, rows, flagged, open int) {
+	b := append(rb.body[:0], `{"generated_at":`...)
+	b = jsonenc.AppendTime(b, at)
+	b = append(b, `,"campaigns":`...)
+	b, rows = a.AppendSnapshotJSON(b, &rb.frags, &rb.dwell)
+	open = a.OpenImpressions()
+	b = append(b, `,"open_impressions":`...)
+	b = strconv.AppendInt(b, int64(open), 10)
+	b = append(b, `,"evicted_impression_states":`...)
+	b = strconv.AppendInt(b, a.Evicted(), 10)
+	if windows {
+		mark := len(b)
+		b = append(b, `,"windows":`...)
+		var n int
+		if b, n = a.AppendWindowsJSON(b, &rb.frags); n == 0 {
+			b = b[:mark] // omitempty
+		}
+	}
+	if d != nil {
+		b = append(b, `,"fraud":`...)
+		b, flagged = d.AppendSnapshotJSON(b, &rb.frags)
+	}
+	rb.body = append(b, '}', '\n')
+	return rb.body, rows, flagged, open
 }
 
 // Prometheus renders a snapshot in Prometheus text exposition format
