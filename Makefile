@@ -20,10 +20,6 @@ COVER_PROFILE ?= coverage.out
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-# Where bench-gate writes the fresh benchmark run it compares against
-# the committed BENCH_PR10.json baseline.
-BENCH_FRESH ?= bench-fresh.json
-
 # The allocation gate: the codec/key benchmarks and the two one-request
 # ingest benchmarks (a 64-event binary POST down the -durable-sync chain
 # to the WAL write: BenchmarkIngestBatch64 re-posts one body, the store's
@@ -36,7 +32,7 @@ ALLOC_BENCH ?= BenchmarkBinaryCodec|BenchmarkEventKey|BenchmarkIngestBatch64
 ALLOC_BASELINE ?= ALLOC_BASELINE.txt
 ALLOC_FRESH ?= alloc-fresh.txt
 
-.PHONY: all build vet test race bench bench-smoke cover chaos cluster-chaos trace-chaos overload-chaos fraud-chaos soak fuzz-smoke lint bench-gate alloc-gate alloc-baseline ci
+.PHONY: all build vet test race microbench bench-smoke cover chaos cluster-chaos trace-chaos overload-chaos fraud-chaos soak fuzz-smoke lint alloc-gate alloc-baseline ci
 
 all: ci
 
@@ -52,14 +48,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Ingest benchmarks: microbenchmarks for the sharded store, the WAL
-# group committer and the binary beacon codec, then the end-to-end
-# shard-scaling ladder (full HTTP server, WAL on the request path,
-# fsync=always, JSON and binary rungs) written to BENCH_PR10.json.
-bench:
+# Microbenchmarks for the sharded store, the WAL group committer and
+# the binary beacon codec — for measuring while you work. The
+# collector's performance claims rest on `go run ./bench` (BENCHMARK.json,
+# bench/README.md), which drives qtag-server out of process.
+microbench:
 	$(GO) test -run='^$$' -bench='BenchmarkStore|BenchmarkWALAppend|BenchmarkBinaryCodec|BenchmarkEventKey' -benchmem ./internal/beacon
-	$(GO) run ./cmd/qtag-stress -load -workers 32 -events 8000 \
-		-group-commit-max-wait 500us -bench-out BENCH_PR10.json
 
 # The benchmark of BENCHMARK.json in its two-second form: builds
 # qtag-server, spawns it out of process and drives all four workloads —
@@ -109,22 +103,26 @@ overload-chaos:
 	$(GO) test -race -count=1 -run 'TestOverload' ./internal/cluster/...
 
 # Fraud-detection chaos: the adversarial actor scenarios through the
-# full HTTP ingest path, scored against the lifecycle-tracer oracle
-# with per-scenario precision/recall floors; detector equivalence
-# (order-insensitive, concurrent, WAL-crash-recovery) and the
-# mid-campaign server restart that must not move a single score — all
-# under the race detector. See DESIGN.md §15.
+# full HTTP ingest path of the production assembly (collector.Open),
+# scored against the lifecycle-tracer oracle with per-scenario
+# precision/recall floors; detector equivalence (order-insensitive,
+# concurrent, WAL-crash-recovery) and the mid-campaign server restart
+# that must not move a single score — all under the race detector. See
+# DESIGN.md §15.
 fraud-chaos:
 	$(GO) test -race -count=1 -run 'TestFraud|TestDetect|TestTornWALTail|Actor|TestFaultDuplicate' \
-		./internal/stress/... ./internal/detect/... ./internal/campaign/...
+		./internal/detect/... ./internal/campaign/...
 
 # Concurrency soak: the sharded store + group-commit WAL driven through
 # the full HTTP server by concurrent clients, with store/WAL/counter
-# reconciliation, plus the sharded-vs-seed and group-commit-vs-per-record
-# equivalence property tests — all under the race detector.
+# reconciliation; GET /report read beside ingest on the production
+# assembly and the assembly's own sync/async/drain proofs; plus the
+# sharded-vs-seed and group-commit-vs-per-record equivalence property
+# tests — all under the race detector.
 soak:
 	$(GO) test -race -count=1 -run 'Soak|Equivalence|ShardsRounding' \
-		./internal/beacon/... ./internal/stress/... ./internal/aggregate/...
+		./internal/beacon/... ./internal/report/... ./internal/aggregate/...
+	$(GO) test -race -count=1 ./internal/collector/...
 
 # Ten seconds of fuzzing each on the WAL record codec, the ingest
 # handler, the fraud detector's observe path, and the report encoder
@@ -169,17 +167,6 @@ lint:
 		echo "WARN: skipping govulncheck ($(GOVULNCHECK) not fetchable — offline?)"; \
 	fi
 
-# Throughput regression gate: re-run the shard-scaling benchmark ladder
-# and fail if any sampling-off non-overload rung lost more than 20%
-# events/sec against the committed BENCH_PR10.json baseline (traced and
-# overload rungs are reported, not gated). Benchmarks are noisy on
-# shared runners, so this runs as a scheduled/manual CI job, not per-PR;
-# the committed baseline is only ever updated deliberately (make bench).
-bench-gate:
-	$(GO) run ./cmd/qtag-stress -load -workers 32 -events 8000 \
-		-group-commit-max-wait 500us -bench-out $(BENCH_FRESH)
-	$(GO) run ./scripts/benchgate.go -baseline BENCH_PR10.json -fresh $(BENCH_FRESH)
-
 # Allocation regression gate — blocking, per-PR. Unlike nanoseconds,
 # allocs/op is deterministic (for a given Go version), so a fixed
 # -benchtime=1000x run is cheap and exact: any benchmark whose allocs/op
@@ -200,7 +187,9 @@ alloc-baseline:
 	@cat $(ALLOC_BASELINE)
 
 # The blocking pipeline: correctness, analysis, coverage, crash-safety,
-# trace propagation, allocation regressions. soak and fuzz-smoke run as
-# a separate non-blocking CI job (see .github/workflows/ci.yml);
-# bench-gate is scheduled/manual only.
-ci: build vet lint race cover chaos trace-chaos alloc-gate
+# trace propagation, allocation regressions, and the out-of-process
+# benchmark's smoke run (the real binary on all four workloads, passed
+# or failed by the oracle, never by a timing). soak, the cluster /
+# overload / fraud chaos sweeps and fuzz-smoke run as a separate
+# non-blocking CI job (see .github/workflows/ci.yml).
+ci: build vet lint race cover chaos trace-chaos alloc-gate bench-smoke

@@ -1,9 +1,23 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"flag"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
+
+	"qtag/internal/collector"
 )
 
 func TestParsePeers(t *testing.T) {
@@ -68,5 +82,165 @@ func TestBootHandlerAndSwap(t *testing.T) {
 	}))
 	if got := get("/v1/events").StatusCode; got != http.StatusTeapot {
 		t.Fatalf("post-swap status = %d, want the real stack", got)
+	}
+}
+
+// readGolden returns the lines of testdata/<name>.
+func readGolden(t *testing.T, name string) []string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
+}
+
+var (
+	helpFlag    = regexp.MustCompile(`^  -(\S+)`)
+	helpDefault = regexp.MustCompile(`\(default (.*)\)$`)
+	readmeRow   = regexp.MustCompile("^\\| `-([a-z-]+)` \\|")
+)
+
+// The testdata/*.golden files were captured from the binary of the
+// commit before main() became collector.Open: `-h`, and for each of
+// bench/workload.go's argv shapes a /metrics and a /healthz scrape. They
+// pin what bench/ and operators lean on — flag names and defaults,
+// metric family names, /healthz keys — and change only on purpose.
+func TestFlagsMatchTheGoldenHelp(t *testing.T) {
+	fs := flag.NewFlagSet("qtag-server", flag.ContinueOnError)
+	bindFlags(fs, &options{cfg: collector.DefaultConfig()})
+	var help bytes.Buffer
+	fs.SetOutput(&help)
+	fs.PrintDefaults()
+	// One "name<TAB>default" line per flag, the default as -h prints it
+	// (nothing for a zero value).
+	var got []string
+	for _, line := range strings.Split(help.String(), "\n") {
+		if m := helpFlag.FindStringSubmatch(line); m != nil {
+			got = append(got, m[1]+"\t")
+		} else if m := helpDefault.FindStringSubmatch(line); m != nil {
+			got[len(got)-1] += m[1]
+		}
+	}
+	if want := readGolden(t, "flags.golden"); !slices.Equal(got, want) {
+		t.Errorf("flag names and defaults moved:\n got %q\nwant %q", got, want)
+	}
+
+	// README's cmd/qtag-server table lists exactly the flags that exist.
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "`cmd/qtag-server` — ")
+	if !ok {
+		t.Fatal("README.md has no cmd/qtag-server flag table")
+	}
+	documented := map[string]bool{}
+	inTable := false
+	for _, line := range strings.Split(table, "\n") {
+		if m := readmeRow.FindStringSubmatch(line); m != nil {
+			documented[m[1]], inTable = true, true
+		} else if inTable && !strings.HasPrefix(line, "|") {
+			break
+		}
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		if !documented[f.Name] {
+			t.Errorf("-%s is not in README's cmd/qtag-server flag table", f.Name)
+		}
+		delete(documented, f.Name)
+	})
+	for name := range documented {
+		t.Errorf("README's cmd/qtag-server flag table lists -%s, which is not a flag", name)
+	}
+}
+
+func TestStackSurfaceMatchesTheGoldenScrapes(t *testing.T) {
+	// The argv of bench/workload.go's serverArgs: the WAL on the ack path,
+	// the async queue, and node a of the two-node ring.
+	common := []string{"-addr", "127.0.0.1:0", "-log-level", "warn", "-log-every", "0", "-wal-segment-bytes", "1073741824"}
+	syncWAL := []string{"-fsync", "batch", "-durable-sync", "-group-commit", "-admission", "-ingest-shards", "16", "-detect"}
+	shapes := map[string][]string{
+		"sync":    syncWAL,
+		"async":   {"-queue-cap", "65536", "-detect"},
+		"cluster": append(syncWAL[:len(syncWAL):len(syncWAL)], "-node-id", "a", "-peers", "b=http://127.0.0.1:1", "-handoff-dir", filepath.Join(t.TempDir(), "hints-0")),
+	}
+	for shape, extra := range shapes {
+		t.Run(shape, func(t *testing.T) {
+			args := append(append([]string{"-wal-dir", filepath.Join(t.TempDir(), "wal-0")}, common...), extra...)
+			o, err := parseFlags(flag.NewFlagSet("qtag-server", flag.ContinueOnError), args)
+			if err != nil {
+				t.Fatalf("bench argv no longer parses: %v", err)
+			}
+			o.cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+			stack, err := collector.Open(o.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stack.Close(context.Background())
+			srv := httptest.NewServer(stack.Handler())
+			defer srv.Close()
+			scrape := func(path string) []byte {
+				resp, err := http.Get(srv.URL + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
+				}
+				return body
+			}
+
+			var families []string
+			for _, line := range strings.Split(string(scrape("/metrics")), "\n") {
+				if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+					families = append(families, f[2])
+				}
+			}
+			slices.Sort(families)
+			if want := readGolden(t, "metrics_"+shape+".golden"); !slices.Equal(families, want) {
+				t.Errorf("/metrics families moved:\n got %q\nwant %q", families, want)
+			}
+
+			var health map[string]any
+			if err := json.Unmarshal(scrape("/healthz"), &health); err != nil {
+				t.Fatal(err)
+			}
+			keys := make([]string, 0, len(health))
+			for k := range health {
+				keys = append(keys, k)
+			}
+			slices.Sort(keys)
+			if want := readGolden(t, "healthz_"+shape+".golden"); !slices.Equal(keys, want) {
+				t.Errorf("/healthz keys moved:\n got %q\nwant %q", keys, want)
+			}
+			scrape("/readyz")
+		})
+	}
+}
+
+// Flag combinations no stack can be built from are refused by
+// parseFlags — main exits 2 on them before it binds the socket.
+func TestParseFlagsRefusesBadConfigurations(t *testing.T) {
+	for _, args := range [][]string{
+		{"-admission=false", "-shed-pending", "100"},
+		{"-durable-sync"},
+		{"-log-level", "nonsense"},
+		{"-fsync", "sometimes"},
+		{"-peers", "n1"},
+		{"-no-such-flag"},
+	} {
+		fs := flag.NewFlagSet("qtag-server", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if _, err := parseFlags(fs, args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+	fs := flag.NewFlagSet("qtag-server", flag.ContinueOnError)
+	_, err := parseFlags(fs, []string{"-admission=false", "-shed-pending", "100"})
+	if !errors.Is(err, collector.ErrConfig) || !strings.Contains(err.Error(), "-shed-pending") || !strings.Contains(err.Error(), "-admission") {
+		t.Errorf("-admission=false -shed-pending 100: %v, want a configuration error naming both flags", err)
 	}
 }

@@ -102,7 +102,7 @@ func BenchmarkEventKeyAppend(b *testing.B) {
 	}
 }
 
-// JSON contrast benches — published in BENCH_PR10.json for the
+// JSON contrast benches — the other side of the binary codec's
 // comparison story, excluded from the allocation gate because
 // encoding/json allocation counts vary across Go versions.
 func BenchmarkJSONCodecContrast(b *testing.B) {

@@ -68,6 +68,10 @@ type WALJournal struct {
 
 	recovery DurableRecovery // immutable after OpenDurable
 
+	// snapMu makes Snapshot one at a time: two calls that saw the same
+	// coverage index would share one snap-<index>.snap.tmp, and the
+	// loser's rename would publish whatever both had appended to it.
+	snapMu    sync.Mutex
 	mu        sync.Mutex
 	snapIndex uint64
 	snapAt    time.Time
@@ -266,7 +270,11 @@ func (j *WALJournal) appendEvents(events []Event, appendFn func([][]byte) error)
 // The WAL is synced first and the index captured atomically with the
 // sync, so coverage never exceeds the durable tail — a crash right
 // after the snapshot must not leave it claiming records the WAL lost.
+// Concurrent calls run one after the other; one that waited out a
+// snapshot covering the same index returns false like any other no-op.
 func (j *WALJournal) Snapshot(store *Store) (bool, error) {
+	j.snapMu.Lock()
+	defer j.snapMu.Unlock()
 	last, err := j.w.SyncIndex()
 	if err != nil {
 		return false, err
@@ -311,7 +319,7 @@ func (j *WALJournal) WAL() *wal.WAL { return j.w }
 func (j *WALJournal) Len() int { return int(j.w.Appended()) }
 
 // Pending returns the number of events appended but not yet fsynced —
-// the window a crash can lose, and the overload guard's backlog signal.
+// the window a crash can lose, and the admission backstop's backlog signal.
 func (j *WALJournal) Pending() int { return j.w.Pending() }
 
 // Flush forces everything appended so far to stable storage — the same

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -516,5 +517,100 @@ func TestReplayWALDirReadOnly(t *testing.T) {
 	rec, err = ReplayWALDir(filepath.Join(dir, "nope"), NewStore())
 	if err != nil || rec.Records != 0 || rec.SnapshotRestored != 0 {
 		t.Fatalf("missing dir: %+v %v", rec, err)
+	}
+}
+
+// parkFS parks the first Create of a snapshot temp file until released,
+// and reports every such Create.
+type parkFS struct {
+	wal.FS
+	created chan string   // one send per *.snap.tmp Create, before it proceeds
+	release chan struct{} // closed to let the parked first Create go on
+	first   sync.Once
+}
+
+func (p *parkFS) Create(name string) (wal.File, error) {
+	if strings.HasSuffix(name, ".snap.tmp") {
+		p.created <- name
+		p.first.Do(func() { <-p.release })
+	}
+	return p.FS.Create(name)
+}
+
+// TestWALJournalSnapshotIsOneAtATime: the periodic snapshot ticker and
+// the parting snapshot of a shutdown can overlap. Two calls that saw the
+// same coverage index used to open the same snap-<index>.snap.tmp (the
+// second truncating what the first had written, both then appending to
+// it), so the published snapshot could hold two payloads under one
+// header — corrupt, with the segments it covers already compacted away.
+// The second caller must wait for the first and then find nothing to do.
+func TestWALJournalSnapshotIsOneAtATime(t *testing.T) {
+	const n = 200
+	dir := t.TempDir()
+	fs := &parkFS{FS: wal.OS, created: make(chan string, 2), release: make(chan struct{})}
+	store := NewStore()
+	j, _, err := OpenDurable(wal.Options{Dir: dir, SegmentBytes: 2048, FS: fs}, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := Tee(store, j)
+	for i := 0; i < n; i++ {
+		if err := sink.Submit(durEvent(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type result struct {
+		wrote bool
+		err   error
+	}
+	results := make(chan result, 2)
+	snapshot := func() {
+		wrote, err := j.Snapshot(store)
+		results <- result{wrote, err}
+	}
+	go snapshot()
+	<-fs.created // the first call is parked inside WriteSnapshot
+	go snapshot()
+	// The second call either reaches Create on the same temp file (the
+	// bug: it arrives within microseconds) or is held off by the journal;
+	// only then may the first go on.
+	select {
+	case name := <-fs.created:
+		t.Errorf("a second snapshot opened %s while the first was still writing it", filepath.Base(name))
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(fs.release)
+
+	wrote := 0
+	for i := 0; i < 2; i++ {
+		r := <-results
+		if r.err != nil {
+			t.Errorf("overlapping snapshot: %v", r.err)
+		}
+		if r.wrote {
+			wrote++
+		}
+	}
+	if wrote != 1 || len(fs.created) != 0 {
+		t.Errorf("%d of 2 overlapping calls wrote a snapshot and %d more temp files were created, want 1 and 0",
+			wrote, len(fs.created))
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	restored := NewStore()
+	j2, rec, err := OpenDurable(wal.Options{Dir: dir}, restored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if rec.CorruptSnapshots != 0 || rec.SnapshotRestored != n {
+		t.Errorf("reopen: %d corrupt snapshots, %d events from the snapshot, want 0 and %d",
+			rec.CorruptSnapshots, rec.SnapshotRestored, n)
+	}
+	if restored.Len() != n {
+		t.Errorf("restored %d events, want %d", restored.Len(), n)
 	}
 }

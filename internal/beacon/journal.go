@@ -105,8 +105,8 @@ func (j *Journal) Len() int {
 }
 
 // Pending returns the number of events accepted since the last Flush —
-// the durability backlog. An overload guard can shed ingestion when this
-// falls too far behind (the journal writer is not keeping up).
+// the durability backlog. The admission backstop sheds ingestion when this
+// grows past -shed-pending (the journal writer is not keeping up).
 func (j *Journal) Pending() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -4,13 +4,9 @@ import (
 	"crypto/subtle"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"qtag/internal/obs"
 )
 
 // AuthStats wraps a collection server so that read endpoints (stats,
@@ -151,52 +147,6 @@ func (l *RateLimiter) sweepLocked(now time.Time) {
 			delete(l.buckets, k)
 		}
 	}
-}
-
-// OverloadGuard sheds ingestion load when the collector is falling
-// behind: while the overloaded predicate reports true, POST and pixel
-// GET requests on /v1/events are answered with 503 + Retry-After instead
-// of being ingested. Clients built on HTTPSink honor the header and back
-// off; the idempotent store makes the eventual re-delivery safe. Read
-// endpoints are never shed — operators need stats exactly when the
-// collector is struggling.
-//
-// The predicate is typically wired to the journal backlog
-// (Journal.Pending) or another durability-lag signal.
-type OverloadGuard struct {
-	next       http.Handler
-	overloaded func() bool
-	retryAfter string
-	shed       atomic.Int64
-}
-
-// NewOverloadGuard wraps next. retryAfter is rounded down to whole
-// seconds for the header (minimum 1s).
-func NewOverloadGuard(next http.Handler, overloaded func() bool, retryAfter time.Duration) *OverloadGuard {
-	secs := int(retryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return &OverloadGuard{next: next, overloaded: overloaded, retryAfter: strconv.Itoa(secs)}
-}
-
-// Shed returns the number of ingestion requests refused so far.
-func (g *OverloadGuard) Shed() int64 { return g.shed.Load() }
-
-// RegisterMetrics exports the shed counter on the registry.
-func (g *OverloadGuard) RegisterMetrics(r *obs.Registry) {
-	r.CounterFunc("qtag_shed_total", "Ingestion requests refused with 503 while the collector was overloaded.", g.shed.Load)
-}
-
-// ServeHTTP implements http.Handler.
-func (g *OverloadGuard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/v1/events" && g.overloaded != nil && g.overloaded() {
-		g.shed.Add(1)
-		w.Header().Set("Retry-After", g.retryAfter)
-		httpError(w, http.StatusServiceUnavailable, "collector overloaded, retry later")
-		return
-	}
-	g.next.ServeHTTP(w, r)
 }
 
 func clientIP(r *http.Request) string {

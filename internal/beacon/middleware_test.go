@@ -1,7 +1,6 @@
 package beacon
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -151,94 +150,6 @@ func TestRateLimiterSweep(t *testing.T) {
 	limiter.allow("fresh")
 	if len(limiter.buckets) != 1 {
 		t.Errorf("buckets after sweep = %d, want 1", len(limiter.buckets))
-	}
-}
-
-func TestOverloadGuardShedsIngestion(t *testing.T) {
-	store := NewStore()
-	server := NewServer(store)
-	overloaded := false
-	guard := NewOverloadGuard(server, func() bool { return overloaded }, 2*time.Second)
-	server.AddHealthMetric("shed", guard.Shed)
-	srv := httptest.NewServer(guard)
-	defer srv.Close()
-
-	post := func() *http.Response {
-		resp, err := http.Post(srv.URL+"/v1/events", "application/json",
-			strings.NewReader(`{"impression_id":"x","campaign_id":"c","type":"served"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp
-	}
-
-	// Healthy: ingestion flows.
-	if resp := post(); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("healthy ingest = %d", resp.StatusCode)
-	}
-
-	// Overloaded: ingestion shed with 503 + Retry-After; reads still work.
-	overloaded = true
-	resp := post()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("overloaded ingest = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") != "2" {
-		t.Errorf("Retry-After = %q, want 2", resp.Header.Get("Retry-After"))
-	}
-	if r := get(t, srv.URL+"/v1/stats"); r.StatusCode != http.StatusOK {
-		t.Errorf("reads shed under overload: %d", r.StatusCode)
-	}
-	if guard.Shed() != 1 {
-		t.Errorf("Shed = %d", guard.Shed())
-	}
-
-	// The shed counter is visible on /healthz.
-	hr, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hr.Body.Close()
-	var payload map[string]any
-	if err := json.NewDecoder(hr.Body).Decode(&payload); err != nil {
-		t.Fatal(err)
-	}
-	if shed, ok := payload["shed"].(float64); !ok || shed != 1 {
-		t.Errorf("healthz shed = %v", payload["shed"])
-	}
-	if payload["accepted"].(float64) != 1 {
-		t.Errorf("healthz accepted = %v", payload["accepted"])
-	}
-
-	// Recovery: ingestion flows again and HTTPSink's retry loop would
-	// have held the event in the meantime.
-	overloaded = false
-	if resp := post(); resp.StatusCode != http.StatusAccepted {
-		t.Errorf("recovered ingest = %d", resp.StatusCode)
-	}
-}
-
-func TestOverloadGuardEndToEndWithHTTPSink(t *testing.T) {
-	store := NewStore()
-	server := NewServer(store)
-	var calls int
-	guard := NewOverloadGuard(server, func() bool { calls++; return calls <= 2 }, time.Second)
-	srv := httptest.NewServer(guard)
-	defer srv.Close()
-
-	var slept []time.Duration
-	sink := &HTTPSink{BaseURL: srv.URL, Retries: 3, Sleep: func(d time.Duration) { slept = append(slept, d) }}
-	if err := sink.Submit(ev("i1", "c1", "", EventServed)); err != nil {
-		t.Fatalf("sink should ride out the shed window: %v", err)
-	}
-	if store.Len() != 1 {
-		t.Error("event lost across shed window")
-	}
-	for _, d := range slept {
-		if d != time.Second {
-			t.Errorf("client ignored Retry-After: slept %v", d)
-		}
 	}
 }
 

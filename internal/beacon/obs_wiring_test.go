@@ -83,27 +83,6 @@ func TestDiscardSink(t *testing.T) {
 	}
 }
 
-func TestOverloadGuardRegisterMetrics(t *testing.T) {
-	overloaded := true
-	guard := NewOverloadGuard(NewServer(NewStore()), func() bool { return overloaded }, time.Second)
-	reg := obs.NewRegistry()
-	guard.RegisterMetrics(reg)
-
-	srv := httptest.NewServer(guard)
-	defer srv.Close()
-	resp, err := srv.Client().Post(srv.URL+"/v1/events", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 503 {
-		t.Fatalf("status = %d, want 503 while overloaded", resp.StatusCode)
-	}
-	if got := reg.Values()["qtag_shed_total"]; got != 1 {
-		t.Fatalf("qtag_shed_total = %g, want 1", got)
-	}
-}
-
 func TestQueueTracerRecordsFlushes(t *testing.T) {
 	store := NewStore()
 	q := NewQueueSink(store, QueueOptions{})

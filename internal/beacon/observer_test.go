@@ -155,26 +155,3 @@ func TestStoreDupObserverConcurrent(t *testing.T) {
 		t.Fatalf("first+dups = %d, want %d", first+dups, keys*workers)
 	}
 }
-
-// TestStoreSetObserverGuardsWiredPipeline: the deprecated SetObserver
-// wrapper still works as the sole registration on a fresh store, but
-// panics rather than silently disconnecting observers already wired
-// via AddObserver.
-func TestStoreSetObserverGuardsWiredPipeline(t *testing.T) {
-	store := NewStore()
-	var calls []string
-	//lint:ignore SA1019 the deprecated wrapper's compatibility path is exactly what this test covers
-	store.SetObserver(func(Event) { calls = append(calls, "legacy") })
-	store.Submit(Event{ImpressionID: "i", CampaignID: "c", Type: EventServed})
-	if len(calls) != 1 || calls[0] != "legacy" {
-		t.Fatalf("calls = %v, want the legacy observer", calls)
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetObserver silently discarded a wired observer set")
-		}
-	}()
-	//lint:ignore SA1019 asserting the deprecated wrapper's discard guard
-	store.SetObserver(func(Event) {})
-}

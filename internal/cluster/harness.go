@@ -351,11 +351,12 @@ func (h *Harness) boot(hn *HarnessNode, ln net.Listener) error {
 	}
 
 	hn.Store, hn.Agg, hn.Journal, hn.Node, hn.Server = store, agg, wj, node, srv
-	hn.httpSrv = &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
+	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
+	hn.httpSrv = httpSrv
 	hn.alive = true
 	node.Start()
-	go func() {
-		if serr := hn.httpSrv.Serve(ln); serr != nil && !errors.Is(serr, http.ErrServerClosed) {
+	go func() { // serves its own incarnation: a Restart replaces hn.httpSrv
+		if serr := httpSrv.Serve(ln); serr != nil && !errors.Is(serr, http.ErrServerClosed) {
 			_ = serr // listener closed by Kill/Close
 		}
 	}()

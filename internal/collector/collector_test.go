@@ -1,0 +1,357 @@
+package collector_test
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"qtag/internal/beacon"
+	"qtag/internal/collector"
+	"qtag/internal/collector/collectortest"
+	"qtag/internal/wal"
+)
+
+// The load in these tests is four actors: admission control is on, as
+// shipped, and its concurrency floor is 4, so live beacons are never
+// shed (a shed beacon is retried after a 2 s Retry-After).
+const actors = 4
+
+// replayed rebuilds a store from a closed stack's WAL directory.
+func replayed(t *testing.T, dir string) int {
+	t.Helper()
+	restored := beacon.NewStore()
+	if _, err := beacon.ReplayWALDir(dir, restored); err != nil {
+		t.Fatal(err)
+	}
+	return restored.Len()
+}
+
+// The sync path (-durable-sync -fsync always -group-commit): every event
+// sent over HTTP from several goroutines is accepted, stored and — once
+// acknowledged — in the WAL; the group committer did the appending.
+func TestSyncPathAcksAreDurable(t *testing.T) {
+	cfg := collector.DefaultConfig()
+	cfg.IngestShards, cfg.WALDir = 8, t.TempDir()
+	cfg.DurableSync, cfg.Fsync = true, wal.FsyncAlways
+	stack, url, shutdown := collectortest.Boot(t, cfg)
+
+	n := collectortest.Drive(t, url, 7, actors, 40)
+	if got := stack.Server.Accepted(); got != int64(n) {
+		t.Fatalf("accepted %d, want %d", got, n)
+	}
+	if got := stack.Store.Len(); got != n {
+		t.Fatalf("store holds %d events, want %d", got, n)
+	}
+	if stack.Journal.WAL().GroupCommits() == 0 {
+		t.Fatal("load never went through the group committer")
+	}
+	if stack.Queue.Stats().Enqueued != 0 {
+		t.Fatal("the durability queue carried events in sync mode")
+	}
+	if err := shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayed(t, cfg.WALDir); got != n {
+		t.Fatalf("WAL replay restored %d events, want %d", got, n)
+	}
+}
+
+// The async path, qtag-server's default with a WAL: acks do not wait for
+// the journal; Close drains queue → breaker → WAL so nothing is lost.
+func TestAsyncPathCloseDrainsTheQueue(t *testing.T) {
+	cfg := collector.DefaultConfig()
+	cfg.IngestShards, cfg.WALDir = 4, t.TempDir()
+	stack, url, shutdown := collectortest.Boot(t, cfg)
+
+	n := collectortest.Drive(t, url, 11, actors, 20)
+	if got, held := stack.Server.Accepted(), stack.Store.Len(); got != int64(n) || held != n {
+		t.Fatalf("accepted %d and stored %d, want %d", got, held, n)
+	}
+	if err := shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if qs := stack.Queue.Stats(); qs.Flushed != int64(n) || qs.Dropped != 0 {
+		t.Fatalf("queue flushed %d and dropped %d of %d", qs.Flushed, qs.Dropped, n)
+	}
+	if got := replayed(t, cfg.WALDir); got != n {
+		t.Fatalf("queue drain lost events: replay restored %d, want %d", got, n)
+	}
+}
+
+// No flags at all: memory only. The queue and breaker still exist and
+// export the same series, draining into Discard.
+func TestNoWALKeepsTheQueueSeries(t *testing.T) {
+	stack, url, shutdown := collectortest.Boot(t, collector.DefaultConfig())
+	if stack.Journal != nil {
+		t.Fatal("no WAL dir but a journal was opened")
+	}
+	if got := stack.Store.Shards(); got != beacon.DefaultStoreShards {
+		t.Fatalf("default shards = %d, want %d", got, beacon.DefaultStoreShards)
+	}
+	n := collectortest.Drive(t, url, 3, 2, 10)
+	if err := shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	values := stack.Server.Metrics().Values()
+	for _, name := range []string{"qtag_queue_enqueued_total", "qtag_queue_flushed_total"} {
+		if got, ok := values[name]; !ok || got != float64(n) {
+			t.Errorf("%s = %v (present %v), want %d", name, got, ok, n)
+		}
+	}
+	for _, name := range []string{"qtag_queue_depth", "qtag_queue_dropped_total", "qtag_breaker_state", "qtag_breaker_trips_total"} {
+		if _, ok := values[name]; !ok {
+			t.Errorf("%s is not exported without a WAL", name)
+		}
+	}
+}
+
+func batchBody(n int) []byte {
+	events := make([]beacon.Event, n)
+	for i := range events {
+		events[i] = beacon.Event{
+			ImpressionID: fmt.Sprintf("batch-%03d", i), CampaignID: "camp-batch",
+			Source: beacon.SourceQTag, Type: beacon.EventLoaded, At: time.Unix(1500000000+int64(i), 0).UTC(),
+		}
+	}
+	return beacon.AppendBinaryEvents(nil, events)
+}
+
+func post(t *testing.T, url, contentType string, body []byte) *http.Response {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/events", contentType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp
+}
+
+// Under -durable-sync the chain the handler holds is batch-capable end
+// to end — StampSink, Tee, Store, CircuitBreaker, the journal's request
+// face — so a 64-event POST is one hand-off to the WAL, not 64.
+func TestDurableSyncRequestIsOneWALHandOff(t *testing.T) {
+	cfg := collector.DefaultConfig()
+	cfg.WALDir, cfg.DurableSync = t.TempDir(), true
+	stack, url, _ := collectortest.Boot(t, cfg)
+
+	if resp := post(t, url, beacon.BinaryContentType, batchBody(64)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("64-event binary POST: status %d", resp.StatusCode)
+	}
+	w := stack.Journal.WAL()
+	if w.Appended() != 64 || w.GroupCommits() != 1 {
+		t.Fatalf("one 64-event request made %d WAL hand-offs for %d records, want 1 for 64",
+			w.GroupCommits(), w.Appended())
+	}
+	if w.Syncs() != 0 {
+		t.Fatalf("a request under -fsync batch cost %d fsyncs; it is not a flush boundary", w.Syncs())
+	}
+}
+
+// -shed-pending is the admission controller's backstop on the real
+// stack: with one acked-but-unsynced record and a threshold of one, the
+// next beacon is shed with 503 + Retry-After and counted, reads are
+// untouched, and ingest resumes once the backlog is synced.
+func TestShedPendingBackstop(t *testing.T) {
+	cfg := collector.DefaultConfig()
+	cfg.WALDir, cfg.DurableSync = t.TempDir(), true // -fsync batch: a request leaves its records pending
+	cfg.ShedPending, cfg.RetryAfter = 1, 3*time.Second
+	stack, url, _ := collectortest.Boot(t, cfg)
+
+	if resp := post(t, url, beacon.BinaryContentType, batchBody(1)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first beacon: status %d", resp.StatusCode)
+	}
+	resp := post(t, url, beacon.BinaryContentType, batchBody(2))
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "3" {
+		t.Fatalf("beacon behind the backlog: status %d, Retry-After %q; want 503 and 3",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if stack.Admission.TotalShed() != 1 || stack.Store.Len() != 1 {
+		t.Fatalf("shed %d, stored %d; want 1 and 1", stack.Admission.TotalShed(), stack.Store.Len())
+	}
+	r, err := http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("reads shed under the backstop: status %d", r.StatusCode)
+	}
+	if err := stack.Journal.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if resp := post(t, url, beacon.BinaryContentType, batchBody(2)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("after the sync cleared the backlog: status %d", resp.StatusCode)
+	}
+}
+
+// The legacy -journal backend: appended through the queue, flushed on
+// Close, replayed on the next Open.
+func TestLegacyJournalRoundTrip(t *testing.T) {
+	cfg := collector.DefaultConfig()
+	cfg.JournalPath = filepath.Join(t.TempDir(), "beacons.jsonl")
+	_, url, shutdown := collectortest.Boot(t, cfg)
+	n := collectortest.Drive(t, url, 5, 2, 10)
+	if err := shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	again, _, _ := collectortest.Boot(t, cfg)
+	if got := again.Store.Len(); got != n {
+		t.Fatalf("journal replay restored %d events, want %d", got, n)
+	}
+	if _, ok := again.Server.Metrics().Values()["qtag_journal_pending"]; !ok {
+		t.Fatal("legacy journal metrics not registered")
+	}
+}
+
+// everything is a Config with every optional part switched on: WAL,
+// watermarks, detector, tracing, pprof, stats key, rate limit, access
+// log, and a two-node ring whose peer is not there.
+func everything(t *testing.T) collector.Config {
+	dir := t.TempDir()
+	cfg := collector.DefaultConfig()
+	cfg.WALDir, cfg.DurableSync = filepath.Join(dir, "wal"), true
+	cfg.DiskLowBytes, cfg.DiskCheckEvery = 1, 5*time.Millisecond
+	cfg.LogEvery, cfg.ReportSweepEvery, cfg.SnapshotEvery = 5*time.Millisecond, 5*time.Millisecond, 5*time.Millisecond
+	cfg.Detect, cfg.Pprof, cfg.AccessLog, cfg.MetricsExemplars = true, true, true, true
+	cfg.TraceSample, cfg.StatsKey, cfg.IngestRate = 1, "s3cret", 1000
+	cfg.NodeID, cfg.HandoffDir, cfg.ProbeEvery = "a", filepath.Join(dir, "hints"), 5*time.Millisecond
+	cfg.Peers = map[string]string{"b": "http://127.0.0.1:1"} // nothing listens there
+	cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	cfg.Version = "test"
+	return cfg
+}
+
+// Open → Start → Close leaves no goroutine behind, with every ticker,
+// the watermark poller and the cluster node's loops running in between;
+// a second Close is a no-op.
+func TestCloseStopsEverythingStartStarted(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := everything(t)
+	stack, err := collector.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack.Start()
+	req := httptest.NewRequest(http.MethodPost, "/v1/events", bytes.NewReader(batchBody(8)))
+	req.Header.Set("Content-Type", beacon.BinaryContentType)
+	rec := httptest.NewRecorder()
+	stack.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("ingest through Handler(): status %d: %s", rec.Code, rec.Body)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for idx, _ := stack.Journal.SnapshotInfo(); idx == 0; idx, _ = stack.Journal.SnapshotInfo() {
+		if time.Now().After(deadline) {
+			t.Fatal("the snapshot ticker never ran")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := stack.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := stack.Close(context.Background()); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before Open, %d after Close:\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// The optional routes and middleware are where qtag-server puts them.
+func TestOptionalRoutesAndMiddleware(t *testing.T) {
+	_, url, _ := collectortest.Boot(t, everything(t))
+	if resp := post(t, url, beacon.BinaryContentType, batchBody(4)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest on the full stack: status %d", resp.StatusCode)
+	}
+	for path, want := range map[string]int{
+		"/v1/stats":              http.StatusUnauthorized,
+		"/v1/stats?key=s3cret":   http.StatusOK,
+		"/v1/breakdown":          http.StatusUnauthorized,
+		"/report":                http.StatusOK,
+		"/debug/traces":          http.StatusOK,
+		"/debug/pprof/cmdline":   http.StatusOK,
+		"/readyz":                http.StatusOK,
+		"/metrics":               http.StatusOK,
+		"/debug/pprof/nonesuch/": http.StatusNotFound,
+	} {
+		resp, err := http.Get(url + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+}
+
+func TestValidate(t *testing.T) {
+	peers := map[string]string{"b": "http://b"}
+	cases := []struct {
+		name string
+		set  func(*collector.Config)
+		want string // substring of the error; "" = valid
+	}{
+		{"defaults", func(*collector.Config) {}, ""},
+		{"durable-sync without a WAL", func(c *collector.Config) { c.DurableSync = true }, "-durable-sync requires -wal-dir"},
+		{"both journals", func(c *collector.Config) { c.WALDir, c.JournalPath = "w", "j" }, "mutually exclusive"},
+		{"peers without node-id", func(c *collector.Config) { c.Peers, c.HandoffDir = peers, "h" }, "-peers requires -node-id"},
+		{"peers without handoff-dir", func(c *collector.Config) { c.Peers, c.NodeID = peers, "a" }, "-peers requires -handoff-dir"},
+		{"peers with self", func(c *collector.Config) { c.Peers, c.NodeID, c.HandoffDir = peers, "b", "h" }, "own -node-id"},
+		{"cluster", func(c *collector.Config) { c.Peers, c.NodeID, c.HandoffDir = peers, "a", "h" }, ""},
+		{"trace-sample above 1", func(c *collector.Config) { c.TraceSample = 1.5 }, "-trace-sample"},
+		{"trace-sample below 0", func(c *collector.Config) { c.TraceSample = -0.1 }, "-trace-sample"},
+		{"shed-pending without admission", func(c *collector.Config) { c.Admission, c.ShedPending = false, 100 }, "-shed-pending"},
+		{"no admission", func(c *collector.Config) { c.Admission = false }, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := collector.DefaultConfig()
+			tc.set(&cfg)
+			err := cfg.Validate()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("valid config refused: %v", err)
+			case tc.want != "" && (!errors.Is(err, collector.ErrConfig) || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("error %v, want ErrConfig mentioning %q", err, tc.want)
+			}
+			if tc.want != "" {
+				if _, oerr := collector.Open(cfg); !errors.Is(oerr, collector.ErrConfig) {
+					t.Fatalf("Open accepted what Validate refuses: %v", oerr)
+				}
+			}
+		})
+	}
+	// The one configuration error only Open can see: watermarks out of order.
+	cfg := collector.DefaultConfig()
+	cfg.WALDir, cfg.DiskLowBytes, cfg.DiskShedBytes = t.TempDir(), 5, 10
+	if _, err := collector.Open(cfg); !errors.Is(err, collector.ErrConfig) {
+		t.Fatalf("misordered watermarks: %v, want ErrConfig", err)
+	}
+	// And a failure that is not the operator's flags: the WAL directory is a file.
+	cfg = collector.DefaultConfig()
+	cfg.WALDir = filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(cfg.WALDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := collector.Open(cfg); err == nil || errors.Is(err, collector.ErrConfig) {
+		t.Fatalf("WAL dir is a file: %v, want a runtime error", err)
+	}
+}

@@ -1,4 +1,4 @@
-package stress
+package detect_test
 
 import (
 	"encoding/json"
@@ -9,6 +9,8 @@ import (
 
 	"qtag/internal/beacon"
 	"qtag/internal/campaign"
+	"qtag/internal/collector"
+	"qtag/internal/collector/collectortest"
 	"qtag/internal/detect"
 	"qtag/internal/faults"
 	"qtag/internal/obs"
@@ -19,11 +21,11 @@ import (
 
 // This file is the detection layer's proof harness: adversarial actor
 // traffic (internal/campaign) is driven through the full HTTP ingest
-// path of StartIngestServer with -detect wiring, the lifecycle tracer's
-// fraud tags serve as ground truth, and the scores GET /report returns
-// are held to explicit per-scenario precision/recall floors. The fraud
-// chaos test then restarts the server mid-campaign and proves the
-// scores rebuild from the WAL alone.
+// path of the production assembly (collector.Open with -detect), the
+// lifecycle tracer's fraud tags serve as ground truth, and the scores
+// GET /report returns are held to explicit per-scenario
+// precision/recall floors. The fraud chaos test then restarts the
+// server mid-campaign and proves the scores rebuild from the WAL alone.
 
 // fraudScenario is one row of the detection evaluation table.
 type fraudScenario struct {
@@ -47,15 +49,13 @@ type fraudScenario struct {
 // GET /report.
 func runFraudScenario(t *testing.T, sc fraudScenario) (labels map[string]bool, flagged map[string]bool, snap detect.Snapshot) {
 	t.Helper()
-	srv, err := StartIngestServer(IngestServerConfig{Shards: 4, Detect: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	cfg := collector.DefaultConfig()
+	cfg.IngestShards, cfg.Detect = 4, true
+	_, url, _ := collectortest.Boot(t, cfg)
 
 	tracer := obs.NewLifecycleTracer(campaign.ActorEpoch)
 	rng := simrand.New(97)
-	var sink beacon.Sink = &beacon.HTTPSink{BaseURL: srv.URL, Retries: 2}
+	var sink beacon.Sink = &beacon.HTTPSink{BaseURL: url, Retries: 2}
 	if sc.dupNoise > 0 {
 		sink = faults.NewSink(sink, rng.Fork("dup-noise"), faults.Profile{Duplicate: sc.dupNoise})
 	}
@@ -65,7 +65,7 @@ func runFraudScenario(t *testing.T, sc fraudScenario) (labels map[string]bool, f
 		}
 	}
 
-	resp, err := http.Get(srv.URL + "/report")
+	resp, err := http.Get(url + "/report")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestFraudChaos(t *testing.T) {
 	// Capture the full deterministic beacon stream first so the same
 	// submissions, in the same order, drive both runs.
 	var stream []beacon.Event
-	capture := sinkFunc(func(e beacon.Event) error { stream = append(stream, e); return nil })
+	capture := beacon.SinkFunc(func(e beacon.Event) error { stream = append(stream, e); return nil })
 	rng := simrand.New(41)
 	for _, spec := range []campaign.ActorSpec{
 		{Kind: campaign.ActorHonest, CampaignID: "camp-live", Impressions: 40},
@@ -240,11 +240,16 @@ func TestFraudChaos(t *testing.T) {
 	// state must survive the restart for the scores to come out equal.
 	cut := len(stream) / 2
 
-	durable := IngestServerConfig{
-		Shards:         4,
-		Fsync:          wal.FsyncAlways,
-		SyncDurability: true,
-		Detect:         true,
+	// -durable-sync, -fsync always, -detect. SnapshotEvery is 0 because
+	// the parting snapshot a graceful Close takes holds the deduplicated
+	// store: it compacts duplicate history away (DESIGN §15), and the
+	// restarted detector would replay no duplicates at all.
+	durable := func(dir string) collector.Config {
+		cfg := collector.DefaultConfig()
+		cfg.IngestShards, cfg.Detect = 4, true
+		cfg.WALDir, cfg.Fsync, cfg.DurableSync = dir, wal.FsyncAlways, true
+		cfg.SnapshotEvery = 0
+		return cfg
 	}
 	submit := func(t *testing.T, url string, events []beacon.Event) {
 		t.Helper()
@@ -257,15 +262,10 @@ func TestFraudChaos(t *testing.T) {
 	}
 
 	// Control: one server, the whole stream, no interruption.
-	ctrlCfg := durable
-	ctrlCfg.WALDir = t.TempDir()
-	ctrl, err := StartIngestServer(ctrlCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	submit(t, ctrl.URL, stream)
+	ctrl, ctrlURL, ctrlDown := collectortest.Boot(t, durable(t.TempDir()))
+	submit(t, ctrlURL, stream)
 	want := ctrl.Detect.Snapshot()
-	if err := ctrl.Close(); err != nil {
+	if err := ctrlDown(); err != nil {
 		t.Fatal(err)
 	}
 	if len(want.Flagged) == 0 {
@@ -275,25 +275,16 @@ func TestFraudChaos(t *testing.T) {
 	// Interrupted: same stream, but the server dies at the cut and a
 	// fresh process recovers the WAL before the second half lands.
 	dir := t.TempDir()
-	chaosCfg := durable
-	chaosCfg.WALDir = dir
-	first, err := StartIngestServer(chaosCfg)
-	if err != nil {
+	_, firstURL, firstDown := collectortest.Boot(t, durable(dir))
+	submit(t, firstURL, stream[:cut])
+	if err := firstDown(); err != nil {
 		t.Fatal(err)
 	}
-	submit(t, first.URL, stream[:cut])
-	if err := first.Close(); err != nil {
-		t.Fatal(err)
-	}
-	second, err := StartIngestServer(chaosCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer second.Close()
+	second, secondURL, _ := collectortest.Boot(t, durable(dir))
 	if second.Detect.DupEvents() == 0 {
 		t.Fatal("WAL boot replay fed no duplicates to the detector; dup-flood state would be lost across restarts")
 	}
-	submit(t, second.URL, stream[cut:])
+	submit(t, secondURL, stream[cut:])
 	got := second.Detect.Snapshot()
 
 	if !reflect.DeepEqual(got, want) {
@@ -302,8 +293,3 @@ func TestFraudChaos(t *testing.T) {
 		t.Fatalf("restart changed fraud scores\n got: %s\nwant: %s", g, w)
 	}
 }
-
-// sinkFunc adapts a function to beacon.Sink.
-type sinkFunc func(beacon.Event) error
-
-func (f sinkFunc) Submit(e beacon.Event) error { return f(e) }

@@ -1,4 +1,4 @@
-package stress
+package report_test
 
 import (
 	"encoding/json"
@@ -10,8 +10,9 @@ import (
 	"time"
 
 	"qtag/internal/aggregate"
+	"qtag/internal/collector"
+	"qtag/internal/collector/collectortest"
 	"qtag/internal/report"
-	"qtag/internal/wal"
 )
 
 // readReport fetches GET /report and checks the classification
@@ -48,18 +49,19 @@ func readReport(url string) error {
 // recompute over the raw store. Run under -race by make soak, this is
 // the read-side counterpart of the ingest soak.
 func TestReportSoakConcurrentReads(t *testing.T) {
-	srv, err := StartIngestServer(IngestServerConfig{
-		Shards:         8,
-		WALDir:         t.TempDir(),
-		Fsync:          wal.FsyncOnBatch,
-		GroupCommit:    true,
-		SyncDurability: true,
-		// Default (15m) TTL: no eviction during the test, so the final
-		// snapshot must be byte-equal to the batch oracle.
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// -wal-dir -durable-sync -group-commit under the default -fsync
+	// batch, and the default 15m -report-ttl: no eviction during the
+	// test, so the final snapshot must be byte-equal to the batch oracle.
+	// Admission control stays on, with its floor raised: a report read is
+	// admitted while everything in flight is under 35 % of the limit, so
+	// ten clients need a limit of 29. At the default floor of 4 the
+	// controller sheds the readers and then beacons (503, retried after
+	// 2 s) — overload-chaos proves that order; this test is about what a
+	// served report says.
+	cfg := collector.DefaultConfig()
+	cfg.IngestShards, cfg.WALDir, cfg.DurableSync = 8, t.TempDir(), true
+	cfg.AdmissionMinInflight = 32
+	srv, url, shutdown := collectortest.Boot(t, cfg)
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -77,10 +79,10 @@ func TestReportSoakConcurrentReads(t *testing.T) {
 				}
 				var err error
 				if i%2 == 0 {
-					err = readReport(srv.URL)
+					err = readReport(url)
 				} else {
 					var resp *http.Response
-					if resp, err = http.Get(srv.URL + "/report?format=prom"); err == nil {
+					if resp, err = http.Get(url + "/report?format=prom"); err == nil {
 						if resp.StatusCode != http.StatusOK {
 							err = fmt.Errorf("prom status %d", resp.StatusCode)
 						}
@@ -96,12 +98,11 @@ func TestReportSoakConcurrentReads(t *testing.T) {
 		}(i)
 	}
 
-	const events = 2000
-	rep, err := RunLoad(srv.URL, LoadOptions{Workers: 6, Events: events, BatchSize: 4, Seed: 23})
+	events := collectortest.Drive(t, url, 23, 6, 90)
 	close(stop)
 	readers.Wait()
-	if err != nil || rep.Errors != 0 || rep.Accepted != events {
-		t.Fatalf("load not clean: %v (%s)", err, rep)
+	if got := srv.Server.Accepted(); got != int64(events) {
+		t.Fatalf("accepted %d of %d events", got, events)
 	}
 	if err, _ := readErr.Load().(error); err != nil {
 		t.Fatalf("report reader failed: %v", err)
@@ -111,7 +112,7 @@ func TestReportSoakConcurrentReads(t *testing.T) {
 	}
 
 	streaming := srv.Aggregate.Snapshot()
-	if err := srv.Close(); err != nil {
+	if err := shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	batch := aggregate.Recompute(srv.Store.Events(), aggregate.Options{Shards: 8}).Snapshot()
@@ -138,20 +139,12 @@ func assertSnapshotsEqual(t *testing.T, got, want aggregate.Snapshot) {
 // zero once traffic stops — the memory bound GET /report depends on —
 // while the served report keeps satisfying the partition invariant.
 func TestReportSoakEvictionBoundsMemory(t *testing.T) {
-	srv, err := StartIngestServer(IngestServerConfig{
-		Shards:           4,
-		ReportTTL:        50 * time.Millisecond,
-		ReportSweepEvery: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	cfg := collector.DefaultConfig()
+	cfg.IngestShards = 4
+	cfg.ReportTTL, cfg.ReportSweepEvery = 50*time.Millisecond, 10*time.Millisecond
+	srv, url, _ := collectortest.Boot(t, cfg)
 
-	rep, err := RunLoad(srv.URL, LoadOptions{Workers: 4, Events: 1200, BatchSize: 4, Seed: 31})
-	if err != nil || rep.Errors != 0 {
-		t.Fatalf("load not clean: %v (%s)", err, rep)
-	}
+	collectortest.Drive(t, url, 31, 4, 90)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Aggregate.OpenImpressions() > 0 {
@@ -164,7 +157,7 @@ func TestReportSoakEvictionBoundsMemory(t *testing.T) {
 		t.Fatal("eviction never ran")
 	}
 	// Campaign totals survive eviction, and the report stays coherent.
-	if err := readReport(srv.URL); err != nil {
+	if err := readReport(url); err != nil {
 		t.Fatal(err)
 	}
 	if rows := srv.Aggregate.Snapshot().Rows; len(rows) == 0 {

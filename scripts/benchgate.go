@@ -1,33 +1,17 @@
-// Command benchgate compares a fresh `make bench` run against the
-// committed benchmark baseline (BENCH_PR10.json) and fails when any
-// ladder rung regressed beyond the tolerance — the CI tripwire that
-// keeps the shard-scaling and binary-codec wins from eroding silently.
-//
-// Entries are matched by (shards, group_commit, forwarding,
-// trace_sample, overload, binary). Only throughput is gated, and only
-// on the sampling-off non-overload rungs: latency percentiles,
-// traced-rung throughput and overload-rung goodput on shared CI
-// runners are too noisy to gate on, but all are printed for the log. A
-// fresh entry missing from the baseline is informational; a baseline
-// entry missing from the fresh run is a failure (the ladder shrank).
-//
-// Usage:
-//
-//	go run ./scripts/benchgate.go -baseline BENCH_PR10.json -fresh bench-fresh.json [-max-regress 0.20]
-//
-// Allocation mode — with -allocs the two files are `go test -bench
-// -benchmem` text outputs instead of ladder JSON, and the gate is on
-// allocs/op, exactly: allocation counts are deterministic (unlike
-// nanoseconds), so any increase over the committed baseline fails.
-// This is the per-PR tripwire that keeps the zero-allocation decode
-// path honest.
+// Command benchgate is the per-PR allocation gate: it compares a fresh
+// `go test -bench -benchmem` text output against the committed baseline
+// (ALLOC_BASELINE.txt) on allocs/op, exactly. Allocation counts are
+// deterministic (unlike nanoseconds), so any increase over the baseline
+// fails — the tripwire that keeps the zero-allocation decode path and
+// the 64-event ingest request honest. Throughput and latency are the
+// business of the out-of-process benchmark (`go run ./bench`,
+// BENCHMARK.json), not of this gate.
 //
 //	go run ./scripts/benchgate.go -allocs -baseline ALLOC_BASELINE.txt -fresh alloc-fresh.txt
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -36,123 +20,6 @@ import (
 	"strconv"
 	"strings"
 )
-
-type entry struct {
-	Shards      int     `json:"shards"`
-	GroupCommit bool    `json:"group_commit"`
-	Forwarding  bool    `json:"forwarding"`
-	TraceSample float64 `json:"trace_sample"`
-	Overload    bool    `json:"overload"`
-	Binary      bool    `json:"binary"`
-	ShedRate    float64 `json:"shed_rate"`
-	Eps         float64 `json:"throughput_eps"`
-	P50Ms       float64 `json:"p50_ms"`
-	P99Ms       float64 `json:"p99_ms"`
-	Accepted    int64   `json:"accepted"`
-}
-
-type benchFile struct {
-	Entries []entry `json:"entries"`
-}
-
-type rung struct {
-	Shards      int
-	GroupCommit bool
-	Forwarding  bool
-	TraceSample float64
-	Overload    bool
-	Binary      bool
-}
-
-func (r rung) String() string {
-	return fmt.Sprintf("shards=%-3d group_commit=%-5v forwarding=%-5v trace=%-4v overload=%-5v binary=%-5v",
-		r.Shards, r.GroupCommit, r.Forwarding, r.TraceSample, r.Overload, r.Binary)
-}
-
-func load(path string) (map[rung]entry, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f benchFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(f.Entries) == 0 {
-		return nil, fmt.Errorf("%s: no benchmark entries", path)
-	}
-	out := make(map[rung]entry, len(f.Entries))
-	for _, e := range f.Entries {
-		out[rung{e.Shards, e.GroupCommit, e.Forwarding, e.TraceSample, e.Overload, e.Binary}] = e
-	}
-	return out, nil
-}
-
-// gate compares every baseline rung against the fresh run, writing one
-// verdict line per rung to w, and reports whether any rung failed.
-func gate(w io.Writer, baseline, fresh map[rung]entry, maxRegress float64) bool {
-	// Deterministic output order: by shards, group-commit last.
-	rungs := make([]rung, 0, len(baseline))
-	for r := range baseline {
-		rungs = append(rungs, r)
-	}
-	sort.Slice(rungs, func(i, j int) bool {
-		if rungs[i].Shards != rungs[j].Shards {
-			return rungs[i].Shards < rungs[j].Shards
-		}
-		if rungs[i].GroupCommit != rungs[j].GroupCommit {
-			return !rungs[i].GroupCommit
-		}
-		if rungs[i].Forwarding != rungs[j].Forwarding {
-			return !rungs[i].Forwarding
-		}
-		if rungs[i].TraceSample != rungs[j].TraceSample {
-			return rungs[i].TraceSample < rungs[j].TraceSample
-		}
-		if rungs[i].Overload != rungs[j].Overload {
-			return !rungs[i].Overload
-		}
-		return !rungs[i].Binary
-	})
-	failed := false
-	for _, r := range rungs {
-		base := baseline[r]
-		got, ok := fresh[r]
-		if !ok {
-			fmt.Fprintf(w, "FAIL  %s missing from fresh run\n", r)
-			failed = true
-			continue
-		}
-		if base.Eps <= 0 {
-			fmt.Fprintf(w, "SKIP  %s baseline throughput is zero\n", r)
-			continue
-		}
-		delta := (got.Eps - base.Eps) / base.Eps
-		status := "ok  "
-		switch {
-		case r.TraceSample > 0 || r.Overload:
-			// Traced and overload rungs exist to publish the tracing tax
-			// and the overload goodput/shed profile, not to gate them:
-			// recorded-span cost and shed timing vary too much run to run.
-			status = "info"
-		case delta < -maxRegress:
-			status = "FAIL"
-			failed = true
-		}
-		line := fmt.Sprintf("%s  %s eps %10.0f -> %10.0f (%+6.1f%%)  p99 %.2fms -> %.2fms",
-			status, r, base.Eps, got.Eps, delta*100, base.P99Ms, got.P99Ms)
-		if r.Overload {
-			line += fmt.Sprintf("  shed %.0f%% -> %.0f%%", base.ShedRate*100, got.ShedRate*100)
-		}
-		fmt.Fprintln(w, line)
-	}
-	for r := range fresh {
-		if _, ok := baseline[r]; !ok {
-			fmt.Fprintf(w, "note  %s new rung, no baseline\n", r)
-		}
-	}
-	return failed
-}
 
 // allocRow is one `go test -bench -benchmem` result line: the
 // benchmark name with its trailing -GOMAXPROCS suffix stripped, plus
@@ -255,44 +122,24 @@ func gateAllocs(w io.Writer, baseline, fresh map[string]allocRow) bool {
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_PR10.json", "committed baseline benchmark file")
-	freshPath := flag.String("fresh", "bench-fresh.json", "freshly produced benchmark file to gate")
-	maxRegress := flag.Float64("max-regress", 0.20, "maximum tolerated fractional throughput loss per rung")
-	allocs := flag.Bool("allocs", false, "gate `go test -benchmem` allocs/op text outputs instead of ladder JSON")
+	baselinePath := flag.String("baseline", "ALLOC_BASELINE.txt", "committed `go test -benchmem` baseline")
+	freshPath := flag.String("fresh", "alloc-fresh.txt", "freshly produced `go test -benchmem` output to gate")
+	flag.Bool("allocs", true, "gate allocs/op (the only mode; kept so `make alloc-gate`'s command line stays valid)")
 	flag.Parse()
 
-	if *allocs {
-		baseline, err := loadAllocs(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
-		}
-		fresh, err := loadAllocs(*freshPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
-		}
-		if gateAllocs(os.Stdout, baseline, fresh) {
-			fmt.Fprintln(os.Stderr, "benchgate: allocs/op regressed — fix the allocation, or re-baseline deliberately with `make alloc-baseline`")
-			os.Exit(1)
-		}
-		fmt.Println("benchgate: no allocation regressions")
-		return
-	}
-
-	baseline, err := load(*baselinePath)
+	baseline, err := loadAllocs(*baselinePath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(2)
 	}
-	fresh, err := load(*freshPath)
+	fresh, err := loadAllocs(*freshPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(2)
 	}
-	if gate(os.Stdout, baseline, fresh, *maxRegress) {
-		fmt.Fprintf(os.Stderr, "benchgate: throughput regressed more than %.0f%% — investigate before merging, or re-baseline deliberately with `make bench`\n", *maxRegress*100)
+	if gateAllocs(os.Stdout, baseline, fresh) {
+		fmt.Fprintln(os.Stderr, "benchgate: allocs/op regressed — fix the allocation, or re-baseline deliberately with `make alloc-baseline`")
 		os.Exit(1)
 	}
-	fmt.Println("benchgate: all rungs within tolerance")
+	fmt.Println("benchgate: no allocation regressions")
 }

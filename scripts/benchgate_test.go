@@ -7,243 +7,6 @@ import (
 	"testing"
 )
 
-func writeBench(t *testing.T, body string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-const baselineJSON = `{"entries":[
-	{"shards":1,"group_commit":false,"throughput_eps":4000,"p99_ms":16},
-	{"shards":4,"group_commit":true,"throughput_eps":15000,"p99_ms":6}
-]}`
-
-func TestLoad(t *testing.T) {
-	m, err := load(writeBench(t, baselineJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 2 || m[rung{4, true, false, 0, false, false}].Eps != 15000 {
-		t.Fatalf("loaded %+v", m)
-	}
-	if _, err := load(writeBench(t, `{"entries":[]}`)); err == nil {
-		t.Fatal("empty entries must be an error")
-	}
-	if _, err := load(writeBench(t, `not json`)); err == nil {
-		t.Fatal("malformed json must be an error")
-	}
-	if _, err := load(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Fatal("missing file must be an error")
-	}
-}
-
-func TestGateVerdicts(t *testing.T) {
-	baseline, err := load(writeBench(t, baselineJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name     string
-		fresh    string
-		failed   bool
-		wantLine string
-	}{
-		{"identical", baselineJSON, false, "ok  "},
-		{"within-tolerance", `{"entries":[
-			{"shards":1,"group_commit":false,"throughput_eps":3300,"p99_ms":17},
-			{"shards":4,"group_commit":true,"throughput_eps":12500,"p99_ms":7}
-		]}`, false, "ok  "},
-		{"regressed", `{"entries":[
-			{"shards":1,"group_commit":false,"throughput_eps":4100,"p99_ms":16},
-			{"shards":4,"group_commit":true,"throughput_eps":9000,"p99_ms":12}
-		]}`, true, "FAIL"},
-		{"missing-rung", `{"entries":[
-			{"shards":1,"group_commit":false,"throughput_eps":4000,"p99_ms":16}
-		]}`, true, "missing from fresh run"},
-		{"new-rung", `{"entries":[
-			{"shards":1,"group_commit":false,"throughput_eps":4000,"p99_ms":16},
-			{"shards":4,"group_commit":true,"throughput_eps":15000,"p99_ms":6},
-			{"shards":16,"group_commit":true,"throughput_eps":16000,"p99_ms":6}
-		]}`, false, "new rung, no baseline"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			fresh, err := load(writeBench(t, tc.fresh))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var out strings.Builder
-			if failed := gate(&out, baseline, fresh, 0.20); failed != tc.failed {
-				t.Fatalf("failed = %v, want %v\n%s", failed, tc.failed, out.String())
-			}
-			if !strings.Contains(out.String(), tc.wantLine) {
-				t.Fatalf("output missing %q:\n%s", tc.wantLine, out.String())
-			}
-		})
-	}
-}
-
-// The forwarding flag is part of the rung identity: a plain 16-shard
-// run must not satisfy a forwarding baseline rung.
-func TestGateForwardingRungIsDistinct(t *testing.T) {
-	baseline, err := load(writeBench(t, `{"entries":[
-		{"shards":16,"group_commit":true,"throughput_eps":16000,"p99_ms":6},
-		{"shards":16,"group_commit":true,"forwarding":true,"throughput_eps":8000,"p99_ms":12}
-	]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := load(writeBench(t, `{"entries":[
-		{"shards":16,"group_commit":true,"throughput_eps":16000,"p99_ms":6}
-	]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	if !gate(&out, baseline, fresh, 0.20) {
-		t.Fatalf("missing forwarding rung passed the gate:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "forwarding=true  trace=0    overload=false binary=false missing from fresh run") {
-		t.Fatalf("verdict does not name the forwarding rung:\n%s", out.String())
-	}
-}
-
-// Traced rungs are part of the rung identity (a traced run must not
-// satisfy an untraced baseline) but their throughput is informational:
-// recorded-span cost is too noisy to gate.
-func TestGateTracedRungsAreInformational(t *testing.T) {
-	baseline, err := load(writeBench(t, `{"entries":[
-		{"shards":16,"group_commit":true,"throughput_eps":16000,"p99_ms":6},
-		{"shards":16,"group_commit":true,"trace_sample":1,"throughput_eps":12000,"p99_ms":9}
-	]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := load(writeBench(t, `{"entries":[
-		{"shards":16,"group_commit":true,"throughput_eps":16000,"p99_ms":6},
-		{"shards":16,"group_commit":true,"trace_sample":1,"throughput_eps":5000,"p99_ms":30}
-	]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	if gate(&out, baseline, fresh, 0.20) {
-		t.Fatalf("regressed traced rung failed the gate; it must be informational:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "info") {
-		t.Fatalf("traced rung not reported as info:\n%s", out.String())
-	}
-	// A traced baseline rung missing entirely is still a shrunken ladder.
-	fresh2, err := load(writeBench(t, `{"entries":[
-		{"shards":16,"group_commit":true,"throughput_eps":16000,"p99_ms":6}
-	]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if !gate(&out, baseline, fresh2, 0.20) {
-		t.Fatalf("missing traced rung passed the gate:\n%s", out.String())
-	}
-}
-
-// Overload rungs are part of the rung identity (an overload run must
-// not satisfy a plain baseline rung) but their goodput is
-// informational: shed timing under a deliberate ramp is too noisy to
-// gate, and the rung exists to publish the profile.
-func TestGateOverloadRungIsInformational(t *testing.T) {
-	baseline, err := load(writeBench(t, `{"entries":[
-		{"shards":16,"group_commit":true,"throughput_eps":16000,"p99_ms":6},
-		{"shards":16,"group_commit":true,"overload":true,"shed_rate":0.5,"throughput_eps":9000,"p99_ms":20}
-	]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := load(writeBench(t, `{"entries":[
-		{"shards":16,"group_commit":true,"throughput_eps":16000,"p99_ms":6},
-		{"shards":16,"group_commit":true,"overload":true,"shed_rate":0.8,"throughput_eps":2000,"p99_ms":60}
-	]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	if gate(&out, baseline, fresh, 0.20) {
-		t.Fatalf("regressed overload rung failed the gate; it must be informational:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "info") || !strings.Contains(out.String(), "shed 50% -> 80%") {
-		t.Fatalf("overload rung not reported as info with shed rates:\n%s", out.String())
-	}
-	// A missing overload baseline rung is still a shrunken ladder.
-	fresh2, err := load(writeBench(t, `{"entries":[
-		{"shards":16,"group_commit":true,"throughput_eps":16000,"p99_ms":6}
-	]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if !gate(&out, baseline, fresh2, 0.20) {
-		t.Fatalf("missing overload rung passed the gate:\n%s", out.String())
-	}
-}
-
-// The binary flag is part of the rung identity: a JSON 16-shard run
-// must not satisfy a binary-codec baseline rung, and vice versa.
-func TestGateBinaryRungIsDistinct(t *testing.T) {
-	baseline, err := load(writeBench(t, `{"entries":[
-		{"shards":16,"group_commit":true,"throughput_eps":16000,"p99_ms":6},
-		{"shards":16,"group_commit":true,"binary":true,"throughput_eps":40000,"p99_ms":3}
-	]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := load(writeBench(t, `{"entries":[
-		{"shards":16,"group_commit":true,"throughput_eps":16000,"p99_ms":6}
-	]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	if !gate(&out, baseline, fresh, 0.20) {
-		t.Fatalf("missing binary rung passed the gate:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "binary=true  missing from fresh run") {
-		t.Fatalf("verdict does not name the binary rung:\n%s", out.String())
-	}
-	// And the binary rung's throughput IS gated — it is a sampling-off,
-	// non-overload rung, the codec win the gate exists to protect.
-	fresh2, err := load(writeBench(t, `{"entries":[
-		{"shards":16,"group_commit":true,"throughput_eps":16000,"p99_ms":6},
-		{"shards":16,"group_commit":true,"binary":true,"throughput_eps":20000,"p99_ms":7}
-	]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if !gate(&out, baseline, fresh2, 0.20) {
-		t.Fatalf("regressed binary rung passed the gate:\n%s", out.String())
-	}
-}
-
-// Faster rungs and zero baselines never fail the gate.
-func TestGateImprovementAndZeroBaseline(t *testing.T) {
-	baseline, _ := load(writeBench(t, `{"entries":[
-		{"shards":1,"group_commit":false,"throughput_eps":0},
-		{"shards":4,"group_commit":true,"throughput_eps":10000}
-	]}`))
-	fresh, _ := load(writeBench(t, `{"entries":[
-		{"shards":1,"group_commit":false,"throughput_eps":5000},
-		{"shards":4,"group_commit":true,"throughput_eps":20000}
-	]}`))
-	var out strings.Builder
-	if gate(&out, baseline, fresh, 0.20) {
-		t.Fatalf("improvement failed the gate:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "SKIP") {
-		t.Fatalf("zero baseline not skipped:\n%s", out.String())
-	}
-}
-
 const allocBaselineTxt = `goos: linux
 goarch: amd64
 pkg: qtag/internal/beacon
