@@ -20,11 +20,13 @@ COVER_PROFILE ?= coverage.out
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-# The allocation gate: the codec/key benchmarks and the two one-request
+# The allocation gate: the codec/key benchmarks and the three one-request
 # ingest benchmarks (a 64-event binary POST down the -durable-sync chain
 # to the WAL write: BenchmarkIngestBatch64 re-posts one body, the store's
 # duplicate path; BenchmarkIngestBatch64FirstSeen posts fresh bodies, so
-# every event is stored), whose allocs/op are deterministic enough to
+# every event is stored; BenchmarkIngestBatch64Observed does that with
+# the aggregator and the detector attached, so every event also opens an
+# impression in each), whose allocs/op are deterministic enough to
 # gate exactly (JSON and map benches vary across Go versions and are
 # deliberately excluded), the committed baseline, and where the fresh
 # run lands.
@@ -32,7 +34,7 @@ ALLOC_BENCH ?= BenchmarkBinaryCodec|BenchmarkEventKey|BenchmarkIngestBatch64
 ALLOC_BASELINE ?= ALLOC_BASELINE.txt
 ALLOC_FRESH ?= alloc-fresh.txt
 
-.PHONY: all build vet test race microbench bench-smoke cover chaos cluster-chaos trace-chaos overload-chaos fraud-chaos soak fuzz-smoke lint alloc-gate alloc-baseline ci
+.PHONY: all build vet test race microbench bench-smoke cover chaos collide cluster-chaos trace-chaos overload-chaos fraud-chaos soak fuzz-smoke lint alloc-gate alloc-baseline ci
 
 all: ci
 
@@ -72,6 +74,15 @@ bench-smoke:
 chaos:
 	$(GO) test -race -run 'Crash|Torn|Quarantine|ENOSPC|Snapshot|Recover|Durable|Flip' \
 		./internal/wal/... ./internal/faults/... ./internal/beacon/...
+
+# Forced hash collisions: the observers' open-impression tables
+# (internal/imptable) with every key hashed to one of four values, so
+# that the equivalence, eviction, replay and report suites of the
+# packages that hold such tables run on collision chains throughout and
+# only exact key comparison tells impressions apart.
+collide:
+	QTAG_FORCE_COLLISIONS=1 $(GO) test -count=1 ./internal/imptable/... ./internal/aggregate/... \
+		./internal/detect/... ./internal/report/... ./internal/beacon/...
 
 # Cluster chaos: a 3-node in-process cluster (real HTTP servers, real
 # WALs, real hint journals) through the whole-node kill/restart sweep,
@@ -192,4 +203,4 @@ alloc-baseline:
 # or failed by the oracle, never by a timing). soak, the cluster /
 # overload / fraud chaos sweeps and fuzz-smoke run as a separate
 # non-blocking CI job (see .github/workflows/ci.yml).
-ci: build vet lint race cover chaos trace-chaos alloc-gate bench-smoke
+ci: build vet lint race cover chaos collide trace-chaos alloc-gate bench-smoke

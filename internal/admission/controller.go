@@ -155,6 +155,16 @@ func (c *Controller) Middleware(next http.Handler) http.Handler {
 			c.shedResponse(w, class, "adaptive concurrency limit reached for class "+class.String())
 			return
 		}
+		if sleeps(r) {
+			// Admitted against the debug share like any /debug request, but
+			// the slot goes back before the handler starts: held for all N
+			// seconds it would push every class below it over its share, and
+			// the profile would change what it measures.
+			c.limiter.Release(0, false)
+			next.ServeHTTP(w, r)
+			c.admitted[class].Add(1)
+			return
+		}
 		start := now
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(rec, r)
@@ -164,6 +174,13 @@ func (c *Controller) Middleware(next http.Handler) http.Handler {
 		c.limiter.Release(c.cfg.Now().Sub(start), class == ClassLive && rec.status < 400)
 		c.admitted[class].Add(1)
 	})
+}
+
+// sleeps reports whether r is one of the two pprof endpoints that hold
+// their connection for as long as ?seconds= asks while doing no work on
+// the request's behalf: they are not load.
+func sleeps(r *http.Request) bool {
+	return r.URL.Path == "/debug/pprof/profile" || r.URL.Path == "/debug/pprof/trace"
 }
 
 // shedResponse writes the 503 + Retry-After shed answer, mirroring the

@@ -282,3 +282,58 @@ func TestControllerMetrics(t *testing.T) {
 		t.Fatalf(`mode{healthy} = %v, want 0`, got)
 	}
 }
+
+// A CPU profile or an execution trace holds its connection for as long as
+// the caller asked and does nothing meanwhile: it is admitted against the
+// debug share, then gives its slot back, so taking one does not shed the
+// dashboards beside it (limit 4: debug share 1, federate share 1.4).
+func TestControllerProfileHoldsNoSlot(t *testing.T) {
+	clk := newFakeClock()
+	c := NewController(Config{
+		Limiter: LimiterConfig{MinLimit: 4, MaxLimit: 4, InitialLimit: 4, Now: clk.now},
+		Now:     clk.now,
+	})
+	reg := obs.NewRegistry()
+	c.RegisterMetrics(reg)
+	inflight := func() float64 { return reg.Values()["qtag_admission_inflight"] }
+
+	started, stop := make(chan string), make(chan struct{})
+	h := c.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if sleeps(r) || r.URL.Path == "/v1/events" {
+			started <- r.URL.Path
+			<-stop
+		}
+		w.WriteHeader(http.StatusAccepted)
+	}))
+	before := inflight()
+	done := make(chan int, 3)
+	for _, path := range []string{"/debug/pprof/profile", "/debug/pprof/trace"} {
+		go func() { done <- doReq(t, h, "GET", path+"?seconds=30", nil).Code }()
+		<-started
+		if got := inflight(); got != before {
+			t.Fatalf("%s running: qtag_admission_inflight = %v, want %v as before it started", path, got, before)
+		}
+	}
+	go func() { done <- doReq(t, h, "POST", "/v1/events", nil).Code }()
+	<-started
+	if rec := doReq(t, h, "GET", "/report", nil); rec.Code != http.StatusAccepted {
+		t.Fatalf("/report beside a profile, a trace and one ingest in flight = %d, want admitted", rec.Code)
+	}
+	if c.Shed(ClassFederate) != 0 {
+		t.Fatalf("qtag_admission_shed_total{class=federate} = %d, want 0", c.Shed(ClassFederate))
+	}
+	// Real debug work still competes for the debug share: with the ingest
+	// in flight it is exhausted (1 ≥ 1), and a profile arriving now is shed.
+	if rec := doReq(t, h, "GET", "/debug/pprof/profile", nil); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("profile with the debug share exhausted = %d, want 503", rec.Code)
+	}
+	close(stop)
+	for i := 0; i < 3; i++ {
+		if code := <-done; code != http.StatusAccepted {
+			t.Fatalf("in-flight request ended %d", code)
+		}
+	}
+	if got := c.Admitted(ClassDebug); got != 2 {
+		t.Fatalf("Admitted(debug) = %d, want the profile and the trace", got)
+	}
+}

@@ -33,8 +33,8 @@ import (
 	"time"
 
 	"qtag/internal/beacon"
+	"qtag/internal/imptable"
 	"qtag/internal/obs"
-	"qtag/internal/pairing"
 )
 
 // Options tunes an Aggregator. The zero value picks sensible defaults.
@@ -91,46 +91,22 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// srcState is one solution's progress on one open impression.
-type srcState struct {
-	source beacon.Source
-	loaded bool
-	viewed bool
-}
+// An open impression is the bounded working state for one (campaign,
+// impression id): enough to classify status transitions and pair dwell
+// cycles, nothing more — an imptable.Entry, 96 bytes without a pointer
+// (DESIGN.md §10, "Observer layout"). It is dropped by TTL eviction once
+// the impression goes idle; the campaign counters it contributed to stay.
+// Its format is the current format bucket (see formatBucket), and each
+// solution's progress is these flags.
+const (
+	srcLoaded uint8 = 1 << iota
+	srcViewed
+)
 
-// impression is the bounded working state for one (campaign, impression
-// id): enough to classify status transitions and pair dwell cycles,
-// nothing more. It is dropped by TTL eviction once the impression goes
-// idle; the campaign counters it contributed to stay.
-//
-// It is flat — one allocation, plus one for sources and one for pending
-// while a cycle is open — and owns every string it holds: format is the
-// row's copy (see campShard.row) and a source is beacon.Source.Owned, so
-// an open impression never pins the request body its events came in.
-type impression struct {
-	format    string // current format bucket (see formatBucket)
-	served    bool
-	lastTouch time.Time  // arrival clock, drives TTL eviction
-	sources   []srcState // in first-beacon order; one or two entries
-	pending   pairing.Pending
-}
-
-// source returns the index in st.sources of s's progress, adding it if
-// this is the solution's first beacon on the impression.
-func (st *impression) source(s beacon.Source) int {
-	for i := range st.sources {
-		if st.sources[i].source == s {
-			return i
-		}
-	}
-	st.sources = append(st.sources, srcState{source: s.Owned()})
-	return len(st.sources) - 1
-}
-
-// aggShard is one lock-striped partition of the open-impression map.
+// aggShard is one lock-striped partition of the open impressions.
 type aggShard struct {
 	mu   sync.Mutex
-	open map[string]*impression
+	open *imptable.Table
 }
 
 // rowKey addresses one campaign × format accumulator row.
@@ -221,7 +197,7 @@ func New(opts Options) *Aggregator {
 		boundsJSON: appendBoundsJSON(nil, opts.DwellBounds),
 	}
 	for i := range a.shards {
-		a.shards[i].open = make(map[string]*impression)
+		a.shards[i].open = imptable.New()
 	}
 	for i := range a.camps {
 		a.camps[i].rows = make(map[rowKey]*row)
@@ -257,26 +233,18 @@ func (a *Aggregator) Observe(e beacon.Event) {
 		return
 	}
 	now := a.opts.Now()
-	// The key is built in a stack buffer and looked up through string(key),
-	// which does not allocate; only opening an impression does.
+	// The key is built in a stack buffer; the table copies it when it opens
+	// the impression.
 	var kb [96]byte
 	key := e.AppendImpressionKey(kb[:0])
 	sh := &a.shards[beacon.HashID(e.ImpressionID)&a.mask]
 
 	sh.mu.Lock()
-	st, ok := sh.open[string(key)]
-	created := !ok
-	var opened string
-	if created {
-		st = &impression{}
-		opened = string(key)
-		sh.open[opened] = st
-	}
-	st.lastTouch = now
+	st, created := sh.open.Open(key, now.UnixNano())
 
 	// Work out every transition under the impression lock, then apply
 	// them to the campaign shard (nested imp→camp lock order, always).
-	oldFormat := st.format
+	oldFormat := sh.open.Format(st)
 	format := formatBucket(oldFormat, e.Meta.Format)
 	migrated := !created && format != oldFormat
 
@@ -285,35 +253,37 @@ func (a *Aggregator) Observe(e beacon.Event) {
 	if migrated {
 		// Move the impression's pre-event contributions first; the deltas
 		// from this event then land on the new row only, never both.
-		cs.migrate(st, e.CampaignID, oldFormat, format)
+		cs.migrate(sh.open, st, e.CampaignID, oldFormat, format)
+	}
+	if format != oldFormat {
+		sh.open.SetFormat(st, format)
 	}
 
 	var servedFirst, loadedFirst, viewedFirst bool
 	var dwell time.Duration
 	var paired bool
-	var src *srcState
+	var si int
+	var src *uint8
 	switch e.Type {
 	case beacon.EventServed:
-		servedFirst = !st.served
-		st.served = true
+		servedFirst = !st.Served
+		st.Served = true
 	case beacon.EventLoaded, beacon.EventInView, beacon.EventOutOfView:
-		si := st.source(e.Source)
-		src = &st.sources[si]
+		si, src, _ = sh.open.Source(st, string(e.Source))
 		switch e.Type {
 		case beacon.EventLoaded:
-			loadedFirst = !src.loaded
-			src.loaded = true
+			loadedFirst = *src&srcLoaded == 0
+			*src |= srcLoaded
 		case beacon.EventInView:
-			viewedFirst = !src.viewed
-			src.viewed = true
-			dwell, paired = st.pending.InView(si, e.Seq, e.At)
+			viewedFirst = *src&srcViewed == 0
+			*src |= srcViewed
+			dwell, paired = sh.open.InView(st, si, e.Seq, e.At)
 		case beacon.EventOutOfView:
-			dwell, paired, _ = st.pending.OutOfView(si, e.Seq, e.At)
+			dwell, paired, _ = sh.open.OutOfView(st, si, e.Seq, e.At)
 		}
 	}
 
 	r := cs.row(rowKey{e.CampaignID, format})
-	st.format = r.key.Format
 	if created {
 		r.impressions++
 	}
@@ -321,16 +291,17 @@ func (a *Aggregator) Observe(e beacon.Event) {
 		r.served++
 	}
 	if loadedFirst || viewedFirst {
-		sc := r.srcCounts(src.source)
+		name, _ := sh.open.SourceAt(st, si) // the table's copy, not the event's
+		sc := r.srcCounts(beacon.Source(name))
 		if loadedFirst {
 			sc.measured++
-			if !src.viewed {
+			if *src&srcViewed == 0 {
 				sc.notViewed++
 			}
 		}
 		if viewedFirst {
 			sc.viewed++
-			if src.loaded {
+			if *src&srcLoaded != 0 {
 				sc.notViewed--
 			}
 		}
@@ -341,8 +312,16 @@ func (a *Aggregator) Observe(e beacon.Event) {
 	cs.mu.Unlock()
 	if created {
 		a.openCount.Add(1)
-		if a.opts.MaxOpen > 0 && a.openCount.Load() > int64(a.opts.MaxOpen) {
-			a.evictColdestLocked(sh, opened)
+		// Over the cap, the coldest impression of this shard goes — never the
+		// one just opened (evicting the one impression we know is active
+		// would be pure churn), so a shard holding only that one evicts
+		// nothing this round and the cap is enforced approximately: the
+		// working set converges back under MaxOpen as traffic spreads over
+		// the shards. Frozen-totals semantics match TTL eviction exactly.
+		if a.opts.MaxOpen > 0 && a.openCount.Load() > int64(a.opts.MaxOpen) && sh.open.EvictOldest(st) {
+			a.openCount.Add(-1)
+			a.evicted.Add(1)
+			a.pressureEv.Add(1)
 		}
 	}
 	sh.mu.Unlock()
@@ -357,33 +336,6 @@ func (a *Aggregator) Observe(e beacon.Event) {
 	a.winMu.Unlock()
 }
 
-// evictColdestLocked drops the least-recently-touched impression in sh,
-// sparing keep (the state that just went over the cap — evicting the
-// one impression we know is active would be pure churn). Caller holds
-// sh.mu. The scan is per shard, so the cap is enforced approximately:
-// a shard holding only the active key evicts nothing this round, and
-// the working set converges back under MaxOpen as traffic spreads over
-// the shards. Frozen-totals semantics match TTL eviction exactly.
-func (a *Aggregator) evictColdestLocked(sh *aggShard, keep string) {
-	var coldest string
-	var coldestAt time.Time
-	for k, st := range sh.open {
-		if k == keep {
-			continue
-		}
-		if coldest == "" || st.lastTouch.Before(coldestAt) {
-			coldest, coldestAt = k, st.lastTouch
-		}
-	}
-	if coldest == "" {
-		return
-	}
-	delete(sh.open, coldest)
-	a.openCount.Add(-1)
-	a.evicted.Add(1)
-	a.pressureEv.Add(1)
-}
-
 // Windows returns the retained rollup windows, oldest first.
 func (a *Aggregator) Windows() []WindowSnapshot {
 	a.winMu.Lock()
@@ -393,8 +345,7 @@ func (a *Aggregator) Windows() []WindowSnapshot {
 
 // row returns (creating if needed) the accumulator row. Caller holds
 // the shard lock. A new row clones its key: k's strings come from the
-// event in hand. r.key is that clone, which is how an impression comes
-// to hold a format string of its own at no allocation.
+// event in hand.
 func (c *campShard) row(k rowKey) *row {
 	r := c.rows[k]
 	if r == nil {
@@ -416,8 +367,8 @@ func (r *row) find(s beacon.Source) *srcCounts {
 }
 
 // srcCounts returns (creating if needed) a row's per-source counters; s
-// must be owned (srcState.source is). The pointer is good until the
-// next srcCounts call on the same row.
+// must be owned (a name from imptable.Table.SourceAt is). The pointer is
+// good until the next srcCounts call on the same row.
 func (r *row) srcCounts(s beacon.Source) *srcCounts {
 	if sc := r.find(s); sc != nil {
 		return sc
@@ -441,29 +392,30 @@ func (c *campShard) dwellHist(k dwellKey, bounds []float64) *DwellHist {
 // format rows of the same campaign — triggered when a late event
 // carries a lexicographically smaller format. Caller holds the shard
 // lock; both rows live in it because they share the campaign.
-func (c *campShard) migrate(st *impression, campaign, from, to string) {
+func (c *campShard) migrate(open *imptable.Table, st *imptable.Entry, campaign, from, to string) {
 	src := c.row(rowKey{campaign, from})
 	dst := c.row(rowKey{campaign, to})
 	src.impressions--
 	dst.impressions++
-	if st.served {
+	if st.Served {
 		src.served--
 		dst.served++
 	}
-	for _, state := range st.sources {
-		if !state.loaded && !state.viewed {
+	for i, n := 0, open.Sources(st); i < n; i++ {
+		name, flags := open.SourceAt(st, i)
+		if *flags == 0 {
 			continue
 		}
-		fc, tc := src.srcCounts(state.source), dst.srcCounts(state.source)
-		if state.loaded {
+		fc, tc := src.srcCounts(beacon.Source(name)), dst.srcCounts(beacon.Source(name))
+		if *flags&srcLoaded != 0 {
 			fc.measured--
 			tc.measured++
 		}
 		switch {
-		case state.viewed:
+		case *flags&srcViewed != 0:
 			fc.viewed--
 			tc.viewed++
-		case state.loaded:
+		case *flags&srcLoaded != 0:
 			fc.notViewed--
 			tc.notViewed++
 		}
@@ -488,12 +440,7 @@ func (a *Aggregator) Sweep(now time.Time) int {
 	for i := range a.shards {
 		sh := &a.shards[i]
 		sh.mu.Lock()
-		for k, st := range sh.open {
-			if now.Sub(st.lastTouch) >= a.opts.TTL {
-				delete(sh.open, k)
-				evicted++
-			}
-		}
+		evicted += sh.open.Sweep(now.UnixNano(), a.opts.TTL)
 		sh.mu.Unlock()
 	}
 	a.evicted.Add(int64(evicted))

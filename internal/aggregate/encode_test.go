@@ -98,7 +98,7 @@ func TestOpenImpressionsMatchesShards(t *testing.T) {
 		for i := range a.shards {
 			sh := &a.shards[i]
 			sh.mu.Lock()
-			n += len(sh.open)
+			n += sh.open.Len()
 			sh.mu.Unlock()
 		}
 		return n

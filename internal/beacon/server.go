@@ -488,8 +488,8 @@ func readBinaryBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte
 // decodeEvents accepts either a single JSON event object or a JSON array
 // of events.
 func decodeEvents(body []byte) ([]Event, error) {
-	trimmed := strings.TrimSpace(string(body))
-	if trimmed == "" {
+	trimmed := bytes.TrimSpace(body)
+	if len(trimmed) == 0 {
 		return nil, errors.New("empty body")
 	}
 	if trimmed[0] == '[' {

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"qtag/internal/aggregate"
 	. "qtag/internal/beacon"
+	"qtag/internal/detect"
 	"qtag/internal/wal"
 )
 
@@ -120,7 +122,7 @@ func (r *benchResponse) WriteHeader(status int)      { r.status = status }
 // figure.
 func BenchmarkIngestBatch64(b *testing.B) {
 	body := AppendBinaryEvents(nil, benchBatch(0))
-	benchIngestBatch64(b, func(int) []byte { return body })
+	benchIngestBatch64(b, false, func(int) []byte { return body })
 }
 
 // BenchmarkIngestBatch64FirstSeen is the same request down the same
@@ -132,7 +134,20 @@ func BenchmarkIngestBatch64FirstSeen(b *testing.B) {
 	for i := range bodies {
 		bodies[i] = AppendBinaryEvents(nil, benchBatch(i))
 	}
-	benchIngestBatch64(b, func(i int) []byte { return bodies[i] })
+	benchIngestBatch64(b, false, func(i int) []byte { return bodies[i] })
+}
+
+// BenchmarkIngestBatch64Observed is …FirstSeen with the aggregator and
+// the detector attached as collector.Open attaches them, so every event
+// also opens an impression in each: the figure adds what the observers
+// allocate per 64 opened impressions — slab chunks and index growth,
+// amortised; nothing per impression.
+func BenchmarkIngestBatch64Observed(b *testing.B) {
+	bodies := make([][]byte, b.N+1)
+	for i := range bodies {
+		bodies[i] = AppendBinaryEvents(nil, benchBatch(i))
+	}
+	benchIngestBatch64(b, true, func(i int) []byte { return bodies[i] })
 }
 
 // benchBatch is the nth distinct 64-event request.
@@ -146,8 +161,15 @@ func benchBatch(n int) []Event {
 
 // benchIngestBatch64 posts body(0) to warm the pools and scratch, then
 // times body(1) … body(b.N).
-func benchIngestBatch64(b *testing.B, body func(i int) []byte) {
+func benchIngestBatch64(b *testing.B, observed bool, body func(i int) []byte) {
 	store := NewStoreWithShards(16)
+	if observed {
+		agg := aggregate.New(aggregate.Options{Shards: 16})
+		det := detect.New(detect.Options{Shards: 16})
+		store.AddObserver(agg.Observe)
+		store.AddObserver(det.Observe)
+		store.AddDupObserver(det.ObserveDup)
+	}
 	wj, _, err := OpenDurable(wal.Options{Dir: b.TempDir(), GroupCommit: true}, store)
 	if err != nil {
 		b.Fatal(err)

@@ -215,6 +215,29 @@ func TestLegacyJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// -report-ttl -1 keeps aggregate's open impressions for good; it must not
+// take the detector's sweep with it. Both ride one ticker, which has to
+// run while either TTL is there to enforce.
+func TestDetectorSweptWhenReportTTLIsOff(t *testing.T) {
+	cfg := collector.DefaultConfig()
+	cfg.ReportTTL, cfg.ReportSweepEvery = -1, 5*time.Millisecond
+	cfg.Detect, cfg.DetectTTL = true, time.Millisecond
+	stack, url, _ := collectortest.Boot(t, cfg)
+	if resp := post(t, url, beacon.BinaryContentType, batchBody(8)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest: status %d", resp.StatusCode)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for stack.Detect.OpenImpressions() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("detector still holds %d open impressions under -detect-ttl 1ms: its sweep never ran", stack.Detect.OpenImpressions())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := stack.Aggregate.OpenImpressions(); got != 8 {
+		t.Fatalf("aggregate holds %d open impressions under -report-ttl -1, want all 8", got)
+	}
+}
+
 // everything is a Config with every optional part switched on: WAL,
 // watermarks, detector, tracing, pprof, stats key, rate limit, access
 // log, and a two-node ring whose peer is not there.

@@ -386,7 +386,9 @@ func (s *Stack) Start() {
 				"queue_depth", s.Queue.Depth())
 		})
 	}
-	if cfg.ReportSweepEvery > 0 && cfg.ReportTTL >= 0 {
+	// One ticker sweeps both observers; each Sweep is a no-op under its own
+	// negative TTL, so the ticker runs when either has one to enforce.
+	if cfg.ReportSweepEvery > 0 && (cfg.ReportTTL >= 0 || s.Detect != nil && cfg.DetectTTL >= 0) {
 		s.every(cfg.ReportSweepEvery, func(now time.Time) {
 			if n := s.Aggregate.Sweep(now); n > 0 {
 				s.log.Debug("aggregate sweep", "evicted", n, "open", s.Aggregate.OpenImpressions())

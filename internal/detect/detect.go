@@ -43,8 +43,8 @@ import (
 	"time"
 
 	"qtag/internal/beacon"
+	"qtag/internal/imptable"
 	"qtag/internal/obs"
-	"qtag/internal/pairing"
 )
 
 // Detector contribution names, in the order Text renders them.
@@ -209,50 +209,27 @@ const (
 	minStackViews = 10 // in-views with a slot before concentration means anything
 )
 
-// impSrc is one solution's progress on one open impression, plus the
-// net-adjusting sequence flags: a violation counted on the row is
-// un-counted if the missing lifecycle event arrives late, so the final
-// counts depend only on the final event set, not arrival order.
-type impSrc struct {
-	source beacon.Source
-	loaded bool
-	viewed bool
-	// noLoadCounted: this source's in-view-without-loaded violation is
+// An open impression is the bounded working state for one (campaign,
+// impression): an imptable.Entry, flat exactly as aggregate's is. Each
+// solution's progress on it is these flags, two of them net-adjusting
+// sequence flags: a violation counted on the row is un-counted if the
+// missing lifecycle event arrives late, so the final counts depend only
+// on the final event set, not arrival order.
+const (
+	srcLoaded uint8 = 1 << iota
+	srcViewed
+	// srcNoLoadCounted: this source's in-view-without-loaded violation is
 	// currently counted on the row; a late loaded decrements it.
-	noLoadCounted bool
-	// noServeCounted: this source's beacons-without-served violation
+	srcNoLoadCounted
+	// srcNoServeCounted: this source's beacons-without-served violation
 	// is currently counted; a late served event decrements it.
-	noServeCounted bool
-}
+	srcNoServeCounted
+)
 
-// impState is the bounded working state for one (campaign, impression),
-// flat and owning its strings exactly as aggregate's impression does:
-// sources hold beacon.Source.Owned values, and the cycle stamps waiting
-// for their partner are one pairing.Pending.
-type impState struct {
-	served    bool
-	lastTouch time.Time // arrival clock, drives TTL eviction
-	sources   []impSrc  // in first-beacon order; one or two entries
-	pending   pairing.Pending
-}
-
-// source returns the index in st.sources of s's progress, adding it —
-// fresh is then true — if this is the solution's first beacon on the
-// impression.
-func (st *impState) source(s beacon.Source) (i int, fresh bool) {
-	for i := range st.sources {
-		if st.sources[i].source == s {
-			return i, false
-		}
-	}
-	st.sources = append(st.sources, impSrc{source: s.Owned()})
-	return len(st.sources) - 1, true
-}
-
-// impShard is one lock-striped partition of the open-impression map.
+// impShard is one lock-striped partition of the open impressions.
 type impShard struct {
 	mu   sync.Mutex
-	open map[string]*impState
+	open *imptable.Table
 }
 
 // rowKey addresses one campaign × solution score row ("dsp" for
@@ -281,7 +258,7 @@ type row struct {
 	dwellZero  int64
 	dwellExact int64
 
-	// Sequence violations (net-adjusting, see impSrc).
+	// Sequence violations (net-adjusting, see srcNoLoadCounted).
 	seqNoLoad    int64
 	seqNoServe   int64
 	seqOrphanOut int64
@@ -381,7 +358,7 @@ func New(opts Options) *Detector {
 		mask:  uint32(size - 1),
 	}
 	for i := range d.imps {
-		d.imps[i].open = make(map[string]*impState)
+		d.imps[i].open = imptable.New()
 	}
 	for i := range d.camps {
 		d.camps[i].rows = make(map[rowKey]*row)
@@ -416,22 +393,14 @@ func (d *Detector) Observe(e beacon.Event) {
 		return
 	}
 	now := d.opts.Now()
-	// The key is built in a stack buffer and looked up through string(key),
-	// which does not allocate; only opening an impression does.
+	// The key is built in a stack buffer; the table copies it when it opens
+	// the impression.
 	var kb [96]byte
 	key := e.AppendImpressionKey(kb[:0])
 	sh := &d.imps[beacon.HashID(e.ImpressionID)&d.mask]
 
 	sh.mu.Lock()
-	st, ok := sh.open[string(key)]
-	created := !ok
-	var opened string
-	if created {
-		st = &impState{}
-		opened = string(key)
-		sh.open[opened] = st
-	}
-	st.lastTouch = now
+	st, created := sh.open.Open(key, now.UnixNano())
 
 	// All row updates for this event happen under the campaign shard
 	// lock (nested imp→row lock order, always — matching aggregate).
@@ -449,8 +418,8 @@ func (d *Detector) Observe(e beacon.Event) {
 
 	switch e.Type {
 	case beacon.EventServed:
-		if !st.served {
-			st.served = true
+		if !st.Served {
+			st.Served = true
 			r.impressions++
 			// The served event arrived (possibly late): un-count every
 			// solution's beacons-without-served violation. Eviction
@@ -458,49 +427,48 @@ func (d *Detector) Observe(e beacon.Event) {
 			// already dropped is left absent, not recreated and driven
 			// negative; the clamp guards the same invariant if the row
 			// was evicted and later recreated by fresh traffic.
-			for i := range st.sources {
-				ss := &st.sources[i]
-				if ss.noServeCounted {
-					ss.noServeCounted = false
-					if rr := cs.rows[rowKey{e.CampaignID, sourceLabel(ss.source)}]; rr != nil && rr.seqNoServe > 0 {
+			for i, n := 0, sh.open.Sources(st); i < n; i++ {
+				name, ss := sh.open.SourceAt(st, i)
+				if *ss&srcNoServeCounted != 0 {
+					*ss &^= srcNoServeCounted
+					if rr := cs.rows[rowKey{e.CampaignID, name}]; rr != nil && rr.seqNoServe > 0 {
 						rr.seqNoServe--
 					}
 				}
 			}
 		}
 	default:
-		si, fresh := st.source(e.Source)
-		ss := &st.sources[si]
+		si, ss, fresh := sh.open.Source(st, string(e.Source))
 		if fresh {
 			r.impressions++
-			if !st.served {
-				ss.noServeCounted = true
+			if !st.Served {
+				*ss |= srcNoServeCounted
 				r.seqNoServe++
 			}
 		}
 		switch e.Type {
 		case beacon.EventLoaded:
-			if !ss.loaded {
-				ss.loaded = true
-				if ss.noLoadCounted {
-					ss.noLoadCounted = false
+			if *ss&srcLoaded == 0 {
+				*ss |= srcLoaded
+				if *ss&srcNoLoadCounted != 0 {
+					*ss &^= srcNoLoadCounted
 					if r.seqNoLoad > 0 { // clamp: the counted row may have been evicted and recreated
 						r.seqNoLoad--
 					}
 				}
 			}
 		case beacon.EventInView:
-			if !ss.viewed {
-				ss.viewed = true
-				if !ss.loaded {
-					ss.noLoadCounted = true
+			if *ss&srcViewed == 0 {
+				*ss |= srcViewed
+				if *ss&srcLoaded == 0 {
+					*ss |= srcNoLoadCounted
 					r.seqNoLoad++
 				}
 			}
 			if e.Meta.Slot != "" {
 				r.addSlotView(e.Meta.Slot, d.opts.MaxSlots)
 			}
-			if dwell, paired := st.pending.InView(si, e.Seq, e.At); paired {
+			if dwell, paired := sh.open.InView(st, si, e.Seq, e.At); paired {
 				// The out-of-view that was waiting is an orphan no longer.
 				if r.seqOrphanOut > 0 { // clamp: the counted row may have been evicted and recreated
 					r.seqOrphanOut--
@@ -508,7 +476,7 @@ func (d *Detector) Observe(e beacon.Event) {
 				r.observeDwell(dwell, d.opts)
 			}
 		case beacon.EventOutOfView:
-			dwell, paired, orphan := st.pending.OutOfView(si, e.Seq, e.At)
+			dwell, paired, orphan := sh.open.OutOfView(st, si, e.Seq, e.At)
 			if paired {
 				r.observeDwell(dwell, d.opts)
 			} else if orphan {
@@ -520,8 +488,13 @@ func (d *Detector) Observe(e beacon.Event) {
 
 	if created {
 		d.openCount.Add(1)
-		if d.opts.MaxOpen > 0 && d.openCount.Load() > int64(d.opts.MaxOpen) {
-			d.evictColdestLocked(sh, opened)
+		// Identical semantics to aggregate's pressure eviction: the coldest
+		// impression of this shard, never the one just opened; per-shard
+		// approximate cap, frozen row totals.
+		if d.opts.MaxOpen > 0 && d.openCount.Load() > int64(d.opts.MaxOpen) && sh.open.EvictOldest(st) {
+			d.openCount.Add(-1)
+			d.evicted.Add(1)
+			d.pressureEv.Add(1)
 		}
 	}
 	sh.mu.Unlock()
@@ -627,30 +600,6 @@ func (r *row) addSlotView(slot string, maxSlots int) {
 	r.slotViews[slot]++
 }
 
-// evictColdestLocked drops the least-recently-touched impression in
-// sh, sparing keep. Caller holds sh.mu. Identical semantics to
-// aggregate's pressure eviction: per-shard approximate cap, frozen
-// row totals.
-func (d *Detector) evictColdestLocked(sh *impShard, keep string) {
-	var coldest string
-	var coldestAt time.Time
-	for k, st := range sh.open {
-		if k == keep {
-			continue
-		}
-		if coldest == "" || st.lastTouch.Before(coldestAt) {
-			coldest, coldestAt = k, st.lastTouch
-		}
-	}
-	if coldest == "" {
-		return
-	}
-	delete(sh.open, coldest)
-	d.openCount.Add(-1)
-	d.evicted.Add(1)
-	d.pressureEv.Add(1)
-}
-
 // Sweep drops the working state of every impression idle for at least
 // the TTL as of now, returning how many were evicted. Row counters
 // keep their totals.
@@ -662,12 +611,7 @@ func (d *Detector) Sweep(now time.Time) int {
 	for i := range d.imps {
 		sh := &d.imps[i]
 		sh.mu.Lock()
-		for k, st := range sh.open {
-			if now.Sub(st.lastTouch) >= d.opts.TTL {
-				delete(sh.open, k)
-				evicted++
-			}
-		}
+		evicted += sh.open.Sweep(now.UnixNano(), d.opts.TTL)
 		sh.mu.Unlock()
 	}
 	d.evicted.Add(int64(evicted))

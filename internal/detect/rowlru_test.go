@@ -117,7 +117,7 @@ func TestOpenImpressionsMatchesShards(t *testing.T) {
 		for i := range d.imps {
 			sh := &d.imps[i]
 			sh.mu.Lock()
-			n += len(sh.open)
+			n += sh.open.Len()
 			sh.mu.Unlock()
 		}
 		return n
