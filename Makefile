@@ -25,8 +25,9 @@ GOVULNCHECK ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 # to the WAL write: BenchmarkIngestBatch64 re-posts one body, the store's
 # duplicate path; BenchmarkIngestBatch64FirstSeen posts fresh bodies, so
 # every event is stored; BenchmarkIngestBatch64Observed does that with
-# the aggregator and the detector attached, so every event also opens an
-# impression in each), whose allocs/op are deterministic enough to
+# the aggregator and the detector attached as collector.Open attaches
+# them, so every event also opens its impression, once for both), whose
+# allocs/op are deterministic enough to
 # gate exactly (JSON and map benches vary across Go versions and are
 # deliberately excluded), the committed baseline, and where the fresh
 # run lands.
@@ -34,7 +35,7 @@ ALLOC_BENCH ?= BenchmarkBinaryCodec|BenchmarkEventKey|BenchmarkIngestBatch64
 ALLOC_BASELINE ?= ALLOC_BASELINE.txt
 ALLOC_FRESH ?= alloc-fresh.txt
 
-.PHONY: all build vet test race microbench bench-smoke cover chaos collide cluster-chaos trace-chaos overload-chaos fraud-chaos soak fuzz-smoke lint alloc-gate alloc-baseline ci
+.PHONY: all build vet test race microbench bench-smoke size cover chaos collide cluster-chaos trace-chaos overload-chaos fraud-chaos soak fuzz-smoke lint alloc-gate alloc-baseline ci
 
 all: ci
 
@@ -67,6 +68,15 @@ microbench:
 # fails on correctness. See bench/README.md.
 bench-smoke:
 	$(GO) run ./bench -smoke
+
+# The two sizes ROADMAP aim 2 tracks: non-test Go lines outside bench/,
+# and qtag-server's flags as `qtag-server -h` lists them (the listing
+# cmd/qtag-server/testdata/flags.golden pins). Print-only: a number here
+# never fails the build; `make ci` runs it so the log records both.
+size:
+	@echo "non-test Go lines outside bench/: $$(find . -path ./bench -prune -o -path './.*' -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "qtag-server flags: $$($(GO) run ./cmd/qtag-server -h 2>&1 | grep -c '^  -')"
 
 # Crash-safety sweep: the WAL, the crash-point harness, and the
 # durability layer's torn-write / page-cache-loss / bit-rot / ENOSPC
@@ -197,10 +207,11 @@ alloc-baseline:
 		./internal/beacon > $(ALLOC_BASELINE)
 	@cat $(ALLOC_BASELINE)
 
-# The blocking pipeline: correctness, analysis, coverage, crash-safety,
-# trace propagation, allocation regressions, and the out-of-process
-# benchmark's smoke run (the real binary on all four workloads, passed
-# or failed by the oracle, never by a timing). soak, the cluster /
+# The blocking pipeline: correctness, analysis, the tracked sizes (print
+# only), coverage, crash-safety, trace propagation, allocation
+# regressions, and the out-of-process benchmark's smoke run (the real
+# binary on all four workloads, passed or failed by the oracle, never by
+# a timing). soak, the cluster /
 # overload / fraud chaos sweeps and fuzz-smoke run as a separate
 # non-blocking CI job (see .github/workflows/ci.yml).
-ci: build vet lint race cover chaos collide trace-chaos alloc-gate bench-smoke
+ci: build vet lint size race cover chaos collide trace-chaos alloc-gate bench-smoke

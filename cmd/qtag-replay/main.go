@@ -78,14 +78,15 @@ func main() {
 	// at ingest time, so -report proves the WAL alone reproduces them.
 	agg := aggregate.New(aggregate.Options{TTL: -1})
 	store.AddObserver(agg.Observe)
-	// The fraud layer hooks both seams: first-seen events and duplicate
-	// submissions. The journal holds every accepted submission, so the
-	// store's idempotent replay routes repeats to the duplicate hook and
-	// the flood scores come back exactly as the live server saw them.
+	// The fraud layer hooks both seams: first-seen events, through the
+	// aggregator's pass it joins, and duplicate submissions. The journal
+	// holds every accepted submission, so the store's idempotent replay
+	// routes repeats to the duplicate hook and the flood scores come back
+	// exactly as the live server saw them.
 	var det *detect.Detector
 	if *detectMode {
-		det = detect.New(detect.Options{TTL: -1})
-		store.AddObserver(det.Observe)
+		det = detect.New(detect.Options{})
+		det.Join(agg.Pass())
 		store.AddDupObserver(det.ObserveDup)
 	}
 	var sink beacon.Sink = store

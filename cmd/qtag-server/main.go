@@ -190,8 +190,6 @@ func bindFlags(fs *flag.FlagSet, o *options) {
 	fs.DurationVar(&c.ReportWindow, "report-window", c.ReportWindow, "rollup window width on GET /report")
 	fs.IntVar(&c.ReportWindows, "report-windows", c.ReportWindows, "rollup windows retained on GET /report")
 	fs.BoolVar(&c.Detect, "detect", c.Detect, "streaming fraud detection: per-campaign anomaly scores on GET /report and qtag_detect_* metrics")
-	fs.DurationVar(&c.DetectTTL, "detect-ttl", c.DetectTTL, "evict idle per-impression detection state after this long (<0 disables; needs -detect)")
-	fs.IntVar(&c.DetectMaxOpen, "detect-max-open", c.DetectMaxOpen, "cap open per-impression detection states; past it the coldest is evicted (0 = unbounded)")
 	fs.Float64Var(&c.DetectFlagThreshold, "detect-flag-threshold", c.DetectFlagThreshold, "composite score at which a campaign is flagged fraudulent (0 = package default)")
 	fs.StringVar(&o.level, "log-level", "info", "log level (debug, info, warn, error)")
 	fs.BoolVar(&c.Pprof, "pprof", c.Pprof, "mount net/http/pprof handlers under /debug/pprof/")

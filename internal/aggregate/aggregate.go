@@ -27,6 +27,7 @@
 package aggregate
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -91,24 +92,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// An open impression is the bounded working state for one (campaign,
-// impression id): enough to classify status transitions and pair dwell
-// cycles, nothing more — an imptable.Entry, 96 bytes without a pointer
-// (DESIGN.md §10, "Observer layout"). It is dropped by TTL eviction once
-// the impression goes idle; the campaign counters it contributed to stay.
-// Its format is the current format bucket (see formatBucket), and each
-// solution's progress is these flags.
-const (
-	srcLoaded uint8 = 1 << iota
-	srcViewed
-)
-
-// aggShard is one lock-striped partition of the open impressions.
-type aggShard struct {
-	mu   sync.Mutex
-	open *imptable.Table
-}
-
 // rowKey addresses one campaign × format accumulator row.
 type rowKey struct {
 	Campaign string
@@ -160,10 +143,14 @@ type campShard struct {
 // concurrent use. Feed it through beacon.Store.AddObserver so it only
 // ever sees first-seen events.
 type Aggregator struct {
-	opts   Options
-	shards []aggShard  // open impressions, by hash(impression id)
-	camps  []campShard // accumulators, by hash(campaign)
-	mask   uint32
+	opts Options
+	// pass holds the open impressions (DESIGN.md §10, "Observer layout"),
+	// which a detector may share: enough to classify status transitions
+	// and pair dwell cycles, dropped when the impression goes idle while
+	// the counters it contributed to stay.
+	pass  *imptable.Pass
+	camps []campShard // accumulators, by hash(campaign)
+	mask  uint32
 
 	winMu   sync.Mutex
 	windows windowRing
@@ -172,12 +159,8 @@ type Aggregator struct {
 	// carries it, encoded once instead of once per histogram per render.
 	boundsJSON []byte
 
-	updates    atomic.Int64 // events folded in
-	evicted    atomic.Int64 // impression states dropped (TTL + pressure)
-	pressureEv atomic.Int64 // the subset evicted by the MaxOpen cap
-	openCount  atomic.Int64 // open impression states, across all shards
-	dwellObs   *obs.Histogram
-	dwellPair  atomic.Int64 // completed in-view/out-of-view pairs
+	dwellObs  *obs.Histogram
+	dwellPair atomic.Int64 // completed in-view/out-of-view pairs
 }
 
 // New returns an empty aggregator.
@@ -189,16 +172,13 @@ func New(opts Options) *Aggregator {
 	}
 	a := &Aggregator{
 		opts:     opts,
-		shards:   make([]aggShard, size),
 		camps:    make([]campShard, size),
 		mask:     uint32(size - 1),
 		dwellObs: obs.NewHistogram(opts.DwellBounds...),
 
 		boundsJSON: appendBoundsJSON(nil, opts.DwellBounds),
 	}
-	for i := range a.shards {
-		a.shards[i].open = imptable.New()
-	}
+	a.pass = imptable.NewPass(imptable.PassOptions{Shards: size, TTL: opts.TTL, MaxOpen: opts.MaxOpen, Now: opts.Now}, a.fold)
 	for i := range a.camps {
 		a.camps[i].rows = make(map[rowKey]*row)
 		a.camps[i].dwell = make(map[dwellKey]*DwellHist)
@@ -207,132 +187,64 @@ func New(opts Options) *Aggregator {
 	return a
 }
 
-// formatBucket decides which format row an impression belongs to: the
-// lexicographically smallest non-empty format seen across its events,
-// or "" when no event carried one. The rule is order-independent, which
-// is what makes streaming aggregation equal batch recompute when events
-// of one impression disagree on format (they should not, but the wire
-// does not enforce it).
-func formatBucket(current, incoming string) string {
-	if incoming == "" {
-		return current
-	}
-	if current == "" || incoming < current {
-		return incoming
-	}
-	return current
-}
+// Pass returns the aggregator's open-impression pass, for a detector to
+// join (detect.Detector.Join): Observe then folds each event into both
+// from one lookup of its impression.
+func (a *Aggregator) Pass() *imptable.Pass { return a.pass }
 
-// Observe folds one first-seen event into the accumulators. It is
-// designed to be installed as a beacon.Store observer: the caller
-// guarantees the event is not a duplicate, and that events of one
-// impression arrive serialized (the store's shard lock does both).
-// Events that fail validation are ignored — the store never emits them.
-func (a *Aggregator) Observe(e beacon.Event) {
-	if e.Validate() != nil {
-		return
-	}
-	now := a.opts.Now()
-	// The key is built in a stack buffer; the table copies it when it opens
-	// the impression.
-	var kb [96]byte
-	key := e.AppendImpressionKey(kb[:0])
-	sh := &a.shards[beacon.HashID(e.ImpressionID)&a.mask]
+// Observe folds one first-seen event into the accumulators — and into
+// every fold that has joined the aggregator's pass. It is designed to be
+// installed as a beacon.Store observer: the caller guarantees the event
+// is not a duplicate, and that events of one impression arrive
+// serialized (the store's shard lock does both). Events that fail
+// validation are ignored — the store never emits them.
+func (a *Aggregator) Observe(e beacon.Event) { a.pass.Observe(e) }
 
-	sh.mu.Lock()
-	st, created := sh.open.Open(key, now.UnixNano())
-
-	// Work out every transition under the impression lock, then apply
-	// them to the campaign shard (nested imp→camp lock order, always).
-	oldFormat := sh.open.Format(st)
-	format := formatBucket(oldFormat, e.Meta.Format)
-	migrated := !created && format != oldFormat
-
+// fold is the aggregator's share of its pass: the campaign × format row
+// updates for what the event changed, under the campaign shard's lock
+// (nested in the pass shard's, always).
+func (a *Aggregator) fold(e beacon.Event, c imptable.Change) {
 	cs := &a.camps[beacon.HashID(e.CampaignID)&a.mask]
 	cs.mu.Lock()
-	if migrated {
+	if c.Moved() {
 		// Move the impression's pre-event contributions first; the deltas
 		// from this event then land on the new row only, never both.
-		cs.migrate(sh.open, st, e.CampaignID, oldFormat, format)
+		cs.migrate(&c, e.CampaignID)
 	}
-	if format != oldFormat {
-		sh.open.SetFormat(st, format)
-	}
-
-	var servedFirst, loadedFirst, viewedFirst bool
-	var dwell time.Duration
-	var paired bool
-	var si int
-	var src *uint8
-	switch e.Type {
-	case beacon.EventServed:
-		servedFirst = !st.Served
-		st.Served = true
-	case beacon.EventLoaded, beacon.EventInView, beacon.EventOutOfView:
-		si, src, _ = sh.open.Source(st, string(e.Source))
-		switch e.Type {
-		case beacon.EventLoaded:
-			loadedFirst = *src&srcLoaded == 0
-			*src |= srcLoaded
-		case beacon.EventInView:
-			viewedFirst = *src&srcViewed == 0
-			*src |= srcViewed
-			dwell, paired = sh.open.InView(st, si, e.Seq, e.At)
-		case beacon.EventOutOfView:
-			dwell, paired, _ = sh.open.OutOfView(st, si, e.Seq, e.At)
-		}
-	}
-
-	r := cs.row(rowKey{e.CampaignID, format})
-	if created {
+	r := cs.row(rowKey{e.CampaignID, c.To})
+	if c.Created {
 		r.impressions++
 	}
-	if servedFirst {
+	if c.ServedFirst {
 		r.served++
 	}
-	if loadedFirst || viewedFirst {
-		name, _ := sh.open.SourceAt(st, si) // the table's copy, not the event's
+	if c.LoadedFirst || c.ViewedFirst {
+		name, _ := c.Table.SourceAt(c.Entry, c.Src) // the table's copy, not the event's
 		sc := r.srcCounts(beacon.Source(name))
-		if loadedFirst {
+		if c.LoadedFirst {
 			sc.measured++
-			if *src&srcViewed == 0 {
+			if *c.Flags&imptable.Viewed == 0 {
 				sc.notViewed++
 			}
 		}
-		if viewedFirst {
+		if c.ViewedFirst {
 			sc.viewed++
-			if *src&srcLoaded != 0 {
+			if *c.Flags&imptable.Loaded != 0 {
 				sc.notViewed--
 			}
 		}
 	}
-	if paired {
-		cs.dwellHist(dwellKey{e.CampaignID, string(e.Source)}, a.opts.DwellBounds).Observe(dwell)
+	if c.Paired {
+		cs.dwellHist(dwellKey{e.CampaignID, string(e.Source)}, a.opts.DwellBounds).Observe(c.Dwell)
 	}
 	cs.mu.Unlock()
-	if created {
-		a.openCount.Add(1)
-		// Over the cap, the coldest impression of this shard goes — never the
-		// one just opened (evicting the one impression we know is active
-		// would be pure churn), so a shard holding only that one evicts
-		// nothing this round and the cap is enforced approximately: the
-		// working set converges back under MaxOpen as traffic spreads over
-		// the shards. Frozen-totals semantics match TTL eviction exactly.
-		if a.opts.MaxOpen > 0 && a.openCount.Load() > int64(a.opts.MaxOpen) && sh.open.EvictOldest(st) {
-			a.openCount.Add(-1)
-			a.evicted.Add(1)
-			a.pressureEv.Add(1)
-		}
-	}
-	sh.mu.Unlock()
 
-	if paired {
-		a.dwellObs.ObserveDuration(dwell)
+	if c.Paired {
+		a.dwellObs.ObserveDuration(c.Dwell)
 		a.dwellPair.Add(1)
 	}
-	a.updates.Add(1)
 	a.winMu.Lock()
-	a.windows.observe(now, e.CampaignID, created, viewedFirst)
+	a.windows.observe(c.Now, e.CampaignID, c.Created, c.ViewedFirst)
 	a.winMu.Unlock()
 }
 
@@ -368,13 +280,18 @@ func (r *row) find(s beacon.Source) *srcCounts {
 
 // srcCounts returns (creating if needed) a row's per-source counters; s
 // must be owned (a name from imptable.Table.SourceAt is). The pointer is
-// good until the next srcCounts call on the same row.
+// good until the next srcCounts or drop call on the same row.
 func (r *row) srcCounts(s beacon.Source) *srcCounts {
 	if sc := r.find(s); sc != nil {
 		return sc
 	}
 	r.src = append(r.src, srcCounts{source: s})
 	return &r.src[len(r.src)-1]
+}
+
+// drop removes a row's counters for s.
+func (r *row) drop(s beacon.Source) {
+	r.src = slices.DeleteFunc(r.src, func(sc srcCounts) bool { return sc.source == s })
 }
 
 // dwellHist returns (creating if needed) the campaign × source dwell
@@ -388,82 +305,78 @@ func (c *campShard) dwellHist(k dwellKey, bounds []float64) *DwellHist {
 	return h
 }
 
-// migrate moves one impression's accumulated contributions between
-// format rows of the same campaign — triggered when a late event
-// carries a lexicographically smaller format. Caller holds the shard
-// lock; both rows live in it because they share the campaign.
-func (c *campShard) migrate(open *imptable.Table, st *imptable.Entry, campaign, from, to string) {
-	src := c.row(rowKey{campaign, from})
-	dst := c.row(rowKey{campaign, to})
+// migrate moves one impression's contributions as they stood before the
+// event in hand from its format row to the one the event moved it to —
+// triggered when a late event carries a lexicographically smaller
+// format. Caller holds the shard lock; both rows live in it because they
+// share the campaign.
+func (c *campShard) migrate(ch *imptable.Change, campaign string) {
+	src := c.row(rowKey{campaign, ch.From})
+	dst := c.row(rowKey{campaign, ch.To})
 	src.impressions--
 	dst.impressions++
-	if st.Served {
+	if ch.Entry.Served && !ch.ServedFirst {
 		src.served--
 		dst.served++
 	}
-	for i, n := 0, open.Sources(st); i < n; i++ {
-		name, flags := open.SourceAt(st, i)
-		if *flags == 0 {
+	for i, n := 0, ch.Table.Sources(ch.Entry); i < n; i++ {
+		name, flagsp := ch.Table.SourceAt(ch.Entry, i)
+		flags := *flagsp
+		if flagsp == ch.Flags { // the event's own solution
+			flags = ch.Before
+		}
+		if flags&(imptable.Loaded|imptable.Viewed) == 0 {
 			continue
 		}
 		fc, tc := src.srcCounts(beacon.Source(name)), dst.srcCounts(beacon.Source(name))
-		if *flags&srcLoaded != 0 {
+		if flags&imptable.Loaded != 0 {
 			fc.measured--
 			tc.measured++
 		}
 		switch {
-		case *flags&srcViewed != 0:
+		case flags&imptable.Viewed != 0:
 			fc.viewed--
 			tc.viewed++
-		case *flags&srcLoaded != 0:
+		case flags&imptable.Loaded != 0:
 			fc.notViewed--
 			tc.notViewed++
+		}
+		// Counters are made with a count at one, so only a migration drains
+		// them: drop what it drained, and the row lists exactly the
+		// solutions some impression on it has reported — whatever order the
+		// events came in.
+		if fc.measured == 0 && fc.viewed == 0 && fc.notViewed == 0 {
+			src.drop(fc.source)
 		}
 	}
 	// A drained row is garbage only if nothing else contributes to it;
 	// impressions is the invariant total, so zero means empty.
 	if src.impressions == 0 {
-		delete(c.rows, rowKey{campaign, from})
+		delete(c.rows, rowKey{campaign, ch.From})
 	}
 }
 
 // Sweep drops the working state of every impression idle for at least
-// the TTL as of now, returning how many were evicted. The campaign
-// counters keep their totals; only the dedup/pairing state goes, which
-// bounds memory to TTL × arrival rate open impressions. Unpaired
-// in-view cycles on an evicted impression never produce a dwell sample.
-func (a *Aggregator) Sweep(now time.Time) int {
-	if a.opts.TTL < 0 {
-		return 0
-	}
-	evicted := 0
-	for i := range a.shards {
-		sh := &a.shards[i]
-		sh.mu.Lock()
-		evicted += sh.open.Sweep(now.UnixNano(), a.opts.TTL)
-		sh.mu.Unlock()
-	}
-	a.evicted.Add(int64(evicted))
-	a.openCount.Add(-int64(evicted))
-	return evicted
-}
+// the TTL as of now — for every fold of the pass — returning how many
+// were evicted. The campaign counters keep their totals, which bounds
+// memory to TTL × arrival rate open impressions. Unpaired in-view cycles
+// on an evicted impression never produce a dwell sample.
+func (a *Aggregator) Sweep(now time.Time) int { return a.pass.Sweep(now) }
 
 // OpenImpressions returns how many impressions currently hold working
-// state — the quantity TTL eviction bounds. It reads the counter kept on
-// open, sweep and pressure eviction, so every /report and /metrics
-// scrape costs one atomic load, not a pass over the shard locks.
-func (a *Aggregator) OpenImpressions() int { return int(a.openCount.Load()) }
+// state — the quantity TTL eviction bounds — in one atomic load.
+func (a *Aggregator) OpenImpressions() int { return a.pass.Open() }
 
 // Updates returns how many first-seen events have been folded in.
-func (a *Aggregator) Updates() int64 { return a.updates.Load() }
+func (a *Aggregator) Updates() int64 { return a.pass.Updates() }
 
 // Evicted returns how many impression states eviction has dropped
 // (TTL sweeps plus MaxOpen pressure evictions).
-func (a *Aggregator) Evicted() int64 { return a.evicted.Load() }
+func (a *Aggregator) Evicted() int64 { return a.pass.Evicted() }
 
 // PressureEvicted returns the subset of evictions forced by the MaxOpen
 // working-set cap rather than the TTL sweep.
-func (a *Aggregator) PressureEvicted() int64 { return a.pressureEv.Load() }
+func (a *Aggregator) PressureEvicted() int64 { return a.pass.PressureEvicted() }
 
 // DwellPairs returns how many in-view/out-of-view cycles completed.
 func (a *Aggregator) DwellPairs() int64 { return a.dwellPair.Load() }
@@ -472,9 +385,9 @@ func (a *Aggregator) DwellPairs() int64 { return a.dwellPair.Load() }
 // throughput, the memory-bounding gauges, and the global dwell
 // histogram (per-campaign dwell lives on GET /report).
 func (a *Aggregator) RegisterMetrics(r *obs.Registry) {
-	r.CounterFunc("qtag_aggregate_updates_total", "First-seen events folded into the streaming accumulators.", a.updates.Load)
-	r.CounterFunc("qtag_aggregate_evicted_total", "Impression working states dropped by TTL eviction.", a.evicted.Load)
-	r.CounterFunc("qtag_aggregate_pressure_evicted_total", "Impression working states evicted early by the MaxOpen cap.", a.pressureEv.Load)
+	r.CounterFunc("qtag_aggregate_updates_total", "First-seen events folded into the streaming accumulators.", a.pass.Updates)
+	r.CounterFunc("qtag_aggregate_evicted_total", "Impression working states dropped by TTL eviction.", a.pass.Evicted)
+	r.CounterFunc("qtag_aggregate_pressure_evicted_total", "Impression working states evicted early by the MaxOpen cap.", a.pass.PressureEvicted)
 	r.CounterFunc("qtag_aggregate_dwell_pairs_total", "Completed in-view/out-of-view dwell cycles.", a.dwellPair.Load)
 	r.GaugeFunc("qtag_aggregate_open_impressions", "Impressions currently holding working state (bounded by TTL eviction).",
 		func() float64 { return float64(a.OpenImpressions()) })

@@ -136,29 +136,10 @@ func naiveSnapshot(events []beacon.Event) (rows []Row, dwell map[dwellKey][2]int
 	return rows, dwell
 }
 
-// dropDrained removes from every row the solutions nothing on it counts
-// for. A migration leaves one behind — all zeros — on the row an
-// impression left, when the row lives on for others: listed or not
-// depending on the order the events came in, for solutions other than
-// the canonical two (which are always listed). That predates this layout
-// and is pinned as a fixture by report's TestRenderIdenticalToMarshal;
-// the comparisons here look past it.
-func dropDrained(s Snapshot) Snapshot {
-	for _, r := range s.Rows {
-		for name, sc := range r.Sources {
-			if !canonical(beacon.Source(name)) && sc.Measured == 0 && sc.Viewed == 0 && sc.NotViewed == 0 {
-				delete(r.Sources, name)
-			}
-		}
-	}
-	return s
-}
-
 // assertMatchesNaive compares a snapshot with the naive oracle's.
 func assertMatchesNaive(t *testing.T, label string, got Snapshot, events []beacon.Event) {
 	t.Helper()
 	rows, dwell := naiveSnapshot(events)
-	got = dropDrained(got)
 	if !reflect.DeepEqual(got.Rows, rows) {
 		t.Fatalf("%s: rows differ from the naive recompute\n got: %+v\nwant: %+v", label, got.Rows, rows)
 	}
@@ -252,7 +233,7 @@ func TestSpilledStateIsExact(t *testing.T) {
 					}
 				}
 				label := fmt.Sprintf("seed=%d %s shards=%d", seed, label, shards)
-				got, want := dropDrained(a.Snapshot()), dropDrained(Recompute(store.Events(), opts).Snapshot())
+				got, want := a.Snapshot(), Recompute(store.Events(), opts).Snapshot()
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: streaming != batch recompute\n got: %+v\nwant: %+v", label, got, want)
 				}

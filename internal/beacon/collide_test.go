@@ -1,4 +1,4 @@
-package beacon
+package beacon_test
 
 import (
 	"os"

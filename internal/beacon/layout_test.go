@@ -76,19 +76,24 @@ func heapGrowth(fill func()) float64 {
 }
 
 // TestMemoryBudgets pins the pointer-free layouts by what they cost. The
-// budgets sit well above what the layouts measure here (store 115
-// B/event, aggregate 205 and detect 195 B/impression) and well below
-// what the map[string]Event store and the map-of-maps impressions did
-// (388, 616 and 606), so a return to either fails here.
+// budgets sit above what the layouts measure here (store 115 B/event,
+// aggregate 116 and detect 122 B/impression on their own, 124 for the
+// two joined as the collector wires them) and well below what the
+// map[string]Event store and the map-of-maps impressions did (388, 616
+// and 606) — and the joined row's below the 238 the two cost apart, so
+// a return to either, or to a table per observer, fails here.
 func TestMemoryBudgets(t *testing.T) {
 	events, impressions := benchShapedEvents(40_000)
 	// The fill must not retain the events' own strings (nothing may, see
 	// TestNothingKeptAliasesTheRequest), so they are no part of the growth.
 	var (
-		store = NewStore()
-		agg   = aggregate.New(aggregate.Options{TTL: -1})
-		det   = detect.New(detect.Options{TTL: -1})
+		store  = NewStore()
+		agg    = aggregate.New(aggregate.Options{TTL: -1})
+		det    = detect.New(detect.Options{TTL: -1})
+		pair   = aggregate.New(aggregate.Options{TTL: -1})
+		joined = detect.New(detect.Options{})
 	)
+	joined.Join(pair.Pass())
 	for _, c := range []struct {
 		name   string
 		budget float64
@@ -99,6 +104,7 @@ func TestMemoryBudgets(t *testing.T) {
 		{"store", 200, len(events), "event", func(e Event) { _ = store.Submit(e) }},
 		{"aggregate", 260, impressions, "impression", agg.Observe},
 		{"detect", 260, impressions, "impression", det.Observe},
+		{"aggregate+detect joined", 130, impressions, "impression", pair.Observe},
 	} {
 		grew := heapGrowth(func() {
 			for _, e := range events {
@@ -111,9 +117,10 @@ func TestMemoryBudgets(t *testing.T) {
 			t.Errorf("%s holds %.0f B/%s, budget %.0f", c.name, got, c.unit, c.budget)
 		}
 	}
-	if store.Len() != len(events) || agg.OpenImpressions() != impressions || det.OpenImpressions() != impressions {
-		t.Fatalf("fill incomplete: store %d/%d events, aggregate %d and detect %d of %d impressions",
-			store.Len(), len(events), agg.OpenImpressions(), det.OpenImpressions(), impressions)
+	if store.Len() != len(events) || agg.OpenImpressions() != impressions || det.OpenImpressions() != impressions ||
+		joined.OpenImpressions() != impressions || joined.Updates() != int64(len(events)) {
+		t.Fatalf("fill incomplete: store %d/%d events, aggregate %d, detect %d and joined %d of %d impressions",
+			store.Len(), len(events), agg.OpenImpressions(), det.OpenImpressions(), joined.OpenImpressions(), impressions)
 	}
 	runtime.KeepAlive(events)
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"qtag/internal/admission"
+	"qtag/internal/jsonenc"
 	"qtag/internal/obs"
 )
 
@@ -369,7 +370,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	for _, e := range events {
 		if verr := e.Validate(); verr != nil {
 			s.rejected.Add(int64(len(events)))
-			writeJSON(w, http.StatusUnprocessableEntity, ingestResponse{
+			writeIngestReply(w, http.StatusUnprocessableEntity, ingestResponse{
 				Rejected: len(events),
 				Error:    verr.Error(),
 			})
@@ -430,7 +431,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if resp.Rejected > 0 && resp.Accepted == 0 {
 		status = http.StatusUnprocessableEntity
 	}
-	writeJSON(w, status, resp)
+	writeIngestReply(w, status, resp)
 }
 
 // handlePixelEvent ingests a single event passed as the "e" query
@@ -569,6 +570,46 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// httpError and the ingest route's replies skip encoding/json — the
+// route answers every request — and append their JSON with strconv and
+// jsonenc to a pooled buffer: byte for byte what writeJSON would write
+// (TestIngestRepliesMatchEncodingJSON), written once.
 func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+	bp := replyBufs.Get().(*[]byte)
+	b := append((*bp)[:0], `{"error":`...)
+	*bp = append(jsonenc.AppendString(b, msg), "}\n"...)
+	writeReply(w, status, bp)
+}
+
+func writeIngestReply(w http.ResponseWriter, status int, resp ingestResponse) {
+	bp := replyBufs.Get().(*[]byte)
+	*bp = appendIngestReply((*bp)[:0], resp)
+	writeReply(w, status, bp)
+}
+
+// appendIngestReply appends resp as writeJSON encodes it.
+func appendIngestReply(b []byte, resp ingestResponse) []byte {
+	b = append(b, `{"accepted":`...)
+	b = strconv.AppendInt(b, int64(resp.Accepted), 10)
+	b = append(b, `,"rejected":`...)
+	b = strconv.AppendInt(b, int64(resp.Rejected), 10)
+	if resp.Error != "" {
+		b = append(b, `,"error":`...)
+		b = jsonenc.AppendString(b, resp.Error)
+	}
+	return append(b, "}\n"...)
+}
+
+// replyBufs recycles reply bodies: a ResponseWriter copies what it is
+// given, so a buffer is free again once Write returns. One grown past
+// 4 KiB by a long error text is left to the collector.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func writeReply(w http.ResponseWriter, status int, bp *[]byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(*bp)
+	if cap(*bp) <= 4<<10 {
+		replyBufs.Put(bp)
+	}
 }

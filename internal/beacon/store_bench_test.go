@@ -138,10 +138,11 @@ func BenchmarkIngestBatch64FirstSeen(b *testing.B) {
 }
 
 // BenchmarkIngestBatch64Observed is …FirstSeen with the aggregator and
-// the detector attached as collector.Open attaches them, so every event
-// also opens an impression in each: the figure adds what the observers
-// allocate per 64 opened impressions — slab chunks and index growth,
-// amortised; nothing per impression.
+// the detector attached as collector.Open attaches them — the detector
+// joined to the aggregator's pass — so every event also opens its
+// impression, once for both: the figure adds what the observers allocate
+// per 64 opened impressions — slab chunks and index growth, amortised;
+// nothing per impression.
 func BenchmarkIngestBatch64Observed(b *testing.B) {
 	bodies := make([][]byte, b.N+1)
 	for i := range bodies {
@@ -167,7 +168,7 @@ func benchIngestBatch64(b *testing.B, observed bool, body func(i int) []byte) {
 		agg := aggregate.New(aggregate.Options{Shards: 16})
 		det := detect.New(detect.Options{Shards: 16})
 		store.AddObserver(agg.Observe)
-		store.AddObserver(det.Observe)
+		det.Join(agg.Pass())
 		store.AddDupObserver(det.ObserveDup)
 	}
 	wj, _, err := OpenDurable(wal.Options{Dir: b.TempDir(), GroupCommit: true}, store)

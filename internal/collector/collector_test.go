@@ -215,26 +215,44 @@ func TestLegacyJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// -report-ttl -1 keeps aggregate's open impressions for good; it must not
-// take the detector's sweep with it. Both ride one ticker, which has to
-// run while either TTL is there to enforce.
-func TestDetectorSweptWhenReportTTLIsOff(t *testing.T) {
+// -report-max-open bounds the detector too: it keeps its impressions in
+// the aggregator's pass, so past the cap both hold the same few.
+func TestReportMaxOpenCapsTheDetector(t *testing.T) {
 	cfg := collector.DefaultConfig()
-	cfg.ReportTTL, cfg.ReportSweepEvery = -1, 5*time.Millisecond
-	cfg.Detect, cfg.DetectTTL = true, time.Millisecond
+	cfg.ReportMaxOpen, cfg.ReportSweepEvery, cfg.Detect = 64, 5*time.Millisecond, true
+	stack, url, _ := collectortest.Boot(t, cfg)
+	if resp := post(t, url, beacon.BinaryContentType, batchBody(1000)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest: status %d", resp.StatusCode)
+	}
+	// The cap is enforced per shard: one straggler per shard at most.
+	agg, det := stack.Aggregate.OpenImpressions(), stack.Detect.OpenImpressions()
+	if agg > 64+cfg.IngestShards || stack.Aggregate.PressureEvicted() == 0 {
+		t.Fatalf("aggregate holds %d open impressions under -report-max-open 64 (%d pressure-evicted)", agg, stack.Aggregate.PressureEvicted())
+	}
+	if det != agg || stack.Detect.Evicted() != stack.Aggregate.Evicted() {
+		t.Fatalf("detector holds %d open impressions and evicted %d; the aggregator %d and %d",
+			det, stack.Detect.Evicted(), agg, stack.Aggregate.Evicted())
+	}
+}
+
+// -report-ttl empties both observers: one sweep of the pass they share.
+func TestReportTTLEmptiesBothObservers(t *testing.T) {
+	cfg := collector.DefaultConfig()
+	cfg.ReportTTL, cfg.ReportSweepEvery, cfg.Detect = time.Millisecond, 5*time.Millisecond, true
 	stack, url, _ := collectortest.Boot(t, cfg)
 	if resp := post(t, url, beacon.BinaryContentType, batchBody(8)); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("ingest: status %d", resp.StatusCode)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for stack.Detect.OpenImpressions() != 0 {
+	for stack.Aggregate.OpenImpressions() != 0 || stack.Detect.OpenImpressions() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("detector still holds %d open impressions under -detect-ttl 1ms: its sweep never ran", stack.Detect.OpenImpressions())
+			t.Fatalf("aggregate holds %d and detector %d open impressions under -report-ttl 1ms: the sweep never emptied them",
+				stack.Aggregate.OpenImpressions(), stack.Detect.OpenImpressions())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := stack.Aggregate.OpenImpressions(); got != 8 {
-		t.Fatalf("aggregate holds %d open impressions under -report-ttl -1, want all 8", got)
+	if got := stack.Detect.Evicted(); got != 8 {
+		t.Fatalf("detector evicted %d impressions, want the 8 sent", got)
 	}
 }
 

@@ -70,10 +70,8 @@ type Config struct {
 	ReportWindows    int           // -report-windows
 	ReportMaxOpen    int           // -report-max-open
 
-	Detect              bool          // -detect
-	DetectTTL           time.Duration // -detect-ttl
-	DetectMaxOpen       int           // -detect-max-open
-	DetectFlagThreshold float64       // -detect-flag-threshold
+	Detect              bool    // -detect
+	DetectFlagThreshold float64 // -detect-flag-threshold
 
 	NodeID           string            // -node-id
 	Peers            map[string]string // -peers, parsed: id → base URL
@@ -121,7 +119,6 @@ func DefaultConfig() Config {
 		ReportSweepEvery:      time.Minute,
 		ReportWindow:          time.Minute,
 		ReportWindows:         60,
-		DetectTTL:             15 * time.Minute,
 		ProbeEvery:            time.Second,
 		ReadyHintBacklog:      10000,
 		BinaryBeacons:         true,

@@ -74,15 +74,16 @@ func Open(cfg Config) (_ *Stack, err error) {
 
 	// Observers attach before the WAL/journal replay below, so boot
 	// recovery rebuilds the /report accumulators and the fraud scores by
-	// the path live ingest feeds them.
+	// the path live ingest feeds them. The detector joins the aggregator's
+	// pass: one first-seen observer opens each event's impression once for
+	// both, and -report-ttl / -report-max-open bound both.
 	s.Store = beacon.NewStoreWithShards(cfg.IngestShards)
 	s.Aggregate = aggregate.New(aggregate.Options{Shards: cfg.IngestShards, TTL: cfg.ReportTTL,
 		Window: cfg.ReportWindow, MaxWindows: cfg.ReportWindows, MaxOpen: cfg.ReportMaxOpen})
 	s.Store.AddObserver(s.Aggregate.Observe)
 	if cfg.Detect {
-		s.Detect = detect.New(detect.Options{Shards: cfg.IngestShards, TTL: cfg.DetectTTL,
-			MaxOpen: cfg.DetectMaxOpen, FlagThreshold: cfg.DetectFlagThreshold})
-		s.Store.AddObserver(s.Detect.Observe)
+		s.Detect = detect.New(detect.Options{Shards: cfg.IngestShards, FlagThreshold: cfg.DetectFlagThreshold})
+		s.Detect.Join(s.Aggregate.Pass())
 		s.Store.AddDupObserver(s.Detect.ObserveDup)
 	}
 	if cfg.WALDir != "" {
@@ -278,7 +279,7 @@ func (s *Stack) registerMetrics() {
 	s.Aggregate.RegisterMetrics(reg)
 	if s.Detect != nil {
 		s.Detect.RegisterMetrics(reg)
-		s.log.Info("fraud detection enabled", "ttl", s.cfg.DetectTTL, "max_open", s.cfg.DetectMaxOpen)
+		s.log.Info("fraud detection enabled", "flag_threshold", s.cfg.DetectFlagThreshold)
 	}
 	s.Queue.RegisterMetrics(reg)
 	s.breaker.RegisterMetrics(reg)
@@ -386,17 +387,11 @@ func (s *Stack) Start() {
 				"queue_depth", s.Queue.Depth())
 		})
 	}
-	// One ticker sweeps both observers; each Sweep is a no-op under its own
-	// negative TTL, so the ticker runs when either has one to enforce.
-	if cfg.ReportSweepEvery > 0 && (cfg.ReportTTL >= 0 || s.Detect != nil && cfg.DetectTTL >= 0) {
+	// The detector shares the aggregator's pass, so one sweep covers both.
+	if cfg.ReportSweepEvery > 0 && cfg.ReportTTL >= 0 {
 		s.every(cfg.ReportSweepEvery, func(now time.Time) {
 			if n := s.Aggregate.Sweep(now); n > 0 {
-				s.log.Debug("aggregate sweep", "evicted", n, "open", s.Aggregate.OpenImpressions())
-			}
-			if s.Detect != nil {
-				if n := s.Detect.Sweep(now); n > 0 {
-					s.log.Debug("detect sweep", "evicted", n, "open", s.Detect.OpenImpressions())
-				}
+				s.log.Debug("sweep", "evicted", n, "open", s.Aggregate.OpenImpressions())
 			}
 		})
 	}

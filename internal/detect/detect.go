@@ -32,8 +32,8 @@
 // enforces), exactly mirroring aggregate's streaming ≡ batch oracle.
 // Working state is bounded the same way aggregate bounds its: per-
 // impression pairing state falls to TTL sweeps and a MaxOpen pressure
-// cap, score rows to a MaxRows cap, per-row placement maps to
-// MaxSlots.
+// cap — the aggregator's own, once the detector joins its pass (Join) —
+// score rows to a MaxRows cap, per-row placement maps to MaxSlots.
 package detect
 
 import (
@@ -70,18 +70,20 @@ const SourceDSP = "dsp"
 type Options struct {
 	// Shards is the lock-stripe count for both the per-impression
 	// working state and the score rows, rounded up to a power of two
-	// (default 16, matching the beacon store and aggregate).
+	// (default 16, matching the beacon store and aggregate). A joined
+	// detector's impressions are partitioned as its pass's are.
 	Shards int
 	// TTL evicts an impression's pairing/sequencing state after this
 	// much arrival-clock idle time (default 15m; <0 disables, 0 means
 	// default). Row counters keep their totals — eviction freezes, it
 	// never un-counts. As with aggregate, TTL must exceed the longest
 	// served→last-beacon gap or late beacons re-open state and shift
-	// sequence counts.
+	// sequence counts. Unused once the detector joins another pass.
 	TTL time.Duration
 	// MaxOpen caps open impression working states across all shards
 	// (0: unbounded). Over the cap, the least-recently-touched
-	// impression in the inserting shard is evicted immediately.
+	// impression in the inserting shard is evicted immediately. Unused
+	// once the detector joins another pass.
 	MaxOpen int
 	// MaxRows caps score rows (campaign × solution) across all shards
 	// (default 4096). Over the cap the least-recently-touched row in
@@ -132,6 +134,7 @@ type Options struct {
 	MinEvents int64
 	// Now is the arrival clock driving TTL/pressure eviction (default
 	// time.Now). Never used in scoring — scores are event-time only.
+	// Unused once the detector joins another pass.
 	Now func() time.Time
 }
 
@@ -210,27 +213,20 @@ const (
 )
 
 // An open impression is the bounded working state for one (campaign,
-// impression): an imptable.Entry, flat exactly as aggregate's is. Each
-// solution's progress on it is these flags, two of them net-adjusting
-// sequence flags: a violation counted on the row is un-counted if the
-// missing lifecycle event arrives late, so the final counts depend only
-// on the final event set, not arrival order.
+// impression): an imptable.Entry in the detector's imptable.Pass — its
+// own, or an aggregator's it has joined. A solution's progress on it is
+// the pass's Loaded and Viewed bits plus two of the detector's own, net-
+// adjusting sequence flags: a violation counted on the row is un-counted
+// if the missing lifecycle event arrives late, so the final counts depend
+// only on the final event set, not arrival order.
 const (
-	srcLoaded uint8 = 1 << iota
-	srcViewed
 	// srcNoLoadCounted: this source's in-view-without-loaded violation is
 	// currently counted on the row; a late loaded decrements it.
-	srcNoLoadCounted
+	srcNoLoadCounted uint8 = 1 << (iota + 2)
 	// srcNoServeCounted: this source's beacons-without-served violation
 	// is currently counted; a late served event decrements it.
 	srcNoServeCounted
 )
-
-// impShard is one lock-striped partition of the open impressions.
-type impShard struct {
-	mu   sync.Mutex
-	open *imptable.Table
-}
 
 // rowKey addresses one campaign × solution score row ("dsp" for
 // served events).
@@ -331,16 +327,12 @@ func (cs *rowShard) unlink(r *row) {
 // first-seen / duplicate partition of valid submissions.
 type Detector struct {
 	opts  Options
-	imps  []impShard
+	pass  *imptable.Pass // open impressions: the detector's own, or the pass it joined
 	camps []rowShard
 	mask  uint32
 
-	updates    atomic.Int64 // first-seen events folded in
 	dupEvents  atomic.Int64 // duplicate submissions folded in
-	openCount  atomic.Int64 // open impression working states
 	rowCount   atomic.Int64 // live score rows
-	evicted    atomic.Int64 // impression states dropped (TTL + pressure)
-	pressureEv atomic.Int64 // the MaxOpen subset
 	rowEvicted atomic.Int64 // score rows dropped by the MaxRows cap
 }
 
@@ -353,13 +345,10 @@ func New(opts Options) *Detector {
 	}
 	d := &Detector{
 		opts:  opts,
-		imps:  make([]impShard, size),
 		camps: make([]rowShard, size),
 		mask:  uint32(size - 1),
 	}
-	for i := range d.imps {
-		d.imps[i].open = imptable.New()
-	}
+	d.pass = imptable.NewPass(imptable.PassOptions{Shards: size, TTL: opts.TTL, MaxOpen: opts.MaxOpen, Now: opts.Now}, d.fold)
 	for i := range d.camps {
 		d.camps[i].rows = make(map[rowKey]*row)
 	}
@@ -385,25 +374,27 @@ func isPixelSize(size string) bool {
 	return size == "1x1" || size == "0x0" || size == "1×1"
 }
 
+// Join makes the detector a fold of p — an aggregator's pass
+// (aggregate.Aggregator.Pass) — in place of the pass it was made with:
+// from then on one lookup of an event's impression feeds both, the
+// detector keeps its impressions exactly as long as p does, and its
+// TTL, MaxOpen and Now options go unused. Call it before either sees an
+// event, and attach only p's owner as the store's first-seen observer:
+// the detector's Observe now runs p, every fold of it included.
+func (d *Detector) Join(p *imptable.Pass) {
+	d.pass = p
+	p.Join(d.fold)
+}
+
 // Observe folds one first-seen event into the score rows. Install it
 // as a beacon.Store observer: the caller guarantees the event is not
 // a duplicate and that events of one impression arrive serialized.
-func (d *Detector) Observe(e beacon.Event) {
-	if e.Validate() != nil {
-		return
-	}
-	now := d.opts.Now()
-	// The key is built in a stack buffer; the table copies it when it opens
-	// the impression.
-	var kb [96]byte
-	key := e.AppendImpressionKey(kb[:0])
-	sh := &d.imps[beacon.HashID(e.ImpressionID)&d.mask]
+func (d *Detector) Observe(e beacon.Event) { d.pass.Observe(e) }
 
-	sh.mu.Lock()
-	st, created := sh.open.Open(key, now.UnixNano())
-
-	// All row updates for this event happen under the campaign shard
-	// lock (nested imp→row lock order, always — matching aggregate).
+// fold is the detector's share of its pass: the score-row updates for
+// what the event changed, under the campaign shard's lock (nested in the
+// pass shard's, always — matching aggregate).
+func (d *Detector) fold(e beacon.Event, c imptable.Change) {
 	cs := &d.camps[beacon.HashID(e.CampaignID)&d.mask]
 	cs.mu.Lock()
 	r := d.rowLocked(cs, rowKey{e.CampaignID, sourceLabel(e.Source)})
@@ -416,10 +407,8 @@ func (d *Detector) Observe(e beacon.Event) {
 		}
 	}
 
-	switch e.Type {
-	case beacon.EventServed:
-		if !st.Served {
-			st.Served = true
+	if c.Flags == nil { // served
+		if c.ServedFirst {
 			r.impressions++
 			// The served event arrived (possibly late): un-count every
 			// solution's beacons-without-served violation. Eviction
@@ -427,8 +416,8 @@ func (d *Detector) Observe(e beacon.Event) {
 			// already dropped is left absent, not recreated and driven
 			// negative; the clamp guards the same invariant if the row
 			// was evicted and later recreated by fresh traffic.
-			for i, n := 0, sh.open.Sources(st); i < n; i++ {
-				name, ss := sh.open.SourceAt(st, i)
+			for i, n := 0, c.Table.Sources(c.Entry); i < n; i++ {
+				name, ss := c.Table.SourceAt(c.Entry, i)
 				if *ss&srcNoServeCounted != 0 {
 					*ss &^= srcNoServeCounted
 					if rr := cs.rows[rowKey{e.CampaignID, name}]; rr != nil && rr.seqNoServe > 0 {
@@ -437,68 +426,43 @@ func (d *Detector) Observe(e beacon.Event) {
 				}
 			}
 		}
-	default:
-		si, ss, fresh := sh.open.Source(st, string(e.Source))
-		if fresh {
-			r.impressions++
-			if !st.Served {
-				*ss |= srcNoServeCounted
-				r.seqNoServe++
+		cs.mu.Unlock()
+		return
+	}
+	ss := c.Flags
+	if c.Fresh {
+		r.impressions++
+		if !c.Entry.Served {
+			*ss |= srcNoServeCounted
+			r.seqNoServe++
+		}
+	}
+	if c.LoadedFirst && *ss&srcNoLoadCounted != 0 {
+		*ss &^= srcNoLoadCounted
+		if r.seqNoLoad > 0 { // clamp: the counted row may have been evicted and recreated
+			r.seqNoLoad--
+		}
+	}
+	if c.ViewedFirst && *ss&imptable.Loaded == 0 {
+		*ss |= srcNoLoadCounted
+		r.seqNoLoad++
+	}
+	if e.Type == beacon.EventInView && e.Meta.Slot != "" {
+		r.addSlotView(e.Meta.Slot, d.opts.MaxSlots)
+	}
+	switch {
+	case c.Paired:
+		if e.Type == beacon.EventInView {
+			// The out-of-view that was waiting is an orphan no longer.
+			if r.seqOrphanOut > 0 { // clamp: the counted row may have been evicted and recreated
+				r.seqOrphanOut--
 			}
 		}
-		switch e.Type {
-		case beacon.EventLoaded:
-			if *ss&srcLoaded == 0 {
-				*ss |= srcLoaded
-				if *ss&srcNoLoadCounted != 0 {
-					*ss &^= srcNoLoadCounted
-					if r.seqNoLoad > 0 { // clamp: the counted row may have been evicted and recreated
-						r.seqNoLoad--
-					}
-				}
-			}
-		case beacon.EventInView:
-			if *ss&srcViewed == 0 {
-				*ss |= srcViewed
-				if *ss&srcLoaded == 0 {
-					*ss |= srcNoLoadCounted
-					r.seqNoLoad++
-				}
-			}
-			if e.Meta.Slot != "" {
-				r.addSlotView(e.Meta.Slot, d.opts.MaxSlots)
-			}
-			if dwell, paired := sh.open.InView(st, si, e.Seq, e.At); paired {
-				// The out-of-view that was waiting is an orphan no longer.
-				if r.seqOrphanOut > 0 { // clamp: the counted row may have been evicted and recreated
-					r.seqOrphanOut--
-				}
-				r.observeDwell(dwell, d.opts)
-			}
-		case beacon.EventOutOfView:
-			dwell, paired, orphan := sh.open.OutOfView(st, si, e.Seq, e.At)
-			if paired {
-				r.observeDwell(dwell, d.opts)
-			} else if orphan {
-				r.seqOrphanOut++
-			}
-		}
+		r.observeDwell(c.Dwell, d.opts)
+	case c.Orphan:
+		r.seqOrphanOut++
 	}
 	cs.mu.Unlock()
-
-	if created {
-		d.openCount.Add(1)
-		// Identical semantics to aggregate's pressure eviction: the coldest
-		// impression of this shard, never the one just opened; per-shard
-		// approximate cap, frozen row totals.
-		if d.opts.MaxOpen > 0 && d.openCount.Load() > int64(d.opts.MaxOpen) && sh.open.EvictOldest(st) {
-			d.openCount.Add(-1)
-			d.evicted.Add(1)
-			d.pressureEv.Add(1)
-		}
-	}
-	sh.mu.Unlock()
-	d.updates.Add(1)
 }
 
 // ObserveDup folds one duplicate submission into the flood counters.
@@ -602,47 +566,33 @@ func (r *row) addSlotView(slot string, maxSlots int) {
 
 // Sweep drops the working state of every impression idle for at least
 // the TTL as of now, returning how many were evicted. Row counters
-// keep their totals.
-func (d *Detector) Sweep(now time.Time) int {
-	if d.opts.TTL < 0 {
-		return 0
-	}
-	evicted := 0
-	for i := range d.imps {
-		sh := &d.imps[i]
-		sh.mu.Lock()
-		evicted += sh.open.Sweep(now.UnixNano(), d.opts.TTL)
-		sh.mu.Unlock()
-	}
-	d.evicted.Add(int64(evicted))
-	d.openCount.Add(-int64(evicted))
-	return evicted
-}
+// keep their totals. A joined detector's impressions are its pass's:
+// the owner's Sweep covers them, and this one sweeps that same pass.
+func (d *Detector) Sweep(now time.Time) int { return d.pass.Sweep(now) }
 
-// OpenImpressions returns how many impressions hold working state: the
-// counter kept on open, sweep and pressure eviction, not a pass over the
-// shard locks (it is read by every /metrics scrape).
-func (d *Detector) OpenImpressions() int { return int(d.openCount.Load()) }
+// OpenImpressions returns how many impressions hold working state, in
+// one atomic load.
+func (d *Detector) OpenImpressions() int { return d.pass.Open() }
 
 // Rows returns how many score rows are live.
 func (d *Detector) Rows() int { return int(d.rowCount.Load()) }
 
 // Updates returns how many first-seen events have been folded in.
-func (d *Detector) Updates() int64 { return d.updates.Load() }
+func (d *Detector) Updates() int64 { return d.pass.Updates() }
 
 // DupEvents returns how many duplicate submissions have been folded in.
 func (d *Detector) DupEvents() int64 { return d.dupEvents.Load() }
 
 // Evicted returns dropped impression working states (TTL + pressure).
-func (d *Detector) Evicted() int64 { return d.evicted.Load() }
+func (d *Detector) Evicted() int64 { return d.pass.Evicted() }
 
 // RegisterMetrics exports the detection layer on a metrics registry.
 func (d *Detector) RegisterMetrics(r *obs.Registry) {
-	r.CounterFunc("qtag_detect_updates_total", "First-seen events folded into the fraud detectors.", d.updates.Load)
+	r.CounterFunc("qtag_detect_updates_total", "First-seen events folded into the fraud detectors.", d.pass.Updates)
 	r.CounterFunc("qtag_detect_dup_events_total", "Duplicate submissions folded into the flood detector.", d.dupEvents.Load)
-	r.CounterFunc("qtag_detect_evicted_total", "Impression working states dropped by TTL/pressure eviction.", d.evicted.Load)
+	r.CounterFunc("qtag_detect_evicted_total", "Impression working states dropped by TTL/pressure eviction (the aggregator's, when the detector shares its pass).", d.pass.Evicted)
 	r.CounterFunc("qtag_detect_row_evicted_total", "Score rows dropped by the MaxRows working-set cap.", d.rowEvicted.Load)
-	r.GaugeFunc("qtag_detect_open_impressions", "Impressions currently holding detection working state.",
+	r.GaugeFunc("qtag_detect_open_impressions", "Impressions currently holding detection working state (the aggregator's open impressions, when the detector shares its pass).",
 		func() float64 { return float64(d.OpenImpressions()) })
 	r.GaugeFunc("qtag_detect_rows", "Live campaign × solution score rows.",
 		func() float64 { return float64(d.rowCount.Load()) })

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
 	"qtag/internal/simrand"
 )
@@ -129,34 +130,43 @@ func TestSpilledStateIsExact(t *testing.T) {
 // TestOpeningAnImpressionDoesNotAllocate: on the honest shape — up to two
 // solutions, up to two open cycles — what opening 1 000 impressions
 // allocates is slab chunks and index growth, amortised well under a
-// tenth of an allocation each.
+// tenth of an allocation each: for the detector alone, and joined to an
+// aggregator's pass as the collector wires it.
 func TestOpeningAnImpressionDoesNotAllocate(t *testing.T) {
-	d := New(Options{TTL: -1, Now: func() time.Time { return lruT0 }})
-	e := beacon.Event{CampaignID: "camp-1", At: lruT0, Meta: beacon.Meta{AdSize: "300x250"}}
-	ids := make([]string, 7000) // the first call below, AllocsPerRun's warm-up and its five runs
-	for i := range ids {
-		ids[i] = fmt.Sprintf("s1-closed-%d", i)
-	}
-	next := 0
-	open := func() {
-		for i := 0; i < 1000; i++ {
-			e.ImpressionID = ids[next]
-			next++
-			e.Source, e.Type = "", beacon.EventServed
-			d.Observe(e)
-			for _, src := range []beacon.Source{beacon.SourceQTag, beacon.SourceCommercial} {
-				e.Source, e.Type = src, beacon.EventLoaded
-				d.Observe(e)
-				e.Type = beacon.EventInView
-				d.Observe(e)
+	for _, joined := range []bool{false, true} {
+		d := New(Options{TTL: -1, Now: func() time.Time { return lruT0 }})
+		observe := d.Observe
+		if joined {
+			a := aggregate.New(aggregate.Options{TTL: -1, Now: func() time.Time { return lruT0 }})
+			d.Join(a.Pass())
+			observe = a.Observe
+		}
+		e := beacon.Event{CampaignID: "camp-1", At: lruT0, Meta: beacon.Meta{Format: "display", AdSize: "300x250"}}
+		ids := make([]string, 7000) // the first call below, AllocsPerRun's warm-up and its five runs
+		for i := range ids {
+			ids[i] = fmt.Sprintf("s1-closed-%d", i)
+		}
+		next := 0
+		open := func() {
+			for i := 0; i < 1000; i++ {
+				e.ImpressionID = ids[next]
+				next++
+				e.Source, e.Type = "", beacon.EventServed
+				observe(e)
+				for _, src := range []beacon.Source{beacon.SourceQTag, beacon.SourceCommercial} {
+					e.Source, e.Type = src, beacon.EventLoaded
+					observe(e)
+					e.Type = beacon.EventInView
+					observe(e)
+				}
 			}
 		}
-	}
-	open() // the score rows and name tables exist from here on
-	if perImpression := testing.AllocsPerRun(5, open) / 1000; perImpression >= 0.1 {
-		t.Fatalf("%.3f allocations per opened impression, want < 0.1", perImpression)
-	}
-	if d.OpenImpressions() != len(ids) {
-		t.Fatalf("%d impressions open of %d", d.OpenImpressions(), len(ids))
+		open() // the score rows, the aggregator's rows and windows, and name tables exist from here on
+		if perImpression := testing.AllocsPerRun(5, open) / 1000; perImpression >= 0.1 {
+			t.Fatalf("joined=%v: %.3f allocations per opened impression, want < 0.1", joined, perImpression)
+		}
+		if d.OpenImpressions() != len(ids) || d.Updates() != 5*int64(len(ids)) {
+			t.Fatalf("joined=%v: %d impressions open of %d, %d events folded", joined, d.OpenImpressions(), len(ids), d.Updates())
+		}
 	}
 }

@@ -1,8 +1,11 @@
-// Package imptable is the open-impression working set of one observer
-// shard (DESIGN.md §10, "Observer layout"): what internal/aggregate and
-// internal/detect each keep about an impression between its first beacon
-// and its eviction — whether it was served, its format, how far each
-// solution has got, and the cycle stamps waiting for their partner.
+// Package imptable is the observers' open-impression working set
+// (DESIGN.md §10, "Observer layout"): what internal/aggregate and
+// internal/detect keep about an impression between its first beacon and
+// its eviction — whether it was served, its format, how far each
+// solution has got, and the cycle stamps waiting for their partner. A
+// Table is one shard of it; a Pass shards Tables and folds each
+// first-seen event into its impression once for every observer joined
+// to it.
 //
 // Q-Tag's protocol holds every impression open (an in-view waits for its
 // out-of-view, "not measured" is what never arrived), so this is the one

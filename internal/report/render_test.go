@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strconv"
 	"sync"
@@ -186,9 +187,9 @@ func TestRenderIdenticalToMarshal(t *testing.T) {
 			ev("n1", "camp-noformat", "aa-verifier", beacon.EventLoaded, ""),
 			ev("n1", "camp-noformat", beacon.SourceCommercial, beacon.EventLoaded, ""),
 			// Two impressions on video; m1 then migrates to banner (a smaller
-			// format arrives late), leaving video's third-source counters at
-			// zero but present, and m3's migration empties "wide" — that row
-			// is deleted.
+			// format arrives late) and takes its third source with it — video
+			// no longer lists x-verifier — and m3's migration empties "wide":
+			// that row is deleted.
 			ev("m1", "camp-migrate", "", beacon.EventServed, "video"),
 			ev("m1", "camp-migrate", "x-verifier", beacon.EventLoaded, "video"),
 			ev("m2", "camp-migrate", "", beacon.EventServed, "video"),
@@ -201,8 +202,8 @@ func TestRenderIdenticalToMarshal(t *testing.T) {
 		if len(snap.Rows) != 3 || snap.Rows[0].Format != "banner" || snap.Rows[1].Format != "video" || snap.Rows[2].Format != "" {
 			t.Fatalf("fixture did not produce banner, video and format-less rows: %+v", snap.Rows)
 		}
-		if c, ok := snap.Rows[1].Sources["x-verifier"]; !ok || c.Measured != 0 {
-			t.Fatalf("fixture's video row should keep a zeroed x-verifier entry: %+v", snap.Rows[1].Sources)
+		if _, ok := snap.Rows[1].Sources["x-verifier"]; ok {
+			t.Fatalf("fixture's video row should not list x-verifier, which only m1 reported and m1 left: %+v", snap.Rows[1].Sources)
 		}
 		if len(snap.Rows[2].Sources) != 4 {
 			t.Fatalf("fixture's format-less row should carry four sources: %+v", snap.Rows[2].Sources)
@@ -273,6 +274,49 @@ func TestRenderIdenticalToMarshal(t *testing.T) {
 			t.Fatal("re-sends never reached the duplicate hook")
 		}
 	})
+}
+
+// TestMigrationLeavesNoTrace: a late, smaller format moves an impression
+// to another row, and the row it left lists what it would had the
+// impression never been there — so the same events in either order give
+// the same snapshot and the same /report bytes, a third-party solution
+// that only the moved impression reported included.
+func TestMigrationLeavesNoTrace(t *testing.T) {
+	at := rt0
+	ev := func(imp string, src beacon.Source, typ beacon.EventType, format string) beacon.Event {
+		at = at.Add(time.Second)
+		return beacon.Event{ImpressionID: imp, CampaignID: "camp-migrate", Source: src, Type: typ, At: at, Meta: beacon.Meta{Format: format}}
+	}
+	forward := []beacon.Event{
+		ev("m1", "", beacon.EventServed, "video"),
+		ev("m1", "x-verifier", beacon.EventLoaded, "video"),
+		ev("m1", beacon.SourceQTag, beacon.EventLoaded, "video"),
+		ev("m2", "", beacon.EventServed, "video"),
+		ev("m2", beacon.SourceQTag, beacon.EventInView, "video"),
+		ev("m1", "x-verifier", beacon.EventInView, "banner"),
+	}
+	reversed := make([]beacon.Event, len(forward))
+	for i, e := range forward {
+		reversed[len(forward)-1-i] = e
+	}
+	render := func(events []beacon.Event) (aggregate.Snapshot, []byte) {
+		s := newStack(true, detect.Options{})
+		s.submit(events...)
+		rr := httptest.NewRecorder()
+		HandlerWithDetect(s.a, s.d, func() time.Time { return rt0 }).ServeHTTP(rr, httptest.NewRequest("GET", "/report", nil))
+		return s.a.Snapshot(), rr.Body.Bytes()
+	}
+	fwdSnap, fwdBody := render(forward)
+	revSnap, revBody := render(reversed)
+	if !reflect.DeepEqual(fwdSnap, revSnap) {
+		t.Fatalf("snapshots differ with the order of the events\nforward:  %+v\nreversed: %+v", fwdSnap, revSnap)
+	}
+	if !bytes.Equal(fwdBody, revBody) {
+		t.Fatalf("/report differs with the order of the events\nforward:  %s\nreversed: %s", fwdBody, revBody)
+	}
+	if _, listed := fwdSnap.Rows[1].Sources["x-verifier"]; fwdSnap.Rows[1].Format != "video" || listed {
+		t.Fatalf("video row %+v should not list x-verifier", fwdSnap.Rows[1])
+	}
 }
 
 // TestRenderUnderConcurrentIngest: a reader polling beside eight
