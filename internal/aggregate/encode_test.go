@@ -86,3 +86,39 @@ func TestEncodersMatchMarshal(t *testing.T) {
 	}
 	requireEncodersMatchMarshal(t, b)
 }
+
+// TestOpenImpressionsMatchesShards: the counter OpenImpressions returns
+// equals the locked sum over the shards after ingest, after a TTL sweep
+// and after MaxOpen pressure eviction.
+func TestOpenImpressionsMatchesShards(t *testing.T) {
+	clock := time.Unix(1600000000, 0).UTC()
+	a := New(Options{TTL: time.Minute, MaxOpen: 40, Now: func() time.Time { return clock }})
+	check := func(stage string, wantOpen func(int) bool) {
+		t.Helper()
+		if got, sum := a.OpenImpressions(), a.pass.Len(); got != sum || !wantOpen(got) {
+			t.Fatalf("%s: OpenImpressions = %d, shards hold %d", stage, got, sum)
+		}
+	}
+	served := func(imp string) beacon.Event {
+		return beacon.Event{ImpressionID: imp, CampaignID: "c", Type: beacon.EventServed, At: clock}
+	}
+	for i := 0; i < 30; i++ {
+		a.Observe(served(fmt.Sprintf("early-%d", i)))
+	}
+	check("after ingest", func(n int) bool { return n == 30 })
+	clock = clock.Add(2 * time.Minute)
+	for i := 0; i < 5; i++ {
+		a.Observe(served(fmt.Sprintf("late-%d", i)))
+	}
+	if ev := a.Sweep(clock); ev != 30 {
+		t.Fatalf("sweep evicted %d, want the 30 idle impressions", ev)
+	}
+	check("after sweep", func(n int) bool { return n == 5 })
+	for i := 0; i < 400; i++ {
+		a.Observe(served(fmt.Sprintf("flood-%d", i)))
+	}
+	check("after pressure eviction", func(n int) bool { return n > 0 && n < 405 })
+	if a.PressureEvicted() == 0 {
+		t.Fatal("MaxOpen never evicted")
+	}
+}

@@ -105,3 +105,36 @@ func TestMaxRowsEvictionVisitsBounded(t *testing.T) {
 	}
 	checkRecencyList(t, d)
 }
+
+// TestOpenImpressionsMatchesShards: the counter OpenImpressions returns
+// equals the locked sum over the shards after ingest, after a TTL sweep
+// and after MaxOpen pressure eviction.
+func TestOpenImpressionsMatchesShards(t *testing.T) {
+	clock := lruT0
+	d := New(Options{TTL: time.Minute, MaxOpen: 40, Now: func() time.Time { return clock }})
+	check := func(stage string, wantOpen func(int) bool) {
+		t.Helper()
+		if got, sum := d.OpenImpressions(), d.pass.Len(); got != sum || !wantOpen(got) {
+			t.Fatalf("%s: OpenImpressions = %d, shards hold %d", stage, got, sum)
+		}
+	}
+	for i := 0; i < 30; i++ {
+		d.Observe(servedOn("c", "early-"+strconv.Itoa(i)))
+	}
+	check("after ingest", func(n int) bool { return n == 30 })
+	clock = clock.Add(2 * time.Minute)
+	for i := 0; i < 5; i++ {
+		d.Observe(servedOn("c", "late-"+strconv.Itoa(i)))
+	}
+	if ev := d.Sweep(clock); ev != 30 {
+		t.Fatalf("sweep evicted %d, want the 30 idle impressions", ev)
+	}
+	check("after sweep", func(n int) bool { return n == 5 })
+	for i := 0; i < 400; i++ {
+		d.Observe(servedOn("c", "flood-"+strconv.Itoa(i)))
+	}
+	check("after pressure eviction", func(n int) bool { return n > 0 && n < 405 })
+	if d.Evicted() == 30 {
+		t.Fatal("MaxOpen never evicted")
+	}
+}

@@ -194,6 +194,19 @@ func (p *Pass) Sweep(now time.Time) int {
 // the shard locks.
 func (p *Pass) Open() int { return int(p.open.Load()) }
 
+// Len counts the open impressions shard by shard under each shard's lock:
+// the audit Open's counter must agree with when the pass is quiescent.
+func (p *Pass) Len() int {
+	n := 0
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		n += sh.t.Len()
+		sh.mu.Unlock()
+	}
+	return n
+}
+
 // Updates returns how many events have been folded.
 func (p *Pass) Updates() int64 { return p.updates.Load() }
 

@@ -17,19 +17,9 @@ func TestPassOpenMatchesShards(t *testing.T) {
 	p := NewPass(PassOptions{Shards: 16, TTL: time.Minute, MaxOpen: 40, Now: func() time.Time { return clock }},
 		func(beacon.Event, Change) { folded[0]++ })
 	p.Join(func(beacon.Event, Change) { folded[1]++ })
-	lockedSum := func() int {
-		n := 0
-		for i := range p.shards {
-			sh := &p.shards[i]
-			sh.mu.Lock()
-			n += sh.t.Len()
-			sh.mu.Unlock()
-		}
-		return n
-	}
 	check := func(stage string, wantOpen func(int) bool) {
 		t.Helper()
-		if got, sum := p.Open(), lockedSum(); got != sum || !wantOpen(got) {
+		if got, sum := p.Open(), p.Len(); got != sum || !wantOpen(got) {
 			t.Fatalf("%s: Open = %d, shards hold %d", stage, got, sum)
 		}
 	}
