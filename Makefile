@@ -69,14 +69,18 @@ microbench:
 bench-smoke:
 	$(GO) run ./bench -smoke
 
-# The two sizes ROADMAP aim 2 tracks: non-test Go lines outside bench/,
-# and qtag-server's flags as `qtag-server -h` lists them (the listing
-# cmd/qtag-server/testdata/flags.golden pins). Print-only: a number here
-# never fails the build; `make ci` runs it so the log records both.
+# The sizes ROADMAP aims 2 and 3 track: non-test Go lines outside
+# bench/, qtag-server's flags as `qtag-server -h` lists them (the listing
+# cmd/qtag-server/testdata/flags.golden pins), and what the store keeps
+# per event and the observers per impression (TestMemoryBudgets' lines).
+# Print-only: a number here never fails the build; `make ci` runs it so
+# the log records them.
 size:
 	@echo "non-test Go lines outside bench/: $$(find . -path ./bench -prune -o -path './.*' -prune -o \
 		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
 	@echo "qtag-server flags: $$($(GO) run ./cmd/qtag-server -h 2>&1 | grep -c '^  -')"
+	@$(GO) test -count=1 -run '^TestMemoryBudgets$$' -v ./internal/beacon 2>&1 | \
+		sed -n 's|^.*layout_test.go:[0-9]*: \(.* B/[a-z]*\)$$|memory: \1|p'
 
 # Crash-safety sweep: the WAL, the crash-point harness, and the
 # durability layer's torn-write / page-cache-loss / bit-rot / ENOSPC

@@ -3,22 +3,32 @@ package beacon
 import "encoding/binary"
 
 // This file is the store's record arena (DESIGN.md §10, "Store layout"):
-// every first-seen event of a shard is held once, in its binary codec
-// form, in append-only []byte chunks. Chunks carry no pointers, so the
-// garbage collector never scans a stored event — the cost the
-// map[string]Event layout paid on every cycle.
+// every first-seen event of a shard is held once, in append-only []byte
+// chunks. Chunks carry no pointers, so the garbage collector never scans
+// a stored event — the cost the map[string]Event layout paid on every
+// cycle.
 //
 // A record is
 //
 //	uint32 LE  handle of the previous record with the same index hash,
 //	           or noRecord
-//	bytes      AppendBinaryEvent encoding (self-delimiting)
+//	bytes      the event in store form (self-delimiting)
 //
-// and a handle is chunk<<arenaChunkBits | offset: records start inside
-// the first arenaChunkSize bytes of their chunk, so a record too large
-// for a regular chunk gets a chunk of its own and is still addressable.
-// Room is reserved by maxBinaryEventLen before a record is encoded, so
-// the encoder never outgrows a chunk and nothing is encoded twice.
+// The store form is the binary codec's (AppendBinaryEvent) with the
+// campaign id and the seven Meta strings as references into the shard's
+// names instead of length-prefixed strings. A reference is a uvarint:
+// id<<1 for an interned string, or len<<1|1 followed by the bytes of a
+// literal. A shard holds a few hundred distinct campaign and Meta strings
+// across millions of events, so a record refers to each in a byte or two
+// instead of repeating it.
+//
+// A handle is chunk<<arenaChunkBits | offset: records start inside the
+// first arenaChunkSize bytes of their chunk, so a record too large for a
+// regular chunk gets a chunk of its own and is still addressable. Room
+// is reserved by maxBinaryEventLen — which bounds the store form too,
+// since a reference is never longer than a length-prefixed string —
+// before a record is encoded, so the encoder never outgrows a chunk and
+// nothing is encoded twice.
 const (
 	arenaChunkBits = 16
 	arenaChunkSize = 1 << arenaChunkBits
@@ -41,11 +51,12 @@ type arena struct {
 	records int
 }
 
-// append stores e linked to prev and returns the record's handle. It
-// fails, storing nothing, only when the shard already holds every chunk
-// a handle can address.
-func (a *arena) append(prev uint32, e Event) (uint32, error) {
-	need := arenaLinkBytes + maxBinaryEventLen(&e)
+// append stores e, whose strings ids numbers in the shard's names,
+// linked to prev and returns the record's handle. It fails, storing
+// nothing, only when the shard already holds every chunk a handle can
+// address.
+func (a *arena) append(prev uint32, e *Event, ids *eventNames) (uint32, error) {
+	need := arenaLinkBytes + maxBinaryEventLen(e)
 	n := len(a.chunks)
 	// A record starts only where a handle can point, which also keeps
 	// anything from following an oversized record into its chunk.
@@ -61,13 +72,58 @@ func (a *arena) append(prev uint32, e Event) (uint32, error) {
 	c := a.chunks[n-1]
 	at := len(c)
 	c = binary.LittleEndian.AppendUint32(c, prev)
-	a.chunks[n-1] = AppendBinaryEvent(c, e)
+	a.chunks[n-1] = appendRecord(c, e, ids)
 	a.records++
 	return uint32(n-1)<<arenaChunkBits | uint32(at), nil
 }
 
+// appendRecord appends e's store form: AppendBinaryEvent's encoding,
+// line for line, but for appendRef where that has appendStr. (Sharing
+// the lines with it costs the wire encoder two calls an event.)
+func appendRecord(dst []byte, e *Event, ids *eventNames) []byte {
+	var flags byte
+	if e.At.IsZero() {
+		flags |= 1
+	}
+	tc, sc := typeCode(e.Type), sourceCode(e.Source)
+	dst = append(dst, binaryEventVersion, flags, tc, sc)
+	if flags&1 != 0 {
+		dst = append(dst, 0, 0)
+	} else {
+		dst = binary.AppendVarint(dst, e.At.Unix())
+		dst = binary.AppendUvarint(dst, uint64(e.At.Nanosecond()))
+	}
+	dst = binary.AppendVarint(dst, int64(e.Seq))
+	dst = appendStr(dst, e.ImpressionID)
+	dst = appendRef(dst, ids.campaign, e.CampaignID)
+	if tc == 0 {
+		dst = appendStr(dst, string(e.Type))
+	}
+	if sc == srcLiteral {
+		dst = appendStr(dst, string(e.Source))
+	}
+	dst = appendStr(dst, e.Trace)
+	dst = appendRef(dst, ids.os, e.Meta.OS)
+	dst = appendRef(dst, ids.siteType, e.Meta.SiteType)
+	dst = appendRef(dst, ids.adSize, e.Meta.AdSize)
+	dst = appendRef(dst, ids.format, e.Meta.Format)
+	dst = appendRef(dst, ids.country, e.Meta.Country)
+	dst = appendRef(dst, ids.exchange, e.Meta.Exchange)
+	return appendRef(dst, ids.slot, e.Meta.Slot)
+}
+
+// appendRef appends s as a reference: to its number id, or, when s is
+// not interned (a non-empty string numbered 0), as a literal.
+func appendRef(dst []byte, id uint32, s string) []byte {
+	if id == 0 && s != "" {
+		dst = binary.AppendUvarint(dst, uint64(len(s))<<1|1)
+		return append(dst, s...)
+	}
+	return binary.AppendUvarint(dst, uint64(id)<<1)
+}
+
 // record returns the chunk bytes from the record at h on: its link, its
-// event encoding, and whatever was appended after it.
+// store form, and whatever was appended after it.
 func (a *arena) record(h uint32) []byte {
 	return a.chunks[h>>arenaChunkBits][h&(arenaChunkSize-1):]
 }
@@ -77,20 +133,15 @@ func (a *arena) next(h uint32) uint32 {
 	return binary.LittleEndian.Uint32(a.record(h))
 }
 
-// holds reports whether the record at h is an event with e's idempotency
-// key — (campaign, impression, source, type, seq), field by field. This
-// is what makes dedup exact whatever the index hash does: a hash only
-// chooses which records are compared.
-func (a *arena) holds(h uint32, e *Event) bool {
-	return encodedKeyEquals(aliasString(a.record(h)[arenaLinkBytes:]), e)
-}
-
-// encodedKeyEquals reports whether s, which starts with an
-// AppendBinaryEvent encoding, encodes an event with e's idempotency key.
+// holds reports whether the record at h, whose references point into n,
+// is an event with e's idempotency key — (campaign, impression, source,
+// type, seq), field by field. This is what makes dedup exact whatever
+// the index hash does: a hash only chooses which records are compared.
 // The type and source codes are canonical — a literal is written only
 // for a value that has no code — so equal codes and equal literals are
 // equal fields.
-func encodedKeyEquals(s string, e *Event) bool {
+func (a *arena) holds(h uint32, e *Event, n *names) bool {
+	s := aliasString(a.record(h)[arenaLinkBytes:])
 	if len(s) < 4 {
 		return false
 	}
@@ -113,7 +164,7 @@ func encodedKeyEquals(s string, e *Event) bool {
 	if !ok || f != e.ImpressionID {
 		return false
 	}
-	if f, off, ok = strField(s, off); !ok || f != e.CampaignID {
+	if f, off, ok = n.field(s, off); !ok || f != e.CampaignID {
 		return false
 	}
 	if tc == 0 {
@@ -129,14 +180,15 @@ func encodedKeyEquals(s string, e *Event) bool {
 	return true
 }
 
-// events appends every stored event to dst, in insertion order. Each
-// chunk is copied once and its events' strings share the copy, so the
-// result does not alias the arena.
-func (a *arena) events(dst []Event) []Event {
+// events appends every stored event to dst, in insertion order, reading
+// references through n. Each chunk is copied once and its events'
+// literal strings share the copy, so the result does not alias the
+// arena; interned strings are n's, which never change.
+func (a *arena) events(dst []Event, n *names) []Event {
 	for _, c := range a.chunks {
 		s := string(c)
 		for off := 0; off < len(s); {
-			e, next, err := decodeEventStr(s, off+arenaLinkBytes)
+			e, next, err := decodeEventStr(s, off+arenaLinkBytes, n)
 			if err != nil {
 				panic("beacon: store arena holds an undecodable record: " + err.Error())
 			}

@@ -183,32 +183,74 @@ func TestArenaFullIsAnError(t *testing.T) {
 	}
 }
 
-// FuzzStoreArena holds the two properties dedup rests on, for arbitrary
-// events — literal type and source codes, the zero time, any bytes in
-// the ids, none of which Validate need admit:
+// TestNamesCap: a shard whose table is full keeps new AdSize, Format
+// and Slot strings in its records as literals — the table stops at the
+// cap however many distinct slots arrive — and reads every event back
+// exactly.
+func TestNamesCap(t *testing.T) {
+	at := time.Unix(1500000000, 0).UTC()
+	s := NewStoreWithShards(1)
+	want := make([]Event, 100_000)
+	for i := range want {
+		want[i] = Event{
+			ImpressionID: fmt.Sprintf("imp-%06d", i), CampaignID: "c", Type: EventServed,
+			At: at.Add(time.Duration(i) * time.Millisecond),
+			// The sizes and formats are interned while slots fill the table,
+			// and referred to after.
+			Meta: Meta{OS: "android", AdSize: []string{"300x250", "320x50"}[i%2], Format: "display",
+				Slot: fmt.Sprintf("slot-%d", i)},
+		}
+	}
+	if err := s.SubmitBatch(want); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.shards[0].names.strs); n != maxInternedNames {
+		t.Fatalf("the shard interned %d names, want the cap %d", n, maxInternedNames)
+	}
+	if got := s.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Events() differs from what was submitted once the table filled")
+	}
+	if err := s.SubmitBatch(want); err != nil || s.Len() != len(want) {
+		t.Fatalf("re-send: %v, %d events stored, want %d", err, s.Len(), len(want))
+	}
+}
+
+// FuzzStoreArena holds the properties dedup and Events rest on, for
+// arbitrary events — literal type and source codes, the zero time, any
+// bytes in the ids, none of which Validate need admit — with their
+// strings interned, or kept as literals because they are long or the
+// shard's table is at its cap:
 //
 //  1. the arena's key confirmation agrees with equality of (campaign,
 //     impression, source, type, seq), whatever the other fields hold;
 //  2. every stored event reads back as DecodeBinaryEvent of its
-//     AppendBinaryEvent encoding.
+//     AppendBinaryEvent encoding, and the store form is no longer than
+//     the bound its room was reserved by;
+//  3. AdSize, Format and Slot are interned exactly when they are short
+//     and the table is below its cap or holds them already.
 func FuzzStoreArena(f *testing.F) {
 	f.Add("camp-1", "imp-1", "qtag", "in-view", 0, int64(1500000000), int64(5), "imp-2", 1, uint8(0))
 	f.Add("a|b", "c", "", "served", 0, int64(0), int64(0), "a", 0, uint8(1))
 	f.Add("a", "b|c", "commercial", "loaded", -3, int64(-1), int64(999999999), "b", -3, uint8(2|32))
-	f.Add("c", "i", "custom-src", "custom-type", 7, int64(1<<40), int64(1), "qtag", 7, uint8(4))
-	f.Add("c", "i", "qtag", "out-of-view", 2, int64(1), int64(1), "served", 3, uint8(8|16))
+	f.Add("c", "i", "custom-src", "custom-type", 7, int64(1<<40), int64(1), "qtag", 7, uint8(4|64))
+	f.Add("c", "i", "qtag", "out-of-view", 2, int64(1), int64(1), "served", 3, uint8(8|16|128))
 	f.Add("", "", "", "", 0, int64(0), int64(0), "", 0, uint8(31))
+	f.Add("c", "i", "qtag", "loaded", 0, int64(1), int64(1), "c", 0, uint8(64|128))
 	f.Fuzz(func(t *testing.T, camp, imp, src, typ string, seq int, sec, nsec int64, alt string, altSeq int, mut uint8) {
 		a := Event{
 			CampaignID: camp, ImpressionID: imp, Source: Source(src), Type: EventType(typ), Seq: seq,
 			At:    time.Unix(sec, nsec%1_000_000_000),
-			Trace: alt, Meta: Meta{OS: camp, Slot: imp, Format: typ},
+			Trace: alt, Meta: Meta{OS: camp, Slot: imp, Format: typ, AdSize: alt},
 		}
 		if mut&32 != 0 {
 			a.At = time.Time{}
 		}
 		b := Event{CampaignID: camp, ImpressionID: imp, Source: Source(src), Type: EventType(typ), Seq: seq,
-			At: time.Unix(nsec, 0), Meta: Meta{Country: alt}}
+			At: time.Unix(nsec, 0), Meta: Meta{Country: alt, Slot: alt, AdSize: typ}}
+		if mut&128 != 0 { // past the length names are interned up to
+			a.Meta.Slot = strings.Repeat(imp+"#", maxInternedLen)
+			b.Meta.Format = strings.Repeat(alt+"#", maxInternedLen)
+		}
 		if mut&1 != 0 {
 			b.CampaignID = alt
 		}
@@ -227,32 +269,63 @@ func FuzzStoreArena(f *testing.F) {
 		same := a.CampaignID == b.CampaignID && a.ImpressionID == b.ImpressionID &&
 			a.Source == b.Source && a.Type == b.Type && a.Seq == b.Seq
 
+		full := mut&64 != 0
+		n := names{ids: map[string]uint32{}}
+		if full { // ids 1…cap are taken, by strings no event holds
+			n.strs = make([]string, maxInternedNames)
+		}
 		var ar arena
-		ha, err := ar.append(noRecord, a)
+		var ids [2]eventNames
+		for i, e := range []*Event{&a, &b} {
+			// What a full table still refers to: what it held before the
+			// event, and the event's own counter-key strings.
+			known := map[string]bool{e.CampaignID: true, string(e.Source): true, e.Meta.OS: true,
+				e.Meta.SiteType: true, e.Meta.Exchange: true, e.Meta.Country: true}
+			for _, s := range []string{e.Meta.AdSize, e.Meta.Format, e.Meta.Slot} {
+				if _, ok := n.ids[s]; ok {
+					known[s] = true
+				}
+			}
+			ids[i] = n.intern(e)
+			for _, f := range []struct {
+				id uint32
+				s  string
+			}{{ids[i].adSize, e.Meta.AdSize}, {ids[i].format, e.Meta.Format}, {ids[i].slot, e.Meta.Slot}} {
+				interned := f.s != "" && len(f.s) <= maxInternedLen && (!full || known[f.s])
+				if (f.id != 0) != interned || f.id != 0 && n.str(f.id) != f.s {
+					t.Fatalf("event %d: %q numbered %d (table full: %v)", i, f.s, f.id, full)
+				}
+			}
+		}
+		ha, err := ar.append(noRecord, &a, &ids[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		hb, err := ar.append(ha, b)
+		hb, err := ar.append(ha, &b, &ids[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ar.holds(ha, &a) || !ar.holds(hb, &b) {
+		if !ar.holds(ha, &a, &n) || !ar.holds(hb, &b, &n) {
 			t.Fatalf("a record does not hold its own event's key:\n a %+v\n b %+v", a, b)
 		}
-		if ar.holds(ha, &b) != same || ar.holds(hb, &a) != same {
-			t.Fatalf("key confirmation says %v, the fields say %v:\n a %+v\n b %+v", ar.holds(ha, &b), same, a, b)
+		if ar.holds(ha, &b, &n) != same || ar.holds(hb, &a, &n) != same {
+			t.Fatalf("key confirmation says %v, the fields say %v:\n a %+v\n b %+v", ar.holds(ha, &b, &n), same, a, b)
 		}
 		if ar.next(hb) != ha || ar.next(ha) != noRecord {
 			t.Fatalf("chain links: b→%#x a→%#x", ar.next(hb), ar.next(ha))
 		}
-		got := ar.events(nil)
+		got := ar.events(nil, &n)
 		if len(got) != 2 || ar.records != 2 {
 			t.Fatalf("%d events read back, %d counted, want 2", len(got), ar.records)
 		}
 		for i, e := range []Event{a, b} {
 			enc := AppendBinaryEvent(nil, e)
-			if bound := maxBinaryEventLen(&e); len(enc) > bound {
+			bound := maxBinaryEventLen(&e)
+			if len(enc) > bound {
 				t.Fatalf("event %d encodes to %d bytes, over its bound %d", i, len(enc), bound)
+			}
+			if rec := appendRecord(nil, &e, &ids[i]); len(rec) > bound {
+				t.Fatalf("event %d's record is %d bytes, over its bound %d", i, len(rec), bound)
 			}
 			want, err := DecodeBinaryEvent(enc)
 			if err != nil {

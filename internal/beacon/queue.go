@@ -98,10 +98,19 @@ type QueueSink struct {
 	batchNext BatchSink // non-nil when next supports batching
 	opts      QueueOptions
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	buf    []Event
-	closed bool
+	mu   sync.Mutex
+	cond *sync.Cond
+	// The backlog is the size events of the ring from head on, wrapping,
+	// oldest first. The drain zeroes each slot it consumes, so a flushed
+	// event's strings — and the request body they may alias — are not
+	// kept, and no event moves once queued: the ring only grows, doubling
+	// up to Capacity, when it is full.
+	ring       []Event
+	head, size int
+	closed     bool
+	// flush is the drain goroutine's batch, reused for every flush and
+	// zeroed after each.
+	flush []Event
 
 	stop     chan struct{} // force-stop: abandon the buffer
 	stopOnce sync.Once
@@ -160,13 +169,13 @@ func (q *QueueSink) Submit(e Event) error {
 		q.droppedShutdown.Add(1)
 		return ErrQueueClosed
 	}
-	if len(q.buf) >= q.opts.Capacity {
+	if q.size >= q.opts.Capacity {
 		q.mu.Unlock()
 		q.dropped.Add(1)
 		q.droppedOverflow.Add(1)
 		return ErrQueueFull
 	}
-	q.buf = append(q.buf, e)
+	q.push(e)
 	q.enqueued.Add(1)
 	q.cond.Signal()
 	q.mu.Unlock()
@@ -193,8 +202,8 @@ func (q *QueueSink) Close(ctx context.Context) error {
 		q.stopOnce.Do(func() { close(q.stop) })
 		<-q.done
 		q.mu.Lock()
-		abandoned := len(q.buf)
-		q.buf = nil
+		abandoned := q.size
+		q.ring, q.head, q.size = nil, 0, 0
 		q.mu.Unlock()
 		q.dropped.Add(int64(abandoned))
 		q.droppedShutdown.Add(int64(abandoned))
@@ -207,10 +216,10 @@ func (q *QueueSink) drain() {
 	defer close(q.done)
 	for {
 		q.mu.Lock()
-		for len(q.buf) == 0 && !q.closed {
+		for q.size == 0 && !q.closed {
 			q.cond.Wait()
 		}
-		if len(q.buf) == 0 && q.closed {
+		if q.size == 0 && q.closed {
 			q.mu.Unlock()
 			return
 		}
@@ -218,12 +227,10 @@ func (q *QueueSink) drain() {
 			q.mu.Unlock()
 			return
 		}
-		n := len(q.buf)
-		if n > q.opts.MaxBatch {
-			n = q.opts.MaxBatch
-		}
-		batch := make([]Event, n)
-		copy(batch, q.buf)
+		n := min(q.size, q.opts.MaxBatch)
+		a, b := q.oldest(n)
+		batch := append(append(q.flush[:0], a...), b...)
+		q.flush = batch
 		q.mu.Unlock()
 
 		start := q.now()
@@ -233,10 +240,10 @@ func (q *QueueSink) drain() {
 
 		q.mu.Lock()
 		if err == nil || IsPermanent(err) {
-			// The front n elements are exactly the batch: Submit only
+			// The n oldest events are exactly the batch: Submit only
 			// appends at the tail and overflow drops the incoming event,
 			// never queued ones.
-			q.buf = append(q.buf[:0], q.buf[n:]...)
+			q.consume(n)
 			if err == nil {
 				q.flushed.Add(int64(n - rejected))
 				q.failed.Add(int64(rejected))
@@ -255,15 +262,50 @@ func (q *QueueSink) drain() {
 					tr.Record(e.ImpressionID, e.CampaignID, stage, e.At, string(e.Type))
 				}
 			}
+			clear(batch)
 			continue
 		}
 		q.mu.Unlock()
+		clear(batch)
 		// Retryable failure: leave the batch at the front and back off.
 		q.retried.Add(1)
 		if !q.pause(q.opts.RetryDelay) {
 			return
 		}
 	}
+}
+
+// The ring's operations; the caller holds q.mu.
+
+// push appends e to the backlog, growing a full ring.
+func (q *QueueSink) push(e Event) {
+	if q.size == len(q.ring) {
+		a, b := q.oldest(q.size)
+		ring := make([]Event, min(max(2*len(q.ring), 64), q.opts.Capacity))
+		copy(ring, a)
+		copy(ring[len(a):], b)
+		q.ring, q.head = ring, 0
+	}
+	q.ring[(q.head+q.size)%len(q.ring)] = e
+	q.size++
+}
+
+// oldest returns the n oldest events of the backlog, as at most two runs
+// of the ring.
+func (q *QueueSink) oldest(n int) (a, b []Event) {
+	if end := q.head + n; end > len(q.ring) {
+		return q.ring[q.head:], q.ring[:end-len(q.ring)]
+	}
+	return q.ring[q.head : q.head+n], nil
+}
+
+// consume zeroes and drops the n oldest events of the backlog.
+func (q *QueueSink) consume(n int) {
+	a, b := q.oldest(n)
+	clear(a)
+	clear(b)
+	q.head = (q.head + n) % len(q.ring)
+	q.size -= n
 }
 
 // deliver pushes one batch downstream, preferring the batch interface.
@@ -317,7 +359,7 @@ func (q *QueueSink) stopped() bool {
 func (q *QueueSink) Depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.buf)
+	return q.size
 }
 
 // QueueStats is a point-in-time snapshot of a QueueSink's delivery-health

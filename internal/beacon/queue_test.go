@@ -3,7 +3,11 @@ package beacon
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
+	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -146,6 +150,141 @@ func TestQueueSinkSubmitAfterClose(t *testing.T) {
 	if err := q.Submit(ev("i1", "c1", SourceQTag, EventLoaded)); !errors.Is(err, ErrQueueClosed) {
 		t.Errorf("submit after close = %v, want ErrQueueClosed", err)
 	}
+}
+
+// gatedSink holds its first delivery until open is closed, then takes
+// every batch at no cost and keeps nothing.
+type gatedSink struct {
+	open      chan struct{}
+	delivered atomic.Int64
+}
+
+func (g *gatedSink) SubmitBatch(events []Event) error {
+	<-g.open
+	g.delivered.Add(int64(len(events)))
+	return nil
+}
+
+func (g *gatedSink) Submit(e Event) error { return g.SubmitBatch([]Event{e}) }
+
+// drainNsPerEvent queues n events behind a held delivery, then times the
+// drain of all of them into a sink that costs nothing.
+func drainNsPerEvent(t *testing.T, n int) float64 {
+	g := &gatedSink{open: make(chan struct{})}
+	q := NewQueueSink(g, QueueOptions{Capacity: n})
+	e := ev("i", "c1", SourceQTag, EventLoaded)
+	for i := 0; i < n; i++ {
+		if err := q.Submit(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	close(g.open)
+	drainAndClose(t, q)
+	elapsed := time.Since(start)
+	if got := g.delivered.Load(); got != int64(n) {
+		t.Fatalf("delivered %d of %d", got, n)
+	}
+	return float64(elapsed.Nanoseconds()) / float64(n)
+}
+
+// TestQueueSinkDrainLinear: draining a backlog costs the same per event
+// whatever its size. Each flush used to shift the rest of the buffer
+// down, so a 65 536-event backlog cost over ten times per event what a
+// 4 096-event one did.
+func TestQueueSinkDrainLinear(t *testing.T) {
+	best := func(n int) float64 {
+		b := drainNsPerEvent(t, n)
+		for i := 0; i < 2; i++ {
+			b = min(b, drainNsPerEvent(t, n))
+		}
+		return b
+	}
+	small, large := best(4096), best(65536)
+	t.Logf("drain: %.0f ns/event at 4096, %.0f at 65536", small, large)
+	if large > 2*small {
+		t.Fatalf("draining 65536 events costs %.0f ns/event, over twice the %.0f of 4096", large, small)
+	}
+}
+
+// TestQueueSinkRingModel: under any interleaving of pushes and
+// consumes, across wraps and growth, the backlog is exactly the events
+// not yet consumed, in order, and every other slot of the ring is
+// zeroed.
+func TestQueueSinkRingModel(t *testing.T) {
+	for seed := uint64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 2))
+		q := QueueSink{opts: QueueOptions{Capacity: 500}.withDefaults()}
+		var model []Event
+		next := 0
+		for step := 0; step < 400; step++ {
+			if rng.IntN(2) == 0 || len(model) == 0 {
+				for k := rng.IntN(40); k > 0; k-- {
+					e := ev(itoa(next), "c", SourceQTag, EventLoaded)
+					next++
+					q.push(e)
+					model = append(model, e)
+				}
+			} else {
+				n := 1 + rng.IntN(len(model))
+				q.consume(n)
+				model = model[n:]
+			}
+			a, b := q.oldest(q.size)
+			if got := append(append([]Event{}, a...), b...); len(got) != len(model) || (len(got) > 0 && !reflect.DeepEqual(got, model)) {
+				t.Fatalf("seed %d step %d: backlog %v, want %v", seed, step, got, model)
+			}
+			for i, e := range q.ring {
+				if (i-q.head+len(q.ring))%len(q.ring) >= q.size && e != (Event{}) {
+					t.Fatalf("seed %d step %d: slot %d outside the backlog (head %d, size %d) holds %v", seed, step, i, q.head, q.size, e)
+				}
+			}
+		}
+	}
+}
+
+// TestQueueSinkKeepsNothingFlushed: once an event is flushed, the queue
+// no longer holds it — nor the request body its strings alias — in the
+// backlog's vacated slots or in the batch it was delivered in.
+func TestQueueSinkKeepsNothingFlushed(t *testing.T) {
+	type body struct{ b [4096]byte }
+	g := &gatedSink{open: make(chan struct{})}
+	close(g.open)
+	q := NewQueueSink(g, QueueOptions{})
+	defer drainAndClose(t, q)
+
+	collected := make(chan struct{})
+	func() {
+		p := new(body)
+		copy(p.b[:], "imp-1camp-1")
+		runtime.SetFinalizer(p, func(*body) { close(collected) })
+		for i := 0; i < 3; i++ {
+			e := ev(aliasString(p.b[:5]), aliasString(p.b[5:11]), SourceQTag, EventLoaded)
+			e.Seq = i
+			if err := q.Submit(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if q.Stats().Flushed == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("not flushed: %+v", q.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(q)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the body of a flushed event is still reachable from the queue")
 }
 
 // itoa avoids importing strconv in several tests.

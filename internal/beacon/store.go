@@ -32,12 +32,25 @@ type counterKey struct {
 	typ                                               byte
 }
 
-// names interns the strings of one shard's counter keys. The shard lock
-// guards it.
+// names interns one shard's strings: those of its counter keys and the
+// ones its records refer to instead of repeating them (see arena). The
+// shard lock guards it.
 type names struct {
 	ids  map[string]uint32
 	strs []string // strs[id-1]; id 0 is ""
 }
+
+// A record's AdSize, Format and Slot are interned only while they are
+// at most maxInternedLen bytes and the shard holds fewer than
+// maxInternedNames names; past either they are kept in the record as
+// literals. Those three fields are the ones a tag may fill with
+// anything, and this keeps a table that every record can point into
+// from growing with them. The counter-key strings are interned
+// whatever their number or length, as the counters need them.
+const (
+	maxInternedNames = 1 << 16
+	maxInternedLen   = 64
+)
 
 // id returns s's number, cloning s the first time it is seen: s usually
 // aliases a request body, and the table outlives the request.
@@ -48,6 +61,26 @@ func (n *names) id(s string) uint32 {
 	if id, ok := n.ids[s]; ok {
 		return id
 	}
+	return n.add(s)
+}
+
+// optional returns s's number when s is short and either interned
+// already or still has room in the table, and 0 otherwise: a non-empty
+// string under 0 is kept as a literal.
+func (n *names) optional(s string) uint32 {
+	if s == "" || len(s) > maxInternedLen {
+		return 0
+	}
+	if id, ok := n.ids[s]; ok {
+		return id
+	}
+	if len(n.strs) >= maxInternedNames {
+		return 0
+	}
+	return n.add(s)
+}
+
+func (n *names) add(s string) uint32 {
 	s = strings.Clone(s)
 	n.strs = append(n.strs, s)
 	id := uint32(len(n.strs))
@@ -60,6 +93,56 @@ func (n *names) str(id uint32) string {
 		return ""
 	}
 	return n.strs[id-1]
+}
+
+// eventNames are a first-seen event's strings as numbers in its shard's
+// names, taken once for both its counter key and its record: the six of
+// the key, always, and AdSize, Format and Slot by names.optional.
+type eventNames struct {
+	counterKey
+	adSize, format, slot uint32
+}
+
+// intern numbers e's strings, adding those the shard has not seen.
+func (n *names) intern(e *Event) eventNames {
+	return eventNames{
+		counterKey: counterKey{
+			campaign: n.id(e.CampaignID),
+			source:   n.id(string(e.Source)),
+			typ:      typeCode(e.Type),
+			os:       n.id(e.Meta.OS),
+			siteType: n.id(e.Meta.SiteType),
+			exchange: n.id(e.Meta.Exchange),
+			country:  n.id(e.Meta.Country),
+		},
+		adSize: n.optional(e.Meta.AdSize),
+		format: n.optional(e.Meta.Format),
+		slot:   n.optional(e.Meta.Slot),
+	}
+}
+
+// field reads one string of an event encoding at off: a length-prefixed
+// string when n is nil — the wire form — and otherwise a reference into
+// n, the store form (see arena). The result aliases s or is n's own.
+func (n *names) field(s string, off int) (string, int, bool) {
+	v, off, ok := uvarintStr(s, off)
+	if !ok {
+		return "", 0, false
+	}
+	if n != nil {
+		if v&1 == 0 {
+			if v>>1 > uint64(len(n.strs)) {
+				return "", 0, false
+			}
+			return n.str(uint32(v >> 1)), off, true
+		}
+		v >>= 1 // a literal's length
+	}
+	if v > uint64(len(s)-off) {
+		return "", 0, false
+	}
+	end := off + int(v)
+	return s[off:end], end, true
 }
 
 // export turns a shard's key back into the public one.
@@ -229,9 +312,10 @@ func (s *Store) Submit(e Event) error {
 
 // applyLocked stores one validated event in its shard, whose lock the
 // caller holds, and fires the first-seen or the duplicate observers.
-// Nothing it keeps aliases e's strings: the record is a copy, and the
-// strings of a counter key are cloned when — and only when — the shard
-// first sees them.
+// Nothing it keeps aliases e's strings: the record is a copy, and an
+// interned string is cloned when — and only when — the shard first sees
+// it. A full shard may still have interned a refused event's strings;
+// they are unreachable from any record or counter.
 func (s *Store) applyLocked(sh *storeShard, e Event) error {
 	// The hash input is the display key built in a stack buffer. Its
 	// '|' ambiguity is harmless here: the hash picks a chain, and every
@@ -243,32 +327,24 @@ func (s *Store) applyLocked(sh *storeShard, e Event) error {
 		head = noRecord
 	}
 	for at := head; at != noRecord; at = sh.arena.next(at) {
-		if sh.arena.holds(at, &e) {
+		if sh.arena.holds(at, &e, &sh.names) {
 			for _, fn := range s.dupObservers {
 				fn(e)
 			}
 			return nil
 		}
 	}
-	at, err := sh.arena.append(head, e)
+	ids := sh.names.intern(&e)
+	at, err := sh.arena.append(head, &e, &ids)
 	if err != nil {
 		return err
 	}
 	sh.index[h] = at
 	keys := len(sh.counters)
-	campaign := sh.names.id(e.CampaignID)
-	sh.counters[counterKey{
-		campaign: campaign,
-		source:   sh.names.id(string(e.Source)),
-		typ:      typeCode(e.Type),
-		os:       sh.names.id(e.Meta.OS),
-		siteType: sh.names.id(e.Meta.SiteType),
-		exchange: sh.names.id(e.Meta.Exchange),
-		country:  sh.names.id(e.Meta.Country),
-	}]++
+	sh.counters[ids.counterKey]++
 	if len(sh.counters) != keys {
 		s.campMu.Lock()
-		s.campaigns[sh.names.str(campaign)] = struct{}{}
+		s.campaigns[sh.names.str(ids.campaign)] = struct{}{}
 		s.campMu.Unlock()
 	}
 	for _, fn := range s.observers {
@@ -399,7 +475,7 @@ func (s *Store) Events() []Event {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		out = sh.arena.events(out)
+		out = sh.arena.events(out, &sh.names)
 		sh.mu.RUnlock()
 	}
 	sort.Slice(out, func(i, j int) bool {

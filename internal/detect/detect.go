@@ -244,9 +244,11 @@ type row struct {
 	dups        int64 // duplicate submissions absorbed by the store
 	impressions int64 // distinct impressions this source reported on
 
-	// Rate: fixed ring of event-time bucket counters plus the observed
-	// bucket index extent. minB/maxB are valid once events > 0.
+	// Rate: fixed ring of event-time bucket counters, the largest of
+	// them (peak — they only grow, so it is kept as they do), and the
+	// observed bucket index extent. minB/maxB are valid once events > 0.
 	slots      []int64
+	peak       int64
 	minB, maxB int64
 
 	// Dwell histogram mass.
@@ -263,6 +265,8 @@ type row struct {
 	sized     int64 // events carrying an ad size
 	pixel     int64 // of those, 1×1 / 0×0
 	slotViews map[string]int64
+	slotTop   int64 // the largest slotViews count, kept as they grow
+	slotTotal int64 // Σ slotViews
 	slotOther int64 // in-views on placements beyond the MaxSlots cap
 
 	// newer and older link the row into its shard's recency list, which
@@ -516,6 +520,7 @@ func (r *row) observeRate(b int64, first bool) {
 		idx += n
 	}
 	r.slots[idx]++
+	r.peak = max(r.peak, r.slots[idx])
 	if first {
 		r.minB, r.maxB = b, b
 		return
@@ -561,7 +566,10 @@ func (r *row) addSlotView(slot string, maxSlots int) {
 		}
 		slot = strings.Clone(slot) // the map keeps it; the event's copy goes with its request
 	}
-	r.slotViews[slot]++
+	n := r.slotViews[slot] + 1
+	r.slotViews[slot] = n
+	r.slotTop = max(r.slotTop, n)
+	r.slotTotal++
 }
 
 // Sweep drops the working state of every impression idle for at least

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"math/rand/v2"
 	"strconv"
 	"testing"
 	"time"
@@ -104,6 +105,54 @@ func TestMaxRowsEvictionVisitsBounded(t *testing.T) {
 		t.Fatalf("rows = %d, want the cap %d held exactly", d.Rows(), maxRows)
 	}
 	checkRecencyList(t, d)
+}
+
+// TestRunningScoreTerms: the peak bucket and the top and total placement
+// counts the rate and geometry scores read are kept as events arrive;
+// after random streams — rows evicted by the MaxRows cap and created
+// again, placements past MaxSlots, buckets wrapping the ring — they equal
+// a recomputation over the row's slots and slotViews.
+func TestRunningScoreTerms(t *testing.T) {
+	types := []beacon.EventType{beacon.EventServed, beacon.EventLoaded, beacon.EventInView, beacon.EventOutOfView}
+	for seed := uint64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 1))
+		d := New(Options{Shards: 2, MaxRows: 4, MaxSlots: 3, RateSlots: 8, TTL: -1})
+		for i := 0; i < 2000; i++ {
+			e := beacon.Event{
+				ImpressionID: "imp-" + strconv.Itoa(rng.IntN(300)),
+				CampaignID:   "camp-" + strconv.Itoa(rng.IntN(6)),
+				Type:         types[rng.IntN(len(types))],
+				At:           lruT0.Add(time.Duration(rng.IntN(40)-10) * time.Second),
+				Meta:         beacon.Meta{Slot: "slot-" + strconv.Itoa(rng.IntN(5))},
+			}
+			if e.Type != beacon.EventServed {
+				e.Source = []beacon.Source{beacon.SourceQTag, beacon.SourceCommercial}[rng.IntN(2)]
+			}
+			if rng.IntN(10) == 0 {
+				d.ObserveDup(e)
+			} else {
+				d.Observe(e)
+			}
+		}
+		if d.rowEvicted.Load() == 0 {
+			t.Fatalf("seed %d: the MaxRows cap never evicted a row", seed)
+		}
+		for i := range d.camps {
+			for k, r := range d.camps[i].rows {
+				var peak, top, total int64
+				for _, c := range r.slots {
+					peak = max(peak, c)
+				}
+				for _, n := range r.slotViews {
+					top, total = max(top, n), total+n
+				}
+				if r.peak != peak || r.slotTop != top || r.slotTotal != total {
+					t.Fatalf("seed %d, row %v: running peak/top/total %d/%d/%d, recomputed %d/%d/%d",
+						seed, k, r.peak, r.slotTop, r.slotTotal, peak, top, total)
+				}
+			}
+		}
+	}
 }
 
 // TestOpenImpressionsMatchesShards: the counter OpenImpressions returns

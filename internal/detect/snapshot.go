@@ -166,12 +166,6 @@ func rateScore(r *row, o Options) float64 {
 	if r.events == 0 {
 		return 0
 	}
-	var peak int64
-	for _, c := range r.slots {
-		if c > peak {
-			peak = c
-		}
-	}
 	// Once the observed bucket extent exceeds the ring, aliasing folds
 	// ~wraps distinct buckets into every slot, so the peak slot holds a
 	// lifetime accumulation, not a 1-bucket count. Normalize it back to
@@ -185,7 +179,7 @@ func rateScore(r *row, o Options) float64 {
 		wraps = 1
 	}
 	bucketSec := o.RateBucket.Seconds()
-	peakRate := float64(peak) / float64(wraps) / bucketSec
+	peakRate := float64(r.peak) / float64(wraps) / bucketSec
 	absolute := ramp(peakRate, o.RateBaseline, o.RateMax)
 
 	// Mean events per *slot*: the span clamps to the ring for the same
@@ -196,7 +190,7 @@ func rateScore(r *row, o Options) float64 {
 		spanSlots = s
 	}
 	mean := float64(r.events) / spanSlots
-	burst := ramp(float64(peak)/mean, o.BurstTolerance, o.BurstMax)
+	burst := ramp(float64(r.peak)/mean, o.BurstTolerance, o.BurstMax)
 	if burst > absolute {
 		return burst
 	}
@@ -250,16 +244,8 @@ func geometryScore(r *row) float64 {
 		pixel = ramp(float64(r.pixel)/float64(r.sized), pixelRatioMin, pixelRatioMax)
 	}
 	var stack float64
-	var top, total int64
-	for _, n := range r.slotViews {
-		total += n
-		if n > top {
-			top = n
-		}
-	}
-	total += r.slotOther
-	if total >= minStackViews {
-		stack = ramp(float64(top)/float64(total), stackShareMin, stackShareMax)
+	if total := r.slotTotal + r.slotOther; total >= minStackViews {
+		stack = ramp(float64(r.slotTop)/float64(total), stackShareMin, stackShareMax)
 	}
 	if stack > pixel {
 		return stack
