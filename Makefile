@@ -92,11 +92,13 @@ chaos:
 # Forced hash collisions: the observers' open-impression tables
 # (internal/imptable) with every key hashed to one of four values, so
 # that the equivalence, eviction, replay and report suites of the
-# packages that hold such tables run on collision chains throughout and
+# packages that hold such tables — and of the production assembly
+# (internal/collector), whose max-open, TTL and sync/async path tests
+# run both observers joined — run on collision chains throughout and
 # only exact key comparison tells impressions apart.
 collide:
 	QTAG_FORCE_COLLISIONS=1 $(GO) test -count=1 ./internal/imptable/... ./internal/aggregate/... \
-		./internal/detect/... ./internal/report/... ./internal/beacon/...
+		./internal/detect/... ./internal/report/... ./internal/beacon/... ./internal/collector/...
 
 # Cluster chaos: a 3-node in-process cluster (real HTTP servers, real
 # WALs, real hint journals) through the whole-node kill/restart sweep,

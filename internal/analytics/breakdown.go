@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -172,23 +173,38 @@ type Bucket struct {
 	InView float64 // Q-Tag viewability rate in the bucket
 }
 
+// unixNanoRange is the span of instants time.Time.UnixNano represents.
+var unixNanoRange = [2]time.Time{time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)}
+
 // TimeSeries buckets served/measured/in-view events by their timestamps —
-// the monitoring view a DSP watches during a live campaign. Events with a
-// zero timestamp are ignored. Width must be positive.
+// the monitoring view a DSP watches during a live campaign. A bucket
+// starts at a multiple of width since the Unix epoch and holds the
+// instants from there up to the next, before 1970 as after. Events
+// whose instant UnixNano cannot represent — before 1678 or after 2262,
+// the zero timestamp among them — are ignored. Width must be positive.
 func TimeSeries(store *beacon.Store, width time.Duration) []Bucket {
 	if width <= 0 {
 		panic("analytics: TimeSeries needs a positive bucket width")
 	}
-	type counts struct{ served, loaded, inview int }
+	type counts struct {
+		start                  time.Time
+		served, loaded, inview int
+	}
 	acc := map[int64]*counts{}
 	for _, e := range store.Events() {
-		if e.At.IsZero() {
+		if e.At.Before(unixNanoRange[0]) || e.At.After(unixNanoRange[1]) {
 			continue
 		}
-		slot := e.At.UnixNano() / int64(width)
+		ns := e.At.UnixNano()
+		slot, into := ns/int64(width), ns%int64(width)
+		if into < 0 { // floor, not truncation toward zero
+			slot, into = slot-1, into+int64(width)
+		}
 		c := acc[slot]
 		if c == nil {
-			c = &counts{}
+			// From the instant, not from slot × width, which for the
+			// earliest slot is below what an int64 of nanoseconds holds.
+			c = &counts{start: e.At.Add(-time.Duration(into)).UTC()}
 			acc[slot] = c
 		}
 		switch {
@@ -208,7 +224,7 @@ func TimeSeries(store *beacon.Store, width time.Duration) []Bucket {
 	out := make([]Bucket, 0, len(slots))
 	for _, s := range slots {
 		c := acc[s]
-		b := Bucket{Start: time.Unix(0, s*int64(width)).UTC(), Served: c.served}
+		b := Bucket{Start: c.start, Served: c.served}
 		if c.served > 0 {
 			b.QTag = float64(c.loaded) / float64(c.served)
 		}

@@ -1,6 +1,8 @@
 package analytics
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -122,6 +124,40 @@ func TestTimeSeriesIgnoresZeroTimestamps(t *testing.T) {
 	store.Submit(beacon.Event{ImpressionID: "a", CampaignID: "c", Type: beacon.EventServed})
 	if got := TimeSeries(store, time.Hour); len(got) != 0 {
 		t.Errorf("zero-timestamp events must be ignored: %v", got)
+	}
+}
+
+// TestTimeSeriesBeforeTheEpoch: a bucket is the width-long interval that
+// holds the instant, so half a minute before 1970 falls in the minute
+// that starts at 23:59 — not in the one at 00:00, where dividing toward
+// zero put it. Instants UnixNano cannot represent are left out, as zero
+// timestamps are.
+func TestTimeSeriesBeforeTheEpoch(t *testing.T) {
+	store := beacon.NewStore()
+	epoch := time.Unix(0, 0).UTC()
+	for i, at := range []time.Time{
+		epoch.Add(-30 * time.Second),
+		epoch.Add(-90 * time.Second),
+		epoch.Add(30 * time.Second),
+		time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC),
+	} {
+		if err := store.Submit(beacon.Event{ImpressionID: fmt.Sprint("imp-", i), CampaignID: "c",
+			Type: beacon.EventServed, At: at}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := TimeSeries(store, time.Minute)
+	var starts []time.Time
+	for _, b := range got {
+		if b.Served != 1 {
+			t.Errorf("bucket %v counts %d served, want 1", b.Start, b.Served)
+		}
+		starts = append(starts, b.Start)
+	}
+	want := []time.Time{epoch.Add(-2 * time.Minute), epoch.Add(-time.Minute), epoch}
+	if !reflect.DeepEqual(starts, want) {
+		t.Fatalf("bucket starts %v, want %v", starts, want)
 	}
 }
 

@@ -1,6 +1,10 @@
 package beacon
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math"
+	"time"
+)
 
 // This file is the store's record arena (DESIGN.md §10, "Store layout"):
 // every first-seen event of a shard is held once, in append-only []byte
@@ -10,25 +14,44 @@ import "encoding/binary"
 //
 // A record is
 //
-//	uint32 LE  handle of the previous record with the same index hash,
-//	           or noRecord
-//	bytes      the event in store form (self-delimiting)
+//	uint32 LE  handle of the previous record on the same chain, or
+//	           noRecord
+//	bytes      the event, as an anchor or as a follow-on (self-delimiting)
 //
-// The store form is the binary codec's (AppendBinaryEvent) with the
-// campaign id and the seven Meta strings as references into the shard's
-// names instead of length-prefixed strings. A reference is a uvarint:
-// id<<1 for an interned string, or len<<1|1 followed by the bytes of a
-// literal. A shard holds a few hundred distinct campaign and Meta strings
-// across millions of events, so a record refers to each in a byte or two
-// instead of repeating it.
+// An anchor is the event in store form: the binary codec's
+// (AppendBinaryEvent) with the campaign id and the seven Meta strings as
+// references into the shard's names instead of length-prefixed strings.
+// A reference is a uvarint: id<<1 for an interned string, or len<<1|1
+// followed by the bytes of a literal. A shard holds a few hundred
+// distinct campaign and Meta strings across millions of events, so a
+// record refers to each in a byte or two instead of repeating it.
+//
+// A follow-on is a later event of an anchor's impression, stored as what
+// it does not share with the anchor:
+//
+//	byte       followOnTag
+//	uint32 LE  the anchor's handle
+//	byte       type code, source code (as the codec's)
+//	varint     Seq
+//	varint     At − the anchor's At, in nanoseconds
+//	[str       Type literal, only when the type code is 0]
+//	[str       Source literal, only when the source code is srcLiteral]
+//	str        Trace
+//
+// Its campaign, impression id and Meta are the anchor's. An event is
+// written as a follow-on only when they are equal and the delta gives
+// back its At exactly (anchorFor); otherwise it is an anchor of its own.
+// A bench-shaped impression sends about three beacons, and its later
+// ones cost about 19 bytes each instead of 44.
 //
 // A handle is chunk<<arenaChunkBits | offset: records start inside the
 // first arenaChunkSize bytes of their chunk, so a record too large for a
 // regular chunk gets a chunk of its own and is still addressable. Room
-// is reserved by maxBinaryEventLen — which bounds the store form too,
-// since a reference is never longer than a length-prefixed string —
-// before a record is encoded, so the encoder never outgrows a chunk and
-// nothing is encoded twice.
+// is reserved by maxBinaryEventLen — which bounds both forms, since a
+// reference is never longer than a length-prefixed string and a
+// follow-on is an anchor's header with fewer fields — before a record is
+// encoded, so the encoder never outgrows a chunk and nothing is encoded
+// twice.
 const (
 	arenaChunkBits = 16
 	arenaChunkSize = 1 << arenaChunkBits
@@ -42,6 +65,10 @@ const (
 	// noRecord ends a chain. No record can start at the last byte of the
 	// last chunk, so it is never a handle.
 	noRecord = ^uint32(0)
+
+	// followOnTag starts a follow-on; an anchor starts with the codec's
+	// binaryEventVersion.
+	followOnTag = 0x02
 )
 
 // arena is one shard's record memory. The shard lock guards it.
@@ -52,10 +79,12 @@ type arena struct {
 }
 
 // append stores e, whose strings ids numbers in the shard's names,
-// linked to prev and returns the record's handle. It fails, storing
-// nothing, only when the shard already holds every chunk a handle can
-// address.
-func (a *arena) append(prev uint32, e *Event, ids *eventNames) (uint32, error) {
+// linked to prev, and returns the record's handle: as a follow-on of the
+// anchor of the record at near when anchorFor allows it, as an anchor
+// otherwise. It fails, storing nothing, only when the shard already
+// holds every chunk a handle can address.
+func (a *arena) append(prev, near uint32, e *Event, ids *eventNames) (uint32, error) {
+	anchor, delta := a.anchorFor(near, e, ids)
 	need := arenaLinkBytes + maxBinaryEventLen(e)
 	n := len(a.chunks)
 	// A record starts only where a handle can point, which also keeps
@@ -72,7 +101,12 @@ func (a *arena) append(prev uint32, e *Event, ids *eventNames) (uint32, error) {
 	c := a.chunks[n-1]
 	at := len(c)
 	c = binary.LittleEndian.AppendUint32(c, prev)
-	a.chunks[n-1] = appendRecord(c, e, ids)
+	if anchor == noRecord {
+		c = appendRecord(c, e, ids)
+	} else {
+		c = appendFollowOn(c, anchor, delta, e)
+	}
+	a.chunks[n-1] = c
 	a.records++
 	return uint32(n-1)<<arenaChunkBits | uint32(at), nil
 }
@@ -112,6 +146,24 @@ func appendRecord(dst []byte, e *Event, ids *eventNames) []byte {
 	return appendRef(dst, ids.slot, e.Meta.Slot)
 }
 
+// appendFollowOn appends e as a follow-on of the anchor at handle anchor,
+// whose At is e.At less delta nanoseconds.
+func appendFollowOn(dst []byte, anchor uint32, delta int64, e *Event) []byte {
+	tc, sc := typeCode(e.Type), sourceCode(e.Source)
+	dst = append(dst, followOnTag)
+	dst = binary.LittleEndian.AppendUint32(dst, anchor)
+	dst = append(dst, tc, sc)
+	dst = binary.AppendVarint(dst, int64(e.Seq))
+	dst = binary.AppendVarint(dst, delta)
+	if tc == 0 {
+		dst = appendStr(dst, string(e.Type))
+	}
+	if sc == srcLiteral {
+		dst = appendStr(dst, string(e.Source))
+	}
+	return appendStr(dst, e.Trace)
+}
+
 // appendRef appends s as a reference: to its number id, or, when s is
 // not interned (a non-empty string numbered 0), as a literal.
 func appendRef(dst []byte, id uint32, s string) []byte {
@@ -122,73 +174,224 @@ func appendRef(dst []byte, id uint32, s string) []byte {
 	return binary.AppendUvarint(dst, uint64(id)<<1)
 }
 
+// sameRef reads the reference at off in s and reports whether it refers
+// to str, which the shard numbers id (0 for "" and for a literal). A
+// shard never renumbers a string, and what it numbered for a record it
+// numbers for every later one, so a numbered reference is compared by
+// its number. A literal's bytes are compared with str whatever id is: a
+// string a record kept as a literal — too long for names.optional, or
+// met while the table was full — may have been numbered since, as a
+// counter-key string.
+func sameRef(s string, off int, id uint32, str string) (int, bool) {
+	v, off, ok := uvarintStr(s, off)
+	if !ok {
+		return 0, false
+	}
+	if v&1 == 0 {
+		return off, v == uint64(id)<<1 && (id != 0 || str == "")
+	}
+	if v>>1 != uint64(len(str)) || len(str) > len(s)-off || s[off:off+len(str)] != str {
+		return 0, false
+	}
+	return off + len(str), true
+}
+
 // record returns the chunk bytes from the record at h on: its link, its
-// store form, and whatever was appended after it.
+// event, and whatever was appended after it.
 func (a *arena) record(h uint32) []byte {
 	return a.chunks[h>>arenaChunkBits][h&(arenaChunkSize-1):]
 }
+
+// event returns the event bytes of the record at h, without its link.
+func (a *arena) event(h uint32) []byte { return a.record(h)[arenaLinkBytes:] }
 
 // next returns the handle the record at h links to.
 func (a *arena) next(h uint32) uint32 {
 	return binary.LittleEndian.Uint32(a.record(h))
 }
 
+// anchorOf returns the handle of the anchor the record at h shares its
+// impression with: h's own when it is an anchor.
+func (a *arena) anchorOf(h uint32) uint32 {
+	if r := a.event(h); r[0] == followOnTag {
+		return binary.LittleEndian.Uint32(r[1:])
+	}
+	return h
+}
+
+// anchorHeader is what an anchor holds before its impression id.
+type anchorHeader struct {
+	tc, sc byte
+	at     time.Time
+	seq    int64
+	body   int // offset of the impression id
+}
+
+// readAnchor reads the header of the anchor s starts with.
+func readAnchor(s string) (anchorHeader, bool) {
+	var h anchorHeader
+	if len(s) < 4 {
+		return h, false
+	}
+	flags := s[1]
+	h.tc, h.sc = s[2], s[3]
+	sec, off, ok := varintStr(s, 4)
+	if !ok {
+		return h, false
+	}
+	nsec, off, ok := uvarintStr(s, off)
+	if !ok {
+		return h, false
+	}
+	if h.seq, h.body, ok = varintStr(s, off); !ok {
+		return h, false
+	}
+	if flags&1 == 0 {
+		h.at = time.Unix(sec, int64(nsec))
+	}
+	return h, true
+}
+
+// anchorFor returns the anchor a follow-on of e may refer to and e.At as
+// a delta from the anchor's, or noRecord when e must be an anchor: the
+// candidate is the anchor of the record at near, and it qualifies only
+// when it holds e's impression id, campaign and seven Meta values and
+// the delta gives back e.At exactly (an int64 of nanoseconds spans ±292
+// years). The strings are compared by their references against ids, not
+// resolved; the impression id is the only one compared byte by byte.
+func (a *arena) anchorFor(near uint32, e *Event, ids *eventNames) (uint32, int64) {
+	if near == noRecord {
+		return noRecord, 0
+	}
+	anchor := a.anchorOf(near)
+	s := aliasString(a.event(anchor))
+	h, ok := readAnchor(s)
+	if !ok {
+		return noRecord, 0
+	}
+	imp, off, ok := strField(s, h.body)
+	if !ok || imp != e.ImpressionID {
+		return noRecord, 0
+	}
+	if off, ok = sameRef(s, off, ids.campaign, e.CampaignID); !ok {
+		return noRecord, 0
+	}
+	if h.tc == 0 {
+		if _, off, ok = strField(s, off); !ok {
+			return noRecord, 0
+		}
+	}
+	if h.sc == srcLiteral {
+		if _, off, ok = strField(s, off); !ok {
+			return noRecord, 0
+		}
+	}
+	if _, off, ok = strField(s, off); !ok { // Trace
+		return noRecord, 0
+	}
+	for _, r := range [...]struct {
+		id  uint32
+		str string
+	}{
+		{ids.os, e.Meta.OS}, {ids.siteType, e.Meta.SiteType}, {ids.adSize, e.Meta.AdSize},
+		{ids.format, e.Meta.Format}, {ids.country, e.Meta.Country}, {ids.exchange, e.Meta.Exchange},
+		{ids.slot, e.Meta.Slot},
+	} {
+		if off, ok = sameRef(s, off, r.id, r.str); !ok {
+			return noRecord, 0
+		}
+	}
+	// Sub returns a delta that Add takes back to e.At exactly, or, when
+	// none fits, saturates.
+	d := e.At.Sub(h.at)
+	if d == math.MaxInt64 || d == math.MinInt64 {
+		return noRecord, 0
+	}
+	return anchor, int64(d)
+}
+
 // holds reports whether the record at h, whose references point into n,
 // is an event with e's idempotency key — (campaign, impression, source,
-// type, seq), field by field. This is what makes dedup exact whatever
-// the index hash does: a hash only chooses which records are compared.
-// The type and source codes are canonical — a literal is written only
-// for a value that has no code — so equal codes and equal literals are
-// equal fields.
+// type, seq), field by field: a follow-on's own type, source and seq,
+// and its anchor's campaign and impression. This is what makes dedup
+// exact whatever the index hash does: a hash only chooses which records
+// are compared. The type and source codes are canonical — a literal is
+// written only for a value that has no code — so equal codes and equal
+// literals are equal fields.
 func (a *arena) holds(h uint32, e *Event, n *names) bool {
-	s := aliasString(a.record(h)[arenaLinkBytes:])
-	if len(s) < 4 {
+	s := aliasString(a.event(h))
+	if len(s) > 0 && s[0] == followOnTag {
+		if len(s) < 7 || s[5] != typeCode(e.Type) || s[6] != sourceCode(e.Source) {
+			return false
+		}
+		seq, off, ok := varintStr(s, 7)
+		if !ok || seq != int64(e.Seq) {
+			return false
+		}
+		if _, off, ok = varintStr(s, off); !ok { // At delta
+			return false
+		}
+		if !sameLiterals(s, off, s[5], s[6], e) {
+			return false
+		}
+		s = aliasString(a.event(a.anchorOf(h)))
+		hd, ok := readAnchor(s)
+		if !ok {
+			return false
+		}
+		_, ok = sameImpression(s, hd.body, e, n)
+		return ok
+	}
+	hd, ok := readAnchor(s)
+	if !ok || hd.tc != typeCode(e.Type) || hd.sc != sourceCode(e.Source) || hd.seq != int64(e.Seq) {
 		return false
 	}
-	tc, sc := s[2], s[3]
-	if tc != typeCode(e.Type) || sc != sourceCode(e.Source) {
-		return false
-	}
-	_, off, ok := varintStr(s, 4) // At seconds
-	if !ok {
-		return false
-	}
-	if _, off, ok = uvarintStr(s, off); !ok { // At nanoseconds
-		return false
-	}
-	seq, off, ok := varintStr(s, off)
-	if !ok || seq != int64(e.Seq) {
-		return false
-	}
+	off, ok := sameImpression(s, hd.body, e, n)
+	return ok && sameLiterals(s, off, hd.tc, hd.sc, e)
+}
+
+// sameImpression compares the impression id and campaign reference at
+// off in an anchor with e's, and returns the offset past them.
+func sameImpression(s string, off int, e *Event, n *names) (int, bool) {
 	f, off, ok := strField(s, off)
 	if !ok || f != e.ImpressionID {
-		return false
+		return 0, false
 	}
 	if f, off, ok = n.field(s, off); !ok || f != e.CampaignID {
-		return false
+		return 0, false
 	}
+	return off, true
+}
+
+// sameLiterals compares the type and source literals at off, present as
+// the codes tc and sc say, with e's.
+func sameLiterals(s string, off int, tc, sc byte, e *Event) bool {
 	if tc == 0 {
-		if f, off, ok = strField(s, off); !ok || f != string(e.Type) {
+		f, next, ok := strField(s, off)
+		if !ok || f != string(e.Type) {
 			return false
 		}
+		off = next
 	}
 	if sc == srcLiteral {
-		if f, _, ok = strField(s, off); !ok || f != string(e.Source) {
-			return false
-		}
+		f, _, ok := strField(s, off)
+		return ok && f == string(e.Source)
 	}
 	return true
 }
 
 // events appends every stored event to dst, in insertion order, reading
 // references through n. Each chunk is copied once and its events'
-// literal strings share the copy, so the result does not alias the
-// arena; interned strings are n's, which never change.
+// literal strings share the copy — a follow-on's impression id is its
+// anchor's, in the copy of the anchor's chunk — so the result does not
+// alias the arena; interned strings are n's, which never change.
 func (a *arena) events(dst []Event, n *names) []Event {
-	for _, c := range a.chunks {
+	copies := make([]string, len(a.chunks))
+	for i, c := range a.chunks {
 		s := string(c)
+		copies[i] = s
 		for off := 0; off < len(s); {
-			e, next, err := decodeEventStr(s, off+arenaLinkBytes, n)
+			e, next, err := decodeRecord(copies, s, off+arenaLinkBytes, n)
 			if err != nil {
 				panic("beacon: store arena holds an undecodable record: " + err.Error())
 			}
@@ -197,4 +400,53 @@ func (a *arena) events(dst []Event, n *names) []Event {
 		}
 	}
 	return dst
+}
+
+// decodeRecord decodes the record event at off in s, a chunk copy, and
+// returns the offset past it. copies holds the copies of the chunks up
+// to s's, where a follow-on's anchor is: it was appended first. (The
+// type and source lines repeat decodeEventStr's rather than share them:
+// a call there costs the wire decoder on every event.)
+func decodeRecord(copies []string, s string, off int, n *names) (Event, int, error) {
+	if s[off] != followOnTag {
+		return decodeEventStr(s, off, n)
+	}
+	if len(s)-off < 7 {
+		return Event{}, 0, errBinaryTruncated
+	}
+	h := uint32(s[off+1]) | uint32(s[off+2])<<8 | uint32(s[off+3])<<16 | uint32(s[off+4])<<24
+	e, _, err := decodeEventStr(copies[h>>arenaChunkBits], int(h&(arenaChunkSize-1))+arenaLinkBytes, n)
+	if err != nil {
+		return Event{}, 0, err
+	}
+	tc, sc := s[off+5], s[off+6]
+	seq, off, ok := varintStr(s, off+7)
+	if !ok {
+		return Event{}, 0, errBinaryTruncated
+	}
+	delta, off, ok := varintStr(s, off)
+	if !ok {
+		return Event{}, 0, errBinaryTruncated
+	}
+	e.Seq = int(seq)
+	e.At = e.At.Add(time.Duration(delta)).UTC()
+	var known bool
+	if e.Type, known = typeFromCode(tc); !known {
+		var lit string
+		if lit, off, ok = strField(s, off); tc != 0 || !ok {
+			return Event{}, 0, errBinaryTruncated
+		}
+		e.Type = EventType(lit)
+	}
+	if e.Source, known = sourceFromCode(sc); !known {
+		var lit string
+		if lit, off, ok = strField(s, off); sc != srcLiteral || !ok {
+			return Event{}, 0, errBinaryTruncated
+		}
+		e.Source = Source(lit)
+	}
+	if e.Trace, off, ok = strField(s, off); !ok {
+		return Event{}, 0, errBinaryTruncated
+	}
+	return e, off, nil
 }

@@ -3,6 +3,7 @@ package beacon
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -219,24 +220,37 @@ func TestNamesCap(t *testing.T) {
 // arbitrary events — literal type and source codes, the zero time, any
 // bytes in the ids, none of which Validate need admit — with their
 // strings interned, or kept as literals because they are long or the
-// shard's table is at its cap:
+// shard's table is at its cap. Three events go into one arena on one
+// chain: a, an anchor; b, which may follow on a; and c, a later event
+// of a's impression that may follow on a — or on b's anchor — unless
+// fol gives it another campaign, impression or Meta, an At that no
+// int64 of nanoseconds reaches, or the zero time:
 //
 //  1. the arena's key confirmation agrees with equality of (campaign,
 //     impression, source, type, seq), whatever the other fields hold;
 //  2. every stored event reads back as DecodeBinaryEvent of its
-//     AppendBinaryEvent encoding, and the store form is no longer than
+//     AppendBinaryEvent encoding, and neither record form is longer than
 //     the bound its room was reserved by;
-//  3. AdSize, Format and Slot are interned exactly when they are short
+//  3. a follow-on shares its anchor's impression, campaign and Meta,
+//     and an event that shares them, within 200 years of the anchor's
+//     At, is a follow-on;
+//  4. AdSize, Format and Slot are interned exactly when they are short
 //     and the table is below its cap or holds them already.
 func FuzzStoreArena(f *testing.F) {
-	f.Add("camp-1", "imp-1", "qtag", "in-view", 0, int64(1500000000), int64(5), "imp-2", 1, uint8(0))
-	f.Add("a|b", "c", "", "served", 0, int64(0), int64(0), "a", 0, uint8(1))
-	f.Add("a", "b|c", "commercial", "loaded", -3, int64(-1), int64(999999999), "b", -3, uint8(2|32))
-	f.Add("c", "i", "custom-src", "custom-type", 7, int64(1<<40), int64(1), "qtag", 7, uint8(4|64))
-	f.Add("c", "i", "qtag", "out-of-view", 2, int64(1), int64(1), "served", 3, uint8(8|16|128))
-	f.Add("", "", "", "", 0, int64(0), int64(0), "", 0, uint8(31))
-	f.Add("c", "i", "qtag", "loaded", 0, int64(1), int64(1), "c", 0, uint8(64|128))
-	f.Fuzz(func(t *testing.T, camp, imp, src, typ string, seq int, sec, nsec int64, alt string, altSeq int, mut uint8) {
+	f.Add("camp-1", "imp-1", "qtag", "in-view", 0, int64(1500000000), int64(5), "imp-2", 1, uint8(0), int64(700e6), uint8(0))
+	f.Add("a|b", "c", "", "served", 0, int64(0), int64(0), "a", 0, uint8(1), int64(-1), uint8(1))
+	f.Add("a", "b|c", "commercial", "loaded", -3, int64(-1), int64(999999999), "b", -3, uint8(2|32), int64(0), uint8(8))
+	f.Add("c", "i", "custom-src", "custom-type", 7, int64(1<<40), int64(1), "qtag", 7, uint8(4|64), int64(1), uint8(2|64))
+	f.Add("c", "i", "qtag", "out-of-view", 2, int64(1), int64(1), "served", 3, uint8(8|16|128), int64(math.MaxInt64), uint8(4))
+	f.Add("", "", "", "", 0, int64(0), int64(0), "", 0, uint8(31), int64(0), uint8(32))
+	f.Add("c", "i", "qtag", "loaded", 0, int64(1), int64(1), "c", 0, uint8(64|128), int64(math.MinInt64), uint8(16|32))
+	f.Add("c", "i", "qtag", "in-view", 1, int64(5), int64(0), "", 2, uint8(32), int64(0), uint8(8|32))
+	f.Add("", "i", "qtag", "", 0, int64(1546300800), int64(0), "", 0, uint8(4|16), int64(3e9), uint8(32))
+	f.Add("camp-1", "imp-1", "qtag", "in-view", 0, int64(1500000000), int64(5), "imp-2", 1, uint8(0), int64(2e9), uint8(16))
+	// a's AdSize is a literal (the table is full) that b's Country, a
+	// counter-key string, then numbers: c still follows on a.
+	f.Add("0", "0", "0", "0", -3, int64(-1), int64(1000000021), "1", -3, uint8(16|32|64), int64(-2), uint8(8))
+	f.Fuzz(func(t *testing.T, camp, imp, src, typ string, seq int, sec, nsec int64, alt string, altSeq int, mut uint8, delta int64, fol uint8) {
 		a := Event{
 			CampaignID: camp, ImpressionID: imp, Source: Source(src), Type: EventType(typ), Seq: seq,
 			At:    time.Unix(sec, nsec%1_000_000_000),
@@ -266,8 +280,27 @@ func FuzzStoreArena(f *testing.F) {
 		if mut&16 != 0 {
 			b.Seq = altSeq
 		}
-		same := a.CampaignID == b.CampaignID && a.ImpressionID == b.ImpressionID &&
-			a.Source == b.Source && a.Type == b.Type && a.Seq == b.Seq
+		c := a
+		c.Seq, c.Trace, c.At = altSeq, camp, a.At.Add(time.Duration(delta))
+		if fol&1 != 0 {
+			c.CampaignID = alt + "!"
+		}
+		if fol&2 != 0 {
+			c.Meta.Exchange = "x" + alt
+		}
+		if fol&4 != 0 { // farther than an int64 of nanoseconds
+			c.At = a.At.AddDate(300, 0, 0)
+		}
+		if fol&8 != 0 {
+			c.At = time.Time{}
+		}
+		if fol&16 != 0 { // a hash collision put another impression at the head
+			c.ImpressionID = imp + "!"
+		}
+		if fol&64 != 0 {
+			c.Type, c.Source = EventType(alt), Source(typ)
+		}
+		events := []Event{a, b, c}
 
 		full := mut&64 != 0
 		n := names{ids: map[string]uint32{}}
@@ -275,8 +308,10 @@ func FuzzStoreArena(f *testing.F) {
 			n.strs = make([]string, maxInternedNames)
 		}
 		var ar arena
-		var ids [2]eventNames
-		for i, e := range []*Event{&a, &b} {
+		var ids [3]eventNames
+		var h [3]uint32
+		for i := range events {
+			e := &events[i]
 			// What a full table still refers to: what it held before the
 			// event, and the event's own counter-key strings.
 			known := map[string]bool{e.CampaignID: true, string(e.Source): true, e.Meta.OS: true,
@@ -296,36 +331,73 @@ func FuzzStoreArena(f *testing.F) {
 					t.Fatalf("event %d: %q numbered %d (table full: %v)", i, f.s, f.id, full)
 				}
 			}
+			prev, near := noRecord, noRecord
+			if i > 0 {
+				prev, near = h[i-1], h[0]
+				if i == 2 && fol&32 != 0 {
+					near = h[1]
+				}
+			}
+			var err error
+			if h[i], err = ar.append(prev, near, e, &ids[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		ha, err := ar.append(noRecord, &a, &ids[0])
-		if err != nil {
-			t.Fatal(err)
+
+		// 3: which form each record took.
+		anchorOf := []int{0, 0, 0}
+		for i := 1; i < 3; i++ {
+			near := 0
+			if i == 2 && fol&32 != 0 {
+				near = anchorOf[1]
+			}
+			e, anc := &events[i], &events[near]
+			shared := e.ImpressionID == anc.ImpressionID && e.CampaignID == anc.CampaignID && e.Meta == anc.Meta
+			const span = 200 * 365 * 24 * time.Hour
+			d := e.At.Sub(anc.At)
+			follows := ar.event(h[i])[0] == followOnTag
+			if follows && (!shared || ar.anchorOf(h[i]) != h[near]) || !follows && shared && d > -span && d < span {
+				t.Fatalf("event %d is a follow-on: %v; shares anchor %d's impression, campaign and Meta: %v (At %v apart)",
+					i, follows, near, shared, d)
+			}
+			if follows {
+				anchorOf[i] = near
+			} else {
+				anchorOf[i] = i
+			}
 		}
-		hb, err := ar.append(ha, &b, &ids[1])
-		if err != nil {
-			t.Fatal(err)
+
+		// 1.
+		for i := range events {
+			for j := range events {
+				x, y := &events[i], &events[j]
+				same := x.CampaignID == y.CampaignID && x.ImpressionID == y.ImpressionID &&
+					x.Source == y.Source && x.Type == y.Type && x.Seq == y.Seq
+				if ar.holds(h[i], y, &n) != same {
+					t.Fatalf("record %d holds event %d's key: %v; the fields say %v:\n %+v\n %+v", i, j, !same, same, *x, *y)
+				}
+			}
 		}
-		if !ar.holds(ha, &a, &n) || !ar.holds(hb, &b, &n) {
-			t.Fatalf("a record does not hold its own event's key:\n a %+v\n b %+v", a, b)
+		if ar.next(h[2]) != h[1] || ar.next(h[1]) != h[0] || ar.next(h[0]) != noRecord {
+			t.Fatalf("chain links: c→%#x b→%#x a→%#x", ar.next(h[2]), ar.next(h[1]), ar.next(h[0]))
 		}
-		if ar.holds(ha, &b, &n) != same || ar.holds(hb, &a, &n) != same {
-			t.Fatalf("key confirmation says %v, the fields say %v:\n a %+v\n b %+v", ar.holds(ha, &b, &n), same, a, b)
-		}
-		if ar.next(hb) != ha || ar.next(ha) != noRecord {
-			t.Fatalf("chain links: b→%#x a→%#x", ar.next(hb), ar.next(ha))
-		}
+
+		// 2.
 		got := ar.events(nil, &n)
-		if len(got) != 2 || ar.records != 2 {
-			t.Fatalf("%d events read back, %d counted, want 2", len(got), ar.records)
+		if len(got) != 3 || ar.records != 3 {
+			t.Fatalf("%d events read back, %d counted, want 3", len(got), ar.records)
 		}
-		for i, e := range []Event{a, b} {
+		for i, e := range events {
 			enc := AppendBinaryEvent(nil, e)
 			bound := maxBinaryEventLen(&e)
 			if len(enc) > bound {
 				t.Fatalf("event %d encodes to %d bytes, over its bound %d", i, len(enc), bound)
 			}
 			if rec := appendRecord(nil, &e, &ids[i]); len(rec) > bound {
-				t.Fatalf("event %d's record is %d bytes, over its bound %d", i, len(rec), bound)
+				t.Fatalf("event %d's anchor is %d bytes, over its bound %d", i, len(rec), bound)
+			}
+			if rec := appendFollowOn(nil, noRecord, math.MinInt64, &e); len(rec) > bound {
+				t.Fatalf("event %d's follow-on is %d bytes, over its bound %d", i, len(rec), bound)
 			}
 			want, err := DecodeBinaryEvent(enc)
 			if err != nil {
@@ -336,4 +408,43 @@ func FuzzStoreArena(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestLongImpressionLinear: one impression carrying 100 000 distinct Seq
+// values costs no more per event than one carrying 1 000, first seen or
+// re-sent. An impression chain takes 16 records and the rest go on the
+// chains of their own keys; with every record on the impression's chain
+// each lookup walked all the earlier ones, quadratic in the impression.
+func TestLongImpressionLinear(t *testing.T) {
+	nsPerEvent := func(n int) float64 {
+		s := NewStoreWithShards(1)
+		e := Event{ImpressionID: "imp-long", CampaignID: "c", Source: SourceQTag, Type: EventInView,
+			At: time.Unix(1500000000, 0).UTC(), Meta: Meta{OS: "android", Slot: "slot-1"}}
+		start := time.Now()
+		for pass := 0; pass < 2; pass++ {
+			for i := 0; i < n; i++ {
+				e.Seq = i
+				if err := s.Submit(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		elapsed := time.Since(start)
+		if s.Len() != n {
+			t.Fatalf("%d events stored, want %d", s.Len(), n)
+		}
+		return float64(elapsed.Nanoseconds()) / float64(2*n)
+	}
+	best := func(n int) float64 {
+		b := nsPerEvent(n)
+		for i := 0; i < 2; i++ {
+			b = min(b, nsPerEvent(n))
+		}
+		return b
+	}
+	small, large := best(1_000), best(100_000)
+	t.Logf("one impression: %.0f ns/event at 1 000 Seq values, %.0f at 100 000", small, large)
+	if large > 2*small {
+		t.Fatalf("100 000 Seq values cost %.0f ns/event, over twice the %.0f of 1 000", large, small)
+	}
 }

@@ -469,5 +469,15 @@ func getEncBuf() *[]byte  { return encBufPool.Get().(*[]byte) }
 func putEncBuf(b *[]byte) { encBufPool.Put(b) }
 
 // batchDecoderPool recycles the server's per-request batch decoders
-// (the []Event scratch inside them).
+// (the []Event scratch inside them). Return one with putBatchDecoder.
 var batchDecoderPool = sync.Pool{New: func() any { return new(BatchDecoder) }}
+
+// putBatchDecoder clears d's scratch and returns d to batchDecoderPool.
+// The events in it alias the body of the request d last decoded, and a
+// decoder can wait in the pool — through a collection, in its victim
+// cache — long after that request: uncleared, it would keep the body
+// (up to the server's body limit) alive all that time.
+func putBatchDecoder(d *BatchDecoder) {
+	clear(d.events[:cap(d.events)])
+	batchDecoderPool.Put(d)
+}

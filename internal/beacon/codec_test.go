@@ -10,9 +10,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"qtag/internal/wal"
 )
@@ -151,6 +153,39 @@ func TestBatchDecoderReuse(t *testing.T) {
 			t.Fatalf("scratch slot %d still pins old strings: %+v", i, scratch[i])
 		}
 	}
+}
+
+// TestPooledDecoderKeepsNoBody: once a binary request is answered, its
+// body is garbage at the next collection. The decoder goes back to its
+// pool, where it can wait out a collection in the victim cache; with the
+// events of its last request still in its scratch, that body outlived it.
+func TestPooledDecoderKeepsNoBody(t *testing.T) {
+	const imp = "imp-pinned"
+	frame := AppendBinaryEvents(nil, []Event{{ImpressionID: imp, CampaignID: "c", Type: EventServed,
+		At: time.Unix(1500000000, 0).UTC(), Trace: strings.Repeat("t", 4000)}})
+	at := bytes.Index(frame, []byte(imp))
+	collected := make(chan struct{})
+	srv := NewServerWithSink(NewStore(), SinkFunc(func(e Event) error {
+		// e.ImpressionID aliases the body the server read the request
+		// into; the body starts at bytes.Index's offset before it.
+		body := (*byte)(unsafe.Add(unsafe.Pointer(unsafe.StringData(e.ImpressionID)), -at))
+		runtime.SetFinalizer(body, func(*byte) { close(collected) })
+		return nil
+	}))
+	req := httptest.NewRequest(http.MethodPost, "/v1/events", bytes.NewReader(frame))
+	req.Header.Set("Content-Type", BinaryContentType)
+	rr := httptest.NewRecorder()
+	srv.ServeHTTP(rr, req)
+	if rr.Code != http.StatusAccepted {
+		t.Fatalf("POST = %d: %s", rr.Code, rr.Body.String())
+	}
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(time.Second):
+		t.Fatal("the request body is still reachable after a collection: a pooled decoder pins it")
+	}
+	runtime.KeepAlive(srv)
 }
 
 func TestBinaryDecodeTruncation(t *testing.T) {

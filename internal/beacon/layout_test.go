@@ -23,14 +23,13 @@ import (
 	"qtag/internal/wal"
 )
 
-// benchShapedEvents draws impressions the way bench/gen.go does: served →
+// benchShaped draws impressions the way bench/gen.go does: served →
 // loaded → in-view (p 0.6) → out-of-view (p 0.5) over 99 campaigns, with
-// the same id and meta shapes. It returns the events and how many
-// impressions they belong to.
-func benchShapedEvents(impressions int) ([]Event, int) {
+// the same id and meta shapes — about 2.9 events an impression — and
+// hands each event to emit as it is drawn.
+func benchShaped(impressions int, emit func(Event)) {
 	rng := simrand.New(1).Fork("layout")
 	base := time.Unix(1546300800, 0).UTC()
-	events := make([]Event, 0, impressions*3)
 	for imp := 0; imp < impressions; imp++ {
 		meta := Meta{
 			OS:       []string{"android", "ios"}[rng.Intn(2)],
@@ -45,19 +44,18 @@ func benchShapedEvents(impressions int) ([]Event, int) {
 			CampaignID:   "camp-" + strconv.Itoa(1+rng.Intn(99)),
 			Type:         EventServed, At: at, Meta: meta,
 		}
-		events = append(events, ev)
+		emit(ev)
 		ev.Source, ev.Type, ev.At = SourceQTag, EventLoaded, at.Add(700*time.Millisecond)
-		events = append(events, ev)
+		emit(ev)
 		if rng.Bool(0.6) {
 			ev.Type, ev.At = EventInView, ev.At.Add(2*time.Second)
-			events = append(events, ev)
+			emit(ev)
 			if rng.Bool(0.5) {
 				ev.Type, ev.At = EventOutOfView, ev.At.Add(3*time.Second)
-				events = append(events, ev)
+				emit(ev)
 			}
 		}
 	}
-	return events, impressions
 }
 
 // heapGrowth runs fill and returns how many live heap bytes it left
@@ -76,52 +74,73 @@ func heapGrowth(fill func()) float64 {
 }
 
 // TestMemoryBudgets pins the pointer-free layouts by what they cost. The
-// budgets sit above what the layouts measure here (store 86 B/event,
-// aggregate 116 and detect 122 B/impression on their own, 124 for the
-// two joined as the collector wires them) and well below what the
-// map[string]Event store and the map-of-maps impressions did (388, 616
-// and 606) — the store's also below the 115 its records cost when they
-// repeated their campaign and Meta strings, and the joined row's below
-// the 238 the two cost apart, so a return to any of these fails here.
+// budgets sit above what the layouts measure here (store 50 B/event at
+// 116 k events and 34 at the 1.16 M sink_batch_binary sends, aggregate
+// 116 and detect 123 B/impression on their own, 124 for the two joined
+// as the collector wires them) and well below what the map[string]Event
+// store and the map-of-maps impressions did (388, 616 and 606) — the
+// store's also below the 86 and 64 its records cost when every event was
+// a whole record with an index entry of its own, and the joined row's
+// below the 238 the two cost apart, so a return to any of these fails
+// here.
 func TestMemoryBudgets(t *testing.T) {
-	events, impressions := benchShapedEvents(40_000)
+	const impressions = 40_000
+	var events []Event
+	benchShaped(impressions, func(e Event) { events = append(events, e) })
+	drawn := func(emit func(Event)) {
+		for _, e := range events {
+			emit(e)
+		}
+	}
 	// The fill must not retain the events' own strings (nothing may, see
-	// TestNothingKeptAliasesTheRequest), so they are no part of the growth.
+	// TestNothingKeptAliasesTheRequest), so they are no part of the growth
+	// — not even at bench scale, where they are drawn as they are stored.
 	var (
 		store  = NewStore()
+		large  = NewStore()
 		agg    = aggregate.New(aggregate.Options{TTL: -1})
 		det    = detect.New(detect.Options{TTL: -1})
 		pair   = aggregate.New(aggregate.Options{TTL: -1})
 		joined = detect.New(detect.Options{})
 	)
 	joined.Join(pair.Pass())
+	largeEvents := 0
 	for _, c := range []struct {
 		name   string
 		budget float64
-		per    int
 		unit   string
+		draw   func(emit func(Event))
 		submit func(Event)
 	}{
-		{"store", 95, len(events), "event", func(e Event) { _ = store.Submit(e) }},
-		{"aggregate", 260, impressions, "impression", agg.Observe},
-		{"detect", 260, impressions, "impression", det.Observe},
-		{"aggregate+detect joined", 130, impressions, "impression", pair.Observe},
+		{"store", 60, "event", drawn, func(e Event) { _ = store.Submit(e) }},
+		{"store at bench scale", 42, "event", func(emit func(Event)) { benchShaped(10*impressions, emit) },
+			func(e Event) { _ = large.Submit(e); largeEvents++ }},
+		{"aggregate", 260, "impression", drawn, agg.Observe},
+		{"detect", 260, "impression", drawn, det.Observe},
+		{"aggregate+detect joined", 130, "impression", drawn, pair.Observe},
 	} {
+		n := 0
 		grew := heapGrowth(func() {
-			for _, e := range events {
+			c.draw(func(e Event) {
 				c.submit(e)
-			}
+				n++
+			})
 		})
-		got := grew / float64(c.per)
+		per := n
+		if c.unit == "impression" {
+			per = impressions
+		}
+		got := grew / float64(per)
 		t.Logf("%s: %.0f B/%s", c.name, got, c.unit)
 		if got > c.budget {
 			t.Errorf("%s holds %.0f B/%s, budget %.0f", c.name, got, c.unit, c.budget)
 		}
 	}
-	if store.Len() != len(events) || agg.OpenImpressions() != impressions || det.OpenImpressions() != impressions ||
-		joined.OpenImpressions() != impressions || joined.Updates() != int64(len(events)) {
-		t.Fatalf("fill incomplete: store %d/%d events, aggregate %d, detect %d and joined %d of %d impressions",
-			store.Len(), len(events), agg.OpenImpressions(), det.OpenImpressions(), joined.OpenImpressions(), impressions)
+	if store.Len() != len(events) || large.Len() != largeEvents || agg.OpenImpressions() != impressions ||
+		det.OpenImpressions() != impressions || joined.OpenImpressions() != impressions || joined.Updates() != int64(len(events)) {
+		t.Fatalf("fill incomplete: store %d/%d and %d/%d events, aggregate %d, detect %d and joined %d of %d impressions",
+			store.Len(), len(events), large.Len(), largeEvents, agg.OpenImpressions(), det.OpenImpressions(),
+			joined.OpenImpressions(), impressions)
 	}
 	runtime.KeepAlive(events)
 }
@@ -133,10 +152,13 @@ type observed struct {
 	det   *detect.Detector
 }
 
-func newObserved() observed {
+func newObserved() observed { return newObservedOn(NewStoreWithShards(4)) }
+
+// newObservedOn attaches both observers to store.
+func newObservedOn(store *Store) observed {
 	clock := func() time.Time { return batchT0 }
 	o := observed{
-		store: NewStoreWithShards(4),
+		store: store,
 		agg:   aggregate.New(aggregate.Options{Shards: 4, TTL: -1, Now: clock}),
 		det:   detect.New(detect.Options{Shards: 4, TTL: -1, Now: clock}),
 	}
@@ -198,6 +220,92 @@ func TestNothingKeptAliasesTheRequest(t *testing.T) {
 	}
 	if got.store.Len() != want.store.Len() {
 		t.Fatalf("re-send after the overwrite stored %d new events", got.store.Len()-want.store.Len())
+	}
+}
+
+// TestCollidingImpressionsFallBackToAnchors zeroes the index hash, so
+// that every record of a shard is on one chain and the head an event's
+// lookup finds is whatever its shard stored last. Where that is another
+// impression's record the event cannot follow on it and is written as
+// an anchor; where it is the impression's own, the event follows on.
+// Either way the store must read back, dedup and feed its observers
+// exactly as the hashed store does — and that one, whose heads are each
+// impression's own, stores one anchor per impression.
+func TestCollidingImpressionsFallBackToAnchors(t *testing.T) {
+	const interleaved, inARow = 40, 10
+	lifecycle := []EventType{EventServed, EventLoaded, EventInView, EventOutOfView}
+	event := func(imp, step int) Event {
+		e := Event{
+			ImpressionID: "imp-" + strconv.Itoa(imp), CampaignID: "camp-1",
+			Type: lifecycle[min(step, 2+step%2)], Seq: max(0, step-2) / 2,
+			At:   batchT0.Add(time.Duration(imp)*time.Second + time.Duration(step)*700*time.Millisecond),
+			Meta: Meta{OS: "android", Slot: "slot-1"},
+		}
+		if imp >= interleaved { // campaigns and Meta of their own
+			e.CampaignID, e.Meta.OS, e.Meta.Slot = "camp-"+strconv.Itoa(imp%3), "ios", "slot-"+strconv.Itoa(imp%5)
+		}
+		if e.Type != EventServed {
+			e.Source = []Source{SourceQTag, SourceCommercial}[imp%2]
+		}
+		return e
+	}
+	// Round by round, one event of every interleaved impression: the
+	// head each finds in its shard is another impression's, of the same
+	// campaign and Meta, so only the impression id tells them apart. Then
+	// whole impressions in a row — the last with more in-view cycles than
+	// an impression chain takes.
+	var events []Event
+	for step := 0; step < 4; step++ {
+		for imp := 0; imp < interleaved; imp++ {
+			events = append(events, event(imp, step))
+		}
+	}
+	for imp := interleaved; imp < interleaved+inARow; imp++ {
+		steps := 4
+		if imp == interleaved+inARow-1 {
+			steps = 40
+		}
+		for step := 0; step < steps; step++ {
+			events = append(events, event(imp, step))
+		}
+	}
+
+	hashed, colliding := newObserved(), newObservedOn(NewCollidingStore(4))
+	for _, o := range []observed{hashed, colliding} {
+		half := len(events) / 2
+		if err := o.store.SubmitBatch(events[:half]); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range events[half:] {
+			if err := o.store.Submit(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	impressions := interleaved + inARow
+	if n := hashed.store.Anchors(); n != impressions {
+		t.Errorf("the hashed store holds %d anchors, want one for each of %d impressions", n, impressions)
+	}
+	if n := colliding.store.Anchors(); n <= impressions+interleaved || n >= len(events) {
+		t.Errorf("the colliding store holds %d anchors of %d events: want a fallback for most interleaved events and follow-ons in a row",
+			n, len(events))
+	}
+	for pass := 0; pass < 2; pass++ {
+		if w, g := hashed.state(), colliding.state(); !reflect.DeepEqual(w, g) {
+			for i := range w {
+				if !reflect.DeepEqual(w[i], g[i]) {
+					t.Errorf("pass %d: read %d differs under forced collisions:\n hashed    %+v\n colliding %+v", pass, i, w[i], g[i])
+				}
+			}
+		}
+		for _, o := range []observed{hashed, colliding} { // every event again: duplicates
+			if err := o.store.SubmitBatch(events); err != nil {
+				t.Fatal(err)
+			}
+			if o.store.Len() != len(events) {
+				t.Fatalf("a re-send stored %d new events", o.store.Len()-len(events))
+			}
+		}
 	}
 }
 

@@ -315,7 +315,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		// flushed, and they pin the buffer via their strings. The store
 		// and its observers keep copies only. The decoder's []Event scratch
 		// IS pooled: every sink copies event values on Submit, so the slice
-		// is free for reuse the moment the handler returns.
+		// is free for reuse the moment the handler returns, and it goes
+		// back cleared so that it does not keep this body alive.
 		body, rerr := readBinaryBody(w, r, limit)
 		if rerr != nil {
 			var tooLarge *http.MaxBytesError
@@ -329,7 +330,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		dec := batchDecoderPool.Get().(*BatchDecoder)
-		defer batchDecoderPool.Put(dec)
+		defer putBatchDecoder(dec)
 		var derr error
 		events, derr = dec.Decode(body)
 		if derr != nil {

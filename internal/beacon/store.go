@@ -171,16 +171,48 @@ var ErrStoreFull = errors.New("beacon: store shard is full")
 //
 // Neither the arena nor the index holds a pointer, so what the store
 // keeps per event is invisible to the garbage collector. index maps 32
-// bits of the seeded hash of an idempotency key to the newest record
-// with that hash; records of one hash chain through their links, and a
-// chain is only ever a candidate list — see arena.holds. (At a million
-// events in a shard about a hundred chains hold two records.)
+// bits of a seeded hash to the newest record of its chain; the records
+// of a chain link to one another, and a chain is only ever a candidate
+// list — see arena.holds. The hash is of the impression key
+// (Event.AppendImpressionKey) for an impression's first
+// impressionChainMax records, so one entry serves all the beacons of a
+// common impression and a later one can follow on its anchor (see
+// arena); a record beyond those goes on the chain of its idempotency
+// key's hash instead.
 type storeShard struct {
 	mu       sync.RWMutex
 	arena    arena
 	index    map[uint32]uint32
 	names    names
 	counters map[counterKey]int
+}
+
+// impressionChainMax bounds an impression chain, and so the walk of a
+// lookup: one impression chain, and, only when that one is full, one key
+// chain. Without it one impression carrying many distinct Seq values
+// would cost a walk over all of them per event — quadratic in the
+// impression. A bench-shaped impression has three or four records.
+const impressionChainMax = 16
+
+// chain returns the head of the chain of hash h, or noRecord.
+func (sh *storeShard) chain(h uint32) uint32 {
+	if head, ok := sh.index[h]; ok {
+		return head
+	}
+	return noRecord
+}
+
+// find walks the chain from head for a record of e's idempotency key,
+// and returns whether it holds one and how many records it compared.
+func (sh *storeShard) find(head uint32, e *Event) (bool, int) {
+	walked := 0
+	for at := head; at != noRecord; at = sh.arena.next(at) {
+		if sh.arena.holds(at, e, &sh.names) {
+			return true, walked
+		}
+		walked++
+	}
+	return false, walked
 }
 
 // Store is an idempotent, thread-safe, in-memory event store with
@@ -209,8 +241,9 @@ type Store struct {
 	campMu    sync.Mutex
 	campaigns map[string]struct{}
 
-	// seed keys the index hash, fresh per store. hashMask is all ones; the
-	// collision tests zero it so that every key shares one chain.
+	// seed keys the index hashes, fresh per store. hashMask is all ones;
+	// the collision tests zero it so that every record of a shard shares
+	// one chain.
 	seed     maphash.Seed
 	hashMask uint32
 }
@@ -317,25 +350,28 @@ func (s *Store) Submit(e Event) error {
 // it. A full shard may still have interned a refused event's strings;
 // they are unreachable from any record or counter.
 func (s *Store) applyLocked(sh *storeShard, e Event) error {
-	// The hash input is the display key built in a stack buffer. Its
-	// '|' ambiguity is harmless here: the hash picks a chain, and every
-	// record on it is compared with e field by field.
+	// The hash inputs are built in a stack buffer: the impression key,
+	// and past an impression chain's bound the display key, whose '|'
+	// ambiguity is harmless here — a hash picks a chain, and every record
+	// on it is compared with e field by field.
 	var kb [96]byte
-	h := uint32(maphash.Bytes(s.seed, e.AppendKey(kb[:0]))) & s.hashMask
-	head, chained := sh.index[h]
-	if !chained {
-		head = noRecord
+	h := uint32(maphash.Bytes(s.seed, e.AppendImpressionKey(kb[:0]))) & s.hashMask
+	head := sh.chain(h)
+	found, walked := sh.find(head, &e)
+	prev := head
+	if !found && walked >= impressionChainMax {
+		h = uint32(maphash.Bytes(s.seed, e.AppendKey(kb[:0]))) & s.hashMask
+		prev = sh.chain(h)
+		found, _ = sh.find(prev, &e)
 	}
-	for at := head; at != noRecord; at = sh.arena.next(at) {
-		if sh.arena.holds(at, &e, &sh.names) {
-			for _, fn := range s.dupObservers {
-				fn(e)
-			}
-			return nil
+	if found {
+		for _, fn := range s.dupObservers {
+			fn(e)
 		}
+		return nil
 	}
 	ids := sh.names.intern(&e)
-	at, err := sh.arena.append(head, &e, &ids)
+	at, err := sh.arena.append(prev, head, &e, &ids)
 	if err != nil {
 		return err
 	}
