@@ -413,12 +413,10 @@ func DecodeBinaryEvent(payload []byte) (Event, error) {
 // wal.DecodeRecord: the events (struct values included, since their
 // strings alias) are valid only while b's buffer is live and unwritten,
 // and only until the next Decode call on the same decoder. The ingest
-// server satisfies it by decoding each request into a fresh GC-owned
-// body buffer — the request body is the arena — and handing the events
-// to its sink before the decoder returns to its pool. A sink that keeps
-// an event value (QueueSink) keeps the body alive through it; the store
-// and its observers keep nothing that aliases it, so on the synchronous
-// chain the body is garbage once the handler returns.
+// server decodes each request out of its pooled body buffer and hands
+// the events to its sink before buffer and decoder go back to their
+// pools; by the Sink contract, a sink that keeps an event past Submit
+// keeps a copy (QueueSink), never the body.
 type BatchDecoder struct {
 	events []Event
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 	"unsafe"
 
+	"qtag/internal/obs"
 	"qtag/internal/wal"
 )
 
@@ -155,14 +156,16 @@ func TestBatchDecoderReuse(t *testing.T) {
 	}
 }
 
-// TestPooledDecoderKeepsNoBody: once a binary request is answered, its
-// body is garbage at the next collection. The decoder goes back to its
-// pool, where it can wait out a collection in the victim cache; with the
-// events of its last request still in its scratch, that body outlived it.
-func TestPooledDecoderKeepsNoBody(t *testing.T) {
+// bodyCollected posts a one-event binary frame whose trace is larger
+// than the body pool keeps, to a server set up by setup, and reports
+// whether the buffer the server read the body into is garbage at the
+// first collection after the request is answered. Such a buffer does not
+// go back to the pool, so only something else can keep it.
+func bodyCollected(t *testing.T, setup func(*Server)) bool {
+	t.Helper()
 	const imp = "imp-pinned"
 	frame := AppendBinaryEvents(nil, []Event{{ImpressionID: imp, CampaignID: "c", Type: EventServed,
-		At: time.Unix(1500000000, 0).UTC(), Trace: strings.Repeat("t", 4000)}})
+		At: time.Unix(1500000000, 0).UTC(), Trace: strings.Repeat("t", maxPooledBody)}})
 	at := bytes.Index(frame, []byte(imp))
 	collected := make(chan struct{})
 	srv := NewServerWithSink(NewStore(), SinkFunc(func(e Event) error {
@@ -172,6 +175,7 @@ func TestPooledDecoderKeepsNoBody(t *testing.T) {
 		runtime.SetFinalizer(body, func(*byte) { close(collected) })
 		return nil
 	}))
+	setup(srv)
 	req := httptest.NewRequest(http.MethodPost, "/v1/events", bytes.NewReader(frame))
 	req.Header.Set("Content-Type", BinaryContentType)
 	rr := httptest.NewRecorder()
@@ -180,12 +184,39 @@ func TestPooledDecoderKeepsNoBody(t *testing.T) {
 		t.Fatalf("POST = %d: %s", rr.Code, rr.Body.String())
 	}
 	runtime.GC()
+	defer runtime.KeepAlive(srv)
 	select {
 	case <-collected:
+		return true
 	case <-time.After(time.Second):
+		return false
+	}
+}
+
+// TestPooledDecoderKeepsNoBody: once a binary request is answered, its
+// body is the pool's or garbage. The decoder goes back to its pool, where
+// it can wait out a collection in the victim cache; with the events of
+// its last request still in its scratch, a body too large for the pool
+// would outlive the request there.
+func TestPooledDecoderKeepsNoBody(t *testing.T) {
+	if !bodyCollected(t, func(*Server) {}) {
 		t.Fatal("the request body is still reachable after a collection: a pooled decoder pins it")
 	}
-	runtime.KeepAlive(srv)
+}
+
+// TestSampledSpanKeepsNoBody: a sampled ingest span, kept in the span
+// store long after its request, names the request's first campaign. That
+// attribute must be a copy: aliasing the body, it would keep up to
+// -max-body-bytes alive per retained span, and read a later request's
+// bytes once the body's buffer is reused.
+func TestSampledSpanKeepsNoBody(t *testing.T) {
+	spans := obs.NewSpanStore(16)
+	if !bodyCollected(t, func(s *Server) { s.SetTracer(newTestTracer(spans, 1)) }) {
+		t.Fatal("the request body is still reachable after a collection: the sampled span pins it")
+	}
+	if got := spans.Snapshot(); len(got) != 1 || got[0].Attr("campaign") != "c" {
+		t.Fatalf("spans %+v, want one naming campaign c", got)
+	}
 }
 
 func TestBinaryDecodeTruncation(t *testing.T) {

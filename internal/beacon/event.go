@@ -194,8 +194,43 @@ func (e Event) String() string {
 	return fmt.Sprintf("%s %s imp=%s camp=%s", src, e.Type, e.ImpressionID, e.CampaignID)
 }
 
+// owned returns e with its strings copied into one allocation of its
+// own, so that it stays valid after the memory they alias — a pooled
+// request body — is reused.
+func (e Event) owned() Event {
+	fields := [...]*string{
+		&e.ImpressionID, &e.CampaignID, (*string)(&e.Source), (*string)(&e.Type),
+		&e.Meta.OS, &e.Meta.SiteType, &e.Meta.AdSize, &e.Meta.Format,
+		&e.Meta.Country, &e.Meta.Exchange, &e.Meta.Slot, &e.Trace,
+	}
+	n := 0
+	for _, f := range fields {
+		n += len(*f)
+	}
+	if n == 0 {
+		return e
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, f := range fields {
+		b.WriteString(*f)
+	}
+	all := b.String()
+	for _, f := range fields {
+		*f, all = all[:len(*f)], all[len(*f):]
+	}
+	return e
+}
+
 // Sink consumes beacon events. Implementations include *Store (direct,
 // in-process) and *HTTPSink (over the wire to a collection Server).
+//
+// An event's strings are valid only for the duration of Submit: the
+// server decodes binary requests with strings that alias the request
+// body, whose buffer is reused once the request is answered. A sink that
+// keeps an event past the call owns a copy — the store and its observers
+// keep copies, the journals and HTTPSink encode, QueueSink copies each
+// event it queues.
 type Sink interface {
 	Submit(Event) error
 }

@@ -32,3 +32,7 @@ func (s *Store) Anchors() int {
 	}
 	return n
 }
+
+// ScribbleReleasedBodies makes s overwrite each request body as it gives
+// the body's buffer back to the pool.
+func (s *Server) ScribbleReleasedBodies() { s.scribble.Store(true) }

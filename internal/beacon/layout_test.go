@@ -8,16 +8,25 @@
 package beacon_test
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
 
 	"qtag/internal/aggregate"
 	. "qtag/internal/beacon"
+	"qtag/internal/collector"
 	"qtag/internal/detect"
 	"qtag/internal/simrand"
 	"qtag/internal/wal"
@@ -173,54 +182,199 @@ func (o observed) state() []any {
 	return []any{o.store.Events(), o.store.Counters(), o.store.CampaignIDs(), o.agg.Snapshot(), o.agg.Windows(), o.det.Snapshot()}
 }
 
-// TestNothingKeptAliasesTheRequest decodes a batch the way the server
-// does — BatchDecoder, strings aliasing the body — submits it, then
-// overwrites the body. Whatever store, aggregator or detector kept must
-// be its own copy: every read must equal that of a side fed events that
-// never shared memory with anything.
+// TestNothingKeptAliasesTheRequest drives whole collector stacks, as
+// collector.Open assembles them, with binary requests whose bodies the
+// server overwrites as it gives their buffers back to the pool: every
+// event first-seen, then every event again as a duplicate. Whatever a
+// stack kept — store, observers, queue, WAL, cluster forward, span
+// store — must be its own copy: every read must equal that of the same
+// stack fed the same events as JSON, whose decoder copies every string
+// out of the body.
 func TestNothingKeptAliasesTheRequest(t *testing.T) {
-	events := batchStream(7, 400)
+	events := aliasProbe()
+	for _, c := range []struct {
+		name  string
+		nodes int
+		set   func(*collector.Config)
+	}{
+		{"sync", 1, func(c *collector.Config) { c.DurableSync = true }},
+		{"async", 1, func(*collector.Config) {}},
+		{"ring", 2, func(*collector.Config) {}},
+		{"traced", 1, func(c *collector.Config) { c.TraceSample = 1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := collector.DefaultConfig()
+			cfg.Detect, cfg.SnapshotEvery = true, 0 // the WAL replay reads every record
+			cfg.ReportWindow = 1 << 62              // one rollup window, whenever each side runs
+			cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+			c.set(&cfg)
+			want := ingestAll(t, c.nodes, cfg, events, false)
+			got := ingestAll(t, c.nodes, cfg, events, true)
+			for n := range want {
+				for i := range want[n] {
+					if !reflect.DeepEqual(want[n][i], got[n][i]) {
+						t.Errorf("node %d, read %d differs after the request bodies were overwritten:\n want %+v\n  got %+v",
+							n, i, want[n][i], got[n][i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// aliasProbe is the stream TestNothingKeptAliasesTheRequest sends: every
+// string a key or a map somewhere keeps is set, some sources are
+// literals, and every event carries its own time and trace, so that
+// nothing a stack stamps on arrival differs between two runs. In-views
+// crowd onto one placement, so that the detector's stacking score reads
+// its placement counts.
+func aliasProbe() []Event {
+	events := batchStream(7, 1000)
 	for i := range events {
-		// Literal sources, and every string a key or a map somewhere keeps.
 		if i%5 == 0 && events[i].Type != EventServed {
 			events[i].Source = Source("verifier-" + strconv.Itoa(i%3))
 		}
-		events[i].Meta.Slot = "slot-" + strconv.Itoa(i%7)
+		if events[i].At.IsZero() {
+			events[i].At = batchT0
+		}
+		events[i].Meta.Slot = []string{"slot-0", "slot-0", "slot-0", "slot-" + strconv.Itoa(i%7)}[i%4]
 		events[i].Meta.Country = []string{"es", "us", ""}[i%3]
 		events[i].Meta.Exchange = "x" + strconv.Itoa(i%2)
 		events[i].Trace = "00-" + fmt.Sprintf("%032x-%016x", i+1, i+1) + "-01"
 	}
-	want, got := newObserved(), newObserved()
-	if err := want.store.SubmitBatch(events); err != nil {
-		t.Fatal(err)
-	}
+	return events
+}
 
-	body := AppendBinaryEvents(nil, events)
-	var dec BatchDecoder
-	aliased, err := dec.Decode(body)
-	if err != nil {
-		t.Fatal(err)
+// ingestAll boots nodes stacks of cfg — two make a ring, each node the
+// other's peer — and posts events to them, alternating nodes: in
+// requests of 64, then all again in requests of 50. Binary requests
+// (and binary cluster forwards), the bodies overwritten as they go back
+// to the pool, when binary; JSON otherwise. It returns what each node
+// reads back: its /report, store, counters, detector and /debug/traces,
+// then, once the stacks are closed, a replay of its WAL.
+func ingestAll(t *testing.T, nodes int, cfg collector.Config, events []Event, binary bool) [][]any {
+	t.Helper()
+	cfg.BinaryBeacons = binary
+	servers := make([]*httptest.Server, nodes)
+	urls := make([]string, nodes)
+	for i := range servers {
+		servers[i] = httptest.NewUnstartedServer(nil)
+		urls[i] = "http://" + servers[i].Listener.Addr().String()
 	}
-	if err := got.store.SubmitBatch(aliased); err != nil {
-		t.Fatal(err)
+	stacks := make([]*collector.Stack, nodes)
+	for i, srv := range servers {
+		c := cfg
+		c.WALDir = t.TempDir()
+		if nodes > 1 {
+			c.NodeID, c.HandoffDir, c.Peers = "n"+strconv.Itoa(i), t.TempDir(), map[string]string{}
+			for j, u := range urls {
+				if j != i {
+					c.Peers["n"+strconv.Itoa(j)] = u
+				}
+			}
+		}
+		stack, err := collector.Open(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stacks[i] = stack
+		if binary {
+			stack.Server.ScribbleReleasedBodies()
+		}
+		srv.Config.Handler = stack.Handler()
+		srv.Start()
+		stack.Start()
 	}
-	for i := range body {
-		body[i] = 0xA5
-	}
-	if w, g := want.state(), got.state(); !reflect.DeepEqual(w, g) {
-		for i := range w {
-			if !reflect.DeepEqual(w[i], g[i]) {
-				t.Errorf("read %d differs after the request body was overwritten:\n want %+v\n  got %+v", i, w[i], g[i])
+	shutdown := func() {
+		for _, srv := range servers {
+			srv.Close()
+		}
+		for _, stack := range stacks {
+			if err := stack.Close(context.Background()); err != nil {
+				t.Error(err)
 			}
 		}
 	}
-	// A re-send decoded into fresh memory must still be recognised.
-	if err := got.store.SubmitBatch(events); err != nil {
+	defer shutdown()
+
+	posted := 0
+	for _, size := range []int{64, 50} {
+		for lo := 0; lo < len(events); lo += size {
+			batch := events[lo:min(lo+size, len(events))]
+			body, contentType := AppendBinaryEvents(nil, batch), BinaryContentType
+			if !binary {
+				body, _ = json.Marshal(batch)
+				contentType = "application/json"
+			}
+			resp, err := http.Post(urls[posted%nodes]+"/v1/events", contentType, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("POST of %d events: status %d", len(batch), resp.StatusCode)
+			}
+			posted++
+		}
+	}
+
+	reads := make([][]any, nodes)
+	for i, stack := range stacks {
+		reads[i] = []any{getJSON(t, urls[i]+"/report"), stack.Store.Events(), stack.Store.Counters(),
+			stack.Server.Accepted(), stack.Server.Rejected(), stack.Detect.Snapshot()}
+		if cfg.TraceSample > 0 {
+			reads[i] = append(reads[i], traceSummaries(getJSON(t, urls[i]+"/debug/traces?limit=100000")))
+		}
+	}
+	shutdown()
+	for i, stack := range stacks {
+		replayed := NewStore()
+		if _, err := ReplayWALDir(stack.Journal.WAL().Dir(), replayed); err != nil {
+			t.Fatal(err)
+		}
+		if replayed.Len() != len(reads[i][1].([]Event)) || replayed.Len() == 0 {
+			t.Fatalf("node %d: WAL replay restored %d events, the store held %d", i, replayed.Len(), len(reads[i][1].([]Event)))
+		}
+		reads[i] = append(reads[i], replayed.Events())
+	}
+	return reads
+}
+
+// getJSON decodes a GET's JSON reply, less what says when it was made.
+func getJSON(t *testing.T, url string) map[string]any {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got.store.Len() != want.store.Len() {
-		t.Fatalf("re-send after the overwrite stored %d new events", got.store.Len()-want.store.Len())
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
 	}
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	delete(out, "generated_at")
+	return out
+}
+
+// traceSummaries is a /debug/traces listing without the trace ids, start
+// times and durations that differ from run to run, in a fixed order.
+func traceSummaries(listing map[string]any) []string {
+	var out []string
+	traces, _ := listing["traces"].([]any)
+	for _, tr := range traces {
+		m := tr.(map[string]any)
+		delete(m, "trace_id")
+		delete(m, "start")
+		delete(m, "duration_ms")
+		b, _ := json.Marshal(m)
+		out = append(out, string(b))
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestCollidingImpressionsFallBackToAnchors zeroes the index hash, so

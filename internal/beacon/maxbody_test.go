@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -80,5 +81,40 @@ func TestHandleEventsOversizedBody(t *testing.T) {
 	srv.ServeHTTP(again, httptest.NewRequest(http.MethodPost, "/v1/events", bytes.NewReader(big)))
 	if again.Code != http.StatusAccepted {
 		t.Fatalf("default-limit body = %d, want 202", again.Code)
+	}
+}
+
+// unreadBody fails the test if the handler reads from it.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("the body of a request refused by its Content-Length was read")
+	return 0, io.EOF
+}
+
+// TestOversizedBodyRefusedFromTheHeader: a request that declares a
+// Content-Length over the limit is refused with 413 before a byte of its
+// body is read, whatever its Content-Type; a chunked body, whose length
+// is not declared, is still cut off at the limit as it is read.
+func TestOversizedBodyRefusedFromTheHeader(t *testing.T) {
+	srv := NewServer(NewStore())
+	srv.SetMaxBodyBytes(1024)
+	post := func(body io.Reader, length int64, contentType string) {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/v1/events", body)
+		req.ContentLength = length
+		req.Header.Set("Content-Type", contentType)
+		rr := httptest.NewRecorder()
+		srv.ServeHTTP(rr, req)
+		if rr.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rr.Body.String(), "exceeds 1024 bytes") {
+			t.Fatalf("%s body of %d declared bytes = %d %s, want 413 naming the limit", contentType, length, rr.Code, rr.Body)
+		}
+	}
+	post(unreadBody{t}, 1025, "application/json")
+	post(unreadBody{t}, 4<<20, BinaryContentType)
+	post(strings.NewReader(strings.Repeat(" ", 2048)), -1, "application/json")
+	post(strings.NewReader(strings.Repeat(" ", 2048)), -1, BinaryContentType)
+	if got := srv.Oversized(); got != 4 {
+		t.Fatalf("Oversized() = %d, want 4", got)
 	}
 }

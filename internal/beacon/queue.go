@@ -20,6 +20,11 @@ import (
 // as whole as what they wrap. QueueSink uses it to coalesce queued
 // events into batch submissions, and Server to carry one request down
 // the ingest chain in one call (see wholeBatch).
+//
+// As with Submit, the events' strings are valid only for the duration of
+// SubmitBatch, and a sink that keeps an event past the call owns a copy.
+// The slice is the caller's too: a sink may stamp its elements in place
+// (StampSink) but keeps none of it.
 type BatchSink interface {
 	Sink
 	SubmitBatch([]Event) error
@@ -92,6 +97,9 @@ func (o QueueOptions) withDefaults() QueueOptions {
 // new events are dropped and counted (overflow-drop policy): under
 // sustained outage the tag sheds load instead of growing memory.
 //
+// QueueSink keeps events past Submit, so it queues copies of its own:
+// one allocation per event (see Sink).
+//
 // QueueSink is safe for concurrent use.
 type QueueSink struct {
 	next      Sink
@@ -102,9 +110,8 @@ type QueueSink struct {
 	cond *sync.Cond
 	// The backlog is the size events of the ring from head on, wrapping,
 	// oldest first. The drain zeroes each slot it consumes, so a flushed
-	// event's strings — and the request body they may alias — are not
-	// kept, and no event moves once queued: the ring only grows, doubling
-	// up to Capacity, when it is full.
+	// event's strings are not kept, and no event moves once queued: the
+	// ring only grows, doubling up to Capacity, when it is full.
 	ring       []Event
 	head, size int
 	closed     bool
@@ -277,7 +284,8 @@ func (q *QueueSink) drain() {
 
 // The ring's operations; the caller holds q.mu.
 
-// push appends e to the backlog, growing a full ring.
+// push appends a copy of e that owns its strings to the backlog, growing
+// a full ring.
 func (q *QueueSink) push(e Event) {
 	if q.size == len(q.ring) {
 		a, b := q.oldest(q.size)
@@ -286,7 +294,7 @@ func (q *QueueSink) push(e Event) {
 		copy(ring[len(a):], b)
 		q.ring, q.head = ring, 0
 	}
-	q.ring[(q.head+q.size)%len(q.ring)] = e
+	q.ring[(q.head+q.size)%len(q.ring)] = e.owned()
 	q.size++
 }
 

@@ -287,6 +287,64 @@ func TestQueueSinkKeepsNothingFlushed(t *testing.T) {
 	t.Fatal("the body of a flushed event is still reachable from the queue")
 }
 
+// TestQueueSinkOwnsWhatItKeeps: the queue keeps events past Submit, so
+// it keeps copies. Events whose strings alias a buffer that is
+// overwritten as soon as they are submitted — a request body going back
+// to its pool — flush exactly as they were submitted, and the copy is
+// one allocation an event.
+func TestQueueSinkOwnsWhatItKeeps(t *testing.T) {
+	want := make([]Event, 50)
+	for i := range want {
+		want[i] = Event{
+			ImpressionID: "imp-" + itoa(i), CampaignID: "camp-" + itoa(i%3), Type: EventInView,
+			Source: []Source{SourceQTag, "verifier-" + Source(itoa(i%2))}[i%2], Seq: i % 4,
+			At: time.Unix(1500000000+int64(i), 0).UTC(),
+			Meta: Meta{OS: "android", SiteType: "app", AdSize: "300x250", Format: "video",
+				Country: "es", Exchange: "x" + itoa(i%2), Slot: "slot-" + itoa(i%7)},
+			Trace: "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+		}
+	}
+	body := AppendBinaryEvents(nil, want)
+	var dec BatchDecoder
+	aliased, err := dec.Decode(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	g := &gatedCapture{open: make(chan struct{})}
+	q := NewQueueSink(g, QueueOptions{MaxBatch: 16})
+	for _, e := range aliased {
+		if err := q.Submit(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range body {
+		body[i] = 0xA5
+	}
+	close(g.open)
+	drainAndClose(t, q)
+	if !reflect.DeepEqual(g.delivered, want) {
+		t.Fatalf("flushed events differ from those submitted once the buffer their strings aliased was overwritten:\n got %+v\nwant %+v",
+			g.delivered, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = want[1].owned() }); n != 1 {
+		t.Fatalf("copying an event costs %v allocations, want 1", n)
+	}
+}
+
+// gatedCapture records what it is given once open is closed.
+type gatedCapture struct {
+	open chan struct{}
+	scriptedSink
+}
+
+func (g *gatedCapture) SubmitBatch(events []Event) error {
+	<-g.open
+	return g.scriptedSink.SubmitBatch(events)
+}
+
+func (g *gatedCapture) Submit(e Event) error { return g.SubmitBatch([]Event{e}) }
+
 // itoa avoids importing strconv in several tests.
 func itoa(i int) string {
 	if i == 0 {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -42,6 +41,10 @@ type Server struct {
 	oversized atomic.Int64
 	doomed    atomic.Int64 // requests refused because their budget was already spent
 	maxBody   atomic.Int64 // request-body cap for POST /v1/events
+	// scribble, set by tests, makes releaseBody overwrite each body before
+	// giving it back, so that anything still aliasing one reads garbage
+	// instead of the request it came in.
+	scribble atomic.Bool
 
 	// reg is the server's metrics registry, exported at GET /metrics in
 	// Prometheus text format. The ingest counters above are registered on
@@ -305,68 +308,50 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		deadline = s.now().Add(budget)
 	}
+	// A declared length over the limit is refused from the header, before
+	// a byte of the body is read; a chunked body is bounded as it is read.
 	limit := s.maxBody.Load()
-	binary := strings.HasPrefix(r.Header.Get("Content-Type"), BinaryContentType)
-	var events []Event
-	if binary {
-		// Binary path: the request body buffer is the decode arena. It is
-		// freshly allocated (never pooled) because the alias-decoded events
-		// may outlive the handler — a QueueSink keeps them until it has
-		// flushed, and they pin the buffer via their strings. The store
-		// and its observers keep copies only. The decoder's []Event scratch
-		// IS pooled: every sink copies event values on Submit, so the slice
-		// is free for reuse the moment the handler returns, and it goes
-		// back cleared so that it does not keep this body alive.
-		body, rerr := readBinaryBody(w, r, limit)
-		if rerr != nil {
-			var tooLarge *http.MaxBytesError
-			if errors.As(rerr, &tooLarge) {
-				s.oversized.Add(1)
-				httpError(w, http.StatusRequestEntityTooLarge,
-					fmt.Sprintf("body exceeds %d bytes", limit))
-				return
-			}
-			httpError(w, http.StatusBadRequest, "read body: "+rerr.Error())
+	if r.ContentLength > limit {
+		s.refuseOversized(w, limit)
+		return
+	}
+	// Both Content-Types are read into one pooled buffer, which goes back
+	// to the pool when the handler returns. The binary decoder's events
+	// alias it, so they are valid only until then: every sink copies what
+	// it keeps past Submit (see Sink). The decoder's []Event scratch is
+	// pooled too and goes back cleared, so that it keeps no body alive.
+	body, rerr := readBody(w, r, limit)
+	defer s.releaseBody(body)
+	if rerr != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(rerr, &tooLarge) {
+			s.refuseOversized(w, limit)
 			return
 		}
+		httpError(w, http.StatusBadRequest, "read body: "+rerr.Error())
+		return
+	}
+	var (
+		events []Event
+		derr   error
+	)
+	if strings.HasPrefix(r.Header.Get("Content-Type"), BinaryContentType) {
 		dec := batchDecoderPool.Get().(*BatchDecoder)
 		defer putBatchDecoder(dec)
-		var derr error
-		events, derr = dec.Decode(body)
-		if derr != nil {
-			if errors.Is(derr, ErrBinaryVersion) {
-				// A codec version this server does not speak: answer 415 so
-				// the client knows to renegotiate (HTTPSink falls back to
-				// JSON), distinct from 400 for a corrupt frame it cannot fix.
-				httpError(w, http.StatusUnsupportedMediaType, derr.Error())
-				return
-			}
-			httpError(w, http.StatusBadRequest, derr.Error())
+		events, derr = dec.Decode(body.Bytes())
+		if errors.Is(derr, ErrBinaryVersion) {
+			// A codec version this server does not speak: answer 415 so
+			// the client knows to renegotiate (HTTPSink falls back to
+			// JSON), distinct from 400 for a corrupt frame it cannot fix.
+			httpError(w, http.StatusUnsupportedMediaType, derr.Error())
 			return
 		}
 	} else {
-		// JSON path: json.Unmarshal copies every field out of the body, so
-		// the read buffer itself can be pooled and returned immediately.
-		buf := bodyBufPool.Get().(*bytes.Buffer)
-		defer bodyBufPool.Put(buf)
-		buf.Reset()
-		if _, rerr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); rerr != nil {
-			var tooLarge *http.MaxBytesError
-			if errors.As(rerr, &tooLarge) {
-				s.oversized.Add(1)
-				httpError(w, http.StatusRequestEntityTooLarge,
-					fmt.Sprintf("body exceeds %d bytes", limit))
-				return
-			}
-			httpError(w, http.StatusBadRequest, "read body: "+rerr.Error())
-			return
-		}
-		var derr error
-		events, derr = decodeEvents(buf.Bytes())
-		if derr != nil {
-			httpError(w, http.StatusBadRequest, derr.Error())
-			return
-		}
+		events, derr = decodeEvents(body.Bytes())
+	}
+	if derr != nil {
+		httpError(w, http.StatusBadRequest, derr.Error())
+		return
 	}
 	for _, e := range events {
 		if verr := e.Validate(); verr != nil {
@@ -381,7 +366,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if sp := obs.SpanFromContext(r.Context()); sp != nil {
 		sp.SetAttr("events", strconv.Itoa(len(events)))
 		if len(events) > 0 {
-			sp.SetAttr("campaign", events[0].CampaignID)
+			// The span outlives the request in the span store; the
+			// campaign must not alias the body.
+			sp.SetAttr("campaign", strings.Clone(events[0].CampaignID))
 		}
 		// Only sampled traces stamp context into events — unsampled
 		// traces would pay propagation cost for spans nobody records.
@@ -463,28 +450,49 @@ var transparentGIF = []byte{
 	0x00, 0x02, 0x02, 0x44, 0x01, 0x00, 0x3b,
 }
 
-// bodyBufPool recycles JSON request-body read buffers. Safe only for
-// the JSON path: json.Unmarshal copies, so nothing aliases the buffer
-// after decode. The binary path must NOT use it — see readBinaryBody.
-var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// refuseOversized answers a request whose body exceeds limit.
+func (s *Server) refuseOversized(w http.ResponseWriter, limit int64) {
+	s.oversized.Add(1)
+	httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", limit))
+}
 
-// readBinaryBody reads a binary request body into a fresh, exactly
-// sized, GC-owned buffer. Fresh is the point: the alias decoder slices
-// event strings straight out of this buffer, and although the store and
-// its observers copy what they keep, a QueueSink holds the events
-// themselves until its next flush — so the buffer's lifetime must be
-// garbage-collector-managed, never pool-managed. Content-Length sizes
-// the single allocation; chunked bodies fall back to io.ReadAll growth.
-func readBinaryBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	rd := http.MaxBytesReader(w, r.Body, limit)
-	if n := r.ContentLength; n > 0 && n <= limit {
-		body := make([]byte, n)
-		if _, err := io.ReadFull(rd, body); err != nil {
-			return nil, err
-		}
-		return body, nil
+// maxPooledBody bounds the buffers bodyPool keeps: one grown past it by
+// a large request is left to the collector when that request is
+// answered, so that a body of up to -max-body-bytes does not stay
+// resident for every later small one.
+const maxPooledBody = 64 << 10
+
+// bodyPool recycles request-body buffers for both Content-Types. Take one
+// with readBody, give it back with releaseBody.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads r's body, at most limit bytes, into a buffer from
+// bodyPool. A declared Content-Length sizes it once; a chunked body
+// grows it as it is read. The buffer comes back even on error, for
+// releaseBody.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (*bytes.Buffer, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if n := r.ContentLength; n > 0 {
+		buf.Grow(int(n) + bytes.MinRead) // and room for ReadFrom to find the EOF
 	}
-	return io.ReadAll(rd)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf, err
+}
+
+// releaseBody gives a body buffer back to bodyPool, unless it has grown
+// past maxPooledBody.
+func (s *Server) releaseBody(buf *bytes.Buffer) {
+	if s.scribble.Load() {
+		b := buf.Bytes()
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xA5
+		}
+	}
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
 }
 
 // decodeEvents accepts either a single JSON event object or a JSON array

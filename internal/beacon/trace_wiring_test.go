@@ -30,7 +30,7 @@ func newTestTracer(store *obs.SpanStore, rate float64) *obs.Tracer {
 	return obs.NewTracer(obs.TracerConfig{Node: "test", SampleRate: rate, Store: store, Rand: traceRand()})
 }
 
-// captureSink retains every submitted event.
+// captureSink retains a copy of every submitted event.
 type captureSink struct {
 	mu     sync.Mutex
 	events []Event
@@ -39,7 +39,7 @@ type captureSink struct {
 func (c *captureSink) Submit(e Event) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.events = append(c.events, e)
+	c.events = append(c.events, e.owned())
 	return nil
 }
 

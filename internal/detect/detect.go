@@ -264,7 +264,7 @@ type row struct {
 	// Geometry.
 	sized     int64 // events carrying an ad size
 	pixel     int64 // of those, 1×1 / 0×0
-	slotViews map[string]int64
+	slotViews map[string]*int64
 	slotTop   int64 // the largest slotViews count, kept as they grow
 	slotTotal int64 // Σ slotViews
 	slotOther int64 // in-views on placements beyond the MaxSlots cap
@@ -555,20 +555,26 @@ func (r *row) observeDwell(dw time.Duration, o Options) {
 // are named and which are "other" depends on first-arrival order —
 // acceptable because the concentration *ratio* the score uses barely
 // moves, and honest inventory sits far below the cap anyway.
+//
+// The count is behind a pointer so that only a new placement is ever
+// assigned, under a clone: assigning to a string key that is already in
+// a map stores the new key string too, and slot is the event's, which
+// is valid only while its request is handled.
 func (r *row) addSlotView(slot string, maxSlots int) {
 	if r.slotViews == nil {
-		r.slotViews = make(map[string]int64)
+		r.slotViews = make(map[string]*int64)
 	}
-	if _, ok := r.slotViews[slot]; !ok {
+	n := r.slotViews[slot]
+	if n == nil {
 		if len(r.slotViews) >= maxSlots {
 			r.slotOther++
 			return
 		}
-		slot = strings.Clone(slot) // the map keeps it; the event's copy goes with its request
+		n = new(int64)
+		r.slotViews[strings.Clone(slot)] = n
 	}
-	n := r.slotViews[slot] + 1
-	r.slotViews[slot] = n
-	r.slotTop = max(r.slotTop, n)
+	*n++
+	r.slotTop = max(r.slotTop, *n)
 	r.slotTotal++
 }
 

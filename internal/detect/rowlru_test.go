@@ -144,7 +144,7 @@ func TestRunningScoreTerms(t *testing.T) {
 					peak = max(peak, c)
 				}
 				for _, n := range r.slotViews {
-					top, total = max(top, n), total+n
+					top, total = max(top, *n), total+*n
 				}
 				if r.peak != peak || r.slotTop != top || r.slotTotal != total {
 					t.Fatalf("seed %d, row %v: running peak/top/total %d/%d/%d, recomputed %d/%d/%d",
