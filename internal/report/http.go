@@ -7,7 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"qtag/internal/aggregate"
@@ -26,7 +26,7 @@ import (
 //	GET /report?windows=0        JSON without the rollup windows
 //
 // The raw event store is never consulted, let alone scanned; the JSON
-// form is encoded straight from the accumulators into pooled buffers
+// form is encoded straight from the accumulators into reused buffers
 // (no Snapshot, no reflection) and sent with a Content-Length in one
 // Write.
 func Handler(a *aggregate.Aggregator, now func() time.Time) http.Handler {
@@ -43,6 +43,7 @@ func HandlerWithDetect(a *aggregate.Aggregator, d *detect.Detector, now func() t
 	if now == nil {
 		now = time.Now
 	}
+	var spare renderSlot
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// When the route is mounted behind obs.TraceMiddleware, annotate
 		// the request's span with the report's shape; SpanFromContext is
@@ -50,7 +51,7 @@ func HandlerWithDetect(a *aggregate.Aggregator, d *detect.Detector, now func() t
 		sp := obs.SpanFromContext(r.Context())
 		switch r.URL.Query().Get("format") {
 		case "", "json":
-			rb := renderPool.Get().(*renderBuf)
+			rb := spare.take()
 			body, rows, flagged, open := rb.appendReport(a, d, now().UTC(), r.URL.Query().Get("windows") != "0")
 			if d != nil {
 				sp.SetAttr("report.flagged_campaigns", strconv.Itoa(flagged))
@@ -60,7 +61,7 @@ func HandlerWithDetect(a *aggregate.Aggregator, d *detect.Detector, now func() t
 			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 			_, _ = w.Write(body)
-			rb.release()
+			spare.keep(rb)
 		case "prom", "prometheus":
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			_, _ = w.Write([]byte(Prometheus(a.Snapshot())))
@@ -93,30 +94,44 @@ type ViewabilityReport struct {
 
 // renderBuf is one JSON render's working memory: the response body and
 // the fragment arenas the aggregate and detect encoders fill under their
-// shard locks — together about two bodies' worth. Pooled, so a
-// dashboard polling /report re-uses them instead of allocating (and the
-// GC tracing) a Snapshot's worth of rows, maps and histogram copies per
-// poll.
+// shard locks — together about two bodies' worth. Kept between renders,
+// so a dashboard polling /report re-uses them instead of allocating (and
+// the GC tracing) a Snapshot's worth of rows, maps and histogram copies
+// per poll.
 type renderBuf struct {
 	body  []byte
 	frags jsonenc.Frags // campaign rows, then each rollup window, then fraud rows
 	dwell jsonenc.Frags // dwell rows: filled in the same lock hold as the campaign rows
 }
 
-var renderPool = sync.Pool{New: func() any { return new(renderBuf) }}
+// renderSlot is a handler's spare renderBuf: the one its last render
+// used. It is held, not pooled: a sync.Pool drops its entries across
+// collections and misses whenever a render ends on another P than the
+// next one starts on, and each miss re-grows a body and two arenas —
+// megabytes of garbage at 5 000 campaigns, at moments that vary from
+// run to run. A render that finds the slot taken by a concurrent one
+// uses a fresh buffer and drops it afterwards.
+type renderSlot struct{ p atomic.Pointer[renderBuf] }
 
-// maxPooledBytes bounds what one renderBuf may keep between renders
-// (about four bodies at 5 000 campaigns): a one-off report of a much
-// larger state is not pinned until the next GC empties the pool.
+// maxPooledBytes bounds what the slot may keep between renders (about
+// four bodies at 5 000 campaigns): a one-off report of a much larger
+// state is not pinned.
 const maxPooledBytes = 16 << 20
 
-func (rb *renderBuf) release() {
+func (s *renderSlot) take() *renderBuf {
+	if rb := s.p.Swap(nil); rb != nil {
+		return rb
+	}
+	return new(renderBuf)
+}
+
+func (s *renderSlot) keep(rb *renderBuf) {
 	if cap(rb.body)+cap(rb.frags.Buf)+cap(rb.dwell.Buf) > maxPooledBytes {
 		return
 	}
 	rb.frags.Reset() // drop the index's references to row keys
 	rb.dwell.Reset()
-	renderPool.Put(rb)
+	s.p.CompareAndSwap(nil, rb)
 }
 
 // appendReport renders the report into rb.body — byte for byte

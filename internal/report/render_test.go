@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -442,6 +443,30 @@ func TestRenderAllocBudget(t *testing.T) {
 		t.Fatalf("GET /report = %.0f allocs per render, budget 64", allocs)
 	}
 	t.Logf("GET /report: %.0f allocs per render, %d bytes", allocs, w.n)
+}
+
+// TestRenderKeepsItsBuffersAcrossCollections: a render after the
+// collector has run still reuses the last render's body and arenas. A
+// sync.Pool drops them within two collections, and a polled /report then
+// re-grows megabytes per collection at 5 000 campaigns.
+func TestRenderKeepsItsBuffersAcrossCollections(t *testing.T) {
+	s := newStack(true, detect.Options{})
+	s.submit(benchEvents(3, 500, 20_000)...)
+	h := HandlerWithDetect(s.a, s.d, nil)
+	req := httptest.NewRequest("GET", "/report", nil)
+	w := &discardWriter{h: http.Header{}}
+	h.ServeHTTP(w, req)
+	var before, after runtime.MemStats
+	for i := range 3 {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(w, req)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(w.n)/4 {
+			t.Fatalf("render %d after two collections allocated %d bytes for a %d-byte body: the last render's buffers were not kept", i, got, w.n)
+		}
+	}
 }
 
 // discardWriter is a ResponseWriter that counts and drops the body, so
