@@ -73,12 +73,24 @@ bench-smoke:
 # bench/, qtag-server's flags as `qtag-server -h` lists them (the listing
 # cmd/qtag-server/testdata/flags.golden pins), and what the store keeps
 # per event and the observers per impression (TestMemoryBudgets' lines).
-# Print-only: a number here never fails the build; `make ci` runs it so
-# the log records them.
+# The first two are a ratchet: the target fails when either is over
+# SIZE_BASELINE.txt. Lower the baseline when a change shrinks them; a
+# change that raises it says why in CHANGES.md. The memory lines are
+# print-only.
+SIZE_BASELINE ?= SIZE_BASELINE.txt
+
 size:
-	@echo "non-test Go lines outside bench/: $$(find . -path ./bench -prune -o -path './.*' -prune -o \
-		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
-	@echo "qtag-server flags: $$($(GO) run ./cmd/qtag-server -h 2>&1 | grep -c '^  -')"
+	@lines=$$(find . -path ./bench -prune -o -path './.*' -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
+	flags=$$($(GO) run ./cmd/qtag-server -h 2>&1 | grep -c '^  -'); \
+	echo "non-test Go lines outside bench/: $$lines"; \
+	echo "qtag-server flags: $$flags"; \
+	awk -v lines="$$lines" -v flags="$$flags" -v file="$(SIZE_BASELINE)" ' \
+		$$1 == "lines" { seen++; if (lines + 0 > $$2 + 0) { print "FAIL: " lines " non-test Go lines, over the baseline " $$2 " in " file; bad = 1 } } \
+		$$1 == "flags" { seen++; if (flags + 0 > $$2 + 0) { print "FAIL: " flags " qtag-server flags, over the baseline " $$2 " in " file; bad = 1 } } \
+		END { if (flags + 0 < 1) { print "FAIL: qtag-server -h listed no flags"; bad = 1 } \
+			if (seen != 2) { print "FAIL: " file " must hold one lines and one flags entry"; bad = 1 } \
+			exit bad }' $(SIZE_BASELINE)
 	@$(GO) test -count=1 -run '^TestMemoryBudgets$$' -v ./internal/beacon 2>&1 | \
 		sed -n 's|^.*layout_test.go:[0-9]*: \(.* B/[a-z]*\)$$|memory: \1|p'
 
@@ -213,8 +225,8 @@ alloc-baseline:
 		./internal/beacon > $(ALLOC_BASELINE)
 	@cat $(ALLOC_BASELINE)
 
-# The blocking pipeline: correctness, analysis, the tracked sizes (print
-# only), coverage, crash-safety, trace propagation, allocation
+# The blocking pipeline: correctness, analysis, the size ratchet,
+# coverage, crash-safety, trace propagation, allocation
 # regressions, and the out-of-process benchmark's smoke run (the real
 # binary on all four workloads, passed or failed by the oracle, never by
 # a timing). soak, the cluster /

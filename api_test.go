@@ -1,7 +1,6 @@
 package qtag_test
 
 import (
-	"bytes"
 	"math"
 	"net/http/httptest"
 	"testing"
@@ -13,6 +12,7 @@ import (
 	"qtag/internal/dom"
 	"qtag/internal/geom"
 	"qtag/internal/simclock"
+	"qtag/internal/wal"
 )
 
 // TestPublicAPIQuickstart drives the README's core flow through the
@@ -152,12 +152,15 @@ func TestFacadeReproductionEntryPoints(t *testing.T) {
 }
 
 // TestJournaledCollectionServer exercises the durability path end to
-// end: ingest over HTTP through a journaling sink, then rebuild a fresh
-// collector from the journal bytes.
+// end: ingest over HTTP through the WAL, then rebuild a fresh collector
+// from the WAL directory.
 func TestJournaledCollectionServer(t *testing.T) {
+	dir := t.TempDir()
 	store := qtagapi.NewCollector()
-	journalBuf := &writableBuffer{}
-	journal := beacon.NewJournal(journalBuf)
+	journal, _, err := beacon.OpenDurable(wal.Options{Dir: dir}, store)
+	if err != nil {
+		t.Fatal(err)
+	}
 	server := beacon.NewServerWithSink(store, beacon.Tee(store, journal))
 	srv := httptest.NewServer(server)
 	defer srv.Close()
@@ -171,29 +174,19 @@ func TestJournaledCollectionServer(t *testing.T) {
 	if err := sink.SubmitBatch(events); err != nil {
 		t.Fatal(err)
 	}
-	if err := journal.Flush(); err != nil {
+	if err := journal.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	restored := qtagapi.NewCollector()
-	st, err := beacon.ReplayJournal(journalBuf.reader(), restored)
-	if err != nil || st.Replayed != 3 {
-		t.Fatalf("replay: %+v %v", st, err)
+	rec, err := beacon.ReplayWALDir(dir, restored)
+	if err != nil || rec.Replayed != 3 {
+		t.Fatalf("replay: %+v %v", rec, err)
 	}
 	if restored.InView("c", beacon.SourceQTag) != 1 {
 		t.Error("restored collector wrong")
 	}
 }
-
-// writableBuffer is a minimal growable byte sink with a reader view.
-type writableBuffer struct{ data []byte }
-
-func (b *writableBuffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
-}
-
-func (b *writableBuffer) reader() *bytes.Reader { return bytes.NewReader(b.data) }
 
 // TestFacadeExtensions smoke-tests the extension entry points: the JS tag
 // generator, the auditor and the predictor.

@@ -1,18 +1,20 @@
 // Command qtag-replay reads a beacon journal and either prints the
 // aggregated stats or re-submits every event to a live collection
-// server. -journal accepts both formats qtag-server writes: a JSONL
-// file (-journal mode) or a WAL directory (-wal-dir mode — newest valid
-// snapshot first, then every record past its coverage, read-only and
-// safe to point at a live or crashed server's directory).
+// server. -journal takes the WAL directory qtag-server writes under
+// -wal-dir (newest valid snapshot first, then every record past its
+// coverage, read-only and safe to point at a live or crashed server's
+// directory), or a JSONL file written by older servers, which had a
+// single-file journal before the WAL.
 //
-// Replay is tolerant by design: a corrupted or truncated trailing line
-// (the signature of a crash mid-write) is skipped and counted, not
-// fatal — the tool reports "skipped N malformed lines" (for a WAL
-// directory, undecodable records and quarantined corruption are
-// reported separately, with byte counts) and still exits 0 with the
-// stats for everything readable. Ingestion is idempotent end to end, so
-// replaying into a server that already holds part of the journal is
-// safe.
+// Replay is tolerant by design: a corrupted, truncated or over-long
+// line (the signature of a crash mid-write, or of the zero-filled page
+// a power loss leaves) is skipped and counted, not fatal — the tool
+// reports "skipped N malformed lines" (for a WAL directory, undecodable
+// records and quarantined corruption are reported separately, with byte
+// counts) and still exits 0 with the stats for everything readable.
+// Such notes go to stderr, so -report-json's stdout stays pure JSON.
+// Ingestion is idempotent end to end, so replaying into a server that
+// already holds part of the journal is safe.
 //
 // -report switches the output to the streaming campaign viewability
 // report: the journal is replayed through the same aggregation
@@ -103,7 +105,7 @@ func main() {
 		}
 		replayed = rec.SnapshotRestored + rec.Replayed
 		if rec.SnapshotRestored > 0 {
-			fmt.Printf("restored %d events from snapshot (covers record %d)\n", rec.SnapshotRestored, rec.SnapshotIndex)
+			fmt.Fprintf(os.Stderr, "restored %d events from snapshot (covers record %d)\n", rec.SnapshotRestored, rec.SnapshotIndex)
 		}
 		if rec.TornTail {
 			fmt.Fprintf(os.Stderr, "warning: journal tail is torn (%d bytes unreadable) — a crash mid-write; everything before it was replayed\n", rec.TruncatedBytes)
@@ -113,10 +115,10 @@ func main() {
 		// are different losses — report them separately so the operator's
 		// accounting is exact.
 		if skipped := rec.ReplaySkipped + rec.SnapshotSkipped; skipped > 0 {
-			fmt.Printf("skipped %d undecodable records\n", skipped)
+			fmt.Fprintf(os.Stderr, "skipped %d undecodable records\n", skipped)
 		}
 		if rec.Quarantined > 0 {
-			fmt.Printf("%d corrupted chunks (%d bytes) quarantined\n", rec.Quarantined, rec.QuarantinedBytes)
+			fmt.Fprintf(os.Stderr, "%d corrupted chunks (%d bytes) quarantined\n", rec.Quarantined, rec.QuarantinedBytes)
 		}
 	} else {
 		f, err := os.Open(*journalPath)
@@ -132,7 +134,7 @@ func main() {
 		}
 		replayed = st.Replayed
 		if st.Skipped > 0 {
-			fmt.Printf("skipped %d malformed lines\n", st.Skipped)
+			fmt.Fprintf(os.Stderr, "skipped %d malformed lines\n", st.Skipped)
 		}
 	}
 	if *reportJSON {

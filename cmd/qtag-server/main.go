@@ -42,16 +42,15 @@
 //   - -admission (on by default): adaptive concurrency limit, priority
 //     classes shed lowest first (503 + Retry-After), X-Qtag-Budget-Ms
 //     deadlines, -shed-pending as the backlog backstop, -disk-*-bytes
-//     watermarks; -admission=false is no overload control at all (and
-//     refuses -shed-pending). DESIGN §14.
+//     watermarks (both need -wal-dir); -admission=false is no overload
+//     control at all (and refuses both). DESIGN §14.
 //   - -detect: streaming fraud scores in the "fraud" object of GET
 //     /report and as qtag_detect_* metrics. DESIGN §15.
 //
 // On SIGINT/SIGTERM the HTTP server drains, then collector.Stack.Close
-// stops the background tickers, flushes the queue into the journal, takes
-// a final snapshot (WAL mode) and fsyncs and closes the journal, before
-// the final summary log line. Configuration errors exit 2, runtime
-// failures 1.
+// stops the background tickers, flushes the queue into the WAL, takes a
+// final snapshot and fsyncs and closes the WAL, before the final summary
+// log line. Configuration errors exit 2, runtime failures 1.
 package main
 
 import (
@@ -158,8 +157,7 @@ func bindFlags(fs *flag.FlagSet, o *options) {
 	c := &o.cfg
 	fs.StringVar(&o.addr, "addr", ":8640", "listen address")
 	fs.DurationVar(&c.LogEvery, "log-every", c.LogEvery, "interval between stats log lines (0 disables)")
-	fs.StringVar(&c.JournalPath, "journal", c.JournalPath, "JSONL journal file for durability (replayed on startup)")
-	fs.StringVar(&c.WALDir, "wal-dir", c.WALDir, "segmented write-ahead journal directory (crash-safe durability; excludes -journal)")
+	fs.StringVar(&c.WALDir, "wal-dir", c.WALDir, "segmented write-ahead journal directory: the crash-safe durability backend, recovered on startup (empty = no durability)")
 	fs.Int64Var(&c.WALSegmentBytes, "wal-segment-bytes", c.WALSegmentBytes, "rotate WAL segments at this size")
 	fs.StringVar(&o.fsync, "fsync", "batch", "WAL fsync policy: always, batch or interval")
 	fs.DurationVar(&c.FsyncEvery, "fsync-every", c.FsyncEvery, "fsync period for -fsync interval")
@@ -173,15 +171,15 @@ func bindFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&c.StatsKey, "stats-key", c.StatsKey, "operator bearer token protecting the stats endpoints (empty = open)")
 	fs.Float64Var(&c.IngestRate, "ingest-rate", c.IngestRate, "per-client ingestion rate limit in req/s (0 = unlimited)")
 	fs.Float64Var(&c.IngestBurst, "ingest-burst", c.IngestBurst, "per-client ingestion burst")
-	fs.IntVar(&c.ShedPending, "shed-pending", c.ShedPending, "the admission controller's hard backstop: shed ingestion with 503 while this many journal events await flush (0 = disabled; needs -admission)")
+	fs.IntVar(&c.ShedPending, "shed-pending", c.ShedPending, "the admission controller's hard backstop: shed ingestion with 503 while this many events await durability — WAL records not yet fsynced plus queued events (0 = disabled; needs -wal-dir and -admission)")
 	fs.DurationVar(&c.RetryAfter, "retry-after", c.RetryAfter, "Retry-After hint on shed responses")
 	fs.BoolVar(&c.Admission, "admission", c.Admission, "adaptive admission control: gradient concurrency limiter, priority classes and degraded modes (false = no overload control)")
 	fs.IntVar(&c.AdmissionMinInflight, "admission-min-inflight", c.AdmissionMinInflight, "adaptive concurrency limit floor (0 = package default)")
 	fs.IntVar(&c.AdmissionMaxInflight, "admission-max-inflight", c.AdmissionMaxInflight, "adaptive concurrency limit ceiling (0 = package default)")
 	fs.DurationVar(&c.AdmissionRecoveryHold, "admission-recovery-hold", c.AdmissionRecoveryHold, "calm period before a browned-out node reports healthy again")
-	fs.Int64Var(&c.DiskLowBytes, "disk-low-bytes", c.DiskLowBytes, "WAL-disk low watermark: relax fsync to batch below this free space (0 disables; needs -wal-dir)")
-	fs.Int64Var(&c.DiskShedBytes, "disk-shed-bytes", c.DiskShedBytes, "WAL-disk shed watermark: stop admitting new ingest below this free space (0 disables)")
-	fs.Int64Var(&c.DiskReadOnlyBytes, "disk-readonly-bytes", c.DiskReadOnlyBytes, "WAL-disk read-only watermark: refuse all writes below this free space (0 disables)")
+	fs.Int64Var(&c.DiskLowBytes, "disk-low-bytes", c.DiskLowBytes, "WAL-disk low watermark: relax fsync to batch below this free space (0 disables; needs -wal-dir and -admission)")
+	fs.Int64Var(&c.DiskShedBytes, "disk-shed-bytes", c.DiskShedBytes, "WAL-disk shed watermark: stop admitting new ingest below this free space (0 disables; needs -wal-dir and -admission)")
+	fs.Int64Var(&c.DiskReadOnlyBytes, "disk-readonly-bytes", c.DiskReadOnlyBytes, "WAL-disk read-only watermark: refuse all writes below this free space (0 disables; needs -wal-dir and -admission)")
 	fs.DurationVar(&c.DiskCheckEvery, "disk-check-every", c.DiskCheckEvery, "free-space probe cadence for the disk watermarks")
 	fs.IntVar(&c.ReportMaxOpen, "report-max-open", c.ReportMaxOpen, "cap open per-impression aggregation states; past it the coldest is evicted, totals frozen (0 = unbounded)")
 	fs.IntVar(&c.QueueCap, "queue-cap", c.QueueCap, "durability queue capacity (events)")

@@ -11,11 +11,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"qtag/internal/collector"
 )
@@ -221,26 +223,62 @@ func TestStackSurfaceMatchesTheGoldenScrapes(t *testing.T) {
 	}
 }
 
-// Flag combinations no stack can be built from are refused by
-// parseFlags — main exits 2 on them before it binds the socket.
+// TestMain runs the test binary as qtag-server itself when
+// QTAG_SERVER_MAIN is set, so a test can watch main's exit code.
+func TestMain(m *testing.M) {
+	if os.Getenv("QTAG_SERVER_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// Flag combinations no stack can be built from, and flags that would be
+// accepted but do nothing, are refused by parseFlags — main exits 2 on
+// them before it binds the socket. -journal is gone: an old deployment's
+// argv must fail to start, not run with no durability.
 func TestParseFlagsRefusesBadConfigurations(t *testing.T) {
-	for _, args := range [][]string{
-		{"-admission=false", "-shed-pending", "100"},
-		{"-durable-sync"},
-		{"-log-level", "nonsense"},
-		{"-fsync", "sometimes"},
-		{"-peers", "n1"},
-		{"-no-such-flag"},
+	for _, tc := range []struct {
+		args  []string
+		names []string // flags the ErrConfig must name; nil for a parse error
+	}{
+		{[]string{"-admission=false", "-shed-pending", "100"}, []string{"-shed-pending", "-admission"}},
+		{[]string{"-shed-pending", "100"}, []string{"-shed-pending", "-wal-dir"}},
+		{[]string{"-disk-low-bytes", "1"}, []string{"-disk-low-bytes", "-wal-dir"}},
+		{[]string{"-disk-shed-bytes", "1"}, []string{"-disk-shed-bytes", "-wal-dir"}},
+		{[]string{"-disk-readonly-bytes", "1"}, []string{"-disk-readonly-bytes", "-wal-dir"}},
+		{[]string{"-wal-dir", "wal", "-admission=false", "-disk-low-bytes", "1"}, []string{"-disk-low-bytes", "-admission"}},
+		{[]string{"-durable-sync"}, []string{"-durable-sync", "-wal-dir"}},
+		{[]string{"-journal", "beacons.jsonl"}, nil},
+		{[]string{"-log-level", "nonsense"}, nil},
+		{[]string{"-fsync", "sometimes"}, nil},
+		{[]string{"-peers", "n1"}, nil},
+		{[]string{"-no-such-flag"}, nil},
 	} {
 		fs := flag.NewFlagSet("qtag-server", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
-		if _, err := parseFlags(fs, args); err == nil {
-			t.Errorf("%v accepted", args)
+		_, err := parseFlags(fs, tc.args)
+		if err == nil {
+			t.Errorf("%v accepted", tc.args)
+			continue
 		}
-	}
-	fs := flag.NewFlagSet("qtag-server", flag.ContinueOnError)
-	_, err := parseFlags(fs, []string{"-admission=false", "-shed-pending", "100"})
-	if !errors.Is(err, collector.ErrConfig) || !strings.Contains(err.Error(), "-shed-pending") || !strings.Contains(err.Error(), "-admission") {
-		t.Errorf("-admission=false -shed-pending 100: %v, want a configuration error naming both flags", err)
+		if tc.names != nil && !errors.Is(err, collector.ErrConfig) {
+			t.Errorf("%v: %v, want a configuration error", tc.args, err)
+		}
+		for _, name := range tc.names {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%v: %v, want it to name %s", tc.args, err, name)
+			}
+		}
+
+		// The binary itself: exit 2, before it would bind -addr.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-addr", "127.0.0.1:0"}, tc.args...)...)
+		cmd.Dir, cmd.Env = t.TempDir(), append(os.Environ(), "QTAG_SERVER_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		cancel()
+		if code := cmd.ProcessState.ExitCode(); code != 2 {
+			t.Errorf("qtag-server %v: exit %d (%v), want 2\n%s", tc.args, code, err, out)
+		}
 	}
 }

@@ -207,8 +207,8 @@ func TestWALJournalSnapshotOverlapIsIdempotent(t *testing.T) {
 }
 
 func TestWALJournalFlushIsDurable(t *testing.T) {
-	// Flush must honour the legacy Journal contract: after it returns,
-	// nothing is pending. Under the default on-batch policy a lone
+	// Flush is a durability boundary: after it returns, nothing is
+	// pending. Under the default on-batch policy a lone
 	// Submit is unsynced until then.
 	dir := t.TempDir()
 	j, _, err := OpenDurable(wal.Options{Dir: dir}, NewStore())

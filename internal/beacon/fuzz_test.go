@@ -42,6 +42,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(string(valid) + "\ngarbage\n" + string(valid))
 	f.Add("\n\n\n")
 	f.Add(strings.Repeat("{", 100))
+	f.Add(strings.Repeat("\x00", 2<<20) + "\n" + string(valid) + "\n") // a power loss's zero-filled page
 	f.Fuzz(func(t *testing.T, journal string) {
 		store := NewStore()
 		st, err := ReplayJournal(strings.NewReader(journal), store)

@@ -6,166 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
-
-	"qtag/internal/obs"
 )
-
-// Journal persists events as JSON Lines to an io.Writer — the durability
-// layer under the in-memory Store. A collection server typically fans
-// events into both via Tee; after a restart, ReplayJournal rebuilds the
-// store (idempotent ingestion makes replays safe even with overlapping
-// journals).
-//
-// Journal implements Sink and is safe for concurrent use.
-type Journal struct {
-	mu      sync.Mutex
-	w       io.Writer
-	buf     *bufio.Writer
-	n       int
-	pending int // events accepted since the last Flush
-	closed  bool
-}
-
-// NewJournal wraps the writer. The caller owns the writer's lifecycle
-// (e.g. closing the underlying file) but must call Flush/Close on the
-// journal first.
-func NewJournal(w io.Writer) *Journal {
-	return &Journal{w: w, buf: bufio.NewWriter(w)}
-}
-
-// Submit implements Sink: it appends the event as one JSON line.
-func (j *Journal) Submit(e Event) error {
-	if err := e.Validate(); err != nil {
-		return err
-	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("beacon: journal encode: %w", err)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.buf.Write(line); err != nil {
-		return fmt.Errorf("beacon: journal write: %w", err)
-	}
-	if err := j.buf.WriteByte('\n'); err != nil {
-		return fmt.Errorf("beacon: journal write: %w", err)
-	}
-	j.n++
-	j.pending++
-	return nil
-}
-
-// SubmitBatch implements BatchSink: it appends the whole batch under a
-// single lock acquisition, one JSON line per event. Encoding happens
-// outside the lock. A write error mid-batch may leave a prefix of the
-// batch in the journal; the retrying caller re-appends the whole batch,
-// which is safe because replay feeds an idempotent store.
-func (j *Journal) SubmitBatch(events []Event) error {
-	lines := make([][]byte, 0, len(events))
-	for _, e := range events {
-		if err := e.Validate(); err != nil {
-			return err
-		}
-		line, err := json.Marshal(e)
-		if err != nil {
-			return fmt.Errorf("beacon: journal encode: %w", err)
-		}
-		lines = append(lines, line)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for _, line := range lines {
-		if _, err := j.buf.Write(line); err != nil {
-			return fmt.Errorf("beacon: journal write: %w", err)
-		}
-		if err := j.buf.WriteByte('\n'); err != nil {
-			return fmt.Errorf("beacon: journal write: %w", err)
-		}
-		j.n++
-		j.pending++
-	}
-	return nil
-}
-
-// RegisterMetrics exports the journal's durability counters on the
-// registry.
-func (j *Journal) RegisterMetrics(r *obs.Registry) {
-	r.GaugeFunc("qtag_journal_pending", "Events accepted since the last flush — the durability backlog.",
-		func() float64 { return float64(j.Pending()) })
-	r.GaugeFunc("qtag_journal_events", "Events written to the journal since startup.",
-		func() float64 { return float64(j.Len()) })
-}
-
-// Len returns the number of events written.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.n
-}
-
-// Pending returns the number of events accepted since the last Flush —
-// the durability backlog. The admission backstop sheds ingestion when this
-// grows past -shed-pending (the journal writer is not keeping up).
-func (j *Journal) Pending() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.pending
-}
-
-// Flush pushes buffered lines to the underlying writer.
-func (j *Journal) Flush() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.flushLocked()
-}
-
-func (j *Journal) flushLocked() error {
-	if err := j.buf.Flush(); err != nil {
-		return err
-	}
-	j.pending = 0
-	return nil
-}
-
-// Sync flushes and, when the underlying writer supports it (an *os.File
-// does), forces the data to stable storage.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.flushLocked(); err != nil {
-		return err
-	}
-	if s, ok := j.w.(interface{ Sync() error }); ok {
-		return s.Sync()
-	}
-	return nil
-}
-
-// Close flushes, fsyncs when possible and, when the underlying writer is
-// an io.Closer, closes it. Close is idempotent: the graceful-shutdown
-// path closes explicitly after the HTTP server drains, and a deferred
-// Close becomes a no-op.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.closed = true
-	if err := j.flushLocked(); err != nil {
-		return err
-	}
-	if s, ok := j.w.(interface{ Sync() error }); ok {
-		if err := s.Sync(); err != nil {
-			return err
-		}
-	}
-	if c, ok := j.w.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
 
 // ReplayStats summarises a journal replay.
 type ReplayStats struct {
@@ -176,33 +17,58 @@ type ReplayStats struct {
 	Skipped int
 }
 
-// ReplayJournal streams a JSONL journal into a sink. Corrupt lines are
-// skipped and counted rather than aborting the replay — a torn tail
-// write must not make the whole journal unreadable.
+// maxJournalLine caps one JSONL line; no event comes near it.
+const maxJournalLine = 1 << 20
+
+// ReplayJournal streams a JSONL journal — the format servers before the
+// WAL wrote — into a sink. Corrupt lines are skipped and counted rather
+// than aborting the replay: a torn tail write, or the zero-filled page a
+// power loss leaves (one run longer than maxJournalLine, skipped whole),
+// must not make the whole journal unreadable.
 func ReplayJournal(r io.Reader, sink Sink) (ReplayStats, error) {
 	var st ReplayStats
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
+	br := bufio.NewReaderSize(r, 64*1024)
+	var line []byte
+	tooLong := false
+	for {
+		chunk, err := br.ReadSlice('\n')
+		if !tooLong {
+			if len(line)+len(chunk) > maxJournalLine {
+				tooLong = true
+			} else {
+				line = append(line, chunk...)
+			}
+		}
+		if err == bufio.ErrBufferFull {
 			continue
 		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
+		if tooLong {
 			st.Skipped++
-			continue
+		} else {
+			st.replayLine(bytes.TrimSpace(line), sink)
 		}
-		if err := sink.Submit(e); err != nil {
-			st.Skipped++
-			continue
+		line, tooLong = line[:0], false
+		if err == io.EOF {
+			return st, nil
 		}
-		st.Replayed++
+		if err != nil {
+			return st, fmt.Errorf("beacon: journal read: %w", err)
+		}
 	}
-	if err := sc.Err(); err != nil {
-		return st, fmt.Errorf("beacon: journal read: %w", err)
+}
+
+// replayLine submits one journal line, counting it replayed or skipped;
+// a blank line counts as neither.
+func (st *ReplayStats) replayLine(line []byte, sink Sink) {
+	if len(line) == 0 {
+		return
 	}
-	return st, nil
+	var e Event
+	if json.Unmarshal(line, &e) != nil || sink.Submit(e) != nil {
+		st.Skipped++
+		return
+	}
+	st.Replayed++
 }
 
 // Tee returns a Sink fanning every event to all sinks in order. The

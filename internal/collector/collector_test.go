@@ -196,25 +196,6 @@ func TestShedPendingBackstop(t *testing.T) {
 	}
 }
 
-// The legacy -journal backend: appended through the queue, flushed on
-// Close, replayed on the next Open.
-func TestLegacyJournalRoundTrip(t *testing.T) {
-	cfg := collector.DefaultConfig()
-	cfg.JournalPath = filepath.Join(t.TempDir(), "beacons.jsonl")
-	_, url, shutdown := collectortest.Boot(t, cfg)
-	n := collectortest.Drive(t, url, 5, 2, 10)
-	if err := shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	again, _, _ := collectortest.Boot(t, cfg)
-	if got := again.Store.Len(); got != n {
-		t.Fatalf("journal replay restored %d events, want %d", got, n)
-	}
-	if _, ok := again.Server.Metrics().Values()["qtag_journal_pending"]; !ok {
-		t.Fatal("legacy journal metrics not registered")
-	}
-}
-
 // -report-max-open bounds the detector too: it keeps its impressions in
 // the aggregator's pass, so past the cap both hold the same few.
 func TestReportMaxOpenCapsTheDetector(t *testing.T) {
@@ -352,7 +333,6 @@ func TestValidate(t *testing.T) {
 	}{
 		{"defaults", func(*collector.Config) {}, ""},
 		{"durable-sync without a WAL", func(c *collector.Config) { c.DurableSync = true }, "-durable-sync requires -wal-dir"},
-		{"both journals", func(c *collector.Config) { c.WALDir, c.JournalPath = "w", "j" }, "mutually exclusive"},
 		{"peers without node-id", func(c *collector.Config) { c.Peers, c.HandoffDir = peers, "h" }, "-peers requires -node-id"},
 		{"peers without handoff-dir", func(c *collector.Config) { c.Peers, c.NodeID = peers, "a" }, "-peers requires -handoff-dir"},
 		{"peers with self", func(c *collector.Config) { c.Peers, c.NodeID, c.HandoffDir = peers, "b", "h" }, "own -node-id"},
@@ -361,6 +341,13 @@ func TestValidate(t *testing.T) {
 		{"trace-sample below 0", func(c *collector.Config) { c.TraceSample = -0.1 }, "-trace-sample"},
 		{"shed-pending without admission", func(c *collector.Config) { c.Admission, c.ShedPending = false, 100 }, "-shed-pending"},
 		{"no admission", func(c *collector.Config) { c.Admission = false }, ""},
+		{"shed-pending without a WAL", func(c *collector.Config) { c.ShedPending = 100 }, "-shed-pending requires -wal-dir"},
+		{"shed-pending with a WAL", func(c *collector.Config) { c.WALDir, c.ShedPending = "w", 100 }, ""},
+		{"disk-low-bytes without a WAL", func(c *collector.Config) { c.DiskLowBytes = 1 }, "-disk-low-bytes, -disk-shed-bytes and -disk-readonly-bytes require -wal-dir"},
+		{"disk-shed-bytes without a WAL", func(c *collector.Config) { c.DiskShedBytes = 1 }, "require -wal-dir"},
+		{"disk-readonly-bytes without a WAL", func(c *collector.Config) { c.DiskReadOnlyBytes = 1 }, "require -wal-dir"},
+		{"disk watermarks without admission", func(c *collector.Config) { c.WALDir, c.Admission, c.DiskShedBytes = "w", false, 1 }, "need -admission"},
+		{"disk watermarks with a WAL", func(c *collector.Config) { c.WALDir, c.DiskShedBytes = "w", 1 }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -30,12 +30,11 @@ var ErrConfig = errors.New("collector: bad configuration")
 // cmd/qtag-server's flag table and its default in DefaultConfig.
 type Config struct {
 	// LogEvery (-log-every) is the stats ticker's period. The same tick
-	// flushes the legacy journal and fsyncs an idle WAL stream, so 0
-	// turns the stats line and that periodic sync off together — bench/
-	// passes 0 to keep the sync out of its measured phases.
+	// fsyncs an idle WAL stream, so 0 turns the stats line and that
+	// periodic sync off together — bench/ passes 0 to keep the sync out
+	// of its measured phases.
 	LogEvery time.Duration
 
-	JournalPath         string          // -journal
 	WALDir              string          // -wal-dir
 	WALSegmentBytes     int64           // -wal-segment-bytes
 	Fsync               wal.FsyncPolicy // -fsync
@@ -132,15 +131,20 @@ func (c Config) Validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrConfig, fmt.Sprintf(format, args...))
 	}
+	disk := c.DiskLowBytes > 0 || c.DiskShedBytes > 0 || c.DiskReadOnlyBytes > 0
 	switch {
-	case c.WALDir != "" && c.JournalPath != "":
-		return bad("-wal-dir and -journal are mutually exclusive; pick one durability backend")
 	case c.DurableSync && c.WALDir == "":
 		return bad("-durable-sync requires -wal-dir (synchronous durability needs a crash-safe journal)")
 	case c.TraceSample < 0 || c.TraceSample > 1:
 		return bad("-trace-sample must be in [0,1], got %v", c.TraceSample)
 	case !c.Admission && c.ShedPending > 0:
 		return bad("-shed-pending is the admission controller's backstop and needs -admission; -admission=false runs with no overload control")
+	case c.ShedPending > 0 && c.WALDir == "":
+		return bad("-shed-pending requires -wal-dir (the backstop sheds on the WAL's backlog, and without a journal there is none)")
+	case disk && c.WALDir == "":
+		return bad("-disk-low-bytes, -disk-shed-bytes and -disk-readonly-bytes require -wal-dir (they watch the WAL's disk)")
+	case disk && !c.Admission:
+		return bad("-disk-low-bytes, -disk-shed-bytes and -disk-readonly-bytes need -admission (the admission controller acts on them); -admission=false runs with no overload control")
 	}
 	if len(c.Peers) > 0 {
 		_, self := c.Peers[c.NodeID]

@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"sync"
 	"time"
 
@@ -41,9 +40,8 @@ type Stack struct {
 	cfg       Config
 	log       *slog.Logger
 	breaker   *beacon.CircuitBreaker
-	node      *cluster.Node   // nil without Peers
-	spans     *obs.SpanStore  // nil when TraceSample is 0
-	legacy    *beacon.Journal // -journal
+	node      *cluster.Node  // nil without Peers
+	spans     *obs.SpanStore // nil when TraceSample is 0
 	watermark *admission.Watermark
 	handler   http.Handler
 
@@ -52,9 +50,9 @@ type Stack struct {
 	closeOnce sync.Once
 }
 
-// Open validates cfg, recovers the WAL (or replays the legacy journal)
-// into a fresh store and assembles the stack around it; nothing runs in
-// the background until Start. An error wrapping ErrConfig means cfg is
+// Open validates cfg, recovers the WAL (when WALDir is set) into a fresh
+// store and assembles the stack around it; nothing runs in the
+// background until Start. An error wrapping ErrConfig means cfg is
 // wrong, any other that the environment failed; either way whatever was
 // opened is closed again.
 func Open(cfg Config) (_ *Stack, err error) {
@@ -72,9 +70,9 @@ func Open(cfg Config) (_ *Stack, err error) {
 		}
 	}()
 
-	// Observers attach before the WAL/journal replay below, so boot
-	// recovery rebuilds the /report accumulators and the fraud scores by
-	// the path live ingest feeds them. The detector joins the aggregator's
+	// Observers attach before the WAL replay below, so boot recovery
+	// rebuilds the /report accumulators and the fraud scores by the path
+	// live ingest feeds them. The detector joins the aggregator's
 	// pass: one first-seen observer opens each event's impression once for
 	// both, and -report-ttl / -report-max-open bound both.
 	s.Store = beacon.NewStoreWithShards(cfg.IngestShards)
@@ -106,11 +104,6 @@ func Open(cfg Config) (_ *Stack, err error) {
 			"corrupt_snapshots", rec.CorruptSnapshots, "torn_tail", rec.TornTail,
 			"duration", rec.Duration)
 	}
-	if cfg.JournalPath != "" {
-		if err := s.openLegacyJournal(); err != nil {
-			return nil, err
-		}
-	}
 
 	// The store ingests synchronously, ahead of the journal in the Tee.
 	// Journal writes drain through queue → breaker → journal, or — under
@@ -126,8 +119,6 @@ func Open(cfg Config) (_ *Stack, err error) {
 		durable = s.Journal.RequestSink()
 	case s.Journal != nil:
 		durable = s.Journal
-	case s.legacy != nil:
-		durable = s.legacy
 	}
 	s.breaker = beacon.NewCircuitBreaker(durable, beacon.DefaultBreakerThreshold, 5*time.Second)
 	s.Queue = beacon.NewQueueSink(s.breaker, beacon.QueueOptions{Capacity: cfg.QueueCap})
@@ -201,28 +192,6 @@ func Open(cfg Config) (_ *Stack, err error) {
 	return s, nil
 }
 
-// openLegacyJournal replays an existing -journal file, then appends to
-// it. Idempotent ingestion makes restarts safe.
-func (s *Stack) openLegacyJournal() error {
-	path := s.cfg.JournalPath
-	if f, err := os.Open(path); err == nil {
-		st, rerr := beacon.ReplayJournal(f, s.Store)
-		f.Close()
-		if rerr != nil {
-			return fmt.Errorf("replay journal: %w", rerr)
-		}
-		s.log.Info("journal replayed", "path", path, "replayed", st.Replayed, "skipped", st.Skipped)
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("open journal: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("append journal: %w", err)
-	}
-	s.legacy = beacon.NewJournal(f)
-	return nil
-}
-
 // mountRoutes attaches what beacon.Server does not serve itself.
 func (s *Stack) mountRoutes(tracer *obs.Tracer) {
 	cfg, srv := s.cfg, s.Server
@@ -283,9 +252,6 @@ func (s *Stack) registerMetrics() {
 	}
 	s.Queue.RegisterMetrics(reg)
 	s.breaker.RegisterMetrics(reg)
-	if s.legacy != nil {
-		s.legacy.RegisterMetrics(reg)
-	}
 	if s.Journal != nil {
 		s.Journal.RegisterMetrics(reg)
 	}
@@ -295,24 +261,22 @@ func (s *Stack) registerMetrics() {
 // readiness and /healthz follow it.
 func (s *Stack) admit() error {
 	cfg, wj, queue := s.cfg, s.Journal, s.Queue
-	// backlog counts events accepted but not yet durable: the journal's
-	// unflushed (or un-fsynced) records plus whatever sits in the queue.
+	// backlog counts events accepted but not yet durable: the WAL's
+	// un-fsynced records plus whatever sits in the queue.
 	var backlog func() int
-	switch {
-	case wj != nil:
+	if wj != nil {
 		backlog = func() int { return wj.Pending() + queue.Depth() }
-	case s.legacy != nil:
-		backlog = s.legacy.Pending
 	}
 	acfg := admission.Config{
 		Limiter:      admission.LimiterConfig{MinLimit: cfg.AdmissionMinInflight, MaxLimit: cfg.AdmissionMaxInflight},
 		RetryAfter:   cfg.RetryAfter,
 		RecoveryHold: cfg.AdmissionRecoveryHold,
 	}
-	if backlog != nil && cfg.ShedPending > 0 {
+	// Validate refuses -shed-pending and the disk watermarks without a WAL.
+	if cfg.ShedPending > 0 {
 		acfg.Backstop = func() bool { return backlog() >= cfg.ShedPending }
 	}
-	if wj != nil && (cfg.DiskLowBytes > 0 || cfg.DiskShedBytes > 0 || cfg.DiskReadOnlyBytes > 0) {
+	if cfg.DiskLowBytes > 0 || cfg.DiskShedBytes > 0 || cfg.DiskReadOnlyBytes > 0 {
 		// Below the low watermark trade fsync latency for headroom (batch
 		// coalesces syncs) and restore the policy when the disk recovers;
 		// the shed/read-only levels drive the controller's mode machine.
@@ -370,11 +334,6 @@ func (s *Stack) Start() {
 	}
 	if cfg.LogEvery > 0 {
 		s.every(cfg.LogEvery, func(time.Time) {
-			if s.legacy != nil {
-				if err := s.legacy.Flush(); err != nil {
-					s.log.Warn("journal flush", "err", err)
-				}
-			}
 			if s.Journal != nil {
 				// Keeps an idle stream durable under -fsync batch/interval. A
 				// full disk degrades (breaker, alarm gauge); it never crashes.
@@ -451,10 +410,6 @@ func (s *Stack) Close(ctx context.Context) error {
 		}
 		if s.Queue != nil {
 			step("queue drain", s.Queue.Close(ctx))
-		}
-		if s.legacy != nil {
-			s.PendingAtClose = s.legacy.Pending()
-			step("journal close", s.legacy.Close())
 		}
 		if s.Journal != nil {
 			if s.cfg.SnapshotEvery > 0 {
