@@ -20,18 +20,20 @@ COVER_PROFILE ?= coverage.out
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-# The allocation gate: the codec/key benchmarks and the three one-request
+# The allocation gate: the codec/key benchmarks and the four one-request
 # ingest benchmarks (a 64-event binary POST down the -durable-sync chain
 # to the WAL write: BenchmarkIngestBatch64 re-posts one body, the store's
 # duplicate path; BenchmarkIngestBatch64FirstSeen posts fresh bodies, so
 # every event is stored; BenchmarkIngestBatch64Observed does that with
 # the aggregator and the detector attached as collector.Open attaches
-# them, so every event also opens its impression, once for both), whose
-# allocs/op are deterministic enough to
-# gate exactly (JSON and map benches vary across Go versions and are
-# deliberately excluded), the committed baseline, and where the fresh
-# run lands.
-ALLOC_BENCH ?= BenchmarkBinaryCodec|BenchmarkEventKey|BenchmarkIngestBatch64
+# them, so every event also opens its impression, once for both; and
+# BenchmarkIngestJSON1, the tag's one-event JSON POST down the same
+# chain, fresh bodies, through the JSON decoder, which allocates
+# nothing), whose allocs/op are deterministic enough to gate exactly
+# (benches that go through encoding/json or maps vary across Go versions
+# and are deliberately excluded), the committed baseline, and where the
+# fresh run lands.
+ALLOC_BENCH ?= BenchmarkBinaryCodec|BenchmarkEventKey|BenchmarkIngestBatch64|BenchmarkIngestJSON1
 ALLOC_BASELINE ?= ALLOC_BASELINE.txt
 ALLOC_FRESH ?= alloc-fresh.txt
 
@@ -163,15 +165,17 @@ soak:
 		./internal/beacon/... ./internal/report/... ./internal/aggregate/...
 	$(GO) test -race -count=1 ./internal/collector/...
 
-# Ten seconds of fuzzing each on the WAL record codec, the ingest
-# handler, the fraud detector's observe path, and the report encoder
-# (its string and float appenders and the rendered GET /report, each
-# against encoding/json) — enough to catch a framing, checksum,
-# batch-atomicity, score-bound or byte-identity regression without
+# Ten seconds of fuzzing each on the WAL record codec, the JSON event
+# decoder and the ingest handler (both against encoding/json), the
+# fraud detector's observe path, and the report encoder (its string and
+# float appenders and the rendered GET /report, each against
+# encoding/json) — enough to catch a framing, checksum, batch-atomicity,
+# decode-equivalence, score-bound or byte-identity regression without
 # stalling the pipeline. (One -fuzz pattern per invocation: go test
 # rejects fuzzing multiple targets at once.)
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWALRecord -fuzztime=10s ./internal/beacon
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeEvents -fuzztime=10s ./internal/beacon
 	$(GO) test -run='^$$' -fuzz=FuzzHandleEvents -fuzztime=10s ./internal/beacon
 	$(GO) test -run='^$$' -fuzz=FuzzBinaryCodec -fuzztime=10s ./internal/beacon
 	$(GO) test -run='^$$' -fuzz=FuzzStoreArena -fuzztime=10s ./internal/beacon

@@ -189,7 +189,7 @@ func TestJournaledCollectionServer(t *testing.T) {
 }
 
 // TestFacadeExtensions smoke-tests the extension entry points: the JS tag
-// generator, the auditor and the predictor.
+// generator and the auditor.
 func TestFacadeExtensions(t *testing.T) {
 	js := qtagapi.GenerateJS(qtagapi.TagConfig{}, "https://m.example/v1/events", geom.Size{W: 300, H: 250})
 	if len(js) < 1000 {
@@ -198,17 +198,10 @@ func TestFacadeExtensions(t *testing.T) {
 
 	res := qtagapi.RunProductionSim(qtagapi.SimConfig{
 		Seed: 13, Campaigns: 5, ImpressionsPerCampaign: 60, BothCampaigns: 2,
-		RecordImpressions: true, Parallelism: 2,
+		Parallelism: 2,
 	})
 	rep := qtagapi.Audit(res.Store, qtagapi.AuditOptions{})
 	if !rep.Clean() {
 		t.Errorf("simulation output failed its own audit: %s", rep)
-	}
-	model := qtagapi.TrainPredictor(res)
-	if model.WDepth >= 0 {
-		t.Errorf("predictor should learn that depth hurts: %s", model)
-	}
-	if p := model.Predict(0.05, true); p <= model.Predict(0.95, true) {
-		t.Error("shallow placements must predict higher viewability")
 	}
 }

@@ -424,18 +424,23 @@ type BatchDecoder struct {
 // Decode parses one batch frame from b under the aliasing contract
 // above.
 func (d *BatchDecoder) Decode(b []byte) ([]Event, error) {
-	if d.events == nil {
-		d.events = make([]Event, 0, 16)
-	}
-	// Clear before reuse so stale strings from the previous batch don't
-	// pin that batch's arena past its lifetime.
-	clear(d.events[:cap(d.events)])
-	events, err := decodeBatchStr(aliasString(b), d.events[:0])
+	events, err := decodeBatchStr(aliasString(b), d.scratch())
 	d.events = events[:0]
 	if err != nil {
 		return nil, err
 	}
 	return events, nil
+}
+
+// scratch returns d's []Event scratch, empty. It is cleared before
+// reuse so that stale strings from the previous batch don't pin that
+// batch's buffer past its lifetime.
+func (d *BatchDecoder) scratch() []Event {
+	if d.events == nil {
+		d.events = make([]Event, 0, 16)
+	}
+	clear(d.events[:cap(d.events)])
+	return d.events[:0]
 }
 
 // DecodeStoredEvent decodes one durable record payload — a WAL record,

@@ -472,6 +472,41 @@ func TestServerBinaryIngest(t *testing.T) {
 	}
 }
 
+// TestServerBinaryContentType: the binary codec is chosen by the media
+// type of Content-Type, compared case-insensitively with its parameters
+// set aside (RFC 9110 §8.3.1) — not by a raw, case-sensitive prefix,
+// which sent a binary body in other letter cases to the JSON decoder
+// (400) and a JSON body under a longer media type to the binary one.
+func TestServerBinaryContentType(t *testing.T) {
+	binary := AppendBinaryEvents(nil, []Event{{ImpressionID: "ct", CampaignID: "c", Type: EventServed,
+		At: time.Unix(1500000000, 0).UTC()}})
+	jsonBody := []byte(`{"impression_id":"ct","campaign_id":"c","type":"served"}`)
+	for _, c := range []struct {
+		contentType string
+		body        []byte
+	}{
+		{"application/x-qtag-binary", binary},
+		{"Application/X-Qtag-Binary", binary},
+		{"APPLICATION/X-QTAG-BINARY", binary},
+		{"application/x-qtag-binary; v=1", binary},
+		{"Application/X-Qtag-Binary ; v=1", binary},
+		{" application/x-qtag-binary;v=1", binary},
+		{"application/x-qtag-binary-v2", jsonBody},
+		{"application/x-qtag-binaryx; v=1", jsonBody},
+		{"application/json; charset=utf-8", jsonBody},
+		{"", jsonBody},
+	} {
+		store := NewStore()
+		req := httptest.NewRequest(http.MethodPost, "/v1/events", bytes.NewReader(c.body))
+		req.Header.Set("Content-Type", c.contentType)
+		rr := httptest.NewRecorder()
+		NewServer(store).ServeHTTP(rr, req)
+		if rr.Code != http.StatusAccepted || store.Len() != 1 {
+			t.Errorf("Content-Type %q: %d %s, %d events stored", c.contentType, rr.Code, rr.Body.String(), store.Len())
+		}
+	}
+}
+
 // HTTPSink in binary mode delivers binary to a binary-speaking server —
 // no fallback latch.
 func TestHTTPSinkBinary(t *testing.T) {

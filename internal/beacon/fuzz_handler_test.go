@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -20,7 +21,9 @@ import (
 //     are absorbed, never double-counted);
 //   - the batch path (the store takes the request whole) and the
 //     per-event fallback (a SinkFunc in the chain) answer alike and leave
-//     the same number of events behind.
+//     the same number of events behind;
+//   - on 2xx the sink was handed exactly the events json.Unmarshal reads
+//     from the body, whichever decoder read them.
 func FuzzHandleEvents(f *testing.F) {
 	f.Add(`{"impression_id":"a","campaign_id":"c","type":"served"}`)
 	f.Add(`[{"impression_id":"a","campaign_id":"c","source":"qtag","type":"loaded"}]`)
@@ -36,15 +39,35 @@ func FuzzHandleEvents(f *testing.F) {
 	f.Add(`[` + strings.Repeat(`{"impression_id":"x","campaign_id":"c","type":"served"},`, 40) + `{}]`)
 	f.Add(strings.Repeat("A", 4096)) // over the shrunken body limit
 	f.Add("[{\"impression_id\":\"\\u0000\",\"campaign_id\":\"c\",\"type\":\"served\"}]")
+	for _, body := range jsonDeclined {
+		f.Add(body)
+	}
+	for _, body := range jsonAccepted {
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, body string) {
 		store := NewStore()
 		code := fuzzPost(t, store, NewServer(store), body)
 		perEvent := NewStore()
-		if got := fuzzPost(t, perEvent, NewServerWithSink(perEvent, SinkFunc(perEvent.Submit)), body); got != code {
+		var handed []Event
+		sink := SinkFunc(func(e Event) error {
+			handed = append(handed, e.owned())
+			return perEvent.Submit(e)
+		})
+		if got := fuzzPost(t, perEvent, NewServerWithSink(perEvent, sink), body); got != code {
 			t.Fatalf("batch path answered %d, per-event path %d, for body %q", code, got, body)
 		}
 		if store.Len() != perEvent.Len() {
 			t.Fatalf("batch path stored %d events, per-event path %d, for body %q", store.Len(), perEvent.Len(), body)
+		}
+		if code >= 200 && code < 300 {
+			want, err := decodeEvents([]byte(body))
+			if err != nil {
+				t.Fatalf("status %d for body %q, which encoding/json refuses: %v", code, body, err)
+			}
+			if len(handed)+len(want) > 0 && !reflect.DeepEqual(handed, want) {
+				t.Fatalf("sink handed %+v, encoding/json reads %+v, for body %q", handed, want, body)
+			}
 		}
 	})
 }

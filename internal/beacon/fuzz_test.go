@@ -10,20 +10,26 @@ import (
 )
 
 // FuzzDecodeEvents hardens the HTTP ingest path: arbitrary request bodies
-// must never panic, and whatever decodes must survive validation or be
-// rejected cleanly.
+// must never panic, whatever decodes must survive validation or be
+// rejected cleanly, and wherever the JSON decoder accepts a body,
+// encoding/json accepts it too and gives DeepEqual events
+// (checkJSONDecoder).
 func FuzzDecodeEvents(f *testing.F) {
 	f.Add(`{"impression_id":"a","campaign_id":"c","type":"served"}`)
 	f.Add(`[{"impression_id":"a","campaign_id":"c","source":"qtag","type":"loaded"}]`)
-	f.Add(`[]`)
-	f.Add(``)
-	f.Add(`not json`)
 	f.Add(`{"type":"bogus","seq":-1}`)
 	f.Add(`[{},{},{}]`)
 	f.Add(`{"impression_id":"` + strings.Repeat("x", 1000) + `"}`)
 	f.Add("[{\"impression_id\":\"\\u0000\"}]")
+	for _, body := range jsonDeclined {
+		f.Add(body)
+	}
+	for _, body := range jsonAccepted {
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, body string) {
-		events, err := decodeEvents([]byte(body))
+		checkJSONDecoder(t, body)
+		events, err := new(BatchDecoder).decodeJSON([]byte(body))
 		if err != nil {
 			return
 		}
@@ -140,7 +146,7 @@ func TestDecodeEventsLargeBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeEvents(body)
+	got, err := new(BatchDecoder).decodeJSON(body)
 	if err != nil || len(got) != 500 {
 		t.Fatalf("decoded %d, err %v", len(got), err)
 	}

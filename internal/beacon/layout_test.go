@@ -183,13 +183,14 @@ func (o observed) state() []any {
 }
 
 // TestNothingKeptAliasesTheRequest drives whole collector stacks, as
-// collector.Open assembles them, with binary requests whose bodies the
-// server overwrites as it gives their buffers back to the pool: every
-// event first-seen, then every event again as a duplicate. Whatever a
-// stack kept — store, observers, queue, WAL, cluster forward, span
-// store — must be its own copy: every read must equal that of the same
-// stack fed the same events as JSON, whose decoder copies every string
-// out of the body.
+// collector.Open assembles them, with JSON and with binary requests —
+// both decoders' events alias the request body — whose bodies the server
+// overwrites as it gives their buffers back to the pool: every event
+// first-seen, then every event again as a duplicate. Whatever a stack
+// kept — store, observers, queue, WAL, cluster forward, span store —
+// must be its own copy: every read must equal that of the same stack fed
+// the same requests by a server that never reuses a body, where even a
+// kept alias still reads the bytes it came in.
 func TestNothingKeptAliasesTheRequest(t *testing.T) {
 	events := aliasProbe()
 	for _, c := range []struct {
@@ -203,20 +204,25 @@ func TestNothingKeptAliasesTheRequest(t *testing.T) {
 		{"traced", 1, func(c *collector.Config) { c.TraceSample = 1 }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := collector.DefaultConfig()
-			cfg.Detect, cfg.SnapshotEvery = true, 0 // the WAL replay reads every record
-			cfg.ReportWindow = 1 << 62              // one rollup window, whenever each side runs
-			cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-			c.set(&cfg)
-			want := ingestAll(t, c.nodes, cfg, events, false)
-			got := ingestAll(t, c.nodes, cfg, events, true)
-			for n := range want {
-				for i := range want[n] {
-					if !reflect.DeepEqual(want[n][i], got[n][i]) {
-						t.Errorf("node %d, read %d differs after the request bodies were overwritten:\n want %+v\n  got %+v",
-							n, i, want[n][i], got[n][i])
+			for _, codec := range []string{"json", "binary"} {
+				t.Run(codec, func(t *testing.T) {
+					cfg := collector.DefaultConfig()
+					cfg.Detect, cfg.SnapshotEvery = true, 0 // the WAL replay reads every record
+					cfg.ReportWindow = 1 << 62              // one rollup window, whenever each side runs
+					cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+					cfg.BinaryBeacons = codec == "binary"
+					c.set(&cfg)
+					want := ingestAll(t, c.nodes, cfg, events, (*Server).KeepReleasedBodies)
+					got := ingestAll(t, c.nodes, cfg, events, (*Server).ScribbleReleasedBodies)
+					for n := range want {
+						for i := range want[n] {
+							if !reflect.DeepEqual(want[n][i], got[n][i]) {
+								t.Errorf("node %d, read %d differs after the request bodies were overwritten:\n want %+v\n  got %+v",
+									n, i, want[n][i], got[n][i])
+							}
+						}
 					}
-				}
+				})
 			}
 		})
 	}
@@ -246,15 +252,14 @@ func aliasProbe() []Event {
 }
 
 // ingestAll boots nodes stacks of cfg — two make a ring, each node the
-// other's peer — and posts events to them, alternating nodes: in
-// requests of 64, then all again in requests of 50. Binary requests
-// (and binary cluster forwards), the bodies overwritten as they go back
-// to the pool, when binary; JSON otherwise. It returns what each node
+// other's peer — sets release on each one's server, and posts events to
+// them, alternating nodes: in requests of 64, then all again in requests
+// of 50. The requests (and cluster forwards) are binary when
+// cfg.BinaryBeacons is set, JSON otherwise. It returns what each node
 // reads back: its /report, store, counters, detector and /debug/traces,
 // then, once the stacks are closed, a replay of its WAL.
-func ingestAll(t *testing.T, nodes int, cfg collector.Config, events []Event, binary bool) [][]any {
+func ingestAll(t *testing.T, nodes int, cfg collector.Config, events []Event, release func(*Server)) [][]any {
 	t.Helper()
-	cfg.BinaryBeacons = binary
 	servers := make([]*httptest.Server, nodes)
 	urls := make([]string, nodes)
 	for i := range servers {
@@ -278,9 +283,7 @@ func ingestAll(t *testing.T, nodes int, cfg collector.Config, events []Event, bi
 			t.Fatal(err)
 		}
 		stacks[i] = stack
-		if binary {
-			stack.Server.ScribbleReleasedBodies()
-		}
+		release(stack.Server)
 		srv.Config.Handler = stack.Handler()
 		srv.Start()
 		stack.Start()
@@ -289,8 +292,11 @@ func ingestAll(t *testing.T, nodes int, cfg collector.Config, events []Event, bi
 		for _, srv := range servers {
 			srv.Close()
 		}
+		// A queue left retrying what it kept must not hang the test.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
 		for _, stack := range stacks {
-			if err := stack.Close(context.Background()); err != nil {
+			if err := stack.Close(ctx); err != nil {
 				t.Error(err)
 			}
 		}
@@ -302,7 +308,7 @@ func ingestAll(t *testing.T, nodes int, cfg collector.Config, events []Event, bi
 		for lo := 0; lo < len(events); lo += size {
 			batch := events[lo:min(lo+size, len(events))]
 			body, contentType := AppendBinaryEvents(nil, batch), BinaryContentType
-			if !binary {
+			if !cfg.BinaryBeacons {
 				body, _ = json.Marshal(batch)
 				contentType = "application/json"
 			}

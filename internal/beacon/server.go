@@ -41,10 +41,12 @@ type Server struct {
 	oversized atomic.Int64
 	doomed    atomic.Int64 // requests refused because their budget was already spent
 	maxBody   atomic.Int64 // request-body cap for POST /v1/events
-	// scribble, set by tests, makes releaseBody overwrite each body before
-	// giving it back, so that anything still aliasing one reads garbage
-	// instead of the request it came in.
-	scribble atomic.Bool
+	// scribble and keepBodies, set by tests, change what releaseBody does
+	// with a body. scribble overwrites it before giving it back, so that
+	// anything still aliasing one reads garbage instead of the request it
+	// came in; keepBodies never gives it back, so that every body keeps
+	// the bytes it came with.
+	scribble, keepBodies atomic.Bool
 
 	// reg is the server's metrics registry, exported at GET /metrics in
 	// Prometheus text format. The ingest counters above are registered on
@@ -316,9 +318,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Both Content-Types are read into one pooled buffer, which goes back
-	// to the pool when the handler returns. The binary decoder's events
-	// alias it, so they are valid only until then: every sink copies what
-	// it keeps past Submit (see Sink). The decoder's []Event scratch is
+	// to the pool when the handler returns. Both decoders' events alias
+	// it, so they are valid only until then: every sink copies what it
+	// keeps past Submit (see Sink). The decoders' []Event scratch is
 	// pooled too and goes back cleared, so that it keeps no body alive.
 	body, rerr := readBody(w, r, limit)
 	defer s.releaseBody(body)
@@ -335,9 +337,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		events []Event
 		derr   error
 	)
-	if strings.HasPrefix(r.Header.Get("Content-Type"), BinaryContentType) {
-		dec := batchDecoderPool.Get().(*BatchDecoder)
-		defer putBatchDecoder(dec)
+	dec := batchDecoderPool.Get().(*BatchDecoder)
+	defer putBatchDecoder(dec)
+	if isBinaryContentType(r.Header.Get("Content-Type")) {
 		events, derr = dec.Decode(body.Bytes())
 		if errors.Is(derr, ErrBinaryVersion) {
 			// A codec version this server does not speak: answer 415 so
@@ -347,7 +349,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	} else {
-		events, derr = decodeEvents(body.Bytes())
+		events, derr = dec.decodeJSON(body.Bytes())
 	}
 	if derr != nil {
 		httpError(w, http.StatusBadRequest, derr.Error())
@@ -430,8 +432,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePixelEvent(w http.ResponseWriter, r *http.Request) {
 	raw := r.URL.Query().Get("e")
 	if raw != "" {
-		var e Event
-		if err := json.Unmarshal([]byte(raw), &e); err == nil && s.sink.Submit(e) == nil {
+		if e, err := decodeEvent(raw); err == nil && s.sink.Submit(e) == nil {
 			s.accepted.Add(1)
 		} else {
 			s.rejected.Add(1)
@@ -490,13 +491,24 @@ func (s *Server) releaseBody(buf *bytes.Buffer) {
 			b[i] = 0xA5
 		}
 	}
-	if buf.Cap() <= maxPooledBody {
+	if buf.Cap() <= maxPooledBody && !s.keepBodies.Load() {
 		bodyPool.Put(buf)
 	}
 }
 
+// isBinaryContentType reports whether a Content-Type names
+// BinaryContentType. Media types compare case-insensitively (RFC 9110
+// §8.3.1), and parameters do not change the type.
+func isBinaryContentType(contentType string) bool {
+	if i := strings.IndexByte(contentType, ';'); i >= 0 {
+		contentType = contentType[:i]
+	}
+	return strings.EqualFold(strings.TrimSpace(contentType), BinaryContentType)
+}
+
 // decodeEvents accepts either a single JSON event object or a JSON array
-// of events.
+// of events, through encoding/json: the decode of whatever the JSON
+// decoder (jsondec.go) declines.
 func decodeEvents(body []byte) ([]Event, error) {
 	trimmed := bytes.TrimSpace(body)
 	if len(trimmed) == 0 {

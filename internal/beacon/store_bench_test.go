@@ -2,6 +2,7 @@ package beacon_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -122,7 +123,7 @@ func (r *benchResponse) WriteHeader(status int)      { r.status = status }
 // figure.
 func BenchmarkIngestBatch64(b *testing.B) {
 	body := AppendBinaryEvents(nil, benchBatch(0))
-	benchIngestBatch64(b, false, func(int) []byte { return body })
+	benchIngest(b, false, BinaryContentType, func(int) []byte { return body })
 }
 
 // BenchmarkIngestBatch64FirstSeen is the same request down the same
@@ -134,7 +135,7 @@ func BenchmarkIngestBatch64FirstSeen(b *testing.B) {
 	for i := range bodies {
 		bodies[i] = AppendBinaryEvents(nil, benchBatch(i))
 	}
-	benchIngestBatch64(b, false, func(i int) []byte { return bodies[i] })
+	benchIngest(b, false, BinaryContentType, func(i int) []byte { return bodies[i] })
 }
 
 // BenchmarkIngestBatch64Observed is …FirstSeen with the aggregator and
@@ -148,7 +149,20 @@ func BenchmarkIngestBatch64Observed(b *testing.B) {
 	for i := range bodies {
 		bodies[i] = AppendBinaryEvents(nil, benchBatch(i))
 	}
-	benchIngestBatch64(b, true, func(i int) []byte { return bodies[i] })
+	benchIngest(b, true, BinaryContentType, func(i int) []byte { return bodies[i] })
+}
+
+// BenchmarkIngestJSON1 is one one-event JSON POST, the tag's beacon,
+// down the same chain with a fresh body each time: what a request of
+// the tag_single_json workload allocates between the socket and the WAL
+// write. The JSON decoder allocates nothing, so the count is as exact as
+// the binary ones and gated with them.
+func BenchmarkIngestJSON1(b *testing.B) {
+	bodies := make([][]byte, b.N+1)
+	for i := range bodies {
+		bodies[i], _ = json.Marshal(benchEvent(int64(i)))
+	}
+	benchIngest(b, false, "application/json", func(i int) []byte { return bodies[i] })
 }
 
 // benchBatch is the nth distinct 64-event request.
@@ -160,9 +174,9 @@ func benchBatch(n int) []Event {
 	return events
 }
 
-// benchIngestBatch64 posts body(0) to warm the pools and scratch, then
-// times body(1) … body(b.N).
-func benchIngestBatch64(b *testing.B, observed bool, body func(i int) []byte) {
+// benchIngest posts body(0), of contentType, to warm the pools and
+// scratch, then times body(1) … body(b.N).
+func benchIngest(b *testing.B, observed bool, contentType string, body func(i int) []byte) {
 	store := NewStoreWithShards(16)
 	if observed {
 		agg := aggregate.New(aggregate.Options{Shards: 16})
@@ -181,7 +195,7 @@ func benchIngestBatch64(b *testing.B, observed bool, body func(i int) []byte) {
 
 	rd := &benchBody{}
 	req := httptest.NewRequest(http.MethodPost, "/v1/events", rd)
-	req.Header.Set("Content-Type", BinaryContentType)
+	req.Header.Set("Content-Type", contentType)
 	resp := &benchResponse{header: http.Header{}}
 	post := func(body []byte) {
 		rd.Reset(body)

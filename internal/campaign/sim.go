@@ -81,8 +81,8 @@ type Config struct {
 	// always populated.
 	ExtraSink beacon.Sink
 	// RecordImpressions retains a per-impression record in the Result —
-	// the training data for the viewability-prediction extension and a
-	// debugging aid. Off by default to keep big runs lean.
+	// ground truth per impression, and a debugging aid. Off by default to
+	// keep big runs lean.
 	RecordImpressions bool
 	// Parallelism is the number of campaigns simulated concurrently
 	// (default 1). Each campaign is an independent virtual world with a

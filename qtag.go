@@ -37,7 +37,6 @@ import (
 	"qtag/internal/commercial"
 	"qtag/internal/economics"
 	"qtag/internal/layouteval"
-	"qtag/internal/predict"
 	"qtag/internal/qtag"
 	"qtag/internal/stress"
 	"qtag/internal/viewability"
@@ -216,16 +215,6 @@ type AuditOptions = audit.Options
 // the standard's physical timing constraints — the operational form of
 // the paper's transparency/auditability claim.
 func Audit(c *Collector, opts AuditOptions) *AuditReport { return audit.Run(c, opts) }
-
-// PredictionModel estimates P(viewed) from placement depth and device
-// class (the related-work prediction baseline; see internal/predict).
-type PredictionModel = predict.Model
-
-// TrainPredictor fits a prediction model on ground-truth-labelled
-// impressions from a simulation run with RecordImpressions set.
-func TrainPredictor(res *SimResult) *PredictionModel {
-	return predict.Train(predict.SamplesFromResult(res), predict.TrainConfig{})
-}
 
 // StressResult aggregates a randomized differential stress batch.
 type StressResult = stress.BatchResult
