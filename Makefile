@@ -62,9 +62,10 @@ microbench:
 
 # The benchmark of BENCHMARK.json in its two-second form: builds
 # qtag-server, spawns it out of process and drives all four workloads —
-# the batch ingest path (sink_batch_binary), one event per POST
-# (tag_single_json), the async queue chain (report_under_ingest) and the
-# per-event fallback behind cluster.Node (cluster_forward) — each ending
+# 64-event POSTs down the -durable-sync chain (sink_batch_binary), one
+# event per POST (tag_single_json), the async queue chain
+# (report_under_ingest) and cluster.Node, which takes a request one
+# event per call (cluster_forward) — each ending
 # in the oracle: GET /report == a recompute over what was sent, before
 # and after kill -9. Numbers from a smoke run mean nothing; it passes or
 # fails on correctness. See bench/README.md.

@@ -169,8 +169,6 @@ func bindFlags(fs *flag.FlagSet, o *options) {
 	fs.DurationVar(&c.GroupCommitMaxWait, "group-commit-max-wait", c.GroupCommitMaxWait, "hold small commit groups open this long to let more callers join")
 	fs.BoolVar(&c.DurableSync, "durable-sync", c.DurableSync, "acknowledge ingestion only after events are journaled (requires -wal-dir)")
 	fs.StringVar(&c.StatsKey, "stats-key", c.StatsKey, "operator bearer token protecting the stats endpoints (empty = open)")
-	fs.Float64Var(&c.IngestRate, "ingest-rate", c.IngestRate, "per-client ingestion rate limit in req/s (0 = unlimited)")
-	fs.Float64Var(&c.IngestBurst, "ingest-burst", c.IngestBurst, "per-client ingestion burst")
 	fs.IntVar(&c.ShedPending, "shed-pending", c.ShedPending, "the admission controller's hard backstop: shed ingestion with 503 while this many events await durability — WAL records not yet fsynced plus queued events (0 = disabled; needs -wal-dir and -admission)")
 	fs.DurationVar(&c.RetryAfter, "retry-after", c.RetryAfter, "Retry-After hint on shed responses")
 	fs.BoolVar(&c.Admission, "admission", c.Admission, "adaptive admission control: gradient concurrency limiter, priority classes and degraded modes (false = no overload control)")

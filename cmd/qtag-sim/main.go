@@ -123,7 +123,7 @@ func main() {
 			httpSink.Client = &http.Client{Transport: httpFaults}
 			logger.Info("mirror wire faults", "profile", wireFaults.String())
 		}
-		var mirror beacon.Sink = httpSink
+		var mirror beacon.BatchSink = httpSink
 		if *useBreaker {
 			breaker = beacon.NewCircuitBreaker(mirror, *breakerThreshold, *breakerCooldown)
 			breaker.RegisterMetrics(reg)

@@ -2,9 +2,10 @@
 // observationally invisible: for any request sequence — JSON and binary,
 // duplicates inside one request and across requests, sequential or
 // concurrent — it leaves the store, its counters, the streaming
-// aggregator, the fraud detector and the WAL exactly as the per-event
-// path does. What it may change is counts of work: hand-offs, writes
-// and, under -fsync always, fsyncs per request.
+// aggregator, the fraud detector and the WAL exactly as a chain that
+// takes one event per call does, and as the default async wiring does
+// once its queue has drained. What it may change is counts of work:
+// hand-offs, writes and, under -fsync always, fsyncs per request.
 //
 // External test package like durable_test.go: everything goes through
 // the public API, wired the way cmd/qtag-server wires -durable-sync.
@@ -14,6 +15,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -33,20 +35,32 @@ import (
 
 var batchT0 = time.Unix(1500000000, 0).UTC()
 
-// ingestStack is the -durable-sync ingest chain with both observers
-// attached: StampSink → Tee(store, breaker → journal.RequestSink()).
-// perEvent hides the same chain behind a SinkFunc, which no batch can
-// cross, so the handler falls back to one Submit per event.
+// chainKind picks the ingest chain an ingestStack's server feeds.
+type chainKind int
+
+const (
+	// syncChain is the -durable-sync chain with both observers attached:
+	// StampSink → Tee(store, breaker → journal.RequestSink()).
+	syncChain chainKind = iota
+	// perEventChain hides the same chain behind a SinkFunc, which takes
+	// one event per call: one group commit per event.
+	perEventChain
+	// asyncChain is the default wiring: StampSink → Tee(store, queue →
+	// breaker → journal), the journal's flush face.
+	asyncChain
+)
+
 type ingestStack struct {
 	store  *Store
 	agg    *aggregate.Aggregator
 	det    *detect.Detector
 	wj     *WALJournal
+	queue  *QueueSink // asyncChain only
 	server *Server
 	dir    string
 }
 
-func newIngestStack(t testing.TB, opts wal.Options, perEvent bool) *ingestStack {
+func newIngestStack(t testing.TB, opts wal.Options, kind chainKind) *ingestStack {
 	t.Helper()
 	clock := func() time.Time { return batchT0 }
 	s := &ingestStack{
@@ -64,8 +78,13 @@ func newIngestStack(t testing.TB, opts wal.Options, perEvent bool) *ingestStack 
 	}
 	t.Cleanup(func() { s.wj.Close() })
 	chain := Tee(s.store, NewCircuitBreaker(s.wj.RequestSink(), 0, 0))
-	if perEvent {
+	switch kind {
+	case perEventChain:
 		chain = SinkFunc(chain.Submit)
+	case asyncChain:
+		s.queue = NewQueueSink(NewCircuitBreaker(s.wj, 0, 0), QueueOptions{})
+		t.Cleanup(func() { s.queue.Close(context.Background()) }) // before the journal's
+		chain = Tee(s.store, s.queue)
 	}
 	s.server = NewServerWithSink(s.store, &StampSink{Next: chain, Now: clock})
 	return s
@@ -87,10 +106,17 @@ func (s *ingestStack) post(t testing.TB, body []byte, binary bool) (int, map[str
 	return w.Code, reply
 }
 
-// walRecords closes the journal and returns every record payload in
-// index order.
+// walRecords drains the queue, if any, closes the journal and returns
+// every record payload in index order.
 func (s *ingestStack) walRecords(t testing.TB) []string {
 	t.Helper()
+	if s.queue != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.queue.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := s.wj.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,21 +212,26 @@ func assertSameState(t *testing.T, label string, got, want *ingestStack) {
 }
 
 // TestBatchPathEquivalence: the same requests, in the same order,
-// through the batch path and the per-event path — same replies, same
-// state, the same WAL records in the same order, and one group commit
-// per request instead of one per event.
+// through the batch path, a chain that takes one event per call and the
+// default async wiring — same replies, same state; the same WAL records
+// in the same order as per event, and one group commit per request
+// instead of one per event; the same WAL records as the queue flushes
+// once it has drained.
 func TestBatchPathEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 2019, 0xdeadbeef} {
 		stream := batchStream(seed, 1500)
 		bodies, binary := requestBodies(t, seed, stream)
 		opts := func() wal.Options { return wal.Options{Dir: t.TempDir(), GroupCommit: true} }
-		batch, perEvent := newIngestStack(t, opts(), false), newIngestStack(t, opts(), true)
+		batch, perEvent := newIngestStack(t, opts(), syncChain), newIngestStack(t, opts(), perEventChain)
+		async := newIngestStack(t, opts(), asyncChain)
 		for i, body := range bodies {
 			gotCode, got := batch.post(t, body, binary[i])
-			wantCode, want := perEvent.post(t, body, binary[i])
-			if gotCode != wantCode || gotCode != http.StatusAccepted || !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed=%d request %d: batch path answered %d %v, per-event path %d %v",
-					seed, i, gotCode, got, wantCode, want)
+			for _, other := range []*ingestStack{perEvent, async} {
+				wantCode, want := other.post(t, body, binary[i])
+				if gotCode != wantCode || gotCode != http.StatusAccepted || !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed=%d request %d: batch path answered %d %v, another chain %d %v",
+						seed, i, gotCode, got, wantCode, want)
+				}
 			}
 		}
 		label := fmt.Sprintf("seed=%d", seed)
@@ -211,8 +242,19 @@ func TestBatchPathEquivalence(t *testing.T) {
 		if g, w := perEvent.wj.WAL().GroupCommits(), int64(len(stream)); g != w {
 			t.Fatalf("%s: per-event path made %d group commits for %d events", label, g, w)
 		}
-		if g, w := batch.walRecords(t), perEvent.walRecords(t); !reflect.DeepEqual(g, w) {
-			t.Fatalf("%s: WAL record sequences differ: %d vs %d records", label, len(g), len(w))
+		want := batch.walRecords(t)
+		if got := perEvent.walRecords(t); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: WAL record sequences differ: %d vs %d records", label, len(got), len(want))
+		}
+		// Drained and closed, the async stack holds the same state and
+		// the same records; the queue's flushes need not cut them where
+		// the requests did, so they are compared as a multiset.
+		got := async.walRecords(t)
+		assertSameState(t, label+" async", async, batch)
+		sort.Strings(got)
+		sort.Strings(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: async WAL record multiset differs: %d vs %d records", label, len(got), len(want))
 		}
 	}
 }
@@ -226,7 +268,7 @@ func TestBatchPathConcurrentEquivalence(t *testing.T) {
 	stream := batchStream(77, 2000)
 	bodies, binary := requestBodies(t, 77, stream)
 	opts := func() wal.Options { return wal.Options{Dir: t.TempDir(), GroupCommit: true} }
-	batch, perEvent := newIngestStack(t, opts(), false), newIngestStack(t, opts(), true)
+	batch, perEvent := newIngestStack(t, opts(), syncChain), newIngestStack(t, opts(), perEventChain)
 	for pass := 0; pass < 2; pass++ {
 		for i, body := range bodies {
 			if code, reply := perEvent.post(t, body, binary[i]); code != http.StatusAccepted {
@@ -266,61 +308,245 @@ func TestBatchPathConcurrentEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchPathRejectsWhole: on the batch path an infrastructure failure
-// rejects the request as a whole — 422 with rejected = N — and the
-// breaker counts it as one failed request.
+// TestBatchPathRejectsWhole: an infrastructure failure rejects the
+// request as a whole — 503, which a client retries, with rejected = N —
+// and the breaker counts it as one failed request.
 func TestBatchPathRejectsWhole(t *testing.T) {
-	s := newIngestStack(t, wal.Options{Dir: t.TempDir()}, false)
+	s := newIngestStack(t, wal.Options{Dir: t.TempDir()}, syncChain)
 	body := AppendBinaryEvents(nil, batchStream(5, 64))
 	if err := s.wj.Close(); err != nil { // the journal is down
 		t.Fatal(err)
 	}
 	code, reply := s.post(t, body, true)
-	if code != http.StatusUnprocessableEntity || reply["accepted"] != 0.0 || reply["rejected"] != 64.0 {
-		t.Fatalf("journal down: %d %v, want 422 with rejected=64", code, reply)
+	if code != http.StatusServiceUnavailable || reply["accepted"] != 0.0 || reply["rejected"] != 64.0 {
+		t.Fatalf("journal down: %d %v, want 503 with rejected=64", code, reply)
 	}
 	if got := s.server.Rejected(); got != 64 {
 		t.Fatalf("qtag_ingest_rejected_total = %d, want 64", got)
 	}
 }
 
-// TestPerEventFallback: a chain with a per-event member keeps the
-// per-event loop, and with it per-event accepted/rejected counts: a
-// failure of some events is a 202 that says how many.
-func TestPerEventFallback(t *testing.T) {
-	store := NewStore()
-	var calls int
-	flaky := SinkFunc(func(e Event) error {
-		calls++
-		if calls%4 == 0 {
-			return ErrQueueFull
+// uniqueEvents returns n served events of n impressions named
+// prefix-0…, each new to a store.
+func uniqueEvents(prefix string, n int) []Event {
+	out := make([]Event, n)
+	for i := range out {
+		out[i] = Event{ImpressionID: fmt.Sprintf("%s-%d", prefix, i), CampaignID: "c1", Type: EventServed, At: batchT0}
+	}
+	return out
+}
+
+// idLog records the impressions a test journal was given, as copies.
+type idLog struct {
+	mu  sync.Mutex
+	ids map[string]int
+}
+
+func (l *idLog) add(events ...Event) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.ids == nil {
+		l.ids = map[string]int{}
+	}
+	for _, e := range events {
+		l.ids[e.ImpressionID]++ // a map key is a copy
+	}
+}
+
+// missing returns the events' impressions the log never saw.
+func (l *idLog) missing(events []Event) []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []string
+	for _, e := range events {
+		if l.ids[e.ImpressionID] == 0 {
+			out = append(out, e.ImpressionID)
 		}
-		return nil
-	})
-	idle := NewQueueSink(Discard, QueueOptions{})
-	defer idle.Close(context.Background())
+	}
+	return out
+}
+
+// gatedJournal is a journal a test holds shut: SubmitBatch waits until
+// open is closed, then logs what it was given.
+type gatedJournal struct {
+	open chan struct{}
+	idLog
+}
+
+func (g *gatedJournal) Submit(e Event) error { return g.SubmitBatch([]Event{e}) }
+
+func (g *gatedJournal) SubmitBatch(events []Event) error {
+	<-g.open
+	g.add(events...)
+	return nil
+}
+
+// TestOnePathRejectsWhole: whatever takes the request under the handler
+// — a sink that takes one event per call and fails part way, a queue
+// with no room for it — a failure refuses the request whole with a
+// status the client retries (503, rejected = N), never a 202 for part of
+// it. Re-sent by an HTTPSink once the failure has passed, every event
+// lands: once in the store, and in the journal behind it.
+func TestOnePathRejectsWhole(t *testing.T) {
+	events := uniqueEvents("imp", 64)
 	for _, tc := range []struct {
 		name string
-		sink Sink
+		// chain returns the sink under the handler, heal, which ends its
+		// failure, and the log of what its journal took, complete once
+		// settle has returned.
+		chain func(t *testing.T, store *Store) (sink Sink, heal, settle func(), journal *idLog)
 	}{
-		{"SinkFunc under Tee", &StampSink{Next: Tee(store, flaky), Now: time.Now}},
-		{"SinkFunc under a breaker", Tee(store, NewCircuitBreaker(flaky, 1000, 0))},
-		{"QueueSink", Tee(store, flaky, idle)},
+		{"SinkFunc under Tee", func(t *testing.T, store *Store) (Sink, func(), func(), *idLog) {
+			log, calls := &idLog{}, 0
+			journal := SinkFunc(func(e Event) error {
+				if calls++; calls == 17 { // one failure, mid-request
+					return ErrQueueFull
+				}
+				log.add(e)
+				return nil
+			})
+			return Tee(store, journal), func() {}, func() {}, log
+		}},
+		{"QueueSink overflow", func(t *testing.T, store *Store) (Sink, func(), func(), *idLog) {
+			journal := &gatedJournal{open: make(chan struct{})}
+			q := NewQueueSink(journal, QueueOptions{Capacity: 100})
+			var once sync.Once
+			heal := func() { once.Do(func() { close(journal.open) }) }
+			t.Cleanup(func() { heal(); q.Close(context.Background()) })
+			// 48 events wait behind the shut journal: 64 more do not fit.
+			if err := q.SubmitBatch(uniqueEvents("queued", 48)); err != nil {
+				t.Fatal(err)
+			}
+			settle := func() {
+				if err := q.Close(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return Tee(store, q), heal, settle, &journal.idLog
+		}},
 	} {
-		calls = 0
-		server := NewServerWithSink(store, tc.sink)
-		req := httptest.NewRequest(http.MethodPost, "/v1/events",
-			bytes.NewReader(AppendBinaryEvents(nil, batchStream(9, 64))))
-		req.Header.Set("Content-Type", BinaryContentType)
-		w := httptest.NewRecorder()
-		server.ServeHTTP(w, req)
-		var reply struct{ Accepted, Rejected int }
-		if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil {
-			t.Fatal(err)
-		}
-		if w.Code != http.StatusAccepted || reply.Accepted != 48 || reply.Rejected != 16 {
-			t.Errorf("%s: %d accepted=%d rejected=%d, want 202 with 48/16", tc.name, w.Code, reply.Accepted, reply.Rejected)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			store := NewStore()
+			sink, heal, settle, journal := tc.chain(t, store)
+			server := NewServerWithSink(store, &StampSink{Next: sink, Now: time.Now})
+			req := httptest.NewRequest(http.MethodPost, "/v1/events", bytes.NewReader(AppendBinaryEvents(nil, events)))
+			req.Header.Set("Content-Type", BinaryContentType)
+			w := httptest.NewRecorder()
+			server.ServeHTTP(w, req)
+			var reply struct{ Accepted, Rejected int }
+			if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil {
+				t.Fatal(err)
+			}
+			if w.Code != http.StatusServiceUnavailable || reply.Accepted != 0 || reply.Rejected != 64 {
+				t.Fatalf("%d accepted=%d rejected=%d, want 503 with rejected=64", w.Code, reply.Accepted, reply.Rejected)
+			}
+
+			heal()
+			srv := httptest.NewServer(server)
+			defer srv.Close()
+			h := &HTTPSink{BaseURL: srv.URL, Binary: true}
+			if err := h.SubmitBatch(events); err != nil {
+				t.Fatalf("re-send: %v", err)
+			}
+			settle()
+			if store.Len() != 64 {
+				t.Fatalf("store holds %d events, want each of 64 once", store.Len())
+			}
+			if miss := journal.missing(events); len(miss) > 0 {
+				t.Fatalf("the journal never took %d events, %v…", len(miss), miss[0])
+			}
+		})
+	}
+}
+
+// TestQueueOverflowIsNotAcked: a request longer than the queue under the
+// handler can never be queued, so it is refused whole, and the client is
+// told it need not retry. Answering it 202 with part of it accepted made
+// HTTPSink count the request delivered while the rest of it never
+// reached the journal.
+func TestQueueOverflowIsNotAcked(t *testing.T) {
+	store := NewStore()
+	journal := &gatedJournal{open: make(chan struct{})} // nothing leaves the queue
+	q := NewQueueSink(journal, QueueOptions{Capacity: 16})
+	srv := httptest.NewServer(NewServerWithSink(store, Tee(store, q)))
+	defer srv.Close()
+	h := &HTTPSink{BaseURL: srv.URL, Retries: 3, Binary: true, Sleep: func(time.Duration) {}}
+	events := uniqueEvents("imp", 64)
+	err := h.SubmitBatch(events)
+	close(journal.open)
+	if cerr := q.Close(context.Background()); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if miss := journal.missing(events); err == nil && len(miss) > 0 {
+		t.Fatalf("HTTPSink delivered=%d failed=%d, but %d of the 64 events never reached the journal",
+			h.Delivered(), h.Failed(), len(miss))
+	}
+	if !IsPermanent(err) || h.Delivered() != 0 || h.Failed() != 1 || h.Retried() != 0 {
+		t.Fatalf("err=%v delivered=%d failed=%d retried=%d, want one permanent failure",
+			err, h.Delivered(), h.Failed(), h.Retried())
+	}
+	if st := q.Stats(); st.Dropped != 64 || st.Enqueued != 0 {
+		t.Fatalf("queue %v, want all 64 dropped", st)
+	}
+}
+
+// failWritesFS fails the next armed writes to any WAL file, writing
+// nothing.
+type failWritesFS struct {
+	wal.FS
+	armed atomic.Int64
+}
+
+type failWritesFile struct {
+	wal.File
+	fs *failWritesFS
+}
+
+func (f failWritesFile) Write(p []byte) (int, error) {
+	if f.fs.armed.Add(-1) >= 0 {
+		return 0, errors.New("injected write failure")
+	}
+	return f.File.Write(p)
+}
+
+func (c *failWritesFS) OpenAppend(name string) (wal.File, error) {
+	f, err := c.FS.OpenAppend(name)
+	return failWritesFile{f, c}, err
+}
+
+func (c *failWritesFS) Create(name string) (wal.File, error) {
+	f, err := c.FS.Create(name)
+	return failWritesFile{f, c}, err
+}
+
+// TestJournalFailureIsRetried: a journal that fails one append and then
+// recovers costs the client a retry, not its beacons. The request it
+// failed is answered 503, not 422, so HTTPSink retries it; the retry is
+// accepted, and the WAL holds each event exactly once.
+func TestJournalFailureIsRetried(t *testing.T) {
+	fsys := &failWritesFS{FS: wal.OS}
+	s := newIngestStack(t, wal.Options{Dir: t.TempDir(), FS: fsys}, syncChain)
+	fsys.armed.Store(1)
+	srv := httptest.NewServer(s.server)
+	defer srv.Close()
+	h := &HTTPSink{BaseURL: srv.URL, Retries: 3, Binary: true, Sleep: func(time.Duration) {}}
+	events := uniqueEvents("imp", 64)
+	if err := h.SubmitBatch(events); err != nil {
+		t.Fatalf("SubmitBatch: %v (retried %d)", err, h.Retried())
+	}
+	if h.Delivered() != 1 || h.Retried() != 1 || h.Failed() != 0 {
+		t.Fatalf("delivered=%d retried=%d failed=%d, want delivered on the one retry",
+			h.Delivered(), h.Retried(), h.Failed())
+	}
+	var want []string
+	for _, e := range events {
+		want = append(want, string(AppendBinaryEvent(nil, e)))
+	}
+	got := s.walRecords(t)
+	sort.Strings(got)
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the WAL holds %d records, want each of the 64 events exactly once", len(got))
 	}
 }
 
@@ -384,7 +610,7 @@ func TestAckDurabilityFollowsThePolicy(t *testing.T) {
 		fsys := &syncCountFS{FS: wal.OS}
 		s := newIngestStack(t, wal.Options{
 			Dir: t.TempDir(), FS: fsys, Fsync: tc.policy, FsyncEvery: time.Hour, GroupCommit: tc.group,
-		}, false)
+		}, syncChain)
 		for _, b := range [][]byte{body, single} {
 			before := fsys.syncs.Load()
 			if code, reply := s.post(t, b, true); code != http.StatusAccepted {

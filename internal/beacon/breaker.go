@@ -56,12 +56,10 @@ const (
 // contact with a live server and do not trip the breaker.
 //
 // CircuitBreaker implements Sink and BatchSink and is safe for
-// concurrent use. The clock is injectable (SetClock) like
-// RateLimiter's, so tests and simulations drive state transitions
-// deterministically.
+// concurrent use. The clock is injectable (SetClock), so tests and
+// simulations drive state transitions deterministically.
 type CircuitBreaker struct {
-	next      Sink
-	batchNext BatchSink // non-nil when next supports batching
+	next      BatchSink
 	threshold int
 	cooldown  time.Duration
 	now       func() time.Time
@@ -78,18 +76,14 @@ type CircuitBreaker struct {
 
 // NewCircuitBreaker wraps next. Non-positive threshold or cooldown pick
 // the defaults.
-func NewCircuitBreaker(next Sink, threshold int, cooldown time.Duration) *CircuitBreaker {
+func NewCircuitBreaker(next BatchSink, threshold int, cooldown time.Duration) *CircuitBreaker {
 	if threshold <= 0 {
 		threshold = DefaultBreakerThreshold
 	}
 	if cooldown <= 0 {
 		cooldown = DefaultBreakerCooldown
 	}
-	b := &CircuitBreaker{next: next, threshold: threshold, cooldown: cooldown, now: time.Now}
-	if bn, ok := next.(BatchSink); ok {
-		b.batchNext = bn
-	}
-	return b
+	return &CircuitBreaker{next: next, threshold: threshold, cooldown: cooldown, now: time.Now}
 }
 
 // SetClock overrides the breaker's time source (tests, simulations).
@@ -139,21 +133,10 @@ func (b *CircuitBreaker) SubmitBatch(events []Event) error {
 	if err := b.allow(); err != nil {
 		return err
 	}
-	var err error
-	if b.batchNext != nil {
-		err = b.batchNext.SubmitBatch(events)
-	} else {
-		for _, e := range events {
-			if err = b.next.Submit(e); err != nil && !IsPermanent(err) {
-				break
-			}
-		}
-	}
+	err := b.next.SubmitBatch(events)
 	b.record(err)
 	return err
 }
-
-func (b *CircuitBreaker) batchWhole() bool { return wholeBatch(b.next) != nil }
 
 // allow decides whether a submission may proceed.
 func (b *CircuitBreaker) allow() error {

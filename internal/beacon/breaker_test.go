@@ -28,6 +28,15 @@ func (s *togglingSink) Submit(Event) error {
 	return nil
 }
 
+func (s *togglingSink) SubmitBatch(events []Event) error {
+	for _, e := range events {
+		if err := s.Submit(e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func TestBreakerTripsAndRecovers(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }

@@ -61,8 +61,8 @@ const (
 //
 // Failure handling: transport errors, 5xx and 429 are retried up to
 // Retries times with capped exponential backoff, honoring a server
-// Retry-After header when one is present (the server's own RateLimiter
-// and admission controller emit them). Other 4xx responses are returned as
+// Retry-After header when one is present (the server's admission
+// controller emits them). Other 4xx responses are returned as
 // *PermanentError immediately — the server rejected the payload and
 // resubmitting the same bytes cannot succeed.
 type HTTPSink struct {
@@ -548,5 +548,3 @@ func (s *StampSink) SubmitBatch(events []Event) error {
 	}
 	return submitBatch(s.Next, events)
 }
-
-func (s *StampSink) batchWhole() bool { return wholeBatch(s.Next) != nil }

@@ -19,8 +19,8 @@ import (
 //     the store exactly as it was (422 means the WHOLE batch bounced);
 //   - on 2xx the store grows by at most the accepted count (duplicates
 //     are absorbed, never double-counted);
-//   - the batch path (the store takes the request whole) and the
-//     per-event fallback (a SinkFunc in the chain) answer alike and leave
+//   - a sink that takes the request whole (the store) and one that
+//     takes it one event per call (a SinkFunc) answer alike and leave
 //     the same number of events behind;
 //   - on 2xx the sink was handed exactly the events json.Unmarshal reads
 //     from the body, whichever decoder read them.

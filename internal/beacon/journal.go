@@ -101,15 +101,6 @@ func (t teeSink) SubmitBatch(events []Event) error {
 	return nil
 }
 
-func (t teeSink) batchWhole() bool {
-	for _, s := range t {
-		if wholeBatch(s) == nil {
-			return false
-		}
-	}
-	return true
-}
-
 // submitBatch hands sink the batch in one call when it is a BatchSink
 // and event by event, stopping at the first error, when it is not.
 func submitBatch(sink Sink, events []Event) error {

@@ -50,21 +50,34 @@ func TestQueueTracerRecordsFlushes(t *testing.T) {
 }
 
 func TestQueueTracerRecordsPermanentDrops(t *testing.T) {
-	permanent := SinkFunc(func(Event) error {
-		return &PermanentError{Err: errors.New("rejected")}
+	// A downstream that refuses one event of a batch refuses the batch:
+	// every event of it is counted failed and traced dropped, none
+	// flushed.
+	permanent := batchSinkFunc(func(es []Event) error {
+		for _, e := range es {
+			if e.ImpressionID == "poison" {
+				return &PermanentError{Err: errors.New("rejected")}
+			}
+		}
+		return nil
 	})
 	q := NewQueueSink(permanent, QueueOptions{})
 	tr := obs.NewLifecycleTracer(obsEpoch)
 	q.SetTracer(tr)
-	if err := q.Submit(mkEvent("i1")); err != nil {
+	if err := q.SubmitBatch([]Event{mkEvent("i1"), mkEvent("poison"), mkEvent("i2")}); err != nil {
 		t.Fatal(err)
 	}
-	waitFailed(t, q)
-	// The per-event delivery path skips poison events; the batch itself
-	// succeeds, so the span is recorded as flushed with the event counted
-	// failed. A batch-level permanent error (batch sink) records dropped.
-	if tr.Len() == 0 {
-		t.Fatal("no spans recorded for permanently rejected event")
+	drainAndClose(t, q)
+	if st := q.Stats(); st.Failed != 3 || st.Flushed != 0 {
+		t.Fatalf("stats = %+v, want the whole batch failed", st)
+	}
+	for _, sp := range tr.Spans() {
+		if sp.Stage != obs.StageDropped {
+			t.Fatalf("span %v, want every span dropped", sp)
+		}
+	}
+	if tr.Len() != 3 {
+		t.Fatalf("%d spans, want 3", tr.Len())
 	}
 }
 
@@ -199,7 +212,7 @@ func TestServerMount(t *testing.T) {
 }
 
 func TestBreakerStateMetric(t *testing.T) {
-	failing := SinkFunc(func(Event) error { return errors.New("down") })
+	failing := batchSinkFunc(func([]Event) error { return errors.New("down") })
 	b := NewCircuitBreaker(failing, 2, time.Minute)
 	reg := obs.NewRegistry()
 	b.RegisterMetrics(reg)

@@ -15,11 +15,10 @@ import (
 // or nothing: a nil error means every event was taken, an error means
 // the caller re-delivers the whole batch (safe, because ingestion is
 // idempotent everywhere in this package). *Store, *WALJournal (and its
-// RequestSink), *Journal, *HTTPSink and Discard take a batch whole; the
-// wrappers *CircuitBreaker, *StampSink and Tee implement it too and are
-// as whole as what they wrap. QueueSink uses it to coalesce queued
-// events into batch submissions, and Server to carry one request down
-// the ingest chain in one call (see wholeBatch).
+// RequestSink), *HTTPSink, *QueueSink and Discard take a batch whole;
+// the wrappers *CircuitBreaker, *StampSink and Tee implement it too.
+// Server hands each request to its sink as one batch, and a
+// CircuitBreaker or QueueSink is built only over a BatchSink.
 //
 // As with Submit, the events' strings are valid only for the duration of
 // SubmitBatch, and a sink that keeps an event past the call owns a copy.
@@ -30,30 +29,13 @@ type BatchSink interface {
 	SubmitBatch([]Event) error
 }
 
-// wholeBatch returns sink as a BatchSink when it, and every sink under
-// it, takes a batch in one piece — nil when any member of the chain
-// would fall back to a Submit per event (a SinkFunc, a QueueSink, a
-// cluster.Node), because a per-event member can fail per event and only
-// the per-event loop can report that. Wrapper sinks answer for what they
-// wrap through the unexported batchWhole method; a BatchSink without one
-// is a leaf and is taken at its word.
-func wholeBatch(sink Sink) BatchSink {
-	bs, ok := sink.(BatchSink)
-	if !ok {
-		return nil
-	}
-	if w, ok := sink.(interface{ batchWhole() bool }); ok && !w.batchWhole() {
-		return nil
-	}
-	return bs
-}
-
 // Queue errors.
 var (
-	// ErrQueueFull is returned by Submit when the buffer is at capacity;
-	// the event has been dropped and counted.
+	// ErrQueueFull is returned by Submit and SubmitBatch when the buffer
+	// has no room for what they were given; it has been dropped and
+	// counted.
 	ErrQueueFull = errors.New("beacon: queue full, event dropped")
-	// ErrQueueClosed is returned by Submit after Close.
+	// ErrQueueClosed is returned by Submit and SubmitBatch after Close.
 	ErrQueueClosed = errors.New("beacon: queue closed")
 )
 
@@ -88,23 +70,23 @@ func (o QueueOptions) withDefaults() QueueOptions {
 }
 
 // QueueSink is a store-and-forward buffer between a tag and an unreliable
-// downstream sink (typically CircuitBreaker over HTTPSink). Submit is
-// non-blocking: it appends to a bounded in-memory buffer and returns; a
-// background goroutine drains the buffer in batches. A retryable flush
-// failure re-queues the batch at the front and backs off, so delivery is
-// at-least-once for every event accepted below capacity — duplicates are
-// absorbed downstream by idempotent ingestion. When the buffer is full,
-// new events are dropped and counted (overflow-drop policy): under
-// sustained outage the tag sheds load instead of growing memory.
+// downstream sink (typically CircuitBreaker over HTTPSink). Submit and
+// SubmitBatch are non-blocking: they append to a bounded in-memory
+// buffer and return; a background goroutine drains the buffer in
+// batches. A retryable flush failure re-queues the batch at the front
+// and backs off, so delivery is at-least-once for every event accepted
+// below capacity — duplicates are absorbed downstream by idempotent
+// ingestion. When the buffer is full, new events are dropped and counted
+// (overflow-drop policy): under sustained outage the tag sheds load
+// instead of growing memory. A batch is queued whole or not at all.
 //
 // QueueSink keeps events past Submit, so it queues copies of its own:
 // one allocation per event (see Sink).
 //
 // QueueSink is safe for concurrent use.
 type QueueSink struct {
-	next      Sink
-	batchNext BatchSink // non-nil when next supports batching
-	opts      QueueOptions
+	next BatchSink
+	opts QueueOptions
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -148,7 +130,7 @@ type QueueSink struct {
 
 // NewQueueSink wraps next and starts the drain goroutine. Call Close to
 // flush and stop it.
-func NewQueueSink(next Sink, opts QueueOptions) *QueueSink {
+func NewQueueSink(next BatchSink, opts QueueOptions) *QueueSink {
 	q := &QueueSink{
 		next:         next,
 		opts:         opts.withDefaults(),
@@ -158,9 +140,6 @@ func NewQueueSink(next Sink, opts QueueOptions) *QueueSink {
 		flushLatency: obs.NewHistogram(obs.LatencyBuckets...),
 		now:          time.Now,
 	}
-	if b, ok := next.(BatchSink); ok {
-		q.batchNext = b
-	}
 	q.cond = sync.NewCond(&q.mu)
 	go q.drain()
 	return q
@@ -168,22 +147,34 @@ func NewQueueSink(next Sink, opts QueueOptions) *QueueSink {
 
 // Submit implements Sink. It never blocks on the network: the event is
 // buffered (or dropped with ErrQueueFull when the buffer is at capacity).
-func (q *QueueSink) Submit(e Event) error {
+func (q *QueueSink) Submit(e Event) error { return q.SubmitBatch([]Event{e}) }
+
+// SubmitBatch implements BatchSink: the events are buffered in order
+// under one lock hold, or none is. A batch the buffer has no room for is
+// dropped with ErrQueueFull, and one longer than Capacity, which no wait
+// would let in, with a PermanentError.
+func (q *QueueSink) SubmitBatch(events []Event) error {
+	n := int64(len(events))
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
-		q.dropped.Add(1)
-		q.droppedShutdown.Add(1)
+		q.dropped.Add(n)
+		q.droppedShutdown.Add(n)
 		return ErrQueueClosed
 	}
-	if q.size >= q.opts.Capacity {
+	if q.size+len(events) > q.opts.Capacity {
 		q.mu.Unlock()
-		q.dropped.Add(1)
-		q.droppedOverflow.Add(1)
+		q.dropped.Add(n)
+		q.droppedOverflow.Add(n)
+		if len(events) > q.opts.Capacity {
+			return &PermanentError{Err: fmt.Errorf("%w: a batch of %d is over its capacity of %d", ErrQueueFull, n, q.opts.Capacity)}
+		}
 		return ErrQueueFull
 	}
-	q.push(e)
-	q.enqueued.Add(1)
+	for _, e := range events {
+		q.push(e)
+	}
+	q.enqueued.Add(n)
 	q.cond.Signal()
 	q.mu.Unlock()
 	return nil
@@ -241,19 +232,18 @@ func (q *QueueSink) drain() {
 		q.mu.Unlock()
 
 		start := q.now()
-		rejected, err := q.deliver(batch)
+		err := q.next.SubmitBatch(batch)
 		q.flushLatency.ObserveDuration(q.now().Sub(start))
 		q.flushBatch.Observe(float64(n))
 
 		q.mu.Lock()
 		if err == nil || IsPermanent(err) {
-			// The n oldest events are exactly the batch: Submit only
-			// appends at the tail and overflow drops the incoming event,
-			// never queued ones.
+			// The n oldest events are exactly the batch: SubmitBatch only
+			// appends at the tail and overflow drops the incoming batch,
+			// never queued events.
 			q.consume(n)
 			if err == nil {
-				q.flushed.Add(int64(n - rejected))
-				q.failed.Add(int64(rejected))
+				q.flushed.Add(int64(n))
 			} else {
 				// Delivered-and-rejected: retrying identical bytes cannot
 				// succeed, so drop the batch rather than wedge the queue.
@@ -314,29 +304,6 @@ func (q *QueueSink) consume(n int) {
 	clear(b)
 	q.head = (q.head + n) % len(q.ring)
 	q.size -= n
-}
-
-// deliver pushes one batch downstream, preferring the batch interface.
-// rejected counts events the downstream permanently refused while the
-// batch as a whole succeeded (per-event path only).
-func (q *QueueSink) deliver(batch []Event) (rejected int, err error) {
-	if q.batchNext != nil {
-		return 0, q.batchNext.SubmitBatch(batch)
-	}
-	for _, e := range batch {
-		if err := q.next.Submit(e); err != nil {
-			if IsPermanent(err) {
-				// Skip the poison event and keep going; earlier events
-				// already landed and idempotency covers re-delivery.
-				rejected++
-				continue
-			}
-			// A retryable failure re-queues the whole batch; re-delivery
-			// of the already-landed prefix is safe (idempotent ingest).
-			return 0, err
-		}
-	}
-	return rejected, nil
 }
 
 // pause sleeps for d unless the queue is force-stopped first; it reports

@@ -19,7 +19,7 @@ func TestQueueDroppedReasonSplit(t *testing.T) {
 	}
 
 	// Permanent rejection: flushed into a downstream that refuses it.
-	reject := SinkFunc(func(Event) error {
+	reject := batchSinkFunc(func([]Event) error {
 		return &PermanentError{Err: errors.New("server said 422")}
 	})
 	q := NewQueueSink(reject, QueueOptions{Sleep: func(time.Duration) {}})
@@ -35,7 +35,7 @@ func TestQueueDroppedReasonSplit(t *testing.T) {
 	// on an expired context, abandoning "b"; "d" arrives after close.
 	block := make(chan struct{})
 	release := make(chan struct{})
-	blocking := SinkFunc(func(Event) error {
+	blocking := batchSinkFunc(func([]Event) error {
 		close(block)
 		<-release
 		return nil

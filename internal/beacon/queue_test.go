@@ -152,6 +152,53 @@ func TestQueueSinkSubmitAfterClose(t *testing.T) {
 	}
 }
 
+// TestQueueSinkSubmitBatch: a batch is queued whole or not at all. One
+// that fits exactly is taken, one that is one event over is refused with
+// nothing of it queued, one longer than Capacity is refused as permanent,
+// and after Close every batch is refused. What is taken drains in order,
+// and every refused event is counted dropped under one reason.
+func TestQueueSinkSubmitBatch(t *testing.T) {
+	g := &gatedCapture{open: make(chan struct{})} // holds the drain: nothing leaves the queue
+	q := NewQueueSink(g, QueueOptions{Capacity: 8, MaxBatch: 8})
+	batch := func(prefix string, n int) []Event {
+		out := make([]Event, n)
+		for i := range out {
+			out[i] = ev(prefix+itoa(i), "c1", SourceQTag, EventLoaded)
+		}
+		return out
+	}
+	step := func(name string, events []Event, wantErr error, permanent bool, wantDepth int) {
+		t.Helper()
+		err := q.SubmitBatch(events)
+		if !errors.Is(err, wantErr) || (err == nil) != (wantErr == nil) || IsPermanent(err) != permanent {
+			t.Fatalf("%s: err = %v, want %v (permanent %v)", name, err, wantErr, permanent)
+		}
+		if d := q.Depth(); d != wantDepth && wantDepth >= 0 {
+			t.Fatalf("%s: depth %d, want %d", name, d, wantDepth)
+		}
+		if o, s, d := q.droppedOverflow.Load(), q.droppedShutdown.Load(), q.dropped.Load(); o+s != d {
+			t.Fatalf("%s: dropped %d != overflow %d + shutdown %d", name, d, o, s)
+		}
+	}
+	first, second := batch("a", 3), batch("b", 5)
+	step("3 into 8", first, nil, false, 3)
+	step("6 more: one over", batch("c", 6), ErrQueueFull, false, 3)
+	step("5 more: an exact fit", second, nil, false, 8)
+	step("1 more", batch("d", 1), ErrQueueFull, false, 8)
+	step("9: over capacity", batch("e", 9), ErrQueueFull, true, 8)
+	close(g.open)
+	drainAndClose(t, q)
+	step("after close", batch("f", 2), ErrQueueClosed, false, -1)
+	if want := append(first, second...); !reflect.DeepEqual(g.delivered, want) {
+		t.Fatalf("drained %v, want %v", g.delivered, want)
+	}
+	st := q.Stats()
+	if st.Enqueued != 8 || st.Flushed != 8 || st.Dropped != 6+1+9+2 ||
+		q.droppedOverflow.Load() != 16 || q.droppedShutdown.Load() != 2 {
+		t.Fatalf("stats %+v, overflow %d, shutdown %d", st, q.droppedOverflow.Load(), q.droppedShutdown.Load())
+	}
+}
+
 // gatedSink holds its first delivery until open is closed, then takes
 // every batch at no cost and keeps nothing.
 type gatedSink struct {

@@ -29,12 +29,8 @@ import (
 // Ingestion is idempotent (see Store.Submit), so tags may retry beacons
 // freely.
 type Server struct {
-	store *Store
-	sink  Sink
-	// batch is sink when the whole chain under it takes a request's
-	// events in one SubmitBatch (wholeBatch), nil when some member is
-	// per-event and handleEvents must loop.
-	batch     BatchSink
+	store     *Store
+	sink      Sink
 	mux       *http.ServeMux
 	accepted  atomic.Int64
 	rejected  atomic.Int64
@@ -84,12 +80,12 @@ func NewServer(store *Store) *Server { return NewServerWithSink(store, store) }
 // NewServerWithSink separates ingestion from aggregation: incoming events
 // go to sink (typically Tee(store, journal)) while stats endpoints read
 // from store. The sink must (directly or indirectly) feed the store or
-// the stats will stay empty. A chain of batch-capable sinks end to end
-// (StampSink, Tee, Store, CircuitBreaker, a journal) receives each
-// request as one SubmitBatch; any other chain one Submit per event.
+// the stats will stay empty. Each POST /v1/events request reaches sink
+// as one SubmitBatch when sink is a BatchSink, and as one Submit per
+// event, stopping at the first error, when it is not; either way the
+// request is accepted or refused whole.
 func NewServerWithSink(store *Store, sink Sink) *Server {
-	s := &Server{store: store, sink: sink, batch: wholeBatch(sink),
-		mux: http.NewServeMux(), reg: obs.NewRegistry(), now: time.Now}
+	s := &Server{store: store, sink: sink, mux: http.NewServeMux(), reg: obs.NewRegistry(), now: time.Now}
 	s.maxBody.Store(DefaultMaxBodyBytes)
 	s.reg.CounterFunc("qtag_ingest_accepted_total", "Events accepted by the collection endpoints.", s.accepted.Load)
 	s.reg.CounterFunc("qtag_ingest_rejected_total", "Events refused by validation.", s.rejected.Load)
@@ -279,16 +275,15 @@ func (s *Server) Doomed() int64 { return s.doomed.Load() }
 // retrying client never has to reason about which half of its batch
 // landed.
 //
-// The validated events then go down the sink chain in one of two
-// shapes. When every sink of the chain takes a batch whole (s.batch),
-// the request is one SubmitBatch: one pass per shard lock, one WAL
-// hand-off and one write for all of it, and it is accepted or — on an
-// infrastructure failure: breaker open, journal down — rejected as a
-// whole (422, rejected = N), the answer the per-event loop gives when
-// every Submit fails. Otherwise (a cluster.Node, a QueueSink or a
-// SinkFunc somewhere in the chain) each event is its own Submit and the
-// reply counts accepted and rejected per event. Either way the client's
-// remedy is the same: re-send the request; ingestion is idempotent.
+// The validated events then go down the sink chain as one SubmitBatch —
+// one pass per shard lock, one WAL hand-off or queue push for all of
+// them — and the request is accepted (202) or rejected as a whole,
+// rejected = N. A sink failure the client can outwait (queue full,
+// breaker open, journal down) is 503, which HTTPSink retries; one it
+// cannot (a PermanentError, such as a batch longer than the queue) is
+// 422. Either way a client that re-sends the request lands each event
+// once: some may have landed before the failure, and ingestion is
+// idempotent.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// Deadline propagation: a client (or forwarding peer) may stamp its
 	// remaining per-request budget. A request whose budget is already
@@ -397,30 +392,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validation passed for the whole request; a sink failure from here
 	// on is infrastructure (queue full, breaker open, journal down).
-	resp := ingestResponse{}
-	if s.batch == nil {
-		for _, e := range events {
-			if err := s.sink.Submit(e); err != nil {
-				resp.Rejected++
-				resp.Error = err.Error()
-				continue
+	resp, status := ingestResponse{Accepted: len(events)}, http.StatusAccepted
+	if len(events) > 0 { // an empty array is accepted without troubling the chain
+		if err := submitBatch(s.sink, events); err != nil {
+			resp = ingestResponse{Rejected: len(events), Error: err.Error()}
+			status = http.StatusServiceUnavailable
+			if IsPermanent(err) {
+				status = http.StatusUnprocessableEntity
 			}
-			resp.Accepted++
-		}
-	} else if len(events) > 0 { // an empty array is accepted without troubling the chain
-		if err := s.batch.SubmitBatch(events); err != nil {
-			resp.Rejected = len(events)
-			resp.Error = err.Error()
-		} else {
-			resp.Accepted = len(events)
 		}
 	}
 	s.accepted.Add(int64(resp.Accepted))
 	s.rejected.Add(int64(resp.Rejected))
-	status := http.StatusAccepted
-	if resp.Rejected > 0 && resp.Accepted == 0 {
-		status = http.StatusUnprocessableEntity
-	}
 	writeIngestReply(w, status, resp)
 }
 

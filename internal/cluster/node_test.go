@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -238,19 +239,22 @@ func TestNodeSingleNodePassThrough(t *testing.T) {
 	}
 }
 
-// TestNodeKeepsPerEventIngest: a Node routes each beacon to its owner, so
-// a server whose chain contains one must not hand it a request whole.
-// The handler keeps its per-event loop — one Submit, one routing
-// decision and one accepted/rejected count per event — even though the
-// chain on either side of the node (StampSink above, Tee(store, journal)
-// below) could take a batch.
-func TestNodeKeepsPerEventIngest(t *testing.T) {
+// TestNodeRejectsRequestWhole: a Node routes each beacon to its owner,
+// one Submit per event, and a request whose local journal fails part way
+// through is refused whole — 503, rejected = 64, which a client retries —
+// not answered 202 for the part that landed. The client's re-send then
+// lands every event, once in the store.
+func TestNodeRejectsRequestWhole(t *testing.T) {
 	store := beacon.NewStore()
-	submits := 0
-	journal := beacon.SinkFunc(func(beacon.Event) error {
-		if submits++; submits%4 == 0 {
+	var mu sync.Mutex
+	submits, journaled := 0, map[string]int{}
+	journal := beacon.SinkFunc(func(e beacon.Event) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if submits++; submits == 17 {
 			return beacon.ErrQueueFull
 		}
+		journaled[e.ImpressionID]++ // a map key is a copy
 		return nil
 	})
 	n, err := NewNode(Config{Self: "solo", Local: beacon.Tee(store, journal)})
@@ -272,10 +276,26 @@ func TestNodeKeepsPerEventIngest(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil {
 		t.Fatal(err)
 	}
-	if w.Code != 202 || reply.Accepted != 48 || reply.Rejected != 16 {
-		t.Fatalf("%d accepted=%d rejected=%d, want 202 with 48/16", w.Code, reply.Accepted, reply.Rejected)
+	if w.Code != 503 || reply.Accepted != 0 || reply.Rejected != 64 {
+		t.Fatalf("%d accepted=%d rejected=%d, want 503 with rejected=64", w.Code, reply.Accepted, reply.Rejected)
 	}
-	if got := n.Stats().LocalAccepted; got != 48 {
-		t.Fatalf("node applied %d events locally, want 48 — one routing decision per event", got)
+
+	srv := httptest.NewServer(server)
+	defer srv.Close()
+	if err := (&beacon.HTTPSink{BaseURL: srv.URL, Binary: true}).SubmitBatch(events); err != nil {
+		t.Fatalf("re-send: %v", err)
+	}
+	if store.Len() != 64 {
+		t.Fatalf("store holds %d events, want each of 64 once", store.Len())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, e := range events {
+		if journaled[e.ImpressionID] == 0 {
+			t.Fatalf("%s never reached the journal", e.ImpressionID)
+		}
+	}
+	if got := n.Stats().LocalAccepted; got != 16+64 {
+		t.Fatalf("node applied %d events locally, want 16 before the failure and 64 on the re-send", got)
 	}
 }

@@ -238,8 +238,8 @@ func TestReportTTLEmptiesBothObservers(t *testing.T) {
 }
 
 // everything is a Config with every optional part switched on: WAL,
-// watermarks, detector, tracing, pprof, stats key, rate limit, access
-// log, and a two-node ring whose peer is not there.
+// watermarks, detector, tracing, pprof, stats key, access log, and a
+// two-node ring whose peer is not there.
 func everything(t *testing.T) collector.Config {
 	dir := t.TempDir()
 	cfg := collector.DefaultConfig()
@@ -247,7 +247,7 @@ func everything(t *testing.T) collector.Config {
 	cfg.DiskLowBytes, cfg.DiskCheckEvery = 1, 5*time.Millisecond
 	cfg.LogEvery, cfg.ReportSweepEvery, cfg.SnapshotEvery = 5*time.Millisecond, 5*time.Millisecond, 5*time.Millisecond
 	cfg.Detect, cfg.Pprof, cfg.AccessLog, cfg.MetricsExemplars = true, true, true, true
-	cfg.TraceSample, cfg.StatsKey, cfg.IngestRate = 1, "s3cret", 1000
+	cfg.TraceSample, cfg.StatsKey = 1, "s3cret"
 	cfg.NodeID, cfg.HandoffDir, cfg.ProbeEvery = "a", filepath.Join(dir, "hints"), 5*time.Millisecond
 	cfg.Peers = map[string]string{"b": "http://127.0.0.1:1"} // nothing listens there
 	cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))

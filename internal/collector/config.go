@@ -46,11 +46,9 @@ type Config struct {
 	DurableSync         bool            // -durable-sync
 	QueueCap            int             // -queue-cap
 
-	IngestShards int     // -ingest-shards
-	MaxBodyBytes int64   // -max-body-bytes
-	StatsKey     string  // -stats-key
-	IngestRate   float64 // -ingest-rate
-	IngestBurst  float64 // -ingest-burst
+	IngestShards int    // -ingest-shards
+	MaxBodyBytes int64  // -max-body-bytes
+	StatsKey     string // -stats-key
 
 	Admission             bool          // -admission
 	AdmissionMinInflight  int           // -admission-min-inflight
@@ -109,7 +107,6 @@ func DefaultConfig() Config {
 		QueueCap:              4096,
 		IngestShards:          beacon.DefaultStoreShards,
 		MaxBodyBytes:          beacon.DefaultMaxBodyBytes,
-		IngestBurst:           50,
 		Admission:             true,
 		AdmissionRecoveryHold: 2 * time.Second,
 		RetryAfter:            2 * time.Second,

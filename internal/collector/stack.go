@@ -111,7 +111,7 @@ func Open(cfg Config) (_ *Stack, err error) {
 	// disk is fast failures either way, never hung requests. With no
 	// journal the chain ends in Discard, and in sync mode the queue idles:
 	// /metrics has the same series whatever the flags.
-	var durable beacon.Sink = beacon.Discard
+	var durable beacon.BatchSink = beacon.Discard
 	switch {
 	case s.Journal != nil && cfg.DurableSync:
 		// The request face: one hand-off and one write whatever the
@@ -161,9 +161,6 @@ func Open(cfg Config) (_ *Stack, err error) {
 	s.registerMetrics()
 
 	s.handler = s.Server
-	if cfg.IngestRate > 0 {
-		s.handler = beacon.NewRateLimiter(s.handler, cfg.IngestRate, cfg.IngestBurst)
-	}
 	if cfg.Admission {
 		if err := s.admit(); err != nil {
 			return nil, err
@@ -318,7 +315,7 @@ func (s *Stack) admit() error {
 }
 
 // Handler is the full HTTP stack: access log → stats auth → admission →
-// rate limit → beacon.Server.
+// beacon.Server.
 func (s *Stack) Handler() http.Handler { return s.handler }
 
 // Start launches everything that runs between requests: the cluster
