@@ -53,12 +53,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Microbenchmarks for the sharded store, the WAL group committer and
-# the binary beacon codec — for measuring while you work. The
-# collector's performance claims rest on `go run ./bench` (BENCHMARK.json,
+# Microbenchmarks for the sharded store, the WAL group committer, the
+# binary beacon codec and the GET /report render (at 5 000 and at 99
+# campaigns) — for measuring while you work. The collector's
+# performance claims rest on `go run ./bench` (BENCHMARK.json,
 # bench/README.md), which drives qtag-server out of process.
 microbench:
 	$(GO) test -run='^$$' -bench='BenchmarkStore|BenchmarkWALAppend|BenchmarkBinaryCodec|BenchmarkEventKey' -benchmem ./internal/beacon
+	$(GO) test -run='^$$' -bench='BenchmarkReportRender' -benchmem ./internal/report
 
 # The benchmark of BENCHMARK.json in its two-second form: builds
 # qtag-server, spawns it out of process and drives all four workloads —

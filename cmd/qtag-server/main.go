@@ -183,8 +183,6 @@ func bindFlags(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&c.QueueCap, "queue-cap", c.QueueCap, "durability queue capacity (events)")
 	fs.DurationVar(&c.ReportTTL, "report-ttl", c.ReportTTL, "evict idle per-impression aggregation state after this long (<0 disables)")
 	fs.DurationVar(&c.ReportSweepEvery, "report-sweep-every", c.ReportSweepEvery, "aggregation eviction sweep cadence (0 disables)")
-	fs.DurationVar(&c.ReportWindow, "report-window", c.ReportWindow, "rollup window width on GET /report")
-	fs.IntVar(&c.ReportWindows, "report-windows", c.ReportWindows, "rollup windows retained on GET /report")
 	fs.BoolVar(&c.Detect, "detect", c.Detect, "streaming fraud detection: per-campaign anomaly scores on GET /report and qtag_detect_* metrics")
 	fs.Float64Var(&c.DetectFlagThreshold, "detect-flag-threshold", c.DetectFlagThreshold, "composite score at which a campaign is flagged fraudulent (0 = package default)")
 	fs.StringVar(&o.level, "log-level", "info", "log level (debug, info, warn, error)")

@@ -35,6 +35,7 @@ import (
 
 	"qtag/internal/beacon"
 	"qtag/internal/imptable"
+	"qtag/internal/keydir"
 	"qtag/internal/obs"
 )
 
@@ -92,12 +93,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// rowKey addresses one campaign × format accumulator row.
-type rowKey struct {
-	Campaign string
-	Format   string
-}
-
 // srcCounts are one row's status counters for one solution. notViewed
 // is maintained with decrements (loaded-then-in-view moves the impression
 // from not-viewed to viewed), so it is not monotonic — it is a gauge of
@@ -115,28 +110,35 @@ type srcCounts struct {
 // solution's counters without a map lookup, a pointer chase or a map
 // iterator.
 type row struct {
-	key         rowKey // the map key, with strings the row owns
+	format      string // owned
 	impressions int64  // distinct impressions observed
 	served      int64  // impressions with a served event
 	src         []srcCounts
 }
 
-// dwellKey addresses one campaign × source dwell histogram. Dwell is
-// not sliced by format: an impression may migrate format buckets when a
-// late event carries a different format, and histograms cannot be
-// un-observed.
-type dwellKey struct {
-	Campaign string
-	Source   string
+// campaign is one campaign's accumulators, in the order GET /report
+// lists them: its rows by format, and its dwell histograms by source.
+// Dwell is not sliced by format: an impression may migrate format
+// buckets when a late event carries a different format, and histograms
+// cannot be un-observed.
+type campaign struct {
+	id    string // owned
+	rows  []*row
+	dwell []dwellRow
+}
+
+// dwellRow is one campaign × source dwell histogram.
+type dwellRow struct {
+	source string // owned
+	h      *DwellHist
 }
 
 // campShard is one lock-striped partition of the campaign table. A
-// campaign's rows and dwell histograms all live in one shard, so a
-// format migration is atomic under a single lock.
+// campaign lives in one shard, so a format migration is atomic under a
+// single lock.
 type campShard struct {
 	mu    sync.Mutex
-	rows  map[rowKey]*row
-	dwell map[dwellKey]*DwellHist
+	camps map[string]*campaign
 }
 
 // Aggregator is the streaming accumulator set. All methods are safe for
@@ -151,6 +153,11 @@ type Aggregator struct {
 	pass  *imptable.Pass
 	camps []campShard // accumulators, by hash(campaign)
 	mask  uint32
+
+	// dir is every campaign in id order, for the report to walk; walkMu
+	// keeps walks from overlapping.
+	walkMu sync.Mutex
+	dir    keydir.Dir[campaign]
 
 	winMu   sync.Mutex
 	windows windowRing
@@ -180,10 +187,10 @@ func New(opts Options) *Aggregator {
 	}
 	a.pass = imptable.NewPass(imptable.PassOptions{Shards: size, TTL: opts.TTL, MaxOpen: opts.MaxOpen, Now: opts.Now}, a.fold)
 	for i := range a.camps {
-		a.camps[i].rows = make(map[rowKey]*row)
-		a.camps[i].dwell = make(map[dwellKey]*DwellHist)
+		a.camps[i].camps = make(map[string]*campaign)
 	}
-	a.windows.init(opts.Window, opts.MaxWindows)
+	a.dir.Init(func(c *campaign) string { return c.id }, nil)
+	a.windows = windowRing{width: opts.Window, max: int64(opts.MaxWindows)}
 	return a
 }
 
@@ -204,14 +211,20 @@ func (a *Aggregator) Observe(e beacon.Event) { a.pass.Observe(e) }
 // updates for what the event changed, under the campaign shard's lock
 // (nested in the pass shard's, always).
 func (a *Aggregator) fold(e beacon.Event, c imptable.Change) {
-	cs := &a.camps[beacon.HashID(e.CampaignID)&a.mask]
+	cs := a.shard(e.CampaignID)
 	cs.mu.Lock()
+	camp := cs.camps[e.CampaignID]
+	if camp == nil {
+		camp = &campaign{id: strings.Clone(e.CampaignID)}
+		cs.camps[camp.id] = camp
+		a.dir.Add(camp)
+	}
 	if c.Moved() {
 		// Move the impression's pre-event contributions first; the deltas
 		// from this event then land on the new row only, never both.
-		cs.migrate(&c, e.CampaignID)
+		camp.migrate(&c)
 	}
-	r := cs.row(rowKey{e.CampaignID, c.To})
+	r := camp.row(c.To)
 	if c.Created {
 		r.impressions++
 	}
@@ -235,7 +248,7 @@ func (a *Aggregator) fold(e beacon.Event, c imptable.Change) {
 		}
 	}
 	if c.Paired {
-		cs.dwellHist(dwellKey{e.CampaignID, string(e.Source)}, a.opts.DwellBounds).Observe(c.Dwell)
+		camp.dwellHist(string(e.Source), a.opts.DwellBounds).Observe(c.Dwell)
 	}
 	cs.mu.Unlock()
 
@@ -255,17 +268,18 @@ func (a *Aggregator) Windows() []WindowSnapshot {
 	return a.windows.snapshot()
 }
 
-// row returns (creating if needed) the accumulator row. Caller holds
-// the shard lock. A new row clones its key: k's strings come from the
-// event in hand.
-func (c *campShard) row(k rowKey) *row {
-	r := c.rows[k]
-	if r == nil {
-		k = rowKey{strings.Clone(k.Campaign), strings.Clone(k.Format)}
-		r = &row{key: k}
-		c.rows[k] = r
+// shard returns the campaign shard that holds id.
+func (a *Aggregator) shard(id string) *campShard { return &a.camps[beacon.HashID(id)&a.mask] }
+
+// row returns (creating, in format order, if needed) the campaign's row
+// for format. Caller holds the shard lock. A new row clones format: it
+// comes from the event in hand.
+func (c *campaign) row(format string) *row {
+	i, ok := slices.BinarySearchFunc(c.rows, format, func(r *row, f string) int { return strings.Compare(r.format, f) })
+	if !ok {
+		c.rows = slices.Insert(c.rows, i, &row{format: strings.Clone(format)})
 	}
-	return r
+	return c.rows[i]
 }
 
 // find returns a row's counters for s, or nil if s never reported on it.
@@ -294,25 +308,24 @@ func (r *row) drop(s beacon.Source) {
 	r.src = slices.DeleteFunc(r.src, func(sc srcCounts) bool { return sc.source == s })
 }
 
-// dwellHist returns (creating if needed) the campaign × source dwell
-// histogram, under a clone of k. Caller holds the shard lock.
-func (c *campShard) dwellHist(k dwellKey, bounds []float64) *DwellHist {
-	h := c.dwell[k]
-	if h == nil {
-		h = NewDwellHist(bounds)
-		c.dwell[dwellKey{strings.Clone(k.Campaign), strings.Clone(k.Source)}] = h
+// dwellHist returns (creating, in source order, if needed) the
+// campaign's dwell histogram for source, under a clone of it. Caller
+// holds the shard lock.
+func (c *campaign) dwellHist(source string, bounds []float64) *DwellHist {
+	i, ok := slices.BinarySearchFunc(c.dwell, source, func(d dwellRow, s string) int { return strings.Compare(d.source, s) })
+	if !ok {
+		c.dwell = slices.Insert(c.dwell, i, dwellRow{strings.Clone(source), NewDwellHist(bounds)})
 	}
-	return h
+	return c.dwell[i].h
 }
 
 // migrate moves one impression's contributions as they stood before the
 // event in hand from its format row to the one the event moved it to —
 // triggered when a late event carries a lexicographically smaller
-// format. Caller holds the shard lock; both rows live in it because they
-// share the campaign.
-func (c *campShard) migrate(ch *imptable.Change, campaign string) {
-	src := c.row(rowKey{campaign, ch.From})
-	dst := c.row(rowKey{campaign, ch.To})
+// format. Caller holds the shard lock.
+func (c *campaign) migrate(ch *imptable.Change) {
+	src := c.row(ch.From)
+	dst := c.row(ch.To)
 	src.impressions--
 	dst.impressions++
 	if ch.Entry.Served && !ch.ServedFirst {
@@ -352,7 +365,7 @@ func (c *campShard) migrate(ch *imptable.Change, campaign string) {
 	// A drained row is garbage only if nothing else contributes to it;
 	// impressions is the invariant total, so zero means empty.
 	if src.impressions == 0 {
-		delete(c.rows, rowKey{campaign, ch.From})
+		c.rows = slices.DeleteFunc(c.rows, func(r *row) bool { return r == src })
 	}
 }
 
@@ -401,7 +414,9 @@ func (a *Aggregator) rowCount() int {
 	for i := range a.camps {
 		cs := &a.camps[i]
 		cs.mu.Lock()
-		n += len(cs.rows)
+		for _, c := range cs.camps {
+			n += len(c.rows)
+		}
 		cs.mu.Unlock()
 	}
 	return n

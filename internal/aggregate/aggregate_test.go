@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -257,6 +258,37 @@ func TestWindowsRollupAndEviction(t *testing.T) {
 	}
 	if !ws[0].Start.Equal(t0.Add(3 * time.Minute)) {
 		t.Fatalf("retained window starts %v, want %v", ws[0].Start, t0.Add(3*time.Minute))
+	}
+}
+
+// TestWindowsBoundedWhenClockStepsBack: the ring evicts relative to the
+// newest slot it has seen, so an arrival clock that steps back opens no
+// window past the horizon — the events still count on the campaign rows
+// — and never holds more than MaxWindows; a step back within the
+// horizon opens its window in order.
+func TestWindowsBoundedWhenClockStepsBack(t *testing.T) {
+	clk := &fakeClock{t: t0.Add(10 * time.Hour)}
+	a := New(Options{Shards: 1, TTL: -1, Window: time.Minute, MaxWindows: 3, Now: clk.now})
+	for i := 0; i <= 10; i++ {
+		feed(a, ev("back-"+strconv.Itoa(i), "c", "", beacon.EventServed, 0, "", t0))
+		if ws := a.Windows(); len(ws) != 1 {
+			t.Fatalf("after %d one-hour steps back: %d windows, want the newest alone", i, len(ws))
+		}
+		clk.t = clk.t.Add(-time.Hour)
+	}
+	if r := a.Snapshot().Rows; len(r) != 1 || r[0].Impressions != 11 {
+		t.Fatalf("rows = %+v, want the 11 impressions counted", r)
+	}
+	clk.t = t0.Add(10*time.Hour - time.Minute) // one window back: inside the horizon
+	feed(a, ev("inside", "c", "", beacon.EventServed, 0, "", t0))
+	clk.t = t0.Add(10*time.Hour + 2*time.Minute) // the first window leaves the horizon
+	feed(a, ev("ahead", "c", "", beacon.EventServed, 0, "", t0))
+	ws := a.Windows()
+	if len(ws) != 2 || !ws[0].Start.Equal(t0.Add(10*time.Hour)) || !ws[1].Start.Equal(clk.t) {
+		t.Fatalf("windows = %+v, want the 10h and 10h02m windows", ws)
+	}
+	if got := ws[0].Campaigns["c"].Events; got != 1 {
+		t.Fatalf("the 10h window holds %d events, want only its own", got)
 	}
 }
 

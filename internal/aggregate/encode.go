@@ -3,7 +3,6 @@ package aggregate
 import (
 	"slices"
 	"strconv"
-	"time"
 
 	"qtag/internal/beacon"
 	"qtag/internal/jsonenc"
@@ -15,51 +14,61 @@ import (
 // reference the property tests in internal/report compare against — so
 // a field added to one of those types must be added here too.
 //
-// They walk exactly as Snapshot does — one campaign-shard lock at a
-// time, never two — but where Snapshot copies each row into a map-
-// bearing struct and sorts the structs, these append the row's finished
-// JSON into a caller-owned arena while the lock is held and sort a small
-// index of the fragments afterwards, outside any lock.
+// Where Snapshot copies each row into a map-bearing struct and sorts the
+// structs, these walk the campaigns in the order the report lists them —
+// the directory, a campaign's rows and its histograms are kept in key
+// order — and append each row's JSON into the body under its lock.
 
 // AppendSnapshotJSON appends the JSON encoding of a.Snapshot() to dst
-// and returns it with the number of campaign rows. rows and dwell are
-// scratch (reset here, reusable after); the same consistency holds as
-// for Snapshot: per campaign shard under ingest, exact after quiescence.
-func (a *Aggregator) AppendSnapshotJSON(dst []byte, rows, dwell *jsonenc.Frags) ([]byte, int) {
-	rows.Reset()
-	dwell.Reset()
-	for i := range a.camps {
-		cs := &a.camps[i]
+// and returns it with the number of campaign rows. It takes each
+// campaign's shard lock once, appending its rows to dst and its dwell
+// rows to *dwell, a scratch buffer (reset here) that follows the rows.
+// Under ingest the result is consistent per campaign — a migrated
+// impression is on one row, never two — and after quiescence exact.
+func (a *Aggregator) AppendSnapshotJSON(dst []byte, dwell *[]byte) ([]byte, int) {
+	a.walkMu.Lock()
+	defer a.walkMu.Unlock()
+	dst = append(dst, `{"rows":[`...)
+	dw, rows := (*dwell)[:0], 0
+	for _, c := range a.dir.Order() {
+		cs := a.shard(c.id)
 		cs.mu.Lock()
-		for k, r := range cs.rows {
-			off := len(rows.Buf)
-			rows.Buf = r.appendJSON(rows.Buf)
-			rows.Add(k.Campaign, k.Format, off)
+		for _, r := range c.rows {
+			if rows > 0 {
+				dst = append(dst, ',')
+			}
+			dst = r.appendJSON(dst, c.id)
+			rows++
 		}
-		for k, h := range cs.dwell {
-			off := len(dwell.Buf)
-			dwell.Buf = h.appendRowJSON(dwell.Buf, k, a.boundsJSON)
-			dwell.Add(k.Campaign, k.Source, off)
+		for _, d := range c.dwell {
+			if len(dw) > 0 {
+				dw = append(dw, ',')
+			}
+			dw = d.h.appendRowJSON(dw, c.id, d.source, a.boundsJSON)
 		}
 		cs.mu.Unlock()
 	}
-	dst = append(dst, `{"rows":`...)
-	dst = rows.AppendArray(dst)
-	if dwell.Len() > 0 { // omitempty
-		dst = append(dst, `,"dwell":`...)
-		dst = dwell.AppendArray(dst)
+	if rows == 0 {
+		dst = append(dst[:len(dst)-1], `null`...) // the nil slice of an empty Snapshot
+	} else {
+		dst = append(dst, ']')
 	}
-	return append(dst, '}'), rows.Len()
+	*dwell = dw
+	if len(dw) > 0 { // omitempty
+		dst = append(dst, `,"dwell":[`...)
+		dst = append(append(dst, dw...), ']')
+	}
+	return append(dst, '}'), rows
 }
 
-// appendJSON appends the row as its Row encodes. Caller holds the shard
-// lock.
-func (r *row) appendJSON(b []byte) []byte {
+// appendJSON appends the row of campaign as its Row encodes. Caller
+// holds the shard lock.
+func (r *row) appendJSON(b []byte, campaign string) []byte {
 	b = append(b, `{"campaign_id":`...)
-	b = jsonenc.AppendString(b, r.key.Campaign)
-	if r.key.Format != "" {
+	b = jsonenc.AppendString(b, campaign)
+	if r.format != "" {
 		b = append(b, `,"format":`...)
-		b = jsonenc.AppendString(b, r.key.Format)
+		b = jsonenc.AppendString(b, r.format)
 	}
 	b = append(b, `,"impressions":`...)
 	b = strconv.AppendInt(b, r.impressions, 10)
@@ -104,11 +113,11 @@ func (r *row) appendJSON(b []byte) []byte {
 
 // appendRowJSON appends the histogram as its DwellRow encodes; bounds is
 // the aggregator's pre-encoded copy of h.bounds.
-func (h *DwellHist) appendRowJSON(b []byte, k dwellKey, bounds []byte) []byte {
+func (h *DwellHist) appendRowJSON(b []byte, campaign, source string, bounds []byte) []byte {
 	b = append(b, `{"campaign_id":`...)
-	b = jsonenc.AppendString(b, k.Campaign)
+	b = jsonenc.AppendString(b, campaign)
 	b = append(b, `,"source":`...)
-	b = jsonenc.AppendString(b, k.Source)
+	b = jsonenc.AppendString(b, source)
 	h.mu.Lock()
 	b = append(b, `,"dwell":{"count":`...)
 	b = strconv.AppendInt(b, h.n, 10)
@@ -146,45 +155,33 @@ func appendBoundsJSON(b []byte, bounds []float64) []byte {
 
 // AppendWindowsJSON appends the JSON encoding of a.Windows() to dst and
 // returns it with the number of windows (none: the caller's omitempty).
-// fr is scratch. Fragments are appended under winMu — which every
-// Observe takes — and sorted after it is released.
-func (a *Aggregator) AppendWindowsJSON(dst []byte, fr *jsonenc.Frags) ([]byte, int) {
-	type span struct {
-		start    time.Time
-		from, to int // the window's campaigns in fr's index
-	}
-	fr.Reset()
+// It holds winMu — which every Observe takes — while it appends: the
+// windows are kept oldest first and each window's campaigns in id order.
+func (a *Aggregator) AppendWindowsJSON(dst []byte) ([]byte, int) {
 	a.winMu.Lock()
-	spans := make([]span, 0, len(a.windows.windows))
-	for _, w := range a.windows.windows {
-		from := fr.Len()
-		for id, c := range w.camps {
-			off := len(fr.Buf)
-			fr.Buf = jsonenc.AppendString(fr.Buf, id)
-			fr.Buf = append(fr.Buf, `:{"events":`...)
-			fr.Buf = strconv.AppendInt(fr.Buf, c.Events, 10)
-			fr.Buf = append(fr.Buf, `,"impressions":`...)
-			fr.Buf = strconv.AppendInt(fr.Buf, c.Impressions, 10)
-			fr.Buf = append(fr.Buf, `,"viewed":`...)
-			fr.Buf = strconv.AppendInt(fr.Buf, c.Viewed, 10)
-			fr.Buf = append(fr.Buf, '}')
-			fr.Add(id, "", off)
-		}
-		spans = append(spans, span{w.start, from, fr.Len()})
-	}
-	a.winMu.Unlock()
-
-	slices.SortFunc(spans, func(x, y span) int { return x.start.Compare(y.start) })
+	defer a.winMu.Unlock()
 	dst = append(dst, '[')
-	for i, s := range spans {
+	for i, w := range a.windows.windows {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"start":`...)
-		dst = jsonenc.AppendTime(dst, s.start)
+		dst = jsonenc.AppendTime(dst, w.start)
 		dst = append(dst, `,"campaigns":{`...)
-		dst = fr.AppendSorted(dst, s.from, s.to)
+		for j, c := range w.dir.Order() {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			dst = jsonenc.AppendString(dst, c.id)
+			dst = append(dst, `:{"events":`...)
+			dst = strconv.AppendInt(dst, c.Events, 10)
+			dst = append(dst, `,"impressions":`...)
+			dst = strconv.AppendInt(dst, c.Impressions, 10)
+			dst = append(dst, `,"viewed":`...)
+			dst = strconv.AppendInt(dst, c.Viewed, 10)
+			dst = append(dst, '}')
+		}
 		dst = append(dst, `}}`...)
 	}
-	return append(dst, ']'), len(spans)
+	return append(dst, ']'), len(a.windows.windows)
 }

@@ -8,15 +8,14 @@ import (
 	"time"
 
 	"qtag/internal/beacon"
-	"qtag/internal/jsonenc"
 )
 
 // requireEncodersMatchMarshal compares both report encoders with
 // encoding/json over the snapshot types they stand in for.
 func requireEncodersMatchMarshal(t *testing.T, a *Aggregator) {
 	t.Helper()
-	var rows, dwell jsonenc.Frags
-	got, n := a.AppendSnapshotJSON(nil, &rows, &dwell)
+	var dwell []byte
+	got, n := a.AppendSnapshotJSON(nil, &dwell)
 	snap := a.Snapshot()
 	want, err := json.Marshal(snap)
 	if err != nil {
@@ -25,7 +24,7 @@ func requireEncodersMatchMarshal(t *testing.T, a *Aggregator) {
 	if !bytes.Equal(got, want) || n != len(snap.Rows) {
 		t.Fatalf("AppendSnapshotJSON (%d rows):\n got %s\nwant %s", n, got, want)
 	}
-	got, n = a.AppendWindowsJSON(nil, &rows)
+	got, n = a.AppendWindowsJSON(nil)
 	wins := a.Windows()
 	if want, err = json.Marshal(wins); err != nil {
 		t.Fatalf("marshal windows: %v", err)
@@ -61,12 +60,14 @@ func TestEncodersMatchMarshal(t *testing.T) {
 	// One check-in and one view behind three million served impressions:
 	// measured_rate 3.3e-7; then a viewability rate just as small.
 	for i := range a.camps {
-		for _, r := range a.camps[i].rows {
-			r.impressions += 3_000_000
-			r.served += 3_000_000
-			r.srcCounts(beacon.SourceCommercial).measured = 1
-			if sc := r.find(beacon.SourceQTag); sc != nil && sc.viewed > 0 {
-				sc.viewed, sc.measured = 1, 2_500_000
+		for _, c := range a.camps[i].camps {
+			for _, r := range c.rows {
+				r.impressions += 3_000_000
+				r.served += 3_000_000
+				r.srcCounts(beacon.SourceCommercial).measured = 1
+				if sc := r.find(beacon.SourceQTag); sc != nil && sc.viewed > 0 {
+					sc.viewed, sc.measured = 1, 2_500_000
+				}
 			}
 		}
 	}

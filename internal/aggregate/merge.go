@@ -1,6 +1,6 @@
 package aggregate
 
-import "sort"
+import "slices"
 
 // Merge combines per-node report snapshots into one cluster-wide
 // snapshot — the federation step behind GET /report?federated=1.
@@ -56,7 +56,7 @@ func Merge(snaps ...Snapshot) Snapshot {
 			}
 			acc.Count += d.Dwell.Count
 			acc.SumNs += d.Dwell.SumNs
-			if boundsEqual(acc.Bounds, d.Dwell.Bounds) {
+			if slices.Equal(acc.Bounds, d.Dwell.Bounds) {
 				for i := range d.Dwell.Buckets {
 					acc.Buckets[i] += d.Dwell.Buckets[i]
 				}
@@ -86,31 +86,6 @@ func Merge(snaps ...Snapshot) Snapshot {
 	for k, d := range dwell {
 		out.Dwell = append(out.Dwell, DwellRow{CampaignID: k.campaign, Source: k.source, Dwell: *d})
 	}
-	sort.Slice(out.Rows, func(i, j int) bool {
-		a, b := out.Rows[i], out.Rows[j]
-		if a.CampaignID != b.CampaignID {
-			return a.CampaignID < b.CampaignID
-		}
-		return a.Format < b.Format
-	})
-	sort.Slice(out.Dwell, func(i, j int) bool {
-		a, b := out.Dwell[i], out.Dwell[j]
-		if a.CampaignID != b.CampaignID {
-			return a.CampaignID < b.CampaignID
-		}
-		return a.Source < b.Source
-	})
+	out.sort()
 	return out
-}
-
-func boundsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

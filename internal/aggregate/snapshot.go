@@ -1,7 +1,9 @@
 package aggregate
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"qtag/internal/beacon"
 )
@@ -59,50 +61,52 @@ func canonical(s beacon.Source) bool {
 
 // Snapshot copies the accumulators. Shard locks are taken one at a
 // time, so under concurrent ingest the result is consistent per
-// campaign shard; after quiescence it is exact.
+// campaign shard; after quiescence it is exact. It sorts what it copied
+// rather than trusting the accumulators' order: the report encoder
+// walks that order, and Snapshot is the reference it is held to.
 func (a *Aggregator) Snapshot() Snapshot {
 	var snap Snapshot
 	for i := range a.camps {
 		cs := &a.camps[i]
 		cs.mu.Lock()
-		for k, r := range cs.rows {
-			row := Row{
-				CampaignID:  k.Campaign,
-				Format:      k.Format,
-				Impressions: r.impressions,
-				Served:      r.served,
-				Sources:     make(map[string]SourceCounts, len(r.src)+2),
-			}
-			for _, s := range canonicalSources {
-				row.Sources[string(s)] = exportSource(r, r.find(s))
-			}
-			for i := range r.src {
-				if sc := &r.src[i]; !canonical(sc.source) {
-					row.Sources[string(sc.source)] = exportSource(r, sc)
+		for _, c := range cs.camps {
+			for _, r := range c.rows {
+				row := Row{
+					CampaignID:  c.id,
+					Format:      r.format,
+					Impressions: r.impressions,
+					Served:      r.served,
+					Sources:     make(map[string]SourceCounts, len(r.src)+2),
 				}
+				for _, s := range canonicalSources {
+					row.Sources[string(s)] = exportSource(r, r.find(s))
+				}
+				for i := range r.src {
+					if sc := &r.src[i]; !canonical(sc.source) {
+						row.Sources[string(sc.source)] = exportSource(r, sc)
+					}
+				}
+				snap.Rows = append(snap.Rows, row)
 			}
-			snap.Rows = append(snap.Rows, row)
-		}
-		for k, h := range cs.dwell {
-			snap.Dwell = append(snap.Dwell, DwellRow{CampaignID: k.Campaign, Source: k.Source, Dwell: h.Snapshot()})
+			for _, d := range c.dwell {
+				snap.Dwell = append(snap.Dwell, DwellRow{CampaignID: c.id, Source: d.source, Dwell: d.h.Snapshot()})
+			}
 		}
 		cs.mu.Unlock()
 	}
-	sort.Slice(snap.Rows, func(i, j int) bool {
-		a, b := snap.Rows[i], snap.Rows[j]
-		if a.CampaignID != b.CampaignID {
-			return a.CampaignID < b.CampaignID
-		}
-		return a.Format < b.Format
-	})
-	sort.Slice(snap.Dwell, func(i, j int) bool {
-		a, b := snap.Dwell[i], snap.Dwell[j]
-		if a.CampaignID != b.CampaignID {
-			return a.CampaignID < b.CampaignID
-		}
-		return a.Source < b.Source
-	})
+	snap.sort()
 	return snap
+}
+
+// sort puts s in the order Snapshot documents: rows by (campaign,
+// format), dwell rows by (campaign, source).
+func (s *Snapshot) sort() {
+	slices.SortFunc(s.Rows, func(a, b Row) int {
+		return cmp.Or(strings.Compare(a.CampaignID, b.CampaignID), strings.Compare(a.Format, b.Format))
+	})
+	slices.SortFunc(s.Dwell, func(a, b DwellRow) int {
+		return cmp.Or(strings.Compare(a.CampaignID, b.CampaignID), strings.Compare(a.Source, b.Source))
+	})
 }
 
 // exportSource derives the report counts from one row's counters; sc
@@ -124,23 +128,12 @@ func exportSource(r *row, sc *srcCounts) SourceCounts {
 	return out
 }
 
-// CampaignIDs returns the distinct campaigns present, sorted.
+// CampaignIDs returns the campaigns of the report's directory, in the
+// order GET /report lists them.
 func (a *Aggregator) CampaignIDs() []string {
-	seen := map[string]bool{}
-	for i := range a.camps {
-		cs := &a.camps[i]
-		cs.mu.Lock()
-		for k := range cs.rows {
-			seen[k.Campaign] = true
-		}
-		cs.mu.Unlock()
-	}
-	out := make([]string, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	a.walkMu.Lock()
+	defer a.walkMu.Unlock()
+	return a.dir.Keys()
 }
 
 // Recompute is the batch oracle the streaming path is proven against:

@@ -19,6 +19,12 @@ import (
 	"qtag/internal/simrand"
 )
 
+// rowKey and dwellKey address the oracle's rows and histograms.
+type (
+	rowKey   struct{ Campaign, Format string }
+	dwellKey struct{ Campaign, Source string }
+)
+
 // naiveSnapshot classifies a deduplicated event set the slow, obvious
 // way — whole sets per impression, nothing incremental — and returns the
 // rows and per-histogram (count, sum) the aggregator must report.

@@ -1,9 +1,13 @@
 package aggregate
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 	"time"
+
+	"qtag/internal/keydir"
 )
 
 // windowCounts is one campaign's activity inside one rollup window.
@@ -13,10 +17,19 @@ type windowCounts struct {
 	Viewed      int64 `json:"viewed"`      // impressions that became viewed in this window
 }
 
-// window is one fixed-width rollup bucket keyed by arrival time.
+// windowCamp is one campaign's counts in one window, under its owned id.
+type windowCamp struct {
+	id string
+	windowCounts
+}
+
+// window is one fixed-width rollup bucket keyed by arrival time: its
+// campaigns by id, and in id order for the report.
 type window struct {
+	slot  int64 // unix nanos / width
 	start time.Time
-	camps map[string]*windowCounts
+	camps map[string]*windowCamp
+	dir   keydir.Dir[windowCamp]
 }
 
 // windowRing keeps the most recent MaxWindows rollup windows, evicting
@@ -25,37 +38,38 @@ type window struct {
 // event payloads (windows go by the arrival clock, not Event.At).
 type windowRing struct {
 	width time.Duration
-	max   int
-	// windows is keyed by window start (unix nanos / width); small — at
-	// most max entries — so a map beats maintaining an actual ring.
-	windows map[int64]*window
-}
-
-func (r *windowRing) init(width time.Duration, max int) {
-	r.width = width
-	r.max = max
-	r.windows = make(map[int64]*window)
+	max   int64
+	// windows are the retained windows in slot order — at most max, all
+	// within max slots of newest, the newest slot ever seen.
+	windows []*window
+	newest  int64
 }
 
 // observe folds one event's transitions into its arrival window. Not
-// self-synchronized: the Aggregator wraps every call in its winMu.
+// self-synchronized: the Aggregator wraps every call in its winMu. An
+// event whose window is past the horizon — the arrival clock stepped
+// back — opens none: it counts on the campaign rows only.
 func (r *windowRing) observe(now time.Time, campaign string, created, viewedFirst bool) {
 	slot := now.UnixNano() / int64(r.width)
-	w := r.windows[slot]
-	if w == nil {
-		w = &window{start: time.Unix(0, slot*int64(r.width)).UTC(), camps: make(map[string]*windowCounts)}
-		r.windows[slot] = w
-		// Evict everything older than the retention horizon.
-		for k := range r.windows {
-			if k <= slot-int64(r.max) {
-				delete(r.windows, k)
-			}
-		}
+	if len(r.windows) == 0 || slot > r.newest {
+		r.newest = slot
+		r.windows = slices.DeleteFunc(r.windows, func(w *window) bool { return w.slot <= slot-r.max })
 	}
+	if slot <= r.newest-r.max {
+		return
+	}
+	i, ok := slices.BinarySearchFunc(r.windows, slot, func(w *window, s int64) int { return cmp.Compare(w.slot, s) })
+	if !ok {
+		w := &window{slot: slot, start: time.Unix(0, slot*int64(r.width)).UTC(), camps: make(map[string]*windowCamp)}
+		w.dir.Init(func(c *windowCamp) string { return c.id }, nil)
+		r.windows = slices.Insert(r.windows, i, w)
+	}
+	w := r.windows[i]
 	c := w.camps[campaign]
 	if c == nil {
-		c = &windowCounts{}
-		w.camps[strings.Clone(campaign)] = c
+		c = &windowCamp{id: strings.Clone(campaign)}
+		w.camps[c.id] = c
+		w.dir.Add(c)
 	}
 	c.Events++
 	if created {
@@ -78,7 +92,7 @@ func (r *windowRing) snapshot() []WindowSnapshot {
 	for _, w := range r.windows {
 		ws := WindowSnapshot{Start: w.start, Campaigns: make(map[string]windowCounts, len(w.camps))}
 		for id, c := range w.camps {
-			ws.Campaigns[id] = *c
+			ws.Campaigns[id] = c.windowCounts
 		}
 		out = append(out, ws)
 	}

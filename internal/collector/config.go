@@ -25,9 +25,10 @@ import (
 // anything else.
 var ErrConfig = errors.New("collector: bad configuration")
 
-// Config shapes a Stack. Every field but the last three is one
-// qtag-server flag, named in its comment; the flag's help text lives in
-// cmd/qtag-server's flag table and its default in DefaultConfig.
+// Config shapes a Stack. Every field but the last three and those marked
+// "no flag" is one qtag-server flag, named in its comment; the flag's
+// help text lives in cmd/qtag-server's flag table and its default in
+// DefaultConfig.
 type Config struct {
 	// LogEvery (-log-every) is the stats ticker's period. The same tick
 	// fsyncs an idle WAL stream, so 0 turns the stats line and that
@@ -63,8 +64,8 @@ type Config struct {
 
 	ReportTTL        time.Duration // -report-ttl
 	ReportSweepEvery time.Duration // -report-sweep-every
-	ReportWindow     time.Duration // -report-window
-	ReportWindows    int           // -report-windows
+	ReportWindow     time.Duration // rollup window width on GET /report; no flag
+	ReportWindows    int           // rollup windows retained; no flag
 	ReportMaxOpen    int           // -report-max-open
 
 	Detect              bool    // -detect

@@ -37,6 +37,7 @@
 package detect
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,6 +45,7 @@ import (
 
 	"qtag/internal/beacon"
 	"qtag/internal/imptable"
+	"qtag/internal/keydir"
 	"qtag/internal/obs"
 )
 
@@ -228,17 +230,12 @@ const (
 	srcNoServeCounted
 )
 
-// rowKey addresses one campaign × solution score row ("dsp" for
-// served events).
-type rowKey struct {
-	Campaign string
-	Source   string
-}
-
-// row is one campaign × solution accumulator. Every field is a
-// commutative count or a min/max — order-insensitive by construction.
+// row is one campaign × solution accumulator ("dsp" for served
+// events). Every field is a commutative count or a min/max — order-
+// insensitive by construction.
 type row struct {
-	key rowKey // the map key, with strings the row owns
+	camp   *campaign
+	source string // owned
 
 	events      int64 // first-seen events folded in
 	dups        int64 // duplicate submissions absorbed by the store
@@ -274,12 +271,30 @@ type row struct {
 	newer, older *row
 }
 
+// campaign is one campaign's score rows, by source — the order the
+// report lists them in.
+type campaign struct {
+	id   string // owned
+	rows []*row
+	gone atomic.Bool // the MaxRows cap took its last row; set under the shard lock
+}
+
+// find returns the campaign's row for source with its index, or nil with
+// the index it would take. Caller holds the shard lock.
+func (c *campaign) find(source string) (int, *row) {
+	i, ok := slices.BinarySearchFunc(c.rows, source, func(r *row, s string) int { return strings.Compare(r.source, s) })
+	if !ok {
+		return i, nil
+	}
+	return i, c.rows[i]
+}
+
 // rowShard is one lock-striped partition of the score-row table; a
 // campaign's rows all live in one shard, so multi-row adjustments
 // (late served un-counting every source's violation) are atomic.
 type rowShard struct {
-	mu   sync.Mutex
-	rows map[rowKey]*row
+	mu    sync.Mutex
+	camps map[string]*campaign
 
 	// newest and oldest are the ends of the intrusive recency list:
 	// every row of the shard, most recently touched first. A row is
@@ -335,6 +350,11 @@ type Detector struct {
 	camps []rowShard
 	mask  uint32
 
+	// dir is every campaign with a live row, in id order, for the report
+	// to walk; walkMu keeps walks from overlapping.
+	walkMu sync.Mutex
+	dir    keydir.Dir[campaign]
+
 	dupEvents  atomic.Int64 // duplicate submissions folded in
 	rowCount   atomic.Int64 // live score rows
 	rowEvicted atomic.Int64 // score rows dropped by the MaxRows cap
@@ -354,8 +374,9 @@ func New(opts Options) *Detector {
 	}
 	d.pass = imptable.NewPass(imptable.PassOptions{Shards: size, TTL: opts.TTL, MaxOpen: opts.MaxOpen, Now: opts.Now}, d.fold)
 	for i := range d.camps {
-		d.camps[i].rows = make(map[rowKey]*row)
+		d.camps[i].camps = make(map[string]*campaign)
 	}
+	d.dir.Init(func(c *campaign) string { return c.id }, func(c *campaign) bool { return c.gone.Load() })
 	return d
 }
 
@@ -399,9 +420,9 @@ func (d *Detector) Observe(e beacon.Event) { d.pass.Observe(e) }
 // what the event changed, under the campaign shard's lock (nested in the
 // pass shard's, always — matching aggregate).
 func (d *Detector) fold(e beacon.Event, c imptable.Change) {
-	cs := &d.camps[beacon.HashID(e.CampaignID)&d.mask]
+	cs := d.shard(e.CampaignID)
 	cs.mu.Lock()
-	r := d.rowLocked(cs, rowKey{e.CampaignID, sourceLabel(e.Source)})
+	r := d.rowLocked(cs, e.CampaignID, sourceLabel(e.Source))
 	r.events++
 	r.observeRate(d.opts.bucketIndex(e.At), r.events == 1)
 	if e.Meta.AdSize != "" {
@@ -424,7 +445,7 @@ func (d *Detector) fold(e beacon.Event, c imptable.Change) {
 				name, ss := c.Table.SourceAt(c.Entry, i)
 				if *ss&srcNoServeCounted != 0 {
 					*ss &^= srcNoServeCounted
-					if rr := cs.rows[rowKey{e.CampaignID, name}]; rr != nil && rr.seqNoServe > 0 {
+					if _, rr := r.camp.find(name); rr != nil && rr.seqNoServe > 0 {
 						rr.seqNoServe--
 					}
 				}
@@ -477,34 +498,47 @@ func (d *Detector) ObserveDup(e beacon.Event) {
 	if e.Validate() != nil {
 		return
 	}
-	cs := &d.camps[beacon.HashID(e.CampaignID)&d.mask]
+	cs := d.shard(e.CampaignID)
 	cs.mu.Lock()
-	d.rowLocked(cs, rowKey{e.CampaignID, sourceLabel(e.Source)}).dups++
+	d.rowLocked(cs, e.CampaignID, sourceLabel(e.Source)).dups++
 	cs.mu.Unlock()
 	d.dupEvents.Add(1)
 }
 
-// rowLocked returns (creating if needed) a score row and marks it the
-// shard's most recently touched; caller holds cs.mu. A new row goes
-// under a clone of k, whose strings come from the event in hand.
-// Creation over the MaxRows cap evicts the least recently touched row of
-// the same shard — never the one just created, which stays even when it
-// is alone in its shard.
-func (d *Detector) rowLocked(cs *rowShard, k rowKey) *row {
-	r := cs.rows[k]
+// shard returns the row shard that holds campaign id.
+func (d *Detector) shard(id string) *rowShard { return &d.camps[beacon.HashID(id)&d.mask] }
+
+// rowLocked returns (creating if needed) the score row of campaign id
+// and source, and marks it the shard's most recently touched; caller
+// holds cs.mu. A new row and campaign clone id and source, which come
+// from the event in hand. Creation over the MaxRows cap evicts the least
+// recently touched row of the same shard — never the one just created,
+// which stays even when it is alone in its shard — and a campaign left
+// without rows leaves the shard.
+func (d *Detector) rowLocked(cs *rowShard, id, source string) *row {
+	c := cs.camps[id]
+	if c == nil {
+		c = &campaign{id: strings.Clone(id)}
+		cs.camps[c.id] = c
+		d.dir.Add(c)
+	}
+	i, r := c.find(source)
 	if r != nil {
 		cs.touch(r)
 		return r
 	}
-	k = rowKey{strings.Clone(k.Campaign), strings.Clone(k.Source)}
-	r = &row{key: k, slots: make([]int64, d.opts.RateSlots)}
-	cs.rows[k] = r
+	r = &row{camp: c, source: strings.Clone(source), slots: make([]int64, d.opts.RateSlots)}
+	c.rows = slices.Insert(c.rows, i, r)
 	cs.touch(r)
 	if d.rowCount.Add(1) > int64(d.opts.MaxRows) {
 		cs.evictVisits++
 		if victim := cs.oldest; victim != r {
 			cs.unlink(victim)
-			delete(cs.rows, victim.key)
+			vc := victim.camp
+			if vc.rows = slices.DeleteFunc(vc.rows, func(x *row) bool { return x == victim }); len(vc.rows) == 0 {
+				delete(cs.camps, vc.id)
+				vc.gone.Store(true)
+			}
 			d.rowCount.Add(-1)
 			d.rowEvicted.Add(1)
 		}

@@ -8,81 +8,83 @@ import (
 	"qtag/internal/jsonenc"
 )
 
-// contribKeys are the ScoreRow.Contribs map keys as encoding/json
-// writes them — in byte order of the name, quoted, with their colon —
-// each with its index into contribs' result.
-var contribKeys = func() (keys [5]struct {
-	json string
-	i    int
-}) {
+// contribOrder is contribs' indices in the byte order of the detector
+// names: the order encoding/json writes ScoreRow.Contribs in.
+var contribOrder = func() []int {
 	order := []int{0, 1, 2, 3, 4}
 	slices.SortFunc(order, func(a, b int) int { return strings.Compare(Detectors[a], Detectors[b]) })
-	for n, i := range order {
-		keys[n].json, keys[n].i = `"`+Detectors[i]+`":`, i
-	}
-	return keys
+	return order
 }()
 
 // AppendSnapshotJSON appends the JSON encoding of d.Snapshot() to dst —
 // byte for byte what encoding/json makes of it — and returns it with the
-// number of flagged campaigns. It is the fraud section of GET /report:
-// the same walk as Snapshot, one row-shard lock at a time, but each row
-// is scored and encoded into fr's arena under the lock, with no
-// ScoreRow, no contributions map and no sort of anything wider than
-// fr's index. fr is scratch (reset here).
-func (d *Detector) AppendSnapshotJSON(dst []byte, fr *jsonenc.Frags) ([]byte, int) {
-	fr.Reset()
-	var flaggedIDs []string // row keys' campaigns: owned strings, safe past the lock
-	for i := range d.camps {
-		cs := &d.camps[i]
+// number of flagged campaigns. It is the fraud section of GET /report: a
+// walk of the campaign directory that takes each campaign's shard lock
+// once and scores and appends its rows, kept in source order, straight
+// into dst — no ScoreRow, no contributions map, no sort. The flagged
+// campaigns collect in *flagged, a scratch buffer (reset here). Under
+// ingest the result is consistent per campaign — a late served event's
+// un-count lands on all of a campaign's rows or on none — and after
+// quiescence it is exact.
+func (d *Detector) AppendSnapshotJSON(dst []byte, flagged *[]byte) ([]byte, int) {
+	d.walkMu.Lock()
+	defer d.walkMu.Unlock()
+	dst = append(dst, `{"rows":[`...)
+	fl, rows, nflagged := (*flagged)[:0], 0, 0
+	for _, c := range d.dir.Order() {
+		cs := d.shard(c.id)
 		cs.mu.Lock()
-		for k, r := range cs.rows {
-			c, composite := d.contribs(r)
+		hit := false
+		for _, r := range c.rows {
+			co, composite := d.contribs(r)
 			flag := d.flags(r, composite)
-			if flag {
-				flaggedIDs = append(flaggedIDs, k.Campaign)
-			}
-			off := len(fr.Buf)
-			b := append(fr.Buf, `{"campaign_id":`...)
-			b = jsonenc.AppendString(b, k.Campaign)
-			b = append(b, `,"source":`...)
-			b = jsonenc.AppendString(b, k.Source)
-			b = append(b, `,"events":`...)
-			b = strconv.AppendInt(b, r.events, 10)
-			b = append(b, `,"dups":`...)
-			b = strconv.AppendInt(b, r.dups, 10)
-			b = append(b, `,"impressions":`...)
-			b = strconv.AppendInt(b, r.impressions, 10)
-			b = append(b, `,"score":`...)
-			b = jsonenc.AppendFloat(b, composite)
-			b = append(b, `,"flagged":`...)
-			b = strconv.AppendBool(b, flag)
-			b = append(b, `,"contributions":{`...)
-			for n, key := range contribKeys {
-				if n > 0 {
-					b = append(b, ',')
-				}
-				b = append(b, key.json...)
-				b = jsonenc.AppendFloat(b, c[key.i])
-			}
-			fr.Buf = append(b, `}}`...)
-			fr.Add(k.Campaign, k.Source, off)
-		}
-		cs.mu.Unlock()
-	}
-	dst = append(dst, `{"rows":`...)
-	dst = fr.AppendArray(dst)
-	slices.Sort(flaggedIDs)
-	flaggedIDs = slices.Compact(flaggedIDs)
-	if len(flaggedIDs) > 0 {
-		dst = append(dst, `,"flagged_campaigns":[`...)
-		for i, id := range flaggedIDs {
-			if i > 0 {
+			hit = hit || flag
+			if rows > 0 {
 				dst = append(dst, ',')
 			}
-			dst = jsonenc.AppendString(dst, id)
+			rows++
+			dst = append(dst, `{"campaign_id":`...)
+			dst = jsonenc.AppendString(dst, c.id)
+			dst = append(dst, `,"source":`...)
+			dst = jsonenc.AppendString(dst, r.source)
+			dst = append(dst, `,"events":`...)
+			dst = strconv.AppendInt(dst, r.events, 10)
+			dst = append(dst, `,"dups":`...)
+			dst = strconv.AppendInt(dst, r.dups, 10)
+			dst = append(dst, `,"impressions":`...)
+			dst = strconv.AppendInt(dst, r.impressions, 10)
+			dst = append(dst, `,"score":`...)
+			dst = jsonenc.AppendFloat(dst, composite)
+			dst = append(dst, `,"flagged":`...)
+			dst = strconv.AppendBool(dst, flag)
+			dst = append(dst, `,"contributions":{`...)
+			for n, i := range contribOrder {
+				if n > 0 {
+					dst = append(dst, ',')
+				}
+				dst = append(append(append(dst, '"'), Detectors[i]...), `":`...)
+				dst = jsonenc.AppendFloat(dst, co[i])
+			}
+			dst = append(dst, `}}`...)
 		}
+		cs.mu.Unlock()
+		if hit {
+			if nflagged > 0 {
+				fl = append(fl, ',')
+			}
+			fl = jsonenc.AppendString(fl, c.id)
+			nflagged++
+		}
+	}
+	if rows == 0 {
+		dst = append(dst[:len(dst)-1], `null`...) // the nil slice of an empty Snapshot
+	} else {
 		dst = append(dst, ']')
 	}
-	return append(dst, '}'), len(flaggedIDs)
+	*flagged = fl
+	if nflagged > 0 { // omitempty
+		dst = append(dst, `,"flagged_campaigns":[`...)
+		dst = append(append(dst, fl...), ']')
+	}
+	return append(dst, '}'), nflagged
 }

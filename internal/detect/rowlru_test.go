@@ -16,7 +16,8 @@ func servedOn(campaign, imp string) beacon.Event {
 }
 
 // checkRecencyList requires every shard's recency list to hold exactly
-// the shard's rows, doubly linked.
+// the shard's rows, doubly linked, and every campaign of the shard to
+// hold a row.
 func checkRecencyList(t *testing.T, d *Detector) {
 	t.Helper()
 	for i := range d.camps {
@@ -25,17 +26,33 @@ func checkRecencyList(t *testing.T, d *Detector) {
 		var newer *row
 		for r := cs.newest; r != nil; newer, r = r, r.older {
 			if r.newer != newer {
-				t.Fatalf("shard %d: row %v has a broken back link", i, r.key)
+				t.Fatalf("shard %d: row %s/%s has a broken back link", i, r.camp.id, r.source)
 			}
-			if cs.rows[r.key] != r {
-				t.Fatalf("shard %d: listed row %v is not the shard's row under its key", i, r.key)
+			if _, under := r.camp.find(r.source); cs.camps[r.camp.id] != r.camp || under != r {
+				t.Fatalf("shard %d: listed row %s/%s is not the shard's row under its key", i, r.camp.id, r.source)
 			}
 			n++
 		}
-		if newer != cs.oldest || n != len(cs.rows) {
-			t.Fatalf("shard %d: list holds %d rows ending at %p, map holds %d, oldest is %p", i, n, newer, len(cs.rows), cs.oldest)
+		rows := 0
+		for id, c := range cs.camps {
+			if len(c.rows) == 0 || c.gone.Load() {
+				t.Fatalf("shard %d: campaign %s holds no row but is still in the shard", i, id)
+			}
+			rows += len(c.rows)
+		}
+		if newer != cs.oldest || n != rows {
+			t.Fatalf("shard %d: list holds %d rows ending at %p, campaigns hold %d, oldest is %p", i, n, newer, rows, cs.oldest)
 		}
 	}
+}
+
+// lookup returns the score row of campaign id and source, or nil.
+func lookup(d *Detector, id, source string) *row {
+	if c := d.shard(id).camps[id]; c != nil {
+		_, r := c.find(source)
+		return r
+	}
+	return nil
 }
 
 // TestMaxRowsEvictsLeastRecentlyTouched: over the cap the inserting
@@ -49,7 +66,7 @@ func TestMaxRowsEvictsLeastRecentlyTouched(t *testing.T) {
 	d.Observe(servedOn("a", "a2"))    // a is touched by an event,
 	d.ObserveDup(servedOn("b", "b1")) // b by a duplicate: c is now the coldest
 	has := func(campaign string) bool {
-		return d.camps[0].rows[rowKey{campaign, SourceDSP}] != nil
+		return lookup(d, campaign, SourceDSP) != nil
 	}
 	d.Observe(servedOn("d", "d1"))
 	if has("c") || !has("a") || !has("b") || !has("d") {
@@ -68,7 +85,7 @@ func TestMaxRowsEvictsLeastRecentlyTouched(t *testing.T) {
 	lone := New(Options{Shards: 1, MaxRows: 1, TTL: -1})
 	lone.Observe(servedOn("x", "x1"))
 	lone.Observe(servedOn("y", "y1"))
-	if lone.Rows() != 1 || lone.camps[0].rows[rowKey{"y", SourceDSP}] == nil {
+	if lone.Rows() != 1 || lookup(lone, "y", SourceDSP) == nil {
 		t.Fatalf("rows = %d, want only the newest", lone.Rows())
 	}
 	checkRecencyList(t, lone)
@@ -138,17 +155,19 @@ func TestRunningScoreTerms(t *testing.T) {
 			t.Fatalf("seed %d: the MaxRows cap never evicted a row", seed)
 		}
 		for i := range d.camps {
-			for k, r := range d.camps[i].rows {
-				var peak, top, total int64
-				for _, c := range r.slots {
-					peak = max(peak, c)
-				}
-				for _, n := range r.slotViews {
-					top, total = max(top, *n), total+*n
-				}
-				if r.peak != peak || r.slotTop != top || r.slotTotal != total {
-					t.Fatalf("seed %d, row %v: running peak/top/total %d/%d/%d, recomputed %d/%d/%d",
-						seed, k, r.peak, r.slotTop, r.slotTotal, peak, top, total)
+			for _, c := range d.camps[i].camps {
+				for _, r := range c.rows {
+					var peak, top, total int64
+					for _, n := range r.slots {
+						peak = max(peak, n)
+					}
+					for _, n := range r.slotViews {
+						top, total = max(top, *n), total+*n
+					}
+					if r.peak != peak || r.slotTop != top || r.slotTotal != total {
+						t.Fatalf("seed %d, row %s/%s: running peak/top/total %d/%d/%d, recomputed %d/%d/%d",
+							seed, c.id, r.source, r.peak, r.slotTop, r.slotTotal, peak, top, total)
+					}
 				}
 			}
 		}

@@ -1,7 +1,9 @@
 package detect
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -37,28 +39,28 @@ type Snapshot struct {
 
 // Snapshot scores every live row. Scores are computed here, from the
 // commutative counters, never during ingest — so they inherit the
-// counters' order-insensitivity.
+// counters' order-insensitivity. It sorts what it scored rather than
+// trusting the rows' order: the report encoder walks that order, and
+// Snapshot is the reference it is held to.
 func (d *Detector) Snapshot() Snapshot {
 	var snap Snapshot
 	flagged := map[string]bool{}
 	for i := range d.camps {
 		cs := &d.camps[i]
 		cs.mu.Lock()
-		for k, r := range cs.rows {
-			sr := d.score(k, r)
-			if sr.Flagged {
-				flagged[k.Campaign] = true
+		for _, c := range cs.camps {
+			for _, r := range c.rows {
+				sr := d.score(r)
+				if sr.Flagged {
+					flagged[c.id] = true
+				}
+				snap.Rows = append(snap.Rows, sr)
 			}
-			snap.Rows = append(snap.Rows, sr)
 		}
 		cs.mu.Unlock()
 	}
-	sort.Slice(snap.Rows, func(i, j int) bool {
-		a, b := snap.Rows[i], snap.Rows[j]
-		if a.CampaignID != b.CampaignID {
-			return a.CampaignID < b.CampaignID
-		}
-		return a.Source < b.Source
+	slices.SortFunc(snap.Rows, func(a, b ScoreRow) int {
+		return cmp.Or(strings.Compare(a.CampaignID, b.CampaignID), strings.Compare(a.Source, b.Source))
 	})
 	for c := range flagged {
 		snap.Flagged = append(snap.Flagged, c)
@@ -86,15 +88,15 @@ func (d *Detector) flags(r *row, composite float64) bool {
 }
 
 // score derives one row's report line. Caller holds the row shard lock.
-func (d *Detector) score(k rowKey, r *row) ScoreRow {
+func (d *Detector) score(r *row) ScoreRow {
 	c, composite := d.contribs(r)
 	m := make(map[string]float64, len(Detectors))
 	for i, name := range Detectors {
 		m[name] = c[i]
 	}
 	return ScoreRow{
-		CampaignID:  k.Campaign,
-		Source:      k.Source,
+		CampaignID:  r.camp.id,
+		Source:      r.source,
 		Events:      r.events,
 		Dups:        r.dups,
 		Impressions: r.impressions,
@@ -104,43 +106,31 @@ func (d *Detector) score(k rowKey, r *row) ScoreRow {
 	}
 }
 
-// flaggedLocked reports whether a row would flag, without building the
-// contribution map a full score does. Equivalent to score(k, r).Flagged
-// because the composite is the max of the contributions: some detector
-// clears the threshold iff the max does. Caller holds the row shard
-// lock.
-func (d *Detector) flaggedLocked(r *row) bool {
-	o := d.opts
-	if r.events+r.dups < o.MinEvents {
-		return false
-	}
-	t := o.FlagThreshold
-	return rateScore(r, o) >= t || duplicateScore(r) >= t || sequenceScore(r) >= t ||
-		dwellScore(r) >= t || geometryScore(r) >= t
-}
-
 // FlaggedCampaigns counts distinct campaigns with at least one flagged
 // row. It is the metrics-scrape path behind the
 // qtag_detect_flagged_campaigns gauge, so unlike Snapshot it allocates
-// no rows, sorts nothing, skips rows under the MinEvents gate outright,
-// and short-circuits campaigns already counted — each shard lock is
-// held only for the cheap threshold checks.
+// no rows, sorts nothing and stops at a campaign's first flagged row.
 func (d *Detector) FlaggedCampaigns() int {
-	flagged := map[string]bool{}
+	n := 0
 	for i := range d.camps {
 		cs := &d.camps[i]
 		cs.mu.Lock()
-		for k, r := range cs.rows {
-			if flagged[k.Campaign] {
-				continue
-			}
-			if d.flaggedLocked(r) {
-				flagged[k.Campaign] = true
+		for _, c := range cs.camps {
+			if slices.ContainsFunc(c.rows, func(r *row) bool { _, s := d.contribs(r); return d.flags(r, s) }) {
+				n++
 			}
 		}
 		cs.mu.Unlock()
 	}
-	return len(flagged)
+	return n
+}
+
+// CampaignIDs returns the campaigns of the report's directory, in the
+// order GET /report lists them.
+func (d *Detector) CampaignIDs() []string {
+	d.walkMu.Lock()
+	defer d.walkMu.Unlock()
+	return d.dir.Keys()
 }
 
 // clamp01 bounds a ramp into [0,1]; NaN (0/0 ramps) clamps to 0.

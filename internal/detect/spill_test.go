@@ -109,8 +109,10 @@ func TestSpilledStateIsExact(t *testing.T) {
 		}
 		got := map[string]counters{}
 		for i := range d.camps {
-			for k, r := range d.camps[i].rows {
-				got[k.Source] = counters{r.events, r.impressions, r.dwellPairs, r.dwellZero, r.dwellExact, r.seqNoLoad, r.seqNoServe, r.seqOrphanOut}
+			for _, c := range d.camps[i].camps {
+				for _, r := range c.rows {
+					got[r.source] = counters{r.events, r.impressions, r.dwellPairs, r.dwellZero, r.dwellExact, r.seqNoLoad, r.seqNoServe, r.seqOrphanOut}
+				}
 			}
 		}
 		if !reflect.DeepEqual(got, want) {

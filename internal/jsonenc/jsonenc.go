@@ -1,7 +1,7 @@
 // Package jsonenc holds the append-style JSON primitives (string, float,
-// time) and the fragment sorter GET /report is rendered with, so
-// internal/aggregate and internal/detect can encode their accumulators
-// in place — under the shard lock that guards them — without reflection,
+// time) GET /report is rendered with, so internal/aggregate and
+// internal/detect can encode their accumulators straight into the
+// response body — under the lock that guards them — without reflection,
 // intermediate maps or a per-request snapshot.
 //
 // The contract of every function here is byte equality with
@@ -11,9 +11,7 @@ package jsonenc
 
 import (
 	"math"
-	"slices"
 	"strconv"
-	"strings"
 	"time"
 	"unicode/utf8"
 )
@@ -94,80 +92,6 @@ func AppendFloat(dst []byte, f float64) []byte {
 		return dst
 	}
 	return strconv.AppendFloat(dst, f, 'f', -1, 64)
-}
-
-// Frags collects JSON array elements that are produced in arbitrary
-// order — map iteration under a shard lock — and emits them in
-// (K1, K2) byte order. What gets sorted is a 48-byte index entry per
-// element, never the element: the encoded bytes are written once into
-// Buf and copied once into the output.
-//
-// The zero value is ready; Reset makes a used one ready again and keeps
-// its capacity, which is what makes it poolable.
-type Frags struct {
-	// Buf is the arena: append an element's bytes here, then Add it.
-	Buf []byte
-	idx []frag
-}
-
-type frag struct {
-	k1, k2   string
-	off, end int
-}
-
-// Reset empties f, keeping capacity. Index entries are cleared so a
-// pooled Frags does not pin the key strings of the last render.
-func (f *Frags) Reset() {
-	f.Buf = f.Buf[:0]
-	clear(f.idx)
-	f.idx = f.idx[:0]
-}
-
-// Add records Buf[off:] as one element sorting under (k1, k2). The keys
-// must stay valid until AppendSorted; they are not copied.
-func (f *Frags) Add(k1, k2 string, off int) {
-	f.idx = append(f.idx, frag{k1, k2, off, len(f.Buf)})
-}
-
-// Len returns how many elements have been added since Reset.
-func (f *Frags) Len() int { return len(f.idx) }
-
-// AppendSorted appends elements [from, to) — in the order they were
-// added — to dst in key order, comma separated, with no surrounding
-// brackets. Sorting a range at a time is what lets one Frags hold
-// several independently ordered lists (the report's rollup windows).
-func (f *Frags) AppendSorted(dst []byte, from, to int) []byte {
-	idx := f.idx[from:to]
-	slices.SortFunc(idx, func(a, b frag) int {
-		if c := strings.Compare(a.k1, b.k1); c != 0 {
-			return c
-		}
-		return strings.Compare(a.k2, b.k2)
-	})
-	n := len(idx)
-	for _, e := range idx {
-		n += e.end - e.off
-	}
-	dst = slices.Grow(dst, n)
-	for i, e := range idx {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, f.Buf[e.off:e.end]...)
-	}
-	return dst
-}
-
-// AppendArray appends every element as one JSON array in key order —
-// or null when there are none, which is how encoding/json writes the
-// nil slice a snapshot with no rows holds.
-func (f *Frags) AppendArray(dst []byte) []byte {
-	if len(f.idx) == 0 {
-		return append(dst, `null`...)
-	}
-	dst = append(dst, '[')
-	dst = f.AppendSorted(dst, 0, len(f.idx))
-	return append(dst, ']')
 }
 
 // AppendTime appends t as time.Time marshals to JSON: a quoted RFC 3339

@@ -44,37 +44,3 @@ func TestAppendersMatchEncodingJSON(t *testing.T) {
 		}
 	}
 }
-
-func TestFragsSortRangesByKey(t *testing.T) {
-	var f Frags
-	add := func(k1, k2, elem string) {
-		off := len(f.Buf)
-		f.Buf = append(f.Buf, elem...)
-		f.Add(k1, k2, off)
-	}
-	add("b", "", "3")
-	add("a", "z", "2")
-	add("a", "", "1")
-	mark := f.Len()
-	add("y", "", "Y")
-	add("x", "", "X")
-	if got := string(f.AppendSorted([]byte("["), 0, mark)); got != "[1,2,3" {
-		t.Errorf("first range = %s", got)
-	}
-	if got := string(f.AppendSorted(nil, mark, f.Len())); got != "X,Y" {
-		t.Errorf("second range = %s", got)
-	}
-	if got := f.AppendSorted(nil, mark, mark); len(got) != 0 {
-		t.Errorf("empty range = %s", got)
-	}
-	if got := string(f.AppendArray(nil)); got != "[1,2,3,X,Y]" {
-		t.Errorf("array = %s", got)
-	}
-	f.Reset()
-	if f.Len() != 0 || len(f.Buf) != 0 {
-		t.Errorf("after Reset: %d elements, %d bytes", f.Len(), len(f.Buf))
-	}
-	if got := string(f.AppendArray(nil)); got != "null" {
-		t.Errorf("empty array = %s", got)
-	}
-}

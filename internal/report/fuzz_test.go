@@ -21,7 +21,9 @@ import (
 //     campaign, impression, solution, type and format, with the fuzzed
 //     string standing in for one campaign, one solution and one format,
 //     and one event in four sent twice — the rendered GET /report equals
-//     the marshalled snapshots of the same stack.
+//     the marshalled snapshots of the same stack, at the program's
+//     midpoint and at its end, so that campaigns, formats and sources
+//     new since the first render go through the directory merge.
 //
 // Seed corpus lives under testdata/fuzz/FuzzReportJSON.
 func FuzzReportJSON(f *testing.F) {
@@ -55,6 +57,9 @@ func FuzzReportJSON(f *testing.F) {
 		formats := []string{"", "display", "f" + s, "banner"}
 		types := []beacon.EventType{beacon.EventServed, beacon.EventLoaded, beacon.EventInView, beacon.EventOutOfView}
 		for i := 0; i+2 < len(prog); i += 3 {
+			if i == len(prog)/6*3 {
+				requireIdentical(t, st.a, st.d)
+			}
 			e := beacon.Event{
 				CampaignID:   campaigns[prog[i]%4],
 				ImpressionID: "imp-" + strconv.Itoa(int(prog[i+1]%8)),

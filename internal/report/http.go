@@ -93,24 +93,24 @@ type ViewabilityReport struct {
 }
 
 // renderBuf is one JSON render's working memory: the response body and
-// the fragment arenas the aggregate and detect encoders fill under their
-// shard locks — together about two bodies' worth. Kept between renders,
-// so a dashboard polling /report re-uses them instead of allocating (and
-// the GC tracing) a Snapshot's worth of rows, maps and histogram copies
-// per poll.
+// one scratch buffer — the dwell rows, which the aggregate encoder
+// collects in the same lock hold as a campaign's rows and appends after
+// all of them, then the flagged campaigns, which the fraud encoder
+// appends after its rows. Kept between renders, so a dashboard polling
+// /report re-uses them instead of allocating (and the GC tracing) a
+// Snapshot's worth of rows, maps and histogram copies per poll.
 type renderBuf struct {
-	body  []byte
-	frags jsonenc.Frags // campaign rows, then each rollup window, then fraud rows
-	dwell jsonenc.Frags // dwell rows: filled in the same lock hold as the campaign rows
+	body    []byte
+	scratch []byte
 }
 
 // renderSlot is a handler's spare renderBuf: the one its last render
 // used. It is held, not pooled: a sync.Pool drops its entries across
 // collections and misses whenever a render ends on another P than the
-// next one starts on, and each miss re-grows a body and two arenas —
-// megabytes of garbage at 5 000 campaigns, at moments that vary from
-// run to run. A render that finds the slot taken by a concurrent one
-// uses a fresh buffer and drops it afterwards.
+// next one starts on, and each miss re-grows a body — megabytes of
+// garbage at 5 000 campaigns, at moments that vary from run to run. A
+// render that finds the slot taken by a concurrent one uses a fresh
+// buffer and drops it afterwards.
 type renderSlot struct{ p atomic.Pointer[renderBuf] }
 
 // maxPooledBytes bounds what the slot may keep between renders (about
@@ -126,12 +126,9 @@ func (s *renderSlot) take() *renderBuf {
 }
 
 func (s *renderSlot) keep(rb *renderBuf) {
-	if cap(rb.body)+cap(rb.frags.Buf)+cap(rb.dwell.Buf) > maxPooledBytes {
-		return
+	if cap(rb.body)+cap(rb.scratch) <= maxPooledBytes {
+		s.p.CompareAndSwap(nil, rb)
 	}
-	rb.frags.Reset() // drop the index's references to row keys
-	rb.dwell.Reset()
-	s.p.CompareAndSwap(nil, rb)
 }
 
 // appendReport renders the report into rb.body — byte for byte
@@ -143,7 +140,7 @@ func (rb *renderBuf) appendReport(a *aggregate.Aggregator, d *detect.Detector, a
 	b := append(rb.body[:0], `{"generated_at":`...)
 	b = jsonenc.AppendTime(b, at)
 	b = append(b, `,"campaigns":`...)
-	b, rows = a.AppendSnapshotJSON(b, &rb.frags, &rb.dwell)
+	b, rows = a.AppendSnapshotJSON(b, &rb.scratch)
 	open = a.OpenImpressions()
 	b = append(b, `,"open_impressions":`...)
 	b = strconv.AppendInt(b, int64(open), 10)
@@ -153,13 +150,13 @@ func (rb *renderBuf) appendReport(a *aggregate.Aggregator, d *detect.Detector, a
 		mark := len(b)
 		b = append(b, `,"windows":`...)
 		var n int
-		if b, n = a.AppendWindowsJSON(b, &rb.frags); n == 0 {
+		if b, n = a.AppendWindowsJSON(b); n == 0 {
 			b = b[:mark] // omitempty
 		}
 	}
 	if d != nil {
 		b = append(b, `,"fraud":`...)
-		b, flagged = d.AppendSnapshotJSON(b, &rb.frags)
+		b, flagged = d.AppendSnapshotJSON(b, &rb.scratch)
 	}
 	rb.body = append(b, '}', '\n')
 	return rb.body, rows, flagged, open

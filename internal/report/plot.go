@@ -76,18 +76,11 @@ func Plot(title string, series []SeriesData, width, height int) string {
 		fmt.Fprintf(&sb, "%7.4f │%s\n", yVal, string(line))
 	}
 	sb.WriteString("        └" + strings.Repeat("─", width) + "\n")
-	fmt.Fprintf(&sb, "         %-d%s%d\n", minX, strings.Repeat(" ", maxInt(1, width-len(fmt.Sprint(minX))-len(fmt.Sprint(maxX)))), maxX)
+	fmt.Fprintf(&sb, "         %-d%s%d\n", minX, strings.Repeat(" ", max(1, width-len(fmt.Sprint(minX))-len(fmt.Sprint(maxX)))), maxX)
 	legend := make([]string, 0, len(series))
 	for si, s := range series {
 		legend = append(legend, fmt.Sprintf("%c=%s", markers[si%len(markers)], s.Name))
 	}
 	sb.WriteString("         " + strings.Join(legend, "  ") + "\n")
 	return sb.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,11 +3,13 @@ package report
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -321,13 +323,27 @@ func TestMigrationLeavesNoTrace(t *testing.T) {
 }
 
 // TestRenderUnderConcurrentIngest: a reader polling beside eight
-// ingesting goroutines always receives a complete, decodable report
-// (consistent per campaign shard, as Snapshot is), and once ingest
-// stops the body is exactly the marshalled snapshot. Run under -race
-// this is also the proof that the encoders read nothing outside the
-// locks that guard it.
+// ingesting goroutines always receives a complete, decodable report with
+// every list in strictly increasing key order (consistent per campaign),
+// and once ingest stops the body is exactly the marshalled snapshot and
+// each campaign directory holds exactly the campaigns with live rows.
+// The evicting run caps the detector far below the campaigns' rows, so
+// campaigns leave the fraud directory and come back while polls run.
+// Run under -race this is also the proof that the encoders read nothing
+// outside the locks that guard it.
 func TestRenderUnderConcurrentIngest(t *testing.T) {
-	s := newStack(true, detect.Options{})
+	for _, c := range []struct {
+		name string
+		opts detect.Options
+	}{{"default", detect.Options{}}, {"evicting", detect.Options{MaxRows: 48}}} {
+		t.Run(c.name, func(t *testing.T) { renderUnderIngest(t, c.opts) })
+	}
+}
+
+func renderUnderIngest(t *testing.T, dopts detect.Options) {
+	s := newStack(true, dopts)
+	reg := obs.NewRegistry()
+	s.d.RegisterMetrics(reg)
 	h := HandlerWithDetect(s.a, s.d, func() time.Time { return rt0 })
 	events := benchEvents(7, 300, 16_000)
 	const writers = 8
@@ -365,6 +381,10 @@ func TestRenderUnderConcurrentIngest(t *testing.T) {
 					t.Errorf("poll %d: fraud section missing", polls)
 					return
 				}
+				if err := keyOrderErr(rr.Body.Bytes(), &rep); err != nil {
+					t.Errorf("poll %d: %v", polls, err)
+					return
+				}
 				select {
 				case <-done:
 					return
@@ -376,6 +396,105 @@ func TestRenderUnderConcurrentIngest(t *testing.T) {
 	readers.Wait()
 	<-done
 	requireIdentical(t, s.a, s.d)
+	requireDirectories(t, s.a, s.d)
+	if evicted := reg.Values()["qtag_detect_row_evicted_total"]; (dopts.MaxRows > 0) != (evicted > 0) {
+		t.Fatalf("MaxRows %d evicted %g score rows", dopts.MaxRows, evicted)
+	}
+}
+
+// keyOrderErr reports the first list of a rendered report that is not in
+// strictly increasing key order: rows by (campaign, format), dwell and
+// fraud rows by (campaign, source), flagged campaigns, windows by start,
+// and each window's campaigns — whose order only the raw body keeps.
+func keyOrderErr(body []byte, rep *ViewabilityReport) error {
+	var keys [][2]string
+	check := func(what string) error {
+		for i := 1; i < len(keys); i++ {
+			if a, b := keys[i-1], keys[i]; a[0] > b[0] || a[0] == b[0] && a[1] >= b[1] {
+				return fmt.Errorf("%s out of key order: %q then %q", what, a, b)
+			}
+		}
+		keys = keys[:0]
+		return nil
+	}
+	for _, r := range rep.Campaigns.Rows {
+		keys = append(keys, [2]string{r.CampaignID, r.Format})
+	}
+	if err := check("rows"); err != nil {
+		return err
+	}
+	for _, d := range rep.Campaigns.Dwell {
+		keys = append(keys, [2]string{d.CampaignID, d.Source})
+	}
+	if err := check("dwell rows"); err != nil {
+		return err
+	}
+	for _, r := range rep.Fraud.Rows {
+		keys = append(keys, [2]string{r.CampaignID, r.Source})
+	}
+	if err := check("fraud rows"); err != nil {
+		return err
+	}
+	for _, id := range rep.Fraud.Flagged {
+		keys = append(keys, [2]string{id})
+	}
+	if err := check("flagged campaigns"); err != nil {
+		return err
+	}
+	var raw struct {
+		Windows []struct {
+			Start     string          `json:"start"`
+			Campaigns json.RawMessage `json:"campaigns"`
+		} `json:"windows"`
+	}
+	if err := json.Unmarshal(body, &raw); err != nil {
+		return err
+	}
+	for i, w := range raw.Windows {
+		if i > 0 && !rep.Windows[i-1].Start.Before(rep.Windows[i].Start) {
+			return fmt.Errorf("windows out of order: %s then %s", raw.Windows[i-1].Start, w.Start)
+		}
+		dec := json.NewDecoder(bytes.NewReader(w.Campaigns))
+		if _, err := dec.Token(); err != nil { // {
+			return err
+		}
+		for dec.More() {
+			id, err := dec.Token()
+			var counts json.RawMessage
+			if err == nil {
+				err = dec.Decode(&counts)
+			}
+			if err != nil {
+				return err
+			}
+			keys = append(keys, [2]string{id.(string)})
+		}
+		if err := check("window " + w.Start + "'s campaigns"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// requireDirectories requires each campaign directory of a quiescent
+// stack to hold exactly the campaigns with live rows, in order: nothing
+// a campaign that left behind, nothing missing.
+func requireDirectories(t *testing.T, a *aggregate.Aggregator, d *detect.Detector) {
+	t.Helper()
+	var want []string
+	for _, r := range a.Snapshot().Rows {
+		want = append(want, r.CampaignID)
+	}
+	if got := a.CampaignIDs(); !slices.Equal(got, slices.Compact(want)) {
+		t.Fatalf("aggregate directory holds %d campaigns, the rows %d", len(got), len(slices.Compact(want)))
+	}
+	want = want[:0]
+	for _, r := range d.Snapshot().Rows {
+		want = append(want, r.CampaignID)
+	}
+	if got := d.CampaignIDs(); !slices.Equal(got, slices.Compact(want)) {
+		t.Fatalf("detect directory holds %d campaigns, the live rows %d", len(got), len(slices.Compact(want)))
+	}
 }
 
 // TestHandlerNilDetectorHasNoFraudKey: report.Handler(a, nil) serves

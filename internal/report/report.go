@@ -79,18 +79,3 @@ func Bar(label string, value, max float64, width int) string {
 
 // Percent formats a fraction as a percentage with one decimal.
 func Percent(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
-
-// Series renders an x→y series as aligned "x  y" lines with a title —
-// used for the Figure 2 error curves.
-func Series(title string, xs []int, ys []float64, yFmt func(float64) string) string {
-	if yFmt == nil {
-		yFmt = func(v float64) string { return fmt.Sprintf("%.4f", v) }
-	}
-	var sb strings.Builder
-	sb.WriteString(title)
-	sb.WriteByte('\n')
-	for i := range xs {
-		fmt.Fprintf(&sb, "  %4d  %s\n", xs[i], yFmt(ys[i]))
-	}
-	return sb.String()
-}

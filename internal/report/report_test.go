@@ -69,17 +69,6 @@ func TestPercent(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	out := Series("X layout", []int{9, 25}, []float64{0.08, 0.02}, nil)
-	if !strings.Contains(out, "X layout") || !strings.Contains(out, "25") || !strings.Contains(out, "0.0200") {
-		t.Errorf("Series = %q", out)
-	}
-	custom := Series("t", []int{1}, []float64{0.5}, func(v float64) string { return "CUSTOM" })
-	if !strings.Contains(custom, "CUSTOM") {
-		t.Error("custom formatter ignored")
-	}
-}
-
 func TestPlot(t *testing.T) {
 	out := Plot("Figure 2", []SeriesData{
 		{Name: "X", Xs: []int{9, 25, 60}, Ys: []float64{0.07, 0.02, 0.01}},
