@@ -59,7 +59,7 @@ import (
 func main() {
 	journalPath := flag.String("journal", "", "journal to read: a JSONL file or a WAL directory (required)")
 	serverURL := flag.String("server", "", "collection server to re-submit events to")
-	binaryBeacons := flag.Bool("binary-beacons", false, "re-submit with the compact binary codec (falls back to JSON against pre-binary servers)")
+	binaryBeacons := flag.Bool("binary-beacons", false, "re-submit with the compact binary codec")
 	reportMode := flag.Bool("report", false, "print the streaming campaign viewability report rebuilt from the journal")
 	reportJSON := flag.Bool("report-json", false, "like -report, but emit JSON")
 	detectMode := flag.Bool("detect", false, "rebuild the streaming fraud scores too; printed with -report, embedded in -report-json")

@@ -165,8 +165,6 @@ func bindFlags(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&c.IngestShards, "ingest-shards", c.IngestShards, "store shard count (rounded up to a power of two)")
 	fs.Int64Var(&c.MaxBodyBytes, "max-body-bytes", c.MaxBodyBytes, "reject POST /v1/events bodies larger than this with 413")
 	fs.BoolVar(&c.GroupCommit, "group-commit", c.GroupCommit, "coalesce concurrent WAL appends into shared fsyncs")
-	fs.IntVar(&c.GroupCommitMaxBatch, "group-commit-max-batch", c.GroupCommitMaxBatch, "max records per WAL group commit")
-	fs.DurationVar(&c.GroupCommitMaxWait, "group-commit-max-wait", c.GroupCommitMaxWait, "hold small commit groups open this long to let more callers join")
 	fs.BoolVar(&c.DurableSync, "durable-sync", c.DurableSync, "acknowledge ingestion only after events are journaled (requires -wal-dir)")
 	fs.StringVar(&c.StatsKey, "stats-key", c.StatsKey, "operator bearer token protecting the stats endpoints (empty = open)")
 	fs.IntVar(&c.ShedPending, "shed-pending", c.ShedPending, "the admission controller's hard backstop: shed ingestion with 503 while this many events await durability — WAL records not yet fsynced plus queued events (0 = disabled; needs -wal-dir and -admission)")
@@ -174,17 +172,13 @@ func bindFlags(fs *flag.FlagSet, o *options) {
 	fs.BoolVar(&c.Admission, "admission", c.Admission, "adaptive admission control: gradient concurrency limiter, priority classes and degraded modes (false = no overload control)")
 	fs.IntVar(&c.AdmissionMinInflight, "admission-min-inflight", c.AdmissionMinInflight, "adaptive concurrency limit floor (0 = package default)")
 	fs.IntVar(&c.AdmissionMaxInflight, "admission-max-inflight", c.AdmissionMaxInflight, "adaptive concurrency limit ceiling (0 = package default)")
-	fs.DurationVar(&c.AdmissionRecoveryHold, "admission-recovery-hold", c.AdmissionRecoveryHold, "calm period before a browned-out node reports healthy again")
 	fs.Int64Var(&c.DiskLowBytes, "disk-low-bytes", c.DiskLowBytes, "WAL-disk low watermark: relax fsync to batch below this free space (0 disables; needs -wal-dir and -admission)")
 	fs.Int64Var(&c.DiskShedBytes, "disk-shed-bytes", c.DiskShedBytes, "WAL-disk shed watermark: stop admitting new ingest below this free space (0 disables; needs -wal-dir and -admission)")
 	fs.Int64Var(&c.DiskReadOnlyBytes, "disk-readonly-bytes", c.DiskReadOnlyBytes, "WAL-disk read-only watermark: refuse all writes below this free space (0 disables; needs -wal-dir and -admission)")
-	fs.DurationVar(&c.DiskCheckEvery, "disk-check-every", c.DiskCheckEvery, "free-space probe cadence for the disk watermarks")
 	fs.IntVar(&c.ReportMaxOpen, "report-max-open", c.ReportMaxOpen, "cap open per-impression aggregation states; past it the coldest is evicted, totals frozen (0 = unbounded)")
 	fs.IntVar(&c.QueueCap, "queue-cap", c.QueueCap, "durability queue capacity (events)")
 	fs.DurationVar(&c.ReportTTL, "report-ttl", c.ReportTTL, "evict idle per-impression aggregation state after this long (<0 disables)")
-	fs.DurationVar(&c.ReportSweepEvery, "report-sweep-every", c.ReportSweepEvery, "aggregation eviction sweep cadence (0 disables)")
 	fs.BoolVar(&c.Detect, "detect", c.Detect, "streaming fraud detection: per-campaign anomaly scores on GET /report and qtag_detect_* metrics")
-	fs.Float64Var(&c.DetectFlagThreshold, "detect-flag-threshold", c.DetectFlagThreshold, "composite score at which a campaign is flagged fraudulent (0 = package default)")
 	fs.StringVar(&o.level, "log-level", "info", "log level (debug, info, warn, error)")
 	fs.BoolVar(&c.Pprof, "pprof", c.Pprof, "mount net/http/pprof handlers under /debug/pprof/")
 	fs.StringVar(&c.NodeID, "node-id", c.NodeID, "this node's cluster id (cluster mode; requires -peers)")
@@ -192,9 +186,7 @@ func bindFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&c.HandoffDir, "handoff-dir", c.HandoffDir, "hinted-handoff journal directory (required in cluster mode)")
 	fs.DurationVar(&c.ProbeEvery, "probe-every", c.ProbeEvery, "peer health probe interval (cluster mode)")
 	fs.Int64Var(&c.ReadyHintBacklog, "ready-hint-backlog", c.ReadyHintBacklog, "report unready when the handoff backlog exceeds this (0 disables)")
-	fs.BoolVar(&c.BinaryBeacons, "binary-beacons", c.BinaryBeacons, "forward peer-owned beacons (and hint-drain replays) with the compact binary codec; falls back to JSON automatically against pre-binary peers")
 	fs.Float64Var(&c.TraceSample, "trace-sample", c.TraceSample, "head sampling rate for distributed tracing in [0,1] (0 disables; errored spans always recorded)")
-	fs.IntVar(&c.TraceBuffer, "trace-buffer", c.TraceBuffer, "completed spans retained in the in-memory ring behind /debug/traces")
 	fs.DurationVar(&c.SlowRequest, "slow-request", c.SlowRequest, "log requests slower than this, with their trace id (0 disables)")
 	fs.BoolVar(&c.AccessLog, "access-log", c.AccessLog, "log every request: method, path, status, bytes, duration, trace id")
 	fs.BoolVar(&c.MetricsExemplars, "metrics-exemplars", c.MetricsExemplars, "attach OpenMetrics trace-id exemplars to /metrics histogram buckets")

@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"log/slog"
 	"net/http"
@@ -155,6 +158,59 @@ func TestFlagsMatchTheGoldenHelp(t *testing.T) {
 	for name := range documented {
 		t.Errorf("README's cmd/qtag-server flag table lists -%s, which is not a flag", name)
 	}
+}
+
+// flagRef is a flag name in a comment: "-wal-dir", "(-log-every)".
+var flagRef = regexp.MustCompile(`(?:^|[\s(])-([a-z][a-z0-9-]*)`)
+
+// Every collector.Config field comment that names a flag names one
+// bindFlags defines, and every flag but the four main parses itself has
+// a field that names it — so "no flag" in a comment is the truth, and a
+// deleted flag cannot linger in the Config's documentation.
+func TestConfigFieldsNameRealFlags(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "../../internal/collector/config.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]string{} // flag → the field whose comment names it
+	ast.Inspect(file, func(n ast.Node) bool {
+		spec, ok := n.(*ast.TypeSpec)
+		if !ok || spec.Name.Name != "Config" {
+			return true
+		}
+		for _, field := range spec.Type.(*ast.StructType).Fields.List {
+			var text string
+			for _, group := range []*ast.CommentGroup{field.Doc, field.Comment} {
+				if group != nil {
+					text += group.Text()
+				}
+			}
+			for _, m := range flagRef.FindAllStringSubmatch(text, -1) {
+				named[m[1]] = field.Names[0].Name
+			}
+		}
+		return false
+	})
+	if len(named) == 0 {
+		t.Fatal("no collector.Config field names a flag")
+	}
+
+	fs := flag.NewFlagSet("qtag-server", flag.ContinueOnError)
+	bindFlags(fs, &options{cfg: collector.DefaultConfig()})
+	for name, field := range named {
+		if fs.Lookup(name) == nil {
+			t.Errorf("collector.Config.%s names -%s, which bindFlags does not define", field, name)
+		}
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		switch f.Name {
+		case "addr", "log-level", "fsync", "peers":
+			return
+		}
+		if named[f.Name] == "" {
+			t.Errorf("-%s: no collector.Config field names it", f.Name)
+		}
+	})
 }
 
 func TestStackSurfaceMatchesTheGoldenScrapes(t *testing.T) {

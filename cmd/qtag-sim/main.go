@@ -59,7 +59,7 @@ func main() {
 	bothFactor := flag.Float64("both-factor", 3.9, "size multiplier for both-tag campaigns")
 	seed := flag.Uint64("seed", 2019, "simulation seed")
 	serverURL := flag.String("server", "", "optional collection-server URL to mirror beacons to")
-	binaryBeacons := flag.Bool("binary-beacons", false, "mirror beacons with the compact binary codec (falls back to JSON against pre-binary servers)")
+	binaryBeacons := flag.Bool("binary-beacons", false, "mirror beacons with the compact binary codec")
 	breakdown := flag.Bool("breakdown", false, "print the per-campaign table")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "campaigns simulated concurrently")
 	faultDrop := flag.Float64("fault-drop", 0, "probability a tag beacon is silently lost in transit")

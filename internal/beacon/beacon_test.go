@@ -348,21 +348,6 @@ func TestHTTPSinkConnectionRefused(t *testing.T) {
 	}
 }
 
-func TestLossySink(t *testing.T) {
-	store := NewStore()
-	drops := 0
-	lossy := &LossySink{Next: store, Drop: func(e Event) bool {
-		drops++
-		return drops%2 == 1 // drop every other event
-	}}
-	for i := 0; i < 10; i++ {
-		mustSubmit(t, lossy, ev(strings.Repeat("x", i+1), "c", "", EventServed))
-	}
-	if store.Len() != 5 {
-		t.Errorf("store has %d events, want 5", store.Len())
-	}
-}
-
 func TestStampSink(t *testing.T) {
 	store := NewStore()
 	now := time.Date(2019, 12, 9, 12, 0, 0, 0, time.UTC)

@@ -114,29 +114,16 @@ type HTTPSink struct {
 	Class string
 	// Binary switches submissions to the compact binary beacon codec
 	// (Content-Type: application/x-qtag-binary), encoded into pooled
-	// buffers instead of json.Marshal. A server that does not speak it
-	// (a pre-binary deployment answers 400, a newer one that dropped
-	// this version answers 415) triggers an automatic, latched fallback
-	// to JSON: the batch is re-encoded and re-delivered in the same
-	// call — ingestion is idempotent, so the extra attempt is safe —
-	// and every later submission goes straight to JSON.
+	// buffers instead of json.Marshal. A 400 or 415 answer to a binary
+	// request is a PermanentError like any other 4xx: the sink never
+	// switches codec behind its caller's back.
 	Binary bool
 
-	jsonFallback atomic.Bool
-	retried      atomic.Int64
-	delivered    atomic.Int64
-	failed       atomic.Int64
-	latency      onceHistogram
+	retried   atomic.Int64
+	delivered atomic.Int64
+	failed    atomic.Int64
+	latency   onceHistogram
 }
-
-// errBinaryNotAccepted signals, inside one SubmitBatch, that the server
-// refused the binary content type and the call should re-deliver as
-// JSON. It never escapes to callers.
-var errBinaryNotAccepted = errors.New("beacon: server refused binary codec")
-
-// FellBack reports whether a binary-mode sink has latched its JSON
-// fallback.
-func (h *HTTPSink) FellBack() bool { return h.jsonFallback.Load() }
 
 // onceHistogram lazily builds the delivery-latency histogram — HTTPSink
 // is constructed as a struct literal, so there is no constructor to hook.
@@ -212,19 +199,13 @@ func (h *HTTPSink) SubmitBatch(events []Event) error {
 	// it passes, whoever submitted these events has stopped waiting, so
 	// further attempts (and the receiver's fsyncs) would be pure waste.
 	deadline := batchDeadline(events)
-	if h.Binary && !h.jsonFallback.Load() {
+	if h.Binary {
 		buf := getEncBuf()
 		body := AppendBinaryEvents((*buf)[:0], events)
 		err := h.deliver(ctx, client, url, body, BinaryContentType, traceparent, deadline, sp, events)
 		*buf = body[:0] // keep the grown capacity for the pool
 		putEncBuf(buf)
-		if !errors.Is(err, errBinaryNotAccepted) {
-			return err
-		}
-		// The server parsed the request far enough to refuse the codec —
-		// latch and re-deliver this batch as JSON.
-		h.jsonFallback.Store(true)
-		sp.SetAttr("binary_fallback", "json")
+		return err
 	}
 	body, err := json.Marshal(events)
 	if err != nil {
@@ -233,10 +214,7 @@ func (h *HTTPSink) SubmitBatch(events []Event) error {
 	return h.deliver(ctx, client, url, body, "application/json", traceparent, deadline, sp, events)
 }
 
-// deliver runs the retry loop for one encoded body. In binary mode a
-// 415 (or a pre-binary server's 400) aborts the loop with
-// errBinaryNotAccepted — without counting a failure — so SubmitBatch
-// can fall back to JSON.
+// deliver runs the retry loop for one encoded body.
 func (h *HTTPSink) deliver(ctx context.Context, client *http.Client, url string, body []byte, contentType, traceparent string, deadline time.Time, sp *obs.Span, events []Event) error {
 	var lastErr error
 	for attempt := 0; attempt <= h.Retries; attempt++ {
@@ -281,15 +259,6 @@ func (h *HTTPSink) deliver(ctx context.Context, client *http.Client, url string,
 		lastErr = &statusError{status: status, body: respBody, retryAfter: retryAfter}
 		if retryableStatus(status) {
 			continue
-		}
-		if contentType == BinaryContentType &&
-			(status == http.StatusUnsupportedMediaType || status == http.StatusBadRequest) {
-			// 415 is the canonical "codec not spoken"; 400 is what a
-			// pre-binary server answers when it tries to parse the binary
-			// frame as JSON. Either way the bytes are undeliverable in this
-			// encoding but the batch is not lost — signal the JSON retry
-			// instead of recording a failure.
-			return fmt.Errorf("%w: %w", errBinaryNotAccepted, lastErr)
 		}
 		// Other client errors will not heal on retry: the server parsed
 		// the request and rejected it.
@@ -499,26 +468,6 @@ func (h *HTTPSink) FetchStats(campaignID string) (StatsResponse, error) {
 		return StatsResponse{}, fmt.Errorf("beacon: decode stats: %w", err)
 	}
 	return out, nil
-}
-
-// LossySink wraps a Sink and drops each event with a fixed probability,
-// modelling beacon loss on flaky mobile networks. The drop decision
-// function is injected so campaign simulations can drive it from their
-// deterministic RNG. internal/faults provides the richer chaos layer
-// (injected errors, latency, torn writes) built on the same idea.
-type LossySink struct {
-	// Next is the underlying sink.
-	Next Sink
-	// Drop reports whether to discard the given event.
-	Drop func(Event) bool
-}
-
-// Submit implements Sink.
-func (l *LossySink) Submit(e Event) error {
-	if l.Drop != nil && l.Drop(e) {
-		return nil // lost in transit; the tag never learns
-	}
-	return l.Next.Submit(e)
 }
 
 // StampSink wraps a Sink and fills in the At timestamp from a clock

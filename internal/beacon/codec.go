@@ -58,16 +58,14 @@ const (
 	binaryBatchMagic   = 0xF1
 )
 
-// BinaryContentType negotiates the binary codec on POST /v1/events.
-// A server that does not speak the requested binary version answers
-// 415; HTTPSink then falls back to JSON and latches, so mixed-version
-// deployments keep flowing.
+// BinaryContentType selects the binary codec on POST /v1/events. A
+// server that does not speak the requested binary version answers 415,
+// which HTTPSink counts as a permanent failure like any other 4xx.
 const BinaryContentType = "application/x-qtag-binary"
 
 // ErrBinaryVersion reports a binary payload whose version (or batch
-// magic) this codec does not speak — the server maps it to 415 so
-// newer clients know to fall back, distinct from a framing error in a
-// version it does speak (400).
+// magic) this codec does not speak — the server maps it to 415,
+// distinct from a framing error in a version it does speak (400).
 var ErrBinaryVersion = errors.New("beacon: unsupported binary codec version")
 
 var errBinaryTruncated = errors.New("beacon: truncated binary event")

@@ -5,12 +5,15 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -507,8 +510,7 @@ func TestServerBinaryContentType(t *testing.T) {
 	}
 }
 
-// HTTPSink in binary mode delivers binary to a binary-speaking server —
-// no fallback latch.
+// HTTPSink in binary mode delivers binary to a binary-speaking server.
 func TestHTTPSinkBinary(t *testing.T) {
 	store := NewStore()
 	srv := httptest.NewServer(NewServer(store))
@@ -522,67 +524,46 @@ func TestHTTPSinkBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sink.FellBack() {
-		t.Fatal("sink fell back against a binary-speaking server")
-	}
-	if store.Len() != 2 {
-		t.Fatalf("store holds %d events, want 2", store.Len())
+	if store.Len() != 2 || sink.Failed() != 0 {
+		t.Fatalf("store holds %d events (%d failed), want 2 (0)", store.Len(), sink.Failed())
 	}
 }
 
-// Against a pre-binary server (one that only parses JSON and answers
-// 400 to everything else), the sink must redeliver the same batch as
-// JSON within the same SubmitBatch call, then latch so later batches
-// skip the doomed binary attempt.
-func TestHTTPSinkBinaryFallback(t *testing.T) {
-	var binaryPosts, jsonPosts int
-	store := NewStore()
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body := new(bytes.Buffer)
-		body.ReadFrom(r.Body)
-		if !strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-			binaryPosts++
-			http.Error(w, "cannot parse", http.StatusBadRequest)
-			return
-		}
-		jsonPosts++
-		var events []Event
-		if err := json.Unmarshal(body.Bytes(), &events); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		for _, e := range events {
-			store.Submit(e)
-		}
-		w.WriteHeader(http.StatusAccepted)
-	}))
-	defer legacy.Close()
+// A 400 or 415 answer to a binary request — this server's answer to a
+// corrupt frame, a bad budget header or a future codec version — is a
+// counted PermanentError like any other 4xx. It does not switch the
+// sink to JSON: the next batch is binary again.
+func TestHTTPSinkBinaryRefusalIsPermanent(t *testing.T) {
+	for _, status := range []int{http.StatusBadRequest, http.StatusUnsupportedMediaType} {
+		t.Run(strconv.Itoa(status), func(t *testing.T) {
+			var contentTypes []string
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.Copy(io.Discard, r.Body)
+				contentTypes = append(contentTypes, r.Header.Get("Content-Type"))
+				if len(contentTypes) == 1 {
+					http.Error(w, "refused", status)
+					return
+				}
+				w.WriteHeader(http.StatusAccepted)
+			}))
+			defer srv.Close()
 
-	sink := &HTTPSink{BaseURL: legacy.URL, Binary: true}
-	batch := []Event{{ImpressionID: "fb-1", CampaignID: "c", Type: EventServed, At: time.Unix(1500000000, 0).UTC()}}
-	if err := sink.SubmitBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	if !sink.FellBack() {
-		t.Fatal("sink did not latch JSON fallback")
-	}
-	if binaryPosts != 1 || jsonPosts != 1 {
-		t.Fatalf("first batch: %d binary / %d json posts, want 1/1", binaryPosts, jsonPosts)
-	}
-	if store.Len() != 1 {
-		t.Fatalf("store holds %d events, want 1", store.Len())
-	}
-	// Latched: the second batch goes straight to JSON.
-	batch[0].ImpressionID = "fb-2"
-	if err := sink.SubmitBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	if binaryPosts != 1 || jsonPosts != 2 {
-		t.Fatalf("after latch: %d binary / %d json posts, want 1/2", binaryPosts, jsonPosts)
-	}
-	// The failed negotiation attempt is protocol, not a delivery
-	// failure: every event landed and the failure counter stayed zero.
-	if n := sink.Failed(); n != 0 {
-		t.Fatalf("negotiation counted as %d failed deliveries", n)
+			sink := &HTTPSink{BaseURL: srv.URL, Binary: true, Retries: 3, Sleep: func(time.Duration) {}}
+			batch := []Event{{ImpressionID: "rf-1", CampaignID: "c", Type: EventServed, At: time.Unix(1500000000, 0).UTC()}}
+			if err := sink.SubmitBatch(batch); !IsPermanent(err) {
+				t.Fatalf("refused batch: %v, want a PermanentError", err)
+			}
+			if sink.Failed() != 1 || sink.Retried() != 0 {
+				t.Fatalf("%d failed, %d retried; want 1 failed, no retry", sink.Failed(), sink.Retried())
+			}
+			batch[0].ImpressionID = "rf-2"
+			if err := sink.SubmitBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			want := []string{BinaryContentType, BinaryContentType}
+			if !slices.Equal(contentTypes, want) {
+				t.Fatalf("requests sent as %q, want %q", contentTypes, want)
+			}
+		})
 	}
 }

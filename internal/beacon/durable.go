@@ -110,7 +110,6 @@ func EncodeStoreSnapshot(store *Store) []byte {
 // returned DurableRecovery, never fatal — the only hard errors are I/O
 // failures that leave the directory unusable.
 func OpenDurable(opts wal.Options, store *Store) (*WALJournal, DurableRecovery, error) {
-	var rec DurableRecovery
 	commitBatch := obs.NewHistogram(obs.SizeBuckets...)
 	commitLatency := obs.NewHistogram(obs.LatencyBuckets...)
 	if opts.GroupCommit && opts.CommitObserver == nil {
@@ -119,46 +118,17 @@ func OpenDurable(opts wal.Options, store *Store) (*WALJournal, DurableRecovery, 
 			commitLatency.ObserveDuration(latency)
 		}
 	}
-	snap, corrupt, err := wal.LoadSnapshot(opts.FS, opts.Dir)
+	var w *wal.WAL
+	rec, snapAt, err := replayDir(opts.FS, opts.Dir, store, func(replay func(uint64, []byte) error) (res wal.RecoverResult, err error) {
+		w, res, err = wal.Open(opts, replay)
+		return res, err
+	})
 	if err != nil {
 		return nil, rec, err
 	}
-	rec.CorruptSnapshots = corrupt
-	var snapAt time.Time
-	if snap != nil {
-		st, err := ReplayJournal(bytes.NewReader(snap.Payload), store)
-		if err != nil {
-			return nil, rec, fmt.Errorf("beacon: replay snapshot: %w", err)
-		}
-		rec.SnapshotIndex = snap.LastIndex
-		rec.SnapshotRestored = st.Replayed
-		rec.SnapshotSkipped = st.Skipped
-		snapAt = snap.CreatedAt
-	}
-	replay := func(index uint64, payload []byte) error {
-		if index <= rec.SnapshotIndex {
-			return nil // already covered by the snapshot
-		}
-		e, err := DecodeStoredEvent(payload)
-		if err != nil {
-			rec.ReplaySkipped++
-			return nil
-		}
-		if err := store.Submit(e); err != nil {
-			rec.ReplaySkipped++
-			return nil
-		}
-		rec.Replayed++
-		return nil
-	}
-	w, res, err := wal.Open(opts, replay)
-	if err != nil {
-		return nil, rec, err
-	}
-	rec.RecoverResult = res
 	// Recovery can leave the WAL's next index below the snapshot's
 	// coverage (truncated torn tail, quarantined final segment). New
-	// appends must never reuse covered indices — the replay skip above
+	// appends must never reuse covered indices — replayDir skips them
 	// would silently drop them on the next boot — so skip forward past
 	// the snapshot before accepting events.
 	if err := w.SkipTo(rec.SnapshotIndex + 1); err != nil {
@@ -412,37 +382,51 @@ func (j *WALJournal) RegisterMetrics(r *obs.Registry) {
 // anything, so it is safe to point at a live or crashed server's
 // directory.
 func ReplayWALDir(dir string, sink Sink) (DurableRecovery, error) {
+	rec, _, err := replayDir(nil, dir, sink, func(replay func(uint64, []byte) error) (wal.RecoverResult, error) {
+		return wal.Scan(nil, dir, replay)
+	})
+	return rec, err
+}
+
+// replayDir is the one snapshot-then-tail replay: it restores dir's
+// newest valid snapshot into sink, then runs tail — wal.Open at boot,
+// wal.Scan read-only — with the callback that submits every record past
+// the snapshot's coverage. Undecodable or refused records are counted,
+// not fatal. It returns the accounting and the snapshot's creation time
+// (zero without one).
+func replayDir(fsys wal.FS, dir string, sink Sink, tail func(replay func(uint64, []byte) error) (wal.RecoverResult, error)) (DurableRecovery, time.Time, error) {
 	var rec DurableRecovery
-	snap, corrupt, err := wal.LoadSnapshot(nil, dir)
+	snap, corrupt, err := wal.LoadSnapshot(fsys, dir)
 	if err != nil {
-		return rec, err
+		return rec, time.Time{}, err
 	}
 	rec.CorruptSnapshots = corrupt
+	var snapAt time.Time
 	if snap != nil {
 		st, err := ReplayJournal(bytes.NewReader(snap.Payload), sink)
 		if err != nil {
-			return rec, fmt.Errorf("beacon: replay snapshot: %w", err)
+			return rec, time.Time{}, fmt.Errorf("beacon: replay snapshot: %w", err)
 		}
 		rec.SnapshotIndex = snap.LastIndex
 		rec.SnapshotRestored = st.Replayed
 		rec.SnapshotSkipped = st.Skipped
+		snapAt = snap.CreatedAt
 	}
-	res, err := wal.Scan(nil, dir, func(index uint64, payload []byte) error {
+	rec.RecoverResult, err = tail(func(index uint64, payload []byte) error {
 		if index <= rec.SnapshotIndex {
-			return nil
+			return nil // already covered by the snapshot
 		}
-		e, uerr := DecodeStoredEvent(payload)
-		if uerr != nil {
+		e, err := DecodeStoredEvent(payload)
+		if err != nil {
 			rec.ReplaySkipped++
 			return nil
 		}
-		if serr := sink.Submit(e); serr != nil {
+		if err := sink.Submit(e); err != nil {
 			rec.ReplaySkipped++
 			return nil
 		}
 		rec.Replayed++
 		return nil
 	})
-	rec.RecoverResult = res
-	return rec, err
+	return rec, snapAt, err
 }

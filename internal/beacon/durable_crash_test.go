@@ -261,6 +261,10 @@ func TestCrashDuringSnapshotKeepsOldSnapshot(t *testing.T) {
 //
 // Unacked events MAY be recovered (a commit that failed after its write
 // partially landed): at-least-once, never at-most-zero.
+//
+// Every fsync takes about 200 µs, so concurrent Submits queue behind
+// the one in flight and groups of several callers form — the sweep must
+// see at least one, or no crash landed mid-group.
 func TestCrashPointSweepGroupCommit(t *testing.T) {
 	const (
 		gcWorkers   = 6
@@ -269,22 +273,26 @@ func TestCrashPointSweepGroupCommit(t *testing.T) {
 	)
 	gcOpts := func(dir string, fsys wal.FS) wal.Options {
 		return wal.Options{
-			Dir:                dir,
-			FS:                 fsys,
-			Fsync:              wal.FsyncAlways,
-			SegmentBytes:       512, // rotations inside the workload
-			GroupCommit:        true,
-			GroupCommitMaxWait: 200 * time.Microsecond, // grow batches so crashes land mid-group
+			Dir:          dir,
+			FS:           fsys,
+			Fsync:        wal.FsyncAlways,
+			SegmentBytes: 512, // rotations inside the workload
+			GroupCommit:  true,
 		}
 	}
-	// run executes the concurrent workload against fsys and returns the
-	// set of acked (durably promised) event keys.
+	grouped := false // some commit carried more than one caller's record
+	// run executes the concurrent workload against fsys, its fsyncs
+	// slowed, and returns the set of acked (durably promised) event keys.
 	run := func(dir string, fsys wal.FS) map[string]bool {
 		acked := map[string]bool{}
-		j, _, err := OpenDurable(gcOpts(dir, fsys), NewStore())
+		j, _, err := OpenDurable(gcOpts(dir, slowSyncFS{FS: fsys, delay: 200 * time.Microsecond}), NewStore())
 		if err != nil {
 			return acked
 		}
+		defer func() {
+			w := j.WAL()
+			grouped = grouped || w.GroupCommits() < w.Appended()
+		}()
 		var mu sync.Mutex
 		var wg sync.WaitGroup
 		for w := 0; w < gcWorkers; w++ {
@@ -344,6 +352,36 @@ func TestCrashPointSweepGroupCommit(t *testing.T) {
 		}
 		j2.Close()
 	}
+	if !grouped {
+		t.Fatal("no commit group held more than one caller: the sweep never crashed mid-group")
+	}
+}
+
+// slowSyncFS makes every Sync of the files it opens take about delay
+// longer, so concurrent callers queue behind the fsync in flight.
+type slowSyncFS struct {
+	wal.FS
+	delay time.Duration
+}
+
+func (s slowSyncFS) OpenAppend(name string) (wal.File, error) { return s.wrap(s.FS.OpenAppend(name)) }
+func (s slowSyncFS) Create(name string) (wal.File, error)     { return s.wrap(s.FS.Create(name)) }
+
+func (s slowSyncFS) wrap(f wal.File, err error) (wal.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return slowSyncFile{File: f, delay: s.delay}, nil
+}
+
+type slowSyncFile struct {
+	wal.File
+	delay time.Duration
+}
+
+func (f slowSyncFile) Sync() error {
+	time.Sleep(f.delay)
+	return f.File.Sync()
 }
 
 // TestCrashPointSweepRequestFrame crashes inside the single frame a

@@ -272,10 +272,7 @@ func TestGroupCommitWALEquivalence(t *testing.T) {
 	// Group commit: the same events from 8 concurrent goroutines.
 	gcDir := t.TempDir()
 	gcStore := NewStore()
-	gcJ, _, err := OpenDurable(wal.Options{
-		Dir: gcDir, Fsync: wal.FsyncAlways,
-		GroupCommit: true, GroupCommitMaxBatch: 32,
-	}, gcStore)
+	gcJ, _, err := OpenDurable(wal.Options{Dir: gcDir, Fsync: wal.FsyncAlways, GroupCommit: true}, gcStore)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,10 +210,10 @@ func TestNothingKeptAliasesTheRequest(t *testing.T) {
 					cfg.Detect, cfg.SnapshotEvery = true, 0 // the WAL replay reads every record
 					cfg.ReportWindow = 1 << 62              // one rollup window, whenever each side runs
 					cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-					cfg.BinaryBeacons = codec == "binary"
 					c.set(&cfg)
-					want := ingestAll(t, c.nodes, cfg, events, (*Server).KeepReleasedBodies)
-					got := ingestAll(t, c.nodes, cfg, events, (*Server).ScribbleReleasedBodies)
+					binary := codec == "binary"
+					want := ingestAll(t, c.nodes, cfg, events, binary, (*Server).KeepReleasedBodies)
+					got := ingestAll(t, c.nodes, cfg, events, binary, (*Server).ScribbleReleasedBodies)
 					for n := range want {
 						for i := range want[n] {
 							if !reflect.DeepEqual(want[n][i], got[n][i]) {
@@ -254,11 +254,11 @@ func aliasProbe() []Event {
 // ingestAll boots nodes stacks of cfg — two make a ring, each node the
 // other's peer — sets release on each one's server, and posts events to
 // them, alternating nodes: in requests of 64, then all again in requests
-// of 50. The requests (and cluster forwards) are binary when
-// cfg.BinaryBeacons is set, JSON otherwise. It returns what each node
+// of 50. The requests are binary when binary is set, JSON otherwise;
+// cluster forwards are always binary. It returns what each node
 // reads back: its /report, store, counters, detector and /debug/traces,
 // then, once the stacks are closed, a replay of its WAL.
-func ingestAll(t *testing.T, nodes int, cfg collector.Config, events []Event, release func(*Server)) [][]any {
+func ingestAll(t *testing.T, nodes int, cfg collector.Config, events []Event, binary bool, release func(*Server)) [][]any {
 	t.Helper()
 	servers := make([]*httptest.Server, nodes)
 	urls := make([]string, nodes)
@@ -308,7 +308,7 @@ func ingestAll(t *testing.T, nodes int, cfg collector.Config, events []Event, re
 		for lo := 0; lo < len(events); lo += size {
 			batch := events[lo:min(lo+size, len(events))]
 			body, contentType := AppendBinaryEvents(nil, batch), BinaryContentType
-			if !cfg.BinaryBeacons {
+			if !binary {
 				body, _ = json.Marshal(batch)
 				contentType = "application/json"
 			}

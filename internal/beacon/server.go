@@ -337,9 +337,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if isBinaryContentType(r.Header.Get("Content-Type")) {
 		events, derr = dec.Decode(body.Bytes())
 		if errors.Is(derr, ErrBinaryVersion) {
-			// A codec version this server does not speak: answer 415 so
-			// the client knows to renegotiate (HTTPSink falls back to
-			// JSON), distinct from 400 for a corrupt frame it cannot fix.
+			// A codec version this server does not speak: answer 415,
+			// distinct from 400 for a corrupt frame.
 			httpError(w, http.StatusUnsupportedMediaType, derr.Error())
 			return
 		}

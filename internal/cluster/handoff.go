@@ -10,39 +10,24 @@ import (
 	"qtag/internal/wal"
 )
 
-// HintOptions configures the hinted-handoff journal.
+// hintSegmentBytes is the per-peer hint WAL segment size: small, so
+// drained segments compact away promptly.
+const hintSegmentBytes = 4 << 20
+
+// HintOptions configures the hinted-handoff journal. Every hint WAL
+// runs under wal.FsyncAlways: a hint substitutes for a synchronous
+// forward, so it must be durable before the beacon is acked — otherwise
+// a crash after the ack silently loses the write and breaks the acked ⊆
+// recovered invariant.
 type HintOptions struct {
 	// Dir is the handoff root; each peer gets a WAL under Dir/<peerID>.
 	Dir string
-	// Fsync is the WAL durability policy for hint appends. The zero
-	// value (and FsyncOnBatch, which would leave single appends
-	// unsynced) maps to FsyncAlways: a hint substitutes for a
-	// synchronous forward, so it must be durable before the beacon is
-	// acked — otherwise a crash after the ack silently loses the write
-	// and breaks the acked ⊆ recovered invariant. FsyncInterval is
-	// honoured for operators who explicitly trade the window.
-	Fsync wal.FsyncPolicy
-	// SegmentBytes is the per-peer WAL segment size (small by default —
-	// 4 MiB — so drained segments compact away promptly).
-	SegmentBytes int64
 	// FS is the filesystem seam (real filesystem when nil); the crash
 	// suites inject faults.CrashFS here.
 	FS wal.FS
 	// DrainBatch is how many hints each replay forward carries
 	// (default 128).
 	DrainBatch int
-}
-
-func (o *HintOptions) defaults() {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
-	}
-	if o.DrainBatch <= 0 {
-		o.DrainBatch = 128
-	}
-	if o.Fsync == wal.FsyncOnBatch {
-		o.Fsync = wal.FsyncAlways
-	}
 }
 
 // HintLog is the durable hinted-handoff journal: one WAL namespace per
@@ -78,7 +63,9 @@ type peerHints struct {
 // left by a previous process. Hints recovered from disk count as
 // pending in full (the drain cursor is not persisted).
 func OpenHintLog(opts HintOptions) (*HintLog, error) {
-	opts.defaults()
+	if opts.DrainBatch <= 0 {
+		opts.DrainBatch = 128
+	}
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("cluster: hint log needs a directory")
 	}
@@ -111,8 +98,8 @@ func (h *HintLog) peer(peerID string) (*peerHints, error) {
 	recovered := uint64(0)
 	w, _, err := wal.Open(wal.Options{
 		Dir:          filepath.Join(h.opts.Dir, peerID),
-		SegmentBytes: h.opts.SegmentBytes,
-		Fsync:        h.opts.Fsync,
+		SegmentBytes: hintSegmentBytes,
+		Fsync:        wal.FsyncAlways,
 		FS:           h.opts.FS,
 	}, func(index uint64, payload []byte) error {
 		recovered++

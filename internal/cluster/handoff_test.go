@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"qtag/internal/beacon"
+	"qtag/internal/faults"
 )
 
 func hintEvent(i int) beacon.Event {
@@ -224,5 +225,90 @@ func TestHintLogTotalPendingAcrossPeers(t *testing.T) {
 	}
 	if h.Replayed() != 3 {
 		t.Fatalf("Replayed = %d, want 3", h.Replayed())
+	}
+}
+
+// TestHintLogCrashPointSweep crashes the hint log's filesystem at every
+// byte offset of a workload — hints for two peers, with a drain of one
+// of them (its rotation and compaction) in the middle — losing the page
+// cache at the crash instant. A hint whose Append returned was acked on
+// the owner's behalf, so after a restart at ANY crash point it must
+// drain, unless a drain before the crash already delivered it; and
+// nothing drains that was never appended.
+func TestHintLogCrashPointSweep(t *testing.T) {
+	const hints = 24
+	peerOf := func(i int) string { return []string{"a", "b"}[i%2] }
+	// run drives the workload until it ends or the filesystem crashes,
+	// and returns the acked hints and those a drain delivered.
+	run := func(dir string, fsys *faults.CrashFS) (acked, delivered map[string]bool) {
+		acked, delivered = map[string]bool{}, map[string]bool{}
+		h, err := OpenHintLog(HintOptions{Dir: dir, FS: fsys, DrainBatch: 4})
+		if err != nil {
+			return acked, delivered
+		}
+		defer h.Close() // post-crash close errors are irrelevant
+		for i := 0; i < hints; i++ {
+			e := hintEvent(i)
+			if err := h.Append(peerOf(i), e); err != nil {
+				return acked, delivered
+			}
+			acked[e.ImpressionID] = true
+			if i == hints/2 {
+				var sent []string
+				if _, err := h.Drain("a", func(batch []beacon.Event) error {
+					for _, e := range batch {
+						sent = append(sent, e.ImpressionID)
+					}
+					return nil
+				}); err != nil {
+					return acked, delivered
+				}
+				for _, id := range sent {
+					delivered[id] = true
+				}
+			}
+		}
+		return acked, delivered
+	}
+
+	dry := faults.NewCrashFS(nil)
+	if acked, _ := run(t.TempDir(), dry); len(acked) != hints {
+		t.Fatalf("dry run acked %d hints, want %d", len(acked), hints)
+	}
+	total := dry.BytesWritten()
+	for off := int64(1); off <= total; off += 7 {
+		cfs := faults.NewCrashFS(nil)
+		cfs.DiscardUnsynced(true)
+		cfs.CrashAfterBytes(off)
+		dir := t.TempDir()
+		acked, delivered := run(dir, cfs)
+
+		h, err := OpenHintLog(HintOptions{Dir: dir})
+		if err != nil {
+			t.Fatalf("off=%d: restart: %v", off, err)
+		}
+		drained := map[string]bool{}
+		for _, peer := range []string{"a", "b"} {
+			if _, err := h.Drain(peer, func(batch []beacon.Event) error {
+				for _, e := range batch {
+					drained[e.ImpressionID] = true
+				}
+				return nil
+			}); err != nil {
+				t.Fatalf("off=%d: drain %s after restart: %v", off, peer, err)
+			}
+		}
+		h.Close()
+		for id := range acked {
+			if !drained[id] && !delivered[id] {
+				t.Fatalf("off=%d: acked hint %s lost: neither delivered before the crash nor drained after it", off, id)
+			}
+		}
+		for id := range drained {
+			var i int
+			if _, err := fmt.Sscanf(id, "imp-%d", &i); err != nil || i < 0 || i >= hints {
+				t.Fatalf("off=%d: drained %s, which was never appended", off, id)
+			}
+		}
 	}
 }

@@ -302,6 +302,7 @@ func (h *Harness) boot(hn *HarnessNode, ln net.Listener) error {
 		BreakerThreshold: h.cfg.BreakerThreshold,
 		BreakerCooldown:  h.cfg.BreakerCooldown,
 		ReadyHintBacklog: h.cfg.ReadyHintBacklog,
+		Binary:           true, // the codec qtag-server forwards in
 		Tracer:           tracer,
 		Transport:        transport,
 	})

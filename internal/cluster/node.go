@@ -10,7 +10,6 @@ import (
 
 	"qtag/internal/beacon"
 	"qtag/internal/obs"
-	"qtag/internal/wal"
 )
 
 // Config wires one cluster node.
@@ -25,18 +24,9 @@ type Config struct {
 	// durable ingest chain (WAL journal + store + aggregator).
 	Local beacon.Sink
 
-	// Replicas is the virtual-node count per node (DefaultReplicas when
-	// zero).
-	Replicas int
-
 	// HandoffDir is the hinted-handoff root (required when Peers is
 	// non-empty).
 	HandoffDir string
-	// HintFsync and HintFS pass through to HintOptions.
-	HintFsync wal.FsyncPolicy
-	HintFS    wal.FS
-	// DrainBatch is the hint replay batch size (default 128).
-	DrainBatch int
 
 	// ProbeEvery is the health-probe interval (default 1s).
 	ProbeEvery time.Duration
@@ -70,12 +60,11 @@ type Config struct {
 	Tracer *obs.Tracer
 
 	// Binary, when set, encodes peer forwards and hint-drain replays
-	// with the compact binary beacon codec instead of JSON. Peers that
-	// do not speak it trigger HTTPSink's latched JSON fallback, so a
-	// mixed-version cluster keeps flowing during a rolling upgrade.
-	// Hint WAL records are written in the binary codec regardless —
-	// replay dispatches on the payload version tag, so that choice never
-	// strands an old backlog.
+	// with the compact binary beacon codec instead of JSON; qtag-server
+	// always sets it. A peer's 400 or 415 is a counted permanent
+	// failure, never a switch to JSON. Hint WAL records are written in
+	// the binary codec regardless — replay dispatches on the payload
+	// version tag, so that choice never strands an old backlog.
 	Binary bool
 
 	// Transport, when set, replaces the default transport for forwards
@@ -174,7 +163,7 @@ func NewNode(cfg Config) (*Node, error) {
 	for id := range cfg.Peers {
 		ids = append(ids, id)
 	}
-	ring, err := NewRing(ids, cfg.Replicas)
+	ring, err := NewRing(ids, DefaultReplicas)
 	if err != nil {
 		return nil, err
 	}
@@ -182,12 +171,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if len(cfg.Peers) == 0 {
 		return n, nil
 	}
-	n.hints, err = OpenHintLog(HintOptions{
-		Dir:        cfg.HandoffDir,
-		Fsync:      cfg.HintFsync,
-		FS:         cfg.HintFS,
-		DrainBatch: cfg.DrainBatch,
-	})
+	n.hints, err = OpenHintLog(HintOptions{Dir: cfg.HandoffDir})
 	if err != nil {
 		return nil, err
 	}

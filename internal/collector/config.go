@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"qtag/internal/beacon"
-	"qtag/internal/obs"
 	"qtag/internal/wal"
 )
 
@@ -36,50 +35,44 @@ type Config struct {
 	// of its measured phases.
 	LogEvery time.Duration
 
-	WALDir              string          // -wal-dir
-	WALSegmentBytes     int64           // -wal-segment-bytes
-	Fsync               wal.FsyncPolicy // -fsync
-	FsyncEvery          time.Duration   // -fsync-every
-	SnapshotEvery       time.Duration   // -snapshot-every; 0 also skips the parting snapshot
-	GroupCommit         bool            // -group-commit
-	GroupCommitMaxBatch int             // -group-commit-max-batch
-	GroupCommitMaxWait  time.Duration   // -group-commit-max-wait
-	DurableSync         bool            // -durable-sync
-	QueueCap            int             // -queue-cap
+	WALDir          string          // -wal-dir
+	WALSegmentBytes int64           // -wal-segment-bytes
+	Fsync           wal.FsyncPolicy // -fsync
+	FsyncEvery      time.Duration   // -fsync-every
+	SnapshotEvery   time.Duration   // -snapshot-every; 0 also skips the parting snapshot
+	GroupCommit     bool            // -group-commit
+	DurableSync     bool            // -durable-sync
+	QueueCap        int             // -queue-cap
 
 	IngestShards int    // -ingest-shards
 	MaxBodyBytes int64  // -max-body-bytes
 	StatsKey     string // -stats-key
 
-	Admission             bool          // -admission
-	AdmissionMinInflight  int           // -admission-min-inflight
-	AdmissionMaxInflight  int           // -admission-max-inflight
-	AdmissionRecoveryHold time.Duration // -admission-recovery-hold
-	ShedPending           int           // -shed-pending
-	RetryAfter            time.Duration // -retry-after
-	DiskLowBytes          int64         // -disk-low-bytes
-	DiskShedBytes         int64         // -disk-shed-bytes
-	DiskReadOnlyBytes     int64         // -disk-readonly-bytes
-	DiskCheckEvery        time.Duration // -disk-check-every
+	Admission            bool          // -admission
+	AdmissionMinInflight int           // -admission-min-inflight
+	AdmissionMaxInflight int           // -admission-max-inflight
+	ShedPending          int           // -shed-pending
+	RetryAfter           time.Duration // -retry-after
+	DiskLowBytes         int64         // -disk-low-bytes
+	DiskShedBytes        int64         // -disk-shed-bytes
+	DiskReadOnlyBytes    int64         // -disk-readonly-bytes
+	DiskCheckEvery       time.Duration // free-space probe cadence for the disk watermarks; no flag
 
 	ReportTTL        time.Duration // -report-ttl
-	ReportSweepEvery time.Duration // -report-sweep-every
+	ReportSweepEvery time.Duration // eviction sweep cadence, 0 disables; no flag
 	ReportWindow     time.Duration // rollup window width on GET /report; no flag
 	ReportWindows    int           // rollup windows retained; no flag
 	ReportMaxOpen    int           // -report-max-open
 
-	Detect              bool    // -detect
-	DetectFlagThreshold float64 // -detect-flag-threshold
+	Detect bool // -detect
 
 	NodeID           string            // -node-id
 	Peers            map[string]string // -peers, parsed: id → base URL
 	HandoffDir       string            // -handoff-dir
 	ProbeEvery       time.Duration     // -probe-every
 	ReadyHintBacklog int64             // -ready-hint-backlog
-	BinaryBeacons    bool              // -binary-beacons
 
 	TraceSample      float64       // -trace-sample
-	TraceBuffer      int           // -trace-buffer
 	SlowRequest      time.Duration // -slow-request
 	AccessLog        bool          // -access-log
 	MetricsExemplars bool          // -metrics-exemplars
@@ -98,28 +91,24 @@ type Config struct {
 // DefaultConfig is qtag-server with no flags given.
 func DefaultConfig() Config {
 	return Config{
-		LogEvery:              30 * time.Second,
-		WALSegmentBytes:       8 << 20,
-		Fsync:                 wal.FsyncOnBatch,
-		FsyncEvery:            time.Second,
-		SnapshotEvery:         time.Minute,
-		GroupCommit:           true,
-		GroupCommitMaxBatch:   256,
-		QueueCap:              4096,
-		IngestShards:          beacon.DefaultStoreShards,
-		MaxBodyBytes:          beacon.DefaultMaxBodyBytes,
-		Admission:             true,
-		AdmissionRecoveryHold: 2 * time.Second,
-		RetryAfter:            2 * time.Second,
-		DiskCheckEvery:        2 * time.Second,
-		ReportTTL:             15 * time.Minute,
-		ReportSweepEvery:      time.Minute,
-		ReportWindow:          time.Minute,
-		ReportWindows:         60,
-		ProbeEvery:            time.Second,
-		ReadyHintBacklog:      10000,
-		BinaryBeacons:         true,
-		TraceBuffer:           obs.DefaultSpanBuffer,
+		LogEvery:         30 * time.Second,
+		WALSegmentBytes:  8 << 20,
+		Fsync:            wal.FsyncOnBatch,
+		FsyncEvery:       time.Second,
+		SnapshotEvery:    time.Minute,
+		GroupCommit:      true,
+		QueueCap:         4096,
+		IngestShards:     beacon.DefaultStoreShards,
+		MaxBodyBytes:     beacon.DefaultMaxBodyBytes,
+		Admission:        true,
+		RetryAfter:       2 * time.Second,
+		DiskCheckEvery:   2 * time.Second,
+		ReportTTL:        15 * time.Minute,
+		ReportSweepEvery: time.Minute,
+		ReportWindow:     time.Minute,
+		ReportWindows:    60,
+		ProbeEvery:       time.Second,
+		ReadyHintBacklog: 10000,
 	}
 }
 

@@ -80,20 +80,18 @@ func Open(cfg Config) (_ *Stack, err error) {
 		Window: cfg.ReportWindow, MaxWindows: cfg.ReportWindows, MaxOpen: cfg.ReportMaxOpen})
 	s.Store.AddObserver(s.Aggregate.Observe)
 	if cfg.Detect {
-		s.Detect = detect.New(detect.Options{Shards: cfg.IngestShards, FlagThreshold: cfg.DetectFlagThreshold})
+		s.Detect = detect.New(detect.Options{Shards: cfg.IngestShards})
 		s.Detect.Join(s.Aggregate.Pass())
 		s.Store.AddDupObserver(s.Detect.ObserveDup)
 	}
 	if cfg.WALDir != "" {
 		var rec beacon.DurableRecovery
 		s.Journal, rec, err = beacon.OpenDurable(wal.Options{
-			Dir:                 cfg.WALDir,
-			SegmentBytes:        cfg.WALSegmentBytes,
-			Fsync:               cfg.Fsync,
-			FsyncEvery:          cfg.FsyncEvery,
-			GroupCommit:         cfg.GroupCommit,
-			GroupCommitMaxBatch: cfg.GroupCommitMaxBatch,
-			GroupCommitMaxWait:  cfg.GroupCommitMaxWait,
+			Dir:          cfg.WALDir,
+			SegmentBytes: cfg.WALSegmentBytes,
+			Fsync:        cfg.Fsync,
+			FsyncEvery:   cfg.FsyncEvery,
+			GroupCommit:  cfg.GroupCommit,
 		}, s.Store)
 		if err != nil {
 			return nil, fmt.Errorf("wal recovery in %s: %w", cfg.WALDir, err)
@@ -135,7 +133,7 @@ func Open(cfg Config) (_ *Stack, err error) {
 		if traceNode == "" {
 			traceNode = "qtag-server"
 		}
-		s.spans = obs.NewSpanStore(cfg.TraceBuffer)
+		s.spans = obs.NewSpanStore(obs.DefaultSpanBuffer)
 		tracer = obs.NewTracer(obs.TracerConfig{Node: traceNode, SampleRate: cfg.TraceSample, Store: s.spans})
 	}
 	// The routing node wraps the local chain: owner-local beacons fall
@@ -143,7 +141,7 @@ func Open(cfg Config) (_ *Stack, err error) {
 	if len(cfg.Peers) > 0 {
 		s.node, err = cluster.NewNode(cluster.Config{
 			Self: cfg.NodeID, Peers: cfg.Peers, Local: sink, HandoffDir: cfg.HandoffDir,
-			Binary: cfg.BinaryBeacons, ProbeEvery: cfg.ProbeEvery, ReadyHintBacklog: cfg.ReadyHintBacklog,
+			Binary: true, ProbeEvery: cfg.ProbeEvery, ReadyHintBacklog: cfg.ReadyHintBacklog,
 			Tracer: tracer, BaseContext: cfg.BaseContext,
 		})
 		if err != nil {
@@ -208,7 +206,7 @@ func (s *Stack) mountRoutes(tracer *obs.Tracer) {
 	if tracer != nil {
 		srv.SetTracer(tracer)
 		srv.Mount("GET /debug/traces", obs.TracesHandler(s.spans))
-		s.log.Info("tracing enabled", "sample", cfg.TraceSample, "buffer", cfg.TraceBuffer)
+		s.log.Info("tracing enabled", "sample", cfg.TraceSample)
 	}
 	if cfg.Pprof {
 		srv.Mount("GET /debug/pprof/", http.HandlerFunc(pprof.Index))
@@ -245,7 +243,7 @@ func (s *Stack) registerMetrics() {
 	s.Aggregate.RegisterMetrics(reg)
 	if s.Detect != nil {
 		s.Detect.RegisterMetrics(reg)
-		s.log.Info("fraud detection enabled", "flag_threshold", s.cfg.DetectFlagThreshold)
+		s.log.Info("fraud detection enabled")
 	}
 	s.Queue.RegisterMetrics(reg)
 	s.breaker.RegisterMetrics(reg)
@@ -265,9 +263,8 @@ func (s *Stack) admit() error {
 		backlog = func() int { return wj.Pending() + queue.Depth() }
 	}
 	acfg := admission.Config{
-		Limiter:      admission.LimiterConfig{MinLimit: cfg.AdmissionMinInflight, MaxLimit: cfg.AdmissionMaxInflight},
-		RetryAfter:   cfg.RetryAfter,
-		RecoveryHold: cfg.AdmissionRecoveryHold,
+		Limiter:    admission.LimiterConfig{MinLimit: cfg.AdmissionMinInflight, MaxLimit: cfg.AdmissionMaxInflight},
+		RetryAfter: cfg.RetryAfter,
 	}
 	// Validate refuses -shed-pending and the disk watermarks without a WAL.
 	if cfg.ShedPending > 0 {
@@ -310,7 +307,7 @@ func (s *Stack) admit() error {
 	s.handler = ctrl.Middleware(s.handler)
 	s.log.Info("admission control enabled",
 		"min_inflight", cfg.AdmissionMinInflight, "max_inflight", cfg.AdmissionMaxInflight,
-		"backstop_pending", cfg.ShedPending, "recovery_hold", cfg.AdmissionRecoveryHold)
+		"backstop_pending", cfg.ShedPending)
 	return nil
 }
 

@@ -47,6 +47,7 @@ import (
 	"qtag/internal/imptable"
 	"qtag/internal/keydir"
 	"qtag/internal/obs"
+	"qtag/internal/viewability"
 )
 
 // Detector contribution names, in the order Text renders them.
@@ -66,9 +67,10 @@ var Detectors = []string{DetectorRate, DetectorDwell, DetectorSequence, Detector
 // scoreable.
 const SourceDSP = "dsp"
 
-// Options tunes a Detector. The zero value picks sensible defaults;
-// the score ramp knobs are exported so operators can re-tune per
-// inventory mix without recompiling.
+// Options tunes a Detector. The zero value picks sensible defaults.
+// RateSlots, the rate ramps, MaxSlots and MinEvents are options because
+// the proof suites reach their cases through them; the other thresholds
+// are constants below.
 type Options struct {
 	// Shards is the lock-stripe count for both the per-impression
 	// working state and the score rows, rounded up to a power of two
@@ -93,9 +95,6 @@ type Options struct {
 	// a cold campaign's scores vanish rather than the process growing
 	// without bound.
 	MaxRows int
-	// RateBucket is the event-time bucket width for the rate detector
-	// (default 1s).
-	RateBucket time.Duration
 	// RateSlots is the fixed per-row bucket ring size (default 64).
 	// Bucket indices alias into the ring modulo RateSlots, which keeps
 	// memory constant and — because aliasing depends only on the
@@ -116,19 +115,6 @@ type Options struct {
 	// detector (default 64); overflow slots fold into an "other"
 	// bucket.
 	MaxSlots int
-	// DwellTarget is the viewability-standard dwell the "exactly at
-	// threshold" detector keys on (default 1s, the IAB display
-	// standard the paper's tags implement).
-	DwellTarget time.Duration
-	// DwellZeroMax: a paired dwell at or under this counts as
-	// zero-dwell (default 100ms).
-	DwellZeroMax time.Duration
-	// DwellExactTol: |dwell − DwellTarget| at or under this counts as
-	// exactly-threshold (default 50ms).
-	DwellExactTol time.Duration
-	// FlagThreshold is the composite score at which a row is flagged
-	// (default 0.5).
-	FlagThreshold float64
 	// MinEvents gates flagging: rows with fewer total submissions
 	// (first-seen + duplicates) never flag, whatever their ratios —
 	// three weird beacons are noise, three hundred are a signal
@@ -150,9 +136,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxRows <= 0 {
 		o.MaxRows = 4096
 	}
-	if o.RateBucket <= 0 {
-		o.RateBucket = time.Second
-	}
 	if o.RateSlots <= 0 {
 		o.RateSlots = 64
 	}
@@ -171,18 +154,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxSlots <= 0 {
 		o.MaxSlots = 64
 	}
-	if o.DwellTarget <= 0 {
-		o.DwellTarget = time.Second
-	}
-	if o.DwellZeroMax <= 0 {
-		o.DwellZeroMax = 100 * time.Millisecond
-	}
-	if o.DwellExactTol <= 0 {
-		o.DwellExactTol = 50 * time.Millisecond
-	}
-	if o.FlagThreshold <= 0 {
-		o.FlagThreshold = 0.5
-	}
 	if o.MinEvents <= 0 {
 		o.MinEvents = 25
 	}
@@ -192,10 +163,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Score ramp constants below the Options surface: ratio thresholds
-// where each detector's score leaves zero / saturates. These encode
-// "how much worse than honest-with-faults traffic before we care" and
-// are deliberately not per-deployment knobs.
+// Score constants below the Options surface: ratio thresholds where
+// each detector's score leaves zero / saturates, the flag threshold,
+// the rate bucket and the dwell classes. These encode "how much worse
+// than honest-with-faults traffic before we care" and are deliberately
+// not per-deployment knobs.
 const (
 	dwellRatioMin = 0.3 // zero+exact dwell share where score leaves 0
 	dwellRatioMax = 0.8
@@ -212,7 +184,19 @@ const (
 	stackShareMin = 0.4 // top placement's share of in-views
 	stackShareMax = 0.9
 	minStackViews = 10 // in-views with a slot before concentration means anything
+
+	flagThreshold = 0.5 // composite score at which a row is flagged
+
+	rateBucket = time.Second // event-time bucket width for the rate detector
+
+	dwellZeroMax  = 100 * time.Millisecond // a paired dwell at or under this is zero-dwell
+	dwellExactTol = 50 * time.Millisecond  // |dwell − dwellTarget| at or under this is exactly-threshold
 )
+
+// dwellTarget is the viewability-standard dwell the "exactly at
+// threshold" detector keys on: the MRC display standard's 1 s, which
+// the paper's tags implement.
+var dwellTarget = viewability.StandardCriteria(viewability.Display).Dwell
 
 // An open impression is the bounded working state for one (campaign,
 // impression): an imptable.Entry in the detector's imptable.Pass — its
@@ -389,8 +373,8 @@ func sourceLabel(s beacon.Source) string {
 }
 
 // bucketIndex is the event-time rate bucket an event falls in.
-func (o Options) bucketIndex(at time.Time) int64 {
-	return at.UnixNano() / int64(o.RateBucket)
+func bucketIndex(at time.Time) int64 {
+	return at.UnixNano() / int64(rateBucket)
 }
 
 // isPixelSize reports whether an ad size is degenerate inventory —
@@ -424,7 +408,7 @@ func (d *Detector) fold(e beacon.Event, c imptable.Change) {
 	cs.mu.Lock()
 	r := d.rowLocked(cs, e.CampaignID, sourceLabel(e.Source))
 	r.events++
-	r.observeRate(d.opts.bucketIndex(e.At), r.events == 1)
+	r.observeRate(bucketIndex(e.At), r.events == 1)
 	if e.Meta.AdSize != "" {
 		r.sized++
 		if isPixelSize(e.Meta.AdSize) {
@@ -483,7 +467,7 @@ func (d *Detector) fold(e beacon.Event, c imptable.Change) {
 				r.seqOrphanOut--
 			}
 		}
-		r.observeDwell(c.Dwell, d.opts)
+		r.observeDwell(c.Dwell)
 	case c.Orphan:
 		r.seqOrphanOut++
 	}
@@ -568,17 +552,17 @@ func (r *row) observeRate(b int64, first bool) {
 }
 
 // observeDwell classifies one completed in-view/out-of-view pair.
-func (r *row) observeDwell(dw time.Duration, o Options) {
+func (r *row) observeDwell(dw time.Duration) {
 	r.dwellPairs++
-	if dw <= o.DwellZeroMax {
+	if dw <= dwellZeroMax {
 		r.dwellZero++
 		return
 	}
-	diff := dw - o.DwellTarget
+	diff := dw - dwellTarget
 	if diff < 0 {
 		diff = -diff
 	}
-	if diff <= o.DwellExactTol {
+	if diff <= dwellExactTol {
 		r.dwellExact++
 	}
 }

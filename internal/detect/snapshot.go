@@ -84,7 +84,7 @@ func (d *Detector) contribs(r *row) (c [5]float64, composite float64) {
 // flags applies the threshold and the MinEvents volume gate to a row's
 // composite score.
 func (d *Detector) flags(r *row, composite float64) bool {
-	return composite >= d.opts.FlagThreshold && r.events+r.dups >= d.opts.MinEvents
+	return composite >= flagThreshold && r.events+r.dups >= d.opts.MinEvents
 }
 
 // score derives one row's report line. Caller holds the row shard lock.
@@ -168,7 +168,7 @@ func rateScore(r *row, o Options) float64 {
 	if wraps < 1 {
 		wraps = 1
 	}
-	bucketSec := o.RateBucket.Seconds()
+	bucketSec := rateBucket.Seconds()
 	peakRate := float64(r.peak) / float64(wraps) / bucketSec
 	absolute := ramp(peakRate, o.RateBaseline, o.RateMax)
 

@@ -1,10 +1,13 @@
 package wal
 
 import (
-	"runtime"
 	"sync"
 	"time"
 )
+
+// groupCommitMaxBatch caps the records a group takes from the queue; a
+// request is never split, so one larger than this still commits whole.
+const groupCommitMaxBatch = 256
 
 // commitReq is one caller's pending append: its payloads (one request's
 // records stay together — a request is never split across groups),
@@ -24,14 +27,12 @@ type commitReq struct {
 // group. Per-caller durability semantics are unchanged — an Append under
 // FsyncAlways still returns only after the fsync covering its record —
 // but the syscall cost is amortized across every caller that queued up
-// while the previous fsync was in flight (natural batching). MaxWait > 0
-// additionally holds small groups open for a bounded wait to grow them.
+// while the previous fsync was in flight (natural batching). A group is
+// never held open waiting for more callers.
 type groupCommitter struct {
-	w        *WAL
-	maxBatch int
-	maxWait  time.Duration
-	observe  func(records int, latency time.Duration)
-	now      func() time.Time
+	w       *WAL
+	observe func(records int, latency time.Duration)
+	now     func() time.Time
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -53,12 +54,10 @@ var commitReqPool = sync.Pool{New: func() any { return &commitReq{err: make(chan
 
 func newGroupCommitter(w *WAL) *groupCommitter {
 	g := &groupCommitter{
-		w:        w,
-		maxBatch: w.opts.GroupCommitMaxBatch,
-		maxWait:  w.opts.GroupCommitMaxWait,
-		observe:  w.opts.CommitObserver,
-		now:      w.opts.Now,
-		done:     make(chan struct{}),
+		w:       w,
+		observe: w.opts.CommitObserver,
+		now:     w.opts.Now,
+		done:    make(chan struct{}),
 	}
 	g.cond = sync.NewCond(&g.mu)
 	go g.run()
@@ -120,30 +119,8 @@ func (g *groupCommitter) run() {
 			g.mu.Unlock()
 			return // stopped and drained
 		}
-		take, records := g.takeLocked(g.group[:0], 0)
+		take, records := g.takeLocked(g.group[:0])
 		g.mu.Unlock()
-		if records < g.maxBatch && g.maxWait > 0 {
-			// Hold the group open to let concurrent callers join — but
-			// adaptively, not with one fixed sleep: yield so blocked
-			// handlers get scheduled and enqueue, and close the group as
-			// soon as arrivals dry up, it fills, or maxWait elapses. Real
-			// time, deliberately: this is a latency/throughput trade on
-			// the live ingest path, not part of the simulated clock domain.
-			deadline := time.Now().Add(g.maxWait)
-			idle := 0
-			for records < g.maxBatch && idle < 2 && time.Now().Before(deadline) {
-				runtime.Gosched()
-				g.mu.Lock()
-				prev := records
-				take, records = g.takeLocked(take, records)
-				g.mu.Unlock()
-				if records == prev {
-					idle++
-				} else {
-					idle = 0
-				}
-			}
-		}
 		g.commit(take, records)
 		clear(take)
 		g.group = take
@@ -151,11 +128,11 @@ func (g *groupCommitter) run() {
 }
 
 // takeLocked moves requests from the queue into the in-progress group
-// until the group reaches maxBatch records (a request is never split, so
-// one AppendRecords or AppendBatch larger than maxBatch exceeds it).
-func (g *groupCommitter) takeLocked(group []*commitReq, records int) ([]*commitReq, int) {
-	n := 0
-	for n < len(g.queue) && records < g.maxBatch {
+// until the group reaches groupCommitMaxBatch records (a request is never
+// split, so one AppendRecords or AppendBatch larger than that exceeds it).
+func (g *groupCommitter) takeLocked(group []*commitReq) ([]*commitReq, int) {
+	n, records := 0, 0
+	for n < len(g.queue) && records < groupCommitMaxBatch {
 		group = append(group, g.queue[n])
 		records += len(g.queue[n].payloads)
 		n++

@@ -71,34 +71,70 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	}
 }
 
-func TestGroupCommitMaxWaitGrowsBatches(t *testing.T) {
+// gate blocks every Sync of the files it wraps while held, so a test can
+// park the committer inside an fsync and let callers queue behind it.
+type gate struct {
+	mu      sync.Mutex
+	hold    chan struct{} // nil: Sync passes straight through
+	entered chan struct{}
+}
+
+func (g *gate) wrap(f File) File { return &gatedFile{File: f, g: g} }
+
+type gatedFile struct {
+	File
+	g *gate
+}
+
+func (f *gatedFile) Sync() error {
+	f.g.mu.Lock()
+	hold := f.g.hold
+	f.g.mu.Unlock()
+	if hold != nil {
+		f.g.entered <- struct{}{}
+		<-hold
+	}
+	return f.File.Sync()
+}
+
+// TestGroupCommitCapsGroupsAtMaxBatch: callers that queue behind an
+// fsync in flight are committed together, at most groupCommitMaxBatch
+// records to a group.
+func TestGroupCommitCapsGroupsAtMaxBatch(t *testing.T) {
+	g := &gate{entered: make(chan struct{}, 1)}
+	var groups []int
 	w := openGC(t, Options{
-		Fsync:               FsyncAlways,
-		GroupCommitMaxWait:  2 * time.Millisecond,
-		GroupCommitMaxBatch: 8,
+		Fsync:          FsyncAlways,
+		FS:             &hookFS{FS: OS, wrap: g.wrap},
+		CommitObserver: func(records int, _ time.Duration) { groups = append(groups, records) },
 	})
 	defer w.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				if err := w.Append(fmt.Appendf(nil, "w-%d-%d", g, i)); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
+
+	hold := make(chan struct{})
+	g.mu.Lock()
+	g.hold = hold
+	g.mu.Unlock()
+	const queued = groupCommitMaxBatch + 44
+	errs := make(chan error, queued+1)
+	go func() { errs <- w.Append([]byte("first")) }()
+	<-g.entered // the committer is inside the first group's fsync
+	g.mu.Lock()
+	g.hold = nil
+	g.mu.Unlock()
+	for i := 0; i < queued; i++ {
+		go func(i int) { errs <- w.Append(fmt.Appendf(nil, "queued-%d", i)) }(i)
 	}
-	wg.Wait()
-	if got := w.Appended(); got != 160 {
-		t.Fatalf("appended %d, want 160", got)
+	for w.GroupQueueDepth() < queued {
+		time.Sleep(time.Millisecond)
 	}
-	// With 16 concurrent callers and a held-open group, commits must be
-	// meaningfully amortized (strictly fewer than records).
-	if gc := w.GroupCommits(); gc >= 160 || gc == 0 {
-		t.Fatalf("group commits %d show no amortization over 160 records", gc)
+	close(hold)
+	for i := 0; i < queued+1; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fmt.Sprint(groups) != fmt.Sprint([]int{1, groupCommitMaxBatch, 44}) {
+		t.Fatalf("commit groups %v, want [1 %d 44]", groups, groupCommitMaxBatch)
 	}
 }
 
@@ -136,26 +172,26 @@ func TestGroupCommitAppendBatchAndReplay(t *testing.T) {
 
 // TestGroupCommitAppendRecordsIsOneCommit: a request's records are one
 // hand-off — one commit group of N records, one write — however many
-// they are, including more than GroupCommitMaxBatch; and they replay in
+// they are, including more than groupCommitMaxBatch; and they replay in
 // order between the appends around them.
 func TestGroupCommitAppendRecordsIsOneCommit(t *testing.T) {
+	const big = groupCommitMaxBatch + 64
 	dir := t.TempDir()
 	var groups []int
 	w := openGC(t, Options{
-		Dir:                 dir,
-		Fsync:               FsyncAlways,
-		GroupCommitMaxBatch: 16,
-		CommitObserver:      func(records int, _ time.Duration) { groups = append(groups, records) },
+		Dir:            dir,
+		Fsync:          FsyncAlways,
+		CommitObserver: func(records int, _ time.Duration) { groups = append(groups, records) },
 	})
 	if err := w.Append([]byte("first")); err != nil {
 		t.Fatal(err)
 	}
 	syncs := w.Syncs()
-	if err := w.AppendRecords(payloads(64)); err != nil {
+	if err := w.AppendRecords(payloads(big)); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.Syncs() - syncs; got != 1 {
-		t.Fatalf("AppendRecords of 64 cost %d fsyncs, want 1", got)
+		t.Fatalf("AppendRecords of %d cost %d fsyncs, want 1", big, got)
 	}
 	if err := w.AppendRecords(nil); err != nil {
 		t.Fatal(err)
@@ -169,8 +205,8 @@ func TestGroupCommitAppendRecordsIsOneCommit(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(groups) != 3 || groups[0] != 1 || groups[1] != 64 || groups[2] != 1 {
-		t.Fatalf("commit groups %v, want [1 64 1]", groups)
+	if len(groups) != 3 || groups[0] != 1 || groups[1] != big || groups[2] != 1 {
+		t.Fatalf("commit groups %v, want [1 %d 1]", groups, big)
 	}
 	var got []string
 	if _, err := Scan(nil, dir, func(_ uint64, payload []byte) error {
@@ -180,7 +216,7 @@ func TestGroupCommitAppendRecordsIsOneCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"first"}
-	for _, p := range payloads(64) {
+	for _, p := range payloads(big) {
 		want = append(want, string(p))
 	}
 	want = append(want, "last")
@@ -191,7 +227,7 @@ func TestGroupCommitAppendRecordsIsOneCommit(t *testing.T) {
 
 func TestGroupCommitCloseDrainsQueue(t *testing.T) {
 	dir := t.TempDir()
-	w := openGC(t, Options{Dir: dir, Fsync: FsyncAlways, GroupCommitMaxWait: time.Millisecond})
+	w := openGC(t, Options{Dir: dir, Fsync: FsyncAlways})
 	var wg sync.WaitGroup
 	errs := make([]error, 32)
 	for g := 0; g < 32; g++ {

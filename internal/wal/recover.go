@@ -174,7 +174,6 @@ func (w *WAL) recover(replay func(uint64, []byte) error, res *RecoverResult) err
 		w.activePath = seg.path
 		w.activeStart = firstIndex
 		w.activeSize = sc.good
-		w.activeBirth = w.opts.Now()
 		adopted = true
 	}
 	if !adopted {

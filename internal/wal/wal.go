@@ -101,9 +101,6 @@ type Options struct {
 	// it past this size. Default 64 MiB. A record larger than the limit
 	// still lands in one (oversized) segment.
 	SegmentBytes int64
-	// SegmentAge rotates the active segment when it has been open longer
-	// than this (0 disables age rotation).
-	SegmentAge time.Duration
 	// Fsync selects the durability policy; FsyncOnBatch by default.
 	Fsync FsyncPolicy
 	// FsyncEvery is the FsyncInterval period. Default 1s.
@@ -120,15 +117,10 @@ type Options struct {
 	// performs one fsync per group. Per-caller durability is unchanged —
 	// an Append under FsyncAlways still returns only after the fsync
 	// covering its record — but the fsync cost is amortized across every
-	// caller that arrived while the previous group was committing.
+	// caller that arrived while the previous group was committing. A
+	// group is never held open to wait for callers: groups form only
+	// under fsync backpressure, up to groupCommitMaxBatch records.
 	GroupCommit bool
-	// GroupCommitMaxBatch caps the records coalesced into one group.
-	// Default 256.
-	GroupCommitMaxBatch int
-	// GroupCommitMaxWait, when > 0, holds a group below MaxBatch open for
-	// this long so more callers can join before the write. Default 0: no
-	// added latency, batching comes only from fsync backpressure.
-	GroupCommitMaxWait time.Duration
 	// CommitObserver, when set, is called after every group commit with
 	// the number of records in the group and the wall time from the first
 	// caller's enqueue to commit completion (per Now). It must be safe
@@ -145,9 +137,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRecordBytes <= 0 {
 		o.MaxRecordBytes = DefaultMaxRecordBytes
-	}
-	if o.GroupCommitMaxBatch <= 0 {
-		o.GroupCommitMaxBatch = 256
 	}
 	if o.FS == nil {
 		o.FS = OS
@@ -178,7 +167,6 @@ type WAL struct {
 	activePath  string
 	activeStart uint64 // first record index of the active segment
 	activeSize  int64
-	activeBirth time.Time
 	nextIndex   uint64 // index the next appended record will get
 	pending     int    // records appended since the last successful sync
 	lastSync    time.Time
@@ -394,10 +382,7 @@ func (w *WAL) shouldRotateLocked(incoming int64) bool {
 	if w.activeSize <= SegmentHeaderSize {
 		return false // never rotate an empty segment
 	}
-	if w.activeSize+incoming > w.opts.SegmentBytes {
-		return true
-	}
-	return w.opts.SegmentAge > 0 && w.opts.Now().Sub(w.activeBirth) >= w.opts.SegmentAge
+	return w.activeSize+incoming > w.opts.SegmentBytes
 }
 
 // rotateLocked seals the active segment and opens a fresh one. An empty
@@ -460,7 +445,6 @@ func (w *WAL) createActiveLocked() error {
 	w.activePath = path
 	w.activeStart = w.nextIndex
 	w.activeSize = SegmentHeaderSize
-	w.activeBirth = w.opts.Now()
 	return nil
 }
 

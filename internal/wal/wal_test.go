@@ -150,27 +150,6 @@ func TestRotationBySize(t *testing.T) {
 	}
 }
 
-func TestRotationByAge(t *testing.T) {
-	dir := t.TempDir()
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	w, _, err := Open(Options{Dir: dir, SegmentAge: time.Minute, Now: clock}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if err := w.Append([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(2 * time.Minute)
-	if err := w.Append([]byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	if w.Segments() != 2 {
-		t.Fatalf("age rotation: %d segments", w.Segments())
-	}
-}
-
 func TestFsyncPolicies(t *testing.T) {
 	t.Run("always", func(t *testing.T) {
 		w, _, err := Open(Options{Dir: t.TempDir(), Fsync: FsyncAlways}, nil)
