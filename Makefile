@@ -117,18 +117,19 @@ collide:
 	QTAG_FORCE_COLLISIONS=1 $(GO) test -count=1 ./internal/imptable/... ./internal/aggregate/... \
 		./internal/detect/... ./internal/report/... ./internal/beacon/... ./internal/collector/...
 
-# Cluster chaos: a 3-node in-process cluster (real HTTP servers, real
-# WALs, real hint journals) through the whole-node kill/restart sweep,
-# partition heal, federated degradation, and fault-injected forwarding
-# suites — all under the race detector. Proves the cluster ack
+# Cluster chaos: a 3-node in-process cluster of the stack qtag-server
+# runs (collectortest.StartHarness: three collector.Open stacks on real
+# HTTP servers, real WALs, real hint journals) through the whole-node
+# kill/restart sweep, partition heal, federated degradation, and
+# fault-injected forwarding suites — all under the race detector. Proves the cluster ack
 # contract: acked-by-any-live-node ⊆ recovered-cluster-wide, zero
 # duplicates, including hinted-handoff replay.
 cluster-chaos:
 	$(GO) test -race -count=1 -run 'TestCluster|TestForwarding|TestHintLog' \
 		./internal/cluster/...
 
-# Trace-propagation chaos: the same 3-node harness asserts every acked
-# beacon's distributed trace is ONE connected tree — no orphan spans, no
+# Trace-propagation chaos: the same three shipped stacks assert every
+# acked beacon's distributed trace is ONE connected tree — no orphan spans, no
 # duplicate span IDs, a store.apply leaf — across retry storms,
 # handoff-then-drain, and same-address restarts, under the race
 # detector. Part of `make ci`: tracing that silently drops context under
@@ -137,9 +138,9 @@ trace-chaos:
 	$(GO) test -race -count=1 -run 'TestTracePropagation' \
 		./internal/cluster/...
 
-# Overload chaos: the 3-node harness under a 10× concurrency ramp with
-# concurrent partition-heal drain storms and /report + /debug hammers,
-# under the race detector. Proves the admission contract: zero
+# Overload chaos: the three shipped stacks under a 10× concurrency ramp
+# with concurrent partition-heal drain storms and /report + /debug
+# hammers, under the race detector. Proves the admission contract: zero
 # acked-beacon loss, goodput held within a fixed band of baseline,
 # low-priority classes shed first, and every node back to /readyz 200
 # within a bounded window once the load subsides.

@@ -168,10 +168,7 @@ func bindFlags(fs *flag.FlagSet, o *options) {
 	fs.BoolVar(&c.DurableSync, "durable-sync", c.DurableSync, "acknowledge ingestion only after events are journaled (requires -wal-dir)")
 	fs.StringVar(&c.StatsKey, "stats-key", c.StatsKey, "operator bearer token protecting the stats endpoints (empty = open)")
 	fs.IntVar(&c.ShedPending, "shed-pending", c.ShedPending, "the admission controller's hard backstop: shed ingestion with 503 while this many events await durability — WAL records not yet fsynced plus queued events (0 = disabled; needs -wal-dir and -admission)")
-	fs.DurationVar(&c.RetryAfter, "retry-after", c.RetryAfter, "Retry-After hint on shed responses")
 	fs.BoolVar(&c.Admission, "admission", c.Admission, "adaptive admission control: gradient concurrency limiter, priority classes and degraded modes (false = no overload control)")
-	fs.IntVar(&c.AdmissionMinInflight, "admission-min-inflight", c.AdmissionMinInflight, "adaptive concurrency limit floor (0 = package default)")
-	fs.IntVar(&c.AdmissionMaxInflight, "admission-max-inflight", c.AdmissionMaxInflight, "adaptive concurrency limit ceiling (0 = package default)")
 	fs.Int64Var(&c.DiskLowBytes, "disk-low-bytes", c.DiskLowBytes, "WAL-disk low watermark: relax fsync to batch below this free space (0 disables; needs -wal-dir and -admission)")
 	fs.Int64Var(&c.DiskShedBytes, "disk-shed-bytes", c.DiskShedBytes, "WAL-disk shed watermark: stop admitting new ingest below this free space (0 disables; needs -wal-dir and -admission)")
 	fs.Int64Var(&c.DiskReadOnlyBytes, "disk-readonly-bytes", c.DiskReadOnlyBytes, "WAL-disk read-only watermark: refuse all writes below this free space (0 disables; needs -wal-dir and -admission)")
@@ -184,7 +181,6 @@ func bindFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&c.NodeID, "node-id", c.NodeID, "this node's cluster id (cluster mode; requires -peers)")
 	fs.StringVar(&o.peers, "peers", "", "cluster peers as id=url,id=url (enables cluster mode)")
 	fs.StringVar(&c.HandoffDir, "handoff-dir", c.HandoffDir, "hinted-handoff journal directory (required in cluster mode)")
-	fs.DurationVar(&c.ProbeEvery, "probe-every", c.ProbeEvery, "peer health probe interval (cluster mode)")
 	fs.Int64Var(&c.ReadyHintBacklog, "ready-hint-backlog", c.ReadyHintBacklog, "report unready when the handoff backlog exceeds this (0 disables)")
 	fs.Float64Var(&c.TraceSample, "trace-sample", c.TraceSample, "head sampling rate for distributed tracing in [0,1] (0 disables; errored spans always recorded)")
 	fs.DurationVar(&c.SlowRequest, "slow-request", c.SlowRequest, "log requests slower than this, with their trace id (0 disables)")

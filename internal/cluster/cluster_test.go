@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 // The acceptance suite for cluster mode: deterministic whole-node kill
 // and partition sweeps over a real 3-node in-process cluster (real
@@ -15,28 +15,23 @@ import (
 	"time"
 
 	"qtag/internal/beacon"
+	"qtag/internal/cluster"
+	"qtag/internal/collector"
+	"qtag/internal/collector/collectortest"
 )
 
-// fastHarness starts a 3-node cluster tuned for sub-second failover.
-func fastHarness(t *testing.T) *Harness {
+// fastNode is a harness node's Config probing its peers every 20 ms,
+// so failover takes a fraction of a second.
+func fastNode() collector.Config {
+	cfg := collectortest.NodeConfig()
+	cfg.ProbeEvery = 20 * time.Millisecond
+	return cfg
+}
+
+// fastHarness starts a 3-node cluster of fastNode stacks.
+func fastHarness(t *testing.T) *collectortest.Harness {
 	t.Helper()
-	h, err := StartHarness(HarnessConfig{
-		Dir:              t.TempDir(),
-		Nodes:            3,
-		ProbeEvery:       20 * time.Millisecond,
-		ProbeTimeout:     250 * time.Millisecond,
-		SuspectAfter:     1,
-		DeadAfter:        2,
-		ForwardTimeout:   500 * time.Millisecond,
-		ForwardRetries:   1,
-		BreakerThreshold: 3,
-		BreakerCooldown:  50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { h.Close() })
-	return h
+	return collectortest.StartHarness(t, collectortest.HarnessConfig{Nodes: 3, Base: fastNode()})
 }
 
 // sweepEvent builds the i-th impression's event pair: a served beacon
@@ -53,7 +48,7 @@ func sweepEvents(i int) []beacon.Event {
 // sendAcked submits events round-robin across the currently live nodes
 // and records which were acked (HTTP 200 end-to-end). Unacked events
 // are allowed to be lost; acked ones are not.
-func sendAcked(t *testing.T, h *Harness, from, to int, acked map[string]bool) {
+func sendAcked(t *testing.T, h *collectortest.Harness, from, to int, acked map[string]bool) {
 	t.Helper()
 	urls := h.LiveURLs()
 	if len(urls) == 0 {
@@ -74,12 +69,12 @@ func sendAcked(t *testing.T, h *Harness, from, to int, acked map[string]bool) {
 }
 
 // waitState polls until observer's detector sees peer in want.
-func waitState(t *testing.T, h *Harness, observer int, peer string, want PeerState) {
+func waitState(t *testing.T, h *collectortest.Harness, observer int, peer string, want cluster.PeerState) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		hn := h.Nodes[observer]
-		if hn.alive && hn.Node.Detector().State(peer) == want {
+		if hn.Alive() && hn.Stack.Node.Detector().State(peer) == want {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -108,7 +103,7 @@ func TestClusterKillSweepNoLossNoDuplicates(t *testing.T) {
 		// Wait until a survivor marks the victim dead so its share of
 		// the traffic below definitively exercises the hint path.
 		observer := (victim + 1) % 3
-		waitState(t, h, observer, fmt.Sprintf("n%d", victim), PeerDead)
+		waitState(t, h, observer, fmt.Sprintf("n%d", victim), cluster.PeerDead)
 
 		sendAcked(t, h, offset, offset+batch, acked)
 		offset += batch
@@ -116,7 +111,7 @@ func TestClusterKillSweepNoLossNoDuplicates(t *testing.T) {
 		if err := h.Restart(victim); err != nil {
 			t.Fatalf("restart n%d: %v", victim, err)
 		}
-		waitState(t, h, observer, fmt.Sprintf("n%d", victim), PeerAlive)
+		waitState(t, h, observer, fmt.Sprintf("n%d", victim), cluster.PeerAlive)
 	}
 
 	// Let every hint drain, then check the invariant.
@@ -161,12 +156,12 @@ func TestClusterPartitionHealsAndDrains(t *testing.T) {
 	// Cut n0 ↔ n2 both ways. n0 can still serve ingest; its n2-owned
 	// share must degrade to hints instead of erroring.
 	h.Net.CutBoth("n0", "n2")
-	waitState(t, h, 0, "n2", PeerDead)
+	waitState(t, h, 0, "n2", cluster.PeerDead)
 
 	acked := make(map[string]bool)
 	sink := &beacon.HTTPSink{BaseURL: h.Nodes[0].URL, Retries: 2, Timeout: 2 * time.Second}
 	n2owned := 0
-	ring := h.Nodes[0].Node.Ring()
+	ring := h.Nodes[0].Stack.Node.Ring()
 	for i := 0; i < 150; i++ {
 		for _, e := range sweepEvents(i) {
 			if err := sink.Submit(e); err != nil {
@@ -181,7 +176,7 @@ func TestClusterPartitionHealsAndDrains(t *testing.T) {
 	if n2owned == 0 {
 		t.Fatal("no events owned by the partitioned node; sweep proves nothing")
 	}
-	if got := h.Nodes[0].Node.Stats().Hinted; got == 0 {
+	if got := h.Nodes[0].Stack.Node.Stats().Hinted; got == 0 {
 		t.Fatal("partition produced no hints")
 	}
 
@@ -205,13 +200,13 @@ func TestClusterFederatedReportMergesAndDegrades(t *testing.T) {
 	acked := make(map[string]bool)
 	sendAcked(t, h, 0, 120, acked)
 
-	fetch := func(url string) (FederatedReport, int) {
+	fetch := func(url string) (cluster.FederatedReport, int) {
 		resp, err := http.Get(url + "/report?federated=1")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var rep FederatedReport
+		var rep cluster.FederatedReport
 		if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +224,7 @@ func TestClusterFederatedReportMergesAndDegrades(t *testing.T) {
 	}
 	wantMeasured := 0
 	for _, hn := range h.Nodes {
-		wantMeasured += hn.Store.Loaded("", beacon.SourceQTag)
+		wantMeasured += hn.Stack.Store.Loaded("", beacon.SourceQTag)
 	}
 	if len(rep.Campaigns.Rows) != 1 {
 		t.Fatalf("federated rows = %d, want 1", len(rep.Campaigns.Rows))
@@ -254,27 +249,16 @@ func TestClusterFederatedReportMergesAndDegrades(t *testing.T) {
 	if len(rep.Nodes) != 2 {
 		t.Fatalf("nodes = %v, want the 2 survivors", rep.Nodes)
 	}
-	survivors := h.Nodes[0].Store.Loaded("", beacon.SourceQTag) + h.Nodes[1].Store.Loaded("", beacon.SourceQTag)
+	survivors := h.Nodes[0].Stack.Store.Loaded("", beacon.SourceQTag) + h.Nodes[1].Stack.Store.Loaded("", beacon.SourceQTag)
 	if got := rep.Campaigns.Rows[0].Sources["qtag"].Measured; got != int64(survivors) {
 		t.Fatalf("degraded federated measured = %d, want %d", got, survivors)
 	}
 }
 
 func TestClusterReadinessReflectsHintBacklog(t *testing.T) {
-	h, err := StartHarness(HarnessConfig{
-		Dir:              t.TempDir(),
-		Nodes:            2,
-		ProbeEvery:       20 * time.Millisecond,
-		ProbeTimeout:     200 * time.Millisecond,
-		SuspectAfter:     1,
-		DeadAfter:        2,
-		ForwardTimeout:   300 * time.Millisecond,
-		ReadyHintBacklog: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	base := fastNode()
+	base.ReadyHintBacklog = 5
+	h := collectortest.StartHarness(t, collectortest.HarnessConfig{Nodes: 2, Base: base})
 
 	readyz := func() int {
 		resp, rerr := http.Get(h.Nodes[0].URL + "/readyz")
@@ -291,8 +275,8 @@ func TestClusterReadinessReflectsHintBacklog(t *testing.T) {
 	// Partition n1 away and push enough n1-owned traffic through n0 to
 	// exceed the backlog threshold.
 	h.Net.CutBoth("n0", "n1")
-	waitState(t, h, 0, "n1", PeerDead)
-	ring := h.Nodes[0].Node.Ring()
+	waitState(t, h, 0, "n1", cluster.PeerDead)
+	ring := h.Nodes[0].Stack.Node.Ring()
 	sink := &beacon.HTTPSink{BaseURL: h.Nodes[0].URL, Retries: 1, Timeout: time.Second}
 	sent := 0
 	for i := 0; sent < 10; i++ {
@@ -308,7 +292,7 @@ func TestClusterReadinessReflectsHintBacklog(t *testing.T) {
 		sent++
 	}
 	if got := readyz(); got != http.StatusServiceUnavailable {
-		t.Fatalf("readyz with backlog %d = %d, want 503", h.Nodes[0].Node.Stats().HintBacklog, got)
+		t.Fatalf("readyz with backlog %d = %d, want 503", h.Nodes[0].Stack.Node.Stats().HintBacklog, got)
 	}
 	// Liveness is unaffected: /healthz keeps saying 200 so the prober
 	// doesn't kill a node that is merely backlogged.

@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 // The overload acceptance suite (make overload-chaos): a 3-node cluster
 // with admission control enabled takes a 10× load ramp concurrent with
@@ -19,48 +19,28 @@ import (
 
 	"qtag/internal/admission"
 	"qtag/internal/beacon"
+	"qtag/internal/cluster"
+	"qtag/internal/collector/collectortest"
+	"qtag/internal/wal"
 )
 
-// overloadHarness is fastHarness plus admission control tuned so a
-// burst of in-process workers actually trips the limiter: a small
-// ceiling, and a short recovery hold so the post-storm readiness
-// assertion doesn't dominate the test's runtime.
-func overloadHarness(t *testing.T) *Harness {
+// overloadHarness is fastHarness with the admission limiter tuned so a
+// burst of in-process workers actually trips it: a small ceiling.
+func overloadHarness(t *testing.T) *collectortest.Harness {
 	t.Helper()
-	h, err := StartHarness(HarnessConfig{
-		Dir:              t.TempDir(),
-		Nodes:            3,
-		ProbeEvery:       20 * time.Millisecond,
-		ProbeTimeout:     250 * time.Millisecond,
-		SuspectAfter:     1,
-		DeadAfter:        2,
-		ForwardTimeout:   500 * time.Millisecond,
-		ForwardRetries:   1,
-		BreakerThreshold: 3,
-		BreakerCooldown:  50 * time.Millisecond,
-		Admission:        true,
-		// MinLimit is the goodput floor: under a sustained ramp the
-		// gradient drives the limit down toward it (cross-node forwards
-		// inherit their peers' queuing latency, so the signal saturates),
-		// and the floor is what keeps "degrade" from becoming "collapse".
-		AdmissionLimiter: admission.LimiterConfig{
-			MinLimit:     8,
-			MaxLimit:     64,
-			InitialLimit: 16,
-		},
-		AdmissionRecoveryHold: 300 * time.Millisecond,
-		// A shedding peer's Retry-After is the origin's forward-retry
-		// backoff, i.e. how long an admitted forward squats on its
-		// origin's admission slot before failing over to hinted handoff.
-		// Keep it short so overload degrades to shed-and-hint instead of
-		// slot starvation.
-		AdmissionRetryAfter: 25 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { h.Close() })
-	return h
+	base := fastNode()
+	// MinLimit is the goodput floor: under a sustained ramp the
+	// gradient drives the limit down toward it (cross-node forwards
+	// inherit their peers' queuing latency, so the signal saturates),
+	// and the floor is what keeps "degrade" from becoming "collapse".
+	base.AdmissionMinInflight, base.AdmissionMaxInflight = 8, 64
+	// A shedding peer's Retry-After is the origin's forward-retry
+	// backoff, i.e. how long an admitted forward squats on its
+	// origin's admission slot before failing over to hinted handoff.
+	// Keep it short so overload degrades to shed-and-hint instead of
+	// slot starvation.
+	base.RetryAfter = 25 * time.Millisecond
+	return collectortest.StartHarness(t, collectortest.HarnessConfig{Nodes: 3, Base: base})
 }
 
 // ackedSet is a concurrent set of acked idempotency keys.
@@ -79,7 +59,7 @@ func (s *ackedSet) add(key string) {
 // concurrent senders for d, round-robin across nodes, and returns
 // (acked, shed) counts. Acked keys land in set. No retries: a 503 is a
 // shed, and the test's loss invariant only covers acked events.
-func runLivePhase(t *testing.T, h *Harness, prefix string, workers int, d time.Duration, set *ackedSet) (acked, shed int64) {
+func runLivePhase(t *testing.T, h *collectortest.Harness, prefix string, workers int, d time.Duration, set *ackedSet) (acked, shed int64) {
 	t.Helper()
 	urls := h.LiveURLs()
 	var ackedN, shedN atomic.Int64
@@ -158,8 +138,8 @@ func TestOverloadRampSurvivesWithPriorityShedding(t *testing.T) {
 	// Phase 2 — seed the drain storm: partition n0 ↔ n2 and push
 	// n2-owned traffic through n0 so hints pile up for replay at heal.
 	h.Net.CutBoth("n0", "n2")
-	waitState(t, h, 0, "n2", PeerDead)
-	ring := h.Nodes[0].Node.Ring()
+	waitState(t, h, 0, "n2", cluster.PeerDead)
+	ring := h.Nodes[0].Stack.Node.Ring()
 	seedSink := &beacon.HTTPSink{BaseURL: h.Nodes[0].URL, Retries: 2, Timeout: 2 * time.Second}
 	hinted := 0
 	for i := 0; hinted < 120; i++ {
@@ -175,7 +155,7 @@ func TestOverloadRampSurvivesWithPriorityShedding(t *testing.T) {
 		set.add(e.Key())
 		hinted++
 	}
-	if h.Nodes[0].Node.Stats().HintBacklog == 0 {
+	if h.Nodes[0].Stack.Node.Stats().HintBacklog == 0 {
 		t.Fatal("partition seeded no hints; drain storm would be empty")
 	}
 
@@ -209,7 +189,7 @@ func TestOverloadRampSurvivesWithPriorityShedding(t *testing.T) {
 	var liveAdmitted, liveShedC, lowShed int64
 	var lowOffered int64
 	for _, hn := range h.Nodes {
-		ctrl := hn.Admission
+		ctrl := hn.Stack.Admission
 		liveAdmitted += ctrl.Admitted(admission.ClassLive)
 		liveShedC += ctrl.Shed(admission.ClassLive)
 		for _, cl := range []admission.Class{admission.ClassDrain, admission.ClassFederate, admission.ClassDebug} {
@@ -289,8 +269,8 @@ func TestOverloadDrainReplaysArriveMarked(t *testing.T) {
 	h := overloadHarness(t)
 
 	h.Net.CutBoth("n0", "n2")
-	waitState(t, h, 0, "n2", PeerDead)
-	ring := h.Nodes[0].Node.Ring()
+	waitState(t, h, 0, "n2", cluster.PeerDead)
+	ring := h.Nodes[0].Stack.Node.Ring()
 	sink := &beacon.HTTPSink{BaseURL: h.Nodes[0].URL, Retries: 2, Timeout: 2 * time.Second}
 	sent := 0
 	for i := 0; sent < 40; i++ {
@@ -313,10 +293,10 @@ func TestOverloadDrainReplaysArriveMarked(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := h.Nodes[2].Admission.Admitted(admission.ClassDrain); got == 0 {
+	if got := h.Nodes[2].Stack.Admission.Admitted(admission.ClassDrain); got == 0 {
 		t.Fatal("n2 admitted no drain-class requests; hint replays arrived unmarked")
 	}
-	if got := h.Nodes[2].Admission.Admitted(admission.ClassLive); got != 0 {
+	if got := h.Nodes[2].Stack.Admission.Admitted(admission.ClassLive); got != 0 {
 		// Only replays hit n2 in this test; anything counted live means
 		// the class header was dropped somewhere on the replay path.
 		t.Fatalf("n2 admitted %d live-class requests, want 0 (replays only)", got)
@@ -324,31 +304,30 @@ func TestOverloadDrainReplaysArriveMarked(t *testing.T) {
 }
 
 // TestOverloadBackstopProtectsCluster proves the journal-backlog
-// backstop still works behind the adaptive limiter: with an absurdly
-// low backlog ceiling, live ingest sheds 503 even though the limiter
-// itself has spare capacity, and /readyz reports the brown-out.
+// backstop still works behind the adaptive limiter: with the backlog
+// ceiling at one record and one accepted record never fsynced, live
+// ingest sheds 503 even though the limiter itself has spare capacity,
+// and /readyz reports the brown-out.
 func TestOverloadBackstopProtectsCluster(t *testing.T) {
-	h, err := StartHarness(HarnessConfig{
-		Dir:                   t.TempDir(),
-		Nodes:                 1,
-		Admission:             true,
-		AdmissionBacklog:      -1, // any pending count trips it — but see below
-		AdmissionRecoveryHold: 200 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	base := collectortest.NodeConfig()
+	base.ShedPending = 1
+	base.Fsync, base.FsyncEvery = wal.FsyncInterval, time.Hour
+	h := collectortest.StartHarness(t, collectortest.HarnessConfig{Nodes: 1, Base: base})
 
-	// Backlog is compared with > : with the threshold at -1 every
-	// request sheds, modelling a journal that cannot keep up at all.
+	// Under -fsync interval an hour long, the accepted record stays
+	// pending: every request after it sheds, modelling a journal that
+	// cannot keep up at all.
 	sink := &beacon.HTTPSink{BaseURL: h.Nodes[0].URL, Retries: 0, Timeout: time.Second}
-	err = sink.Submit(beacon.Event{ImpressionID: "bs-1", CampaignID: "c1",
+	if err := sink.Submit(beacon.Event{ImpressionID: "bs-0", CampaignID: "c1",
+		Source: beacon.SourceQTag, Type: beacon.EventLoaded, At: time.Unix(1000, 0)}); err != nil {
+		t.Fatalf("first submit: %v", err)
+	}
+	err := sink.Submit(beacon.Event{ImpressionID: "bs-1", CampaignID: "c1",
 		Source: beacon.SourceQTag, Type: beacon.EventLoaded, At: time.Unix(1000, 0)})
 	if err == nil {
 		t.Fatal("submit succeeded under tripped backstop, want 503 shed")
 	}
-	if got := h.Nodes[0].Admission.Shed(admission.ClassLive); got == 0 {
+	if got := h.Nodes[0].Stack.Admission.Shed(admission.ClassLive); got == 0 {
 		t.Fatal("backstop shed not attributed to live class")
 	}
 

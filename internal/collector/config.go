@@ -13,9 +13,11 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"net/http"
 	"time"
 
 	"qtag/internal/beacon"
+	"qtag/internal/obs"
 	"qtag/internal/wal"
 )
 
@@ -49,10 +51,10 @@ type Config struct {
 	StatsKey     string // -stats-key
 
 	Admission            bool          // -admission
-	AdmissionMinInflight int           // -admission-min-inflight
-	AdmissionMaxInflight int           // -admission-max-inflight
+	AdmissionMinInflight int           // adaptive concurrency limit floor, 0 = package default; no flag
+	AdmissionMaxInflight int           // adaptive concurrency limit ceiling, 0 = package default; no flag
 	ShedPending          int           // -shed-pending
-	RetryAfter           time.Duration // -retry-after
+	RetryAfter           time.Duration // Retry-After hint on shed responses; no flag
 	DiskLowBytes         int64         // -disk-low-bytes
 	DiskShedBytes        int64         // -disk-shed-bytes
 	DiskReadOnlyBytes    int64         // -disk-readonly-bytes
@@ -69,7 +71,7 @@ type Config struct {
 	NodeID           string            // -node-id
 	Peers            map[string]string // -peers, parsed: id → base URL
 	HandoffDir       string            // -handoff-dir
-	ProbeEvery       time.Duration     // -probe-every
+	ProbeEvery       time.Duration     // peer health probe period; no flag
 	ReadyHintBacklog int64             // -ready-hint-backlog
 
 	TraceSample      float64       // -trace-sample
@@ -77,6 +79,11 @@ type Config struct {
 	AccessLog        bool          // -access-log
 	MetricsExemplars bool          // -metrics-exemplars
 	Pprof            bool          // -pprof
+
+	// Test is what only the in-process cluster suites change
+	// (collectortest.StartHarness); no flag, and its zero value is the
+	// stack qtag-server runs.
+	Test TestConfig
 
 	// Logger receives recovery, ticker and access-log lines
 	// (slog.Default when nil).
@@ -86,6 +93,18 @@ type Config struct {
 	// BaseContext, when set, is threaded into every peer forwarder so a
 	// shutdown signal aborts their retry schedules.
 	BaseContext func() context.Context
+}
+
+// TestConfig is the part of a Stack's wiring that a test cluster
+// replaces so that it can cut links and read spans across nodes.
+type TestConfig struct {
+	// Transport carries every request to a peer: forwards, probes and
+	// the federated /report fan-out (http.DefaultTransport when nil).
+	Transport http.RoundTripper
+	// Spans, when set, is the span store tracing records into instead of
+	// a fresh one per stack: shared by a test cluster's nodes, it keeps a
+	// killed node's spans and puts a trace that crosses nodes in one place.
+	Spans *obs.SpanStore
 }
 
 // DefaultConfig is qtag-server with no flags given.

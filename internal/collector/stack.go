@@ -32,6 +32,7 @@ type Stack struct {
 	Queue     *beacon.QueueSink  // built, and its metrics registered, in DurableSync mode too
 	Server    *beacon.Server
 	Admission *admission.Controller // nil without Admission
+	Node      *cluster.Node         // nil without Peers
 
 	// PendingAtClose is the journal's un-fsynced record count at the
 	// moment Close reached it, after the queue drained. Set by Close.
@@ -40,7 +41,6 @@ type Stack struct {
 	cfg       Config
 	log       *slog.Logger
 	breaker   *beacon.CircuitBreaker
-	node      *cluster.Node  // nil without Peers
 	spans     *obs.SpanStore // nil when TraceSample is 0
 	watermark *admission.Watermark
 	handler   http.Handler
@@ -133,21 +133,24 @@ func Open(cfg Config) (_ *Stack, err error) {
 		if traceNode == "" {
 			traceNode = "qtag-server"
 		}
-		s.spans = obs.NewSpanStore(obs.DefaultSpanBuffer)
+		s.spans = cfg.Test.Spans
+		if s.spans == nil {
+			s.spans = obs.NewSpanStore(obs.DefaultSpanBuffer)
+		}
 		tracer = obs.NewTracer(obs.TracerConfig{Node: traceNode, SampleRate: cfg.TraceSample, Store: s.spans})
 	}
 	// The routing node wraps the local chain: owner-local beacons fall
 	// through unchanged, the rest forward or degrade to hinted handoff.
 	if len(cfg.Peers) > 0 {
-		s.node, err = cluster.NewNode(cluster.Config{
+		s.Node, err = cluster.NewNode(cluster.Config{
 			Self: cfg.NodeID, Peers: cfg.Peers, Local: sink, HandoffDir: cfg.HandoffDir,
 			Binary: true, ProbeEvery: cfg.ProbeEvery, ReadyHintBacklog: cfg.ReadyHintBacklog,
-			Tracer: tracer, BaseContext: cfg.BaseContext,
+			Tracer: tracer, Transport: cfg.Test.Transport, BaseContext: cfg.BaseContext,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster node: %w", err)
 		}
-		sink = s.node
+		sink = s.Node
 		logger.Info("cluster mode", "node_id", cfg.NodeID, "peers", len(cfg.Peers), "handoff_dir", cfg.HandoffDir)
 	}
 	// Outermost, so a beacon without a timestamp gets the time of its
@@ -168,8 +171,8 @@ func Open(cfg Config) (_ *Stack, err error) {
 	// admission mode — a browned-out or read-only node must drop out of
 	// the load balancer even if its handoff backlog looks fine.
 	nodeReady := func() error { return nil }
-	if s.node != nil {
-		nodeReady = s.node.Readiness()
+	if s.Node != nil {
+		nodeReady = s.Node.Readiness()
 	}
 	s.Server.SetReadiness(func() error {
 		if err := nodeReady(); err != nil || s.Admission == nil || s.Admission.Ready() {
@@ -192,10 +195,10 @@ func (s *Stack) mountRoutes(tracer *obs.Tracer) {
 	cfg, srv := s.cfg, s.Server
 	srv.Mount("GET /v1/breakdown", analytics.Handler(s.Store))
 	srv.Mount("GET /v1/timeseries", analytics.Handler(s.Store))
-	if s.node != nil {
-		node := s.node
+	if s.Node != nil {
+		node := s.Node
 		srv.Mount("GET /report", obs.TraceMiddleware(tracer, "report", cluster.FederatedHandler(s.Aggregate,
-			cluster.FederationConfig{Self: cfg.NodeID, Peers: cfg.Peers, Tracer: tracer})))
+			cluster.FederationConfig{Self: cfg.NodeID, Peers: cfg.Peers, Transport: cfg.Test.Transport, Tracer: tracer})))
 		srv.AddHealthMetric("hint_backlog", func() int64 { return node.Stats().HintBacklog })
 	} else {
 		// Fraud scores ride the plain single-node report; the federated
@@ -230,8 +233,8 @@ func (s *Stack) mountRoutes(tracer *obs.Tracer) {
 // registerMetrics exports every part on the server's /metrics registry.
 func (s *Stack) registerMetrics() {
 	reg := s.Server.Metrics()
-	if s.node != nil {
-		s.node.RegisterMetrics(reg)
+	if s.Node != nil {
+		s.Node.RegisterMetrics(reg)
 	}
 	if s.spans != nil {
 		s.spans.RegisterMetrics(reg)
@@ -320,8 +323,8 @@ func (s *Stack) Handler() http.Handler { return s.handler }
 // stats/sync, sweep and snapshot tickers. Close stops them. Call it once.
 func (s *Stack) Start() {
 	cfg := s.cfg
-	if s.node != nil {
-		s.node.Start()
+	if s.Node != nil {
+		s.Node.Start()
 	}
 	if s.watermark != nil {
 		s.watermark.Start()
@@ -399,8 +402,8 @@ func (s *Stack) Close(ctx context.Context) error {
 		if s.watermark != nil {
 			s.watermark.Close()
 		}
-		if s.node != nil {
-			step("cluster close", s.node.Close())
+		if s.Node != nil {
+			step("cluster close", s.Node.Close())
 		}
 		if s.Queue != nil {
 			step("queue drain", s.Queue.Close(ctx))
