@@ -9,6 +9,7 @@ import (
 	qtagapi "qtag"
 	"qtag/internal/beacon"
 	"qtag/internal/browser"
+	"qtag/internal/detect"
 	"qtag/internal/dom"
 	"qtag/internal/geom"
 	"qtag/internal/simclock"
@@ -200,8 +201,52 @@ func TestFacadeExtensions(t *testing.T) {
 		Seed: 13, Campaigns: 5, ImpressionsPerCampaign: 60, BothCampaigns: 2,
 		Parallelism: 2,
 	})
-	rep := qtagapi.Audit(res.Store, qtagapi.AuditOptions{})
+	rep := qtagapi.Audit(res.Store)
 	if !rep.Clean() {
-		t.Errorf("simulation output failed its own audit: %s", rep)
+		t.Errorf("simulation output failed its own audit:\n%s", rep.Text())
+	}
+}
+
+// TestProductionSimulationAuditsClean is the transparency claim end to
+// end: everything this repository's full pipeline produces survives its
+// own lifecycle checker — and the checker sees it all.
+func TestProductionSimulationAuditsClean(t *testing.T) {
+	res := qtagapi.RunProductionSim(qtagapi.SimConfig{
+		Seed: 17, Campaigns: 10, ImpressionsPerCampaign: 60, BothCampaigns: 4,
+	})
+	if res.Store.Len() == 0 {
+		t.Fatal("the simulation stored no beacons")
+	}
+	if rep := qtagapi.Audit(res.Store); !rep.Clean() {
+		t.Fatalf("production pipeline flagged:\n%s", rep.Text())
+	}
+	// The same stream with one loaded beacon moved after its in-view is
+	// caught, so a clean report is not an empty one.
+	events := res.Store.Events()
+	viewed := map[string]bool{}
+	for _, e := range events {
+		if e.Type == beacon.EventInView && e.Seq == 0 {
+			viewed[e.ImpressionID+"/"+string(e.Source)] = true
+		}
+	}
+	tampered := beacon.NewStore()
+	moved := false
+	for _, e := range events {
+		if !moved && e.Type == beacon.EventLoaded && viewed[e.ImpressionID+"/"+string(e.Source)] {
+			e.At = e.At.Add(time.Hour)
+			moved = true
+		}
+		if err := tampered.Submit(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var found []detect.Violations
+	for _, r := range qtagapi.Audit(tampered).Rows {
+		if r.Violations != nil {
+			found = append(found, *r.Violations)
+		}
+	}
+	if len(found) != 1 || found[0] != (detect.Violations{OutOfOrder: 1}) {
+		t.Fatalf("a loaded beacon an hour late: violations %+v, want one out-of-order", found)
 	}
 }

@@ -31,7 +31,9 @@
 // costs the unreadable records, never the scores for what was read.
 // One caveat: a WAL snapshot stores the deduplicated store state, so
 // duplicate counts for records the snapshot covers are compacted away
-// (DESIGN.md §15).
+// (DESIGN.md §15). -report-json -detect over a WAL directory is the WAL
+// audit: each fraud row's "violations" are the lifecycle checker's, as
+// the live server's GET /report and qtag.Audit over its store give them.
 //
 // Usage:
 //
@@ -39,6 +41,7 @@
 //	qtag-replay -journal beacons.wal                  # WAL directory
 //	qtag-replay -journal beacons.wal -report          # viewability report
 //	qtag-replay -journal beacons.wal -report -detect  # + fraud scores
+//	qtag-replay -journal beacons.wal -report-json -detect  # WAL audit
 //	qtag-replay -journal beacons.jsonl -server URL    # re-submit over HTTP
 package main
 

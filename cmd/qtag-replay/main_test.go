@@ -4,16 +4,23 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	qtagapi "qtag"
 	"qtag/internal/beacon"
 	"qtag/internal/campaign"
 	"qtag/internal/collector"
 	"qtag/internal/collector/collectortest"
+	"qtag/internal/detect"
+	"qtag/internal/report"
 	"qtag/internal/simrand"
 )
 
@@ -119,5 +126,107 @@ func TestReplaySkipsMalformedJSONLLines(t *testing.T) {
 	}
 	if want := "skipped 2 malformed lines"; !strings.Contains(notes, want) {
 		t.Errorf("qtag-replay noted\n%s\nwant %q", notes, want)
+	}
+}
+
+// injected is one impression per lifecycle violation class, on campaign
+// camp-bad: a loaded beacon nothing served, an in-view with no loaded,
+// an out-of-view with no in-view, an in-view 200 ms after loaded, an
+// in-view before its loaded, and an out-of-view before its in-view.
+func injected() []beacon.Event {
+	t0 := time.Date(2019, 12, 9, 12, 0, 0, 0, time.UTC)
+	ev := func(imp string, src beacon.Source, typ beacon.EventType, after time.Duration, format string) beacon.Event {
+		return beacon.Event{ImpressionID: imp, CampaignID: "camp-bad", Source: src, Type: typ, At: t0.Add(after), Meta: beacon.Meta{Format: format}}
+	}
+	q, served := beacon.SourceQTag, beacon.Source("")
+	return []beacon.Event{
+		ev("orphan", q, beacon.EventLoaded, 0, ""),
+		ev("no-loaded", served, beacon.EventServed, 0, ""),
+		ev("no-loaded", beacon.SourceCommercial, beacon.EventInView, 2*time.Second, ""),
+		ev("orphan-out", served, beacon.EventServed, 0, ""),
+		ev("orphan-out", q, beacon.EventLoaded, 0, ""),
+		ev("orphan-out", q, beacon.EventOutOfView, time.Second, ""),
+		ev("short", served, beacon.EventServed, 0, "display"),
+		ev("short", q, beacon.EventLoaded, 0, ""),
+		ev("short", q, beacon.EventInView, 200*time.Millisecond, ""),
+		ev("in-view-first", served, beacon.EventServed, 0, ""),
+		ev("in-view-first", q, beacon.EventLoaded, 5*time.Second, ""),
+		ev("in-view-first", q, beacon.EventInView, 2*time.Second, ""),
+		ev("out-first", served, beacon.EventServed, 0, ""),
+		ev("out-first", q, beacon.EventLoaded, 0, ""),
+		ev("out-first", q, beacon.EventInView, 1200*time.Millisecond, ""),
+		ev("out-first", q, beacon.EventOutOfView, 600*time.Millisecond, ""),
+	}
+}
+
+// fraudViolations reads the violations of a report's fraud rows, by
+// "campaign/source".
+func fraudViolations(t *testing.T, body []byte) map[string]detect.Violations {
+	t.Helper()
+	var rep report.ViewabilityReport
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatalf("decode report: %v\n%s", err, body)
+	}
+	if rep.Fraud == nil {
+		t.Fatalf("report has no fraud section:\n%s", body)
+	}
+	out := map[string]detect.Violations{}
+	for _, r := range rep.Fraud.Rows {
+		if r.Violations != nil {
+			out[r.CampaignID+"/"+r.Source] = *r.Violations
+		}
+	}
+	return out
+}
+
+// The three faces of the one lifecycle checker agree: a -detect stack's
+// GET /report, qtag-replay -report-json -detect over its WAL directory,
+// and qtag.Audit over its store report the same violations for a stream
+// with every class injected beside honest traffic — the honest actors'
+// own short loaded→in-view gaps included.
+func TestStreamingReplayAndAuditAgree(t *testing.T) {
+	cfg := collector.DefaultConfig()
+	cfg.WALDir = filepath.Join(t.TempDir(), "beacons.wal")
+	cfg.Detect = true
+	stack, url, shutdown := collectortest.Boot(t, cfg)
+	if err := (&beacon.HTTPSink{BaseURL: url}).SubmitBatch(append(events(), injected()...)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(url + "/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /report: %d %v", resp.StatusCode, err)
+	}
+	streaming := fraudViolations(t, body)
+	audit := map[string]detect.Violations{}
+	for _, r := range qtagapi.Audit(stack.Store).Rows {
+		if r.Violations != nil {
+			audit[r.CampaignID+"/"+r.Source] = *r.Violations
+		}
+	}
+	if err := shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	out, _ := replay(t, "-journal", cfg.WALDir, "-report-json", "-detect")
+	replayed := fraudViolations(t, []byte(out))
+
+	want := map[string]detect.Violations{
+		"camp-bad/qtag":       {NoServed: 1, OrphanOutOfView: 1, ImpossibleDwell: 1, OutOfOrder: 2},
+		"camp-bad/commercial": {NoLoaded: 1},
+	}
+	for key, w := range want {
+		if got := streaming[key]; got != w {
+			t.Errorf("GET /report: %s = %+v, want %+v", key, got, w)
+		}
+	}
+	if !reflect.DeepEqual(replayed, streaming) {
+		t.Errorf("qtag-replay violations = %+v\nGET /report's = %+v", replayed, streaming)
+	}
+	if !reflect.DeepEqual(audit, streaming) {
+		t.Errorf("qtag.Audit violations = %+v\nGET /report's = %+v", audit, streaming)
 	}
 }

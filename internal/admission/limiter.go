@@ -16,15 +16,6 @@ type LimiterConfig struct {
 	// InitialLimit is the starting limit. Default 4×MinLimit,
 	// clamped into [MinLimit, MaxLimit].
 	InitialLimit int
-	// Tolerance is how far the short-term latency EWMA may rise above
-	// the moving-minimum baseline before the limiter treats the node as
-	// past its knee and decreases multiplicatively. Default 2.0.
-	Tolerance float64
-	// Smoothing is the EWMA weight for new latency samples. Default 0.2.
-	Smoothing float64
-	// DecreaseFactor is the multiplicative backoff applied when the
-	// gradient trips. Default 0.9.
-	DecreaseFactor float64
 	// MinRTTWindow bounds how long a stale minimum is trusted: once the
 	// stored minimum is older than this, the next sample re-baselines it
 	// (bounded to at most doubling) so a permanently slower disk does
@@ -33,6 +24,11 @@ type LimiterConfig struct {
 	// Now is the clock; defaults to time.Now. Injectable for tests.
 	Now func() time.Time
 }
+
+// The gradient's shape: the latency EWMA may rise tolerance× above the
+// moving minimum before the limit backs off multiplicatively by
+// decreaseFactor; smoothing is the EWMA's weight for a new sample.
+const tolerance, smoothing, decreaseFactor = 2.0, 0.2, 0.9
 
 func (c *LimiterConfig) fill() {
 	if c.MinLimit <= 0 {
@@ -53,15 +49,6 @@ func (c *LimiterConfig) fill() {
 	if c.InitialLimit > c.MaxLimit {
 		c.InitialLimit = c.MaxLimit
 	}
-	if c.Tolerance <= 1 {
-		c.Tolerance = 2.0
-	}
-	if c.Smoothing <= 0 || c.Smoothing > 1 {
-		c.Smoothing = 0.2
-	}
-	if c.DecreaseFactor <= 0 || c.DecreaseFactor >= 1 {
-		c.DecreaseFactor = 0.9
-	}
 	if c.MinRTTWindow <= 0 {
 		c.MinRTTWindow = 10 * time.Second
 	}
@@ -73,7 +60,7 @@ func (c *LimiterConfig) fill() {
 // Limiter is a gradient/AIMD adaptive concurrency limiter in the spirit
 // of Netflix's concurrency-limits and TCP Vegas: it compares a
 // short-term EWMA of ingest latency against a decaying moving minimum
-// (the no-queueing baseline). While the EWMA stays within Tolerance of
+// (the no-queueing baseline). While the EWMA stays within tolerance of
 // the baseline, high utilization earns additive limit increases; once
 // latency gradients past the knee, the limit decreases multiplicatively.
 // Unlike a static backlog threshold, the knee is learned per machine.
@@ -132,7 +119,7 @@ func (l *Limiter) Release(latency time.Duration, observe bool) {
 	if l.shortRTT == 0 {
 		l.shortRTT = s
 	} else {
-		l.shortRTT += l.cfg.Smoothing * (s - l.shortRTT)
+		l.shortRTT += smoothing * (s - l.shortRTT)
 	}
 	now := l.cfg.Now()
 	switch {
@@ -151,9 +138,9 @@ func (l *Limiter) Release(latency time.Duration, observe bool) {
 		l.minSetAt = now
 	}
 
-	if l.shortRTT > l.minRTT*l.cfg.Tolerance {
+	if l.shortRTT > l.minRTT*tolerance {
 		// Past the knee: multiplicative decrease.
-		l.limit *= l.cfg.DecreaseFactor
+		l.limit *= decreaseFactor
 		if l.limit < float64(l.cfg.MinLimit) {
 			l.limit = float64(l.cfg.MinLimit)
 		}

@@ -53,10 +53,6 @@ type AccessLogOptions struct {
 	// request at least this slow — the flag-gated slow-request log that
 	// carries the trace ID for /debug/traces lookup.
 	SlowThreshold time.Duration
-	// SkipUserAgentPrefixes drops matching requests from the log
-	// entirely. Defaults to the cluster probe prefix ("qtag-probe/") so
-	// failure-detector traffic cannot flood the log.
-	SkipUserAgentPrefixes []string
 	// Now overrides the clock (tests).
 	Now func() time.Time
 }
@@ -77,17 +73,12 @@ func AccessLog(next http.Handler, opts AccessLogOptions) http.Handler {
 	if now == nil {
 		now = time.Now
 	}
-	skip := opts.SkipUserAgentPrefixes
-	if skip == nil {
-		skip = []string{version.ProbeUserAgentPrefix}
-	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ua := r.Header.Get("User-Agent")
-		for _, p := range skip {
-			if strings.HasPrefix(ua, p) {
-				next.ServeHTTP(w, r)
-				return
-			}
+		// Cluster probes are not logged: failure-detector traffic would
+		// flood the log.
+		if strings.HasPrefix(r.Header.Get("User-Agent"), version.ProbeUserAgentPrefix) {
+			next.ServeHTTP(w, r)
+			return
 		}
 		start := now()
 		rec := &responseRecorder{ResponseWriter: w, status: http.StatusOK}

@@ -120,12 +120,12 @@ func (f Format) Size() geom.Size {
 	return geom.Size{W: 300, H: 250}
 }
 
-// criteria returns the standard viewability criteria for the format.
-func (f Format) criteria() viewability.Criteria {
+// standard returns the format of the viewability standard f is.
+func (f Format) standard() viewability.Format {
 	if f == FormatVideo {
-		return viewability.StandardCriteria(viewability.Video)
+		return viewability.Video
 	}
-	return viewability.StandardCriteria(viewability.Display)
+	return viewability.Display
 }
 
 // Outcome records which events a run registered.
@@ -189,7 +189,7 @@ func (r *Runner) Run(test TestType, format Format, prof browser.Profile) RunResu
 	inner := outer.Root().AttachIframe(dspOrigin, geom.Rect{X: 0, Y: 0, W: size.W, H: size.H})
 	creative := inner.Root().AppendChild("creative", geom.Rect{X: 0, Y: 0, W: size.W, H: size.H})
 
-	dwell := format.criteria().Dwell
+	dwell := viewability.StandardCriteria(format.standard()).Dwell
 	actAt := dwell + 700*time.Millisecond // after the criteria are met
 	total := dwell + 2500*time.Millisecond
 
@@ -207,12 +207,8 @@ func (r *Runner) Run(test TestType, format Format, prof browser.Profile) RunResu
 		// nowhere because the tag never ran.
 		sink = beacon.SinkFunc(func(beacon.Event) error { return nil })
 	}
-	fv := viewability.Display
-	if format == FormatVideo {
-		fv = viewability.Video
-	}
 	rt := adtag.NewRuntime(page, creative, sink, adtag.Impression{
-		ID: "cert", CampaignID: "cert", Format: fv,
+		ID: "cert", CampaignID: "cert", Format: format.standard(),
 	})
 	deployed := qtag.New(r.TagConfig).Deploy(rt) == nil && !flaked
 

@@ -38,9 +38,6 @@ type FederationConfig struct {
 	// Peers maps peer ID → base URL; each is asked for its local
 	// /report.
 	Peers map[string]string
-	// PerPeerTimeout bounds each peer fetch (default 2s). A slow peer
-	// becomes a degraded entry, never a slow report.
-	PerPeerTimeout time.Duration
 	// Transport, when set, replaces the default transport (fault
 	// injection seam).
 	Transport http.RoundTripper
@@ -52,6 +49,10 @@ type FederationConfig struct {
 	Tracer *obs.Tracer
 }
 
+// perPeerTimeout bounds each peer fetch: a slow peer becomes a degraded
+// entry, never a slow report.
+const perPeerTimeout = 2 * time.Second
+
 // FederatedHandler wraps the plain single-node report handler: without
 // ?federated=1 it is exactly report.Handler; with it, the handler fans
 // out to every peer's plain /report (windows suppressed — rollup
@@ -62,9 +63,6 @@ type FederationConfig struct {
 // recurses: a two-node cluster asking each other federated reports
 // would otherwise ping-pong forever.
 func FederatedHandler(a *aggregate.Aggregator, cfg FederationConfig) http.Handler {
-	if cfg.PerPeerTimeout <= 0 {
-		cfg.PerPeerTimeout = 2 * time.Second
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -168,7 +166,7 @@ func (h *federatedHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // propagating the fetch span's traceparent when tracing is active.
 func (h *federatedHandler) fetch(ctx context.Context, baseURL, traceparent string) (report.ViewabilityReport, error) {
 	var rep report.ViewabilityReport
-	ctx, cancel := context.WithTimeout(ctx, h.cfg.PerPeerTimeout)
+	ctx, cancel := context.WithTimeout(ctx, perPeerTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/report?windows=0", nil)
 	if err != nil {

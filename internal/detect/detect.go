@@ -24,6 +24,10 @@
 //	geometry   1×1-pixel creative sizes and stacked placements (all
 //	           in-views concentrated on one publisher slot)
 //
+// The same fold is the collector's one lifecycle checker (the paper's §1,
+// §8 transparency claim): every row reports the five Violations classes;
+// the two timing ones, impossible dwell and out of order, are not scored.
+//
 // Every accumulator is commutative — counts that depend only on the
 // final deduplicated event set, never on arrival order — and scores
 // are derived from those counts at Snapshot time only. That is what
@@ -191,6 +195,7 @@ const (
 
 	dwellZeroMax  = 100 * time.Millisecond // a paired dwell at or under this is zero-dwell
 	dwellExactTol = 50 * time.Millisecond  // |dwell − dwellTarget| at or under this is exactly-threshold
+	gapTolerance  = 150 * time.Millisecond // tag sampling slack on a loaded→in-view gap: 1.5 windows of 100 ms
 )
 
 // dwellTarget is the viewability-standard dwell the "exactly at
@@ -201,10 +206,11 @@ var dwellTarget = viewability.StandardCriteria(viewability.Display).Dwell
 // An open impression is the bounded working state for one (campaign,
 // impression): an imptable.Entry in the detector's imptable.Pass — its
 // own, or an aggregator's it has joined. A solution's progress on it is
-// the pass's Loaded and Viewed bits plus two of the detector's own, net-
-// adjusting sequence flags: a violation counted on the row is un-counted
-// if the missing lifecycle event arrives late, so the final counts depend
-// only on the final event set, not arrival order.
+// the pass's Loaded and Viewed bits plus four of the detector's own: two
+// net-adjusting sequence flags — a violation counted on the row is
+// un-counted if the missing lifecycle event arrives late — and the class
+// of its loaded→in-view gap, re-counted when a late event moves the
+// format. So the final counts depend only on the final event set.
 const (
 	// srcNoLoadCounted: this source's in-view-without-loaded violation is
 	// currently counted on the row; a late loaded decrements it.
@@ -212,7 +218,20 @@ const (
 	// srcNoServeCounted: this source's beacons-without-served violation
 	// is currently counted; a late served event decrements it.
 	srcNoServeCounted
+	// srcGapUnder1s, srcGapUnder2s: the solution's loaded→in-view gap,
+	// plus gapTolerance, is under 1 s, under 2 s — an impossible dwell
+	// for a format whose standard dwell that is (dwellBit).
+	srcGapUnder1s
+	srcGapUnder2s
 )
+
+// dwellBit is the srcGapUnder bit of a format bucket's standard dwell.
+func dwellBit(format string) uint8 {
+	if viewability.StandardCriteria(viewability.FormatNamed(format)).Dwell == 2*time.Second {
+		return srcGapUnder2s
+	}
+	return srcGapUnder1s
+}
 
 // row is one campaign × solution accumulator ("dsp" for served
 // events). Every field is a commutative count or a min/max — order-
@@ -237,10 +256,12 @@ type row struct {
 	dwellZero  int64
 	dwellExact int64
 
-	// Sequence violations (net-adjusting, see srcNoLoadCounted).
-	seqNoLoad    int64
-	seqNoServe   int64
-	seqOrphanOut int64
+	// Violations (see srcNoLoadCounted and srcGapUnder1s).
+	seqNoLoad     int64
+	seqNoServe    int64
+	seqOrphanOut  int64
+	seqShortDwell int64
+	seqOutOfOrder int64
 
 	// Geometry.
 	sized     int64 // events carrying an ad size
@@ -407,6 +428,9 @@ func (d *Detector) fold(e beacon.Event, c imptable.Change) {
 	cs := d.shard(e.CampaignID)
 	cs.mu.Lock()
 	r := d.rowLocked(cs, e.CampaignID, sourceLabel(e.Source))
+	if c.Moved() {
+		regap(r.camp, &c)
+	}
 	r.events++
 	r.observeRate(bucketIndex(e.At), r.events == 1)
 	if e.Meta.AdSize != "" {
@@ -467,11 +491,43 @@ func (d *Detector) fold(e beacon.Event, c imptable.Change) {
 				r.seqOrphanOut--
 			}
 		}
+		if c.Reversed {
+			r.seqOutOfOrder++
+		}
 		r.observeDwell(c.Dwell)
 	case c.Orphan:
 		r.seqOrphanOut++
 	}
+	if c.GapPaired {
+		switch short := c.Gap + gapTolerance; {
+		case c.Gap < 0:
+			r.seqOutOfOrder++
+		case short < time.Second:
+			*ss |= srcGapUnder1s | srcGapUnder2s
+		case short < 2*time.Second:
+			*ss |= srcGapUnder2s
+		}
+		if *ss&dwellBit(c.To) != 0 {
+			r.seqShortDwell++
+		}
+	}
 	cs.mu.Unlock()
+}
+
+// regap re-counts the impossible dwells of an impression's solutions
+// under the format the event moved it to, before the event's own gap is
+// set; the rows are as for a late served event, clamps and all.
+func regap(camp *campaign, c *imptable.Change) {
+	from, to := dwellBit(c.From), dwellBit(c.To)
+	for i, n := 0, c.Table.Sources(c.Entry); i < n && from != to; i++ {
+		name, ss := c.Table.SourceAt(c.Entry, i)
+		was, now := *ss&from != 0, *ss&to != 0
+		if _, r := camp.find(name); r != nil && now && !was {
+			r.seqShortDwell++
+		} else if r != nil && was && !now && r.seqShortDwell > 0 {
+			r.seqShortDwell--
+		}
+	}
 }
 
 // ObserveDup folds one duplicate submission into the flood counters.

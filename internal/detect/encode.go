@@ -65,7 +65,16 @@ func (d *Detector) AppendSnapshotJSON(dst []byte, flagged *[]byte) ([]byte, int)
 				dst = append(append(append(dst, '"'), Detectors[i]...), `":`...)
 				dst = jsonenc.AppendFloat(dst, co[i])
 			}
-			dst = append(dst, `}}`...)
+			dst = append(dst, '}')
+			if v := r.violations(); v != (Violations{}) { // omitempty
+				sep := `,"violations":{"`
+				for i, n := range v.counts() {
+					dst = strconv.AppendInt(append(append(append(dst, sep...), violationNames[i]...), `":`...), n, 10)
+					sep = `,"`
+				}
+				dst = append(dst, '}')
+			}
+			dst = append(dst, '}')
 		}
 		cs.mu.Unlock()
 		if hit {

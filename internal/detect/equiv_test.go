@@ -72,10 +72,10 @@ func feed(subs []beacon.Event, opts Options) *Detector {
 
 // TestDetectOrderInsensitive: the same submission multiset in forward,
 // reverse, and shuffled order produces DeepEqual snapshots, all equal
-// to the batch oracle.
+// to the batch oracle — the lifecycle violation cases included.
 func TestDetectOrderInsensitive(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 0xbeef} {
-		stream := detectStream(seed, 1500)
+		stream := append(detectStream(seed, 1500), LifecycleEvents()...)
 		for _, shards := range []int{1, 4, 16} {
 			opts := equivOpts(shards)
 			want := Recompute(stream, opts).Snapshot()

@@ -22,6 +22,50 @@ type ScoreRow struct {
 	Score       float64            `json:"score"`
 	Flagged     bool               `json:"flagged"`
 	Contribs    map[string]float64 `json:"contributions"`
+	Violations  *Violations        `json:"violations,omitempty"` // nil when the row has none
+}
+
+// Violations counts a row's lifecycle violations: impressions with no
+// served event, or with an in-view but no loaded; out-of-views with no
+// in-view; in-views sooner after loaded than the format's standard dwell
+// (less 150 ms); pairs out of the protocol's order (in-view before
+// loaded, out-of-view before its in-view).
+type Violations struct {
+	NoServed        int64 `json:"no_served"`
+	NoLoaded        int64 `json:"no_loaded"`
+	OrphanOutOfView int64 `json:"orphan_out_of_view"`
+	ImpossibleDwell int64 `json:"impossible_dwell"`
+	OutOfOrder      int64 `json:"out_of_order"`
+}
+
+// violationNames are Violations' JSON keys, in field order.
+var violationNames = [...]string{"no_served", "no_loaded", "orphan_out_of_view", "impossible_dwell", "out_of_order"}
+
+func (v Violations) counts() [5]int64 {
+	return [5]int64{v.NoServed, v.NoLoaded, v.OrphanOutOfView, v.ImpossibleDwell, v.OutOfOrder}
+}
+
+func (r *row) violations() Violations {
+	return Violations{r.seqNoServe, r.seqNoLoad, r.seqOrphanOut, r.seqShortDwell, r.seqOutOfOrder}
+}
+
+// String renders the nonzero counts as "name=n"; a nil v, as "-".
+func (v *Violations) String() string {
+	if v == nil {
+		return "-"
+	}
+	s := ""
+	for i, n := range v.counts() {
+		if n != 0 {
+			s += fmt.Sprintf(" %s=%d", violationNames[i], n)
+		}
+	}
+	return strings.TrimPrefix(s, " ")
+}
+
+// Clean reports whether no row has a violation.
+func (s Snapshot) Clean() bool {
+	return !slices.ContainsFunc(s.Rows, func(r ScoreRow) bool { return r.Violations != nil })
 }
 
 // Snapshot is the detector's full deterministic state: rows sorted by
@@ -94,7 +138,7 @@ func (d *Detector) score(r *row) ScoreRow {
 	for i, name := range Detectors {
 		m[name] = c[i]
 	}
-	return ScoreRow{
+	sr := ScoreRow{
 		CampaignID:  r.camp.id,
 		Source:      r.source,
 		Events:      r.events,
@@ -104,6 +148,10 @@ func (d *Detector) score(r *row) ScoreRow {
 		Flagged:     d.flags(r, composite),
 		Contribs:    m,
 	}
+	if v := r.violations(); v != (Violations{}) {
+		sr.Violations = &v
+	}
+	return sr
 }
 
 // FlaggedCampaigns counts distinct campaigns with at least one flagged
@@ -270,15 +318,15 @@ func (s Snapshot) Text() string {
 		return "fraud: no scored rows\n"
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-24s %-12s %8s %8s %7s  %5s  %s\n",
-		"CAMPAIGN", "SOURCE", "EVENTS", "DUPS", "SCORE", "FLAG", "TOP DETECTORS")
+	fmt.Fprintf(&b, "%-24s %-12s %8s %8s %7s  %5s  %-40s  %s\n",
+		"CAMPAIGN", "SOURCE", "EVENTS", "DUPS", "SCORE", "FLAG", "TOP DETECTORS", "VIOLATIONS")
 	for _, r := range s.Rows {
 		flag := ""
 		if r.Flagged {
 			flag = "FLAG"
 		}
-		fmt.Fprintf(&b, "%-24s %-12s %8d %8d %7.2f  %5s  %s\n",
-			r.CampaignID, r.Source, r.Events, r.Dups, r.Score, flag, topContribs(r.Contribs))
+		fmt.Fprintf(&b, "%-24s %-12s %8d %8d %7.2f  %5s  %-40s  %s\n",
+			r.CampaignID, r.Source, r.Events, r.Dups, r.Score, flag, topContribs(r.Contribs), r.Violations)
 	}
 	if len(s.Flagged) > 0 {
 		fmt.Fprintf(&b, "flagged campaigns: %s\n", strings.Join(s.Flagged, ", "))

@@ -43,9 +43,12 @@ type Change struct {
 	LoadedFirst bool   // the event set the solution's Loaded bit
 	ViewedFirst bool   // …its Viewed bit
 	Dwell       time.Duration
-	Paired      bool   // the event completed an in-view/out-of-view cycle of Dwell
-	Orphan      bool   // an out-of-view whose in-view has not arrived
-	From, To    string // the format bucket (formatBucket) before and after the event
+	Paired      bool          // the event completed an in-view/out-of-view cycle of Dwell
+	Reversed    bool          // …whose out-of-view is the earlier: Dwell is 0
+	Orphan      bool          // an out-of-view whose in-view has not arrived
+	Gap         time.Duration // the solution's seq-0 in-view time less its loaded's; < 0: the in-view is the earlier
+	GapPaired   bool          // the event completed that loaded/in-view pair: Gap is set
+	From, To    string        // the format bucket (formatBucket) before and after the event
 }
 
 // Moved reports whether the event moved an open impression to another
@@ -145,12 +148,18 @@ func (p *Pass) Observe(e beacon.Event) {
 		case beacon.EventLoaded:
 			c.LoadedFirst = c.Before&Loaded == 0
 			*c.Flags |= Loaded
+			if e.Seq == 0 {
+				c.Gap, c.GapPaired = t.Gap(ent, c.Src, e.At, false)
+			}
 		case beacon.EventInView:
 			c.ViewedFirst = c.Before&Viewed == 0
 			*c.Flags |= Viewed
-			c.Dwell, c.Paired = t.InView(ent, c.Src, e.Seq, e.At)
+			if e.Seq == 0 { // first, so that the loaded stamp it pairs with frees its slot
+				c.Gap, c.GapPaired = t.Gap(ent, c.Src, e.At, true)
+			}
+			c.Dwell, c.Paired, c.Reversed = t.InView(ent, c.Src, e.Seq, e.At)
 		case beacon.EventOutOfView:
-			c.Dwell, c.Paired, c.Orphan = t.OutOfView(ent, c.Src, e.Seq, e.At)
+			c.Dwell, c.Paired, c.Reversed, c.Orphan = t.OutOfView(ent, c.Src, e.Seq, e.At)
 		}
 	}
 	for _, f := range p.folds {

@@ -489,20 +489,29 @@ func (t *Table) waiting(e *Entry) *pairing.Overflow {
 
 // InView offers the in-view of cycle (solution src, seq) to e's pending
 // stamps; see pairing.Pending.InView.
-func (t *Table) InView(e *Entry, src, seq int, at time.Time) (dwell time.Duration, paired bool) {
-	dwell, paired, spill := e.pending.InView(t.waiting(e), src, seq, at)
+func (t *Table) InView(e *Entry, src, seq int, at time.Time) (dwell time.Duration, paired, reversed bool) {
+	dwell, paired, reversed, spill := e.pending.InView(t.waiting(e), src, seq, at)
 	if spill {
-		dwell, paired, _ = e.pending.InView(&t.spill(e).pending, src, seq, at)
+		dwell, paired, reversed, _ = e.pending.InView(&t.spill(e).pending, src, seq, at)
 	}
-	return dwell, paired
+	return dwell, paired, reversed
 }
 
 // OutOfView offers the out-of-view of cycle (solution src, seq) to e's
 // pending stamps; see pairing.Pending.OutOfView.
-func (t *Table) OutOfView(e *Entry, src, seq int, at time.Time) (dwell time.Duration, paired, orphan bool) {
-	dwell, paired, orphan, spill := e.pending.OutOfView(t.waiting(e), src, seq, at)
+func (t *Table) OutOfView(e *Entry, src, seq int, at time.Time) (dwell time.Duration, paired, reversed, orphan bool) {
+	dwell, paired, reversed, orphan, spill := e.pending.OutOfView(t.waiting(e), src, seq, at)
 	if spill {
-		dwell, paired, orphan, _ = e.pending.OutOfView(&t.spill(e).pending, src, seq, at)
+		dwell, paired, reversed, orphan, _ = e.pending.OutOfView(&t.spill(e).pending, src, seq, at)
 	}
-	return dwell, paired, orphan
+	return dwell, paired, reversed, orphan
+}
+
+// Gap offers a loaded or seq-0 in-view to e's stamps; see pairing.Pending.Gap.
+func (t *Table) Gap(e *Entry, src int, at time.Time, inView bool) (gap time.Duration, paired bool) {
+	gap, paired, spill := e.pending.Gap(t.waiting(e), src, at, inView)
+	if spill {
+		gap, paired, _ = e.pending.Gap(&t.spill(e).pending, src, at, inView)
+	}
+	return gap, paired
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"qtag/internal/geom"
+	"qtag/internal/viewability"
 )
 
 // GenerateJS emits the deployable JavaScript ad tag implementing this
@@ -53,6 +54,17 @@ func GenerateJS(cfg Config, endpoint string, size geom.Size) string {
   var CRITERIA_OVERRIDE = %s;   // null -> derive from data-format
 `, endpoint, coords.String(), cfg.Layout, size.W, size.H,
 		cfg.FPSThreshold, cfg.SampleInterval.Milliseconds(), size.W, size.H, criteria)
+	// criteriaFor, from viewability's table: a test per format and, last,
+	// display's criteria (Display is 0), which any other name gets too.
+	sb.WriteString("\n  function criteriaFor(format) {\n    if (CRITERIA_OVERRIDE) return CRITERIA_OVERRIDE;\n")
+	for f := viewability.Format(viewability.NumFormats - 1); f >= viewability.Display; f-- {
+		test, c := fmt.Sprintf("if (format === '%s') ", f), viewability.StandardCriteria(f)
+		if f == viewability.Display {
+			test = ""
+		}
+		fmt.Fprintf(&sb, "    %sreturn { area: %g, dwellMs: %d };\n", test, c.AreaFraction, c.Dwell.Milliseconds())
+	}
+	sb.WriteString("  }\n")
 	sb.WriteString(jsBody)
 	return sb.String()
 }
@@ -69,13 +81,6 @@ const jsHeader = `/*!
 // rectangle-inference estimator (AreaEstimator.rectInfer / inferEdge /
 // nextLevel), and the deployment state machine (deployment.sample).
 const jsBody = `
-  function criteriaFor(format) {
-    if (CRITERIA_OVERRIDE) return CRITERIA_OVERRIDE;
-    if (format === 'video') return { area: 0.5, dwellMs: 2000 };
-    if (format === 'large-display') return { area: 0.3, dwellMs: 1000 };
-    return { area: 0.5, dwellMs: 1000 };
-  }
-
   var script = document.currentScript || (function () {
     var ss = document.getElementsByTagName('script');
     return ss[ss.length - 1];

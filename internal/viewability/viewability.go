@@ -18,6 +18,7 @@ package viewability
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"qtag/internal/geom"
@@ -41,18 +42,22 @@ const (
 // MRC guidelines).
 const LargeDisplayMinArea = 242500.0
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer: the name beacons carry in Meta.Format.
 func (f Format) String() string {
-	switch f {
-	case Display:
-		return "display"
-	case LargeDisplay:
-		return "large-display"
-	case Video:
-		return "video"
-	default:
+	if f < 0 || int(f) >= len(standard) {
 		return fmt.Sprintf("Format(%d)", int(f))
 	}
+	return standard[f].name
+}
+
+// NumFormats is how many formats the standard names.
+const NumFormats = int(Video) + 1
+
+// FormatNamed returns the format a beacon's Meta.Format names: "display",
+// "large-display" or "video"; any other name, "" included, is display.
+func FormatNamed(name string) Format {
+	i := slices.IndexFunc(standard[:], func(s standardEntry) bool { return s.name == name })
+	return max(Format(i), Display)
 }
 
 // Criteria is the pair of conditions an impression must hold to be viewed:
@@ -72,16 +77,28 @@ func (c Criteria) String() string {
 	return fmt.Sprintf("≥%.0f%% for ≥%v", c.AreaFraction*100, c.Dwell)
 }
 
-// StandardCriteria returns the IAB/MRC criteria for the given format.
+// standardEntry is a format's name and criteria.
+type standardEntry struct {
+	name string
+	Criteria
+}
+
+// standard is the MRC criteria table, by format: the one place they are
+// written. The collector reads it through StandardCriteria and
+// FormatNamed; GenerateJS renders it into the deployed tag.
+var standard = [NumFormats]standardEntry{
+	Display:      {"display", Criteria{AreaFraction: 0.50, Dwell: 1 * time.Second}},
+	LargeDisplay: {"large-display", Criteria{AreaFraction: 0.30, Dwell: 1 * time.Second}},
+	Video:        {"video", Criteria{AreaFraction: 0.50, Dwell: 2 * time.Second}},
+}
+
+// StandardCriteria returns the IAB/MRC criteria for the given format; a
+// format the standard does not name gets display's.
 func StandardCriteria(f Format) Criteria {
-	switch f {
-	case LargeDisplay:
-		return Criteria{AreaFraction: 0.30, Dwell: 1 * time.Second}
-	case Video:
-		return Criteria{AreaFraction: 0.50, Dwell: 2 * time.Second}
-	default:
-		return Criteria{AreaFraction: 0.50, Dwell: 1 * time.Second}
+	if f < 0 || int(f) >= len(standard) {
+		f = Display
 	}
+	return standard[f].Criteria
 }
 
 // ClassifySize returns the format of a creative given its size and whether

@@ -28,13 +28,15 @@
 package qtag
 
 import (
+	"math"
+
 	"qtag/internal/adtag"
 	"qtag/internal/analytics"
-	"qtag/internal/audit"
 	"qtag/internal/beacon"
 	"qtag/internal/campaign"
 	"qtag/internal/cert"
 	"qtag/internal/commercial"
+	"qtag/internal/detect"
 	"qtag/internal/economics"
 	"qtag/internal/layouteval"
 	"qtag/internal/qtag"
@@ -205,16 +207,21 @@ var PaperLargeDSP = economics.PaperLargeSize
 // the Go tag.
 var GenerateJS = qtag.GenerateJS
 
-// AuditReport is the outcome of a beacon-stream consistency audit.
-type AuditReport = audit.Report
+// AuditReport is a lifecycle check's outcome: the detector's snapshot,
+// each row with its Violations; Clean reports whether no row has one.
+type AuditReport = detect.Snapshot
 
-// AuditOptions tunes the audit.
-type AuditOptions = audit.Options
-
-// Audit verifies a collector's beacon stream against the protocol and
-// the standard's physical timing constraints — the operational form of
-// the paper's transparency/auditability claim.
-func Audit(c *Collector, opts AuditOptions) *AuditReport { return audit.Run(c, opts) }
+// Audit checks a collector's beacon stream against the protocol and the
+// standard's timing — the paper's transparency claim made operational —
+// by replaying c.Events() through a fresh detector: the fold qtag-server
+// runs on every beacon and `qtag-replay -report-json -detect` over a WAL.
+func Audit(c *Collector) AuditReport {
+	d := detect.New(detect.Options{TTL: -1, MaxRows: math.MaxInt})
+	for _, e := range c.Events() {
+		d.Observe(e)
+	}
+	return d.Snapshot()
+}
 
 // StressResult aggregates a randomized differential stress batch.
 type StressResult = stress.BatchResult
