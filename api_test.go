@@ -36,7 +36,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.Advance(1500 * time.Millisecond)
-	if collector.InView("c1", beacon.SourceQTag) != 1 {
+	if collector.Counts("c1").Viewed[beacon.SourceQTag] != 1 {
 		t.Error("in-view missing through the public API")
 	}
 }
@@ -158,11 +158,11 @@ func TestFacadeReproductionEntryPoints(t *testing.T) {
 func TestJournaledCollectionServer(t *testing.T) {
 	dir := t.TempDir()
 	store := qtagapi.NewCollector()
-	journal, _, err := beacon.OpenDurable(wal.Options{Dir: dir}, store)
+	journal, _, err := beacon.OpenDurable(wal.Options{Dir: dir}, store.Store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	server := beacon.NewServerWithSink(store, beacon.Tee(store, journal))
+	server := beacon.NewServerWithSink(store.Store, beacon.Tee(store.Store, journal))
 	srv := httptest.NewServer(server)
 	defer srv.Close()
 
@@ -184,7 +184,7 @@ func TestJournaledCollectionServer(t *testing.T) {
 	if err != nil || rec.Replayed != 3 {
 		t.Fatalf("replay: %+v %v", rec, err)
 	}
-	if restored.InView("c", beacon.SourceQTag) != 1 {
+	if restored.Counts("c").Viewed[beacon.SourceQTag] != 1 {
 		t.Error("restored collector wrong")
 	}
 }

@@ -53,7 +53,6 @@ import (
 	"os"
 
 	"qtag/internal/aggregate"
-	"qtag/internal/analytics"
 	"qtag/internal/beacon"
 	"qtag/internal/detect"
 	"qtag/internal/report"
@@ -81,8 +80,7 @@ func main() {
 	// Rebuild the streaming aggregates alongside the store: the observer
 	// fires once per first-seen event during replay, exactly as it does
 	// at ingest time, so -report proves the WAL alone reproduces them.
-	agg := aggregate.New(aggregate.Options{TTL: -1})
-	store.AddObserver(agg.Observe)
+	agg := aggregate.Attach(store, aggregate.Options{TTL: -1})
 	// The fraud layer hooks both seams: first-seen events, through the
 	// aggregator's pass it joins, and duplicate submissions. The journal
 	// holds every accepted submission, so the store's idempotent replay
@@ -167,24 +165,16 @@ func main() {
 		return
 	}
 
-	ids := store.CampaignIDs()
+	ids := agg.CampaignIDs()
 	rows := make([][]string, 0, len(ids))
 	for _, id := range ids {
-		served := store.Served(id)
-		ql := store.Loaded(id, beacon.SourceQTag)
-		qi := store.InView(id, beacon.SourceQTag)
-		m, v := 0.0, 0.0
-		if served > 0 {
-			m = float64(ql) / float64(served)
-		}
-		if ql > 0 {
-			v = float64(qi) / float64(ql)
-		}
-		rows = append(rows, []string{id, fmt.Sprint(served), report.Percent(m), report.Percent(v)})
+		c := agg.Totals(id)
+		rows = append(rows, []string{id, fmt.Sprint(c.Served),
+			report.Percent(c.MeasuredRate(beacon.SourceQTag)), report.Percent(c.ViewabilityRate(beacon.SourceQTag))})
 	}
 	fmt.Print(report.Table([]string{"Campaign", "Served", "Q-Tag measured", "Q-Tag viewability"}, rows))
 
-	if slices := analytics.BreakdownBy(store, analytics.ByOS); len(slices) > 0 {
+	if slices, _ := report.Breakdown(agg, "os"); len(slices) > 0 {
 		fmt.Println("\nby OS:")
 		for _, s := range slices {
 			fmt.Printf("  %-10s served=%6d qtag=%s commercial=%s\n",

@@ -182,8 +182,8 @@ func fraudViolations(t *testing.T, body []byte) map[string]detect.Violations {
 // The three faces of the one lifecycle checker agree: a -detect stack's
 // GET /report, qtag-replay -report-json -detect over its WAL directory,
 // and qtag.Audit over its store report the same violations for a stream
-// with every class injected beside honest traffic — the honest actors'
-// own short loaded→in-view gaps included.
+// with every class injected beside honest traffic, on which none of
+// them finds a violation.
 func TestStreamingReplayAndAuditAgree(t *testing.T) {
 	cfg := collector.DefaultConfig()
 	cfg.WALDir = filepath.Join(t.TempDir(), "beacons.wal")
@@ -221,6 +221,11 @@ func TestStreamingReplayAndAuditAgree(t *testing.T) {
 	for key, w := range want {
 		if got := streaming[key]; got != w {
 			t.Errorf("GET /report: %s = %+v, want %+v", key, got, w)
+		}
+	}
+	for key, got := range streaming {
+		if _, injected := want[key]; !injected {
+			t.Errorf("GET /report: honest row %s has violations %+v, want none", key, got)
 		}
 	}
 	if !reflect.DeepEqual(replayed, streaming) {

@@ -3,11 +3,16 @@
 //
 // Endpoints:
 //
-//	POST /v1/events               ingest one event or a JSON array
-//	GET  /v1/stats                global measured/viewability rates
-//	GET  /v1/campaigns/{id}/stats per-campaign rates
+//	POST /v1/events               ingest one event, a JSON array or a
+//	                              binary batch
 //	GET  /report                  streaming campaign viewability report
 //	                              (JSON; ?format=prom for Prometheus text)
+//	GET  /v1/stats                every campaign's counts and rates
+//	GET  /v1/campaigns/{id}/stats one campaign's counts and rates
+//	GET  /v1/breakdown?dim=os|site-type  rates by OS or by site type
+//	                              (the last four behind -stats-key, and
+//	                              all counting impressions, from the one
+//	                              aggregator)
 //	GET  /metrics                 Prometheus text-format metrics
 //	GET  /healthz                 liveness (200 from the moment the
 //	                              socket binds, including during WAL
@@ -30,9 +35,11 @@
 //     on boot and bounded by snapshot + compaction; -durable-sync puts it
 //     on the ack path, -group-commit amortizes its fsyncs; a full disk
 //     degrades (breaker, qtag_wal_disk_full), never crashes. DESIGN §9–10.
-//   - GET /report: per-campaign × per-format viewed / not-viewed /
-//     not-measured splits from accumulators fed at ingest time and rebuilt
-//     by WAL replay, memory bounded by -report-ttl. DESIGN §11.
+//   - GET /report, /v1/stats, /v1/breakdown: per-campaign × per-format
+//     viewed / not-viewed / not-measured splits and the Table 2 slices,
+//     from the one aggregator fed at ingest time and rebuilt by WAL
+//     replay, memory bounded by -report-ttl; -stats-key guards them.
+//     The binary links no simulator package (deps_test.go). DESIGN §11.
 //   - -peers (with -node-id, -handoff-dir): a coordinator-free cluster —
 //     consistent-hash ring, forwarding, hinted handoff, federated
 //     /report?federated=1. DESIGN §12.
@@ -166,7 +173,7 @@ func bindFlags(fs *flag.FlagSet, o *options) {
 	fs.Int64Var(&c.MaxBodyBytes, "max-body-bytes", c.MaxBodyBytes, "reject POST /v1/events bodies larger than this with 413")
 	fs.BoolVar(&c.GroupCommit, "group-commit", c.GroupCommit, "coalesce concurrent WAL appends into shared fsyncs")
 	fs.BoolVar(&c.DurableSync, "durable-sync", c.DurableSync, "acknowledge ingestion only after events are journaled (requires -wal-dir)")
-	fs.StringVar(&c.StatsKey, "stats-key", c.StatsKey, "operator bearer token protecting the stats endpoints (empty = open)")
+	fs.StringVar(&c.StatsKey, "stats-key", c.StatsKey, "operator bearer token protecting /report and the stats endpoints (empty = open)")
 	fs.IntVar(&c.ShedPending, "shed-pending", c.ShedPending, "the admission controller's hard backstop: shed ingestion with 503 while this many events await durability — WAL records not yet fsynced plus queued events (0 = disabled; needs -wal-dir and -admission)")
 	fs.BoolVar(&c.Admission, "admission", c.Admission, "adaptive admission control: gradient concurrency limiter, priority classes and degraded modes (false = no overload control)")
 	fs.Int64Var(&c.DiskLowBytes, "disk-low-bytes", c.DiskLowBytes, "WAL-disk low watermark: relax fsync to batch below this free space (0 disables; needs -wal-dir and -admission)")

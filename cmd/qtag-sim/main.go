@@ -34,6 +34,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -52,36 +53,43 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the -pprof listener's DefaultServeMux
 )
 
-func main() {
-	campaigns := flag.Int("campaigns", 99, "number of campaigns (paper: 99)")
-	impressions := flag.Int("impressions", 120, "mean impressions per campaign")
-	both := flag.Int("both", 4, "campaigns instrumented with both tags (paper: 4)")
-	bothFactor := flag.Float64("both-factor", 3.9, "size multiplier for both-tag campaigns")
-	seed := flag.Uint64("seed", 2019, "simulation seed")
-	serverURL := flag.String("server", "", "optional collection-server URL to mirror beacons to")
-	binaryBeacons := flag.Bool("binary-beacons", false, "mirror beacons with the compact binary codec")
-	breakdown := flag.Bool("breakdown", false, "print the per-campaign table")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "campaigns simulated concurrently")
-	faultDrop := flag.Float64("fault-drop", 0, "probability a tag beacon is silently lost in transit")
-	faultErr := flag.Float64("fault-err", 0, "probability a tag beacon submission fails with an error")
-	useQueue := flag.Bool("queue", false, "buffer the -server mirror through a store-and-forward queue")
-	queueCap := flag.Int("queue-cap", 4096, "mirror queue capacity (events)")
-	useBreaker := flag.Bool("breaker", false, "wrap the -server mirror in a circuit breaker")
-	breakerThreshold := flag.Int("breaker-threshold", beacon.DefaultBreakerThreshold, "consecutive failures before the mirror breaker opens")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "mirror breaker cool-down")
-	httpDrop := flag.Float64("fault-http-drop", 0, "probability a mirror HTTP request is dropped on the wire")
-	http5xx := flag.Float64("fault-http-5xx", 0, "probability a mirror HTTP request is answered with an injected 503")
-	httpLatency := flag.Duration("fault-http-latency", 0, "max injected latency per mirror HTTP request")
-	metricsDump := flag.Bool("metrics", false, "print the run's metrics in Prometheus text format at the end")
-	traceRun := flag.Bool("trace", false, "record a per-impression lifecycle trace and print its summary")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060; empty = off)")
-	logLevel := flag.String("log-level", "info", "log level (debug, info, warn, error)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is the command: it parses args, runs the simulation and prints the
+// report to stdout, logging to stderr, and returns the exit code.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("qtag-sim", flag.ContinueOnError)
+	campaigns := fs.Int("campaigns", 99, "number of campaigns (paper: 99)")
+	impressions := fs.Int("impressions", 120, "mean impressions per campaign")
+	both := fs.Int("both", 4, "campaigns instrumented with both tags (paper: 4)")
+	bothFactor := fs.Float64("both-factor", 3.9, "size multiplier for both-tag campaigns")
+	seed := fs.Uint64("seed", 2019, "simulation seed")
+	serverURL := fs.String("server", "", "optional collection-server URL to mirror beacons to")
+	binaryBeacons := fs.Bool("binary-beacons", false, "mirror beacons with the compact binary codec")
+	breakdown := fs.Bool("breakdown", false, "print the per-campaign table")
+	parallel := fs.Int("parallel", runtime.NumCPU(), "campaigns simulated concurrently")
+	faultDrop := fs.Float64("fault-drop", 0, "probability a tag beacon is silently lost in transit")
+	faultErr := fs.Float64("fault-err", 0, "probability a tag beacon submission fails with an error")
+	useQueue := fs.Bool("queue", false, "buffer the -server mirror through a store-and-forward queue")
+	queueCap := fs.Int("queue-cap", 4096, "mirror queue capacity (events)")
+	useBreaker := fs.Bool("breaker", false, "wrap the -server mirror in a circuit breaker")
+	breakerThreshold := fs.Int("breaker-threshold", beacon.DefaultBreakerThreshold, "consecutive failures before the mirror breaker opens")
+	breakerCooldown := fs.Duration("breaker-cooldown", 5*time.Second, "mirror breaker cool-down")
+	httpDrop := fs.Float64("fault-http-drop", 0, "probability a mirror HTTP request is dropped on the wire")
+	http5xx := fs.Float64("fault-http-5xx", 0, "probability a mirror HTTP request is answered with an injected 503")
+	httpLatency := fs.Duration("fault-http-latency", 0, "max injected latency per mirror HTTP request")
+	metricsDump := fs.Bool("metrics", false, "print the run's metrics in Prometheus text format at the end")
+	traceRun := fs.Bool("trace", false, "record a per-impression lifecycle trace and print its summary")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060; empty = off)")
+	logLevel := fs.String("log-level", "info", "log level (debug, info, warn, error)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var lvl slog.Level
 	if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
 		slog.Error("bad -log-level", "value", *logLevel, "err", err)
-		os.Exit(2)
+		return 2
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
 	slog.SetDefault(logger)
@@ -153,7 +161,7 @@ func main() {
 	for _, c := range res.Campaigns {
 		served += c.Served
 	}
-	fmt.Printf("simulated %d campaigns, %d impressions (seed %d)\n\n", len(res.Campaigns), served, *seed)
+	fmt.Fprintf(stdout, "simulated %d campaigns, %d impressions (seed %d)\n\n", len(res.Campaigns), served, *seed)
 
 	if cfg.TagFaults.Enabled() {
 		var drops, errs, loaded int
@@ -163,8 +171,8 @@ func main() {
 			loaded += c.QTagLoaded
 		}
 		notMeasured := served - loaded
-		fmt.Printf("fault injection (%s): beacons dropped=%d errored=%d\n", cfg.TagFaults, drops, errs)
-		fmt.Printf("  q-tag not measured: %d of %d served (%.1f%%)\n\n", notMeasured, served,
+		fmt.Fprintf(stdout, "fault injection (%s): beacons dropped=%d errored=%d\n", cfg.TagFaults, drops, errs)
+		fmt.Fprintf(stdout, "  q-tag not measured: %d of %d served (%.1f%%)\n\n", notMeasured, served,
 			100*float64(notMeasured)/float64(max(served, 1)))
 	}
 
@@ -172,16 +180,16 @@ func main() {
 	q := fig[beacon.SourceQTag]
 	c := fig[beacon.SourceCommercial]
 
-	fmt.Println("Figure 3(a) — measured rate (mean ± std across campaigns)")
-	fmt.Println("  " + report.Bar("Q-Tag", q.MeanMeasured, 1, 40) + fmt.Sprintf(" ±%.1f", q.StdMeasured*100))
-	fmt.Println("  " + report.Bar("Commercial", c.MeanMeasured, 1, 40) + fmt.Sprintf(" ±%.1f", c.StdMeasured*100))
-	fmt.Println()
-	fmt.Println("Figure 3(b) — viewability rate (mean ± std across campaigns)")
-	fmt.Println("  " + report.Bar("Q-Tag", q.MeanViewability, 1, 40) + fmt.Sprintf(" ±%.1f", q.StdViewability*100))
-	fmt.Println("  " + report.Bar("Commercial", c.MeanViewability, 1, 40) + fmt.Sprintf(" ±%.1f", c.StdViewability*100))
-	fmt.Println()
+	fmt.Fprintln(stdout, "Figure 3(a) — measured rate (mean ± std across campaigns)")
+	fmt.Fprintln(stdout, "  "+report.Bar("Q-Tag", q.MeanMeasured, 1, 40)+fmt.Sprintf(" ±%.1f", q.StdMeasured*100))
+	fmt.Fprintln(stdout, "  "+report.Bar("Commercial", c.MeanMeasured, 1, 40)+fmt.Sprintf(" ±%.1f", c.StdMeasured*100))
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "Figure 3(b) — viewability rate (mean ± std across campaigns)")
+	fmt.Fprintln(stdout, "  "+report.Bar("Q-Tag", q.MeanViewability, 1, 40)+fmt.Sprintf(" ±%.1f", q.StdViewability*100))
+	fmt.Fprintln(stdout, "  "+report.Bar("Commercial", c.MeanViewability, 1, 40)+fmt.Sprintf(" ±%.1f", c.StdViewability*100))
+	fmt.Fprintln(stdout)
 
-	fmt.Println("Table 2 — measured rate by site type and OS (mobile impressions, both-tag campaigns)")
+	fmt.Fprintln(stdout, "Table 2 — measured rate by site type and OS (mobile impressions, both-tag campaigns)")
 	rows := make([][]string, 0, 4)
 	for _, cell := range analytics.Table2ForResult(res) {
 		rows = append(rows, []string{
@@ -190,20 +198,20 @@ func main() {
 			fmt.Sprint(cell.Served),
 		})
 	}
-	fmt.Print(report.Table([]string{"Site type", "OS", "Q-Tag", "Commercial", "n"}, rows))
-	fmt.Println()
+	fmt.Fprint(stdout, report.Table([]string{"Site type", "OS", "Q-Tag", "Commercial", "n"}, rows))
+	fmt.Fprintln(stdout)
 
-	fmt.Println("§6.1 — economics at the measured rates of this run")
+	fmt.Fprintln(stdout, "§6.1 — economics at the measured rates of this run")
 	params := economics.PaperMidSize()
 	params.MeasuredRateQTag = q.MeanMeasured
 	params.MeasuredRateCommercial = c.MeanMeasured
 	params.ViewabilityRate = q.MeanViewability
-	fmt.Printf("  mid-size DSP (100M ads/day): %s\n", economics.Compute(params))
+	fmt.Fprintf(stdout, "  mid-size DSP (100M ads/day): %s\n", economics.Compute(params))
 	params.AdsPerDay = 1e9
-	fmt.Printf("  large DSP    (1B ads/day):  %s\n", economics.Compute(params))
+	fmt.Fprintf(stdout, "  large DSP    (1B ads/day):  %s\n", economics.Compute(params))
 
 	if *breakdown {
-		fmt.Println("\nPer-campaign breakdown")
+		fmt.Fprintln(stdout, "\nPer-campaign breakdown")
 		rows = rows[:0]
 		for _, r := range analytics.Breakdown(res) {
 			comm := "-"
@@ -215,7 +223,7 @@ func main() {
 				report.Percent(r.QTagMeasured), report.Percent(r.QTagViewability), comm,
 			})
 		}
-		fmt.Print(report.Table([]string{"Campaign", "Served", "Q-Tag meas.", "Q-Tag view.", "Comm. meas."}, rows))
+		fmt.Fprint(stdout, report.Table([]string{"Campaign", "Served", "Q-Tag meas.", "Q-Tag view.", "Comm. meas."}, rows))
 	}
 
 	if httpSink != nil {
@@ -233,8 +241,8 @@ func main() {
 	}
 
 	if *traceRun && res.Trace != nil {
-		fmt.Println("\nLifecycle trace (deterministic for a given seed at any -parallel)")
-		fmt.Println(res.Trace.Summary())
+		fmt.Fprintln(stdout, "\nLifecycle trace (deterministic for a given seed at any -parallel)")
+		fmt.Fprintln(stdout, res.Trace.Summary())
 	}
 
 	if *metricsDump {
@@ -255,12 +263,13 @@ func main() {
 			func() int64 { return inviewTotal })
 		reg.GaugeFunc("qtag_sim_store_events", "Beacon events held by the run's in-memory store.",
 			func() float64 { return float64(res.Store.Len()) })
-		fmt.Println("\n# end-of-run metrics")
-		fmt.Print(reg.Render())
+		fmt.Fprintln(stdout, "\n# end-of-run metrics")
+		fmt.Fprint(stdout, reg.Render())
 	}
 
 	if q.MeanMeasured <= c.MeanMeasured {
 		fmt.Fprintln(os.Stderr, "WARNING: expected Q-Tag to out-measure the commercial baseline")
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -33,8 +33,8 @@ func Example_measureOneImpression() {
 	}
 	clock.Advance(1500 * time.Millisecond) // the user looks at the page
 
-	fmt.Println("measured:", collector.Loaded("launch", "qtag") == 1)
-	fmt.Println("viewed:  ", collector.InView("launch", "qtag") == 1)
+	fmt.Println("measured:", collector.Counts("launch").Measured["qtag"] == 1)
+	fmt.Println("viewed:  ", collector.Counts("launch").Viewed["qtag"] == 1)
 	// Output:
 	// measured: true
 	// viewed:   true

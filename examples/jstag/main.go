@@ -74,6 +74,6 @@ func main() {
 		fmt.Printf("  %s\n", e)
 	}
 	fmt.Printf("\ncampaign camp-7: measured=%v viewed=%v\n",
-		collector.Loaded("camp-7", beacon.SourceQTag) > 0,
-		collector.InView("camp-7", beacon.SourceQTag) > 0)
+		collector.Counts("camp-7").Measured[beacon.SourceQTag] > 0,
+		collector.Counts("camp-7").Viewed[beacon.SourceQTag] > 0)
 }

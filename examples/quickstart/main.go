@@ -68,6 +68,6 @@ func main() {
 		fmt.Printf("  %-12s at %6v\n", e.Type, e.At.Sub(simclock.Epoch))
 	}
 	fmt.Printf("\nimpression measured: %v, viewed: %v\n",
-		collector.Loaded("quickstart", "qtag") > 0,
-		collector.InView("quickstart", "qtag") > 0)
+		collector.Counts("quickstart").Measured["qtag"] > 0,
+		collector.Counts("quickstart").Viewed["qtag"] > 0)
 }

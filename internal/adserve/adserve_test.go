@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"qtag/internal/adtag"
+	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
 	"qtag/internal/browser"
 	"qtag/internal/commercial"
@@ -16,6 +17,12 @@ import (
 )
 
 const pub = dom.Origin("https://publisher.example")
+
+// counted returns a store with an aggregator counting its impressions.
+func counted() (*beacon.Store, *aggregate.Aggregator) {
+	store := beacon.NewStore()
+	return store, aggregate.Attach(store, aggregate.Options{TTL: -1})
+}
 
 // stubBidder returns a fixed bid.
 type stubBidder struct {
@@ -123,7 +130,7 @@ func TestAuctionTieBreaksByRegistrationOrder(t *testing.T) {
 func TestDeliverBuildsCrossDomainSandwich(t *testing.T) {
 	x := NewExchange("doubleclick")
 	x.Register(&stubBidder{name: "winner", price: 1})
-	store := beacon.NewStore()
+	store, agg := counted()
 	d := &Deliverer{Exchange: x, ServerSink: store, TagSink: store}
 	_, _, page, slot := newPage(t, chrome())
 	del, err := d.Deliver(&SlotRequest{Page: page, Slot: slot})
@@ -149,7 +156,7 @@ func TestDeliverBuildsCrossDomainSandwich(t *testing.T) {
 		t.Errorf("creative absolute rect = %v", got)
 	}
 	// Served event logged with the impression identity.
-	if store.Served("camp-winner") != 1 {
+	if agg.Totals("camp-winner").Served != 1 {
 		t.Error("served event missing")
 	}
 }
@@ -157,7 +164,7 @@ func TestDeliverBuildsCrossDomainSandwich(t *testing.T) {
 func TestDeliverDeploysQTag(t *testing.T) {
 	x := NewExchange("mopub")
 	x.Register(&stubBidder{name: "dsp", price: 1, tags: []adtag.Tag{qtag.New(qtag.Config{})}})
-	store := beacon.NewStore()
+	store, agg := counted()
 	d := &Deliverer{Exchange: x, ServerSink: store, TagSink: store}
 	clock, _, page, slot := newPage(t, chrome())
 	del, err := d.Deliver(&SlotRequest{Page: page, Slot: slot})
@@ -167,11 +174,11 @@ func TestDeliverDeploysQTag(t *testing.T) {
 	if len(del.Runtimes) != 1 || len(del.TagErrors) != 0 {
 		t.Fatalf("runtimes=%d errors=%v", len(del.Runtimes), del.TagErrors)
 	}
-	if store.Loaded("camp-dsp", beacon.SourceQTag) != 1 {
+	if agg.Totals("camp-dsp").Measured[beacon.SourceQTag] != 1 {
 		t.Error("qtag loaded beacon missing")
 	}
 	clock.Advance(1500 * time.Millisecond)
-	if store.InView("camp-dsp", beacon.SourceQTag) != 1 {
+	if agg.Totals("camp-dsp").Viewed[beacon.SourceQTag] != 1 {
 		t.Error("qtag in-view missing for an above-the-fold delivery")
 	}
 	del.Close()
@@ -180,7 +187,7 @@ func TestDeliverDeploysQTag(t *testing.T) {
 func TestDeliverTagLoadFailure(t *testing.T) {
 	x := NewExchange("axonix")
 	x.Register(&stubBidder{name: "dsp", price: 1, tags: []adtag.Tag{qtag.New(qtag.Config{})}})
-	store := beacon.NewStore()
+	store, agg := counted()
 	d := &Deliverer{
 		Exchange: x, ServerSink: store, TagSink: store,
 		TagLoadFails: func(adtag.Tag) bool { return true },
@@ -193,10 +200,10 @@ func TestDeliverTagLoadFailure(t *testing.T) {
 	if !errors.Is(del.TagErrors["qtag"], ErrTagLoadFailed) {
 		t.Errorf("tag error = %v", del.TagErrors["qtag"])
 	}
-	if store.Served("camp-dsp") != 1 {
+	if agg.Totals("camp-dsp").Served != 1 {
 		t.Error("served must be logged even when the tag fails to load")
 	}
-	if store.Loaded("camp-dsp", beacon.SourceQTag) != 0 {
+	if agg.Totals("camp-dsp").Measured[beacon.SourceQTag] != 0 {
 		t.Error("failed tag must not check in")
 	}
 }
@@ -313,7 +320,7 @@ func TestBothTagsOnOneImpression(t *testing.T) {
 		qtag.New(qtag.Config{}),
 		commercial.New(commercial.Config{}),
 	}})
-	store := beacon.NewStore()
+	store, agg := counted()
 	d := &Deliverer{Exchange: x, ServerSink: store, TagSink: store}
 	clock, _, page, slot := newPage(t, chrome())
 	del, err := d.Deliver(&SlotRequest{Page: page, Slot: slot})
@@ -324,17 +331,16 @@ func TestBothTagsOnOneImpression(t *testing.T) {
 		t.Fatalf("runtimes = %d, want both tags", len(del.Runtimes))
 	}
 	clock.Advance(2 * time.Second)
-	if store.InView("camp-dsp", beacon.SourceQTag) != 1 {
+	if agg.Totals("camp-dsp").Viewed[beacon.SourceQTag] != 1 {
 		t.Error("qtag in-view missing")
 	}
-	if store.InView("camp-dsp", beacon.SourceCommercial) != 1 {
+	if agg.Totals("camp-dsp").Viewed[beacon.SourceCommercial] != 1 {
 		t.Error("commercial in-view missing")
 	}
 	// Scroll away: both report out-of-view.
 	page.ScrollTo(geom.Point{Y: 3000})
 	clock.Advance(time.Second)
-	outs := store.Count(func(k beacon.CounterKey) bool { return k.Type == beacon.EventOutOfView })
-	if outs != 2 {
-		t.Errorf("out-of-view count = %d, want 2", outs)
+	if outs := agg.DwellPairs(); outs != 2 {
+		t.Errorf("in-view cycles closed by an out-of-view = %d, want 2", outs)
 	}
 }

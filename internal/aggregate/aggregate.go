@@ -117,14 +117,16 @@ type row struct {
 }
 
 // campaign is one campaign's accumulators, in the order GET /report
-// lists them: its rows by format, and its dwell histograms by source.
-// Dwell is not sliced by format: an impression may migrate format
-// buckets when a late event carries a different format, and histograms
-// cannot be un-observed.
+// lists them: its rows by format, and its dwell histograms by source;
+// and its Table 2 slices, which the report leaves out. Dwell is not
+// sliced by format: an impression may migrate format buckets when a
+// late event carries a different format, and histograms cannot be
+// un-observed.
 type campaign struct {
-	id    string // owned
-	rows  []*row
-	dwell []dwellRow
+	id     string // owned
+	rows   []*row
+	dwell  []dwellRow
+	slices []slice
 }
 
 // dwellRow is one campaign × source dwell histogram.
@@ -155,9 +157,10 @@ type Aggregator struct {
 	mask  uint32
 
 	// dir is every campaign in id order, for the report to walk; walkMu
-	// keeps walks from overlapping.
-	walkMu sync.Mutex
-	dir    keydir.Dir[campaign]
+	// keeps walks from overlapping. campaigns counts them.
+	walkMu    sync.Mutex
+	dir       keydir.Dir[campaign]
+	campaigns atomic.Int64
 
 	winMu   sync.Mutex
 	windows windowRing
@@ -194,6 +197,15 @@ func New(opts Options) *Aggregator {
 	return a
 }
 
+// Attach returns a new aggregator fed by store's first-seen events, as
+// qtag-server wires its own: the way to count what a store takes in.
+// Like Store.AddObserver, call it before the store ingests.
+func Attach(store *beacon.Store, opts Options) *Aggregator {
+	a := New(opts)
+	store.AddObserver(a.Observe)
+	return a
+}
+
 // Pass returns the aggregator's open-impression pass, for a detector to
 // join (detect.Detector.Join): Observe then folds each event into both
 // from one lookup of its impression.
@@ -208,8 +220,8 @@ func (a *Aggregator) Pass() *imptable.Pass { return a.pass }
 func (a *Aggregator) Observe(e beacon.Event) { a.pass.Observe(e) }
 
 // fold is the aggregator's share of its pass: the campaign × format row
-// updates for what the event changed, under the campaign shard's lock
-// (nested in the pass shard's, always).
+// and site type × OS slice updates for what the event changed, under the
+// campaign shard's lock (nested in the pass shard's, always).
 func (a *Aggregator) fold(e beacon.Event, c imptable.Change) {
 	cs := a.shard(e.CampaignID)
 	cs.mu.Lock()
@@ -218,6 +230,7 @@ func (a *Aggregator) fold(e beacon.Event, c imptable.Change) {
 		camp = &campaign{id: strings.Clone(e.CampaignID)}
 		cs.camps[camp.id] = camp
 		a.dir.Add(camp)
+		a.campaigns.Add(1)
 	}
 	if c.Moved() {
 		// Move the impression's pre-event contributions first; the deltas
@@ -230,18 +243,21 @@ func (a *Aggregator) fold(e beacon.Event, c imptable.Change) {
 	}
 	if c.ServedFirst {
 		r.served++
+		camp.slice(e.Meta).served++
 	}
 	if c.LoadedFirst || c.ViewedFirst {
 		name, _ := c.Table.SourceAt(c.Entry, c.Src) // the table's copy, not the event's
-		sc := r.srcCounts(beacon.Source(name))
+		sc, sl := r.srcCounts(beacon.Source(name)), camp.slice(e.Meta).solution(beacon.Source(name))
 		if c.LoadedFirst {
 			sc.measured++
+			sl.measured++
 			if *c.Flags&imptable.Viewed == 0 {
 				sc.notViewed++
 			}
 		}
 		if c.ViewedFirst {
 			sc.viewed++
+			sl.viewed++
 			if *c.Flags&imptable.Loaded != 0 {
 				sc.notViewed--
 			}
@@ -391,6 +407,9 @@ func (a *Aggregator) Evicted() int64 { return a.pass.Evicted() }
 // working-set cap rather than the TTL sweep.
 func (a *Aggregator) PressureEvicted() int64 { return a.pass.PressureEvicted() }
 
+// Campaigns returns how many distinct campaigns have been observed.
+func (a *Aggregator) Campaigns() int { return int(a.campaigns.Load()) }
+
 // DwellPairs returns how many in-view/out-of-view cycles completed.
 func (a *Aggregator) DwellPairs() int64 { return a.dwellPair.Load() }
 
@@ -406,6 +425,10 @@ func (a *Aggregator) RegisterMetrics(r *obs.Registry) {
 		func() float64 { return float64(a.OpenImpressions()) })
 	r.GaugeFunc("qtag_aggregate_campaign_rows", "Campaign × format accumulator rows.",
 		func() float64 { return float64(a.rowCount()) })
+	// The name is kept from when the store counted campaigns: scrapes
+	// and dashboards know it by it.
+	r.GaugeFunc("qtag_store_campaigns", "Distinct campaigns observed.",
+		func() float64 { return float64(a.Campaigns()) })
 	r.RegisterHistogram("qtag_aggregate_dwell_seconds", "In-view dwell per completed cycle, all campaigns.", a.dwellObs)
 }
 

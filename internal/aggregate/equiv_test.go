@@ -21,10 +21,10 @@ import (
 // aggStream draws n events with deliberate collisions, like the beacon
 // package's randomStream, plus the fields the aggregator cares about:
 // formats (including per-impression disagreements that force format
-// migration) and in-view/out-of-view timestamps that pair into dwell
-// cycles. Non-key fields are derived from (impression, type, seq), so
-// duplicate stream entries are byte-identical — the precondition for
-// order independence.
+// migration), site types and OSes for the Table 2 slices, and
+// in-view/out-of-view timestamps that pair into dwell cycles. Non-key
+// fields are derived from (impression, type, seq), so duplicate stream
+// entries are byte-identical — the precondition for order independence.
 func aggStream(seed uint64, n int) []beacon.Event {
 	rng := simrand.New(seed).Fork("agg-equiv-stream")
 	types := []beacon.EventType{beacon.EventServed, beacon.EventLoaded, beacon.EventInView, beacon.EventOutOfView}
@@ -53,7 +53,7 @@ func aggStream(seed uint64, n int) []beacon.Event {
 			Type:         typ,
 			At:           at,
 			Seq:          imp % 2,
-			Meta:         beacon.Meta{Format: format, OS: "android"},
+			Meta:         beacon.Meta{Format: format, OS: []string{"android", "ios", ""}[imp/3%3], SiteType: []string{"app", "browser"}[imp/2%2]},
 		}
 		if typ != beacon.EventServed {
 			e.Source = sources[imp%len(sources)]
@@ -73,11 +73,52 @@ func testOpts(shards int) Options {
 func assertEquivalent(t *testing.T, label string, a *Aggregator, store *beacon.Store, opts Options) {
 	t.Helper()
 	got := a.Snapshot()
-	want := Recompute(store.Events(), opts).Snapshot()
+	batch := Recompute(store.Events(), opts)
+	want := batch.Snapshot()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: streaming != batch recompute\n got: %+v\nwant: %+v", label, got, want)
 	}
 	assertPartition(t, label, got)
+	if got, want := a.Slices(), batch.Slices(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: streaming slices != batch recompute\n got: %+v\nwant: %+v", label, got, want)
+	}
+	for _, id := range a.CampaignIDs() {
+		if got, want := a.Slices(id), batch.Slices(id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: campaign %s: streaming slices != batch recompute\n got: %+v\nwant: %+v", label, id, got, want)
+		}
+	}
+	assertSlicesSumToRows(t, label, a, got)
+}
+
+// assertSlicesSumToRows: every campaign's Table 2 slices add up to its
+// report rows — served, and per solution measured and viewed.
+func assertSlicesSumToRows(t *testing.T, label string, a *Aggregator, s Snapshot) {
+	t.Helper()
+	rows := map[string]*Counts{}
+	for _, r := range s.Rows {
+		c := rows[r.CampaignID]
+		if c == nil {
+			c = &Counts{}
+			rows[r.CampaignID] = c
+		}
+		add := Counts{Served: r.Served, Measured: map[beacon.Source]int64{}, Viewed: map[beacon.Source]int64{}}
+		for src, sc := range r.Sources {
+			add.Measured[beacon.Source(src)] = sc.Measured
+			add.Viewed[beacon.Source(src)] = sc.Viewed
+		}
+		c.Add(add)
+	}
+	var all Counts
+	for id, want := range rows {
+		got := a.Totals(id)
+		if !reflect.DeepEqual(got, *want) {
+			t.Fatalf("%s: campaign %s: slices sum to %+v, rows to %+v", label, id, got, *want)
+		}
+		all.Add(got)
+	}
+	if got := a.Totals(); !reflect.DeepEqual(got, all) {
+		t.Fatalf("%s: all slices sum to %+v, every campaign's to %+v", label, got, all)
+	}
 }
 
 // assertPartition: viewed + not-viewed + not-measured = impressions for

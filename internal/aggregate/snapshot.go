@@ -145,9 +145,8 @@ func (a *Aggregator) CampaignIDs() []string {
 func Recompute(events []beacon.Event, opts Options) *Aggregator {
 	opts = opts.withDefaults()
 	opts.TTL = -1
-	agg := New(opts)
 	store := beacon.NewStore()
-	store.AddObserver(agg.Observe)
+	agg := Attach(store, opts)
 	for _, e := range events {
 		_ = store.Submit(e) // invalid events are skipped, as at ingest
 	}

@@ -1,5 +1,5 @@
-// Package analytics turns raw beacon data and campaign aggregates into
-// the paper's evaluation artifacts: the Figure 3 measured-rate and
+// Package analytics turns a simulation's campaign counts into the
+// paper's evaluation artifacts: the Figure 3 measured-rate and
 // viewability-rate comparison (mean ± standard deviation across
 // campaigns) and the Table 2 measured-rate slices by site type × OS.
 package analytics
@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sort"
 
+	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
 	"qtag/internal/campaign"
 	"qtag/internal/stats"
@@ -89,44 +90,27 @@ func (c Table2Cell) String() string {
 		c.SiteType, c.OS, c.QTag*100, c.Commercial*100, c.Served)
 }
 
-// Table2 computes the Table 2 slices from the beacon store, restricted to
+// Table2 computes the Table 2 slices from an aggregator, restricted to
 // the given campaigns (nil/empty = all). The paper computes this table on
 // the comparison subset — the campaigns instrumented with *both* tags —
 // so pass that subset when only some campaigns carry the commercial tag;
 // Table2ForResult does this automatically. Rows follow the paper's order:
 // app/Android, app/iOS, browser/Android, browser/iOS.
-func Table2(store *beacon.Store, campaignIDs ...string) []Table2Cell {
-	include := func(string) bool { return true }
-	if len(campaignIDs) > 0 {
-		set := make(map[string]bool, len(campaignIDs))
-		for _, id := range campaignIDs {
-			set[id] = true
+func Table2(a *aggregate.Aggregator, campaignIDs ...string) []Table2Cell {
+	slices := a.Slices(campaignIDs...)
+	cells := make([]Table2Cell, 0, 4)
+	for _, site := range []string{"app", "browser"} {
+		for _, os := range []string{"Android", "iOS"} {
+			c := Table2Cell{SiteType: site, OS: os}
+			for _, s := range slices {
+				if s.SiteType == site && s.OS == os {
+					c.Served = int(s.Served)
+					c.QTag = s.MeasuredRate(beacon.SourceQTag)
+					c.Commercial = s.MeasuredRate(beacon.SourceCommercial)
+				}
+			}
+			cells = append(cells, c)
 		}
-		include = func(id string) bool { return set[id] }
-	}
-	order := [][2]string{
-		{"app", "Android"}, {"app", "iOS"},
-		{"browser", "Android"}, {"browser", "iOS"},
-	}
-	cells := make([]Table2Cell, 0, len(order))
-	for _, cell := range order {
-		site, os := cell[0], cell[1]
-		served := store.Count(func(k beacon.CounterKey) bool {
-			return k.Type == beacon.EventServed && k.OS == os && k.SiteType == site &&
-				include(k.CampaignID)
-		})
-		c := Table2Cell{SiteType: site, OS: os, Served: served}
-		if served > 0 {
-			c.QTag = float64(store.Count(func(k beacon.CounterKey) bool {
-				return k.Type == beacon.EventLoaded && k.Source == beacon.SourceQTag &&
-					k.OS == os && k.SiteType == site && include(k.CampaignID)
-			})) / float64(served)
-			c.Commercial = float64(store.Count(func(k beacon.CounterKey) bool {
-				return k.Type == beacon.EventLoaded && k.Source == beacon.SourceCommercial &&
-					k.OS == os && k.SiteType == site && include(k.CampaignID)
-			})) / float64(served)
-		}
-		cells = append(cells, c)
 	}
 	return cells
 }
@@ -141,7 +125,7 @@ func Table2ForResult(res *campaign.Result) []Table2Cell {
 			both = append(both, c.Spec.ID)
 		}
 	}
-	return Table2(res.Store, both...)
+	return Table2(res.Aggregate, both...)
 }
 
 // CampaignBreakdown is a per-campaign summary row for reporting.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
 	"qtag/internal/campaign"
 )
@@ -74,7 +75,7 @@ func TestTable2Rows(t *testing.T) {
 }
 
 func TestTable2EmptyStore(t *testing.T) {
-	cells := Table2(beacon.NewStore())
+	cells := Table2(aggregate.New(aggregate.Options{}))
 	for _, c := range cells {
 		if c.Served != 0 || c.QTag != 0 || c.Commercial != 0 {
 			t.Errorf("empty store cell = %+v", c)

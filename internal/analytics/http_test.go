@@ -5,32 +5,35 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
+	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
 	"qtag/internal/campaign"
+	"qtag/internal/report"
 )
 
-func analyticsServer(t *testing.T) (*httptest.Server, *beacon.Store) {
+// analyticsServer serves a simulated production run the way qtag-server
+// serves live traffic: the collection API with the read routes over the
+// run's counts mounted beside it.
+func analyticsServer(t *testing.T) (*httptest.Server, *campaign.Result) {
 	t.Helper()
 	res := campaign.New(campaign.Config{
 		Seed: 41, Campaigns: 4, ImpressionsPerCampaign: 50, BothCampaigns: 2,
 	}).Run()
 	base := beacon.NewServer(res.Store)
-	base.Mount("GET /v1/breakdown", Handler(res.Store))
-	base.Mount("GET /v1/timeseries", Handler(res.Store))
-	return httptest.NewServer(base), res.Store
+	report.MountStats(base, res.Aggregate)
+	return httptest.NewServer(base), res
 }
 
 func TestHTTPBreakdown(t *testing.T) {
-	srv, _ := analyticsServer(t)
+	srv, res := analyticsServer(t)
 	defer srv.Close()
-	for _, dim := range []string{"exchange", "country", "os", "site-type", "ad-size"} {
+	for _, dim := range []string{"os", "site-type"} {
 		resp, err := http.Get(srv.URL + "/v1/breakdown?dim=" + dim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var slices []SliceRates
+		var slices []report.SliceRates
 		if err := json.NewDecoder(resp.Body).Decode(&slices); err != nil {
 			t.Fatalf("%s: decode: %v", dim, err)
 		}
@@ -38,64 +41,37 @@ func TestHTTPBreakdown(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("%s: status = %d", dim, resp.StatusCode)
 		}
-		if len(slices) == 0 {
-			t.Errorf("%s: no slices", dim)
-		}
-		for _, s := range slices {
+		// Every simulated impression names its OS and site type, so each
+		// dimension's groups cover every served impression, in key order.
+		served := 0
+		for i, s := range slices {
 			if s.Key == "" || s.Served == 0 {
 				t.Errorf("%s: empty slice %+v", dim, s)
 			}
+			if i > 0 && slices[i-1].Key >= s.Key {
+				t.Errorf("%s: slices not sorted: %q before %q", dim, slices[i-1].Key, s.Key)
+			}
+			served += s.Served
+		}
+		if len(slices) < 2 || served != int(res.Aggregate.Totals().Served) {
+			t.Errorf("%s: %d slices covering %d served, want several covering %d", dim, len(slices), served, res.Aggregate.Totals().Served)
 		}
 	}
-	// Unknown dimension 400s.
-	resp, err := http.Get(srv.URL + "/v1/breakdown?dim=bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bogus dim status = %d", resp.StatusCode)
-	}
-}
-
-func TestHTTPTimeSeries(t *testing.T) {
-	srv, _ := analyticsServer(t)
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/timeseries?width=1h")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buckets []Bucket
-	if err := json.NewDecoder(resp.Body).Decode(&buckets); err != nil {
-		t.Fatal(err)
-	}
-	// All simulated sessions start at the simclock epoch, so there is at
-	// least one bucket, anchored near it.
-	if len(buckets) == 0 {
-		t.Fatal("no buckets")
-	}
-	if buckets[0].Served == 0 {
-		t.Error("first bucket unpopulated")
-	}
-	if buckets[0].Start.After(time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)) {
-		t.Errorf("bucket start implausible: %v", buckets[0].Start)
-	}
-
-	for _, bad := range []string{"width=0s", "width=-1h", "width=nonsense"} {
-		resp, err := http.Get(srv.URL + "/v1/timeseries?" + bad)
+	// Unknown dimensions 400s, the ones only the beacon counters had too.
+	for _, dim := range []string{"bogus", "exchange", "country", "ad-size"} {
+		resp, err := http.Get(srv.URL + "/v1/breakdown?dim=" + dim)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status = %d", bad, resp.StatusCode)
+			t.Errorf("dim %s status = %d, want 400", dim, resp.StatusCode)
 		}
 	}
 }
 
 func TestHTTPCoexistsWithCollectionAPI(t *testing.T) {
-	srv, store := analyticsServer(t)
+	srv, res := analyticsServer(t)
 	defer srv.Close()
 	// The built-in endpoints still work after mounting.
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -115,7 +91,17 @@ func TestHTTPCoexistsWithCollectionAPI(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Served != store.Served("") {
-		t.Errorf("stats served = %d, store %d", stats.Served, store.Served(""))
+	served := 0
+	for _, c := range res.Campaigns {
+		served += c.Served
+	}
+	if stats.Served != served {
+		t.Errorf("stats served = %d, the campaigns %d", stats.Served, served)
+	}
+}
+
+func TestBreakdownEmptyStore(t *testing.T) {
+	if got, ok := report.Breakdown(aggregate.New(aggregate.Options{}), "os"); !ok || len(got) != 0 {
+		t.Errorf("empty aggregator breakdown = %v, %v", got, ok)
 	}
 }

@@ -178,10 +178,9 @@ func appendRef(dst []byte, id uint32, s string) []byte {
 // to str, which the shard numbers id (0 for "" and for a literal). A
 // shard never renumbers a string, and what it numbered for a record it
 // numbers for every later one, so a numbered reference is compared by
-// its number. A literal's bytes are compared with str whatever id is: a
-// string a record kept as a literal — too long for names.optional, or
-// met while the table was full — may have been numbered since, as a
-// counter-key string.
+// its number. A literal's bytes are compared with str: a string a
+// record kept as a literal — too long for names.id, or met while the
+// table was full — is never numbered later, so its id is 0.
 func sameRef(s string, off int, id uint32, str string) (int, bool) {
 	v, off, ok := uvarintStr(s, off)
 	if !ok {

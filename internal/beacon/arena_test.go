@@ -234,8 +234,8 @@ func TestNamesCap(t *testing.T) {
 //  3. a follow-on shares its anchor's impression, campaign and Meta,
 //     and an event that shares them, within 200 years of the anchor's
 //     At, is a follow-on;
-//  4. AdSize, Format and Slot are interned exactly when they are short
-//     and the table is below its cap or holds them already.
+//  4. the campaign and the Meta strings are interned exactly when they
+//     are short and the table is below its cap or holds them already.
 func FuzzStoreArena(f *testing.F) {
 	f.Add("camp-1", "imp-1", "qtag", "in-view", 0, int64(1500000000), int64(5), "imp-2", 1, uint8(0), int64(700e6), uint8(0))
 	f.Add("a|b", "c", "", "served", 0, int64(0), int64(0), "a", 0, uint8(1), int64(-1), uint8(1))
@@ -247,8 +247,8 @@ func FuzzStoreArena(f *testing.F) {
 	f.Add("c", "i", "qtag", "in-view", 1, int64(5), int64(0), "", 2, uint8(32), int64(0), uint8(8|32))
 	f.Add("", "i", "qtag", "", 0, int64(1546300800), int64(0), "", 0, uint8(4|16), int64(3e9), uint8(32))
 	f.Add("camp-1", "imp-1", "qtag", "in-view", 0, int64(1500000000), int64(5), "imp-2", 1, uint8(0), int64(2e9), uint8(16))
-	// a's AdSize is a literal (the table is full) that b's Country, a
-	// counter-key string, then numbers: c still follows on a.
+	// a's AdSize is a literal (the table is full), and so is b's
+	// Country, the same string: c still follows on a.
 	f.Add("0", "0", "0", "0", -3, int64(-1), int64(1000000021), "1", -3, uint8(16|32|64), int64(-2), uint8(8))
 	f.Fuzz(func(t *testing.T, camp, imp, src, typ string, seq int, sec, nsec int64, alt string, altSeq int, mut uint8, delta int64, fol uint8) {
 		a := Event{
@@ -313,19 +313,22 @@ func FuzzStoreArena(f *testing.F) {
 		for i := range events {
 			e := &events[i]
 			// What a full table still refers to: what it held before the
-			// event, and the event's own counter-key strings.
-			known := map[string]bool{e.CampaignID: true, string(e.Source): true, e.Meta.OS: true,
-				e.Meta.SiteType: true, e.Meta.Exchange: true, e.Meta.Country: true}
-			for _, s := range []string{e.Meta.AdSize, e.Meta.Format, e.Meta.Slot} {
+			// event.
+			fields := []string{e.CampaignID, e.Meta.OS, e.Meta.SiteType, e.Meta.Exchange, e.Meta.Country,
+				e.Meta.AdSize, e.Meta.Format, e.Meta.Slot}
+			known := map[string]bool{}
+			for _, s := range fields {
 				if _, ok := n.ids[s]; ok {
 					known[s] = true
 				}
 			}
 			ids[i] = n.intern(e)
-			for _, f := range []struct {
-				id uint32
-				s  string
-			}{{ids[i].adSize, e.Meta.AdSize}, {ids[i].format, e.Meta.Format}, {ids[i].slot, e.Meta.Slot}} {
+			for j, id := range []uint32{ids[i].campaign, ids[i].os, ids[i].siteType, ids[i].exchange, ids[i].country,
+				ids[i].adSize, ids[i].format, ids[i].slot} {
+				f := struct {
+					id uint32
+					s  string
+				}{id, fields[j]}
 				interned := f.s != "" && len(f.s) <= maxInternedLen && (!full || known[f.s])
 				if (f.id != 0) != interned || f.id != 0 && n.str(f.id) != f.s {
 					t.Fatalf("event %d: %q numbered %d (table full: %v)", i, f.s, f.id, full)

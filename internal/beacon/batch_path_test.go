@@ -1,10 +1,9 @@
 // The batch path (one SubmitBatch per request, DESIGN.md §10) must be
 // observationally invisible: for any request sequence — JSON and binary,
 // duplicates inside one request and across requests, sequential or
-// concurrent — it leaves the store, its counters, the streaming
-// aggregator, the fraud detector and the WAL exactly as a chain that
-// takes one event per call does, and as the default async wiring does
-// once its queue has drained. What it may change is counts of work:
+// concurrent — it leaves the store, the streaming aggregator, the fraud
+// detector and the WAL exactly as a chain that takes one event per call
+// does, and as the default async wiring does once its queue has drained. What it may change is counts of work:
 // hand-offs, writes and, under -fsync always, fsyncs per request.
 //
 // External test package like durable_test.go: everything goes through
@@ -197,14 +196,14 @@ func assertSameState(t *testing.T, label string, got, want *ingestStack) {
 	if g, w := got.store.Events(), want.store.Events(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: Store.Events() differ: %d vs %d events", label, len(g), len(w))
 	}
-	if g, w := got.store.Counters(), want.store.Counters(); !reflect.DeepEqual(g, w) {
-		t.Fatalf("%s: Store.Counters() differ:\n got %v\nwant %v", label, g, w)
-	}
-	if g, w := got.store.CampaignCount(), len(want.store.CampaignIDs()); g != w {
-		t.Fatalf("%s: CampaignCount = %d, want %d", label, g, w)
-	}
 	if g, w := got.agg.Snapshot(), want.agg.Snapshot(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: aggregate.Snapshot() differs:\n got %+v\nwant %+v", label, g, w)
+	}
+	if g, w := got.agg.Slices(), want.agg.Slices(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: aggregate.Slices() differ:\n got %+v\nwant %+v", label, g, w)
+	}
+	if g, w := got.agg.Campaigns(), len(want.agg.CampaignIDs()); g != w {
+		t.Fatalf("%s: Campaigns = %d, want %d", label, g, w)
 	}
 	if g, w := got.det.Snapshot(), want.det.Snapshot(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: detect.Snapshot() differs:\n got %+v\nwant %+v", label, g, w)

@@ -70,8 +70,8 @@ func TestStoreIdempotency(t *testing.T) {
 	if s.Len() != 1 {
 		t.Errorf("Len = %d after duplicate submits", s.Len())
 	}
-	if s.InView("c1", SourceQTag) != 1 {
-		t.Errorf("InView = %d", s.InView("c1", SourceQTag))
+	if got := s.Events(); len(got) != 1 || got[0].Key() != e.Key() {
+		t.Errorf("Events = %v, want the one event", got)
 	}
 }
 
@@ -82,52 +82,6 @@ func TestStoreRejectsInvalid(t *testing.T) {
 	}
 	if s.Len() != 0 {
 		t.Error("invalid event stored")
-	}
-}
-
-func TestStoreAggregation(t *testing.T) {
-	s := NewStore()
-	// Campaign c1: 3 served, qtag measures 2, 1 in-view; commercial measures 1, 1 in-view.
-	for _, imp := range []string{"a", "b", "c"} {
-		mustSubmit(t, s, ev(imp, "c1", "", EventServed))
-	}
-	mustSubmit(t, s, ev("a", "c1", SourceQTag, EventLoaded))
-	mustSubmit(t, s, ev("b", "c1", SourceQTag, EventLoaded))
-	mustSubmit(t, s, ev("a", "c1", SourceQTag, EventInView))
-	mustSubmit(t, s, ev("a", "c1", SourceQTag, EventOutOfView))
-	mustSubmit(t, s, ev("a", "c1", SourceCommercial, EventLoaded))
-	mustSubmit(t, s, ev("a", "c1", SourceCommercial, EventInView))
-	// Campaign c2: 1 served, nothing measured.
-	mustSubmit(t, s, ev("z", "c2", "", EventServed))
-
-	if got := s.Served("c1"); got != 3 {
-		t.Errorf("Served(c1) = %d", got)
-	}
-	if got := s.Served(""); got != 4 {
-		t.Errorf("Served(all) = %d", got)
-	}
-	if got := s.Loaded("c1", SourceQTag); got != 2 {
-		t.Errorf("Loaded(c1,qtag) = %d", got)
-	}
-	if got := s.Loaded("c1", SourceCommercial); got != 1 {
-		t.Errorf("Loaded(c1,commercial) = %d", got)
-	}
-	if got := s.InView("c1", SourceQTag); got != 1 {
-		t.Errorf("InView(c1,qtag) = %d", got)
-	}
-	if got := s.InView("c2", SourceQTag); got != 0 {
-		t.Errorf("InView(c2) = %d", got)
-	}
-	ids := s.CampaignIDs()
-	if len(ids) != 2 || ids[0] != "c1" || ids[1] != "c2" {
-		t.Errorf("CampaignIDs = %v", ids)
-	}
-	if got := s.Count(nil); got != 10 {
-		t.Errorf("Count(nil) = %d", got)
-	}
-	counters := s.Counters()
-	if counters[CounterKey{CampaignID: "c1", Type: EventServed}] != 3 {
-		t.Errorf("counters = %v", counters)
 	}
 }
 
@@ -146,6 +100,17 @@ func TestStoreEventsSorted(t *testing.T) {
 	if events[2].CampaignID != "c2" {
 		t.Errorf("sort order wrong: %v", events)
 	}
+}
+
+// stored counts the events of one campaign, solution and type s holds.
+func stored(s *Store, campaign string, src Source, typ EventType) int {
+	n := 0
+	for _, e := range s.Events() {
+		if e.CampaignID == campaign && e.Source == src && e.Type == typ {
+			n++
+		}
+	}
+	return n
 }
 
 func mustSubmit(t *testing.T, s Sink, e Event) {
@@ -203,55 +168,6 @@ func TestServerRejectsGarbage(t *testing.T) {
 		if resp.StatusCode < 400 {
 			t.Errorf("body %q: status = %d, want 4xx", body, resp.StatusCode)
 		}
-	}
-}
-
-func TestServerStatsEndpoints(t *testing.T) {
-	store := NewStore()
-	server := NewServer(store)
-	srv := httptest.NewServer(server)
-	defer srv.Close()
-
-	sink := &HTTPSink{BaseURL: srv.URL}
-	for _, imp := range []string{"a", "b", "c", "d"} {
-		mustSubmit(t, sink, ev(imp, "camp-1", "", EventServed))
-	}
-	mustSubmit(t, sink, ev("a", "camp-1", SourceQTag, EventLoaded))
-	mustSubmit(t, sink, ev("b", "camp-1", SourceQTag, EventLoaded))
-	mustSubmit(t, sink, ev("c", "camp-1", SourceQTag, EventLoaded))
-	mustSubmit(t, sink, ev("a", "camp-1", SourceQTag, EventInView))
-
-	stats, err := sink.FetchStats("camp-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Served != 4 {
-		t.Errorf("served = %d", stats.Served)
-	}
-	q := stats.Sources["qtag"]
-	if q.Loaded != 3 || q.InView != 1 {
-		t.Errorf("qtag stats = %+v", q)
-	}
-	if q.MeasuredRate != 0.75 {
-		t.Errorf("measured rate = %v", q.MeasuredRate)
-	}
-	if q.ViewabilityRate < 0.33 || q.ViewabilityRate > 0.34 {
-		t.Errorf("viewability rate = %v", q.ViewabilityRate)
-	}
-
-	global, err := sink.FetchStats("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if global.Served != 4 {
-		t.Errorf("global served = %d", global.Served)
-	}
-
-	if _, err := sink.FetchStats("no-such-campaign"); err == nil {
-		t.Error("unknown campaign should 404")
-	}
-	if server.Accepted() != 8 {
-		t.Errorf("Accepted = %d", server.Accepted())
 	}
 }
 
@@ -397,7 +313,6 @@ func TestConcurrentSubmit(t *testing.T) {
 		t.Error("no events stored")
 	}
 	_ = s.Events()
-	_ = s.Counters()
 }
 
 // TestServerConcurrentHTTPSoak hammers the collection server from many
@@ -434,10 +349,10 @@ func TestServerConcurrentHTTPSoak(t *testing.T) {
 		}
 	}
 	// Every duplicate absorbed: exactly perWorker distinct impressions.
-	if got := store.Served("soak"); got != perWorker {
+	if got := stored(store, "soak", "", EventServed); got != perWorker {
 		t.Errorf("served = %d, want %d", got, perWorker)
 	}
-	if got := store.Loaded("soak", SourceQTag); got != perWorker {
+	if got := stored(store, "soak", SourceQTag, EventLoaded); got != perWorker {
 		t.Errorf("loaded = %d, want %d", got, perWorker)
 	}
 	if store.Len() != 2*perWorker {

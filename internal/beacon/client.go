@@ -443,6 +443,24 @@ func parseRetryAfter(v string) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
+// SourceStats is the per-solution block of a stats reply.
+type SourceStats struct {
+	Loaded          int     `json:"loaded"`
+	InView          int     `json:"in_view"`
+	MeasuredRate    float64 `json:"measured_rate"`
+	ViewabilityRate float64 `json:"viewability_rate"`
+}
+
+// StatsResponse is the reply body of GET /v1/stats (every campaign) and
+// GET /v1/campaigns/{id}/stats, which internal/report serves. Its counts
+// are impressions: Loaded is how many a solution measured, InView how
+// many it reported in view.
+type StatsResponse struct {
+	CampaignID string                 `json:"campaign_id,omitempty"`
+	Served     int                    `json:"served"`
+	Sources    map[string]SourceStats `json:"sources"`
+}
+
 // FetchStats retrieves aggregate stats from the server; campaignID may be
 // empty for global stats.
 func (h *HTTPSink) FetchStats(campaignID string) (StatsResponse, error) {

@@ -2,9 +2,10 @@
 // WAL group commit) must be observationally invisible. For random event
 // streams — duplicates, multiple campaigns, mixed sources — a sharded
 // store at any shard count produces exactly the seed single-lock store's
-// event set, counters and reconciliation output; and a WAL written
-// through the group committer replays to state byte-identical to one
-// written with per-record appends.
+// event set, and feeds its aggregator exactly the counts the seed
+// store's events recompute to; and a WAL written through the group
+// committer replays to state byte-identical to one written with
+// per-record appends.
 //
 // External test package like durable_test.go: everything goes through
 // the public API.
@@ -18,23 +19,21 @@ import (
 	"testing"
 	"time"
 
+	"qtag/internal/aggregate"
 	. "qtag/internal/beacon"
 	"qtag/internal/simrand"
 	"qtag/internal/wal"
 )
 
 // seedStore is the seed repository's store collapsed to its essentials:
-// one mutex, one dedup map, one counter map. It is the equivalence
-// oracle the sharded store is compared against.
+// one mutex, one dedup map. It is the equivalence oracle the sharded
+// store is compared against.
 type seedStore struct {
-	mu       sync.Mutex
-	events   map[string]Event
-	counters map[CounterKey]int
+	mu     sync.Mutex
+	events map[string]Event
 }
 
-func newSeedStore() *seedStore {
-	return &seedStore{events: make(map[string]Event), counters: make(map[CounterKey]int)}
-}
+func newSeedStore() *seedStore { return &seedStore{events: make(map[string]Event)} }
 
 func (s *seedStore) Submit(e Event) error {
 	if err := e.Validate(); err != nil {
@@ -42,20 +41,9 @@ func (s *seedStore) Submit(e Event) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := e.Key()
-	if _, dup := s.events[key]; dup {
-		return nil
+	if _, dup := s.events[e.Key()]; !dup {
+		s.events[e.Key()] = e
 	}
-	s.events[key] = e
-	s.counters[CounterKey{
-		CampaignID: e.CampaignID,
-		Source:     e.Source,
-		Type:       e.Type,
-		OS:         e.Meta.OS,
-		SiteType:   e.Meta.SiteType,
-		Exchange:   e.Meta.Exchange,
-		Country:    e.Meta.Country,
-	}]++
 	return nil
 }
 
@@ -95,35 +83,30 @@ func randomStream(seed uint64, n int) []Event {
 	return out
 }
 
-// reconciliation is the slice of store outputs the stats endpoints and
-// end-of-run reconciliation checks read; two equivalent stores must
-// agree on every field.
-type reconciliation struct {
-	Len         int
-	CampaignIDs []string
-	Counters    map[CounterKey]int
-	Served      map[string]int
-	Loaded      map[string]map[Source]int
-	InView      map[string]map[Source]int
+// counted is a sharded store with the aggregator that counts it.
+type counted struct {
+	*Store
+	agg *aggregate.Aggregator
 }
 
-func reconcile(s *Store) reconciliation {
-	rec := reconciliation{
-		Len:         s.Len(),
-		CampaignIDs: s.CampaignIDs(),
-		Counters:    s.Counters(),
-		Served:      map[string]int{},
-		Loaded:      map[string]map[Source]int{},
-		InView:      map[string]map[Source]int{},
-	}
-	for _, id := range append([]string{""}, rec.CampaignIDs...) {
-		rec.Served[id] = s.Served(id)
-		rec.Loaded[id] = map[Source]int{}
-		rec.InView[id] = map[Source]int{}
-		for _, src := range []Source{SourceQTag, SourceCommercial} {
-			rec.Loaded[id][src] = s.Loaded(id, src)
-			rec.InView[id][src] = s.InView(id, src)
-		}
+func newCounted(shards int) counted {
+	store := NewStoreWithShards(shards)
+	return counted{store, aggregate.Attach(store, aggregate.Options{Shards: shards, TTL: -1})}
+}
+
+// reconciliation is what the stats routes and end-of-run reconciliation
+// checks read: the event count and the Table 2 slices of every campaign
+// and of all of them (""). Two equivalent stores must agree on every
+// field.
+type reconciliation struct {
+	Len    int
+	Slices map[string][]aggregate.Slice
+}
+
+func reconcile(events int, agg *aggregate.Aggregator) reconciliation {
+	rec := reconciliation{Len: events, Slices: map[string][]aggregate.Slice{"": agg.Slices()}}
+	for _, id := range agg.CampaignIDs() {
+		rec.Slices[id] = agg.Slices(id)
 	}
 	return rec
 }
@@ -152,7 +135,7 @@ func TestShardedStoreEquivalence(t *testing.T) {
 			oracle.Submit(e)
 		}
 		for _, shards := range []int{1, 2, 8, 16} {
-			store := NewStoreWithShards(shards)
+			store := newCounted(shards)
 			for _, e := range stream {
 				if err := store.Submit(e); err != nil {
 					t.Fatalf("seed=%d shards=%d: submit: %v", seed, shards, err)
@@ -173,7 +156,7 @@ func TestShardedStoreConcurrentEquivalence(t *testing.T) {
 		oracle.Submit(e)
 	}
 	for _, shards := range []int{1, 2, 8, 16} {
-		store := NewStoreWithShards(shards)
+		store := newCounted(shards)
 		const workers = 8
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -199,7 +182,7 @@ func TestShardedStoreConcurrentEquivalence(t *testing.T) {
 	}
 }
 
-func assertMatchesOracle(t *testing.T, label string, store *Store, oracle *seedStore) {
+func assertMatchesOracle(t *testing.T, label string, store counted, oracle *seedStore) {
 	t.Helper()
 	// Identical event sets.
 	if store.Len() != len(oracle.events) {
@@ -214,24 +197,33 @@ func assertMatchesOracle(t *testing.T, label string, store *Store, oracle *seedS
 			t.Fatalf("%s: event %q differs: %+v vs %+v", label, e.Key(), e, oe)
 		}
 	}
-	// Identical counters.
-	if got := store.Counters(); !reflect.DeepEqual(got, oracle.counters) {
-		t.Fatalf("%s: counters diverge:\n got %v\nwant %v", label, got, oracle.counters)
+	// Identical counts: what the store fed its aggregator recomputes
+	// from the oracle's events.
+	events := make([]Event, 0, len(oracle.events))
+	for _, e := range oracle.events {
+		events = append(events, e)
+	}
+	want := aggregate.Recompute(events, aggregate.Options{})
+	if got, want := reconcile(store.Len(), store.agg), reconcile(len(events), want); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: counts diverge:\n got %+v\nwant %+v", label, got, want)
+	}
+	if got, want := store.agg.Snapshot(), want.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: report rows diverge:\n got %+v\nwant %+v", label, got, want)
 	}
 }
 
 // TestShardedStoreReconciliationEquivalence: the reconciliation surface
-// (Len, CampaignIDs, Served/Loaded/InView at every slice) is identical
-// across shard counts.
+// (Len, and the Table 2 slices of every campaign and of all) is
+// identical across shard counts.
 func TestShardedStoreReconciliationEquivalence(t *testing.T) {
 	stream := randomStream(4242, 700)
 	var baseline *reconciliation
 	for _, shards := range []int{1, 2, 8, 16} {
-		store := NewStoreWithShards(shards)
+		store := newCounted(shards)
 		for _, e := range stream {
 			store.Submit(e)
 		}
-		rec := reconcile(store)
+		rec := reconcile(store.Len(), store.agg)
 		if baseline == nil {
 			baseline = &rec
 			continue

@@ -1,7 +1,8 @@
 // Package beacon implements the monitoring side of Q-Tag: the event wire
-// format ad tags emit, an idempotent in-memory event store with
-// aggregation counters, an HTTP collection server (the "monitoring
-// server" of §3), and a client transport for tags.
+// format ad tags emit, an idempotent in-memory event store whose
+// observers do the counting (internal/aggregate), an HTTP collection
+// server (the "monitoring server" of §3), and a client transport for
+// tags.
 //
 // Event flow for one impression:
 //

@@ -42,7 +42,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if st.Replayed != 3 || st.Skipped != 0 {
 		t.Errorf("replay stats = %+v", st)
 	}
-	if store.Served("c1") != 1 || store.InView("c1", SourceQTag) != 1 {
+	if stored(store, "c1", "", EventServed) != 1 || stored(store, "c1", SourceQTag, EventInView) != 1 {
 		t.Error("replayed store contents wrong")
 	}
 }
@@ -62,7 +62,7 @@ func TestReplayTolerantOfCorruption(t *testing.T) {
 	if st.Skipped != 3 { // garbage line, invalid event, torn tail
 		t.Errorf("skipped = %d, want 3", st.Skipped)
 	}
-	if store.Served("c1") != 1 {
+	if stored(store, "c1", "", EventServed) != 1 {
 		t.Error("surviving event not replayed")
 	}
 }
@@ -76,8 +76,8 @@ func TestReplaySkipsOverlongLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Replayed != 1 || st.Skipped != 1 || store.Served("c1") != 1 {
-		t.Fatalf("replay stats = %+v, store served %d; want 1 replayed, 1 skipped", st, store.Served("c1"))
+	if st.Replayed != 1 || st.Skipped != 1 || stored(store, "c1", "", EventServed) != 1 {
+		t.Fatalf("replay stats = %+v, store served %d; want 1 replayed, 1 skipped", st, stored(store, "c1", "", EventServed))
 	}
 }
 
@@ -107,7 +107,7 @@ func TestJournalFileAndRestartFlow(t *testing.T) {
 	if err != nil || st.Replayed != 2 {
 		t.Fatalf("replay: %+v, %v", st, err)
 	}
-	if restored.Served("c1") != 1 || restored.Loaded("c1", SourceQTag) != 1 {
+	if stored(restored, "c1", "", EventServed) != 1 || stored(restored, "c1", SourceQTag, EventLoaded) != 1 {
 		t.Error("restored store wrong")
 	}
 	// Replaying again is harmless.
@@ -151,7 +151,7 @@ func TestPixelFallbackEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "image/gif" {
 		t.Errorf("content type = %q", ct)
 	}
-	if store.InView("c1", SourceQTag) != 1 {
+	if stored(store, "c1", SourceQTag, EventInView) != 1 {
 		t.Error("pixel event not ingested")
 	}
 

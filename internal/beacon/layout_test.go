@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -33,10 +34,11 @@ import (
 )
 
 // benchShaped draws impressions the way bench/gen.go does: served →
-// loaded → in-view (p 0.6) → out-of-view (p 0.5) over 99 campaigns, with
-// the same id and meta shapes — about 2.9 events an impression — and
-// hands each event to emit as it is drawn.
-func benchShaped(impressions int, emit func(Event)) {
+// loaded → in-view (p 0.6) → out-of-view (p 0.5) in the campaigns camp
+// picks (one of 99, evenly, for the sync workloads), with the same id
+// and meta shapes — about 2.9 events an impression — and hands each
+// event to emit as it is drawn.
+func benchShaped(impressions int, camp func(*simrand.RNG) int, emit func(Event)) {
 	rng := simrand.New(1).Fork("layout")
 	base := time.Unix(1546300800, 0).UTC()
 	for imp := 0; imp < impressions; imp++ {
@@ -50,7 +52,7 @@ func benchShaped(impressions int, emit func(Event)) {
 		at := base.Add(time.Duration(imp) * 20 * time.Millisecond)
 		ev := Event{
 			ImpressionID: "s1-closed-" + strconv.Itoa(imp),
-			CampaignID:   "camp-" + strconv.Itoa(1+rng.Intn(99)),
+			CampaignID:   "camp-" + strconv.Itoa(1+camp(rng)),
 			Type:         EventServed, At: at, Meta: meta,
 		}
 		emit(ev)
@@ -65,6 +67,21 @@ func benchShaped(impressions int, emit func(Event)) {
 			}
 		}
 	}
+}
+
+// uniform99 picks one of 99 campaigns evenly, as the sync workloads do.
+func uniform99(rng *simrand.RNG) int { return rng.Intn(99) }
+
+// zipf5000 picks one of 5 000 campaigns with P(k) ∝ 1/k^1.1, as
+// report_under_ingest does.
+func zipf5000() func(*simrand.RNG) int {
+	cdf := make([]float64, 5000)
+	sum := 0.0
+	for k := range cdf {
+		sum += math.Pow(float64(k+1), -1.1)
+		cdf[k] = sum
+	}
+	return func(rng *simrand.RNG) int { return sort.SearchFloat64s(cdf, rng.Float64()*sum) }
 }
 
 // heapGrowth runs fill and returns how many live heap bytes it left
@@ -83,19 +100,21 @@ func heapGrowth(fill func()) float64 {
 }
 
 // TestMemoryBudgets pins the pointer-free layouts by what they cost. The
-// budgets sit above what the layouts measure here (store 50 B/event at
-// 116 k events and 34 at the 1.16 M sink_batch_binary sends, aggregate
-// 116 and detect 123 B/impression on their own, 124 for the two joined
+// budgets sit above what the layouts measure here (store 36 B/event at
+// 116 k events, 32 at the 1.16 M sink_batch_binary sends and 39 at
+// report_under_ingest's 5 000 Zipf campaigns and 290 k events; aggregate
+// 117 and detect 124 B/impression on their own, 127 for the two joined
 // as the collector wires them) and well below what the map[string]Event
 // store and the map-of-maps impressions did (388, 616 and 606) — the
 // store's also below the 86 and 64 its records cost when every event was
-// a whole record with an index entry of its own, and the joined row's
-// below the 238 the two cost apart, so a return to any of these fails
-// here.
+// a whole record with an index entry of its own, and the 61 it cost at
+// report_under_ingest's shape while each shard kept its own counter per
+// campaign × solution × type × Meta, and the joined row's below the 238
+// the two cost apart, so a return to any of these fails here.
 func TestMemoryBudgets(t *testing.T) {
 	const impressions = 40_000
 	var events []Event
-	benchShaped(impressions, func(e Event) { events = append(events, e) })
+	benchShaped(impressions, uniform99, func(e Event) { events = append(events, e) })
 	drawn := func(emit func(Event)) {
 		for _, e := range events {
 			emit(e)
@@ -107,13 +126,14 @@ func TestMemoryBudgets(t *testing.T) {
 	var (
 		store  = NewStore()
 		large  = NewStore()
+		zipf   = NewStore()
 		agg    = aggregate.New(aggregate.Options{TTL: -1})
 		det    = detect.New(detect.Options{TTL: -1})
 		pair   = aggregate.New(aggregate.Options{TTL: -1})
 		joined = detect.New(detect.Options{})
 	)
 	joined.Join(pair.Pass())
-	largeEvents := 0
+	largeEvents, zipfEvents := 0, 0
 	for _, c := range []struct {
 		name   string
 		budget float64
@@ -122,8 +142,10 @@ func TestMemoryBudgets(t *testing.T) {
 		submit func(Event)
 	}{
 		{"store", 60, "event", drawn, func(e Event) { _ = store.Submit(e) }},
-		{"store at bench scale", 42, "event", func(emit func(Event)) { benchShaped(10*impressions, emit) },
+		{"store at bench scale", 42, "event", func(emit func(Event)) { benchShaped(10*impressions, uniform99, emit) },
 			func(e Event) { _ = large.Submit(e); largeEvents++ }},
+		{"store at report_under_ingest's shape", 45, "event", func(emit func(Event)) { benchShaped(100_000, zipf5000(), emit) },
+			func(e Event) { _ = zipf.Submit(e); zipfEvents++ }},
 		{"aggregate", 260, "impression", drawn, agg.Observe},
 		{"detect", 260, "impression", drawn, det.Observe},
 		{"aggregate+detect joined", 130, "impression", drawn, pair.Observe},
@@ -145,7 +167,7 @@ func TestMemoryBudgets(t *testing.T) {
 			t.Errorf("%s holds %.0f B/%s, budget %.0f", c.name, got, c.unit, c.budget)
 		}
 	}
-	if store.Len() != len(events) || large.Len() != largeEvents || agg.OpenImpressions() != impressions ||
+	if store.Len() != len(events) || large.Len() != largeEvents || zipf.Len() != zipfEvents || agg.OpenImpressions() != impressions ||
 		det.OpenImpressions() != impressions || joined.OpenImpressions() != impressions || joined.Updates() != int64(len(events)) {
 		t.Fatalf("fill incomplete: store %d/%d and %d/%d events, aggregate %d, detect %d and joined %d of %d impressions",
 			store.Len(), len(events), large.Len(), largeEvents, agg.OpenImpressions(), det.OpenImpressions(),
@@ -179,7 +201,7 @@ func newObservedOn(store *Store) observed {
 
 // state is everything a reader can get out of an ingest side.
 func (o observed) state() []any {
-	return []any{o.store.Events(), o.store.Counters(), o.store.CampaignIDs(), o.agg.Snapshot(), o.agg.Windows(), o.det.Snapshot()}
+	return []any{o.store.Events(), o.agg.Snapshot(), o.agg.Slices(), o.agg.CampaignIDs(), o.agg.Windows(), o.det.Snapshot()}
 }
 
 // TestNothingKeptAliasesTheRequest drives whole collector stacks, as
@@ -256,7 +278,7 @@ func aliasProbe() []Event {
 // them, alternating nodes: in requests of 64, then all again in requests
 // of 50. The requests are binary when binary is set, JSON otherwise;
 // cluster forwards are always binary. It returns what each node
-// reads back: its /report, store, counters, detector and /debug/traces,
+// reads back: its /report, store, slices, detector and /debug/traces,
 // then, once the stacks are closed, a replay of its WAL.
 func ingestAll(t *testing.T, nodes int, cfg collector.Config, events []Event, binary bool, release func(*Server)) [][]any {
 	t.Helper()
@@ -327,7 +349,7 @@ func ingestAll(t *testing.T, nodes int, cfg collector.Config, events []Event, bi
 
 	reads := make([][]any, nodes)
 	for i, stack := range stacks {
-		reads[i] = []any{getJSON(t, urls[i]+"/report"), stack.Store.Events(), stack.Store.Counters(),
+		reads[i] = []any{getJSON(t, urls[i]+"/report"), stack.Store.Events(), stack.Aggregate.Slices(),
 			stack.Server.Accepted(), stack.Server.Rejected(), stack.Detect.Snapshot()}
 		if cfg.TraceSample > 0 {
 			reads[i] = append(reads[i], traceSummaries(getJSON(t, urls[i]+"/debug/traces?limit=100000")))

@@ -243,50 +243,3 @@ func TestHTTPSinkDeliveryLatencyMetric(t *testing.T) {
 		t.Fatal("delivery latency sum must be positive for a real round trip")
 	}
 }
-
-// TestStoreCampaignsGaugeMatchesCampaignIDs: qtag_store_campaigns is
-// served from a set maintained at first-seen CounterKey insert, not from
-// a walk over the shards; after concurrent ingest on both store paths it
-// must still say what the walk says.
-func TestStoreCampaignsGaugeMatchesCampaignIDs(t *testing.T) {
-	store := NewStoreWithShards(8)
-	server := NewServer(store)
-	const workers, perWorker, campaigns = 8, 600, 137
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var batch []Event
-			for i := 0; i < perWorker; i++ {
-				n := w*perWorker + i
-				e := Event{
-					ImpressionID: fmt.Sprintf("imp-%d", n%1000), // collisions across workers
-					CampaignID:   fmt.Sprintf("camp-%d", n%1000%campaigns),
-					Type:         EventServed,
-					Meta:         Meta{OS: []string{"android", "ios"}[n%2]},
-				}
-				if w%2 == 0 {
-					if err := store.Submit(e); err != nil {
-						t.Error(err)
-					}
-					continue
-				}
-				if batch = append(batch, e); len(batch) == 64 || i == perWorker-1 {
-					if err := store.SubmitBatch(batch); err != nil {
-						t.Error(err)
-					}
-					batch = batch[:0]
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	want := len(store.CampaignIDs())
-	if want != campaigns {
-		t.Fatalf("CampaignIDs() has %d campaigns, the workload %d", want, campaigns)
-	}
-	if got := server.Metrics().Values()["qtag_store_campaigns"]; got != float64(want) {
-		t.Fatalf("qtag_store_campaigns = %g, len(CampaignIDs()) = %d", got, want)
-	}
-}

@@ -6,11 +6,11 @@ import (
 	"strings"
 )
 
-// AuthStats wraps a collection server so that read endpoints (stats,
-// breakdowns, time series) require an operator bearer token, while the
-// ingestion endpoints stay open — beacons come from anonymous browsers
-// that cannot hold secrets, but aggregated campaign performance is
-// business-sensitive.
+// AuthStats wraps a collection server so that the read routes over the
+// counts (/report, /v1/stats, /v1/campaigns/{id}/stats, /v1/breakdown)
+// require an operator bearer token, while the ingestion endpoints stay
+// open — beacons come from anonymous browsers that cannot hold secrets,
+// but aggregated campaign performance is business-sensitive.
 //
 // Accepted credentials: "Authorization: Bearer <key>" or "?key=<key>".
 // With no keys configured the wrapper is a transparent pass-through.
@@ -30,10 +30,10 @@ func AuthStats(next http.Handler, keys ...string) http.Handler {
 
 func statsPath(path string) bool {
 	switch {
-	case path == "/v1/stats",
+	case path == "/report",
+		path == "/v1/stats",
 		strings.HasPrefix(path, "/v1/campaigns/"),
-		path == "/v1/breakdown",
-		path == "/v1/timeseries":
+		path == "/v1/breakdown":
 		return true
 	default:
 		return false

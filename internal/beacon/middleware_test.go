@@ -7,11 +7,16 @@ import (
 	"testing"
 )
 
+// authedServer is a collection server behind AuthStats, with stand-ins
+// for the read routes internal/report mounts beside the built-in ones.
 func authedServer(t *testing.T, keys ...string) *httptest.Server {
 	t.Helper()
-	store := NewStore()
-	mustSubmit(t, store, ev("i", "c", "", EventServed))
-	srv := httptest.NewServer(AuthStats(NewServer(store), keys...))
+	server := NewServer(NewStore())
+	ok := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusOK) })
+	for _, pattern := range []string{"GET /report", "GET /v1/stats", "GET /v1/campaigns/{id}/stats", "GET /v1/breakdown"} {
+		server.Mount(pattern, ok)
+	}
+	srv := httptest.NewServer(AuthStats(server, keys...))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -36,8 +41,10 @@ func TestAuthStatsProtectsReads(t *testing.T) {
 	if resp := get(t, srv.URL+"/v1/stats"); resp.StatusCode != http.StatusUnauthorized {
 		t.Errorf("unauthenticated stats = %d", resp.StatusCode)
 	}
-	if resp := get(t, srv.URL+"/v1/campaigns/c/stats"); resp.StatusCode != http.StatusUnauthorized {
-		t.Errorf("unauthenticated campaign stats = %d", resp.StatusCode)
+	for _, path := range []string{"/v1/campaigns/c/stats", "/v1/breakdown?dim=os", "/report", "/report?federated=1"} {
+		if resp := get(t, srv.URL+path); resp.StatusCode != http.StatusUnauthorized {
+			t.Errorf("unauthenticated %s = %d", path, resp.StatusCode)
+		}
 	}
 	// Bearer token works; either configured key is accepted.
 	if resp := get(t, srv.URL+"/v1/stats", "Authorization", "Bearer secret-2"); resp.StatusCode != http.StatusOK {
@@ -46,6 +53,9 @@ func TestAuthStatsProtectsReads(t *testing.T) {
 	// Query key works.
 	if resp := get(t, srv.URL+"/v1/stats?key=secret-1"); resp.StatusCode != http.StatusOK {
 		t.Errorf("query-key stats = %d", resp.StatusCode)
+	}
+	if resp := get(t, srv.URL+"/report?key=secret-1"); resp.StatusCode != http.StatusOK {
+		t.Errorf("query-key report = %d", resp.StatusCode)
 	}
 	// Wrong key denied.
 	if resp := get(t, srv.URL+"/v1/stats?key=wrong"); resp.StatusCode != http.StatusUnauthorized {

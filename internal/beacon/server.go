@@ -21,13 +21,13 @@ import (
 // "monitoring server" of §3. It exposes:
 //
 //	POST /v1/events              ingest one request's events: a JSON object, a JSON array, or a binary batch frame
-//	GET  /v1/stats               global measured/viewability rates per source
-//	GET  /v1/campaigns/{id}/stats  per-campaign rates
 //	GET  /healthz                liveness probe
 //	GET  /readyz                 readiness probe (see SetReadiness)
+//	GET  /metrics                Prometheus text exposition
 //
 // Ingestion is idempotent (see Store.Submit), so tags may retry beacons
-// freely.
+// freely. The read routes over the counts — /report, /v1/stats and the
+// rest of internal/report's — are mounted beside these (see Mount).
 type Server struct {
 	store     *Store
 	sink      Sink
@@ -77,10 +77,10 @@ const DefaultMaxBodyBytes = 4 << 20
 // NewServer wraps a store with the HTTP collection API.
 func NewServer(store *Store) *Server { return NewServerWithSink(store, store) }
 
-// NewServerWithSink separates ingestion from aggregation: incoming events
-// go to sink (typically Tee(store, journal)) while stats endpoints read
-// from store. The sink must (directly or indirectly) feed the store or
-// the stats will stay empty. Each POST /v1/events request reaches sink
+// NewServerWithSink separates ingestion from storage: incoming events
+// go to sink (typically Tee(store, journal)) while /healthz and /metrics
+// read store. The sink must (directly or indirectly) feed the store or
+// they will stay empty. Each POST /v1/events request reaches sink
 // as one SubmitBatch when sink is a BatchSink, and as one Submit per
 // event, stopping at the first error, when it is not; either way the
 // request is accepted or refused whole.
@@ -93,16 +93,12 @@ func NewServerWithSink(store *Store, sink Sink) *Server {
 	s.reg.CounterFunc("qtag_ingest_doomed_total", "Requests refused before any WAL work because their deadline budget was already spent.", s.doomed.Load)
 	s.reg.GaugeFunc("qtag_store_events", "Distinct events held by the in-memory store.",
 		func() float64 { return float64(store.Len()) })
-	s.reg.GaugeFunc("qtag_store_campaigns", "Distinct campaigns observed by the store.",
-		func() float64 { return float64(store.CampaignCount()) })
 	s.reg.GaugeFunc("qtag_store_arena_bytes", "Memory reserved for the store's event records (summed chunk capacity).",
 		func() float64 { return float64(store.ArenaBytes()) })
 	s.ingestLatency = s.reg.Histogram("qtag_ingest_latency_seconds",
 		"Wall time spent handling one /v1/events ingestion request.", obs.LatencyBuckets)
 	s.mux.HandleFunc("POST /v1/events", s.instrument("ingest.events", s.handleEvents))
 	s.mux.HandleFunc("GET /v1/events", s.instrument("ingest.pixel", s.handlePixelEvent))
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/campaigns/{id}/stats", s.handleCampaignStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.Handle("GET /metrics", s.reg.Handler())
@@ -232,7 +228,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Mount attaches an additional handler under the server's mux — used to
-// co-host the analytics query API (internal/analytics.Handler) with the
+// co-host the read routes over the counts (internal/report) with the
 // collection endpoints. The pattern follows net/http ServeMux syntax and
 // must not collide with the built-in routes.
 func (s *Server) Mount(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
@@ -508,61 +504,6 @@ func decodeEvents(body []byte) ([]Event, error) {
 		return nil, fmt.Errorf("decode event: %w", err)
 	}
 	return []Event{e}, nil
-}
-
-// SourceStats is the per-solution block of a stats reply.
-type SourceStats struct {
-	Loaded          int     `json:"loaded"`
-	InView          int     `json:"in_view"`
-	MeasuredRate    float64 `json:"measured_rate"`
-	ViewabilityRate float64 `json:"viewability_rate"`
-}
-
-// StatsResponse is the GET stats reply body.
-type StatsResponse struct {
-	CampaignID string                 `json:"campaign_id,omitempty"`
-	Served     int                    `json:"served"`
-	Sources    map[string]SourceStats `json:"sources"`
-}
-
-func (s *Server) statsFor(campaignID string) StatsResponse {
-	resp := StatsResponse{
-		CampaignID: campaignID,
-		Served:     s.store.Served(campaignID),
-		Sources:    make(map[string]SourceStats),
-	}
-	for _, src := range []Source{SourceQTag, SourceCommercial} {
-		loaded := s.store.Loaded(campaignID, src)
-		inView := s.store.InView(campaignID, src)
-		st := SourceStats{Loaded: loaded, InView: inView}
-		if resp.Served > 0 {
-			st.MeasuredRate = float64(loaded) / float64(resp.Served)
-		}
-		if loaded > 0 {
-			st.ViewabilityRate = float64(inView) / float64(loaded)
-		}
-		resp.Sources[string(src)] = st
-	}
-	return resp
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.statsFor(""))
-}
-
-func (s *Server) handleCampaignStats(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if id == "" {
-		httpError(w, http.StatusBadRequest, "missing campaign id")
-		return
-	}
-	resp := s.statsFor(id)
-	if resp.Served == 0 && resp.Sources[string(SourceQTag)].Loaded == 0 &&
-		resp.Sources[string(SourceCommercial)].Loaded == 0 {
-		httpError(w, http.StatusNotFound, "unknown campaign "+id)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -16,7 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"qtag/internal/aggregate"
 	. "qtag/internal/beacon"
+	"qtag/internal/report"
 	"qtag/internal/wal"
 )
 
@@ -147,18 +149,21 @@ func TestIngestSoakWALGroupCommit(t *testing.T) {
 }
 
 // TestMergedReadsUnderSoak exercises the merged read paths (/healthz,
-// /metrics, stats, snapshot serialization) concurrently with sharded
+// /metrics, /v1/stats, snapshot serialization) concurrently with sharded
 // writes — the reader/writer interleaving the per-shard RWMutex must
 // survive under -race, with reads always observing a consistent
 // (monotonic) event count.
 func TestMergedReadsUnderSoak(t *testing.T) {
 	store := NewStoreWithShards(8)
+	agg := aggregate.Attach(store, aggregate.Options{Shards: 8})
 	wj, _, err := OpenDurable(wal.Options{Dir: t.TempDir(), GroupCommit: true}, store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	server := NewServerWithSink(store, Tee(store, wj))
+	report.MountStats(server, agg)
 	wj.RegisterMetrics(server.Metrics())
+	agg.RegisterMetrics(server.Metrics())
 	srv := httptest.NewServer(server)
 	defer srv.Close()
 
@@ -212,8 +217,8 @@ func TestMergedReadsUnderSoak(t *testing.T) {
 			last = n
 		}
 		_ = EncodeStoreSnapshot(store) // snapshot serialization vs live writes
-		_ = store.Counters()
-		_ = store.CampaignIDs()
+		_ = agg.Slices()
+		_ = agg.CampaignIDs()
 	}
 	if err := wj.Close(); err != nil {
 		t.Fatal(err)

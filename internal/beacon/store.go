@@ -8,66 +8,29 @@ import (
 	"sync"
 )
 
-// CounterKey is the aggregation dimension tuple maintained incrementally
-// by the store. Slicing queries (per campaign, per OS × site type) reduce
-// over these keys, so they never scan raw events.
-type CounterKey struct {
-	CampaignID string
-	Source     Source
-	Type       EventType
-	OS         string
-	SiteType   string
-	Exchange   string
-	Country    string
-}
-
-// counterKey is a CounterKey as a shard holds it: each string as its
-// number in the shard's names and the type as its codec code. It has no
-// pointers, so the counters, like the records, cost the collector
-// nothing to scan, and a key is 28 bytes where seven string headers are
-// 112 — which matters because every shard holds its own copy of every
-// key its impressions touch.
-type counterKey struct {
-	campaign, source, os, siteType, exchange, country uint32
-	typ                                               byte
-}
-
-// names interns one shard's strings: those of its counter keys and the
-// ones its records refer to instead of repeating them (see arena). The
-// shard lock guards it.
+// names interns the strings one shard's records refer to instead of
+// repeating them (see arena). The shard lock guards it.
 type names struct {
 	ids  map[string]uint32
 	strs []string // strs[id-1]; id 0 is ""
 }
 
-// A record's AdSize, Format and Slot are interned only while they are
-// at most maxInternedLen bytes and the shard holds fewer than
-// maxInternedNames names; past either they are kept in the record as
-// literals. Those three fields are the ones a tag may fill with
-// anything, and this keeps a table that every record can point into
-// from growing with them. The counter-key strings are interned
-// whatever their number or length, as the counters need them.
+// A record's strings are interned only while they are at most
+// maxInternedLen bytes and the shard holds fewer than maxInternedNames
+// names; past either they are kept in the record as literals. A tag may
+// fill them with anything, and this keeps a table that every record can
+// point into from growing with them.
 const (
 	maxInternedNames = 1 << 16
 	maxInternedLen   = 64
 )
 
-// id returns s's number, cloning s the first time it is seen: s usually
-// aliases a request body, and the table outlives the request.
+// id returns s's number when s is short and either interned already or
+// still has room in the table, and 0 otherwise: a non-empty string under
+// 0 is kept as a literal. A string is cloned the first time it is
+// numbered: s usually aliases a request body, and the table outlives the
+// request.
 func (n *names) id(s string) uint32 {
-	if s == "" {
-		return 0
-	}
-	if id, ok := n.ids[s]; ok {
-		return id
-	}
-	return n.add(s)
-}
-
-// optional returns s's number when s is short and either interned
-// already or still has room in the table, and 0 otherwise: a non-empty
-// string under 0 is kept as a literal.
-func (n *names) optional(s string) uint32 {
 	if s == "" || len(s) > maxInternedLen {
 		return 0
 	}
@@ -77,15 +40,10 @@ func (n *names) optional(s string) uint32 {
 	if len(n.strs) >= maxInternedNames {
 		return 0
 	}
-	return n.add(s)
-}
-
-func (n *names) add(s string) uint32 {
 	s = strings.Clone(s)
 	n.strs = append(n.strs, s)
-	id := uint32(len(n.strs))
-	n.ids[s] = id
-	return id
+	n.ids[s] = uint32(len(n.strs))
+	return uint32(len(n.strs))
 }
 
 func (n *names) str(id uint32) string {
@@ -95,29 +53,23 @@ func (n *names) str(id uint32) string {
 	return n.strs[id-1]
 }
 
-// eventNames are a first-seen event's strings as numbers in its shard's
-// names, taken once for both its counter key and its record: the six of
-// the key, always, and AdSize, Format and Slot by names.optional.
+// eventNames are a first-seen event's campaign and Meta strings as
+// numbers in its shard's names (0 for a literal).
 type eventNames struct {
-	counterKey
-	adSize, format, slot uint32
+	campaign, os, siteType, exchange, country, adSize, format, slot uint32
 }
 
-// intern numbers e's strings, adding those the shard has not seen.
+// intern numbers e's strings, adding those the shard has room for.
 func (n *names) intern(e *Event) eventNames {
 	return eventNames{
-		counterKey: counterKey{
-			campaign: n.id(e.CampaignID),
-			source:   n.id(string(e.Source)),
-			typ:      typeCode(e.Type),
-			os:       n.id(e.Meta.OS),
-			siteType: n.id(e.Meta.SiteType),
-			exchange: n.id(e.Meta.Exchange),
-			country:  n.id(e.Meta.Country),
-		},
-		adSize: n.optional(e.Meta.AdSize),
-		format: n.optional(e.Meta.Format),
-		slot:   n.optional(e.Meta.Slot),
+		campaign: n.id(e.CampaignID),
+		os:       n.id(e.Meta.OS),
+		siteType: n.id(e.Meta.SiteType),
+		exchange: n.id(e.Meta.Exchange),
+		country:  n.id(e.Meta.Country),
+		adSize:   n.id(e.Meta.AdSize),
+		format:   n.id(e.Meta.Format),
+		slot:     n.id(e.Meta.Slot),
 	}
 }
 
@@ -145,29 +97,15 @@ func (n *names) field(s string, off int) (string, int, bool) {
 	return s[off:end], end, true
 }
 
-// export turns a shard's key back into the public one.
-func (n *names) export(k counterKey) CounterKey {
-	typ, _ := typeFromCode(k.typ) // Validate admitted it, so it has a code
-	return CounterKey{
-		CampaignID: n.str(k.campaign),
-		Source:     Source(n.str(k.source)),
-		Type:       typ,
-		OS:         n.str(k.os),
-		SiteType:   n.str(k.siteType),
-		Exchange:   n.str(k.exchange),
-		Country:    n.str(k.country),
-	}
-}
-
 // ErrStoreFull reports a first-seen event whose shard already holds as
 // many record chunks as a record handle can address (4 GiB of encoded
 // events in one shard). The event is not stored and no observer fires.
 var ErrStoreFull = errors.New("beacon: store shard is full")
 
 // storeShard is one independently locked partition of the store: its own
-// records, dedup index and aggregation counters, so concurrent Submits on
-// different impressions never contend on a shared mutex. Read paths
-// (Len, Events, Count, …) merge across shards under per-shard RLocks.
+// records and dedup index, so concurrent Submits on different
+// impressions never contend on a shared mutex. Read paths (Len, Events,
+// ArenaBytes) merge across shards under per-shard RLocks.
 //
 // Neither the arena nor the index holds a pointer, so what the store
 // keeps per event is invisible to the garbage collector. index maps 32
@@ -180,11 +118,10 @@ var ErrStoreFull = errors.New("beacon: store shard is full")
 // arena); a record beyond those goes on the chain of its idempotency
 // key's hash instead.
 type storeShard struct {
-	mu       sync.RWMutex
-	arena    arena
-	index    map[uint32]uint32
-	names    names
-	counters map[counterKey]int
+	mu    sync.RWMutex
+	arena arena
+	index map[uint32]uint32
+	names names
 }
 
 // impressionChainMax bounds an impression chain, and so the walk of a
@@ -215,11 +152,12 @@ func (sh *storeShard) find(head uint32, e *Event) (bool, int) {
 	return false, walked
 }
 
-// Store is an idempotent, thread-safe, in-memory event store with
-// incremental aggregation counters, sharded by impression-ID hash so the
-// ingest path scales with cores. It is the reference implementation of
-// the DSP's "distributed monitoring infrastructure" (§5) collapsed to a
-// single process; the HTTP Server exposes it over the wire.
+// Store is an idempotent, thread-safe, in-memory event store, sharded by
+// impression-ID hash so the ingest path scales with cores. It is the
+// reference implementation of the DSP's "distributed monitoring
+// infrastructure" (§5) collapsed to a single process; the HTTP Server
+// exposes it over the wire. It keeps events and counts nothing: the
+// observers it feeds (internal/aggregate) do the counting.
 type Store struct {
 	shards []storeShard
 	mask   uint32 // len(shards)-1; shard count is a power of two
@@ -233,13 +171,6 @@ type Store struct {
 	// under the same shard lock. First-seen events never reach them; the
 	// two hook sets partition every valid submission. See AddDupObserver.
 	dupObservers []func(Event)
-
-	// campaigns is the set of distinct campaign ids seen, so the
-	// qtag_store_campaigns gauge is a len() and not a walk over every
-	// shard's counters. A shard adds to it, under campMu, only when it
-	// inserts a CounterKey it has not held before.
-	campMu    sync.Mutex
-	campaigns map[string]struct{}
 
 	// seed keys the index hashes, fresh per store. hashMask is all ones;
 	// the collision tests zero it so that every record of a shard shares
@@ -276,16 +207,14 @@ func NewStoreWithShards(n int) *Store {
 		size <<= 1
 	}
 	s := &Store{
-		shards:    make([]storeShard, size),
-		mask:      uint32(size - 1),
-		campaigns: make(map[string]struct{}),
-		seed:      maphash.MakeSeed(),
-		hashMask:  ^uint32(0),
+		shards:   make([]storeShard, size),
+		mask:     uint32(size - 1),
+		seed:     maphash.MakeSeed(),
+		hashMask: ^uint32(0),
 	}
 	for i := range s.shards {
 		s.shards[i].index = make(map[uint32]uint32)
 		s.shards[i].names.ids = make(map[string]uint32)
-		s.shards[i].counters = make(map[counterKey]int)
 	}
 	return s
 }
@@ -332,7 +261,7 @@ func (s *Store) shardIndex(impressionID string) uint32 { return HashID(impressio
 
 // Submit validates and stores the event. Duplicate submissions (same
 // idempotency key) are silently absorbed: at-least-once delivery from tags
-// never inflates counters. Submit implements Sink.
+// never reaches the observers twice. Submit implements Sink.
 func (s *Store) Submit(e Event) error {
 	if err := e.Validate(); err != nil {
 		return err
@@ -348,7 +277,7 @@ func (s *Store) Submit(e Event) error {
 // Nothing it keeps aliases e's strings: the record is a copy, and an
 // interned string is cloned when — and only when — the shard first sees
 // it. A full shard may still have interned a refused event's strings;
-// they are unreachable from any record or counter.
+// they are unreachable from any record.
 func (s *Store) applyLocked(sh *storeShard, e Event) error {
 	// The hash inputs are built in a stack buffer: the impression key,
 	// and past an impression chain's bound the display key, whose '|'
@@ -376,13 +305,6 @@ func (s *Store) applyLocked(sh *storeShard, e Event) error {
 		return err
 	}
 	sh.index[h] = at
-	keys := len(sh.counters)
-	sh.counters[ids.counterKey]++
-	if len(sh.counters) != keys {
-		s.campMu.Lock()
-		s.campaigns[sh.names.str(ids.campaign)] = struct{}{}
-		s.campMu.Unlock()
-	}
 	for _, fn := range s.observers {
 		fn(e)
 	}
@@ -478,14 +400,6 @@ func (s *Store) ArenaBytes() int {
 	return n
 }
 
-// CampaignCount returns the number of distinct campaigns observed —
-// len(CampaignIDs()) without the walk and the sort.
-func (s *Store) CampaignCount() int {
-	s.campMu.Lock()
-	defer s.campMu.Unlock()
-	return len(s.campaigns)
-}
-
 // Len returns the number of distinct stored events.
 func (s *Store) Len() int {
 	n := 0
@@ -531,75 +445,4 @@ func (s *Store) Events() []Event {
 		return a.Seq < b.Seq
 	})
 	return out
-}
-
-// Count sums counters matching the predicate across all shards. A nil
-// predicate matches everything.
-func (s *Store) Count(match func(CounterKey) bool) int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, c := range sh.counters {
-			if match == nil || match(sh.names.export(k)) {
-				n += c
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// Counters returns a merged copy of the aggregation counters.
-func (s *Store) Counters() map[CounterKey]int {
-	out := make(map[CounterKey]int)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, v := range sh.counters {
-			out[sh.names.export(k)] += v
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
-// CampaignIDs returns the distinct campaign ids present, sorted.
-func (s *Store) CampaignIDs() []string {
-	s.campMu.Lock()
-	out := make([]string, 0, len(s.campaigns))
-	for id := range s.campaigns {
-		out = append(out, id)
-	}
-	s.campMu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
-// Served returns the number of served impressions for a campaign ("" for
-// all campaigns).
-func (s *Store) Served(campaignID string) int {
-	return s.Count(func(k CounterKey) bool {
-		return k.Type == EventServed && (campaignID == "" || k.CampaignID == campaignID)
-	})
-}
-
-// Loaded returns the number of impressions a solution checked in on
-// (measured) for a campaign ("" for all).
-func (s *Store) Loaded(campaignID string, src Source) int {
-	return s.Count(func(k CounterKey) bool {
-		return k.Type == EventLoaded && k.Source == src &&
-			(campaignID == "" || k.CampaignID == campaignID)
-	})
-}
-
-// InView returns the number of first-cycle in-view impressions for a
-// solution and campaign ("" for all). Repeated cycles (Seq > 0) are not
-// double counted because Submit dedupes on (impression, source, type,
-// seq) and qtag/commercial tags report the criteria being met once.
-func (s *Store) InView(campaignID string, src Source) int {
-	return s.Count(func(k CounterKey) bool {
-		return k.Type == EventInView && k.Source == src &&
-			(campaignID == "" || k.CampaignID == campaignID)
-	})
 }

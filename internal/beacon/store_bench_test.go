@@ -46,8 +46,9 @@ func BenchmarkStoreSubmit(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreMixedReadWrite adds merged-read pressure (Len + Count)
-// alongside the writers, the /healthz-during-ingest pattern.
+// BenchmarkStoreMixedReadWrite adds merged-read pressure (Len +
+// ArenaBytes) alongside the writers, the /healthz- and
+// /metrics-during-ingest pattern.
 func BenchmarkStoreMixedReadWrite(b *testing.B) {
 	for _, shards := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -58,7 +59,7 @@ func BenchmarkStoreMixedReadWrite(b *testing.B) {
 					n := seq.Add(1)
 					if n%16 == 0 {
 						_ = store.Len()
-						_ = store.Count(func(k CounterKey) bool { return k.CampaignID == "camp-0" })
+						_ = store.ArenaBytes()
 						continue
 					}
 					if err := store.Submit(benchEvent(n)); err != nil {

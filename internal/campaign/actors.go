@@ -8,6 +8,7 @@ import (
 	"qtag/internal/obs"
 	"qtag/internal/simclock"
 	"qtag/internal/simrand"
+	"qtag/internal/viewability"
 )
 
 // ActorKind names one adversarial (or honest-baseline) traffic model.
@@ -157,10 +158,14 @@ func RunActor(spec ActorSpec, rng *simrand.RNG, sink beacon.Sink, tracer *obs.Li
 		case ActorHonest:
 			m := meta
 			m.Slot = fmt.Sprintf("slot-%02d", i%honestSlots)
+			loadedAt := at.Add(80 * time.Millisecond)
 			submit(beacon.Event{ImpressionID: imp, CampaignID: spec.CampaignID, Type: beacon.EventServed, At: at, Meta: m})
-			submit(beacon.Event{ImpressionID: imp, CampaignID: spec.CampaignID, Source: spec.Source, Type: beacon.EventLoaded, At: at.Add(80 * time.Millisecond), Meta: m})
+			submit(beacon.Event{ImpressionID: imp, CampaignID: spec.CampaignID, Source: spec.Source, Type: beacon.EventLoaded, At: loadedAt, Meta: m})
 			if rng.Bool(0.6) { // not every honest impression is viewed
-				inAt := at.Add(time.Duration(rng.Range(200, 1200)) * time.Millisecond)
+				// A tag reports in-view once the standard's dwell has
+				// passed since it loaded, and a little after.
+				std := viewability.StandardCriteria(viewability.FormatNamed(m.Format)).Dwell
+				inAt := loadedAt.Add(std + time.Duration(rng.Range(120, 1120))*time.Millisecond)
 				// Natural dwell: lognormal around ~3s, essentially never
 				// at zero or pinned to the 1s standard threshold.
 				dwell := time.Duration(rng.LogNormal(1.1, 0.4) * float64(time.Second))

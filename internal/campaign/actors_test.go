@@ -84,8 +84,8 @@ func TestSimulatorAdversaries(t *testing.T) {
 		},
 	}
 	res := New(cfg).Run()
-	if res.Store.InView("camp-spoof", beacon.SourceQTag) != 15 {
-		t.Fatalf("spoofed in-views missing from store: %d", res.Store.InView("camp-spoof", beacon.SourceQTag))
+	if got := res.Aggregate.Totals("camp-spoof").Viewed[beacon.SourceQTag]; got != 15 {
+		t.Fatalf("spoofed in-views missing from the counts: %d impressions viewed", got)
 	}
 	labels := OracleLabels(res.Trace)
 	if fraud, ok := labels["camp-spoof"]; !ok || !fraud {

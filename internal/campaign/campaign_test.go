@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
 	"qtag/internal/browser"
 	"qtag/internal/simrand"
@@ -79,21 +80,17 @@ func TestTable2Ordering(t *testing.T) {
 		{"Android", "browser"}: {0.944, 0.867},
 		{"iOS", "browser"}:     {0.946, 0.911},
 	}
+	slices := map[[2]string]aggregate.Counts{}
+	for _, s := range res.Aggregate.Slices() {
+		slices[[2]string{s.OS, s.SiteType}] = s.Counts
+	}
 	gaps := map[[2]string]float64{}
 	for cell, paper := range want {
-		os, site := cell[0], cell[1]
-		served := res.Store.Count(func(k beacon.CounterKey) bool {
-			return k.Type == beacon.EventServed && k.OS == os && k.SiteType == site
-		})
-		if served < 100 {
-			t.Fatalf("cell %v underpopulated: %d served", cell, served)
+		counts := slices[cell]
+		if counts.Served < 100 {
+			t.Fatalf("cell %v underpopulated: %d served", cell, counts.Served)
 		}
-		q := float64(res.Store.Count(func(k beacon.CounterKey) bool {
-			return k.Type == beacon.EventLoaded && k.Source == beacon.SourceQTag && k.OS == os && k.SiteType == site
-		})) / float64(served)
-		c := float64(res.Store.Count(func(k beacon.CounterKey) bool {
-			return k.Type == beacon.EventLoaded && k.Source == beacon.SourceCommercial && k.OS == os && k.SiteType == site
-		})) / float64(served)
+		q, c := counts.MeasuredRate(beacon.SourceQTag), counts.MeasuredRate(beacon.SourceCommercial)
 		if q <= c {
 			t.Errorf("%v: Q-Tag (%.3f) must beat commercial (%.3f)", cell, q, c)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"qtag/internal/adserve"
 	"qtag/internal/adtag"
+	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
 	"qtag/internal/browser"
 	"qtag/internal/commercial"
@@ -216,8 +217,11 @@ type ImpressionRecord struct {
 type Result struct {
 	Config    Config
 	Campaigns []CampaignResult
-	// Store holds every beacon of the run, for slicing (Table 2).
+	// Store holds every beacon of the run.
 	Store *beacon.Store
+	// Aggregate counts the run's impressions, as qtag-server does: the
+	// campaigns' counts above and the Table 2 slices come from it.
+	Aggregate *aggregate.Aggregator
 	// Impressions holds per-impression records when
 	// Config.RecordImpressions is set.
 	Impressions []ImpressionRecord
@@ -231,6 +235,7 @@ type Simulator struct {
 	cfg   Config
 	rng   *simrand.RNG
 	store *beacon.Store
+	agg   *aggregate.Aggregator
 	sink  beacon.Sink
 }
 
@@ -238,6 +243,7 @@ type Simulator struct {
 func New(cfg Config) *Simulator {
 	cfg = cfg.withDefaults()
 	store := beacon.NewStore()
+	agg := aggregate.Attach(store, aggregate.Options{TTL: -1})
 	var sink beacon.Sink = store
 	if cfg.ExtraSink != nil {
 		extra := cfg.ExtraSink
@@ -248,7 +254,7 @@ func New(cfg Config) *Simulator {
 			return extra.Submit(e)
 		})
 	}
-	return &Simulator{cfg: cfg, rng: simrand.New(cfg.Seed), store: store, sink: sink}
+	return &Simulator{cfg: cfg, rng: simrand.New(cfg.Seed), store: store, agg: agg, sink: sink}
 }
 
 // GenerateSpecs produces the campaign roster deterministically from the
@@ -288,7 +294,7 @@ func (s *Simulator) GenerateSpecs() []Spec {
 // campaign order, and per-campaign outputs are merged back in order.
 func (s *Simulator) Run() *Result {
 	specs := s.GenerateSpecs()
-	res := &Result{Config: s.cfg, Store: s.store, Campaigns: make([]CampaignResult, len(specs))}
+	res := &Result{Config: s.cfg, Store: s.store, Aggregate: s.agg, Campaigns: make([]CampaignResult, len(specs))}
 
 	// Pre-fork one RNG per campaign in deterministic order.
 	rngs := make([]*simrand.RNG, len(specs))
@@ -411,12 +417,13 @@ func (s *Simulator) runCampaign(spec Spec, rng *simrand.RNG) (CampaignResult, []
 		out.FaultDrops = int(snap.Dropped)
 		out.FaultErrors = int(snap.Errored)
 	}
-	// Aggregate the beacon counts for this campaign from the store.
-	out.Served = s.store.Served(spec.ID)
-	out.QTagLoaded = s.store.Loaded(spec.ID, beacon.SourceQTag)
-	out.QTagInView = s.store.InView(spec.ID, beacon.SourceQTag)
-	out.CommercialLoaded = s.store.Loaded(spec.ID, beacon.SourceCommercial)
-	out.CommercialInView = s.store.InView(spec.ID, beacon.SourceCommercial)
+	// The campaign's impression counts, from the aggregator.
+	counts := s.agg.Totals(spec.ID)
+	out.Served = int(counts.Served)
+	out.QTagLoaded = int(counts.Measured[beacon.SourceQTag])
+	out.QTagInView = int(counts.Viewed[beacon.SourceQTag])
+	out.CommercialLoaded = int(counts.Measured[beacon.SourceCommercial])
+	out.CommercialInView = int(counts.Viewed[beacon.SourceCommercial])
 	return out, records, tracer
 }
 

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"qtag/internal/adtag"
+	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
 	"qtag/internal/browser"
 	"qtag/internal/dom"
@@ -201,6 +202,7 @@ func (r *Runner) Run(test TestType, format Format, prof browser.Profile) RunResu
 	flaked := driver.SessionFlakes(script)
 
 	store := beacon.NewStore()
+	agg := aggregate.Attach(store, aggregate.Options{TTL: -1})
 	var sink beacon.Sink = store
 	if flaked {
 		// The automation race wedged the tag injection: beacons go
@@ -216,8 +218,8 @@ func (r *Runner) Run(test TestType, format Format, prof browser.Profile) RunResu
 
 	out := Outcome{
 		Deployed:  deployed,
-		InView:    store.InView("cert", beacon.SourceQTag) > 0,
-		OutOfView: outOfViewCount(store) > 0,
+		InView:    agg.Totals().Viewed[beacon.SourceQTag] > 0,
+		OutOfView: agg.DwellPairs() > 0,
 		Flaked:    flaked,
 	}
 	pass := out.InView
@@ -227,12 +229,6 @@ func (r *Runner) Run(test TestType, format Format, prof browser.Profile) RunResu
 		pass = pass && !out.OutOfView
 	}
 	return RunResult{Test: test, Format: format, Profile: prof.Name, Outcome: out, Pass: pass}
-}
-
-func outOfViewCount(store *beacon.Store) int {
-	return store.Count(func(k beacon.CounterKey) bool {
-		return k.Type == beacon.EventOutOfView && k.Source == beacon.SourceQTag
-	})
 }
 
 // buildScript translates a Table 1 test into a driver script.

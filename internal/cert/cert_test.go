@@ -8,6 +8,7 @@ import (
 
 	"qtag/internal/adserve"
 	"qtag/internal/adtag"
+	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
 	"qtag/internal/browser"
 	"qtag/internal/dom"
@@ -178,6 +179,7 @@ func TestScenarioThroughFullDeliveryChain(t *testing.T) {
 	slot := doc.Root().AppendChild("ad-slot", geom.Rect{X: 200, Y: 150, W: 300, H: 250})
 
 	store := beacon.NewStore()
+	agg := aggregate.Attach(store, aggregate.Options{TTL: -1})
 	platform := dsp.New("sonata")
 	platform.AddCampaign(&dsp.Campaign{
 		ID: "cert-e2e", BidCPM: 1,
@@ -195,16 +197,13 @@ func TestScenarioThroughFullDeliveryChain(t *testing.T) {
 		t.Fatal("expected the double cross-domain iframe structure")
 	}
 	clock.Advance(2 * time.Second)
-	if store.InView("cert-e2e", beacon.SourceQTag) != 1 {
+	if agg.Totals("cert-e2e").Viewed[beacon.SourceQTag] != 1 {
 		t.Error("in-view missing through the full delivery chain")
 	}
 	// Scroll away (test 5's second half).
 	page.ScrollTo(geom.Point{Y: 3000})
 	clock.Advance(500 * time.Millisecond)
-	outs := store.Count(func(k beacon.CounterKey) bool {
-		return k.Type == beacon.EventOutOfView && k.Source == beacon.SourceQTag
-	})
-	if outs != 1 {
-		t.Errorf("out-of-view count = %d", outs)
+	if outs := agg.DwellPairs(); outs != 1 {
+		t.Errorf("in-view cycles closed by an out-of-view = %d, want 1", outs)
 	}
 }

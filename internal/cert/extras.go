@@ -7,6 +7,7 @@ import (
 
 	"qtag/internal/adserve"
 	"qtag/internal/adtag"
+	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
 	"qtag/internal/browser"
 	"qtag/internal/dom"
@@ -70,6 +71,7 @@ func RunRandomPlacements(n int, seed uint64) PlacementResult {
 		creative := inner.Root().AppendChild("creative", geom.Rect{X: 0, Y: 0, W: adW, H: adH})
 
 		store := beacon.NewStore()
+		agg := aggregate.Attach(store, aggregate.Options{TTL: -1})
 		rt := adtag.NewRuntime(page, creative, store, adtag.Impression{
 			ID: "p", CampaignID: "p", Format: viewability.Display,
 		})
@@ -80,7 +82,7 @@ func RunRandomPlacements(n int, seed uint64) PlacementResult {
 		// Ground truth from exact geometry: ≥50% of the ad visible.
 		truth := page.TrueVisibleFraction(creative) >= 0.5
 		clock.Advance(2 * time.Second) // static exposure well past the 1s dwell
-		got := store.InView("p", beacon.SourceQTag) > 0
+		got := agg.Totals().Viewed[beacon.SourceQTag] > 0
 		b.Close()
 
 		if truth {
@@ -121,6 +123,7 @@ func RunMobileInApp(prof browser.Profile) []MobileInAppResult {
 		inner := outer.Root().AttachIframe(dspOrigin, geom.Rect{X: 0, Y: 0, W: size.W, H: size.H})
 		creative := inner.Root().AppendChild("creative", geom.Rect{X: 0, Y: 0, W: size.W, H: size.H})
 		store := beacon.NewStore()
+		agg := aggregate.Attach(store, aggregate.Options{TTL: -1})
 		rt := adtag.NewRuntime(page, creative, store, adtag.Impression{
 			ID: "m", CampaignID: "m", Format: viewability.Display,
 		})
@@ -130,7 +133,7 @@ func RunMobileInApp(prof browser.Profile) []MobileInAppResult {
 			Profile:  prof.Name,
 			AdSize:   size,
 			Measured: measured,
-			InView:   store.InView("m", beacon.SourceQTag) > 0,
+			InView:   agg.Totals().Viewed[beacon.SourceQTag] > 0,
 		})
 		b.Close()
 	}
@@ -227,6 +230,7 @@ func RunPrivacyBrowserCheck(prof browser.Profile) PrivacyResult {
 	slot := doc.Root().AppendChild("ad-slot", geom.Rect{X: 200, Y: 100, W: 300, H: 250})
 
 	store := beacon.NewStore()
+	agg := aggregate.Attach(store, aggregate.Options{TTL: -1})
 	exchange := adserve.NewExchange("doubleclick")
 	platform := dsp.New("sonata")
 	platform.AddCampaign(&dsp.Campaign{
@@ -238,11 +242,12 @@ func RunPrivacyBrowserCheck(prof browser.Profile) PrivacyResult {
 	deliverer := &adserve.Deliverer{Exchange: exchange, ServerSink: store, TagSink: store}
 	del, err := deliverer.Deliver(&adserve.SlotRequest{Page: page, Slot: slot})
 	clock.Advance(2 * time.Second)
+	counts := agg.Totals()
 	return PrivacyResult{
 		Profile:           prof.Name,
 		CookiesBlocked:    prof.BlocksThirdPartyCookies,
-		QTagMeasured:      store.Loaded("privacy", beacon.SourceQTag) > 0,
-		QTagInView:        store.InView("privacy", beacon.SourceQTag) > 0,
+		QTagMeasured:      counts.Measured[beacon.SourceQTag] > 0,
+		QTagInView:        counts.Viewed[beacon.SourceQTag] > 0,
 		DeliveredNormally: err == nil && del != nil && len(del.Runtimes) == 1,
 	}
 }

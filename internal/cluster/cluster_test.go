@@ -222,15 +222,15 @@ func TestClusterFederatedReportMergesAndDegrades(t *testing.T) {
 	if len(rep.Nodes) != 3 || len(rep.Degraded) != 0 {
 		t.Fatalf("nodes=%v degraded=%v, want 3 nodes none degraded", rep.Nodes, rep.Degraded)
 	}
-	wantMeasured := 0
+	var wantMeasured int64
 	for _, hn := range h.Nodes {
-		wantMeasured += hn.Stack.Store.Loaded("", beacon.SourceQTag)
+		wantMeasured += hn.Stack.Aggregate.Totals().Measured[beacon.SourceQTag]
 	}
 	if len(rep.Campaigns.Rows) != 1 {
 		t.Fatalf("federated rows = %d, want 1", len(rep.Campaigns.Rows))
 	}
-	if got := rep.Campaigns.Rows[0].Sources["qtag"].Measured; got != int64(wantMeasured) {
-		t.Fatalf("federated measured = %d, want %d (sum of node stores)", got, wantMeasured)
+	if got := rep.Campaigns.Rows[0].Sources["qtag"].Measured; got != wantMeasured {
+		t.Fatalf("federated measured = %d, want %d (sum of the nodes' counts)", got, wantMeasured)
 	}
 
 	// Kill one node: the report must stay HTTP 200, name the dead node
@@ -249,9 +249,63 @@ func TestClusterFederatedReportMergesAndDegrades(t *testing.T) {
 	if len(rep.Nodes) != 2 {
 		t.Fatalf("nodes = %v, want the 2 survivors", rep.Nodes)
 	}
-	survivors := h.Nodes[0].Stack.Store.Loaded("", beacon.SourceQTag) + h.Nodes[1].Stack.Store.Loaded("", beacon.SourceQTag)
-	if got := rep.Campaigns.Rows[0].Sources["qtag"].Measured; got != int64(survivors) {
+	survivors := h.Nodes[0].Stack.Aggregate.Totals().Measured[beacon.SourceQTag] + h.Nodes[1].Stack.Aggregate.Totals().Measured[beacon.SourceQTag]
+	if got := rep.Campaigns.Rows[0].Sources["qtag"].Measured; got != survivors {
 		t.Fatalf("degraded federated measured = %d, want %d", got, survivors)
+	}
+}
+
+// A cluster whose nodes guard /report with -stats-key federates under
+// the caller's key: the fan-out asks each peer with the credentials it
+// was asked with, in either form, so no peer answers 401 and none is
+// degraded. Without a key the federated report is refused like the
+// plain one.
+func TestClusterFederatedReportUnderStatsKey(t *testing.T) {
+	base := fastNode()
+	base.StatsKey = "s3cret"
+	h := collectortest.StartHarness(t, collectortest.HarnessConfig{Nodes: 2, Base: base})
+	sendAcked(t, h, 0, 40, make(map[string]bool))
+	var want int64
+	for _, hn := range h.Nodes {
+		want += hn.Stack.Aggregate.Totals().Measured[beacon.SourceQTag]
+	}
+
+	get := func(path, auth string) (cluster.FederatedReport, int) {
+		req, err := http.NewRequest(http.MethodGet, h.Nodes[0].URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if auth != "" {
+			req.Header.Set("Authorization", auth)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var rep cluster.FederatedReport
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rep, resp.StatusCode
+	}
+	if _, status := get("/report?federated=1", ""); status != http.StatusUnauthorized {
+		t.Fatalf("federated report without a key: status %d, want 401", status)
+	}
+	for _, c := range []struct{ path, auth string }{
+		{"/report?federated=1&key=s3cret", ""},
+		{"/report?federated=1", "Bearer s3cret"},
+	} {
+		rep, status := get(c.path, c.auth)
+		if status != http.StatusOK || len(rep.Nodes) != 2 || len(rep.Degraded) != 0 {
+			t.Fatalf("GET %s (Authorization %q): status %d, nodes %v, degraded %v; want 200 from both nodes",
+				c.path, c.auth, status, rep.Nodes, rep.Degraded)
+		}
+		if len(rep.Campaigns.Rows) != 1 || rep.Campaigns.Rows[0].Sources["qtag"].Measured != want {
+			t.Fatalf("GET %s: rows %+v, want one row measuring %d", c.path, rep.Campaigns.Rows, want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -61,7 +62,9 @@ const perPeerTimeout = 2 * time.Second
 //
 // Peers are always asked for their PLAIN report, so federation never
 // recurses: a two-node cluster asking each other federated reports
-// would otherwise ping-pong forever.
+// would otherwise ping-pong forever. They are asked with the caller's
+// credentials — its Authorization header and its ?key= — so a cluster
+// whose nodes guard /report with one operator key federates under it.
 func FederatedHandler(a *aggregate.Aggregator, cfg FederationConfig) http.Handler {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -109,13 +112,13 @@ func (h *federatedHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	results := make([]peerResult, 0, len(h.cfg.Peers))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for id, url := range h.cfg.Peers {
+	for id, base := range h.cfg.Peers {
 		wg.Add(1)
-		go func(id, url string) {
+		go func(id, base string) {
 			defer wg.Done()
 			psp := h.cfg.Tracer.StartSpan(fsp.Context(), "federate.fetch")
 			psp.SetAttr("peer", id)
-			rep, err := h.fetch(r.Context(), url, psp.TraceParent())
+			rep, err := h.fetch(r, base, psp.TraceParent())
 			if err != nil {
 				psp.SetError(err.Error())
 			}
@@ -123,7 +126,7 @@ func (h *federatedHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			mu.Lock()
 			results = append(results, peerResult{id: id, rep: rep, err: err})
 			mu.Unlock()
-		}(id, url)
+		}(id, base)
 	}
 	local := report.ViewabilityReport{
 		Campaigns:       h.a.Snapshot(),
@@ -162,15 +165,23 @@ func (h *federatedHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(out)
 }
 
-// fetch pulls one peer's plain report under the per-peer deadline,
-// propagating the fetch span's traceparent when tracing is active.
-func (h *federatedHandler) fetch(ctx context.Context, baseURL, traceparent string) (report.ViewabilityReport, error) {
+// fetch pulls one peer's plain report for the federated request from,
+// under the per-peer deadline and with from's credentials, propagating
+// the fetch span's traceparent when tracing is active.
+func (h *federatedHandler) fetch(from *http.Request, baseURL, traceparent string) (report.ViewabilityReport, error) {
 	var rep report.ViewabilityReport
-	ctx, cancel := context.WithTimeout(ctx, perPeerTimeout)
+	ctx, cancel := context.WithTimeout(from.Context(), perPeerTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/report?windows=0", nil)
+	target := baseURL + "/report?windows=0"
+	if key := from.URL.Query().Get("key"); key != "" {
+		target += "&key=" + url.QueryEscape(key)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
 	if err != nil {
 		return rep, err
+	}
+	if auth := from.Header.Get("Authorization"); auth != "" {
+		req.Header.Set("Authorization", auth)
 	}
 	if traceparent != "" {
 		req.Header.Set(obs.TraceParentHeader, traceparent)

@@ -3,6 +3,7 @@ package collector_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 	"qtag/internal/beacon"
 	"qtag/internal/collector"
 	"qtag/internal/collector/collectortest"
+	"qtag/internal/report"
 	"qtag/internal/wal"
 )
 
@@ -237,6 +239,60 @@ func TestReportTTLEmptiesBothObservers(t *testing.T) {
 	}
 }
 
+// One impression that reports three in-view cycles (seq 0, 1 and 2) is
+// one viewed impression on every read route: /v1/stats and
+// /v1/campaigns/{id}/stats count impressions, as /report's rows do.
+func TestStatsCountImpressionsLikeTheReport(t *testing.T) {
+	_, url, _ := collectortest.Boot(t, collector.DefaultConfig())
+	at := time.Unix(1500000000, 0).UTC()
+	ev := func(typ beacon.EventType, src beacon.Source, seq int) beacon.Event {
+		at = at.Add(1500 * time.Millisecond)
+		return beacon.Event{ImpressionID: "imp", CampaignID: "c", Source: src, Type: typ, Seq: seq, At: at}
+	}
+	events := []beacon.Event{ev(beacon.EventServed, "", 0), ev(beacon.EventLoaded, beacon.SourceQTag, 0)}
+	for seq := 0; seq < 3; seq++ {
+		events = append(events, ev(beacon.EventInView, beacon.SourceQTag, seq), ev(beacon.EventOutOfView, beacon.SourceQTag, seq))
+	}
+	if resp := post(t, url, beacon.BinaryContentType, beacon.AppendBinaryEvents(nil, events)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest: status %d", resp.StatusCode)
+	}
+
+	var rep report.ViewabilityReport
+	getJSON(t, url+"/report", &rep)
+	var served, loaded, viewed int64
+	for _, r := range rep.Campaigns.Rows {
+		served += r.Served
+		loaded += r.Sources[string(beacon.SourceQTag)].Measured
+		viewed += r.Sources[string(beacon.SourceQTag)].Viewed
+	}
+	if served != 1 || loaded != 1 || viewed != 1 {
+		t.Fatalf("/report rows sum to served %d, measured %d, viewed %d; want 1, 1, 1", served, loaded, viewed)
+	}
+	want := beacon.SourceStats{Loaded: int(loaded), InView: int(viewed), MeasuredRate: 1, ViewabilityRate: 1}
+	for _, path := range []string{"/v1/campaigns/c/stats", "/v1/stats"} {
+		var got beacon.StatsResponse
+		getJSON(t, url+path, &got)
+		if got.Served != int(served) || got.Sources[string(beacon.SourceQTag)] != want {
+			t.Errorf("GET %s: served %d, qtag %+v; want %d and %+v", path, got.Served, got.Sources[string(beacon.SourceQTag)], served, want)
+		}
+	}
+}
+
+func getJSON(t *testing.T, url string, into any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+}
+
 // everything is a Config with every optional part switched on: WAL,
 // watermarks, detector, tracing, pprof, stats key, access log, and a
 // two-node ring whose peer is not there.
@@ -303,15 +359,17 @@ func TestOptionalRoutesAndMiddleware(t *testing.T) {
 		t.Fatalf("ingest on the full stack: status %d", resp.StatusCode)
 	}
 	for path, want := range map[string]int{
-		"/v1/stats":              http.StatusUnauthorized,
-		"/v1/stats?key=s3cret":   http.StatusOK,
-		"/v1/breakdown":          http.StatusUnauthorized,
-		"/report":                http.StatusOK,
-		"/debug/traces":          http.StatusOK,
-		"/debug/pprof/cmdline":   http.StatusOK,
-		"/readyz":                http.StatusOK,
-		"/metrics":               http.StatusOK,
-		"/debug/pprof/nonesuch/": http.StatusNotFound,
+		"/v1/stats":                       http.StatusUnauthorized,
+		"/v1/stats?key=s3cret":            http.StatusOK,
+		"/v1/breakdown":                   http.StatusUnauthorized,
+		"/v1/breakdown?dim=os&key=s3cret": http.StatusOK,
+		"/report":                         http.StatusUnauthorized,
+		"/report?key=s3cret":              http.StatusOK,
+		"/debug/traces":                   http.StatusOK,
+		"/debug/pprof/cmdline":            http.StatusOK,
+		"/readyz":                         http.StatusOK,
+		"/metrics":                        http.StatusOK,
+		"/debug/pprof/nonesuch/":          http.StatusNotFound,
 	} {
 		resp, err := http.Get(url + path)
 		if err != nil {

@@ -12,7 +12,6 @@ import (
 
 	"qtag/internal/admission"
 	"qtag/internal/aggregate"
-	"qtag/internal/analytics"
 	"qtag/internal/beacon"
 	"qtag/internal/cluster"
 	"qtag/internal/detect"
@@ -76,9 +75,8 @@ func Open(cfg Config) (_ *Stack, err error) {
 	// pass: one first-seen observer opens each event's impression once for
 	// both, and -report-ttl / -report-max-open bound both.
 	s.Store = beacon.NewStoreWithShards(cfg.IngestShards)
-	s.Aggregate = aggregate.New(aggregate.Options{Shards: cfg.IngestShards, TTL: cfg.ReportTTL,
+	s.Aggregate = aggregate.Attach(s.Store, aggregate.Options{Shards: cfg.IngestShards, TTL: cfg.ReportTTL,
 		Window: cfg.ReportWindow, MaxWindows: cfg.ReportWindows, MaxOpen: cfg.ReportMaxOpen})
-	s.Store.AddObserver(s.Aggregate.Observe)
 	if cfg.Detect {
 		s.Detect = detect.New(detect.Options{Shards: cfg.IngestShards})
 		s.Detect.Join(s.Aggregate.Pass())
@@ -193,8 +191,7 @@ func Open(cfg Config) (_ *Stack, err error) {
 // mountRoutes attaches what beacon.Server does not serve itself.
 func (s *Stack) mountRoutes(tracer *obs.Tracer) {
 	cfg, srv := s.cfg, s.Server
-	srv.Mount("GET /v1/breakdown", analytics.Handler(s.Store))
-	srv.Mount("GET /v1/timeseries", analytics.Handler(s.Store))
+	report.MountStats(srv, s.Aggregate)
 	if s.Node != nil {
 		node := s.Node
 		srv.Mount("GET /report", obs.TraceMiddleware(tracer, "report", cluster.FederatedHandler(s.Aggregate,
@@ -339,7 +336,7 @@ func (s *Stack) Start() {
 				}
 			}
 			s.log.Info("stats", "events", s.Store.Len(), "accepted", s.Server.Accepted(),
-				"rejected", s.Server.Rejected(), "campaigns", s.Store.CampaignCount(),
+				"rejected", s.Server.Rejected(), "campaigns", s.Aggregate.Campaigns(),
 				"queue_depth", s.Queue.Depth())
 		})
 	}

@@ -183,13 +183,24 @@ func TestVideoCriteria(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.Advance(1500 * time.Millisecond)
-	if store.InView("c", beacon.SourceCommercial) != 0 {
+	if inViews(store) != 0 {
 		t.Error("video in-view before 2s")
 	}
 	clock.Advance(800 * time.Millisecond)
-	if store.InView("c", beacon.SourceCommercial) != 1 {
+	if inViews(store) != 1 {
 		t.Error("video in-view missing after 2.3s")
 	}
+}
+
+// inViews counts the commercial in-view beacons a store holds.
+func inViews(store *beacon.Store) int {
+	n := 0
+	for _, e := range store.Events() {
+		if e.Type == beacon.EventInView && e.Source == beacon.SourceCommercial {
+			n++
+		}
+	}
+	return n
 }
 
 func TestTagName(t *testing.T) {
@@ -214,11 +225,11 @@ func TestCriteriaOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.Advance(3 * time.Second)
-	if store.InView("c", beacon.SourceCommercial) != 0 {
+	if inViews(store) != 0 {
 		t.Error("override dwell ignored")
 	}
 	clock.Advance(2 * time.Second)
-	if store.InView("c", beacon.SourceCommercial) != 1 {
+	if inViews(store) != 1 {
 		t.Error("in-view missing after override dwell")
 	}
 }

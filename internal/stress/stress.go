@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"qtag/internal/adtag"
+	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
 	"qtag/internal/browser"
 	"qtag/internal/dom"
@@ -203,6 +204,7 @@ func Run(sc Scenario) RunResult {
 	creative := inner.Root().AppendChild("creative", geom.Rect{X: 0, Y: 0, W: size.W, H: size.H})
 
 	store := beacon.NewStore()
+	agg := aggregate.Attach(store, aggregate.Options{TTL: -1})
 	rt := adtag.NewRuntime(page, creative, store, adtag.Impression{
 		ID: "stress", CampaignID: "stress", Format: format,
 	})
@@ -242,7 +244,7 @@ func Run(sc Scenario) RunResult {
 
 	res := RunResult{
 		Scenario:     sc,
-		TagInView:    store.InView("stress", beacon.SourceQTag) > 0,
+		TagInView:    agg.Totals().Viewed[beacon.SourceQTag] > 0,
 		OracleStrict: oracles[0].FinishAt(clock.Now()),
 		OracleNom:    oracles[1].FinishAt(clock.Now()),
 		OracleLen:    oracles[2].FinishAt(clock.Now()),

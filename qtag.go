@@ -11,8 +11,9 @@
 //     viewability standard, and beacons in-view / out-of-view events to a
 //     monitoring server. See NewTag and the Tag/Runtime types.
 //
-//   - The monitoring side a DSP deploys: an idempotent event store with
-//     an HTTP collection API and aggregation endpoints. See NewCollector,
+//   - The monitoring side a DSP deploys: an idempotent event store, the
+//     aggregator that counts its impressions, and an HTTP collection API
+//     with the read routes over those counts. See NewCollector,
 //     NewCollectionServer and HTTPSink.
 //
 //   - The evaluation harness that reproduces every table and figure of
@@ -31,6 +32,7 @@ import (
 	"math"
 
 	"qtag/internal/adtag"
+	"qtag/internal/aggregate"
 	"qtag/internal/analytics"
 	"qtag/internal/beacon"
 	"qtag/internal/campaign"
@@ -40,6 +42,7 @@ import (
 	"qtag/internal/economics"
 	"qtag/internal/layouteval"
 	"qtag/internal/qtag"
+	"qtag/internal/report"
 	"qtag/internal/stress"
 	"qtag/internal/viewability"
 )
@@ -111,9 +114,13 @@ type Event = beacon.Event
 // Sink consumes beacon events.
 type Sink = beacon.Sink
 
-// Collector is the idempotent in-memory event store with aggregation
-// counters.
-type Collector = beacon.Store
+// Collector is the monitoring server's state: the idempotent in-memory
+// event store, and the aggregator that counts its impressions as
+// qtag-server does. It is a Sink.
+type Collector struct {
+	*beacon.Store
+	agg *aggregate.Aggregator
+}
 
 // CollectionServer is the HTTP collection API over a Collector.
 type CollectionServer = beacon.Server
@@ -121,13 +128,31 @@ type CollectionServer = beacon.Server
 // HTTPSink delivers tag beacons to a CollectionServer over HTTP.
 type HTTPSink = beacon.HTTPSink
 
-// NewCollector returns an empty event store.
-func NewCollector() *Collector { return beacon.NewStore() }
+// NewCollector returns an empty collector.
+func NewCollector() *Collector {
+	store := beacon.NewStore()
+	return &Collector{Store: store, agg: aggregate.Attach(store, aggregate.Options{TTL: -1})}
+}
 
-// NewCollectionServer wraps a collector with the HTTP API
-// (POST /v1/events, GET /v1/stats, GET /v1/campaigns/{id}/stats,
-// GET /healthz).
-func NewCollectionServer(c *Collector) *CollectionServer { return beacon.NewServer(c) }
+// Counts are impressions as the paper counts them: served, and per
+// solution measured (a loaded beacon) and viewed (an in-view) — a
+// second in-view cycle (Seq > 0) of one impression is not a second one.
+type Counts = aggregate.Counts
+
+// Counts returns the given campaigns' counts, every campaign's when none
+// is given.
+func (c *Collector) Counts(campaignIDs ...string) Counts { return c.agg.Totals(campaignIDs...) }
+
+// NewCollectionServer wraps a collector with the HTTP API: POST
+// /v1/events, GET /healthz, /readyz and /metrics, and the read routes
+// over its counts, as qtag-server serves them — GET /report, /v1/stats,
+// /v1/campaigns/{id}/stats and /v1/breakdown?dim=os|site-type.
+func NewCollectionServer(c *Collector) *CollectionServer {
+	srv := beacon.NewServer(c.Store)
+	report.MountStats(srv, c.agg)
+	srv.Mount("GET /report", report.Handler(c.agg, nil))
+	return srv
+}
 
 // ---- Reproduction: Figure 2 (layout validation) ---------------------------
 
@@ -211,11 +236,12 @@ var GenerateJS = qtag.GenerateJS
 // each row with its Violations; Clean reports whether no row has one.
 type AuditReport = detect.Snapshot
 
-// Audit checks a collector's beacon stream against the protocol and the
-// standard's timing — the paper's transparency claim made operational —
-// by replaying c.Events() through a fresh detector: the fold qtag-server
-// runs on every beacon and `qtag-replay -report-json -detect` over a WAL.
-func Audit(c *Collector) AuditReport {
+// Audit checks the beacons of a Collector, or of a SimResult's Store,
+// against the protocol and the standard's timing — the paper's
+// transparency claim made operational — by replaying c.Events() through
+// a fresh detector: the fold qtag-server runs on every beacon and
+// `qtag-replay -report-json -detect` over a WAL.
+func Audit(c interface{ Events() []Event }) AuditReport {
 	d := detect.New(detect.Options{TTL: -1, MaxRows: math.MaxInt})
 	for _, e := range c.Events() {
 		d.Observe(e)
