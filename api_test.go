@@ -1,7 +1,9 @@
 package qtag_test
 
 import (
+	"encoding/json"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -65,8 +67,8 @@ func TestPublicAPICommercialBaseline(t *testing.T) {
 }
 
 // TestEndToEndHTTPPipeline is the full production shape over a real
-// socket: collection server ← HTTP ← simulated campaigns, then stats
-// queried back over HTTP and compared with the simulator's own
+// socket: collection server ← HTTP ← simulated campaigns, then GET
+// /report read back over HTTP and compared with the simulator's own
 // aggregates.
 func TestEndToEndHTTPPipeline(t *testing.T) {
 	collector := qtagapi.NewCollector()
@@ -83,8 +85,13 @@ func TestEndToEndHTTPPipeline(t *testing.T) {
 	if collector.Len() != res.Store.Len() {
 		t.Fatalf("HTTP store has %d events, local store %d", collector.Len(), res.Store.Len())
 	}
-	global, err := sink.FetchStats("")
+	resp, err := http.Get(srv.URL + "/report")
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var rep qtagapi.Report
+	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		t.Fatal(err)
 	}
 	var served, loaded int
@@ -92,19 +99,28 @@ func TestEndToEndHTTPPipeline(t *testing.T) {
 		served += c.Served
 		loaded += c.QTagLoaded
 	}
-	if global.Served != served {
-		t.Errorf("HTTP served = %d, sim served = %d", global.Served, served)
+	var rows, cells qtagapi.Counts
+	first := 0 // the first campaign's served, over its format rows
+	for _, r := range rep.Campaigns.Rows {
+		rows.Add(qtagapi.Counts{Served: r.Served, Measured: map[beacon.Source]int64{beacon.SourceQTag: r.Sources["qtag"].Measured}})
+		if r.CampaignID == res.Campaigns[0].Spec.ID {
+			first += int(r.Served)
+		}
 	}
-	if global.Sources["qtag"].Loaded != loaded {
-		t.Errorf("HTTP loaded = %d, sim loaded = %d", global.Sources["qtag"].Loaded, loaded)
+	for _, s := range rep.Slices {
+		cells.Add(s.Counts)
 	}
-	// Per-campaign stats resolve too.
-	stats, err := sink.FetchStats(res.Campaigns[0].Spec.ID)
-	if err != nil {
-		t.Fatal(err)
+	for what, c := range map[string]qtagapi.Counts{"rows": rows, "slices": cells} {
+		if int(c.Served) != served {
+			t.Errorf("HTTP %s served = %d, sim served = %d", what, c.Served, served)
+		}
+		if int(c.Measured[beacon.SourceQTag]) != loaded {
+			t.Errorf("HTTP %s loaded = %d, sim loaded = %d", what, c.Measured[beacon.SourceQTag], loaded)
+		}
 	}
-	if stats.Served != res.Campaigns[0].Served {
-		t.Errorf("campaign stats mismatch: %d vs %d", stats.Served, res.Campaigns[0].Served)
+	// Per-campaign counts resolve too.
+	if first != res.Campaigns[0].Served {
+		t.Errorf("campaign served mismatch: %d vs %d", first, res.Campaigns[0].Served)
 	}
 }
 

@@ -139,7 +139,7 @@ func main() {
 		}
 	}
 	if *reportJSON {
-		out := report.ViewabilityReport{Campaigns: agg.Snapshot()}
+		out := report.ViewabilityReport{Campaigns: agg.Snapshot(), Slices: agg.Slices()}
 		if det != nil {
 			fraud := det.Snapshot()
 			out.Fraud = &fraud
@@ -174,11 +174,8 @@ func main() {
 	}
 	fmt.Print(report.Table([]string{"Campaign", "Served", "Q-Tag measured", "Q-Tag viewability"}, rows))
 
-	if slices, _ := report.Breakdown(agg, "os"); len(slices) > 0 {
-		fmt.Println("\nby OS:")
-		for _, s := range slices {
-			fmt.Printf("  %-10s served=%6d qtag=%s commercial=%s\n",
-				s.Key, s.Served, report.Percent(s.QTag), report.Percent(s.Commercial))
-		}
+	fmt.Println("\nTable 2 — measured rate by site type and OS:")
+	for _, cell := range aggregate.Table2(agg.Slices()) {
+		fmt.Println("  " + cell.String())
 	}
 }

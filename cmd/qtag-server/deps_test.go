@@ -12,7 +12,7 @@ import (
 // evaluation built on it. The collector counts beacons from real tags;
 // none of these belongs in its binary.
 var simulatorPackages = []string{
-	"analytics", "campaign", "dsp", "adserve", "browser", "dom", "adtag", "qtag", "commercial",
+	"campaign", "dsp", "adserve", "browser", "dom", "adtag", "qtag", "commercial",
 }
 
 // TestServerLinksNoSimulator walks qtag-server's import graph — its own

@@ -5,14 +5,12 @@
 //
 //	POST /v1/events               ingest one event, a JSON array or a
 //	                              binary batch
-//	GET  /report                  streaming campaign viewability report
-//	                              (JSON; ?format=prom for Prometheus text)
-//	GET  /v1/stats                every campaign's counts and rates
-//	GET  /v1/campaigns/{id}/stats one campaign's counts and rates
-//	GET  /v1/breakdown?dim=os|site-type  rates by OS or by site type
-//	                              (the last four behind -stats-key, and
-//	                              all counting impressions, from the one
-//	                              aggregator)
+//	GET  /report                  the one read route: the streaming
+//	                              campaign viewability report and Table
+//	                              2's site type × OS slices, counting
+//	                              impressions from the one aggregator
+//	                              (JSON; ?format=prom for Prometheus
+//	                              text; ?federated=1 for the cluster's)
 //	GET  /metrics                 Prometheus text-format metrics
 //	GET  /healthz                 liveness (200 from the moment the
 //	                              socket binds, including during WAL
@@ -25,6 +23,9 @@
 //	                              trace's full span tree, else summaries
 //	                              filtered by ?min_ms= ?error=1 ?campaign=
 //
+// With -stats-key, every route but POST/GET /v1/events, /metrics,
+// /healthz and /readyz needs the key.
+//
 // The stack behind those routes is assembled by internal/collector from
 // a collector.Config; this command is the flag table that fills the
 // Config (one flag per field — `qtag-server -h` lists them, README has
@@ -35,11 +36,12 @@
 //     on boot and bounded by snapshot + compaction; -durable-sync puts it
 //     on the ack path, -group-commit amortizes its fsyncs; a full disk
 //     degrades (breaker, qtag_wal_disk_full), never crashes. DESIGN §9–10.
-//   - GET /report, /v1/stats, /v1/breakdown: per-campaign × per-format
-//     viewed / not-viewed / not-measured splits and the Table 2 slices,
-//     from the one aggregator fed at ingest time and rebuilt by WAL
-//     replay, memory bounded by -report-ttl; -stats-key guards them.
-//     The binary links no simulator package (deps_test.go). DESIGN §11.
+//   - GET /report: per-campaign × per-format viewed / not-viewed /
+//     not-measured splits and the Table 2 slices, from the one
+//     aggregator fed at ingest time and rebuilt by WAL replay, memory
+//     bounded by -report-ttl; -stats-key guards it and every other
+//     route that is not ingest, metrics or a probe. The binary links no
+//     simulator package (deps_test.go). DESIGN §11.
 //   - -peers (with -node-id, -handoff-dir): a coordinator-free cluster —
 //     consistent-hash ring, forwarding, hinted handoff, federated
 //     /report?federated=1. DESIGN §12.
@@ -52,7 +54,8 @@
 //     watermarks (both need -wal-dir); -admission=false is no overload
 //     control at all (and refuses both). DESIGN §14.
 //   - -detect: streaming fraud scores in the "fraud" object of GET
-//     /report and as qtag_detect_* metrics. DESIGN §15.
+//     /report — a cluster node's plain report too, not the federated
+//     one — and as qtag_detect_* metrics. DESIGN §15.
 //
 // On SIGINT/SIGTERM the HTTP server drains, then collector.Stack.Close
 // stops the background tickers, flushes the queue into the WAL, takes a
@@ -173,7 +176,7 @@ func bindFlags(fs *flag.FlagSet, o *options) {
 	fs.Int64Var(&c.MaxBodyBytes, "max-body-bytes", c.MaxBodyBytes, "reject POST /v1/events bodies larger than this with 413")
 	fs.BoolVar(&c.GroupCommit, "group-commit", c.GroupCommit, "coalesce concurrent WAL appends into shared fsyncs")
 	fs.BoolVar(&c.DurableSync, "durable-sync", c.DurableSync, "acknowledge ingestion only after events are journaled (requires -wal-dir)")
-	fs.StringVar(&c.StatsKey, "stats-key", c.StatsKey, "operator bearer token protecting /report and the stats endpoints (empty = open)")
+	fs.StringVar(&c.StatsKey, "stats-key", c.StatsKey, "operator bearer token every route needs but ingest, /metrics, /healthz and /readyz (empty = open)")
 	fs.IntVar(&c.ShedPending, "shed-pending", c.ShedPending, "the admission controller's hard backstop: shed ingestion with 503 while this many events await durability — WAL records not yet fsynced plus queued events (0 = disabled; needs -wal-dir and -admission)")
 	fs.BoolVar(&c.Admission, "admission", c.Admission, "adaptive admission control: gradient concurrency limiter, priority classes and degraded modes (false = no overload control)")
 	fs.Int64Var(&c.DiskLowBytes, "disk-low-bytes", c.DiskLowBytes, "WAL-disk low watermark: relax fsync to batch below this free space (0 disables; needs -wal-dir and -admission)")

@@ -41,7 +41,6 @@ import (
 	"runtime"
 	"time"
 
-	"qtag/internal/analytics"
 	"qtag/internal/beacon"
 	"qtag/internal/campaign"
 	"qtag/internal/economics"
@@ -176,7 +175,7 @@ func run(args []string, stdout io.Writer) int {
 			100*float64(notMeasured)/float64(max(served, 1)))
 	}
 
-	fig := analytics.Figure3(res)
+	fig := campaign.Figure3(res)
 	q := fig[beacon.SourceQTag]
 	c := fig[beacon.SourceCommercial]
 
@@ -191,7 +190,7 @@ func run(args []string, stdout io.Writer) int {
 
 	fmt.Fprintln(stdout, "Table 2 — measured rate by site type and OS (mobile impressions, both-tag campaigns)")
 	rows := make([][]string, 0, 4)
-	for _, cell := range analytics.Table2ForResult(res) {
+	for _, cell := range campaign.Table2ForResult(res) {
 		rows = append(rows, []string{
 			cell.SiteType, cell.OS,
 			report.Percent(cell.QTag), report.Percent(cell.Commercial),
@@ -213,7 +212,7 @@ func run(args []string, stdout io.Writer) int {
 	if *breakdown {
 		fmt.Fprintln(stdout, "\nPer-campaign breakdown")
 		rows = rows[:0]
-		for _, r := range analytics.Breakdown(res) {
+		for _, r := range campaign.Breakdown(res) {
 			comm := "-"
 			if r.Both {
 				comm = report.Percent(r.CommMeasured)

@@ -45,7 +45,7 @@ func TestClassify(t *testing.T) {
 		{"/healthz", "", ClassLive, false},
 		{"/readyz", "", ClassLive, false},
 		{"/metrics", "", ClassLive, false},
-		{"/v1/stats", "", ClassLive, false},
+		{"/nonesuch", "", ClassLive, false},
 	}
 	for _, c := range cases {
 		req := httptest.NewRequest("GET", c.path, nil)

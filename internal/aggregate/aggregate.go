@@ -118,7 +118,7 @@ type row struct {
 
 // campaign is one campaign's accumulators, in the order GET /report
 // lists them: its rows by format, and its dwell histograms by source;
-// and its Table 2 slices, which the report leaves out. Dwell is not
+// and its Table 2 slices, which its shard also sums. Dwell is not
 // sliced by format: an impression may migrate format buckets when a
 // late event carries a different format, and histograms cannot be
 // un-observed.
@@ -126,7 +126,7 @@ type campaign struct {
 	id     string // owned
 	rows   []*row
 	dwell  []dwellRow
-	slices []slice
+	slices SliceSum
 }
 
 // dwellRow is one campaign × source dwell histogram.
@@ -141,6 +141,9 @@ type dwellRow struct {
 type campShard struct {
 	mu    sync.Mutex
 	camps map[string]*campaign
+	// slices is the shard's campaigns' Table 2 slices summed, credited
+	// beside theirs, so the report sums shards, not campaigns.
+	slices SliceSum
 }
 
 // Aggregator is the streaming accumulator set. All methods are safe for
@@ -243,14 +246,19 @@ func (a *Aggregator) fold(e beacon.Event, c imptable.Change) {
 	}
 	if c.ServedFirst {
 		r.served++
-		camp.slice(e.Meta).served++
+		camp.slices.cell(e.Meta.SiteType, e.Meta.OS, false).served++
+		cs.slices.cell(e.Meta.SiteType, e.Meta.OS, false).served++
 	}
 	if c.LoadedFirst || c.ViewedFirst {
 		name, _ := c.Table.SourceAt(c.Entry, c.Src) // the table's copy, not the event's
-		sc, sl := r.srcCounts(beacon.Source(name)), camp.slice(e.Meta).solution(beacon.Source(name))
+		src := beacon.Source(name)
+		sc := r.srcCounts(src)
+		sl := camp.slices.cell(e.Meta.SiteType, e.Meta.OS, false).solution(src)
+		sum := cs.slices.cell(e.Meta.SiteType, e.Meta.OS, false).solution(src)
 		if c.LoadedFirst {
 			sc.measured++
 			sl.measured++
+			sum.measured++
 			if *c.Flags&imptable.Viewed == 0 {
 				sc.notViewed++
 			}
@@ -258,6 +266,7 @@ func (a *Aggregator) fold(e beacon.Event, c imptable.Change) {
 		if c.ViewedFirst {
 			sc.viewed++
 			sl.viewed++
+			sum.viewed++
 			if *c.Flags&imptable.Loaded != 0 {
 				sc.notViewed--
 			}

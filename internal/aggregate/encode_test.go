@@ -24,6 +24,15 @@ func requireEncodersMatchMarshal(t *testing.T, a *Aggregator) {
 	if !bytes.Equal(got, want) || n != len(snap.Rows) {
 		t.Fatalf("AppendSnapshotJSON (%d rows):\n got %s\nwant %s", n, got, want)
 	}
+	var cells SliceSum
+	a.SumSlices(&cells)
+	got = cells.AppendJSON(nil)
+	if want, err = json.Marshal(a.Slices()); err != nil {
+		t.Fatalf("marshal slices: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("SliceSum.AppendJSON:\n got %s\nwant %s", got, want)
+	}
 	got, n = a.AppendWindowsJSON(nil)
 	wins := a.Windows()
 	if want, err = json.Marshal(wins); err != nil {
@@ -47,9 +56,14 @@ func TestEncodersMatchMarshal(t *testing.T) {
 		clock = clock.Add(20 * time.Second) // 14 windows
 		imp := fmt.Sprintf("imp-%d", i)
 		camp := fmt.Sprintf("camp-%d", i%7)
-		meta := beacon.Meta{Format: []string{"", "display", "video"}[i%3]}
+		meta := beacon.Meta{Format: []string{"", "display", "video"}[i%3],
+			OS: []string{"", "iOS", "Android", "x\"os"}[i%4], SiteType: []string{"app", ""}[i%2]}
 		a.Observe(beacon.Event{ImpressionID: imp, CampaignID: camp, Type: beacon.EventServed, At: clock, Meta: meta})
 		a.Observe(beacon.Event{ImpressionID: imp, CampaignID: camp, Source: beacon.SourceQTag, Type: beacon.EventLoaded, At: clock, Meta: meta})
+		if i%5 == 0 { // a third solution, and one that only reports in view
+			a.Observe(beacon.Event{ImpressionID: imp, CampaignID: camp, Source: "a-verifier", Type: beacon.EventLoaded, At: clock, Meta: meta})
+			a.Observe(beacon.Event{ImpressionID: imp, CampaignID: camp, Source: beacon.SourceCommercial, Type: beacon.EventInView, At: clock, Meta: meta})
+		}
 		if i%2 == 0 {
 			a.Observe(beacon.Event{ImpressionID: imp, CampaignID: camp, Source: beacon.SourceQTag, Type: beacon.EventInView, At: clock, Meta: meta})
 			a.Observe(beacon.Event{ImpressionID: imp, CampaignID: camp, Source: beacon.SourceQTag, Type: beacon.EventOutOfView, At: clock.Add(time.Duration(i) * 700 * time.Millisecond), Meta: meta})

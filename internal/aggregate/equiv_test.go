@@ -82,10 +82,16 @@ func assertEquivalent(t *testing.T, label string, a *Aggregator, store *beacon.S
 	if got, want := a.Slices(), batch.Slices(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: streaming slices != batch recompute\n got: %+v\nwant: %+v", label, got, want)
 	}
+	var each [][]Slice
 	for _, id := range a.CampaignIDs() {
 		if got, want := a.Slices(id), batch.Slices(id); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: campaign %s: streaming slices != batch recompute\n got: %+v\nwant: %+v", label, id, got, want)
 		}
+		each = append(each, a.Slices(id))
+	}
+	// The shards' running sums are the campaigns' slices summed.
+	if got, want := a.Slices(), MergeSlices(each...); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+		t.Fatalf("%s: shard sums != campaigns' slices summed\n got: %+v\nwant: %+v", label, got, want)
 	}
 	assertSlicesSumToRows(t, label, a, got)
 }

@@ -1,6 +1,10 @@
 package aggregate
 
-import "slices"
+import (
+	"cmp"
+	"slices"
+	"strings"
+)
 
 // Merge combines per-node report snapshots into one cluster-wide
 // snapshot — the federation step behind GET /report?federated=1.
@@ -87,5 +91,27 @@ func Merge(snaps ...Snapshot) Snapshot {
 		out.Dwell = append(out.Dwell, DwellRow{CampaignID: k.campaign, Source: k.source, Dwell: *d})
 	}
 	out.sort()
+	return out
+}
+
+// MergeSlices sums per-node Table 2 slices by (site type, OS) — the
+// slices of GET /report?federated=1. Like Merge it is sound because the
+// nodes' impressions are disjoint, and its result is in the order
+// Slices returns.
+func MergeSlices(sets ...[]Slice) []Slice {
+	var all []Slice
+	for _, set := range sets {
+		all = append(all, set...)
+	}
+	slices.SortFunc(all, func(a, b Slice) int {
+		return cmp.Or(strings.Compare(a.SiteType, b.SiteType), strings.Compare(a.OS, b.OS))
+	})
+	var out []Slice
+	for _, s := range all {
+		if n := len(out); n == 0 || out[n-1].SiteType != s.SiteType || out[n-1].OS != s.OS {
+			out = append(out, Slice{SiteType: s.SiteType, OS: s.OS})
+		}
+		out[len(out)-1].Add(s.Counts)
+	}
 	return out
 }

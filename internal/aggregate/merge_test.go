@@ -130,3 +130,41 @@ func TestMergeDwellHistograms(t *testing.T) {
 		t.Fatalf("bucket total = %d, want 2", buckets)
 	}
 }
+
+// Partitions' slices sum to the whole population's, cell by cell and
+// in any order — the federated report's Table 2.
+func TestMergeSlicesAddsDisjointPartitions(t *testing.T) {
+	var parts [3][]beacon.Event
+	var all []beacon.Event
+	for i := 0; i < 30; i++ {
+		imp := "i" + string(rune('a'+i))
+		meta := beacon.Meta{OS: []string{"", "iOS", "Android"}[i%3], SiteType: []string{"app", "browser"}[i%2]}
+		evs := []beacon.Event{{ImpressionID: imp, CampaignID: "c1", Type: beacon.EventServed, Meta: meta}}
+		if i%4 != 0 {
+			evs = append(evs, beacon.Event{ImpressionID: imp, CampaignID: "c1", Source: beacon.SourceQTag, Type: beacon.EventLoaded, Meta: meta})
+		}
+		if i%5 == 0 {
+			evs = append(evs, beacon.Event{ImpressionID: imp, CampaignID: "c1", Source: beacon.SourceCommercial, Type: beacon.EventInView, Meta: meta})
+		}
+		parts[i%7%3] = append(parts[i%7%3], evs...)
+		all = append(all, evs...)
+	}
+	slicesOf := func(evs []beacon.Event) []Slice {
+		a := New(Options{TTL: -1})
+		for _, e := range evs {
+			a.Observe(e)
+		}
+		return a.Slices()
+	}
+	whole := slicesOf(all)
+	p0, p1, p2 := slicesOf(parts[0]), slicesOf(parts[1]), slicesOf(parts[2])
+	if got := MergeSlices(p0, p1, p2); !reflect.DeepEqual(got, whole) {
+		t.Fatalf("merged slices != whole population's\nmerged: %+v\nwhole:  %+v", got, whole)
+	}
+	if got := MergeSlices(p2, nil, p0, p1); !reflect.DeepEqual(got, whole) {
+		t.Fatalf("merge order changed the slices: %+v", got)
+	}
+	if len(whole) != 6 {
+		t.Fatalf("fixture has %d cells, want 6", len(whole))
+	}
+}

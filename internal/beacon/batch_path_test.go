@@ -410,8 +410,17 @@ func TestOnePathRejectsWhole(t *testing.T) {
 			journal := &gatedJournal{open: make(chan struct{})}
 			q := NewQueueSink(journal, QueueOptions{Capacity: 100})
 			var once sync.Once
-			heal := func() { once.Do(func() { close(journal.open) }) }
-			t.Cleanup(func() { heal(); q.Close(context.Background()) })
+			open := func() { once.Do(func() { close(journal.open) }) }
+			t.Cleanup(func() { open(); q.Close(context.Background()) })
+			// The overflow has passed once the backlog has left the queue.
+			heal := func() {
+				open()
+				for deadline := time.Now().Add(5 * time.Second); q.Depth() > 0; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("queue did not drain: depth=%d", q.Depth())
+					}
+				}
+			}
 			// 48 events wait behind the shut journal: 64 more do not fit.
 			if err := q.SubmitBatch(uniqueEvents("queued", 48)); err != nil {
 				t.Fatal(err)

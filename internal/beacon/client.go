@@ -443,51 +443,6 @@ func parseRetryAfter(v string) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// SourceStats is the per-solution block of a stats reply.
-type SourceStats struct {
-	Loaded          int     `json:"loaded"`
-	InView          int     `json:"in_view"`
-	MeasuredRate    float64 `json:"measured_rate"`
-	ViewabilityRate float64 `json:"viewability_rate"`
-}
-
-// StatsResponse is the reply body of GET /v1/stats (every campaign) and
-// GET /v1/campaigns/{id}/stats, which internal/report serves. Its counts
-// are impressions: Loaded is how many a solution measured, InView how
-// many it reported in view.
-type StatsResponse struct {
-	CampaignID string                 `json:"campaign_id,omitempty"`
-	Served     int                    `json:"served"`
-	Sources    map[string]SourceStats `json:"sources"`
-}
-
-// FetchStats retrieves aggregate stats from the server; campaignID may be
-// empty for global stats.
-func (h *HTTPSink) FetchStats(campaignID string) (StatsResponse, error) {
-	client := h.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	url := h.BaseURL + "/v1/stats"
-	if campaignID != "" {
-		url = h.BaseURL + "/v1/campaigns/" + campaignID + "/stats"
-	}
-	resp, err := client.Get(url)
-	if err != nil {
-		return StatsResponse{}, fmt.Errorf("beacon: fetch stats: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return StatsResponse{}, fmt.Errorf("beacon: stats returned %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	var out StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return StatsResponse{}, fmt.Errorf("beacon: decode stats: %w", err)
-	}
-	return out, nil
-}
-
 // StampSink wraps a Sink and fills in the At timestamp from a clock
 // function when the event carries none.
 type StampSink struct {

@@ -6,11 +6,14 @@ import (
 	"strings"
 )
 
-// AuthStats wraps a collection server so that the read routes over the
-// counts (/report, /v1/stats, /v1/campaigns/{id}/stats, /v1/breakdown)
-// require an operator bearer token, while the ingestion endpoints stay
-// open — beacons come from anonymous browsers that cannot hold secrets,
-// but aggregated campaign performance is business-sensitive.
+// AuthStats wraps a collection server so that every route needs an
+// operator bearer token except the ones anonymous clients and probes
+// use: ingestion (POST /v1/events and the GET /v1/events pixel) —
+// beacons come from browsers that cannot hold secrets — and /healthz,
+// /readyz and /metrics. It is an allow-list, so a route mounted later
+// (GET /report, /debug/traces, /debug/pprof/*) and a path that is not
+// there at all are refused without the key: aggregated campaign
+// performance and traffic timing are business-sensitive.
 //
 // Accepted credentials: "Authorization: Bearer <key>" or "?key=<key>".
 // With no keys configured the wrapper is a transparent pass-through.
@@ -19,21 +22,19 @@ func AuthStats(next http.Handler, keys ...string) http.Handler {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !statsPath(r.URL.Path) || authorized(r, keys) {
+		if openPath(r.URL.Path) || authorized(r, keys) {
 			next.ServeHTTP(w, r)
 			return
 		}
 		w.Header().Set("WWW-Authenticate", `Bearer realm="qtag-stats"`)
-		httpError(w, http.StatusUnauthorized, "stats endpoints require an operator key")
+		httpError(w, http.StatusUnauthorized, "this route requires an operator key")
 	})
 }
 
-func statsPath(path string) bool {
-	switch {
-	case path == "/report",
-		path == "/v1/stats",
-		strings.HasPrefix(path, "/v1/campaigns/"),
-		path == "/v1/breakdown":
+// openPath reports whether path is served without the operator key.
+func openPath(path string) bool {
+	switch path {
+	case "/v1/events", "/healthz", "/readyz", "/metrics":
 		return true
 	default:
 		return false

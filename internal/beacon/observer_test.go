@@ -1,8 +1,11 @@
 package beacon_test
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -257,35 +260,42 @@ func TestStoreCampaignsGaugeMatchesCampaignIDs(t *testing.T) {
 	}
 }
 
-// TestServerStatsEndpoints: the stats routes internal/report mounts on
-// a collection server answer HTTPSink.FetchStats with the counts of the
-// aggregator the store feeds.
+// TestServerStatsEndpoints: GET /report, the read route internal/report
+// mounts on a collection server, answers with the counts of the
+// aggregator the store feeds — in its rows and in its Table 2 slices
+// alike.
 func TestServerStatsEndpoints(t *testing.T) {
 	store := NewStore()
 	server := NewServer(store)
-	report.MountStats(server, aggregate.Attach(store, aggregate.Options{TTL: -1}))
+	server.Mount("GET /report", report.Handler(aggregate.Attach(store, aggregate.Options{TTL: -1}), nil))
 	srv := httptest.NewServer(server)
 	defer srv.Close()
 
 	sink := &HTTPSink{BaseURL: srv.URL}
+	ios := Meta{OS: "iOS", SiteType: "app"}
 	for _, imp := range []string{"a", "b", "c", "d"} {
-		mustSubmit(t, sink, Event{ImpressionID: imp, CampaignID: "camp-1", Type: EventServed})
+		mustSubmit(t, sink, Event{ImpressionID: imp, CampaignID: "camp-1", Type: EventServed, Meta: ios})
 	}
-	mustSubmit(t, sink, Event{ImpressionID: "a", CampaignID: "camp-1", Source: SourceQTag, Type: EventLoaded})
-	mustSubmit(t, sink, Event{ImpressionID: "b", CampaignID: "camp-1", Source: SourceQTag, Type: EventLoaded})
-	mustSubmit(t, sink, Event{ImpressionID: "c", CampaignID: "camp-1", Source: SourceQTag, Type: EventLoaded})
-	mustSubmit(t, sink, Event{ImpressionID: "a", CampaignID: "camp-1", Source: SourceQTag, Type: EventInView})
+	mustSubmit(t, sink, Event{ImpressionID: "a", CampaignID: "camp-1", Source: SourceQTag, Type: EventLoaded, Meta: ios})
+	mustSubmit(t, sink, Event{ImpressionID: "b", CampaignID: "camp-1", Source: SourceQTag, Type: EventLoaded, Meta: ios})
+	mustSubmit(t, sink, Event{ImpressionID: "c", CampaignID: "camp-1", Source: SourceQTag, Type: EventLoaded, Meta: ios})
+	mustSubmit(t, sink, Event{ImpressionID: "a", CampaignID: "camp-1", Source: SourceQTag, Type: EventInView, Meta: ios})
 
-	stats, err := sink.FetchStats("camp-1")
+	resp, err := http.Get(srv.URL + "/report")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Served != 4 {
-		t.Errorf("served = %d", stats.Served)
+	defer resp.Body.Close()
+	var rep report.ViewabilityReport
+	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+		t.Fatal(err)
 	}
-	q := stats.Sources["qtag"]
-	if q.Loaded != 3 || q.InView != 1 {
-		t.Errorf("qtag stats = %+v", q)
+	if len(rep.Campaigns.Rows) != 1 || rep.Campaigns.Rows[0].Served != 4 {
+		t.Fatalf("rows = %+v, want one row serving 4", rep.Campaigns.Rows)
+	}
+	q := rep.Campaigns.Rows[0].Sources["qtag"]
+	if q.Measured != 3 || q.Viewed != 1 {
+		t.Errorf("qtag counts = %+v", q)
 	}
 	if q.MeasuredRate != 0.75 {
 		t.Errorf("measured rate = %v", q.MeasuredRate)
@@ -293,17 +303,10 @@ func TestServerStatsEndpoints(t *testing.T) {
 	if q.ViewabilityRate < 0.33 || q.ViewabilityRate > 0.34 {
 		t.Errorf("viewability rate = %v", q.ViewabilityRate)
 	}
-
-	global, err := sink.FetchStats("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if global.Served != 4 {
-		t.Errorf("global served = %d", global.Served)
-	}
-
-	if _, err := sink.FetchStats("no-such-campaign"); err == nil {
-		t.Error("unknown campaign should 404")
+	want := []aggregate.Slice{{SiteType: "app", OS: "iOS", Counts: aggregate.Counts{Served: 4,
+		Measured: map[Source]int64{SourceQTag: 3}, Viewed: map[Source]int64{SourceQTag: 1}}}}
+	if !reflect.DeepEqual(rep.Slices, want) {
+		t.Errorf("slices = %+v, want %+v", rep.Slices, want)
 	}
 	if server.Accepted() != 8 {
 		t.Errorf("Accepted = %d", server.Accepted())

@@ -26,8 +26,8 @@ import (
 //	GET  /metrics                Prometheus text exposition
 //
 // Ingestion is idempotent (see Store.Submit), so tags may retry beacons
-// freely. The read routes over the counts — /report, /v1/stats and the
-// rest of internal/report's — are mounted beside these (see Mount).
+// freely. The read route over the counts, internal/report's GET
+// /report, is mounted beside these (see Mount).
 type Server struct {
 	store     *Store
 	sink      Sink

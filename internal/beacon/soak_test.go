@@ -149,7 +149,7 @@ func TestIngestSoakWALGroupCommit(t *testing.T) {
 }
 
 // TestMergedReadsUnderSoak exercises the merged read paths (/healthz,
-// /metrics, /v1/stats, snapshot serialization) concurrently with sharded
+// /metrics, /report, snapshot serialization) concurrently with sharded
 // writes — the reader/writer interleaving the per-shard RWMutex must
 // survive under -race, with reads always observing a consistent
 // (monotonic) event count.
@@ -161,7 +161,7 @@ func TestMergedReadsUnderSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	server := NewServerWithSink(store, Tee(store, wj))
-	report.MountStats(server, agg)
+	server.Mount("GET /report", report.Handler(agg, nil))
 	wj.RegisterMetrics(server.Metrics())
 	agg.RegisterMetrics(server.Metrics())
 	srv := httptest.NewServer(server)
@@ -201,7 +201,7 @@ func TestMergedReadsUnderSoak(t *testing.T) {
 			running = false
 		default:
 		}
-		for _, path := range []string{"/healthz", "/metrics", "/v1/stats"} {
+		for _, path := range []string{"/healthz", "/metrics", "/report"} {
 			resp, err := client.Get(srv.URL + path)
 			if err != nil {
 				t.Fatal(err)

@@ -1,8 +1,4 @@
-// Package analytics turns a simulation's campaign counts into the
-// paper's evaluation artifacts: the Figure 3 measured-rate and
-// viewability-rate comparison (mean ± standard deviation across
-// campaigns) and the Table 2 measured-rate slices by site type × OS.
-package analytics
+package campaign
 
 import (
 	"fmt"
@@ -10,9 +6,13 @@ import (
 
 	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
-	"qtag/internal/campaign"
 	"qtag/internal/stats"
 )
+
+// The paper's evaluation read off a run's counts: the Figure 3
+// measured-rate and viewability-rate comparison (mean ± standard
+// deviation across campaigns), the Table 2 measured-rate slices by site
+// type × OS, and a per-campaign breakdown.
 
 // SolutionSummary is one bar of Figure 3: the across-campaign mean and
 // standard deviation of a solution's rates.
@@ -41,7 +41,7 @@ func (s SolutionSummary) String() string {
 // Figure3 computes the paper's Figure 3 from a simulation result: Q-Tag
 // rates across every campaign, commercial rates across the campaigns that
 // carried both tags.
-func Figure3(res *campaign.Result) map[beacon.Source]SolutionSummary {
+func Figure3(res *Result) map[beacon.Source]SolutionSummary {
 	var qm, qv, cm, cv []float64
 	for _, c := range res.Campaigns {
 		if c.Served == 0 {
@@ -73,59 +73,17 @@ func Figure3(res *campaign.Result) map[beacon.Source]SolutionSummary {
 	}
 }
 
-// Table2Cell is one row of Table 2: measured rates for a site-type × OS
-// slice of mobile impressions.
-type Table2Cell struct {
-	SiteType string
-	OS       string
-	Served   int
-	// QTag and Commercial are the measured rates in this slice.
-	QTag       float64
-	Commercial float64
-}
-
-// String implements fmt.Stringer.
-func (c Table2Cell) String() string {
-	return fmt.Sprintf("%-8s %-8s qtag %.1f%%  commercial %.1f%% (n=%d)",
-		c.SiteType, c.OS, c.QTag*100, c.Commercial*100, c.Served)
-}
-
-// Table2 computes the Table 2 slices from an aggregator, restricted to
-// the given campaigns (nil/empty = all). The paper computes this table on
-// the comparison subset — the campaigns instrumented with *both* tags —
-// so pass that subset when only some campaigns carry the commercial tag;
-// Table2ForResult does this automatically. Rows follow the paper's order:
-// app/Android, app/iOS, browser/Android, browser/iOS.
-func Table2(a *aggregate.Aggregator, campaignIDs ...string) []Table2Cell {
-	slices := a.Slices(campaignIDs...)
-	cells := make([]Table2Cell, 0, 4)
-	for _, site := range []string{"app", "browser"} {
-		for _, os := range []string{"Android", "iOS"} {
-			c := Table2Cell{SiteType: site, OS: os}
-			for _, s := range slices {
-				if s.SiteType == site && s.OS == os {
-					c.Served = int(s.Served)
-					c.QTag = s.MeasuredRate(beacon.SourceQTag)
-					c.Commercial = s.MeasuredRate(beacon.SourceCommercial)
-				}
-			}
-			cells = append(cells, c)
-		}
-	}
-	return cells
-}
-
 // Table2ForResult computes Table 2 over the simulation's comparison
 // subset (the campaigns carrying both tags), matching the paper's §6
 // methodology.
-func Table2ForResult(res *campaign.Result) []Table2Cell {
+func Table2ForResult(res *Result) []aggregate.Table2Cell {
 	var both []string
 	for _, c := range res.Campaigns {
 		if c.Spec.Both {
 			both = append(both, c.Spec.ID)
 		}
 	}
-	return Table2(res.Aggregate, both...)
+	return aggregate.Table2(res.Aggregate.Slices(both...))
 }
 
 // CampaignBreakdown is a per-campaign summary row for reporting.
@@ -140,7 +98,7 @@ type CampaignBreakdown struct {
 }
 
 // Breakdown lists per-campaign rates sorted by campaign id.
-func Breakdown(res *campaign.Result) []CampaignBreakdown {
+func Breakdown(res *Result) []CampaignBreakdown {
 	rows := make([]CampaignBreakdown, 0, len(res.Campaigns))
 	for _, c := range res.Campaigns {
 		rows = append(rows, CampaignBreakdown{

@@ -1,18 +1,16 @@
-package analytics
+package campaign
 
 import (
 	"math"
 	"strings"
 	"testing"
 
-	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
-	"qtag/internal/campaign"
 )
 
-func runSim(t *testing.T) *campaign.Result {
+func runSim(t *testing.T) *Result {
 	t.Helper()
-	return campaign.New(campaign.Config{
+	return New(Config{
 		Seed: 21, Campaigns: 16, ImpressionsPerCampaign: 150, BothCampaigns: 16,
 	}).Run()
 }
@@ -71,15 +69,6 @@ func TestTable2Rows(t *testing.T) {
 		cells[0].Commercial < cells[2].Commercial &&
 		cells[0].Commercial < cells[3].Commercial) {
 		t.Errorf("Android app should be the commercial solution's worst cell: %+v", cells)
-	}
-}
-
-func TestTable2EmptyStore(t *testing.T) {
-	cells := Table2(aggregate.New(aggregate.Options{}))
-	for _, c := range cells {
-		if c.Served != 0 || c.QTag != 0 || c.Commercial != 0 {
-			t.Errorf("empty store cell = %+v", c)
-		}
 	}
 }
 

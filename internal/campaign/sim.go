@@ -92,7 +92,8 @@ type Config struct {
 	// SpreadOver distributes impression start times uniformly across a
 	// monitoring window (the paper monitors campaigns for one week).
 	// Zero keeps every impression at the virtual epoch; set it to make
-	// the analytics time series meaningful.
+	// time-windowed views, such as the report's rollup windows,
+	// meaningful.
 	SpreadOver time.Duration
 	// TagFaults injects delivery faults on the tag → collector beacon
 	// path (internal/faults): drops silently lose beacons, errors make

@@ -18,6 +18,7 @@ import (
 	"qtag/internal/cluster"
 	"qtag/internal/collector"
 	"qtag/internal/collector/collectortest"
+	"qtag/internal/report"
 )
 
 // fastNode is a harness node's Config probing its peers every 20 ms,
@@ -200,13 +201,13 @@ func TestClusterFederatedReportMergesAndDegrades(t *testing.T) {
 	acked := make(map[string]bool)
 	sendAcked(t, h, 0, 120, acked)
 
-	fetch := func(url string) (cluster.FederatedReport, int) {
+	fetch := func(url string) (report.ViewabilityReport, int) {
 		resp, err := http.Get(url + "/report?federated=1")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var rep cluster.FederatedReport
+		var rep report.ViewabilityReport
 		if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +271,7 @@ func TestClusterFederatedReportUnderStatsKey(t *testing.T) {
 		want += hn.Stack.Aggregate.Totals().Measured[beacon.SourceQTag]
 	}
 
-	get := func(path, auth string) (cluster.FederatedReport, int) {
+	get := func(path, auth string) (report.ViewabilityReport, int) {
 		req, err := http.NewRequest(http.MethodGet, h.Nodes[0].URL+path, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -283,7 +284,7 @@ func TestClusterFederatedReportUnderStatsKey(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var rep cluster.FederatedReport
+		var rep report.ViewabilityReport
 		if resp.StatusCode == http.StatusOK {
 			if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 				t.Fatal(err)

@@ -9,28 +9,12 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"qtag/internal/aggregate"
 	"qtag/internal/obs"
 	"qtag/internal/report"
 )
-
-// FederatedReport is the GET /report?federated=1 payload: the cluster-
-// wide merge of every reachable node's snapshot. Degraded lists the
-// nodes whose snapshot could not be fetched within the deadline — the
-// report is explicitly partial rather than failing closed, because a
-// campaign dashboard that 500s during a single-node outage is worse
-// than one that says which slice is missing.
-type FederatedReport struct {
-	GeneratedAt     time.Time          `json:"generated_at"`
-	Nodes           []string           `json:"nodes"`
-	Degraded        []string           `json:"degraded,omitempty"`
-	Campaigns       aggregate.Snapshot `json:"campaigns"`
-	OpenImpressions int                `json:"open_impressions"`
-	Evicted         int64              `json:"evicted_impression_states"`
-}
 
 // FederationConfig tunes the fan-out.
 type FederationConfig struct {
@@ -54,22 +38,27 @@ type FederationConfig struct {
 // entry, never a slow report.
 const perPeerTimeout = 2 * time.Second
 
-// FederatedHandler wraps the plain single-node report handler: without
-// ?federated=1 it is exactly report.Handler; with it, the handler fans
-// out to every peer's plain /report (windows suppressed — rollup
-// windows don't merge across nodes), merges the snapshots with
-// aggregate.Merge, and marks unreachable peers in Degraded.
+// FederatedHandler wraps the node's plain report handler: without
+// ?federated=1 it is plain, the handler a single node serves, fraud
+// section and all; with it, the handler fans out to every peer's plain
+// /report (windows suppressed — rollup windows don't merge across
+// nodes), merges the campaign snapshots with aggregate.Merge and the
+// slices with aggregate.MergeSlices, and names unreachable peers in
+// Degraded. The reply is a report.ViewabilityReport with Nodes set and
+// no fraud section: scores are per-node state. A request is partial
+// rather than failing closed, because a campaign dashboard that 500s
+// during a single-node outage is worse than one that says which part is
+// missing.
 //
 // Peers are always asked for their PLAIN report, so federation never
 // recurses: a two-node cluster asking each other federated reports
 // would otherwise ping-pong forever. They are asked with the caller's
 // credentials — its Authorization header and its ?key= — so a cluster
 // whose nodes guard /report with one operator key federates under it.
-func FederatedHandler(a *aggregate.Aggregator, cfg FederationConfig) http.Handler {
+func FederatedHandler(a *aggregate.Aggregator, plain http.Handler, cfg FederationConfig) http.Handler {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	plain := report.Handler(a, cfg.Now)
 	client := &http.Client{Transport: cfg.Transport}
 	return &federatedHandler{a: a, cfg: cfg, plain: plain, client: client}
 }
@@ -79,14 +68,7 @@ type federatedHandler struct {
 	cfg    FederationConfig
 	plain  http.Handler
 	client *http.Client
-
-	// PartialReports counts federated responses that had at least one
-	// degraded peer (exposed for metrics).
-	partial atomic.Int64
 }
-
-// PartialReports returns how many federated responses were partial.
-func (h *federatedHandler) PartialReports() int64 { return h.partial.Load() }
 
 func (h *federatedHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("federated") != "1" {
@@ -128,20 +110,16 @@ func (h *federatedHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			mu.Unlock()
 		}(id, base)
 	}
-	local := report.ViewabilityReport{
-		Campaigns:       h.a.Snapshot(),
+	out := report.ViewabilityReport{
+		GeneratedAt:     h.cfg.Now().UTC(),
+		Nodes:           []string{h.cfg.Self},
 		OpenImpressions: h.a.OpenImpressions(),
 		Evicted:         h.a.Evicted(),
 	}
+	snaps := []aggregate.Snapshot{h.a.Snapshot()}
+	cells := [][]aggregate.Slice{h.a.Slices()}
 	wg.Wait()
 
-	out := FederatedReport{
-		GeneratedAt: h.cfg.Now().UTC(),
-		Nodes:       []string{h.cfg.Self},
-	}
-	snaps := []aggregate.Snapshot{local.Campaigns}
-	out.OpenImpressions = local.OpenImpressions
-	out.Evicted = local.Evicted
 	for _, res := range results {
 		if res.err != nil {
 			out.Degraded = append(out.Degraded, res.id)
@@ -149,16 +127,17 @@ func (h *federatedHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Nodes = append(out.Nodes, res.id)
 		snaps = append(snaps, res.rep.Campaigns)
+		cells = append(cells, res.rep.Slices)
 		out.OpenImpressions += res.rep.OpenImpressions
 		out.Evicted += res.rep.Evicted
 	}
 	sort.Strings(out.Nodes)
 	sort.Strings(out.Degraded)
 	out.Campaigns = aggregate.Merge(snaps...)
+	out.Slices = aggregate.MergeSlices(cells...)
 	fsp.SetAttr("peers", strconv.Itoa(len(h.cfg.Peers)))
 	fsp.SetAttr("degraded", strconv.Itoa(len(out.Degraded)))
 	if len(out.Degraded) > 0 {
-		h.partial.Add(1)
 		fsp.SetError(fmt.Sprintf("%d of %d peers degraded", len(out.Degraded), len(h.cfg.Peers)))
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -12,11 +12,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
 	"qtag/internal/collector"
 	"qtag/internal/collector/collectortest"
@@ -182,7 +184,7 @@ func TestShedPendingBackstop(t *testing.T) {
 	if stack.Admission.TotalShed() != 1 || stack.Store.Len() != 1 {
 		t.Fatalf("shed %d, stored %d; want 1 and 1", stack.Admission.TotalShed(), stack.Store.Len())
 	}
-	r, err := http.Get(url + "/v1/stats")
+	r, err := http.Get(url + "/report")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,14 +242,15 @@ func TestReportTTLEmptiesBothObservers(t *testing.T) {
 }
 
 // One impression that reports three in-view cycles (seq 0, 1 and 2) is
-// one viewed impression on every read route: /v1/stats and
-// /v1/campaigns/{id}/stats count impressions, as /report's rows do.
+// one viewed impression in GET /report's Table 2 slices, as in its rows:
+// both count impressions.
 func TestStatsCountImpressionsLikeTheReport(t *testing.T) {
 	_, url, _ := collectortest.Boot(t, collector.DefaultConfig())
 	at := time.Unix(1500000000, 0).UTC()
+	meta := beacon.Meta{OS: "iOS", SiteType: "browser"}
 	ev := func(typ beacon.EventType, src beacon.Source, seq int) beacon.Event {
 		at = at.Add(1500 * time.Millisecond)
-		return beacon.Event{ImpressionID: "imp", CampaignID: "c", Source: src, Type: typ, Seq: seq, At: at}
+		return beacon.Event{ImpressionID: "imp", CampaignID: "c", Source: src, Type: typ, Seq: seq, At: at, Meta: meta}
 	}
 	events := []beacon.Event{ev(beacon.EventServed, "", 0), ev(beacon.EventLoaded, beacon.SourceQTag, 0)}
 	for seq := 0; seq < 3; seq++ {
@@ -268,13 +271,10 @@ func TestStatsCountImpressionsLikeTheReport(t *testing.T) {
 	if served != 1 || loaded != 1 || viewed != 1 {
 		t.Fatalf("/report rows sum to served %d, measured %d, viewed %d; want 1, 1, 1", served, loaded, viewed)
 	}
-	want := beacon.SourceStats{Loaded: int(loaded), InView: int(viewed), MeasuredRate: 1, ViewabilityRate: 1}
-	for _, path := range []string{"/v1/campaigns/c/stats", "/v1/stats"} {
-		var got beacon.StatsResponse
-		getJSON(t, url+path, &got)
-		if got.Served != int(served) || got.Sources[string(beacon.SourceQTag)] != want {
-			t.Errorf("GET %s: served %d, qtag %+v; want %d and %+v", path, got.Served, got.Sources[string(beacon.SourceQTag)], served, want)
-		}
+	one := map[beacon.Source]int64{beacon.SourceQTag: 1}
+	want := []aggregate.Slice{{SiteType: "browser", OS: "iOS", Counts: aggregate.Counts{Served: 1, Measured: one, Viewed: one}}}
+	if !reflect.DeepEqual(rep.Slices, want) {
+		t.Fatalf("/report slices = %+v, want %+v", rep.Slices, want)
 	}
 }
 
@@ -359,17 +359,17 @@ func TestOptionalRoutesAndMiddleware(t *testing.T) {
 		t.Fatalf("ingest on the full stack: status %d", resp.StatusCode)
 	}
 	for path, want := range map[string]int{
-		"/v1/stats":                       http.StatusUnauthorized,
-		"/v1/stats?key=s3cret":            http.StatusOK,
-		"/v1/breakdown":                   http.StatusUnauthorized,
-		"/v1/breakdown?dim=os&key=s3cret": http.StatusOK,
-		"/report":                         http.StatusUnauthorized,
-		"/report?key=s3cret":              http.StatusOK,
-		"/debug/traces":                   http.StatusOK,
-		"/debug/pprof/cmdline":            http.StatusOK,
-		"/readyz":                         http.StatusOK,
-		"/metrics":                        http.StatusOK,
-		"/debug/pprof/nonesuch/":          http.StatusNotFound,
+		"/report":                           http.StatusUnauthorized,
+		"/report?key=s3cret":                http.StatusOK,
+		"/debug/traces":                     http.StatusUnauthorized,
+		"/debug/traces?key=s3cret":          http.StatusOK,
+		"/debug/pprof/cmdline":              http.StatusUnauthorized,
+		"/debug/pprof/cmdline?key=s3cret":   http.StatusOK,
+		"/healthz":                          http.StatusOK,
+		"/readyz":                           http.StatusOK,
+		"/metrics":                          http.StatusOK,
+		"/debug/pprof/nonesuch/":            http.StatusUnauthorized,
+		"/debug/pprof/nonesuch/?key=s3cret": http.StatusNotFound,
 	} {
 		resp, err := http.Get(url + path)
 		if err != nil {

@@ -191,18 +191,17 @@ func Open(cfg Config) (_ *Stack, err error) {
 // mountRoutes attaches what beacon.Server does not serve itself.
 func (s *Stack) mountRoutes(tracer *obs.Tracer) {
 	cfg, srv := s.cfg, s.Server
-	report.MountStats(srv, s.Aggregate)
+	// GET /report is the one read route. A cluster node serves its plain
+	// report — fraud scores included — as a single node does, and the
+	// cluster's under ?federated=1.
+	rep := report.HandlerWithDetect(s.Aggregate, s.Detect, nil)
 	if s.Node != nil {
+		rep = cluster.FederatedHandler(s.Aggregate, rep,
+			cluster.FederationConfig{Self: cfg.NodeID, Peers: cfg.Peers, Transport: cfg.Test.Transport, Tracer: tracer})
 		node := s.Node
-		srv.Mount("GET /report", obs.TraceMiddleware(tracer, "report", cluster.FederatedHandler(s.Aggregate,
-			cluster.FederationConfig{Self: cfg.NodeID, Peers: cfg.Peers, Transport: cfg.Test.Transport, Tracer: tracer})))
 		srv.AddHealthMetric("hint_backlog", func() int64 { return node.Stats().HintBacklog })
-	} else {
-		// Fraud scores ride the plain single-node report; the federated
-		// merge above stays aggregate-only (scores are per-node state).
-		srv.Mount("GET /report", obs.TraceMiddleware(tracer, "report",
-			report.HandlerWithDetect(s.Aggregate, s.Detect, nil)))
 	}
+	srv.Mount("GET /report", obs.TraceMiddleware(tracer, "report", rep))
 	if tracer != nil {
 		srv.SetTracer(tracer)
 		srv.Mount("GET /debug/traces", obs.TracesHandler(s.spans))

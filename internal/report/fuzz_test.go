@@ -18,9 +18,10 @@ import (
 //   - for any string, jsonenc.AppendString equals json.Marshal;
 //   - for any finite float64 bit pattern, jsonenc.AppendFloat does;
 //   - for any short event list — three bytes an event, choosing its
-//     campaign, impression, solution, type and format, with the fuzzed
-//     string standing in for one campaign, one solution and one format,
-//     and one event in four sent twice — the rendered GET /report equals
+//     campaign, impression, solution, type, format, OS and site type,
+//     with the fuzzed string standing in for one campaign, one
+//     solution, one format, one OS and one site type, and one event in
+//     four sent twice — the rendered GET /report equals
 //     the marshalled snapshots of the same stack, at the program's
 //     midpoint and at its end, so that campaigns, formats and sources
 //     new since the first render go through the directory merge.
@@ -65,7 +66,8 @@ func FuzzReportJSON(f *testing.F) {
 				ImpressionID: "imp-" + strconv.Itoa(int(prog[i+1]%8)),
 				Type:         types[prog[i+2]%4],
 				At:           rt0.Add(time.Duration(prog[i+1]) * 250 * time.Millisecond),
-				Meta:         beacon.Meta{Format: formats[prog[i+2]>>2%4], AdSize: []string{"", "1x1"}[prog[i]>>2%2], Slot: "slot"},
+				Meta: beacon.Meta{Format: formats[prog[i+2]>>2%4], AdSize: []string{"", "1x1"}[prog[i]>>2%2], Slot: "slot",
+					OS: []string{"", "o" + s}[prog[i]>>3%2], SiteType: []string{"app", "t" + s}[prog[i+1]>>6%2]},
 			}
 			if e.Type != beacon.EventServed {
 				e.Source = sources[prog[i+1]>>3%3]

@@ -21,8 +21,10 @@ import (
 // aggregate accumulators, for mounting next to the collection API:
 //
 //	GET /report                  JSON: per campaign × format counts,
-//	                             rates, dwell histograms, rollup windows
-//	GET /report?format=prom      Prometheus text exposition of the same
+//	                             rates, dwell histograms, Table 2's site
+//	                             type × OS slices, rollup windows
+//	GET /report?format=prom      Prometheus text exposition of the rows
+//	                             and dwell histograms
 //	GET /report?windows=0        JSON without the rollup windows
 //
 // The raw event store is never consulted, let alone scanned; the JSON
@@ -76,32 +78,45 @@ func HandlerWithDetect(a *aggregate.Aggregator, d *detect.Detector, now func() t
 	})
 }
 
-// ViewabilityReport is the GET /report JSON payload. The handler does
-// not marshal one: renderBuf.appendReport writes the same bytes straight
-// from the accumulators. This type is what clients decode into (the
-// federated merge, the benchmark's oracle) and the reference the
-// byte-equality tests marshal — a field added here must be added there.
+// ViewabilityReport is the GET /report JSON payload, plain and
+// federated alike. The handler does not marshal one:
+// renderBuf.appendReport writes the same bytes straight from the
+// accumulators. This type is what clients decode into (the federated
+// merge, the benchmark's oracle) and the reference the byte-equality
+// tests marshal — a field added here must be added there.
 type ViewabilityReport struct {
-	GeneratedAt     time.Time                  `json:"generated_at"`
-	Campaigns       aggregate.Snapshot         `json:"campaigns"`
+	GeneratedAt time.Time          `json:"generated_at"`
+	Campaigns   aggregate.Snapshot `json:"campaigns"`
+	// Slices is the paper's Table 2 before the rates: every site type ×
+	// OS cell summed over the campaigns, the cell of impressions that
+	// named neither included, so its served sum to the rows'.
+	Slices          []aggregate.Slice          `json:"slices,omitempty"`
 	OpenImpressions int                        `json:"open_impressions"`
 	Evicted         int64                      `json:"evicted_impression_states"`
 	Windows         []aggregate.WindowSnapshot `json:"windows,omitempty"`
 	// Fraud carries the detection layer's scores when the server runs
-	// with -detect; absent otherwise.
+	// with -detect; absent otherwise, and from the federated reply
+	// (scores are per-node state).
 	Fraud *detect.Snapshot `json:"fraud,omitempty"`
+	// Nodes and Degraded are set in the federated reply only: the nodes
+	// whose reports it sums, and those whose report could not be
+	// fetched.
+	Nodes    []string `json:"nodes,omitempty"`
+	Degraded []string `json:"degraded,omitempty"`
 }
 
-// renderBuf is one JSON render's working memory: the response body and
-// one scratch buffer — the dwell rows, which the aggregate encoder
-// collects in the same lock hold as a campaign's rows and appends after
-// all of them, then the flagged campaigns, which the fraud encoder
-// appends after its rows. Kept between renders, so a dashboard polling
-// /report re-uses them instead of allocating (and the GC tracing) a
-// Snapshot's worth of rows, maps and histogram copies per poll.
+// renderBuf is one JSON render's working memory: the response body, one
+// scratch buffer — the dwell rows, which the aggregate encoder collects
+// in the same lock hold as a campaign's rows and appends after all of
+// them, then the flagged campaigns, which the fraud encoder appends
+// after its rows — and the sum of the shards' Table 2 slices. Kept
+// between renders, so a dashboard polling /report re-uses them
+// instead of allocating (and the GC tracing) a Snapshot's worth of rows,
+// maps and histogram copies per poll.
 type renderBuf struct {
 	body    []byte
 	scratch []byte
+	cells   aggregate.SliceSum
 }
 
 // renderSlot is a handler's spare renderBuf: the one its last render
@@ -141,6 +156,10 @@ func (rb *renderBuf) appendReport(a *aggregate.Aggregator, d *detect.Detector, a
 	b = jsonenc.AppendTime(b, at)
 	b = append(b, `,"campaigns":`...)
 	b, rows = a.AppendSnapshotJSON(b, &rb.scratch)
+	if a.SumSlices(&rb.cells); rb.cells.Len() > 0 { // omitempty
+		b = append(b, `,"slices":`...)
+		b = rb.cells.AppendJSON(b)
+	}
 	open = a.OpenImpressions()
 	b = append(b, `,"open_impressions":`...)
 	b = strconv.AppendInt(b, int64(open), 10)

@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
+	"qtag/internal/campaign"
 )
 
 var rt0 = time.Unix(1600000000, 0).UTC()
@@ -152,5 +154,82 @@ func TestTextReport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("text report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// simulatedRun is a small simulated production run: four campaigns, two
+// of them measured by both solutions.
+func simulatedRun() *campaign.Result {
+	return campaign.New(campaign.Config{
+		Seed: 41, Campaigns: 4, ImpressionsPerCampaign: 50, BothCampaigns: 2,
+	}).Run()
+}
+
+// campaignsServed is how many impressions a run's campaigns served.
+func campaignsServed(res *campaign.Result) int {
+	served := 0
+	for _, c := range res.Campaigns {
+		served += c.Served
+	}
+	return served
+}
+
+// A simulated production run's report: its slices are its aggregator's
+// Table 2, in (site type, OS) order, and they account for every
+// impression the campaigns served.
+func TestReportSlicesCoverASimulatedRun(t *testing.T) {
+	res := simulatedRun()
+	rr := get(t, Handler(res.Aggregate, nil), "/report")
+	var rep ViewabilityReport
+	if err := json.Unmarshal(rr.Body.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	var cells int64
+	for i, s := range rep.Slices {
+		if i > 0 && [2]string{rep.Slices[i-1].SiteType, rep.Slices[i-1].OS} == [2]string{s.SiteType, s.OS} {
+			t.Errorf("slice %s/%s listed twice", s.SiteType, s.OS)
+		}
+		cells += s.Served
+	}
+	if served := campaignsServed(res); int(cells) != served {
+		t.Errorf("slices serve %d impressions, the campaigns %d", cells, served)
+	}
+	if want := res.Aggregate.Slices(); len(want) < 4 || !reflect.DeepEqual(rep.Slices, want) {
+		t.Errorf("report slices = %+v\nwant the aggregator's %+v", rep.Slices, want)
+	}
+}
+
+// /report mounted beside the collection API, the way qtag-server serves
+// live traffic: the built-in routes still answer, and the report's rows
+// account for every impression the campaigns served.
+func TestReportCoexistsWithCollectionAPI(t *testing.T) {
+	res := simulatedRun()
+	base := beacon.NewServer(res.Store)
+	base.Mount("GET /report", Handler(res.Aggregate, nil))
+	srv := httptest.NewServer(base)
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz = %d", resp.StatusCode)
+	}
+	resp, err = http.Get(srv.URL + "/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var rep ViewabilityReport
+	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+		t.Fatal(err)
+	}
+	var rows int64
+	for _, r := range rep.Campaigns.Rows {
+		rows += r.Served
+	}
+	if served := campaignsServed(res); resp.StatusCode != http.StatusOK || int(rows) != served {
+		t.Errorf("report = %d, its rows serve %d impressions, the campaigns %d", resp.StatusCode, rows, served)
 	}
 }

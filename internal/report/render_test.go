@@ -61,6 +61,7 @@ func marshalled(t testing.TB, a *aggregate.Aggregator, d *detect.Detector, windo
 	ref := ViewabilityReport{
 		GeneratedAt:     rt0,
 		Campaigns:       a.Snapshot(),
+		Slices:          a.Slices(),
 		OpenImpressions: a.OpenImpressions(),
 		Evicted:         a.Evicted(),
 	}
@@ -113,7 +114,9 @@ func requireIdentical(t testing.TB, a *aggregate.Aggregator, d *detect.Detector)
 // generator (bench/gen.go): impressions over zipf(1.1)-ranked campaigns,
 // each a served event, the tag's check-in, in-view with probability 0.6
 // and then out-of-view with probability 0.5, over two formats, three ad
-// sizes and forty slots.
+// sizes and forty slots, and over Table 2's two OSes × two site types,
+// which follow the impression index so that every other value is drawn
+// as it was before the slices joined the report.
 func benchEvents(seed uint64, campaigns, n int) []beacon.Event {
 	rng := simrand.New(seed).Fork("report-render")
 	cdf := make([]float64, campaigns)
@@ -134,9 +137,11 @@ func benchEvents(seed uint64, campaigns, n int) []beacon.Event {
 			Type:         beacon.EventServed,
 			At:           at,
 			Meta: beacon.Meta{
-				Format: formats[rng.Intn(len(formats))],
-				AdSize: sizes[rng.Intn(len(sizes))],
-				Slot:   "slot-" + strconv.Itoa(rng.Intn(40)),
+				Format:   formats[rng.Intn(len(formats))],
+				AdSize:   sizes[rng.Intn(len(sizes))],
+				Slot:     "slot-" + strconv.Itoa(rng.Intn(40)),
+				OS:       []string{"android", "ios"}[imp%2],
+				SiteType: []string{"app", "browser"}[imp/2%2],
 			},
 		}
 		events = append(events, ev)
@@ -397,15 +402,46 @@ func renderUnderIngest(t *testing.T, dopts detect.Options) {
 	<-done
 	requireIdentical(t, s.a, s.d)
 	requireDirectories(t, s.a, s.d)
+	var rep ViewabilityReport
+	if err := json.Unmarshal(get(t, h, "/report").Body.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := slicesSumErr(&rep); err != nil {
+		t.Fatalf("after ingest: %v", err)
+	}
 	if evicted := reg.Values()["qtag_detect_row_evicted_total"]; (dopts.MaxRows > 0) != (evicted > 0) {
 		t.Fatalf("MaxRows %d evicted %g score rows", dopts.MaxRows, evicted)
 	}
 }
 
+// slicesSumErr reports a report whose slices do not sum to its rows —
+// served, and per solution measured and viewed. A poll under ingest
+// reads the rows campaign by campaign and the slices shard by shard, so
+// it holds once ingest is quiet.
+func slicesSumErr(rep *ViewabilityReport) error {
+	var rows, cells aggregate.Counts
+	for _, r := range rep.Campaigns.Rows {
+		c := aggregate.Counts{Served: r.Served, Measured: map[beacon.Source]int64{}, Viewed: map[beacon.Source]int64{}}
+		for src, sc := range r.Sources {
+			c.Measured[beacon.Source(src)] = sc.Measured
+			c.Viewed[beacon.Source(src)] = sc.Viewed
+		}
+		rows.Add(c)
+	}
+	for _, s := range rep.Slices {
+		cells.Add(s.Counts)
+	}
+	if !reflect.DeepEqual(rows, cells) {
+		return fmt.Errorf("slices sum to %+v, rows to %+v", cells, rows)
+	}
+	return nil
+}
+
 // keyOrderErr reports the first list of a rendered report that is not in
-// strictly increasing key order: rows by (campaign, format), dwell and
-// fraud rows by (campaign, source), flagged campaigns, windows by start,
-// and each window's campaigns — whose order only the raw body keeps.
+// strictly increasing key order: rows by (campaign, format), slices by
+// (site type, OS), dwell and fraud rows by (campaign, source), flagged
+// campaigns, windows by start, and each window's campaigns — whose order
+// only the raw body keeps.
 func keyOrderErr(body []byte, rep *ViewabilityReport) error {
 	var keys [][2]string
 	check := func(what string) error {
@@ -421,6 +457,12 @@ func keyOrderErr(body []byte, rep *ViewabilityReport) error {
 		keys = append(keys, [2]string{r.CampaignID, r.Format})
 	}
 	if err := check("rows"); err != nil {
+		return err
+	}
+	for _, c := range rep.Slices {
+		keys = append(keys, [2]string{c.SiteType, c.OS})
+	}
+	if err := check("slices"); err != nil {
 		return err
 	}
 	for _, d := range rep.Campaigns.Dwell {

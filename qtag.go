@@ -33,7 +33,6 @@ import (
 
 	"qtag/internal/adtag"
 	"qtag/internal/aggregate"
-	"qtag/internal/analytics"
 	"qtag/internal/beacon"
 	"qtag/internal/campaign"
 	"qtag/internal/cert"
@@ -144,15 +143,18 @@ type Counts = aggregate.Counts
 func (c *Collector) Counts(campaignIDs ...string) Counts { return c.agg.Totals(campaignIDs...) }
 
 // NewCollectionServer wraps a collector with the HTTP API: POST
-// /v1/events, GET /healthz, /readyz and /metrics, and the read routes
-// over its counts, as qtag-server serves them — GET /report, /v1/stats,
-// /v1/campaigns/{id}/stats and /v1/breakdown?dim=os|site-type.
+// /v1/events, GET /healthz, /readyz and /metrics, and the read route
+// over its counts, GET /report, as qtag-server serves it (decode it into
+// a Report).
 func NewCollectionServer(c *Collector) *CollectionServer {
 	srv := beacon.NewServer(c.Store)
-	report.MountStats(srv, c.agg)
 	srv.Mount("GET /report", report.Handler(c.agg, nil))
 	return srv
 }
+
+// Report is the GET /report payload: per campaign × format counts and
+// rates, and the Table 2 site type × OS slices.
+type Report = report.ViewabilityReport
 
 // ---- Reproduction: Figure 2 (layout validation) ---------------------------
 
@@ -198,18 +200,18 @@ type SimResult = campaign.Result
 func RunProductionSim(cfg SimConfig) *SimResult { return campaign.New(cfg).Run() }
 
 // SolutionSummary is one Figure 3 bar (mean ± std across campaigns).
-type SolutionSummary = analytics.SolutionSummary
+type SolutionSummary = campaign.SolutionSummary
 
 // Figure3 computes measured-rate and viewability-rate summaries per
 // solution from a simulation result.
-var Figure3 = analytics.Figure3
+var Figure3 = campaign.Figure3
 
 // Table2Cell is one site-type × OS row of Table 2.
-type Table2Cell = analytics.Table2Cell
+type Table2Cell = aggregate.Table2Cell
 
 // Table2 slices measured rates by site type × OS for mobile traffic of
 // the comparison subset (the campaigns carrying both tags).
-var Table2 = analytics.Table2ForResult
+var Table2 = campaign.Table2ForResult
 
 // ---- Reproduction: §6.1 (economics) ----------------------------------------
 
