@@ -55,7 +55,10 @@ race:
 
 # Microbenchmarks for the sharded store, the WAL group committer, the
 # binary beacon codec and the GET /report render (at 5 000 and at 99
-# campaigns) — for measuring while you work. The collector's
+# campaigns with nothing ingested between renders, and at 5 000 with a
+# poll period's fresh events between them: BenchmarkReportRender5000,
+# BenchmarkReportRender99, BenchmarkReportRenderUnderIngest) — for
+# measuring while you work. The collector's
 # performance claims rest on `go run ./bench` (BENCHMARK.json,
 # bench/README.md), which drives qtag-server out of process.
 microbench:

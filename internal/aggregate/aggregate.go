@@ -35,6 +35,7 @@ import (
 
 	"qtag/internal/beacon"
 	"qtag/internal/imptable"
+	"qtag/internal/jsonenc"
 	"qtag/internal/keydir"
 	"qtag/internal/obs"
 )
@@ -127,6 +128,11 @@ type campaign struct {
 	rows   []*row
 	dwell  []dwellRow
 	slices SliceSum
+	// at is where the last render put the campaign's rows, and
+	// [dwellLo, dwellHi) its dwell rows, from the dwell section's start;
+	// fold marks it dirty.
+	at               jsonenc.Span
+	dwellLo, dwellHi int
 }
 
 // dwellRow is one campaign × source dwell histogram.
@@ -235,6 +241,7 @@ func (a *Aggregator) fold(e beacon.Event, c imptable.Change) {
 		a.dir.Add(camp)
 		a.campaigns.Add(1)
 	}
+	camp.at.Dirty()
 	if c.Moved() {
 		// Move the impression's pre-event contributions first; the deltas
 		// from this event then land on the new row only, never both.

@@ -17,15 +17,21 @@ import (
 // Where Snapshot copies each row into a map-bearing struct and sorts the
 // structs, these walk the campaigns in the order the report lists them —
 // the directory, a campaign's rows and its histograms are kept in key
-// order — and append each row's JSON into the body under its lock.
+// order — and append each row's JSON into the body under its lock. A
+// record no event has written since the render before copies its bytes
+// from that render's body instead (jsonenc.Span): between two polls of a
+// running campaign set most campaigns are untouched.
 
-// AppendSnapshotJSON appends the JSON encoding of a.Snapshot() to dst
-// and returns it with the number of campaign rows. It takes each
-// campaign's shard lock once, appending its rows to dst and its dwell
-// rows to *dwell, a scratch buffer (reset here) that follows the rows.
-// Under ingest the result is consistent per campaign — a migrated
-// impression is on one row, never two — and after quiescence exact.
-func (a *Aggregator) AppendSnapshotJSON(dst []byte, dwell *[]byte) ([]byte, int) {
+// AppendSnapshotJSON appends the JSON encoding of a.Snapshot() to dst,
+// the body r is writing, and returns it with the number of campaign
+// rows. It takes each campaign's shard lock once, appending its rows to
+// dst and its dwell rows to *dwell, a scratch buffer (reset here) that
+// follows the rows from r's mark. A campaign no event has touched since
+// r's previous render is copied from that body, rows and dwell rows
+// alike; the others are encoded. Under ingest the result is consistent
+// per campaign — a migrated impression is on one row, never two — and
+// after quiescence exact.
+func (a *Aggregator) AppendSnapshotJSON(dst []byte, dwell *[]byte, r *jsonenc.Render) ([]byte, int) {
 	a.walkMu.Lock()
 	defer a.walkMu.Unlock()
 	dst = append(dst, `{"rows":[`...)
@@ -33,19 +39,33 @@ func (a *Aggregator) AppendSnapshotJSON(dst []byte, dwell *[]byte) ([]byte, int)
 	for _, c := range a.dir.Order() {
 		cs := a.shard(c.id)
 		cs.mu.Lock()
-		for _, r := range c.rows {
-			if rows > 0 {
-				dst = append(dst, ',')
-			}
-			dst = r.appendJSON(dst, c.id)
-			rows++
+		if rows > 0 && len(c.rows) > 0 {
+			dst = append(dst, ',')
 		}
-		for _, d := range c.dwell {
-			if len(dw) > 0 {
-				dw = append(dw, ',')
-			}
-			dw = d.h.appendRowJSON(dw, c.id, d.source, a.boundsJSON)
+		if len(dw) > 0 && len(c.dwell) > 0 {
+			dw = append(dw, ',')
 		}
+		lo, dlo := len(dst), len(dw)
+		var ok bool
+		if dst, ok = c.at.Copy(dst, r); ok {
+			dw = append(dw, r.PrevMarked(c.dwellLo, c.dwellHi)...)
+		} else {
+			for i, rw := range c.rows {
+				if i > 0 {
+					dst = append(dst, ',')
+				}
+				dst = rw.appendJSON(dst, c.id)
+			}
+			for i, d := range c.dwell {
+				if i > 0 {
+					dw = append(dw, ',')
+				}
+				dw = d.h.appendRowJSON(dw, c.id, d.source, a.boundsJSON)
+			}
+		}
+		c.at.Wrote(r, lo, len(dst))
+		c.dwellLo, c.dwellHi = dlo, len(dw)
+		rows += len(c.rows)
 		cs.mu.Unlock()
 	}
 	if rows == 0 {
@@ -56,6 +76,7 @@ func (a *Aggregator) AppendSnapshotJSON(dst []byte, dwell *[]byte) ([]byte, int)
 	*dwell = dw
 	if len(dw) > 0 { // omitempty
 		dst = append(dst, `,"dwell":[`...)
+		r.Mark(len(dst))
 		dst = append(append(dst, dw...), ']')
 	}
 	return append(dst, '}'), rows
@@ -153,11 +174,13 @@ func appendBoundsJSON(b []byte, bounds []float64) []byte {
 	return append(b, ']')
 }
 
-// AppendWindowsJSON appends the JSON encoding of a.Windows() to dst and
-// returns it with the number of windows (none: the caller's omitempty).
-// It holds winMu — which every Observe takes — while it appends: the
-// windows are kept oldest first and each window's campaigns in id order.
-func (a *Aggregator) AppendWindowsJSON(dst []byte) ([]byte, int) {
+// AppendWindowsJSON appends the JSON encoding of a.Windows() to dst, the
+// body r is writing, and returns it with the number of windows (none:
+// the caller's omitempty). It holds winMu — which every Observe takes —
+// while it appends: the windows are kept oldest first and each window's
+// campaigns in id order, and a window's campaign that no event has
+// touched since r's previous render is copied from that body.
+func (a *Aggregator) AppendWindowsJSON(dst []byte, r *jsonenc.Render) ([]byte, int) {
 	a.winMu.Lock()
 	defer a.winMu.Unlock()
 	dst = append(dst, '[')
@@ -172,14 +195,19 @@ func (a *Aggregator) AppendWindowsJSON(dst []byte) ([]byte, int) {
 			if j > 0 {
 				dst = append(dst, ',')
 			}
-			dst = jsonenc.AppendString(dst, c.id)
-			dst = append(dst, `:{"events":`...)
-			dst = strconv.AppendInt(dst, c.Events, 10)
-			dst = append(dst, `,"impressions":`...)
-			dst = strconv.AppendInt(dst, c.Impressions, 10)
-			dst = append(dst, `,"viewed":`...)
-			dst = strconv.AppendInt(dst, c.Viewed, 10)
-			dst = append(dst, '}')
+			lo := len(dst)
+			var ok bool
+			if dst, ok = c.at.Copy(dst, r); !ok {
+				dst = jsonenc.AppendString(dst, c.id)
+				dst = append(dst, `:{"events":`...)
+				dst = strconv.AppendInt(dst, c.Events, 10)
+				dst = append(dst, `,"impressions":`...)
+				dst = strconv.AppendInt(dst, c.Impressions, 10)
+				dst = append(dst, `,"viewed":`...)
+				dst = strconv.AppendInt(dst, c.Viewed, 10)
+				dst = append(dst, '}')
+			}
+			c.at.Wrote(r, lo, len(dst))
 		}
 		dst = append(dst, `}}`...)
 	}

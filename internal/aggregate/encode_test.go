@@ -8,14 +8,18 @@ import (
 	"time"
 
 	"qtag/internal/beacon"
+	"qtag/internal/jsonenc"
 )
 
 // requireEncodersMatchMarshal compares both report encoders with
 // encoding/json over the snapshot types they stand in for.
 func requireEncodersMatchMarshal(t *testing.T, a *Aggregator) {
 	t.Helper()
-	var dwell []byte
-	got, n := a.AppendSnapshotJSON(nil, &dwell)
+	var (
+		dwell []byte
+		r     jsonenc.Render
+	)
+	got, n := a.AppendSnapshotJSON(r.Start(), &dwell, &r)
 	snap := a.Snapshot()
 	want, err := json.Marshal(snap)
 	if err != nil {
@@ -33,7 +37,7 @@ func requireEncodersMatchMarshal(t *testing.T, a *Aggregator) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("SliceSum.AppendJSON:\n got %s\nwant %s", got, want)
 	}
-	got, n = a.AppendWindowsJSON(nil)
+	got, n = a.AppendWindowsJSON(r.Start(), &r)
 	wins := a.Windows()
 	if want, err = json.Marshal(wins); err != nil {
 		t.Fatalf("marshal windows: %v", err)

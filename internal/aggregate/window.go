@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"qtag/internal/jsonenc"
 	"qtag/internal/keydir"
 )
 
@@ -17,10 +18,12 @@ type windowCounts struct {
 	Viewed      int64 `json:"viewed"`      // impressions that became viewed in this window
 }
 
-// windowCamp is one campaign's counts in one window, under its owned id.
+// windowCamp is one campaign's counts in one window, under its owned id,
+// and where the last render put them (observe marks it dirty).
 type windowCamp struct {
 	id string
 	windowCounts
+	at jsonenc.Span
 }
 
 // window is one fixed-width rollup bucket keyed by arrival time: its
@@ -71,6 +74,7 @@ func (r *windowRing) observe(now time.Time, campaign string, created, viewedFirs
 		w.camps[c.id] = c
 		w.dir.Add(c)
 	}
+	c.at.Dirty()
 	c.Events++
 	if created {
 		c.Impressions++

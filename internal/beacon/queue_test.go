@@ -214,43 +214,61 @@ func (g *gatedSink) SubmitBatch(events []Event) error {
 
 func (g *gatedSink) Submit(e Event) error { return g.SubmitBatch([]Event{e}) }
 
-// drainNsPerEvent queues n events behind a held delivery, then times the
-// drain of all of them into a sink that costs nothing.
-func drainNsPerEvent(t *testing.T, n int) float64 {
-	g := &gatedSink{open: make(chan struct{})}
-	q := NewQueueSink(g, QueueOptions{Capacity: n})
-	e := ev("i", "c1", SourceQTag, EventLoaded)
-	for i := 0; i < n; i++ {
-		if err := q.Submit(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	start := time.Now()
-	close(g.open)
-	drainAndClose(t, q)
-	elapsed := time.Since(start)
-	if got := g.delivered.Load(); got != int64(n) {
-		t.Fatalf("delivered %d of %d", got, n)
-	}
-	return float64(elapsed.Nanoseconds()) / float64(n)
-}
-
 // TestQueueSinkDrainLinear: draining a backlog costs the same per event
-// whatever its size. Each flush used to shift the rest of the buffer
-// down, so a 65 536-event backlog cost over ten times per event what a
-// 4 096-event one did.
+// whatever its size, because consume never moves the backlog — the
+// ring's backing array and the slot of every event still queued stay
+// put — and the ring is reallocated only when push grows it. Each flush
+// used to shift the rest of the buffer down, so a 65 536-event backlog
+// cost over ten times per event what a 4 096-event one did. It checks
+// where the events are rather than timing the drain, which other tests
+// running beside it on the same CPUs skew.
 func TestQueueSinkDrainLinear(t *testing.T) {
-	best := func(n int) float64 {
-		b := drainNsPerEvent(t, n)
-		for i := 0; i < 2; i++ {
-			b = min(b, drainNsPerEvent(t, n))
+	rng := rand.New(rand.NewPCG(7, 2))
+	q := QueueSink{opts: QueueOptions{Capacity: 4096}.withDefaults()}
+	where := map[string]*Event{} // each queued event's slot
+	base := func() *Event {
+		if len(q.ring) == 0 {
+			return nil
 		}
-		return b
+		return &q.ring[0]
 	}
-	small, large := best(4096), best(65536)
-	t.Logf("drain: %.0f ns/event at 4096, %.0f at 65536", small, large)
-	if large > 2*small {
-		t.Fatalf("draining 65536 events costs %.0f ns/event, over twice the %.0f of 4096", large, small)
+	next := 0
+	for step := 0; step < 2000; step++ {
+		if rng.IntN(2) == 0 || q.size == 0 {
+			for k := 1 + rng.IntN(300); k > 0 && q.size < q.opts.Capacity; k-- {
+				grows, was := q.size == len(q.ring), base()
+				q.push(ev(itoa(next), "c", SourceQTag, EventLoaded))
+				next++
+				switch {
+				case grows: // the one move a queued event makes
+					a, b := q.oldest(q.size)
+					for _, run := range [][]Event{a, b} {
+						for i := range run {
+							where[run[i].ImpressionID] = &run[i]
+						}
+					}
+				case base() != was:
+					t.Fatalf("step %d: push into a ring with room reallocated it", step)
+				default:
+					e := &q.ring[(q.head+q.size-1)%len(q.ring)]
+					where[e.ImpressionID] = e
+				}
+			}
+			continue
+		}
+		was := base()
+		q.consume(1 + rng.IntN(q.size))
+		if base() != was {
+			t.Fatalf("step %d: consume reallocated the ring", step)
+		}
+		a, b := q.oldest(q.size)
+		for _, run := range [][]Event{a, b} {
+			for i := range run {
+				if where[run[i].ImpressionID] != &run[i] {
+					t.Fatalf("step %d: consume moved queued event %s to another slot", step, run[i].ImpressionID)
+				}
+			}
+		}
 	}
 }
 

@@ -49,6 +49,7 @@ import (
 
 	"qtag/internal/beacon"
 	"qtag/internal/imptable"
+	"qtag/internal/jsonenc"
 	"qtag/internal/keydir"
 	"qtag/internal/obs"
 	"qtag/internal/viewability"
@@ -282,6 +283,10 @@ type campaign struct {
 	id   string // owned
 	rows []*row
 	gone atomic.Bool // the MaxRows cap took its last row; set under the shard lock
+	// at is where the last render put the campaign's rows, and flagged
+	// whether one of them was; rowLocked marks it dirty.
+	at      jsonenc.Span
+	flagged bool
 }
 
 // find returns the campaign's row for source with its index, or nil with
@@ -549,12 +554,13 @@ func (d *Detector) ObserveDup(e beacon.Event) {
 func (d *Detector) shard(id string) *rowShard { return &d.camps[beacon.HashID(id)&d.mask] }
 
 // rowLocked returns (creating if needed) the score row of campaign id
-// and source, and marks it the shard's most recently touched; caller
-// holds cs.mu. A new row and campaign clone id and source, which come
-// from the event in hand. Creation over the MaxRows cap evicts the least
-// recently touched row of the same shard — never the one just created,
-// which stays even when it is alone in its shard — and a campaign left
-// without rows leaves the shard.
+// and source, marks it the shard's most recently touched and marks its
+// campaign dirty, as every write to a campaign's rows comes through
+// here; caller holds cs.mu. A new row and campaign clone id and source,
+// which come from the event in hand. Creation over the MaxRows cap
+// evicts the least recently touched row of the same shard — never the
+// one just created, which stays even when it is alone in its shard —
+// and a campaign left without rows leaves the shard.
 func (d *Detector) rowLocked(cs *rowShard, id, source string) *row {
 	c := cs.camps[id]
 	if c == nil {
@@ -562,6 +568,7 @@ func (d *Detector) rowLocked(cs *rowShard, id, source string) *row {
 		cs.camps[c.id] = c
 		d.dir.Add(c)
 	}
+	c.at.Dirty()
 	i, r := c.find(source)
 	if r != nil {
 		cs.touch(r)
@@ -575,6 +582,7 @@ func (d *Detector) rowLocked(cs *rowShard, id, source string) *row {
 		if victim := cs.oldest; victim != r {
 			cs.unlink(victim)
 			vc := victim.camp
+			vc.at.Dirty()
 			if vc.rows = slices.DeleteFunc(vc.rows, func(x *row) bool { return x == victim }); len(vc.rows) == 0 {
 				delete(cs.camps, vc.id)
 				vc.gone.Store(true)

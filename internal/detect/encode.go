@@ -17,16 +17,18 @@ var contribOrder = func() []int {
 }()
 
 // AppendSnapshotJSON appends the JSON encoding of d.Snapshot() to dst —
-// byte for byte what encoding/json makes of it — and returns it with the
-// number of flagged campaigns. It is the fraud section of GET /report: a
-// walk of the campaign directory that takes each campaign's shard lock
-// once and scores and appends its rows, kept in source order, straight
-// into dst — no ScoreRow, no contributions map, no sort. The flagged
+// byte for byte what encoding/json makes of it — the body r is writing,
+// and returns it with the number of flagged campaigns. It is the fraud
+// section of GET /report: a walk of the campaign directory that takes
+// each campaign's shard lock once and scores and appends its rows, kept
+// in source order, straight into dst — no ScoreRow, no contributions
+// map, no sort — or, for a campaign no event or duplicate has touched
+// since r's previous render, copies them from that body. The flagged
 // campaigns collect in *flagged, a scratch buffer (reset here). Under
 // ingest the result is consistent per campaign — a late served event's
 // un-count lands on all of a campaign's rows or on none — and after
 // quiescence it is exact.
-func (d *Detector) AppendSnapshotJSON(dst []byte, flagged *[]byte) ([]byte, int) {
+func (d *Detector) AppendSnapshotJSON(dst []byte, flagged *[]byte, r *jsonenc.Render) ([]byte, int) {
 	d.walkMu.Lock()
 	defer d.walkMu.Unlock()
 	dst = append(dst, `{"rows":[`...)
@@ -34,48 +36,17 @@ func (d *Detector) AppendSnapshotJSON(dst []byte, flagged *[]byte) ([]byte, int)
 	for _, c := range d.dir.Order() {
 		cs := d.shard(c.id)
 		cs.mu.Lock()
-		hit := false
-		for _, r := range c.rows {
-			co, composite := d.contribs(r)
-			flag := d.flags(r, composite)
-			hit = hit || flag
-			if rows > 0 {
-				dst = append(dst, ',')
-			}
-			rows++
-			dst = append(dst, `{"campaign_id":`...)
-			dst = jsonenc.AppendString(dst, c.id)
-			dst = append(dst, `,"source":`...)
-			dst = jsonenc.AppendString(dst, r.source)
-			dst = append(dst, `,"events":`...)
-			dst = strconv.AppendInt(dst, r.events, 10)
-			dst = append(dst, `,"dups":`...)
-			dst = strconv.AppendInt(dst, r.dups, 10)
-			dst = append(dst, `,"impressions":`...)
-			dst = strconv.AppendInt(dst, r.impressions, 10)
-			dst = append(dst, `,"score":`...)
-			dst = jsonenc.AppendFloat(dst, composite)
-			dst = append(dst, `,"flagged":`...)
-			dst = strconv.AppendBool(dst, flag)
-			dst = append(dst, `,"contributions":{`...)
-			for n, i := range contribOrder {
-				if n > 0 {
-					dst = append(dst, ',')
-				}
-				dst = append(append(append(dst, '"'), Detectors[i]...), `":`...)
-				dst = jsonenc.AppendFloat(dst, co[i])
-			}
-			dst = append(dst, '}')
-			if v := r.violations(); v != (Violations{}) { // omitempty
-				sep := `,"violations":{"`
-				for i, n := range v.counts() {
-					dst = strconv.AppendInt(append(append(append(dst, sep...), violationNames[i]...), `":`...), n, 10)
-					sep = `,"`
-				}
-				dst = append(dst, '}')
-			}
-			dst = append(dst, '}')
+		if rows > 0 && len(c.rows) > 0 {
+			dst = append(dst, ',')
 		}
+		lo := len(dst)
+		var ok bool
+		if dst, ok = c.at.Copy(dst, r); !ok {
+			dst, c.flagged = d.appendRows(dst, c)
+		}
+		c.at.Wrote(r, lo, len(dst))
+		rows += len(c.rows)
+		hit := c.flagged
 		cs.mu.Unlock()
 		if hit {
 			if nflagged > 0 {
@@ -96,4 +67,51 @@ func (d *Detector) AppendSnapshotJSON(dst []byte, flagged *[]byte) ([]byte, int)
 		dst = append(append(dst, fl...), ']')
 	}
 	return append(dst, '}'), nflagged
+}
+
+// appendRows scores and appends a campaign's rows, comma-separated, and
+// reports whether one of them is flagged. Caller holds the shard lock.
+func (d *Detector) appendRows(dst []byte, c *campaign) ([]byte, bool) {
+	hit := false
+	for j, r := range c.rows {
+		co, composite := d.contribs(r)
+		flag := d.flags(r, composite)
+		hit = hit || flag
+		if j > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"campaign_id":`...)
+		dst = jsonenc.AppendString(dst, c.id)
+		dst = append(dst, `,"source":`...)
+		dst = jsonenc.AppendString(dst, r.source)
+		dst = append(dst, `,"events":`...)
+		dst = strconv.AppendInt(dst, r.events, 10)
+		dst = append(dst, `,"dups":`...)
+		dst = strconv.AppendInt(dst, r.dups, 10)
+		dst = append(dst, `,"impressions":`...)
+		dst = strconv.AppendInt(dst, r.impressions, 10)
+		dst = append(dst, `,"score":`...)
+		dst = jsonenc.AppendFloat(dst, composite)
+		dst = append(dst, `,"flagged":`...)
+		dst = strconv.AppendBool(dst, flag)
+		dst = append(dst, `,"contributions":{`...)
+		for n, i := range contribOrder {
+			if n > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(append(append(dst, '"'), Detectors[i]...), `":`...)
+			dst = jsonenc.AppendFloat(dst, co[i])
+		}
+		dst = append(dst, '}')
+		if v := r.violations(); v != (Violations{}) { // omitempty
+			sep := `,"violations":{"`
+			for i, n := range v.counts() {
+				dst = strconv.AppendInt(append(append(append(dst, sep...), violationNames[i]...), `":`...), n, 10)
+				sep = `,"`
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, '}')
+	}
+	return dst, hit
 }

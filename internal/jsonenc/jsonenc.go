@@ -2,7 +2,8 @@
 // time) GET /report is rendered with, so internal/aggregate and
 // internal/detect can encode their accumulators straight into the
 // response body — under the lock that guards them — without reflection,
-// intermediate maps or a per-request snapshot.
+// intermediate maps or a per-request snapshot; and the Render and Span
+// with which they copy from the previous body what nothing changed.
 //
 // The contract of every function here is byte equality with
 // encoding/json (Marshal and Encoder defaults: HTML-safe escaping on);

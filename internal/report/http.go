@@ -105,16 +105,18 @@ type ViewabilityReport struct {
 	Degraded []string `json:"degraded,omitempty"`
 }
 
-// renderBuf is one JSON render's working memory: the response body, one
-// scratch buffer — the dwell rows, which the aggregate encoder collects
-// in the same lock hold as a campaign's rows and appends after all of
-// them, then the flagged campaigns, which the fraud encoder appends
-// after its rows — and the sum of the shards' Table 2 slices. Kept
-// between renders, so a dashboard polling /report re-uses them
-// instead of allocating (and the GC tracing) a Snapshot's worth of rows,
-// maps and histogram copies per poll.
+// renderBuf is one JSON render's working memory: the response body and
+// the body of the render before it (jsonenc.Render), one scratch buffer
+// — the dwell rows, which the aggregate encoder collects in the same
+// lock hold as a campaign's rows and appends after all of them, then
+// the flagged campaigns, which the fraud encoder appends after its rows
+// — and the sum of the shards' Table 2 slices. Kept between renders, so
+// a dashboard polling /report re-uses them instead of allocating (and
+// the GC tracing) a Snapshot's worth of rows, maps and histogram copies
+// per poll, and copies every campaign no event touched since its last
+// poll from the previous body instead of encoding it again.
 type renderBuf struct {
-	body    []byte
+	render  jsonenc.Render
 	scratch []byte
 	cells   aggregate.SliceSum
 }
@@ -122,15 +124,16 @@ type renderBuf struct {
 // renderSlot is a handler's spare renderBuf: the one its last render
 // used. It is held, not pooled: a sync.Pool drops its entries across
 // collections and misses whenever a render ends on another P than the
-// next one starts on, and each miss re-grows a body — megabytes of
-// garbage at 5 000 campaigns, at moments that vary from run to run. A
-// render that finds the slot taken by a concurrent one uses a fresh
-// buffer and drops it afterwards.
+// next one starts on, and each miss re-grows both bodies — megabytes of
+// garbage at 5 000 campaigns, at moments that vary from run to run —
+// and encodes every campaign. A render that finds the slot taken by a
+// concurrent one uses a fresh buffer, which has no previous body to
+// copy from, and drops it afterwards.
 type renderSlot struct{ p atomic.Pointer[renderBuf] }
 
-// maxPooledBytes bounds what the slot may keep between renders (about
-// four bodies at 5 000 campaigns): a one-off report of a much larger
-// state is not pinned.
+// maxPooledBytes bounds what the slot may keep between renders — both
+// bodies and the scratch buffer, about two renders' worth at 5 000
+// campaigns: a one-off report of a much larger state is not pinned.
 const maxPooledBytes = 16 << 20
 
 func (s *renderSlot) take() *renderBuf {
@@ -141,21 +144,22 @@ func (s *renderSlot) take() *renderBuf {
 }
 
 func (s *renderSlot) keep(rb *renderBuf) {
-	if cap(rb.body)+cap(rb.scratch) <= maxPooledBytes {
+	if rb.render.Cap()+cap(rb.scratch) <= maxPooledBytes {
 		s.p.CompareAndSwap(nil, rb)
 	}
 }
 
-// appendReport renders the report into rb.body — byte for byte
-// json.NewEncoder(w).Encode(ViewabilityReport{...}), trailing newline
-// included — and returns it with the figures the handler annotates its
-// span with. The sections are read in the order the fields are declared,
-// each under its own locks only.
+// appendReport renders the report into the next body of rb.render —
+// byte for byte json.NewEncoder(w).Encode(ViewabilityReport{...}),
+// trailing newline included — and returns it with the figures the
+// handler annotates its span with. The sections are read in the order
+// the fields are declared, each under its own locks only.
 func (rb *renderBuf) appendReport(a *aggregate.Aggregator, d *detect.Detector, at time.Time, windows bool) (body []byte, rows, flagged, open int) {
-	b := append(rb.body[:0], `{"generated_at":`...)
+	r := &rb.render
+	b := append(r.Start(), `{"generated_at":`...)
 	b = jsonenc.AppendTime(b, at)
 	b = append(b, `,"campaigns":`...)
-	b, rows = a.AppendSnapshotJSON(b, &rb.scratch)
+	b, rows = a.AppendSnapshotJSON(b, &rb.scratch, r)
 	if a.SumSlices(&rb.cells); rb.cells.Len() > 0 { // omitempty
 		b = append(b, `,"slices":`...)
 		b = rb.cells.AppendJSON(b)
@@ -169,16 +173,15 @@ func (rb *renderBuf) appendReport(a *aggregate.Aggregator, d *detect.Detector, a
 		mark := len(b)
 		b = append(b, `,"windows":`...)
 		var n int
-		if b, n = a.AppendWindowsJSON(b); n == 0 {
+		if b, n = a.AppendWindowsJSON(b, r); n == 0 {
 			b = b[:mark] // omitempty
 		}
 	}
 	if d != nil {
 		b = append(b, `,"fraud":`...)
-		b, flagged = d.AppendSnapshotJSON(b, &rb.scratch)
+		b, flagged = d.AppendSnapshotJSON(b, &rb.scratch, r)
 	}
-	rb.body = append(b, '}', '\n')
-	return rb.body, rows, flagged, open
+	return r.Finish(append(b, '}', '\n')), rows, flagged, open
 }
 
 // Prometheus renders a snapshot in Prometheus text exposition format
