@@ -25,8 +25,9 @@ GOVULNCHECK ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 # to the WAL write: BenchmarkIngestBatch64 re-posts one body, the store's
 # duplicate path; BenchmarkIngestBatch64FirstSeen posts fresh bodies, so
 # every event is stored; BenchmarkIngestBatch64Observed does that with
-# the aggregator and the detector attached as collector.Open attaches
-# them, so every event also opens its impression, once for both; and
+# the aggregator attached as collector.Open attaches it, its records
+# holding the detector's score rows, so every event also opens its
+# impression and is folded once; and
 # BenchmarkIngestJSON1, the tag's one-event JSON POST down the same
 # chain, fresh bodies, through the JSON decoder, which allocates
 # nothing), whose allocs/op are deterministic enough to gate exactly
@@ -114,7 +115,7 @@ chaos:
 # that the equivalence, eviction, replay and report suites of the
 # packages that hold such tables — and of the production assembly
 # (internal/collector), whose max-open, TTL and sync/async path tests
-# run both observers joined — run on collision chains throughout and
+# run with the detector on — run on collision chains throughout and
 # only exact key comparison tells impressions apart.
 collide:
 	QTAG_FORCE_COLLISIONS=1 $(GO) test -count=1 ./internal/imptable/... ./internal/aggregate/... \

@@ -81,16 +81,14 @@ func main() {
 	// fires once per first-seen event during replay, exactly as it does
 	// at ingest time, so -report proves the WAL alone reproduces them.
 	agg := aggregate.Attach(store, aggregate.Options{TTL: -1})
-	// The fraud layer hooks both seams: first-seen events, through the
-	// aggregator's pass it joins, and duplicate submissions. The journal
+	// The aggregator hooks both seams, first-seen events and duplicate
+	// submissions, and the fraud layer scores its records. The journal
 	// holds every accepted submission, so the store's idempotent replay
 	// routes repeats to the duplicate hook and the flood scores come back
 	// exactly as the live server saw them.
 	var det *detect.Detector
 	if *detectMode {
-		det = detect.New(detect.Options{})
-		det.Join(agg.Pass())
-		store.AddDupObserver(det.ObserveDup)
+		det = detect.Over(agg, detect.Options{})
 	}
 	var sink beacon.Sink = store
 	if *serverURL != "" {

@@ -6,12 +6,16 @@
 //
 // The aggregator is fed by the beacon store's first-seen-event observer
 // (Store.AddObserver), so it inherits the store's idempotency: duplicate
-// beacons, HTTP retries and overlapping WAL replays never reach it, and
-// rebuilding it from a WAL replay on boot reproduces exactly the state a
-// continuously-running process would hold. Every update is incremental —
-// serving a report never scans raw events — and per-impression working
-// state is evicted on a TTL so memory stays bounded under unbounded
-// traffic while the campaign counters keep their all-time totals.
+// beacons, HTTP retries and overlapping WAL replays never reach its
+// counts, and rebuilding it from a WAL replay on boot reproduces exactly
+// the state a continuously-running process would hold. Each campaign's
+// record also keeps the per-solution scoring state internal/detect reads
+// (score.go), the duplicates the store's duplicate observer reports
+// included: one record per campaign, one fold per event. Every update
+// is incremental — serving a report never scans raw events — and
+// per-impression working state is evicted on a TTL so memory stays
+// bounded under unbounded traffic while the campaign counters keep their
+// all-time totals.
 //
 // Classification per impression and source s (mirrors §6's definitions):
 //
@@ -117,22 +121,27 @@ type row struct {
 	src         []srcCounts
 }
 
-// campaign is one campaign's accumulators, in the order GET /report
-// lists them: its rows by format, and its dwell histograms by source;
-// and its Table 2 slices, which its shard also sums. Dwell is not
-// sliced by format: an impression may migrate format buckets when a
-// late event carries a different format, and histograms cannot be
-// un-observed.
+// campaign is one campaign's record, its lists in the order GET /report
+// lists them: its rows by format, its dwell histograms and its score
+// rows by source; and its Table 2 slices, which its shard also sums.
+// Dwell is not sliced by format: an impression may migrate format
+// buckets when a late event carries a different format, and histograms
+// cannot be un-observed.
 type campaign struct {
 	id     string // owned
 	rows   []*row
 	dwell  []dwellRow
+	scores []*Score
 	slices SliceSum
 	// at is where the last render put the campaign's rows, and
 	// [dwellLo, dwellHi) its dwell rows, from the dwell section's start;
-	// fold marks it dirty.
+	// fold marks it dirty. scoreAt is where the last render put the score
+	// rows, and flagged whether one of them was; fold and ObserveDup mark
+	// it dirty.
 	at               jsonenc.Span
 	dwellLo, dwellHi int
+	scoreAt          jsonenc.Span
+	flagged          bool
 }
 
 // dwellRow is one campaign × source dwell histogram.
@@ -157,19 +166,21 @@ type campShard struct {
 // ever sees first-seen events.
 type Aggregator struct {
 	opts Options
-	// pass holds the open impressions (DESIGN.md §10, "Observer layout"),
-	// which a detector may share: enough to classify status transitions
-	// and pair dwell cycles, dropped when the impression goes idle while
-	// the counters it contributed to stay.
+	// pass holds the open impressions (DESIGN.md §10, "Observer layout"):
+	// enough to classify status transitions and pair dwell cycles, dropped
+	// when the impression goes idle while the counters it contributed to
+	// stay.
 	pass  *imptable.Pass
 	camps []campShard // accumulators, by hash(campaign)
 	mask  uint32
 
-	// dir is every campaign in id order, for the report to walk; walkMu
-	// keeps walks from overlapping. campaigns counts them.
+	// dir is every campaign record in id order, for the report to walk;
+	// walkMu keeps walks from overlapping. campaigns counts those a
+	// first-seen event has reached.
 	walkMu    sync.Mutex
 	dir       keydir.Dir[campaign]
 	campaigns atomic.Int64
+	dups      atomic.Int64 // duplicate submissions folded in
 
 	winMu   sync.Mutex
 	windows windowRing
@@ -201,51 +212,46 @@ func New(opts Options) *Aggregator {
 	for i := range a.camps {
 		a.camps[i].camps = make(map[string]*campaign)
 	}
-	a.dir.Init(func(c *campaign) string { return c.id }, nil)
+	a.dir.Init(func(c *campaign) string { return c.id })
 	a.windows = windowRing{width: opts.Window, max: int64(opts.MaxWindows)}
 	return a
 }
 
-// Attach returns a new aggregator fed by store's first-seen events, as
-// qtag-server wires its own: the way to count what a store takes in.
-// Like Store.AddObserver, call it before the store ingests.
+// Attach returns a new aggregator fed by store's first-seen events and
+// duplicates, as qtag-server wires its own: the way to count what a
+// store takes in. Like Store.AddObserver, call it before the store
+// ingests.
 func Attach(store *beacon.Store, opts Options) *Aggregator {
 	a := New(opts)
 	store.AddObserver(a.Observe)
+	store.AddDupObserver(a.ObserveDup)
 	return a
 }
 
-// Pass returns the aggregator's open-impression pass, for a detector to
-// join (detect.Detector.Join): Observe then folds each event into both
-// from one lookup of its impression.
-func (a *Aggregator) Pass() *imptable.Pass { return a.pass }
-
-// Observe folds one first-seen event into the accumulators — and into
-// every fold that has joined the aggregator's pass. It is designed to be
-// installed as a beacon.Store observer: the caller guarantees the event
-// is not a duplicate, and that events of one impression arrive
-// serialized (the store's shard lock does both). Events that fail
-// validation are ignored — the store never emits them.
+// Observe folds one first-seen event into the accumulators. It is
+// designed to be installed as a beacon.Store observer: the caller
+// guarantees the event is not a duplicate, and that events of one
+// impression arrive serialized (the store's shard lock does both).
+// Events that fail validation are ignored — the store never emits them.
 func (a *Aggregator) Observe(e beacon.Event) { a.pass.Observe(e) }
 
-// fold is the aggregator's share of its pass: the campaign × format row
-// and site type × OS slice updates for what the event changed, under the
+// fold is the pass's fold: the campaign × format row, site type × OS
+// slice and score row updates for what the event changed, under the
 // campaign shard's lock (nested in the pass shard's, always).
 func (a *Aggregator) fold(e beacon.Event, c imptable.Change) {
 	cs := a.shard(e.CampaignID)
 	cs.mu.Lock()
-	camp := cs.camps[e.CampaignID]
-	if camp == nil {
-		camp = &campaign{id: strings.Clone(e.CampaignID)}
-		cs.camps[camp.id] = camp
-		a.dir.Add(camp)
+	camp := a.campaignLocked(cs, e.CampaignID)
+	if len(camp.rows) == 0 { // its first event: a duplicate may have opened the record
 		a.campaigns.Add(1)
 	}
 	camp.at.Dirty()
+	camp.scoreAt.Dirty()
 	if c.Moved() {
 		// Move the impression's pre-event contributions first; the deltas
 		// from this event then land on the new row only, never both.
 		camp.migrate(&c)
+		camp.regap(&c)
 	}
 	r := camp.row(c.To)
 	if c.Created {
@@ -282,6 +288,7 @@ func (a *Aggregator) fold(e beacon.Event, c imptable.Change) {
 	if c.Paired {
 		camp.dwellHist(string(e.Source), a.opts.DwellBounds).Observe(c.Dwell)
 	}
+	camp.foldScore(e, &c)
 	cs.mu.Unlock()
 
 	if c.Paired {
@@ -302,6 +309,18 @@ func (a *Aggregator) Windows() []WindowSnapshot {
 
 // shard returns the campaign shard that holds id.
 func (a *Aggregator) shard(id string) *campShard { return &a.camps[beacon.HashID(id)&a.mask] }
+
+// campaignLocked returns (opening if needed, under a clone of id) the
+// record of campaign id. Caller holds cs.mu.
+func (a *Aggregator) campaignLocked(cs *campShard, id string) *campaign {
+	c := cs.camps[id]
+	if c == nil {
+		c = &campaign{id: strings.Clone(id)}
+		cs.camps[c.id] = c
+		a.dir.Add(c)
+	}
+	return c
+}
 
 // row returns (creating, in format order, if needed) the campaign's row
 // for format. Caller holds the shard lock. A new row clones format: it
@@ -402,8 +421,7 @@ func (c *campaign) migrate(ch *imptable.Change) {
 }
 
 // Sweep drops the working state of every impression idle for at least
-// the TTL as of now — for every fold of the pass — returning how many
-// were evicted. The campaign counters keep their totals, which bounds
+// the TTL as of now, returning how many were evicted. The campaign counters keep their totals, which bounds
 // memory to TTL × arrival rate open impressions. Unpaired in-view cycles
 // on an evicted impression never produce a dwell sample.
 func (a *Aggregator) Sweep(now time.Time) int { return a.pass.Sweep(now) }

@@ -64,7 +64,7 @@ func (r *windowRing) observe(now time.Time, campaign string, created, viewedFirs
 	i, ok := slices.BinarySearchFunc(r.windows, slot, func(w *window, s int64) int { return cmp.Compare(w.slot, s) })
 	if !ok {
 		w := &window{slot: slot, start: time.Unix(0, slot*int64(r.width)).UTC(), camps: make(map[string]*windowCamp)}
-		w.dir.Init(func(c *windowCamp) string { return c.id }, nil)
+		w.dir.Init(func(c *windowCamp) string { return c.id })
 		r.windows = slices.Insert(r.windows, i, w)
 	}
 	w := r.windows[i]

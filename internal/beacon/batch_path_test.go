@@ -62,15 +62,9 @@ type ingestStack struct {
 func newIngestStack(t testing.TB, opts wal.Options, kind chainKind) *ingestStack {
 	t.Helper()
 	clock := func() time.Time { return batchT0 }
-	s := &ingestStack{
-		store: NewStoreWithShards(8),
-		agg:   aggregate.New(aggregate.Options{Shards: 8, TTL: -1, Now: clock}),
-		det:   detect.New(detect.Options{Shards: 8, TTL: -1, Now: clock}),
-		dir:   opts.Dir,
-	}
-	s.store.AddObserver(s.agg.Observe)
-	s.store.AddObserver(s.det.Observe)
-	s.store.AddDupObserver(s.det.ObserveDup)
+	s := &ingestStack{store: NewStoreWithShards(8), dir: opts.Dir}
+	s.agg = aggregate.Attach(s.store, aggregate.Options{Shards: 8, TTL: -1, Now: clock})
+	s.det = detect.Over(s.agg, detect.Options{})
 	var err error
 	if s.wj, _, err = OpenDurable(opts, s.store); err != nil {
 		t.Fatal(err)

@@ -102,15 +102,16 @@ func heapGrowth(fill func()) float64 {
 // TestMemoryBudgets pins the pointer-free layouts by what they cost. The
 // budgets sit above what the layouts measure here (store 36 B/event at
 // 116 k events, 32 at the 1.16 M sink_batch_binary sends and 39 at
-// report_under_ingest's 5 000 Zipf campaigns and 290 k events; aggregate
-// 117 and detect 124 B/impression on their own, 127 for the two joined
-// as the collector wires them) and well below what the map[string]Event
-// store and the map-of-maps impressions did (388, 616 and 606) — the
-// store's also below the 86 and 64 its records cost when every event was
-// a whole record with an index entry of its own, and the 61 it cost at
+// report_under_ingest's 5 000 Zipf campaigns and 290 k events; the
+// aggregator 127 B/impression, its records holding the detector's score
+// rows too) and well below what the map[string]Event store and the
+// map-of-maps impressions did (388, 616 and 606) — the store's also
+// below the 86 and 64 its records cost when every event was a whole
+// record with an index entry of its own, and the 61 it cost at
 // report_under_ingest's shape while each shard kept its own counter per
-// campaign × solution × type × Meta, and the joined row's below the 238
-// the two cost apart, so a return to any of these fails here.
+// campaign × solution × type × Meta, and the aggregator's below the 238
+// it and the detector cost when each kept its own impressions, so a
+// return to any of these fails here.
 func TestMemoryBudgets(t *testing.T) {
 	const impressions = 40_000
 	var events []Event
@@ -124,15 +125,11 @@ func TestMemoryBudgets(t *testing.T) {
 	// TestNothingKeptAliasesTheRequest), so they are no part of the growth
 	// — not even at bench scale, where they are drawn as they are stored.
 	var (
-		store  = NewStore()
-		large  = NewStore()
-		zipf   = NewStore()
-		agg    = aggregate.New(aggregate.Options{TTL: -1})
-		det    = detect.New(detect.Options{TTL: -1})
-		pair   = aggregate.New(aggregate.Options{TTL: -1})
-		joined = detect.New(detect.Options{})
+		store = NewStore()
+		large = NewStore()
+		zipf  = NewStore()
+		agg   = aggregate.New(aggregate.Options{TTL: -1})
 	)
-	joined.Join(pair.Pass())
 	largeEvents, zipfEvents := 0, 0
 	for _, c := range []struct {
 		name   string
@@ -146,9 +143,7 @@ func TestMemoryBudgets(t *testing.T) {
 			func(e Event) { _ = large.Submit(e); largeEvents++ }},
 		{"store at report_under_ingest's shape", 45, "event", func(emit func(Event)) { benchShaped(100_000, zipf5000(), emit) },
 			func(e Event) { _ = zipf.Submit(e); zipfEvents++ }},
-		{"aggregate", 260, "impression", drawn, agg.Observe},
-		{"detect", 260, "impression", drawn, det.Observe},
-		{"aggregate+detect joined", 130, "impression", drawn, pair.Observe},
+		{"aggregate, the detector's score rows included", 130, "impression", drawn, agg.Observe},
 	} {
 		n := 0
 		grew := heapGrowth(func() {
@@ -167,16 +162,16 @@ func TestMemoryBudgets(t *testing.T) {
 			t.Errorf("%s holds %.0f B/%s, budget %.0f", c.name, got, c.unit, c.budget)
 		}
 	}
-	if store.Len() != len(events) || large.Len() != largeEvents || zipf.Len() != zipfEvents || agg.OpenImpressions() != impressions ||
-		det.OpenImpressions() != impressions || joined.OpenImpressions() != impressions || joined.Updates() != int64(len(events)) {
-		t.Fatalf("fill incomplete: store %d/%d and %d/%d events, aggregate %d, detect %d and joined %d of %d impressions",
-			store.Len(), len(events), large.Len(), largeEvents, agg.OpenImpressions(), det.OpenImpressions(),
-			joined.OpenImpressions(), impressions)
+	if store.Len() != len(events) || large.Len() != largeEvents || zipf.Len() != zipfEvents ||
+		agg.OpenImpressions() != impressions || agg.Updates() != int64(len(events)) {
+		t.Fatalf("fill incomplete: store %d/%d and %d/%d events, aggregate %d of %d impressions and %d events",
+			store.Len(), len(events), large.Len(), largeEvents, agg.OpenImpressions(), impressions, agg.Updates())
 	}
 	runtime.KeepAlive(events)
 }
 
-// observed is one ingest side with both observers attached.
+// observed is one ingest side: a store, its aggregator and the detector
+// that scores the aggregator's records.
 type observed struct {
 	store *Store
 	agg   *aggregate.Aggregator
@@ -185,17 +180,10 @@ type observed struct {
 
 func newObserved() observed { return newObservedOn(NewStoreWithShards(4)) }
 
-// newObservedOn attaches both observers to store.
+// newObservedOn attaches an aggregator to store, with a detector over it.
 func newObservedOn(store *Store) observed {
-	clock := func() time.Time { return batchT0 }
-	o := observed{
-		store: store,
-		agg:   aggregate.New(aggregate.Options{Shards: 4, TTL: -1, Now: clock}),
-		det:   detect.New(detect.Options{Shards: 4, TTL: -1, Now: clock}),
-	}
-	o.store.AddObserver(o.agg.Observe)
-	o.store.AddObserver(o.det.Observe)
-	o.store.AddDupObserver(o.det.ObserveDup)
+	o := observed{store: store, agg: aggregate.Attach(store, aggregate.Options{Shards: 4, TTL: -1, Now: func() time.Time { return batchT0 }})}
+	o.det = detect.Over(o.agg, detect.Options{})
 	return o
 }
 
@@ -535,9 +523,6 @@ func TestKeyFieldsNotTheirRendering(t *testing.T) {
 	}
 	if got := live.agg.OpenImpressions(); got != 4 {
 		t.Fatalf("aggregate sees %d impressions, want 4", got)
-	}
-	if got := live.det.OpenImpressions(); got != 4 {
-		t.Fatalf("detect sees %d impressions, want 4", got)
 	}
 	if got := live.agg.Updates(); got != int64(len(events)) {
 		t.Fatalf("aggregate folded %d events, want %d", got, len(events))

@@ -12,7 +12,6 @@ import (
 
 	"qtag/internal/aggregate"
 	. "qtag/internal/beacon"
-	"qtag/internal/detect"
 	"qtag/internal/wal"
 )
 
@@ -139,11 +138,11 @@ func BenchmarkIngestBatch64FirstSeen(b *testing.B) {
 	benchIngest(b, false, BinaryContentType, func(i int) []byte { return bodies[i] })
 }
 
-// BenchmarkIngestBatch64Observed is …FirstSeen with the aggregator and
-// the detector attached as collector.Open attaches them — the detector
-// joined to the aggregator's pass — so every event also opens its
-// impression, once for both: the figure adds what the observers allocate
-// per 64 opened impressions — slab chunks and index growth, amortised;
+// BenchmarkIngestBatch64Observed is …FirstSeen with the aggregator
+// attached as collector.Open attaches it — its records hold the
+// detector's score rows too — so every event also opens its impression
+// and is folded once: the figure adds what the observer allocates per
+// 64 opened impressions — slab chunks and index growth, amortised;
 // nothing per impression.
 func BenchmarkIngestBatch64Observed(b *testing.B) {
 	bodies := make([][]byte, b.N+1)
@@ -180,11 +179,9 @@ func benchBatch(n int) []Event {
 func benchIngest(b *testing.B, observed bool, contentType string, body func(i int) []byte) {
 	store := NewStoreWithShards(16)
 	if observed {
-		agg := aggregate.New(aggregate.Options{Shards: 16})
-		det := detect.New(detect.Options{Shards: 16})
-		store.AddObserver(agg.Observe)
-		det.Join(agg.Pass())
-		store.AddDupObserver(det.ObserveDup)
+		// As collector.Open attaches it: under -detect the detector scores
+		// the aggregator's records.
+		aggregate.Attach(store, aggregate.Options{Shards: 16})
 	}
 	wj, _, err := OpenDurable(wal.Options{Dir: b.TempDir(), GroupCommit: true}, store)
 	if err != nil {

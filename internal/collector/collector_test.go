@@ -8,12 +8,15 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -22,6 +25,7 @@ import (
 	"qtag/internal/beacon"
 	"qtag/internal/collector"
 	"qtag/internal/collector/collectortest"
+	"qtag/internal/detect"
 	"qtag/internal/report"
 	"qtag/internal/wal"
 )
@@ -200,8 +204,9 @@ func TestShedPendingBackstop(t *testing.T) {
 	}
 }
 
-// -report-max-open bounds the detector too: it keeps its impressions in
-// the aggregator's pass, so past the cap both hold the same few.
+// -report-max-open bounds the detector too: it scores the aggregator's
+// records, so past the cap their one pass holds few impressions while
+// the score row keeps every event.
 func TestReportMaxOpenCapsTheDetector(t *testing.T) {
 	cfg := collector.DefaultConfig()
 	cfg.ReportMaxOpen, cfg.ReportSweepEvery, cfg.Detect = 64, 5*time.Millisecond, true
@@ -210,17 +215,144 @@ func TestReportMaxOpenCapsTheDetector(t *testing.T) {
 		t.Fatalf("ingest: status %d", resp.StatusCode)
 	}
 	// The cap is enforced per shard: one straggler per shard at most.
-	agg, det := stack.Aggregate.OpenImpressions(), stack.Detect.OpenImpressions()
-	if agg > 64+cfg.IngestShards || stack.Aggregate.PressureEvicted() == 0 {
-		t.Fatalf("aggregate holds %d open impressions under -report-max-open 64 (%d pressure-evicted)", agg, stack.Aggregate.PressureEvicted())
+	if open := stack.Aggregate.OpenImpressions(); open > 64+cfg.IngestShards || stack.Aggregate.PressureEvicted() == 0 {
+		t.Fatalf("aggregate holds %d open impressions under -report-max-open 64 (%d pressure-evicted)", open, stack.Aggregate.PressureEvicted())
 	}
-	if det != agg || stack.Detect.Evicted() != stack.Aggregate.Evicted() {
-		t.Fatalf("detector holds %d open impressions and evicted %d; the aggregator %d and %d",
-			det, stack.Detect.Evicted(), agg, stack.Aggregate.Evicted())
+	if rows := stack.Detect.Snapshot().Rows; len(rows) != 1 || rows[0].Events != 1000 {
+		t.Fatalf("fraud rows %+v, want one that counts the 1000 events", rows)
 	}
 }
 
-// -report-ttl empties both observers: one sweep of the pass they share.
+// zipfCampaigns draws impressions over n zipf(1.1)-ranked campaigns as
+// the benchmark's report_under_ingest does: a served event and the tag's
+// loaded, then in-view with probability 0.6 and out-of-view after it with
+// probability 0.5. Every 64 events are one request body.
+func zipfCampaigns(rng *rand.Rand, prefix string, n, impressions int) [][]byte {
+	cdf := make([]float64, n)
+	sum := 0.0
+	for k := range cdf {
+		sum += 1 / math.Pow(float64(k+1), 1.1)
+		cdf[k] = sum
+	}
+	base := time.Unix(1546300800, 0).UTC()
+	var events []beacon.Event
+	for imp := 0; imp < impressions; imp++ {
+		at := base.Add(time.Duration(imp) * 20 * time.Millisecond)
+		ev := beacon.Event{
+			ImpressionID: fmt.Sprintf("%s-imp-%d", prefix, imp),
+			CampaignID:   fmt.Sprintf("%s-%d", prefix, sort.SearchFloat64s(cdf, rng.Float64()*sum)+1),
+			Type:         beacon.EventServed, At: at, Meta: beacon.Meta{Format: "display"},
+		}
+		events = append(events, ev)
+		ev.Source, ev.Type, ev.At = beacon.SourceQTag, beacon.EventLoaded, at.Add(200*time.Millisecond)
+		events = append(events, ev)
+		if rng.Float64() < 0.6 {
+			ev.Type, ev.At = beacon.EventInView, ev.At.Add(1500*time.Millisecond)
+			events = append(events, ev)
+			if rng.Float64() < 0.5 {
+				ev.Type, ev.At = beacon.EventOutOfView, ev.At.Add(2*time.Second)
+				events = append(events, ev)
+			}
+		}
+	}
+	var bodies [][]byte
+	for len(events) > 0 {
+		n := min(64, len(events))
+		bodies = append(bodies, beacon.AppendBinaryEvents(nil, events[:n]))
+		events = events[n:]
+	}
+	return bodies
+}
+
+// fraudRows is /report's fraud rows by campaign and solution.
+func fraudRows(t *testing.T, rep *report.ViewabilityReport) map[[2]string]detect.ScoreRow {
+	t.Helper()
+	if rep.Fraud == nil {
+		t.Fatal("/report has no fraud section under -detect")
+	}
+	rows := map[[2]string]detect.ScoreRow{}
+	for _, r := range rep.Fraud.Rows {
+		rows[[2]string{r.CampaignID, r.Source}] = r
+	}
+	return rows
+}
+
+// At report_under_ingest's shape — 5 000 zipf-ranked campaigns, a served
+// event and the tag's beacons per impression, one request in ten sent
+// again — /report's fraud section holds a row for every campaign ×
+// solution its campaigns section counts (dsp for the served events), and
+// a campaign's rows stay as they are while 5 000 other campaigns take
+// traffic: none is dropped, none starts again from zero.
+func TestFraudRowsCoverEveryCampaign(t *testing.T) {
+	cfg := collector.DefaultConfig()
+	cfg.Detect = true
+	_, url, _ := collectortest.Boot(t, cfg)
+	rng := rand.New(rand.NewPCG(1, 2))
+	send := func(bodies [][]byte) {
+		for _, body := range bodies {
+			sends := 1
+			if rng.IntN(10) == 0 {
+				sends = 2 // a re-send: every event of it a duplicate
+			}
+			for ; sends > 0; sends-- {
+				if resp := post(t, url, beacon.BinaryContentType, body); resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("ingest: status %d", resp.StatusCode)
+				}
+			}
+		}
+	}
+	cover := func(stage string) map[[2]string]detect.ScoreRow {
+		t.Helper()
+		var rep report.ViewabilityReport
+		getJSON(t, url+"/report", &rep)
+		want := map[[2]string]bool{}
+		for _, r := range rep.Campaigns.Rows {
+			if r.Served > 0 {
+				want[[2]string{r.CampaignID, detect.SourceDSP}] = true
+			}
+			for src, c := range r.Sources {
+				if c.Measured+c.Viewed > 0 {
+					want[[2]string{r.CampaignID, src}] = true
+				}
+			}
+		}
+		got := fraudRows(t, &rep)
+		missing := 0
+		for k := range want {
+			if _, ok := got[k]; !ok {
+				missing++
+			}
+		}
+		if missing > 0 || len(got) != len(want) {
+			t.Fatalf("%s: the campaigns section counts %d campaign × solution rows, the fraud section holds %d and misses %d of them",
+				stage, len(want), len(got), missing)
+		}
+		return got
+	}
+
+	send(zipfCampaigns(rng, "camp", 5000, 30_000))
+	before := cover("5 000 zipf campaigns")
+	if len(before) <= 4096 {
+		t.Fatalf("fixture holds %d fraud rows, want report_under_ingest's scale: more than 4 096", len(before))
+	}
+	dups := int64(0)
+	for _, r := range before {
+		dups += r.Dups
+	}
+	if dups == 0 {
+		t.Fatal("no re-sent request reached the duplicate hook")
+	}
+	send(zipfCampaigns(rng, "other", 5000, 15_000))
+	after := cover("5 000 other campaigns later")
+	for k, was := range before {
+		if now := after[k]; !reflect.DeepEqual(now, was) {
+			t.Fatalf("%s/%s moved on traffic to other campaigns:\n was %+v\n now %+v", k[0], k[1], was, now)
+		}
+	}
+}
+
+// -report-ttl empties the observers' one pass; the score rows keep their
+// counts.
 func TestReportTTLEmptiesBothObservers(t *testing.T) {
 	cfg := collector.DefaultConfig()
 	cfg.ReportTTL, cfg.ReportSweepEvery, cfg.Detect = time.Millisecond, 5*time.Millisecond, true
@@ -229,15 +361,18 @@ func TestReportTTLEmptiesBothObservers(t *testing.T) {
 		t.Fatalf("ingest: status %d", resp.StatusCode)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for stack.Aggregate.OpenImpressions() != 0 || stack.Detect.OpenImpressions() != 0 {
+	for stack.Aggregate.OpenImpressions() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("aggregate holds %d and detector %d open impressions under -report-ttl 1ms: the sweep never emptied them",
-				stack.Aggregate.OpenImpressions(), stack.Detect.OpenImpressions())
+			t.Fatalf("aggregate holds %d open impressions under -report-ttl 1ms: the sweep never emptied them",
+				stack.Aggregate.OpenImpressions())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := stack.Detect.Evicted(); got != 8 {
-		t.Fatalf("detector evicted %d impressions, want the 8 sent", got)
+	if got := stack.Aggregate.Evicted(); got != 8 {
+		t.Fatalf("the sweep evicted %d impressions, want the 8 sent", got)
+	}
+	if rows := stack.Detect.Snapshot().Rows; len(rows) != 1 || rows[0].Events != 8 {
+		t.Fatalf("fraud rows %+v, want one that still counts the 8 events", rows)
 	}
 }
 

@@ -45,7 +45,7 @@ func TestHarnessNodeIsTheShippedStack(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Errorf("%s /metrics families differ from collectortest.Boot's:\n got %q\nwant %q", hn.ID, got, want)
 		}
-		for _, family := range []string{"qtag_breaker_state", "qtag_queue_depth", "qtag_detect_open_impressions", "qtag_admission_limit"} {
+		for _, family := range []string{"qtag_breaker_state", "qtag_queue_depth", "qtag_aggregate_open_impressions", "qtag_admission_limit"} {
 			if !slices.Contains(got, family) {
 				t.Errorf("%s exports no %s", hn.ID, family)
 			}

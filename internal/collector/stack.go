@@ -69,18 +69,15 @@ func Open(cfg Config) (_ *Stack, err error) {
 		}
 	}()
 
-	// Observers attach before the WAL replay below, so boot recovery
-	// rebuilds the /report accumulators and the fraud scores by the path
-	// live ingest feeds them. The detector joins the aggregator's
-	// pass: one first-seen observer opens each event's impression once for
-	// both, and -report-ttl / -report-max-open bound both.
+	// The aggregator attaches before the WAL replay below, so boot
+	// recovery rebuilds the /report accumulators and the fraud counts by
+	// the path live ingest feeds them: one record per campaign, one fold
+	// per event. The detector scores those records.
 	s.Store = beacon.NewStoreWithShards(cfg.IngestShards)
 	s.Aggregate = aggregate.Attach(s.Store, aggregate.Options{Shards: cfg.IngestShards, TTL: cfg.ReportTTL,
 		Window: cfg.ReportWindow, MaxWindows: cfg.ReportWindows, MaxOpen: cfg.ReportMaxOpen})
 	if cfg.Detect {
-		s.Detect = detect.New(detect.Options{Shards: cfg.IngestShards})
-		s.Detect.Join(s.Aggregate.Pass())
-		s.Store.AddDupObserver(s.Detect.ObserveDup)
+		s.Detect = detect.Over(s.Aggregate, detect.Options{})
 	}
 	if cfg.WALDir != "" {
 		var rec beacon.DurableRecovery
@@ -339,7 +336,7 @@ func (s *Stack) Start() {
 				"queue_depth", s.Queue.Depth())
 		})
 	}
-	// The detector shares the aggregator's pass, so one sweep covers both.
+	// The sweep drops idle impressions; the records keep their counts.
 	if cfg.ReportSweepEvery > 0 && cfg.ReportTTL >= 0 {
 		s.every(cfg.ReportSweepEvery, func(now time.Time) {
 			if n := s.Aggregate.Sweep(now); n > 0 {

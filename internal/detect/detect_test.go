@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
 	. "qtag/internal/detect"
 )
@@ -15,10 +16,6 @@ var t0 = time.Unix(1700000000, 0).UTC()
 // harness wires a detector to a dedup store on both hooks — the exact
 // production wiring.
 func harness(opts Options) (*beacon.Store, *Detector) {
-	opts.TTL = -1
-	if opts.Now == nil {
-		opts.Now = func() time.Time { return t0 }
-	}
 	det := New(opts)
 	store := beacon.NewStore()
 	store.AddObserver(det.Observe)
@@ -103,7 +100,8 @@ func TestRateDetector(t *testing.T) {
 }
 
 // TestRateDetectorLongHonestRun: the ring aliases once the campaign
-// outlives RateSlots buckets, folding many buckets into each slot. The
+// outlives its aggregate.RateSlots buckets, folding many buckets into
+// each slot. The
 // score must normalize that accumulation away — a modest honest rate
 // sustained for many ring wraps (~10 ev/s for 16 min here, ~9,600
 // events over 15 wraps of the default 64×1s ring) stays at zero, while
@@ -141,35 +139,6 @@ func TestRateDetectorLongHonestRun(t *testing.T) {
 	bot := rowFor(t, snap, "camp-long-bot", SourceDSP)
 	if bot.Contribs[DetectorRate] < 0.5 || !bot.Flagged {
 		t.Fatalf("sustained bot rate not flagged after aliasing normalization: %+v", bot)
-	}
-}
-
-// TestLateServedAfterRowEviction: a late served event must not
-// resurrect a row the MaxRows cap already dropped just to un-count its
-// frozen violations — eviction freezes, it never un-counts. With the
-// buggy resurrection the recreated row starts at seqNoServe=-1 and the
-// two fresh violations below would score (2-1)/2 → ~0.7 instead of 1.
-func TestLateServedAfterRowEviction(t *testing.T) {
-	store, det := harness(Options{Shards: 1, MaxRows: 1})
-	loaded := func(imp string) beacon.Event {
-		return beacon.Event{
-			ImpressionID: imp, CampaignID: "camp-a",
-			Source: beacon.SourceQTag, Type: beacon.EventLoaded, At: t0,
-		}
-	}
-	// Violation counted on camp-a/qtag, then the row is evicted by an
-	// unrelated campaign's row creation (MaxRows=1, single shard).
-	store.Submit(loaded("a-1"))
-	store.Submit(beacon.Event{ImpressionID: "b-1", CampaignID: "camp-b", Type: beacon.EventServed, At: t0})
-	// The served event for a-1 arrives late: its impression state still
-	// holds noServeCounted, but the counted row is gone.
-	store.Submit(beacon.Event{ImpressionID: "a-1", CampaignID: "camp-a", Type: beacon.EventServed, At: t0})
-	// Fresh violations recreate the row; they must score at full weight.
-	store.Submit(loaded("a-2"))
-	store.Submit(loaded("a-3"))
-	r := rowFor(t, det.Snapshot(), "camp-a", "qtag")
-	if r.Contribs[DetectorSequence] != 1 {
-		t.Fatalf("recreated row inherited a negative violation count: %+v", r)
 	}
 }
 
@@ -359,11 +328,13 @@ func TestScoresBounded(t *testing.T) {
 	}
 }
 
-// TestSweepAndPressureEviction: TTL sweeps and the MaxOpen cap bound
-// the open working set while row totals freeze rather than reset.
+// TestSweepAndPressureEviction: the TTL sweeps and the MaxOpen cap of
+// the aggregator a detector scores bound the open working set while the
+// score rows freeze rather than reset.
 func TestSweepAndPressureEviction(t *testing.T) {
 	clock := t0
-	det := New(Options{TTL: time.Minute, MaxOpen: 50, Now: func() time.Time { return clock }})
+	agg := aggregate.New(aggregate.Options{TTL: time.Minute, MaxOpen: 50, Now: func() time.Time { return clock }})
+	det := Over(agg, Options{})
 	store := beacon.NewStore()
 	store.AddObserver(det.Observe)
 	for i := 0; i < 200; i++ {
@@ -374,15 +345,15 @@ func TestSweepAndPressureEviction(t *testing.T) {
 	}
 	// The pressure cap is per-shard approximate; allow one straggler
 	// per shard over the cap.
-	if open := det.OpenImpressions(); open > 50+16 {
+	if open := agg.OpenImpressions(); open > 50+16 {
 		t.Fatalf("open = %d, cap 50 not enforced", open)
 	}
 	clock = clock.Add(2 * time.Minute)
-	if n := det.Sweep(clock); n == 0 {
+	if n := agg.Sweep(clock); n == 0 {
 		t.Fatal("sweep evicted nothing")
 	}
-	if det.OpenImpressions() != 0 {
-		t.Fatalf("open = %d after sweep", det.OpenImpressions())
+	if agg.OpenImpressions() != 0 {
+		t.Fatalf("open = %d after sweep", agg.OpenImpressions())
 	}
 	r := rowFor(t, det.Snapshot(), "c", "qtag")
 	if r.Events != 200 {
@@ -390,20 +361,18 @@ func TestSweepAndPressureEviction(t *testing.T) {
 	}
 }
 
-// TestMaxRowsCap: the score-row working set stays bounded; cold
-// campaigns fall off rather than the table growing without bound.
-func TestMaxRowsCap(t *testing.T) {
-	store, det := harness(Options{MaxRows: 32})
-	for i := 0; i < 500; i++ {
-		store.Submit(beacon.Event{
-			ImpressionID: fmt.Sprintf("i-%d", i),
-			CampaignID:   fmt.Sprintf("c-%d", i), // distinct campaign per event
-			Type:         beacon.EventServed,
-			At:           t0,
-		})
+// TestDuplicateWithoutFirstSeen: a duplicate of a campaign no first-seen
+// event has reached still makes its fraud row, and nothing in the
+// campaigns section: no row, no count in Campaigns.
+func TestDuplicateWithoutFirstSeen(t *testing.T) {
+	agg := aggregate.New(aggregate.Options{})
+	det := Over(agg, Options{})
+	det.ObserveDup(beacon.Event{ImpressionID: "i", CampaignID: "camp-dup", Type: beacon.EventServed, At: t0})
+	if r := rowFor(t, det.Snapshot(), "camp-dup", SourceDSP); r.Dups != 1 || r.Events != 0 {
+		t.Fatalf("fraud row = %+v, want one duplicate and no event", r)
 	}
-	if rows := det.Rows(); rows > 32+16 {
-		t.Fatalf("rows = %d, cap 32 not enforced", rows)
+	if rows, n := agg.Snapshot().Rows, agg.Campaigns(); len(rows) != 0 || n != 0 {
+		t.Fatalf("the campaigns section holds %d rows and counts %d campaigns, want none", len(rows), n)
 	}
 }
 

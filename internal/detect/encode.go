@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"qtag/internal/aggregate"
 	"qtag/internal/jsonenc"
 )
 
@@ -19,61 +20,35 @@ var contribOrder = func() []int {
 // AppendSnapshotJSON appends the JSON encoding of d.Snapshot() to dst —
 // byte for byte what encoding/json makes of it — the body r is writing,
 // and returns it with the number of flagged campaigns. It is the fraud
-// section of GET /report: a walk of the campaign directory that takes
-// each campaign's shard lock once and scores and appends its rows, kept
-// in source order, straight into dst — no ScoreRow, no contributions
-// map, no sort — or, for a campaign no event or duplicate has touched
-// since r's previous render, copies them from that body. The flagged
-// campaigns collect in *flagged, a scratch buffer (reset here). Under
-// ingest the result is consistent per campaign — a late served event's
-// un-count lands on all of a campaign's rows or on none — and after
-// quiescence it is exact.
+// section of GET /report: the aggregator's walk of its directory
+// (AppendScoresJSON) hands each campaign's rows, kept in source order,
+// to appendRows, which scores and appends them straight into dst — no
+// ScoreRow, no contributions map, no sort — unless the walk copies them
+// from r's previous body. The flagged campaigns collect in *flagged, a
+// scratch buffer. Under ingest the result is consistent per campaign — a
+// late served event's un-count lands on all of a campaign's rows or on
+// none — and after quiescence it is exact.
 func (d *Detector) AppendSnapshotJSON(dst []byte, flagged *[]byte, r *jsonenc.Render) ([]byte, int) {
-	d.walkMu.Lock()
-	defer d.walkMu.Unlock()
 	dst = append(dst, `{"rows":[`...)
-	fl, rows, nflagged := (*flagged)[:0], 0, 0
-	for _, c := range d.dir.Order() {
-		cs := d.shard(c.id)
-		cs.mu.Lock()
-		if rows > 0 && len(c.rows) > 0 {
-			dst = append(dst, ',')
-		}
-		lo := len(dst)
-		var ok bool
-		if dst, ok = c.at.Copy(dst, r); !ok {
-			dst, c.flagged = d.appendRows(dst, c)
-		}
-		c.at.Wrote(r, lo, len(dst))
-		rows += len(c.rows)
-		hit := c.flagged
-		cs.mu.Unlock()
-		if hit {
-			if nflagged > 0 {
-				fl = append(fl, ',')
-			}
-			fl = jsonenc.AppendString(fl, c.id)
-			nflagged++
-		}
-	}
+	dst, rows, nflagged := d.agg.AppendScoresJSON(dst, flagged, r, d.appendRows)
 	if rows == 0 {
 		dst = append(dst[:len(dst)-1], `null`...) // the nil slice of an empty Snapshot
 	} else {
 		dst = append(dst, ']')
 	}
-	*flagged = fl
 	if nflagged > 0 { // omitempty
 		dst = append(dst, `,"flagged_campaigns":[`...)
-		dst = append(append(dst, fl...), ']')
+		dst = append(append(dst, *flagged...), ']')
 	}
 	return append(dst, '}'), nflagged
 }
 
-// appendRows scores and appends a campaign's rows, comma-separated, and
-// reports whether one of them is flagged. Caller holds the shard lock.
-func (d *Detector) appendRows(dst []byte, c *campaign) ([]byte, bool) {
+// appendRows scores and appends the rows of campaign id, comma-separated,
+// and reports whether one of them is flagged. Caller holds the shard
+// lock.
+func (d *Detector) appendRows(dst []byte, id string, rows []*aggregate.Score) ([]byte, bool) {
 	hit := false
-	for j, r := range c.rows {
+	for j, r := range rows {
 		co, composite := d.contribs(r)
 		flag := d.flags(r, composite)
 		hit = hit || flag
@@ -81,15 +56,15 @@ func (d *Detector) appendRows(dst []byte, c *campaign) ([]byte, bool) {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"campaign_id":`...)
-		dst = jsonenc.AppendString(dst, c.id)
+		dst = jsonenc.AppendString(dst, id)
 		dst = append(dst, `,"source":`...)
-		dst = jsonenc.AppendString(dst, r.source)
+		dst = jsonenc.AppendString(dst, r.Source)
 		dst = append(dst, `,"events":`...)
-		dst = strconv.AppendInt(dst, r.events, 10)
+		dst = strconv.AppendInt(dst, r.Events, 10)
 		dst = append(dst, `,"dups":`...)
-		dst = strconv.AppendInt(dst, r.dups, 10)
+		dst = strconv.AppendInt(dst, r.Dups, 10)
 		dst = append(dst, `,"impressions":`...)
-		dst = strconv.AppendInt(dst, r.impressions, 10)
+		dst = strconv.AppendInt(dst, r.Impressions, 10)
 		dst = append(dst, `,"score":`...)
 		dst = jsonenc.AppendFloat(dst, composite)
 		dst = append(dst, `,"flagged":`...)
@@ -103,7 +78,7 @@ func (d *Detector) appendRows(dst []byte, c *campaign) ([]byte, bool) {
 			dst = jsonenc.AppendFloat(dst, co[i])
 		}
 		dst = append(dst, '}')
-		if v := r.violations(); v != (Violations{}) { // omitempty
+		if v := violations(r); v != (Violations{}) { // omitempty
 			sep := `,"violations":{"`
 			for i, n := range v.counts() {
 				dst = strconv.AppendInt(append(append(append(dst, sep...), violationNames[i]...), `":`...), n, 10)

@@ -54,7 +54,7 @@ func detectStream(seed uint64, n int) []beacon.Event {
 }
 
 func equivOpts(shards int) Options {
-	return Options{Shards: shards, TTL: -1, Now: func() time.Time { return t0 }}
+	return Options{Shards: shards}
 }
 
 // feed pushes every submission through a fresh store + detector on

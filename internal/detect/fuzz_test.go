@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
 	. "qtag/internal/detect"
 )
@@ -16,9 +17,9 @@ import (
 //
 //   - neither Observe, ObserveDup, nor Snapshot panics;
 //   - every contribution and composite score stays in [0,1];
-//   - memory stays bounded: open impression states respect MaxOpen
-//     and score rows respect MaxRows (both per-shard approximate, so
-//     the bound allows one straggler per shard).
+//   - memory stays bounded: open impression states respect the
+//     aggregator's MaxOpen (per-shard approximate, so the bound allows
+//     one straggler per shard).
 //
 // Seed corpus lives under testdata/fuzz/FuzzDetectObserve.
 func FuzzDetectObserve(f *testing.F) {
@@ -29,14 +30,14 @@ func FuzzDetectObserve(f *testing.F) {
 	f.Add(`not json` + "\n" + `{"impression_id":"","campaign_id":"","type":"served"}`)
 	f.Add(strings.Repeat(`{"impression_id":"x","campaign_id":"flood","source":"qtag","type":"loaded"}`+"\n", 40))
 	f.Fuzz(func(t *testing.T, input string) {
-		const maxOpen, maxRows, shards = 64, 64, 16
-		det := New(Options{
+		const maxOpen, shards = 64, 16
+		agg := aggregate.New(aggregate.Options{
 			Shards:  shards,
 			TTL:     -1,
 			MaxOpen: maxOpen,
-			MaxRows: maxRows,
 			Now:     func() time.Time { return time.Unix(1700000000, 0) },
 		})
+		det := Over(agg, Options{})
 		store := beacon.NewStore()
 		store.AddObserver(det.Observe)
 		store.AddDupObserver(det.ObserveDup)
@@ -61,11 +62,8 @@ func FuzzDetectObserve(f *testing.F) {
 				}
 			}
 		}
-		if open := det.OpenImpressions(); open > maxOpen+shards {
+		if open := agg.OpenImpressions(); open > maxOpen+shards {
 			t.Fatalf("open impressions %d exceeds cap %d", open, maxOpen)
-		}
-		if rows := det.Rows(); rows > maxRows+shards {
-			t.Fatalf("score rows %d exceeds cap %d", rows, maxRows)
 		}
 	})
 }

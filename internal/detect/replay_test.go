@@ -66,7 +66,7 @@ func TestTornWALTailStillScores(t *testing.T) {
 	// The qtag-replay -detect wiring: fresh store, both detection hooks,
 	// ReplayWALDir.
 	replay := beacon.NewStore()
-	det := New(Options{TTL: -1})
+	det := New(Options{})
 	replay.AddObserver(det.Observe)
 	replay.AddDupObserver(det.ObserveDup)
 	rec, err := beacon.ReplayWALDir(dir, replay)

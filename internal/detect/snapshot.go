@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
 )
 
@@ -45,8 +46,8 @@ func (v Violations) counts() [5]int64 {
 	return [5]int64{v.NoServed, v.NoLoaded, v.OrphanOutOfView, v.ImpossibleDwell, v.OutOfOrder}
 }
 
-func (r *row) violations() Violations {
-	return Violations{r.seqNoServe, r.seqNoLoad, r.seqOrphanOut, r.seqShortDwell, r.seqOutOfOrder}
+func violations(s *aggregate.Score) Violations {
+	return Violations{s.NoServed, s.NoLoaded, s.OrphanOutOfView, s.ImpossibleDwell, s.OutOfOrder}
 }
 
 // String renders the nonzero counts as "name=n"; a nil v, as "-".
@@ -72,16 +73,15 @@ func (s Snapshot) Clean() bool {
 // (campaign, source), plus the distinct flagged campaign ids. Two
 // detectors fed the same deduplicated event set plus the same
 // duplicate submissions — in any order, at any concurrency, across
-// any crash/WAL-replay boundary — produce DeepEqual snapshots (no
-// eviction having fired), which is the property the fraud-chaos suite
-// pins down.
+// any crash/WAL-replay boundary — produce DeepEqual snapshots, which is
+// the property the fraud-chaos suite pins down.
 type Snapshot struct {
 	Rows []ScoreRow `json:"rows"`
 	// Flagged is the sorted set of campaigns with ≥1 flagged row.
 	Flagged []string `json:"flagged_campaigns,omitempty"`
 }
 
-// Snapshot scores every live row. Scores are computed here, from the
+// Snapshot scores every row. Scores are computed here, from the
 // commutative counters, never during ingest — so they inherit the
 // counters' order-insensitivity. It sorts what it scored rather than
 // trusting the rows' order: the report encoder walks that order, and
@@ -89,20 +89,15 @@ type Snapshot struct {
 func (d *Detector) Snapshot() Snapshot {
 	var snap Snapshot
 	flagged := map[string]bool{}
-	for i := range d.camps {
-		cs := &d.camps[i]
-		cs.mu.Lock()
-		for _, c := range cs.camps {
-			for _, r := range c.rows {
-				sr := d.score(r)
-				if sr.Flagged {
-					flagged[c.id] = true
-				}
-				snap.Rows = append(snap.Rows, sr)
+	d.agg.ScoreRows(func(id string, rows []*aggregate.Score) {
+		for _, s := range rows {
+			sr := d.score(id, s)
+			if sr.Flagged {
+				flagged[id] = true
 			}
+			snap.Rows = append(snap.Rows, sr)
 		}
-		cs.mu.Unlock()
-	}
+	})
 	slices.SortFunc(snap.Rows, func(a, b ScoreRow) int {
 		return cmp.Or(strings.Compare(a.CampaignID, b.CampaignID), strings.Compare(a.Source, b.Source))
 	})
@@ -114,9 +109,9 @@ func (d *Detector) Snapshot() Snapshot {
 }
 
 // contribs derives one row's detector scores, indexed as Detectors is,
-// and their composite (the max). Caller holds the row shard lock.
-func (d *Detector) contribs(r *row) (c [5]float64, composite float64) {
-	c = [5]float64{rateScore(r, d.opts), dwellScore(r), sequenceScore(r), duplicateScore(r), geometryScore(r)}
+// and their composite (the max). Caller holds the row's shard lock.
+func (d *Detector) contribs(s *aggregate.Score) (c [5]float64, composite float64) {
+	c = [5]float64{rateScore(s, d.opts), dwellScore(s), sequenceScore(s), duplicateScore(s), geometryScore(s)}
 	for _, v := range c {
 		if v > composite {
 			composite = v
@@ -127,28 +122,29 @@ func (d *Detector) contribs(r *row) (c [5]float64, composite float64) {
 
 // flags applies the threshold and the MinEvents volume gate to a row's
 // composite score.
-func (d *Detector) flags(r *row, composite float64) bool {
-	return composite >= flagThreshold && r.events+r.dups >= d.opts.MinEvents
+func (d *Detector) flags(s *aggregate.Score, composite float64) bool {
+	return composite >= flagThreshold && s.Events+s.Dups >= d.opts.MinEvents
 }
 
-// score derives one row's report line. Caller holds the row shard lock.
-func (d *Detector) score(r *row) ScoreRow {
-	c, composite := d.contribs(r)
+// score derives the report line of campaign id's row s. Caller holds the
+// row's shard lock.
+func (d *Detector) score(id string, s *aggregate.Score) ScoreRow {
+	c, composite := d.contribs(s)
 	m := make(map[string]float64, len(Detectors))
 	for i, name := range Detectors {
 		m[name] = c[i]
 	}
 	sr := ScoreRow{
-		CampaignID:  r.camp.id,
-		Source:      r.source,
-		Events:      r.events,
-		Dups:        r.dups,
-		Impressions: r.impressions,
+		CampaignID:  id,
+		Source:      s.Source,
+		Events:      s.Events,
+		Dups:        s.Dups,
+		Impressions: s.Impressions,
 		Score:       composite,
-		Flagged:     d.flags(r, composite),
+		Flagged:     d.flags(s, composite),
 		Contribs:    m,
 	}
-	if v := r.violations(); v != (Violations{}) {
+	if v := violations(s); v != (Violations{}) {
 		sr.Violations = &v
 	}
 	return sr
@@ -160,25 +156,12 @@ func (d *Detector) score(r *row) ScoreRow {
 // no rows, sorts nothing and stops at a campaign's first flagged row.
 func (d *Detector) FlaggedCampaigns() int {
 	n := 0
-	for i := range d.camps {
-		cs := &d.camps[i]
-		cs.mu.Lock()
-		for _, c := range cs.camps {
-			if slices.ContainsFunc(c.rows, func(r *row) bool { _, s := d.contribs(r); return d.flags(r, s) }) {
-				n++
-			}
+	d.agg.ScoreRows(func(_ string, rows []*aggregate.Score) {
+		if slices.ContainsFunc(rows, func(s *aggregate.Score) bool { _, c := d.contribs(s); return d.flags(s, c) }) {
+			n++
 		}
-		cs.mu.Unlock()
-	}
+	})
 	return n
-}
-
-// CampaignIDs returns the campaigns of the report's directory, in the
-// order GET /report lists them.
-func (d *Detector) CampaignIDs() []string {
-	d.walkMu.Lock()
-	defer d.walkMu.Unlock()
-	return d.dir.Keys()
 }
 
 // clamp01 bounds a ramp into [0,1]; NaN (0/0 ramps) clamps to 0.
@@ -200,8 +183,8 @@ func ramp(v, lo, hi float64) float64 { return clamp01((v - lo) / (hi - lo)) }
 // bucket exceeds plausible human arrival rates outright; the relative
 // term fires when the peak gradients far past the row's own mean
 // bucket — a burst inside otherwise-calm traffic.
-func rateScore(r *row, o Options) float64 {
-	if r.events == 0 {
+func rateScore(r *aggregate.Score, o Options) float64 {
+	if r.Events == 0 {
 		return 0
 	}
 	// Once the observed bucket extent exceeds the ring, aliasing folds
@@ -210,14 +193,14 @@ func rateScore(r *row, o Options) float64 {
 	// an estimated single-bucket peak — otherwise a long-lived honest
 	// row ramps the absolute score by sheer age (64 slots × 1s wraps
 	// every minute; ~10 ev/s sustained for 15 min would read as 150/s).
-	slots := int64(len(r.slots))
-	span := r.maxB - r.minB + 1
+	slots := int64(len(r.Slots))
+	span := r.MaxB - r.MinB + 1
 	wraps := (span + slots - 1) / slots
 	if wraps < 1 {
 		wraps = 1
 	}
-	bucketSec := rateBucket.Seconds()
-	peakRate := float64(r.peak) / float64(wraps) / bucketSec
+	bucketSec := aggregate.RateBucket.Seconds()
+	peakRate := float64(r.Peak) / float64(wraps) / bucketSec
 	absolute := ramp(peakRate, o.RateBaseline, o.RateMax)
 
 	// Mean events per *slot*: the span clamps to the ring for the same
@@ -227,8 +210,8 @@ func rateScore(r *row, o Options) float64 {
 	if s := float64(slots); spanSlots > s {
 		spanSlots = s
 	}
-	mean := float64(r.events) / spanSlots
-	burst := ramp(float64(r.peak)/mean, o.BurstTolerance, o.BurstMax)
+	mean := float64(r.Events) / spanSlots
+	burst := ramp(float64(r.Peak)/mean, o.BurstTolerance, o.BurstMax)
 	if burst > absolute {
 		return burst
 	}
@@ -239,11 +222,11 @@ func rateScore(r *row, o Options) float64 {
 // stuffed inventory reporting instant visibility loss) or at exactly
 // the viewability threshold (scripted beacons emitting the minimum
 // dwell the standard requires). Honest dwell is broadly spread.
-func dwellScore(r *row) float64 {
-	if r.dwellPairs < minDwellPairs {
+func dwellScore(r *aggregate.Score) float64 {
+	if r.DwellPairs < minDwellPairs {
 		return 0
 	}
-	ratio := float64(r.dwellZero+r.dwellExact) / float64(r.dwellPairs)
+	ratio := float64(r.DwellZero+r.DwellExact) / float64(r.DwellPairs)
 	return ramp(ratio, dwellRatioMin, dwellRatioMax)
 }
 
@@ -252,38 +235,38 @@ func dwellScore(r *row) float64 {
 // loaded check-in, solution beacons on impressions the DSP never
 // served, out-of-view with no in-view. Honest traffic under lossy
 // delivery shows a few of these; fabricated traffic is mostly these.
-func sequenceScore(r *row) float64 {
-	if r.impressions == 0 {
+func sequenceScore(r *aggregate.Score) float64 {
+	if r.Impressions == 0 {
 		return 0
 	}
-	viol := r.seqNoLoad + r.seqNoServe + r.seqOrphanOut
-	ratio := float64(viol) / float64(r.impressions)
+	viol := r.NoLoaded + r.NoServed + r.OrphanOutOfView
+	ratio := float64(viol) / float64(r.Impressions)
 	return ramp(ratio, seqRatioMin, seqRatioMax)
 }
 
 // duplicateScore: duplicate share of all submissions. Idempotent
 // ingest makes replayed beacons invisible to every counter — this is
 // the one place a replay farm's traffic shows up at all.
-func duplicateScore(r *row) float64 {
-	total := r.events + r.dups
+func duplicateScore(r *aggregate.Score) float64 {
+	total := r.Events + r.Dups
 	if total == 0 {
 		return 0
 	}
-	ratio := float64(r.dups) / float64(total)
+	ratio := float64(r.Dups) / float64(total)
 	return ramp(ratio, dupRatioMin, dupRatioMax)
 }
 
 // geometryScore: degenerate creative sizes (1×1 pixel stuffing) or
 // in-views concentrated on one publisher placement (ad stacking — a
 // pile of creatives occupying a single slot, each claiming the view).
-func geometryScore(r *row) float64 {
+func geometryScore(r *aggregate.Score) float64 {
 	var pixel float64
-	if r.sized > 0 {
-		pixel = ramp(float64(r.pixel)/float64(r.sized), pixelRatioMin, pixelRatioMax)
+	if r.Sized > 0 {
+		pixel = ramp(float64(r.Pixel)/float64(r.Sized), pixelRatioMin, pixelRatioMax)
 	}
 	var stack float64
-	if total := r.slotTotal + r.slotOther; total >= minStackViews {
-		stack = ramp(float64(r.slotTop)/float64(total), stackShareMin, stackShareMax)
+	if total := r.SlotTotal + r.SlotOther; total >= minStackViews {
+		stack = ramp(float64(r.SlotTop)/float64(total), stackShareMin, stackShareMax)
 	}
 	if stack > pixel {
 		return stack
@@ -294,20 +277,10 @@ func geometryScore(r *row) float64 {
 // Recompute is the batch oracle the streaming path is proven against:
 // it rebuilds a detector from scratch by pushing the raw submission
 // log — first-seen events *and* duplicates, exactly what the WAL
-// journals — through a fresh deduplicating store with the detector on
-// both hooks, the same wiring a live server uses. TTL eviction is
-// disabled (a batch recompute sees all of history at once).
+// journals — through a fresh deduplicating store with the records on
+// both hooks, the same wiring a live server uses (aggregate.Recompute).
 func Recompute(submissions []beacon.Event, opts Options) *Detector {
-	opts = opts.withDefaults()
-	opts.TTL = -1
-	det := New(opts)
-	store := beacon.NewStore()
-	store.AddObserver(det.Observe)
-	store.AddDupObserver(det.ObserveDup)
-	for _, e := range submissions {
-		_ = store.Submit(e) // invalid events are skipped, as at ingest
-	}
-	return det
+	return Over(aggregate.Recompute(submissions, aggregate.Options{Shards: opts.Shards}), opts)
 }
 
 // Text renders the snapshot as the aligned table qtag-replay -report

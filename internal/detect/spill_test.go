@@ -22,7 +22,7 @@ import (
 // imptable.Entry.
 func spillEvents() []beacon.Event {
 	var out []beacon.Event
-	at := lruT0
+	at := baseT0
 	ev := func(imp string, src beacon.Source, typ beacon.EventType, seq int, at time.Time) {
 		out = append(out, beacon.Event{ImpressionID: imp, CampaignID: "c", Source: src, Type: typ, Seq: seq, At: at})
 	}
@@ -98,7 +98,7 @@ func TestSpilledStateIsExact(t *testing.T) {
 				order[i], order[j] = order[j], order[i]
 			}
 		}
-		d := New(Options{Shards: 1 + round%2*15, TTL: -1, Now: func() time.Time { return lruT0 }})
+		d := New(Options{Shards: 1 + round%2*15})
 		store := beacon.NewStore()
 		store.AddObserver(d.Observe)
 		store.AddDupObserver(d.ObserveDup)
@@ -108,18 +108,16 @@ func TestSpilledStateIsExact(t *testing.T) {
 			}
 		}
 		got := map[string]counters{}
-		for i := range d.camps {
-			for _, c := range d.camps[i].camps {
-				for _, r := range c.rows {
-					got[r.source] = counters{r.events, r.impressions, r.dwellPairs, r.dwellZero, r.dwellExact, r.seqNoLoad, r.seqNoServe, r.seqOrphanOut}
-				}
+		d.agg.ScoreRows(func(_ string, rows []*aggregate.Score) {
+			for _, r := range rows {
+				got[r.Source] = counters{r.Events, r.Impressions, r.DwellPairs, r.DwellZero, r.DwellExact, r.NoLoaded, r.NoServed, r.OrphanOutOfView}
 			}
-		}
+		})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: row counters\n got %+v\nwant %+v", round, got, want)
 		}
-		if d.OpenImpressions() != 5 {
-			t.Fatalf("round %d: %d impressions open, want 5", round, d.OpenImpressions())
+		if d.agg.OpenImpressions() != 5 {
+			t.Fatalf("round %d: %d impressions open, want 5", round, d.agg.OpenImpressions())
 		}
 		if snap := d.Snapshot(); round == 0 {
 			first = snap
@@ -131,44 +129,36 @@ func TestSpilledStateIsExact(t *testing.T) {
 
 // TestOpeningAnImpressionDoesNotAllocate: on the honest shape — up to two
 // solutions, up to two open cycles — what opening 1 000 impressions
-// allocates is slab chunks and index growth, amortised well under a
-// tenth of an allocation each: for the detector alone, and joined to an
-// aggregator's pass as the collector wires it.
+// allocates, score rows included, is slab chunks and index growth,
+// amortised well under a tenth of an allocation each.
 func TestOpeningAnImpressionDoesNotAllocate(t *testing.T) {
-	for _, joined := range []bool{false, true} {
-		d := New(Options{TTL: -1, Now: func() time.Time { return lruT0 }})
-		observe := d.Observe
-		if joined {
-			a := aggregate.New(aggregate.Options{TTL: -1, Now: func() time.Time { return lruT0 }})
-			d.Join(a.Pass())
-			observe = a.Observe
-		}
-		e := beacon.Event{CampaignID: "camp-1", At: lruT0, Meta: beacon.Meta{Format: "display", AdSize: "300x250"}}
-		ids := make([]string, 7000) // the first call below, AllocsPerRun's warm-up and its five runs
-		for i := range ids {
-			ids[i] = fmt.Sprintf("s1-closed-%d", i)
-		}
-		next := 0
-		open := func() {
-			for i := 0; i < 1000; i++ {
-				e.ImpressionID = ids[next]
-				next++
-				e.Source, e.Type = "", beacon.EventServed
+	a := aggregate.New(aggregate.Options{TTL: -1, Now: func() time.Time { return baseT0 }})
+	observe := Over(a, Options{}).Observe
+	e := beacon.Event{CampaignID: "camp-1", At: baseT0, Meta: beacon.Meta{Format: "display", AdSize: "300x250"}}
+	ids := make([]string, 7000) // the first call below, AllocsPerRun's warm-up and its five runs
+	for i := range ids {
+		ids[i] = fmt.Sprintf("s1-closed-%d", i)
+	}
+	next := 0
+	open := func() {
+		for i := 0; i < 1000; i++ {
+			e.ImpressionID = ids[next]
+			next++
+			e.Source, e.Type = "", beacon.EventServed
+			observe(e)
+			for _, src := range []beacon.Source{beacon.SourceQTag, beacon.SourceCommercial} {
+				e.Source, e.Type = src, beacon.EventLoaded
 				observe(e)
-				for _, src := range []beacon.Source{beacon.SourceQTag, beacon.SourceCommercial} {
-					e.Source, e.Type = src, beacon.EventLoaded
-					observe(e)
-					e.Type = beacon.EventInView
-					observe(e)
-				}
+				e.Type = beacon.EventInView
+				observe(e)
 			}
 		}
-		open() // the score rows, the aggregator's rows and windows, and name tables exist from here on
-		if perImpression := testing.AllocsPerRun(5, open) / 1000; perImpression >= 0.1 {
-			t.Fatalf("joined=%v: %.3f allocations per opened impression, want < 0.1", joined, perImpression)
-		}
-		if d.OpenImpressions() != len(ids) || d.Updates() != 5*int64(len(ids)) {
-			t.Fatalf("joined=%v: %d impressions open of %d, %d events folded", joined, d.OpenImpressions(), len(ids), d.Updates())
-		}
+	}
+	open() // the score rows, the aggregator's rows and windows, and name tables exist from here on
+	if perImpression := testing.AllocsPerRun(5, open) / 1000; perImpression >= 0.1 {
+		t.Fatalf("%.3f allocations per opened impression, want < 0.1", perImpression)
+	}
+	if a.OpenImpressions() != len(ids) || a.Updates() != 5*int64(len(ids)) {
+		t.Fatalf("%d impressions open of %d, %d events folded", a.OpenImpressions(), len(ids), a.Updates())
 	}
 }

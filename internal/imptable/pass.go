@@ -9,7 +9,7 @@ import (
 )
 
 // The bits of a solution's flags (Table.Source) a Pass sets. The other
-// six are the folds': each fold of a pass owns the ones it defines.
+// six are its fold's.
 const (
 	Loaded uint8 = 1 << iota // the solution's loaded beacon has arrived
 	Viewed                   // one of its in-views has
@@ -24,10 +24,10 @@ type PassOptions struct {
 }
 
 // Change is what one first-seen event did to its impression, worked out
-// once by the Pass for every fold. The shared state — Entry.Served, the
+// once by the Pass for its fold. The pass's state — Entry.Served, the
 // Loaded and Viewed bits, the pairing stamps, the format — already holds
-// the event when a fold runs, so a fold reads each transition here and
-// never re-derives one from bits another fold may have set. What stood
+// the event when the fold runs, so the fold reads each transition here
+// and never re-derives one from those bits. What stood
 // before the event is Entry.Served unless ServedFirst, and each
 // solution's flags except the event's own, which were Before.
 type Change struct {
@@ -55,22 +55,21 @@ type Change struct {
 // format bucket: what it had contributed under From belongs under To.
 func (c *Change) Moved() bool { return !c.Created && c.From != c.To }
 
-// A Fold is one observer's share of a Pass: it applies a first-seen event
-// to the observer's own accumulators, under the lock of the impression's
-// pass shard. It may change its own bits of a solution's flags and must
-// leave the rest of the entry alone.
+// A Fold is the observer behind a Pass: it applies a first-seen event to
+// the observer's accumulators, under the lock of the impression's pass
+// shard. It may change its own bits of a solution's flags and must leave
+// the rest of the entry alone.
 type Fold func(e beacon.Event, c Change)
 
-// Pass is the open-impression working set of one or more observers: per
-// first-seen event it validates, reads the clock, hashes the key and
-// opens the impression once, updates the shared state and runs each fold.
-// Eviction drops an impression for every fold at once. All methods are
-// safe for concurrent use.
+// Pass is an observer's open-impression working set: per first-seen
+// event it validates, reads the clock, hashes the key and opens the
+// impression, updates its state and runs the fold. All methods are safe
+// for concurrent use.
 type Pass struct {
 	opts   PassOptions
 	shards []passShard
 	mask   uint32
-	folds  []Fold
+	fold   Fold
 
 	updates    atomic.Int64 // events folded
 	open       atomic.Int64 // open impressions, across the shards
@@ -84,22 +83,18 @@ type passShard struct {
 	t  *Table
 }
 
-// NewPass returns an empty pass with one fold.
+// NewPass returns an empty pass that folds with f.
 func NewPass(opts PassOptions, f Fold) *Pass {
 	size := 1
 	for size < opts.Shards {
 		size <<= 1
 	}
-	p := &Pass{opts: opts, shards: make([]passShard, size), mask: uint32(size - 1), folds: []Fold{f}}
+	p := &Pass{opts: opts, shards: make([]passShard, size), mask: uint32(size - 1), fold: f}
 	for i := range p.shards {
 		p.shards[i].t = New()
 	}
 	return p
 }
-
-// Join adds a fold: every event from now on goes through it too, after
-// the folds before it. Call it before the pass sees its first event.
-func (p *Pass) Join(f Fold) { p.folds = append(p.folds, f) }
 
 // formatBucket decides which format row an impression belongs to: the
 // lexicographically smallest non-empty format seen across its events,
@@ -162,9 +157,7 @@ func (p *Pass) Observe(e beacon.Event) {
 			c.Dwell, c.Paired, c.Reversed, c.Orphan = t.OutOfView(ent, c.Src, e.Seq, e.At)
 		}
 	}
-	for _, f := range p.folds {
-		f(e, c)
-	}
+	p.fold(e, c)
 	if created {
 		p.open.Add(1)
 		// Over the cap, the coldest impression of this shard goes — never the

@@ -10,13 +10,12 @@ import (
 
 // TestPassOpenMatchesShards: the counter Open returns equals the locked
 // sum over the shards after ingest, after a TTL sweep and after MaxOpen
-// pressure eviction — and every fold of the pass saw every event once.
+// pressure eviction — and the fold saw every event once.
 func TestPassOpenMatchesShards(t *testing.T) {
 	clock := time.Unix(1600000000, 0).UTC()
-	var folded [2]int
+	folded := 0
 	p := NewPass(PassOptions{Shards: 16, TTL: time.Minute, MaxOpen: 40, Now: func() time.Time { return clock }},
-		func(beacon.Event, Change) { folded[0]++ })
-	p.Join(func(beacon.Event, Change) { folded[1]++ })
+		func(beacon.Event, Change) { folded++ })
 	check := func(stage string, wantOpen func(int) bool) {
 		t.Helper()
 		if got, sum := p.Open(), p.Len(); got != sum || !wantOpen(got) {
@@ -46,8 +45,8 @@ func TestPassOpenMatchesShards(t *testing.T) {
 		t.Fatalf("evicted %d, %d of them by the cap; want the 30 swept plus the cap's", p.Evicted(), p.PressureEvicted())
 	}
 	p.Observe(beacon.Event{ImpressionID: "x", Type: beacon.EventServed}) // no campaign: ignored
-	if folded != [2]int{435, 435} || p.Updates() != 435 {
-		t.Fatalf("folds saw %v events and Updates is %d, want 435 each", folded, p.Updates())
+	if folded != 435 || p.Updates() != 435 {
+		t.Fatalf("the fold saw %d events and Updates is %d, want 435 each", folded, p.Updates())
 	}
 }
 

@@ -25,12 +25,9 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files instead 
 // fraud schema, contributions and all.
 func goldenStack(t *testing.T) (*aggregate.Aggregator, *detect.Detector) {
 	t.Helper()
-	a := aggregate.New(aggregate.Options{TTL: -1, Now: func() time.Time { return rt0 }})
-	d := detect.New(detect.Options{TTL: -1, Now: func() time.Time { return rt0 }})
 	store := beacon.NewStore()
-	store.AddObserver(a.Observe)
-	store.AddObserver(d.Observe)
-	store.AddDupObserver(d.ObserveDup)
+	a := aggregate.Attach(store, aggregate.Options{TTL: -1, Now: func() time.Time { return rt0 }})
+	d := detect.Over(a, detect.Options{})
 
 	meta := beacon.Meta{Format: "banner", AdSize: "300x250"}
 	submit := func(e beacon.Event) {

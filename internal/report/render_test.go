@@ -25,7 +25,8 @@ import (
 )
 
 // stack is the server's observer wiring: a deduplicating store feeding
-// the aggregator and (optionally) the detector on both hooks.
+// the aggregator on both hooks and (optionally) the detector that scores
+// its records.
 type stack struct {
 	store *beacon.Store
 	a     *aggregate.Aggregator
@@ -33,17 +34,15 @@ type stack struct {
 }
 
 func newStack(withDetect bool, dopts detect.Options) *stack {
-	clock := func() time.Time { return rt0 }
-	s := &stack{
-		store: beacon.NewStore(),
-		a:     aggregate.New(aggregate.Options{TTL: -1, Now: clock}),
-	}
-	s.store.AddObserver(s.a.Observe)
+	return newStackOf(aggregate.Options{TTL: -1, Now: func() time.Time { return rt0 }}, withDetect, dopts)
+}
+
+// newStackOf is newStack with an aggregator made with aopts.
+func newStackOf(aopts aggregate.Options, withDetect bool, dopts detect.Options) *stack {
+	s := &stack{store: beacon.NewStore()}
+	s.a = aggregate.Attach(s.store, aopts)
 	if withDetect {
-		dopts.TTL, dopts.Now = -1, clock
-		s.d = detect.New(dopts)
-		s.store.AddObserver(s.d.Observe)
-		s.store.AddDupObserver(s.d.ObserveDup)
+		s.d = detect.Over(s.a, dopts)
 	}
 	return s
 }
@@ -306,23 +305,17 @@ func TestRenderIdenticalToMarshal(t *testing.T) {
 // last render from that render's body, and encodes the rest — and each
 // body is still byte for byte the marshalled snapshots, whatever the
 // slice changed: fresh events, dwell pairs, verbatim re-sends (which
-// move only the detector's dups), a format migration that carries a
-// third-party solution, MaxRows evictions (a victim's campaign loses a
-// row no event of its own touched), new rollup windows, the windows
-// across ?windows=0 polls, a render that finds the handler's buffers
-// taken, and a render by another handler in between. At the end, a body
-// scribbled on after its render shows in the next one: the renders
-// above did copy.
+// move only the score rows' dups), a format migration that carries a
+// third-party solution, new campaigns (whose records go into the
+// directory between others), new rollup windows, the windows across
+// ?windows=0 polls, a render that finds the handler's buffers taken, and
+// a render by another handler in between. At the end, a body scribbled
+// on after its render shows in the next one: the renders above did copy.
 func TestRenderCopiesOnlyUntouchedCampaigns(t *testing.T) {
 	clock := rt0
 	store := beacon.NewStore()
-	a := aggregate.New(aggregate.Options{TTL: -1, Window: time.Minute, Now: func() time.Time { return clock }})
-	d := detect.New(detect.Options{MaxRows: 64, MinEvents: 2})
-	d.Join(a.Pass()) // as collector.Open wires them
-	reg := obs.NewRegistry()
-	d.RegisterMetrics(reg)
-	store.AddObserver(a.Observe)
-	store.AddDupObserver(d.ObserveDup)
+	a := aggregate.Attach(store, aggregate.Options{TTL: -1, Window: time.Minute, Now: func() time.Time { return clock }})
+	d := detect.Over(a, detect.Options{MinEvents: 2}) // as collector.Open wires them
 	submit := func(evs ...beacon.Event) {
 		for _, e := range evs {
 			_ = store.Submit(e)
@@ -348,6 +341,12 @@ func TestRenderCopiesOnlyUntouchedCampaigns(t *testing.T) {
 		late.Type, late.Meta.Format = beacon.EventInView, "banner" // smaller: the impression moves
 		return []beacon.Event{e, loaded, late}
 	}
+	fresh := func(step int) []beacon.Event {
+		e := beacon.Event{ImpressionID: "new-" + strconv.Itoa(step), CampaignID: "camp-" + strconv.Itoa(step) + "-new", Type: beacon.EventServed, At: rt0}
+		loaded := e
+		loaded.Source, loaded.Type = beacon.SourceQTag, beacon.EventLoaded
+		return []beacon.Event{e, loaded}
+	}
 
 	events := benchEvents(11, 40, 12_000)
 	submit(events[:4_000]...)
@@ -363,6 +362,9 @@ func TestRenderCopiesOnlyUntouchedCampaigns(t *testing.T) {
 		case 1:
 			submit(slice...)
 			submit(migrate(step)...)
+		case 2:
+			submit(slice...)
+			submit(fresh(step)...)
 		default:
 			submit(slice...)
 		}
@@ -386,8 +388,8 @@ func TestRenderCopiesOnlyUntouchedCampaigns(t *testing.T) {
 			render(step, url, nil)
 		}
 	}
-	if evicted := reg.Values()["qtag_detect_row_evicted_total"]; evicted == 0 || d.DupEvents() == 0 {
-		t.Fatalf("fixture evicted %g score rows and re-sent %d events, want both", evicted, d.DupEvents())
+	if d.DupEvents() == 0 {
+		t.Fatal("fixture re-sent no event")
 	}
 	var kept []byte
 	render(-1, "/report", func(body []byte) { kept = body })
@@ -461,24 +463,22 @@ func TestMigrationLeavesNoTrace(t *testing.T) {
 // ingesting goroutines always receives a complete, decodable report with
 // every list in strictly increasing key order (consistent per campaign),
 // and once ingest stops the body is exactly the marshalled snapshot and
-// each campaign directory holds exactly the campaigns with live rows.
-// The evicting run caps the detector far below the campaigns' rows, so
-// campaigns leave the fraud directory and come back while polls run.
-// Run under -race this is also the proof that the encoders read nothing
-// outside the locks that guard it.
+// the campaign directory holds exactly the campaigns with rows. The
+// evicting run caps the open impressions far below the stream's, so
+// impressions are evicted and opened again by their later beacons while
+// polls run. Run under -race this is also the proof that the encoders
+// read nothing outside the locks that guard it.
 func TestRenderUnderConcurrentIngest(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		opts detect.Options
-	}{{"default", detect.Options{}}, {"evicting", detect.Options{MaxRows: 48}}} {
-		t.Run(c.name, func(t *testing.T) { renderUnderIngest(t, c.opts) })
+		name    string
+		maxOpen int
+	}{{"default", 0}, {"evicting", 48}} {
+		t.Run(c.name, func(t *testing.T) { renderUnderIngest(t, c.maxOpen) })
 	}
 }
 
-func renderUnderIngest(t *testing.T, dopts detect.Options) {
-	s := newStack(true, dopts)
-	reg := obs.NewRegistry()
-	s.d.RegisterMetrics(reg)
+func renderUnderIngest(t *testing.T, maxOpen int) {
+	s := newStackOf(aggregate.Options{TTL: -1, MaxOpen: maxOpen, Now: func() time.Time { return rt0 }}, true, detect.Options{})
 	h := HandlerWithDetect(s.a, s.d, func() time.Time { return rt0 })
 	events := benchEvents(7, 300, 16_000)
 	const writers = 8
@@ -539,8 +539,8 @@ func renderUnderIngest(t *testing.T, dopts detect.Options) {
 	if err := slicesSumErr(&rep); err != nil {
 		t.Fatalf("after ingest: %v", err)
 	}
-	if evicted := reg.Values()["qtag_detect_row_evicted_total"]; (dopts.MaxRows > 0) != (evicted > 0) {
-		t.Fatalf("MaxRows %d evicted %g score rows", dopts.MaxRows, evicted)
+	if evicted := s.a.PressureEvicted(); (maxOpen > 0) != (evicted > 0) {
+		t.Fatalf("MaxOpen %d evicted %d impressions", maxOpen, evicted)
 	}
 }
 
@@ -648,24 +648,25 @@ func keyOrderErr(body []byte, rep *ViewabilityReport) error {
 	return nil
 }
 
-// requireDirectories requires each campaign directory of a quiescent
-// stack to hold exactly the campaigns with live rows, in order: nothing
-// a campaign that left behind, nothing missing.
+// requireDirectories requires the campaign directory of a quiescent
+// stack to hold exactly the campaigns with rows, in order, in both
+// sections: nothing missing, nothing twice.
 func requireDirectories(t *testing.T, a *aggregate.Aggregator, d *detect.Detector) {
 	t.Helper()
+	got := a.CampaignIDs()
 	var want []string
 	for _, r := range a.Snapshot().Rows {
 		want = append(want, r.CampaignID)
 	}
-	if got := a.CampaignIDs(); !slices.Equal(got, slices.Compact(want)) {
-		t.Fatalf("aggregate directory holds %d campaigns, the rows %d", len(got), len(slices.Compact(want)))
+	if !slices.Equal(got, slices.Compact(want)) {
+		t.Fatalf("the directory holds %d campaigns, the rows %d", len(got), len(slices.Compact(want)))
 	}
 	want = want[:0]
 	for _, r := range d.Snapshot().Rows {
 		want = append(want, r.CampaignID)
 	}
-	if got := d.CampaignIDs(); !slices.Equal(got, slices.Compact(want)) {
-		t.Fatalf("detect directory holds %d campaigns, the live rows %d", len(got), len(slices.Compact(want)))
+	if !slices.Equal(got, slices.Compact(want)) {
+		t.Fatalf("the directory holds %d campaigns, the fraud rows %d", len(got), len(slices.Compact(want)))
 	}
 }
 

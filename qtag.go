@@ -29,8 +29,6 @@
 package qtag
 
 import (
-	"math"
-
 	"qtag/internal/adtag"
 	"qtag/internal/aggregate"
 	"qtag/internal/beacon"
@@ -244,7 +242,7 @@ type AuditReport = detect.Snapshot
 // a fresh detector: the fold qtag-server runs on every beacon and
 // `qtag-replay -report-json -detect` over a WAL.
 func Audit(c interface{ Events() []Event }) AuditReport {
-	d := detect.New(detect.Options{TTL: -1, MaxRows: math.MaxInt})
+	d := detect.New(detect.Options{})
 	for _, e := range c.Events() {
 		d.Observe(e)
 	}
