@@ -110,13 +110,15 @@ chaos:
 	$(GO) test -race -run 'Crash|Torn|Quarantine|ENOSPC|Snapshot|Recover|Durable|Flip' \
 		./internal/wal/... ./internal/faults/... ./internal/beacon/...
 
-# Forced hash collisions: the observers' open-impression tables
-# (internal/imptable) with every key hashed to one of four values, so
-# that the equivalence, eviction, replay and report suites of the
-# packages that hold such tables — and of the production assembly
-# (internal/collector), whose max-open, TTL and sync/async path tests
-# run with the detector on — run on collision chains throughout and
-# only exact key comparison tells impressions apart.
+# Forced hash collisions: the impression tables (internal/imptable) —
+# every store's, whose records decide dedup and keep the closed
+# impressions, and a standalone aggregator's — with every key hashed to
+# one of four values, so that the dedup, equivalence, eviction, replay
+# and report suites of the packages that hold such tables — and of the
+# production assembly (internal/collector), whose max-open, TTL and
+# sync/async path tests run with the detector on — run on collision
+# chains throughout and only exact key comparison tells impressions
+# apart.
 collide:
 	QTAG_FORCE_COLLISIONS=1 $(GO) test -count=1 ./internal/imptable/... ./internal/aggregate/... \
 		./internal/detect/... ./internal/report/... ./internal/beacon/... ./internal/collector/...

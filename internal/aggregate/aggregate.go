@@ -4,18 +4,19 @@
 // measured-but-not-viewed, and not measured by each solution, plus
 // in-view dwell-time histograms from paired in-view/out-of-view beacons.
 //
-// The aggregator is fed by the beacon store's first-seen-event observer
-// (Store.AddObserver), so it inherits the store's idempotency: duplicate
-// beacons, HTTP retries and overlapping WAL replays never reach its
-// counts, and rebuilding it from a WAL replay on boot reproduces exactly
-// the state a continuously-running process would hold. Each campaign's
-// record also keeps the per-solution scoring state internal/detect reads
-// (score.go), the duplicates the store's duplicate observer reports
-// included: one record per campaign, one fold per event. Every update
-// is incremental — serving a report never scans raw events — and
-// per-impression working state is evicted on a TTL so memory stays
-// bounded under unbounded traffic while the campaign counters keep their
-// all-time totals.
+// The aggregator is attached to the beacon store (Attach): the store's
+// impression records decide first-seen or duplicate and the aggregator
+// folds each first-seen event into the same record, so it inherits the
+// store's idempotency: duplicate beacons, HTTP retries and overlapping
+// WAL replays never reach its counts, and rebuilding it from a WAL replay
+// on boot reproduces exactly the state a continuously-running process
+// would hold. Each campaign's record also keeps the per-solution scoring
+// state internal/detect reads (score.go), the duplicates the store's
+// duplicate observer reports included: one record per campaign, one fold
+// per event. Every update is incremental — serving a report never scans
+// raw events — and per-impression working state is evicted on a TTL so
+// memory stays bounded under unbounded traffic while the campaign
+// counters keep their all-time totals.
 //
 // Classification per impression and source s (mirrors §6's definitions):
 //
@@ -162,17 +163,25 @@ type campShard struct {
 }
 
 // Aggregator is the streaming accumulator set. All methods are safe for
-// concurrent use. Feed it through beacon.Store.AddObserver so it only
-// ever sees first-seen events.
+// concurrent use. Attach it to a store, or feed a standalone one (New)
+// through beacon.Store.AddObserver, so it only ever sees first-seen
+// events.
 type Aggregator struct {
 	opts Options
-	// pass holds the open impressions (DESIGN.md §10, "Observer layout"):
-	// enough to classify status transitions and pair dwell cycles, dropped
-	// when the impression goes idle while the counters it contributed to
-	// stay.
-	pass  *imptable.Pass
+	// The open impressions (DESIGN.md §10, "Observer layout"): enough to
+	// classify status transitions and pair dwell cycles, closed when the
+	// impression goes idle while the counters it contributed to stay. An
+	// attached aggregator's are its store's records; a standalone one
+	// shards its own.
+	store *beacon.Store
+	own   []passShard
 	camps []campShard // accumulators, by hash(campaign)
 	mask  uint32
+
+	updates    atomic.Int64 // events folded
+	open       atomic.Int64 // open impressions, across the shards
+	evicted    atomic.Int64 // impressions closed (TTL + pressure)
+	pressureEv atomic.Int64 // the subset closed by the MaxOpen cap
 
 	// dir is every campaign record in id order, for the report to walk;
 	// walkMu keeps walks from overlapping. campaigns counts those a
@@ -193,8 +202,18 @@ type Aggregator struct {
 	dwellPair atomic.Int64 // completed in-view/out-of-view pairs
 }
 
-// New returns an empty aggregator.
+// New returns an empty standalone aggregator, fed by Observe.
 func New(opts Options) *Aggregator {
+	a := newAggregator(opts)
+	a.own = make([]passShard, len(a.camps))
+	for i := range a.own {
+		a.own[i].t = imptable.New()
+	}
+	return a
+}
+
+// newAggregator returns an empty aggregator with no impressions yet.
+func newAggregator(opts Options) *Aggregator {
 	opts = opts.withDefaults()
 	size := 1
 	for size < opts.Shards {
@@ -208,7 +227,6 @@ func New(opts Options) *Aggregator {
 
 		boundsJSON: appendBoundsJSON(nil, opts.DwellBounds),
 	}
-	a.pass = imptable.NewPass(imptable.PassOptions{Shards: size, TTL: opts.TTL, MaxOpen: opts.MaxOpen, Now: opts.Now}, a.fold)
 	for i := range a.camps {
 		a.camps[i].camps = make(map[string]*campaign)
 	}
@@ -219,26 +237,24 @@ func New(opts Options) *Aggregator {
 
 // Attach returns a new aggregator fed by store's first-seen events and
 // duplicates, as qtag-server wires its own: the way to count what a
-// store takes in. Like Store.AddObserver, call it before the store
-// ingests.
+// store takes in. Its open impressions are the store's impression
+// records: each first-seen event is folded into the record the store
+// found it new in, under the store shard's lock, and the TTL sweep and
+// the MaxOpen cap close the store's records. The aggregator's Shards
+// sizes its campaign shards only. Call it before the store ingests, once
+// per store.
 func Attach(store *beacon.Store, opts Options) *Aggregator {
-	a := New(opts)
-	store.AddObserver(a.Observe)
+	a := newAggregator(opts)
+	a.store = store
+	store.AttachFold(a.opts.Now, a.apply)
 	store.AddDupObserver(a.ObserveDup)
 	return a
 }
 
-// Observe folds one first-seen event into the accumulators. It is
-// designed to be installed as a beacon.Store observer: the caller
-// guarantees the event is not a duplicate, and that events of one
-// impression arrive serialized (the store's shard lock does both).
-// Events that fail validation are ignored — the store never emits them.
-func (a *Aggregator) Observe(e beacon.Event) { a.pass.Observe(e) }
-
 // fold is the pass's fold: the campaign × format row, site type × OS
 // slice and score row updates for what the event changed, under the
-// campaign shard's lock (nested in the pass shard's, always).
-func (a *Aggregator) fold(e beacon.Event, c imptable.Change) {
+// campaign shard's lock (nested in the impression's table's, always).
+func (a *Aggregator) fold(e beacon.Event, c change) {
 	cs := a.shard(e.CampaignID)
 	cs.mu.Lock()
 	camp := a.campaignLocked(cs, e.CampaignID)
@@ -272,7 +288,7 @@ func (a *Aggregator) fold(e beacon.Event, c imptable.Change) {
 			sc.measured++
 			sl.measured++
 			sum.measured++
-			if *c.Flags&imptable.Viewed == 0 {
+			if *c.Flags&viewed == 0 {
 				sc.notViewed++
 			}
 		}
@@ -280,7 +296,7 @@ func (a *Aggregator) fold(e beacon.Event, c imptable.Change) {
 			sc.viewed++
 			sl.viewed++
 			sum.viewed++
-			if *c.Flags&imptable.Loaded != 0 {
+			if *c.Flags&loaded != 0 {
 				sc.notViewed--
 			}
 		}
@@ -374,7 +390,7 @@ func (c *campaign) dwellHist(source string, bounds []float64) *DwellHist {
 // event in hand from its format row to the one the event moved it to —
 // triggered when a late event carries a lexicographically smaller
 // format. Caller holds the shard lock.
-func (c *campaign) migrate(ch *imptable.Change) {
+func (c *campaign) migrate(ch *change) {
 	src := c.row(ch.From)
 	dst := c.row(ch.To)
 	src.impressions--
@@ -389,19 +405,19 @@ func (c *campaign) migrate(ch *imptable.Change) {
 		if flagsp == ch.Flags { // the event's own solution
 			flags = ch.Before
 		}
-		if flags&(imptable.Loaded|imptable.Viewed) == 0 {
+		if flags&(loaded|viewed) == 0 {
 			continue
 		}
 		fc, tc := src.srcCounts(beacon.Source(name)), dst.srcCounts(beacon.Source(name))
-		if flags&imptable.Loaded != 0 {
+		if flags&loaded != 0 {
 			fc.measured--
 			tc.measured++
 		}
 		switch {
-		case flags&imptable.Viewed != 0:
+		case flags&viewed != 0:
 			fc.viewed--
 			tc.viewed++
-		case flags&imptable.Loaded != 0:
+		case flags&loaded != 0:
 			fc.notViewed--
 			tc.notViewed++
 		}
@@ -420,26 +436,20 @@ func (c *campaign) migrate(ch *imptable.Change) {
 	}
 }
 
-// Sweep drops the working state of every impression idle for at least
-// the TTL as of now, returning how many were evicted. The campaign counters keep their totals, which bounds
-// memory to TTL × arrival rate open impressions. Unpaired in-view cycles
-// on an evicted impression never produce a dwell sample.
-func (a *Aggregator) Sweep(now time.Time) int { return a.pass.Sweep(now) }
-
 // OpenImpressions returns how many impressions currently hold working
 // state — the quantity TTL eviction bounds — in one atomic load.
-func (a *Aggregator) OpenImpressions() int { return a.pass.Open() }
+func (a *Aggregator) OpenImpressions() int { return int(a.open.Load()) }
 
 // Updates returns how many first-seen events have been folded in.
-func (a *Aggregator) Updates() int64 { return a.pass.Updates() }
+func (a *Aggregator) Updates() int64 { return a.updates.Load() }
 
 // Evicted returns how many impression states eviction has dropped
 // (TTL sweeps plus MaxOpen pressure evictions).
-func (a *Aggregator) Evicted() int64 { return a.pass.Evicted() }
+func (a *Aggregator) Evicted() int64 { return a.evicted.Load() }
 
 // PressureEvicted returns the subset of evictions forced by the MaxOpen
 // working-set cap rather than the TTL sweep.
-func (a *Aggregator) PressureEvicted() int64 { return a.pass.PressureEvicted() }
+func (a *Aggregator) PressureEvicted() int64 { return a.pressureEv.Load() }
 
 // Campaigns returns how many distinct campaigns have been observed.
 func (a *Aggregator) Campaigns() int { return int(a.campaigns.Load()) }
@@ -451,9 +461,9 @@ func (a *Aggregator) DwellPairs() int64 { return a.dwellPair.Load() }
 // throughput, the memory-bounding gauges, and the global dwell
 // histogram (per-campaign dwell lives on GET /report).
 func (a *Aggregator) RegisterMetrics(r *obs.Registry) {
-	r.CounterFunc("qtag_aggregate_updates_total", "First-seen events folded into the streaming accumulators.", a.pass.Updates)
-	r.CounterFunc("qtag_aggregate_evicted_total", "Impression working states dropped by TTL eviction.", a.pass.Evicted)
-	r.CounterFunc("qtag_aggregate_pressure_evicted_total", "Impression working states evicted early by the MaxOpen cap.", a.pass.PressureEvicted)
+	r.CounterFunc("qtag_aggregate_updates_total", "First-seen events folded into the streaming accumulators.", a.updates.Load)
+	r.CounterFunc("qtag_aggregate_evicted_total", "Impression working states dropped by TTL eviction.", a.evicted.Load)
+	r.CounterFunc("qtag_aggregate_pressure_evicted_total", "Impression working states evicted early by the MaxOpen cap.", a.pressureEv.Load)
 	r.CounterFunc("qtag_aggregate_dwell_pairs_total", "Completed in-view/out-of-view dwell cycles.", a.dwellPair.Load)
 	r.GaugeFunc("qtag_aggregate_open_impressions", "Impressions currently holding working state (bounded by TTL eviction).",
 		func() float64 { return float64(a.OpenImpressions()) })

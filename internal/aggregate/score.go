@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"qtag/internal/beacon"
-	"qtag/internal/imptable"
 	"qtag/internal/jsonenc"
 	"qtag/internal/viewability"
 )
@@ -48,8 +47,8 @@ const (
 // paper's tags implement.
 var dwellTarget = viewability.StandardCriteria(viewability.Display).Dwell
 
-// A solution's progress on an open impression is the pass's Loaded and
-// Viewed bits plus four of the fold's own: two net-adjusting violation
+// A solution's progress on an open impression is the pass's loaded and
+// viewed bits plus four of the fold's own: two net-adjusting violation
 // flags — a violation counted on the score row is un-counted if the
 // missing lifecycle event arrives late — and the class of its
 // loaded→in-view gap, re-counted when a late event moves the format. So
@@ -140,7 +139,7 @@ func (c *campaign) score(source string) *Score {
 // row updates for what the event changed. Every solution with flags on
 // the impression has its row: the fold that gave it flags made it. Caller
 // holds the shard lock.
-func (c *campaign) foldScore(e beacon.Event, ch *imptable.Change) {
+func (c *campaign) foldScore(e beacon.Event, ch *change) {
 	s := c.score(sourceLabel(e.Source))
 	s.Events++
 	s.observeRate(e.At.UnixNano()/int64(RateBucket), s.Events == 1)
@@ -178,7 +177,7 @@ func (c *campaign) foldScore(e beacon.Event, ch *imptable.Change) {
 		*ss &^= srcNoLoadCounted
 		s.NoLoaded--
 	}
-	if ch.ViewedFirst && *ss&imptable.Loaded == 0 {
+	if ch.ViewedFirst && *ss&loaded == 0 {
 		*ss |= srcNoLoadCounted
 		s.NoLoaded++
 	}
@@ -215,7 +214,7 @@ func (c *campaign) foldScore(e beacon.Event, ch *imptable.Change) {
 // regap re-counts the impossible dwells of an impression's solutions
 // under the format the event moved it to, before the event's own gap is
 // set. Caller holds the shard lock.
-func (c *campaign) regap(ch *imptable.Change) {
+func (c *campaign) regap(ch *change) {
 	from, to := dwellBit(ch.From), dwellBit(ch.To)
 	for i, n := 0, ch.Table.Sources(ch.Entry); i < n && from != to; i++ {
 		name, ss := ch.Table.SourceAt(ch.Entry, i)

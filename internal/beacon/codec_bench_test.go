@@ -88,14 +88,15 @@ func BenchmarkBinaryCodec(b *testing.B) {
 	})
 }
 
-// BenchmarkEventKeyAppend is the store's dedup-key path: AppendKey into
-// a stack buffer must not allocate (gated).
+// BenchmarkEventKeyAppend is the store's dedup-key path: the impression
+// key its records are found by, appended into a stack buffer, must not
+// allocate (gated).
 func BenchmarkEventKeyAppend(b *testing.B) {
 	e := benchEvents(1)[0]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var buf [96]byte
-		key := e.AppendKey(buf[:0])
+		key := e.AppendImpressionKey(buf[:0])
 		if len(key) == 0 {
 			b.Fatal("empty key")
 		}

@@ -148,9 +148,8 @@ func (e Event) Validate() error {
 	return nil
 }
 
-// AppendKey appends Key to dst and returns the extended slice. The store
-// hashes it, from a stack buffer, to pick the records it compares an
-// event with; see Key for why it decides nothing.
+// AppendKey appends Key to dst and returns the extended slice; see Key
+// for why it decides nothing.
 func (e Event) AppendKey(dst []byte) []byte {
 	dst = append(dst, e.CampaignID...)
 	dst = append(dst, '|')
@@ -167,9 +166,10 @@ func (e Event) AppendKey(dst []byte) []byte {
 // seq) — for logs and test oracles. It is for display only: the fields
 // are joined with an unescaped '|', so campaign "a|b" with impression "c"
 // and campaign "a" with impression "b|c" render alike although they are
-// different keys. The store compares the fields themselves, and
-// re-submitting an event whose five fields all match a stored one is a
-// no-op.
+// different keys. The store compares the fields themselves — the
+// impression key (AppendImpressionKey), then the solution, type and seq
+// in the impression's seen set — and re-submitting an event whose five
+// fields all match a stored one is a no-op.
 func (e Event) Key() string {
 	var buf [96]byte
 	return string(e.AppendKey(buf[:0]))
@@ -178,8 +178,8 @@ func (e Event) Key() string {
 // AppendImpressionKey appends the key of the event's impression —
 // (campaign, impression) — to dst: the campaign's length, the campaign,
 // the impression. The length prefix keeps distinct pairs distinct
-// whatever bytes the ids hold; the observers key their per-impression
-// state by it.
+// whatever bytes the ids hold; the store's impression records, and the
+// state an observer keeps in them, are keyed by it.
 func (e Event) AppendImpressionKey(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(e.CampaignID)))
 	dst = append(dst, e.CampaignID...)

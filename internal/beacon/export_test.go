@@ -3,8 +3,8 @@ package beacon
 // What the external tests (package beacon_test) need of the store's
 // insides.
 
-// NewCollidingStore returns a store whose index hash is constant (see
-// collidingStore).
+// NewCollidingStore returns a store whose impression tables hash every
+// key to one value (see collidingStore).
 func NewCollidingStore(shards int) *Store { return collidingStore(shards) }
 
 // Anchors returns how many of the store's records are anchors rather
@@ -18,10 +18,10 @@ func (s *Store) Anchors() int {
 		for j, c := range sh.arena.chunks {
 			copies[j] = string(c)
 			for off := 0; off < len(c); {
-				if c[off+arenaLinkBytes] != followOnTag {
+				if c[off] != followOnTag {
 					n++
 				}
-				_, next, err := decodeRecord(copies, copies[j], off+arenaLinkBytes, &sh.names)
+				_, next, err := decodeRecord(copies, copies[j], off, &sh.names)
 				if err != nil {
 					panic(err)
 				}

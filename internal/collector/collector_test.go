@@ -576,3 +576,47 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("WAL dir is a file: %v, want a runtime error", err)
 	}
 }
+
+// TestProfileAdmittedBesideIngestAtTheFloor: with the adaptive limit at
+// its floor of 4 the debug class's share is one request, and an ingest
+// POST held in flight must not take it — a CPU profile of a busy server
+// is what the profile endpoint is for.
+func TestProfileAdmittedBesideIngestAtTheFloor(t *testing.T) {
+	cfg := collector.DefaultConfig()
+	cfg.Pprof = true
+	cfg.AdmissionMinInflight, cfg.AdmissionMaxInflight = 4, 4
+	stack, url, _ := collectortest.Boot(t, cfg)
+
+	body, hold := io.Pipe()
+	defer hold.CloseWithError(io.ErrUnexpectedEOF)
+	posted := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(url+"/v1/events", beacon.BinaryContentType, body)
+		if err != nil {
+			posted <- 0
+			return
+		}
+		resp.Body.Close()
+		posted <- resp.StatusCode
+	}()
+	if _, err := hold.Write(batchBody(4)[:8]); err != nil { // the handler is reading the body
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); stack.Admission.Limiter().Inflight() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the ingest POST never held a slot: %d in flight", stack.Admission.Limiter().Inflight())
+		}
+	}
+	resp, err := http.Get(url + "/debug/pprof/profile?seconds=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("a profile beside one ingest POST at the limit's floor: status %d, want 200", resp.StatusCode)
+	}
+	hold.CloseWithError(io.ErrUnexpectedEOF)
+	if code := <-posted; code == http.StatusAccepted {
+		t.Fatal("the held POST was accepted with half a body")
+	}
+}
