@@ -217,7 +217,7 @@ func TestFacadeExtensions(t *testing.T) {
 		Seed: 13, Campaigns: 5, ImpressionsPerCampaign: 60, BothCampaigns: 2,
 		Parallelism: 2,
 	})
-	rep := qtagapi.Audit(res.Store)
+	rep := qtagapi.Audit(res.Beacons)
 	if !rep.Clean() {
 		t.Errorf("simulation output failed its own audit:\n%s", rep.Text())
 	}
@@ -233,12 +233,12 @@ func TestProductionSimulationAuditsClean(t *testing.T) {
 	if res.Store.Len() == 0 {
 		t.Fatal("the simulation stored no beacons")
 	}
-	if rep := qtagapi.Audit(res.Store); !rep.Clean() {
+	if rep := qtagapi.Audit(res.Beacons); !rep.Clean() {
 		t.Fatalf("production pipeline flagged:\n%s", rep.Text())
 	}
 	// The same stream with one loaded beacon moved after its in-view is
 	// caught, so a clean report is not an empty one.
-	events := res.Store.Events()
+	events := res.Beacons.Events()
 	viewed := map[string]bool{}
 	for _, e := range events {
 		if e.Type == beacon.EventInView && e.Seq == 0 {
@@ -246,6 +246,7 @@ func TestProductionSimulationAuditsClean(t *testing.T) {
 		}
 	}
 	tampered := beacon.NewStore()
+	tamperedBeacons := beacon.Record(tampered)
 	moved := false
 	for _, e := range events {
 		if !moved && e.Type == beacon.EventLoaded && viewed[e.ImpressionID+"/"+string(e.Source)] {
@@ -257,7 +258,7 @@ func TestProductionSimulationAuditsClean(t *testing.T) {
 		}
 	}
 	var found []detect.Violations
-	for _, r := range qtagapi.Audit(tampered).Rows {
+	for _, r := range qtagapi.Audit(tamperedBeacons).Rows {
 		if r.Violations != nil {
 			found = append(found, *r.Violations)
 		}

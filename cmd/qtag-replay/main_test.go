@@ -189,6 +189,7 @@ func TestStreamingReplayAndAuditAgree(t *testing.T) {
 	cfg.WALDir = filepath.Join(t.TempDir(), "beacons.wal")
 	cfg.Detect = true
 	stack, url, shutdown := collectortest.Boot(t, cfg)
+	kept := beacon.Record(stack.Store)
 	if err := (&beacon.HTTPSink{BaseURL: url}).SubmitBatch(append(events(), injected()...)); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestStreamingReplayAndAuditAgree(t *testing.T) {
 	}
 	streaming := fraudViolations(t, body)
 	audit := map[string]detect.Violations{}
-	for _, r := range qtagapi.Audit(stack.Store).Rows {
+	for _, r := range qtagapi.Audit(kept).Rows {
 		if r.Violations != nil {
 			audit[r.CampaignID+"/"+r.Source] = *r.Violations
 		}

@@ -260,7 +260,7 @@ func run(args []string, stdout io.Writer) int {
 			func() int64 { return loadedTotal })
 		reg.CounterFunc("qtag_sim_qtag_inview_total", "Impressions Q-Tag reported in view.",
 			func() int64 { return inviewTotal })
-		reg.GaugeFunc("qtag_sim_store_events", "Beacon events held by the run's in-memory store.",
+		reg.GaugeFunc("qtag_sim_store_events", "Distinct beacon events the run's in-memory store accepted.",
 			func() float64 { return float64(res.Store.Len()) })
 		fmt.Fprintln(stdout, "\n# end-of-run metrics")
 		fmt.Fprint(stdout, reg.Render())

@@ -23,6 +23,7 @@ type env struct {
 	page     *browser.Page
 	creative *dom.Element
 	store    *beacon.Store
+	rec      *beacon.Recorder
 	rt       *Runtime
 }
 
@@ -43,11 +44,12 @@ func newEnv(t *testing.T, prof browser.Profile, sameOrigin bool) *env {
 	frame := doc.Root().AttachIframe(origin, geom.Rect{X: 100, Y: 100, W: 300, H: 250})
 	creative := frame.Root().AppendChild("creative", geom.Rect{X: 0, Y: 0, W: 300, H: 250})
 	store := beacon.NewStore()
+	rec := beacon.Record(store)
 	rt := NewRuntime(page, creative, store, Impression{
 		ID: "imp-7", CampaignID: "camp-3",
 		Meta: beacon.Meta{OS: "Android", SiteType: "app"},
 	})
-	return &env{clock: clock, browser: b, page: page, creative: creative, store: store, rt: rt}
+	return &env{clock: clock, browser: b, page: page, creative: creative, store: store, rec: rec, rt: rt}
 }
 
 func chromeProfile() browser.Profile { return browser.CertificationProfiles()[1] }
@@ -125,7 +127,7 @@ func TestSendBeaconFillsIdentity(t *testing.T) {
 	if err := e.rt.SendBeacon(beacon.SourceQTag, beacon.EventLoaded, 0); err != nil {
 		t.Fatal(err)
 	}
-	events := e.store.Events()
+	events := e.rec.Events()
 	if len(events) != 1 {
 		t.Fatalf("store has %d events", len(events))
 	}

@@ -68,12 +68,13 @@ func testOpts(shards int) Options {
 }
 
 // assertEquivalent compares the streaming snapshot against the batch
-// oracle (Recompute over the store's raw events) and checks the
-// classification partition invariant on both.
-func assertEquivalent(t *testing.T, label string, a *Aggregator, store *beacon.Store, opts Options) {
+// oracle (Recompute over the store's first-seen events, as kept
+// recorded them) and checks the classification partition invariant on
+// both.
+func assertEquivalent(t *testing.T, label string, a *Aggregator, kept *beacon.Recorder, opts Options) {
 	t.Helper()
 	got := a.Snapshot()
-	batch := Recompute(store.Events(), opts)
+	batch := Recompute(kept.Events(), opts)
 	want := batch.Snapshot()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: streaming != batch recompute\n got: %+v\nwant: %+v", label, got, want)
@@ -168,13 +169,14 @@ func TestStreamingBatchEquivalence(t *testing.T) {
 			opts := testOpts(shards)
 			a := New(opts)
 			store := beacon.NewStore()
+			kept := beacon.Record(store)
 			store.AddObserver(a.Observe)
 			for _, e := range stream {
 				if err := store.Submit(e); err != nil {
 					t.Fatalf("submit: %v", err)
 				}
 			}
-			assertEquivalent(t, fmt.Sprintf("seed=%d shards=%d", seed, shards), a, store, opts)
+			assertEquivalent(t, fmt.Sprintf("seed=%d shards=%d", seed, shards), a, kept, opts)
 		}
 	}
 }
@@ -189,6 +191,7 @@ func TestStreamingEquivalenceConcurrent(t *testing.T) {
 		opts := testOpts(shards)
 		a := New(opts)
 		store := beacon.NewStore()
+		kept := beacon.Record(store)
 		store.AddObserver(a.Observe)
 		const workers = 8
 		var wg sync.WaitGroup
@@ -210,7 +213,7 @@ func TestStreamingEquivalenceConcurrent(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		assertEquivalent(t, fmt.Sprintf("concurrent shards=%d", shards), a, store, opts)
+		assertEquivalent(t, fmt.Sprintf("concurrent shards=%d", shards), a, kept, opts)
 	}
 }
 
@@ -221,6 +224,7 @@ func TestStreamingEquivalenceDuplicateDelivery(t *testing.T) {
 	opts := testOpts(4)
 	a := New(opts)
 	store := beacon.NewStore()
+	kept := beacon.Record(store)
 	store.AddObserver(a.Observe)
 	for _, e := range stream {
 		store.Submit(e)
@@ -235,7 +239,7 @@ func TestStreamingEquivalenceDuplicateDelivery(t *testing.T) {
 	if !reflect.DeepEqual(once, a.Snapshot()) {
 		t.Fatal("duplicate delivery changed the aggregates")
 	}
-	assertEquivalent(t, "duplicates", a, store, opts)
+	assertEquivalent(t, "duplicates", a, kept, opts)
 }
 
 // TestStreamingEquivalenceCrashRecovery: an aggregator rebuilt by WAL
@@ -277,6 +281,7 @@ func TestStreamingEquivalenceCrashRecovery(t *testing.T) {
 
 	a2 := New(opts)
 	store2 := beacon.NewStore()
+	kept2 := beacon.Record(store2)
 	store2.AddObserver(a2.Observe) // before replay, as in cmd/qtag-server
 	wj2, rec, err := beacon.OpenDurable(wal.Options{Dir: dir, Fsync: wal.FsyncAlways}, store2)
 	if err != nil {
@@ -295,7 +300,7 @@ func TestStreamingEquivalenceCrashRecovery(t *testing.T) {
 	if got := a2.Snapshot(); !reflect.DeepEqual(got, preCrash) {
 		t.Fatalf("rebuilt aggregates != pre-crash aggregates\n got: %+v\nwant: %+v", got, preCrash)
 	}
-	assertEquivalent(t, "crash-recovery", a2, store2, opts)
+	assertEquivalent(t, "crash-recovery", a2, kept2, opts)
 }
 
 // TestStreamingEquivalenceSecondObserver: attaching another observer
@@ -308,6 +313,7 @@ func TestStreamingEquivalenceSecondObserver(t *testing.T) {
 	opts := testOpts(8)
 	a := New(opts)
 	store := beacon.NewStore()
+	kept := beacon.Record(store)
 	store.AddObserver(a.Observe)
 	var mu sync.Mutex
 	counts := map[string]int{}
@@ -339,5 +345,5 @@ func TestStreamingEquivalenceSecondObserver(t *testing.T) {
 			t.Fatalf("second observer saw %q %d times", k, n)
 		}
 	}
-	assertEquivalent(t, "second-observer", a, store, opts)
+	assertEquivalent(t, "second-observer", a, kept, opts)
 }

@@ -96,7 +96,7 @@ func admit(t *imptable.Table, e *beacon.Event, now time.Time) imptable.Admission
 	var kb [96]byte // the table copies the key when it opens the impression
 	key := e.AppendImpressionKey(kb[:0])
 	p, _ := t.Find(key, e.Type.Kind(), string(e.Source), e.Seq)
-	return t.Admit(&p, key, now.UnixNano(), 0)
+	return t.Admit(&p, key, now.UnixNano())
 }
 
 // apply folds the first-seen event the table t has just admitted, under

@@ -51,6 +51,7 @@ const (
 
 type ingestStack struct {
 	store  *Store
+	rec    *Recorder
 	agg    *aggregate.Aggregator
 	det    *detect.Detector
 	wj     *WALJournal
@@ -65,6 +66,7 @@ func newIngestStack(t testing.TB, opts wal.Options, kind chainKind) *ingestStack
 	s := &ingestStack{store: NewStoreWithShards(8), dir: opts.Dir}
 	s.agg = aggregate.Attach(s.store, aggregate.Options{Shards: 8, TTL: -1, Now: clock})
 	s.det = detect.Over(s.agg, detect.Options{})
+	s.rec = Record(s.store)
 	var err error
 	if s.wj, _, err = OpenDurable(opts, s.store); err != nil {
 		t.Fatal(err)
@@ -187,8 +189,8 @@ func requestBodies(t testing.TB, seed uint64, stream []Event) (bodies [][]byte, 
 // assertSameState compares everything downstream of the handler.
 func assertSameState(t *testing.T, label string, got, want *ingestStack) {
 	t.Helper()
-	if g, w := got.store.Events(), want.store.Events(); !reflect.DeepEqual(g, w) {
-		t.Fatalf("%s: Store.Events() differ: %d vs %d events", label, len(g), len(w))
+	if g, w := got.rec.Events(), want.rec.Events(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: the first-seen events differ: %d vs %d events", label, len(g), len(w))
 	}
 	if g, w := got.agg.Snapshot(), want.agg.Snapshot(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: aggregate.Snapshot() differs:\n got %+v\nwant %+v", label, g, w)

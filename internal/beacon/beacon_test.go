@@ -61,6 +61,7 @@ func TestEventKeyAndString(t *testing.T) {
 
 func TestStoreIdempotency(t *testing.T) {
 	s := NewStore()
+	rec := Record(s)
 	e := ev("i1", "c1", SourceQTag, EventInView)
 	for i := 0; i < 5; i++ {
 		if err := s.Submit(e); err != nil {
@@ -70,7 +71,7 @@ func TestStoreIdempotency(t *testing.T) {
 	if s.Len() != 1 {
 		t.Errorf("Len = %d after duplicate submits", s.Len())
 	}
-	if got := s.Events(); len(got) != 1 || got[0].Key() != e.Key() {
+	if got := rec.Events(); len(got) != 1 || got[0].Key() != e.Key() {
 		t.Errorf("Events = %v, want the one event", got)
 	}
 }
@@ -87,10 +88,11 @@ func TestStoreRejectsInvalid(t *testing.T) {
 
 func TestStoreEventsSorted(t *testing.T) {
 	s := NewStore()
+	rec := Record(s)
 	mustSubmit(t, s, ev("b", "c1", "", EventServed))
 	mustSubmit(t, s, ev("a", "c2", "", EventServed))
 	mustSubmit(t, s, ev("a", "c1", "", EventServed))
-	events := s.Events()
+	events := rec.Events()
 	if len(events) != 3 {
 		t.Fatalf("Events len = %d", len(events))
 	}
@@ -102,10 +104,10 @@ func TestStoreEventsSorted(t *testing.T) {
 	}
 }
 
-// stored counts the events of one campaign, solution and type s holds.
-func stored(s *Store, campaign string, src Source, typ EventType) int {
+// stored counts the events of one campaign, solution and type r holds.
+func stored(r *Recorder, campaign string, src Source, typ EventType) int {
 	n := 0
-	for _, e := range s.Events() {
+	for _, e := range r.Events() {
 		if e.CampaignID == campaign && e.Source == src && e.Type == typ {
 			n++
 		}
@@ -263,13 +265,14 @@ func TestHTTPSinkConnectionRefused(t *testing.T) {
 
 func TestStampSink(t *testing.T) {
 	store := NewStore()
+	rec := Record(store)
 	now := time.Date(2019, 12, 9, 12, 0, 0, 0, time.UTC)
 	stamp := &StampSink{Next: store, Now: func() time.Time { return now }}
 	mustSubmit(t, stamp, ev("i1", "c1", "", EventServed))
 	pre := ev("i2", "c1", "", EventServed)
 	pre.At = now.Add(-time.Hour)
 	mustSubmit(t, stamp, pre)
-	events := store.Events()
+	events := rec.Events()
 	if !events[0].At.Equal(now) {
 		t.Errorf("unstamped event got %v", events[0].At)
 	}
@@ -289,6 +292,7 @@ func TestSinkFunc(t *testing.T) {
 
 func TestConcurrentSubmit(t *testing.T) {
 	s := NewStore()
+	rec := Record(s)
 	done := make(chan bool)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
@@ -309,7 +313,9 @@ func TestConcurrentSubmit(t *testing.T) {
 	if s.Len() == 0 {
 		t.Error("no events stored")
 	}
-	_ = s.Events()
+	if got := len(rec.Events()); got != s.Len() {
+		t.Errorf("%d events recorded, the store took %d", got, s.Len())
+	}
 }
 
 // TestServerConcurrentHTTPSoak hammers the collection server from many
@@ -317,6 +323,7 @@ func TestConcurrentSubmit(t *testing.T) {
 // idempotency plus the sharded store must absorb concurrent duplicates.
 func TestServerConcurrentHTTPSoak(t *testing.T) {
 	store := NewStore()
+	rec := Record(store)
 	srv := httptest.NewServer(NewServer(store))
 	defer srv.Close()
 
@@ -346,10 +353,10 @@ func TestServerConcurrentHTTPSoak(t *testing.T) {
 		}
 	}
 	// Every duplicate absorbed: exactly perWorker distinct impressions.
-	if got := stored(store, "soak", "", EventServed); got != perWorker {
+	if got := stored(rec, "soak", "", EventServed); got != perWorker {
 		t.Errorf("served = %d, want %d", got, perWorker)
 	}
-	if got := stored(store, "soak", SourceQTag, EventLoaded); got != perWorker {
+	if got := stored(rec, "soak", SourceQTag, EventLoaded); got != perWorker {
 		t.Errorf("loaded = %d, want %d", got, perWorker)
 	}
 	if store.Len() != 2*perWorker {

@@ -174,17 +174,6 @@ func AppendBinaryEvent(dst []byte, e Event) []byte {
 	return dst
 }
 
-// maxBinaryEventLen bounds len(AppendBinaryEvent(nil, *e)) from above —
-// the four header bytes, three varints and a length prefix for each of
-// the twelve strings at their widest — so that a caller can reserve room
-// before encoding. It bounds the store's record form (arena.go) too.
-func maxBinaryEventLen(e *Event) int {
-	const fixed = 4 + 3*binary.MaxVarintLen64 + 12*binary.MaxVarintLen64
-	return fixed + len(e.ImpressionID) + len(e.CampaignID) + len(e.Type) + len(e.Source) + len(e.Trace) +
-		len(e.Meta.OS) + len(e.Meta.SiteType) + len(e.Meta.AdSize) + len(e.Meta.Format) +
-		len(e.Meta.Country) + len(e.Meta.Exchange) + len(e.Meta.Slot)
-}
-
 // AppendBinaryEvents appends the batch frame for events to dst. The
 // per-event length prefix is what lets the decoder skip or arena-slice
 // each event without re-parsing on framing errors.
@@ -255,10 +244,8 @@ func strField(s string, off int) (string, int, bool) {
 }
 
 // decodeEventStr decodes one event encoding from s starting at off,
-// returning the offset past it: the wire form when n is nil, a store
-// record's otherwise, its campaign and Meta strings read through n (see
-// names.field). Strings alias s, or are n's.
-func decodeEventStr(s string, off int, n *names) (Event, int, error) {
+// returning the offset past it. Strings alias s.
+func decodeEventStr(s string, off int) (Event, int, error) {
 	var e Event
 	if len(s)-off < 4 {
 		return e, 0, errBinaryTruncated
@@ -287,7 +274,7 @@ func decodeEventStr(s string, off int, n *names) (Event, int, error) {
 	if e.ImpressionID, off, ok = strField(s, off); !ok {
 		return e, 0, errBinaryTruncated
 	}
-	if e.CampaignID, off, ok = n.field(s, off); !ok {
+	if e.CampaignID, off, ok = strField(s, off); !ok {
 		return e, 0, errBinaryTruncated
 	}
 	if t, known := typeFromCode(tc); known {
@@ -319,7 +306,7 @@ func decodeEventStr(s string, off int, n *names) (Event, int, error) {
 		&e.Meta.OS, &e.Meta.SiteType, &e.Meta.AdSize, &e.Meta.Format,
 		&e.Meta.Country, &e.Meta.Exchange, &e.Meta.Slot,
 	} {
-		if *field, off, ok = n.field(s, off); !ok {
+		if *field, off, ok = strField(s, off); !ok {
 			return e, 0, errBinaryTruncated
 		}
 	}
@@ -355,7 +342,7 @@ func decodeBatchStr(s string, events []Event) ([]Event, error) {
 			return nil, errBinaryTruncated
 		}
 		end := next + int(n)
-		e, at, err := decodeEventStr(s[:end], next, nil)
+		e, at, err := decodeEventStr(s[:end], next)
 		if err != nil {
 			return nil, fmt.Errorf("beacon: binary event %d: %w", i, err)
 		}
@@ -395,7 +382,7 @@ func DecodeBinaryEvents(b []byte) ([]Event, error) {
 // allocation.
 func DecodeBinaryEvent(payload []byte) (Event, error) {
 	s := string(payload)
-	e, off, err := decodeEventStr(s, 0, nil)
+	e, off, err := decodeEventStr(s, 0)
 	if err != nil {
 		return Event{}, err
 	}

@@ -15,6 +15,7 @@
 package beacon_test
 
 import (
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
@@ -151,6 +152,7 @@ func sweepOne(t *testing.T, policy wal.FsyncPolicy, discard, exact bool, off int
 
 	// "Restart": recover the same directory on the real filesystem.
 	store := NewStore()
+	kept := Record(store)
 	j2, rec, err := OpenDurable(crashOpts(dir, nil, policy), store)
 	if err != nil {
 		t.Fatalf("off=%d: recovery failed: %v (%+v)", off, err, rec)
@@ -173,7 +175,7 @@ func sweepOne(t *testing.T, policy wal.FsyncPolicy, discard, exact bool, off int
 	}
 	// Prefix property: the recovered set is the first N submitted events.
 	keys := map[string]bool{}
-	for _, e := range store.Events() {
+	for _, e := range kept.Events() {
 		keys[e.Key()] = true
 	}
 	for i := 0; i < recovered; i++ {
@@ -227,8 +229,21 @@ func TestCrashDuringSnapshotKeepsOldSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Crash partway through the second snapshot's payload.
-	cfs.CrashAfterBytes(int64(len(EncodeStoreSnapshot(store)) / 2))
+	// Crash partway through the second snapshot's payload: the JSONL of
+	// the 20 events, each as the codec keeps it.
+	payload := 0
+	for i := 0; i < 20; i++ {
+		kept, err := DecodeBinaryEvent(AppendBinaryEvent(nil, durEvent(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, err := json.Marshal(kept)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload += len(line) + 1
+	}
+	cfs.CrashAfterBytes(int64(payload / 2))
 	if _, err := j.Snapshot(store); err == nil {
 		t.Fatal("snapshot through a crashed filesystem must fail")
 	}
@@ -330,6 +345,7 @@ func TestCrashPointSweepGroupCommit(t *testing.T) {
 		acked := run(dir, cfs)
 
 		store := NewStore()
+		kept := Record(store)
 		j2, rec, err := OpenDurable(gcOpts(dir, nil), store)
 		if err != nil {
 			t.Fatalf("off=%d: recovery failed: %v (%+v)", off, err, rec)
@@ -338,7 +354,7 @@ func TestCrashPointSweepGroupCommit(t *testing.T) {
 			t.Fatalf("off=%d: replayed %d but store holds %d — duplicates", off, rec.Replayed, store.Len())
 		}
 		recovered := map[string]bool{}
-		for _, e := range store.Events() {
+		for _, e := range kept.Events() {
 			recovered[e.Key()] = true
 		}
 		for key := range acked {
@@ -456,6 +472,7 @@ func TestCrashPointSweepRequestFrame(t *testing.T) {
 				acked := run(dir, cfs, tc.policy, tc.group)
 
 				store := NewStore()
+				kept := Record(store)
 				j2, rec, err := OpenDurable(opts(dir, nil, tc.policy, tc.group), store)
 				if err != nil {
 					t.Fatalf("off=%d: recovery failed: %v (%+v)", off, err, rec)
@@ -480,7 +497,7 @@ func TestCrashPointSweepRequestFrame(t *testing.T) {
 					torn++
 				}
 				keys := map[string]bool{}
-				for _, e := range store.Events() {
+				for _, e := range kept.Events() {
 					keys[e.Key()] = true
 				}
 				for i := 0; i < recovered; i++ {

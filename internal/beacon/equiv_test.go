@@ -12,7 +12,6 @@
 package beacon_test
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
@@ -83,15 +82,18 @@ func randomStream(seed uint64, n int) []Event {
 	return out
 }
 
-// counted is a sharded store with the aggregator that counts it.
+// counted is a sharded store with the aggregator that counts it, and a
+// Recorder of what it took.
 type counted struct {
 	*Store
 	agg *aggregate.Aggregator
+	rec *Recorder
 }
 
 func newCounted(shards int) counted {
 	store := NewStoreWithShards(shards)
-	return counted{store, aggregate.Attach(store, aggregate.Options{Shards: shards, TTL: -1})}
+	agg := aggregate.Attach(store, aggregate.Options{Shards: shards, TTL: -1})
+	return counted{store, agg, Record(store)}
 }
 
 // reconciliation is what the stats routes and end-of-run reconciliation
@@ -188,7 +190,7 @@ func assertMatchesOracle(t *testing.T, label string, store counted, oracle *seed
 	if store.Len() != len(oracle.events) {
 		t.Fatalf("%s: Len = %d, oracle %d", label, store.Len(), len(oracle.events))
 	}
-	for _, e := range store.Events() {
+	for _, e := range store.rec.Events() {
 		oe, ok := oracle.events[e.Key()]
 		if !ok {
 			t.Fatalf("%s: store holds %q, oracle does not", label, e.Key())
@@ -244,6 +246,7 @@ func TestGroupCommitWALEquivalence(t *testing.T) {
 	// Reference: per-record appends, seed configuration.
 	refDir := t.TempDir()
 	refStore := NewStore()
+	refKept := Record(refStore)
 	refJ, _, err := OpenDurable(wal.Options{Dir: refDir, Fsync: wal.FsyncAlways}, refStore)
 	if err != nil {
 		t.Fatal(err)
@@ -264,6 +267,7 @@ func TestGroupCommitWALEquivalence(t *testing.T) {
 	// Group commit: the same events from 8 concurrent goroutines.
 	gcDir := t.TempDir()
 	gcStore := NewStore()
+	gcKept := Record(gcStore)
 	gcJ, _, err := OpenDurable(wal.Options{Dir: gcDir, Fsync: wal.FsyncAlways, GroupCommit: true}, gcStore)
 	if err != nil {
 		t.Fatal(err)
@@ -299,30 +303,34 @@ func TestGroupCommitWALEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Replay both directories; the restored stores must serialize to the
-	// same bytes (EncodeStoreSnapshot sorts deterministically).
-	replayRef, replayGC := NewStore(), NewStore()
-	if _, err := ReplayWALDir(refDir, replayRef); err != nil {
-		t.Fatal(err)
+	// Replay both directories; the restored stores must take the same
+	// events (a Recorder sorts them deterministically).
+	a, b := replayedEvents(t, refDir), replayedEvents(t, gcDir)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("replayed state differs: per-record %d events, group-commit %d events", len(a), len(b))
 	}
-	if _, err := ReplayWALDir(gcDir, replayGC); err != nil {
-		t.Fatal(err)
-	}
-	a, b := EncodeStoreSnapshot(replayRef), EncodeStoreSnapshot(replayGC)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("replayed state differs: per-record %d bytes, group-commit %d bytes", len(a), len(b))
-	}
-	if replayRef.Len() == 0 {
+	if len(a) == 0 {
 		t.Fatal("reference replay restored nothing — vacuous equivalence")
 	}
 	// And both equal the in-memory state the stores held before the
 	// restart (the Tee order guarantee).
-	if !bytes.Equal(a, EncodeStoreSnapshot(refStore)) {
+	if !reflect.DeepEqual(a, refKept.Events()) {
 		t.Fatal("per-record replay diverges from pre-restart store")
 	}
-	if !bytes.Equal(b, EncodeStoreSnapshot(gcStore)) {
+	if !reflect.DeepEqual(b, gcKept.Events()) {
 		t.Fatal("group-commit replay diverges from pre-restart store")
 	}
+}
+
+// replayedEvents replays dir into a fresh store and returns what it took.
+func replayedEvents(t *testing.T, dir string) []Event {
+	t.Helper()
+	store := NewStore()
+	kept := Record(store)
+	if _, err := ReplayWALDir(dir, store); err != nil {
+		t.Fatal(err)
+	}
+	return kept.Events()
 }
 
 // TestGroupCommitBatchEquivalence: SubmitBatch through the group
@@ -357,14 +365,7 @@ func TestGroupCommitBatchEquivalence(t *testing.T) {
 	if err := gcJ.Close(); err != nil {
 		t.Fatal(err)
 	}
-	replayRef, replayGC := NewStore(), NewStore()
-	if _, err := ReplayWALDir(refDir, replayRef); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReplayWALDir(gcDir, replayGC); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(EncodeStoreSnapshot(replayRef), EncodeStoreSnapshot(replayGC)) {
+	if !reflect.DeepEqual(replayedEvents(t, refDir), replayedEvents(t, gcDir)) {
 		t.Fatal("batched group-commit replay diverges from per-record replay")
 	}
 }

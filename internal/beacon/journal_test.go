@@ -35,6 +35,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		ev("a", "c1", SourceQTag, EventInView),
 	)
 	store := NewStore()
+	rec := Record(store)
 	st, err := ReplayJournal(strings.NewReader(journal), store)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +43,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if st.Replayed != 3 || st.Skipped != 0 {
 		t.Errorf("replay stats = %+v", st)
 	}
-	if stored(store, "c1", "", EventServed) != 1 || stored(store, "c1", SourceQTag, EventInView) != 1 {
+	if stored(rec, "c1", "", EventServed) != 1 || stored(rec, "c1", SourceQTag, EventInView) != 1 {
 		t.Error("replayed store contents wrong")
 	}
 }
@@ -52,6 +53,7 @@ func TestReplayTolerantOfCorruption(t *testing.T) {
 	// Simulate a torn tail write plus garbage in the middle.
 	corrupted := lines[0] + "NOT JSON AT ALL\n" + `{"type":"bogus"}` + "\n" + lines[1][:len(lines[1])/2]
 	store := NewStore()
+	rec := Record(store)
 	st, err := ReplayJournal(strings.NewReader(corrupted), store)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +64,7 @@ func TestReplayTolerantOfCorruption(t *testing.T) {
 	if st.Skipped != 3 { // garbage line, invalid event, torn tail
 		t.Errorf("skipped = %d, want 3", st.Skipped)
 	}
-	if stored(store, "c1", "", EventServed) != 1 {
+	if stored(rec, "c1", "", EventServed) != 1 {
 		t.Error("surviving event not replayed")
 	}
 }
@@ -72,12 +74,13 @@ func TestReplayTolerantOfCorruption(t *testing.T) {
 func TestReplaySkipsOverlongLine(t *testing.T) {
 	journal := strings.Repeat("\x00", 2<<20) + "\n" + jsonl(t, ev("a", "c1", "", EventServed))
 	store := NewStore()
+	rec := Record(store)
 	st, err := ReplayJournal(strings.NewReader(journal), store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Replayed != 1 || st.Skipped != 1 || stored(store, "c1", "", EventServed) != 1 {
-		t.Fatalf("replay stats = %+v, store served %d; want 1 replayed, 1 skipped", st, stored(store, "c1", "", EventServed))
+	if st.Replayed != 1 || st.Skipped != 1 || stored(rec, "c1", "", EventServed) != 1 {
+		t.Fatalf("replay stats = %+v, store served %d; want 1 replayed, 1 skipped", st, stored(rec, "c1", "", EventServed))
 	}
 }
 
@@ -103,11 +106,12 @@ func TestJournalFileAndRestartFlow(t *testing.T) {
 	}
 	defer f.Close()
 	restored := NewStore()
+	restoredRec := Record(restored)
 	st, err := ReplayJournal(f, restored)
 	if err != nil || st.Replayed != 2 {
 		t.Fatalf("replay: %+v, %v", st, err)
 	}
-	if stored(restored, "c1", "", EventServed) != 1 || stored(restored, "c1", SourceQTag, EventLoaded) != 1 {
+	if stored(restoredRec, "c1", "", EventServed) != 1 || stored(restoredRec, "c1", SourceQTag, EventLoaded) != 1 {
 		t.Error("restored store wrong")
 	}
 	// Replaying again is harmless.
@@ -135,6 +139,7 @@ func TestTeeErrorPropagates(t *testing.T) {
 
 func TestPixelFallbackEndpoint(t *testing.T) {
 	store := NewStore()
+	rec := Record(store)
 	server := NewServer(store)
 	srv := httptest.NewServer(server)
 	defer srv.Close()
@@ -151,7 +156,7 @@ func TestPixelFallbackEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "image/gif" {
 		t.Errorf("content type = %q", ct)
 	}
-	if stored(store, "c1", SourceQTag, EventInView) != 1 {
+	if stored(rec, "c1", SourceQTag, EventInView) != 1 {
 		t.Error("pixel event not ingested")
 	}
 

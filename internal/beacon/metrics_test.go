@@ -86,7 +86,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		"qtag_queue_depth", "qtag_queue_enqueued_total", "qtag_queue_flushed_total",
 		"qtag_queue_flush_latency_seconds_bucket",
 		"qtag_breaker_state", "qtag_breaker_trips_total",
-		"qtag_store_events", "qtag_store_arena_bytes",
+		"qtag_store_events", "qtag_store_closed_impressions",
 	} {
 		if !strings.Contains(text, family) {
 			t.Errorf("scrape missing %s:\n%s", family, text)
@@ -104,8 +104,8 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	if v["qtag_store_events"] != n {
 		t.Errorf("store events = %g, want %d", v["qtag_store_events"], n)
 	}
-	if got, want := v["qtag_store_arena_bytes"], float64(store.ArenaBytes()); want == 0 || got != want {
-		t.Errorf("store arena bytes = %g, want %g (non-zero)", got, want)
+	if got := v["qtag_store_closed_impressions"]; got != 0 {
+		t.Errorf("store closed impressions = %g, want 0: nothing closes a bare store's", got)
 	}
 	// Zero-latency clock: every ingest observation lands in the first
 	// bucket, and the scrape line is byte-predictable.

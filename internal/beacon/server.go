@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"qtag/internal/admission"
+	"qtag/internal/imptable"
 	"qtag/internal/jsonenc"
 	"qtag/internal/obs"
 )
@@ -91,10 +92,14 @@ func NewServerWithSink(store *Store, sink Sink) *Server {
 	s.reg.CounterFunc("qtag_ingest_rejected_total", "Events refused by validation.", s.rejected.Load)
 	s.reg.CounterFunc("qtag_ingest_oversized_total", "Requests refused because the body exceeded the size limit.", s.oversized.Load)
 	s.reg.CounterFunc("qtag_ingest_doomed_total", "Requests refused before any WAL work because their deadline budget was already spent.", s.doomed.Load)
-	s.reg.GaugeFunc("qtag_store_events", "Distinct events held by the in-memory store.",
+	s.reg.GaugeFunc("qtag_store_events", "Distinct events accepted.",
 		func() float64 { return float64(store.Len()) })
-	s.reg.GaugeFunc("qtag_store_arena_bytes", "Memory reserved for the store's event records (summed chunk capacity).",
-		func() float64 { return float64(store.ArenaBytes()) })
+	s.reg.GaugeFunc("qtag_store_closed_impressions", "Closed impressions whose records the store keeps for dedup: its one growing memory.",
+		func() float64 {
+			n := 0
+			store.Impressions(func(t *imptable.Table) { n += t.Closed() })
+			return float64(n)
+		})
 	s.ingestLatency = s.reg.Histogram("qtag_ingest_latency_seconds",
 		"Wall time spent handling one /v1/events ingestion request.", obs.LatencyBuckets)
 	s.mux.HandleFunc("POST /v1/events", s.instrument("ingest.events", s.handleEvents))

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -44,6 +45,7 @@ func TestIngestSoakWALGroupCommit(t *testing.T) {
 	)
 	dir := t.TempDir()
 	store := NewStoreWithShards(16)
+	kept := Record(store)
 	wj, _, err := OpenDurable(wal.Options{
 		Dir:         dir,
 		Fsync:       wal.FsyncAlways,
@@ -136,6 +138,7 @@ func TestIngestSoakWALGroupCommit(t *testing.T) {
 
 	// Restart reconciliation: replaying the WAL reproduces the store.
 	restored := NewStore()
+	restoredKept := Record(restored)
 	rec, err := ReplayWALDir(dir, restored)
 	if err != nil {
 		t.Fatal(err)
@@ -143,20 +146,22 @@ func TestIngestSoakWALGroupCommit(t *testing.T) {
 	if restored.Len() != total {
 		t.Fatalf("replay restored %d events, want %d (%+v)", restored.Len(), total, rec)
 	}
-	if !bytes.Equal(EncodeStoreSnapshot(restored), EncodeStoreSnapshot(store)) {
+	if !reflect.DeepEqual(restoredKept.Events(), kept.Events()) {
 		t.Fatal("replayed state diverges from the live store")
 	}
 }
 
 // TestMergedReadsUnderSoak exercises the merged read paths (/healthz,
-// /metrics, /report, snapshot serialization) concurrently with sharded
-// writes — the reader/writer interleaving the per-shard RWMutex must
-// survive under -race, with reads always observing a consistent
-// (monotonic) event count.
+// /metrics, /report) and WAL snapshots concurrently with sharded writes —
+// the reader/writer interleaving the per-shard RWMutex must survive under
+// -race, with reads always observing a consistent (monotonic) event
+// count — and a restart from the last snapshot and the WAL tail past it
+// restores every event.
 func TestMergedReadsUnderSoak(t *testing.T) {
 	store := NewStoreWithShards(8)
 	agg := aggregate.Attach(store, aggregate.Options{Shards: 8})
-	wj, _, err := OpenDurable(wal.Options{Dir: t.TempDir(), GroupCommit: true}, store)
+	dir := t.TempDir()
+	wj, _, err := OpenDurable(wal.Options{Dir: dir, GroupCommit: true}, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +221,9 @@ func TestMergedReadsUnderSoak(t *testing.T) {
 		} else {
 			last = n
 		}
-		_ = EncodeStoreSnapshot(store) // snapshot serialization vs live writes
+		if _, err := wj.Snapshot(store); err != nil { // a snapshot of the WAL vs live appends
+			t.Fatal(err)
+		}
 		_ = agg.Slices()
 		_ = agg.CampaignIDs()
 	}
@@ -225,5 +232,14 @@ func TestMergedReadsUnderSoak(t *testing.T) {
 	}
 	if got := store.Len(); got != writers*perWriter {
 		t.Fatalf("store holds %d events, want %d", got, writers*perWriter)
+	}
+	restored := NewStore()
+	wj, rec, err := OpenDurable(wal.Options{Dir: dir}, restored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wj.Close()
+	if restored.Len() != writers*perWriter || rec.SnapshotIndex == 0 {
+		t.Fatalf("restart restored %d events, want %d, from a snapshot (%+v)", restored.Len(), writers*perWriter, rec)
 	}
 }

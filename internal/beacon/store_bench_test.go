@@ -12,6 +12,7 @@ import (
 
 	"qtag/internal/aggregate"
 	. "qtag/internal/beacon"
+	"qtag/internal/imptable"
 	"qtag/internal/wal"
 )
 
@@ -45,8 +46,8 @@ func BenchmarkStoreSubmit(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreMixedReadWrite adds merged-read pressure (Len +
-// ArenaBytes) alongside the writers, the /healthz- and
+// BenchmarkStoreMixedReadWrite adds merged-read pressure (Len and the
+// closed-impression count) alongside the writers, the /healthz- and
 // /metrics-during-ingest pattern.
 func BenchmarkStoreMixedReadWrite(b *testing.B) {
 	for _, shards := range []int{1, 4, 16} {
@@ -58,7 +59,7 @@ func BenchmarkStoreMixedReadWrite(b *testing.B) {
 					n := seq.Add(1)
 					if n%16 == 0 {
 						_ = store.Len()
-						_ = store.ArenaBytes()
+						store.Impressions(func(t *imptable.Table) { _ = t.Closed() })
 						continue
 					}
 					if err := store.Submit(benchEvent(n)); err != nil {
@@ -127,9 +128,9 @@ func BenchmarkIngestBatch64(b *testing.B) {
 }
 
 // BenchmarkIngestBatch64FirstSeen is the same request down the same
-// chain with a fresh body each time, so every event is stored: the
-// figure adds what the store allocates per 64 first-seen events —
-// arena chunks and index growth, amortised over the run.
+// chain with a fresh body each time, so every event is first-seen: the
+// figure adds what the store allocates per 64 first-seen events — the
+// impression table's growth, amortised over the run.
 func BenchmarkIngestBatch64FirstSeen(b *testing.B) {
 	bodies := make([][]byte, b.N+1)
 	for i := range bodies {

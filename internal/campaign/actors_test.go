@@ -101,7 +101,7 @@ func TestSimulatorAdversaries(t *testing.T) {
 
 	// Determinism end to end, adversaries included.
 	res2 := New(cfg).Run()
-	if !reflect.DeepEqual(res.Store.Events(), res2.Store.Events()) {
+	if !reflect.DeepEqual(res.Beacons.Events(), res2.Beacons.Events()) {
 		t.Fatal("adversarial runs are not reproducible")
 	}
 }

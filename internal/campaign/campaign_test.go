@@ -339,7 +339,7 @@ func TestSpreadOverTimestamps(t *testing.T) {
 		SpreadOver: 7 * 24 * time.Hour,
 	}).Run()
 	var min, max time.Time
-	for _, e := range res.Store.Events() {
+	for _, e := range res.Beacons.Events() {
 		if e.At.IsZero() {
 			t.Fatal("unstamped event")
 		}

@@ -218,8 +218,10 @@ type ImpressionRecord struct {
 type Result struct {
 	Config    Config
 	Campaigns []CampaignResult
-	// Store holds every beacon of the run.
+	// Store took every beacon of the run.
 	Store *beacon.Store
+	// Beacons keeps a copy of every distinct beacon of the run.
+	Beacons *beacon.Recorder
 	// Aggregate counts the run's impressions, as qtag-server does: the
 	// campaigns' counts above and the Table 2 slices come from it.
 	Aggregate *aggregate.Aggregator
@@ -237,6 +239,7 @@ type Simulator struct {
 	rng   *simrand.RNG
 	store *beacon.Store
 	agg   *aggregate.Aggregator
+	rec   *beacon.Recorder
 	sink  beacon.Sink
 }
 
@@ -245,6 +248,7 @@ func New(cfg Config) *Simulator {
 	cfg = cfg.withDefaults()
 	store := beacon.NewStore()
 	agg := aggregate.Attach(store, aggregate.Options{TTL: -1})
+	rec := beacon.Record(store)
 	var sink beacon.Sink = store
 	if cfg.ExtraSink != nil {
 		extra := cfg.ExtraSink
@@ -255,7 +259,7 @@ func New(cfg Config) *Simulator {
 			return extra.Submit(e)
 		})
 	}
-	return &Simulator{cfg: cfg, rng: simrand.New(cfg.Seed), store: store, agg: agg, sink: sink}
+	return &Simulator{cfg: cfg, rng: simrand.New(cfg.Seed), store: store, agg: agg, rec: rec, sink: sink}
 }
 
 // GenerateSpecs produces the campaign roster deterministically from the
@@ -295,7 +299,7 @@ func (s *Simulator) GenerateSpecs() []Spec {
 // campaign order, and per-campaign outputs are merged back in order.
 func (s *Simulator) Run() *Result {
 	specs := s.GenerateSpecs()
-	res := &Result{Config: s.cfg, Store: s.store, Aggregate: s.agg, Campaigns: make([]CampaignResult, len(specs))}
+	res := &Result{Config: s.cfg, Store: s.store, Beacons: s.rec, Aggregate: s.agg, Campaigns: make([]CampaignResult, len(specs))}
 
 	// Pre-fork one RNG per campaign in deterministic order.
 	rngs := make([]*simrand.RNG, len(specs))

@@ -97,6 +97,52 @@ func TestAsyncPathCloseDrainsTheQueue(t *testing.T) {
 	}
 }
 
+// A snapshot is built from the WAL, not from the store, so a beacon the
+// chain refused — the async queue was full — is not brought back by a
+// restart even when a later, accepted beacon makes the parting snapshot
+// write. (The store still applied the refused request before the queue
+// refused it, so it counts until the restart: the store-first order is
+// a separate fault.)
+func TestSnapshotBringsBackNoRefusedBeacon(t *testing.T) {
+	cfg := collector.DefaultConfig()
+	cfg.WALDir, cfg.QueueCap = t.TempDir(), 8
+	stack, url, shutdown := collectortest.Boot(t, cfg)
+
+	var refused []beacon.Event
+	for i := 0; i < 16; i++ {
+		refused = append(refused, beacon.Event{ImpressionID: fmt.Sprintf("refused-%d", i), CampaignID: "c",
+			Type: beacon.EventServed, At: time.Unix(1546300800, 0).UTC()})
+	}
+	post := func(events []beacon.Event) int {
+		resp, err := http.Post(url+"/v1/events", beacon.BinaryContentType, bytes.NewReader(beacon.AppendBinaryEvents(nil, events)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(refused); code != http.StatusUnprocessableEntity || stack.Store.Len() != 16 {
+		t.Fatalf("16 events into a queue of 8: status %d with %d events in the store, want 422 and 16", code, stack.Store.Len())
+	}
+	accepted := refused[0]
+	accepted.ImpressionID = "accepted"
+	if code := post([]beacon.Event{accepted}); code != http.StatusAccepted {
+		t.Fatalf("one event: status %d, want 202", code)
+	}
+	if err := shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	restored := beacon.NewStore()
+	rec, err := beacon.ReplayWALDir(cfg.WALDir, restored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.SnapshotIndex == 0 || restored.Len() != 1 {
+		t.Fatalf("restart restored %d events, want the one accepted, from the parting snapshot (%+v)", restored.Len(), rec)
+	}
+}
+
 // No flags at all: memory only. The queue and breaker still exist and
 // export the same series, draining into Discard.
 func TestNoWALKeepsTheQueueSeries(t *testing.T) {

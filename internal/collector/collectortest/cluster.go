@@ -278,11 +278,9 @@ func (h *Harness) ClusterEvents() map[string]int {
 	out := make(map[string]int)
 	for _, hn := range h.Nodes {
 		recovered := beacon.NewStore()
+		recovered.AddObserver(func(e beacon.Event) { out[e.Key()]++ })
 		if _, err := beacon.ReplayWALDir(hn.cfg.WALDir, recovered); err != nil {
 			h.t.Fatalf("replay %s: %v", hn.ID, err)
-		}
-		for _, e := range recovered.Events() {
-			out[e.Key()]++
 		}
 	}
 	return out

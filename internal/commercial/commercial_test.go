@@ -24,6 +24,7 @@ type fixture struct {
 	browser *browser.Browser
 	page    *browser.Page
 	store   *beacon.Store
+	rec     *beacon.Recorder
 	rt      *adtag.Runtime
 	err     error
 }
@@ -43,15 +44,16 @@ func deploy(t *testing.T, prof browser.Profile, sameOrigin bool, adY float64) *f
 	frame := doc.Root().AttachIframe(origin, geom.Rect{X: 200, Y: adY, W: 300, H: 250})
 	creative := frame.Root().AppendChild("creative", geom.Rect{X: 0, Y: 0, W: 300, H: 250})
 	store := beacon.NewStore()
+	rec := beacon.Record(store)
 	rt := adtag.NewRuntime(page, creative, store, adtag.Impression{
 		ID: "imp-1", CampaignID: "camp-1", Format: viewability.Display,
 	})
 	err := New(Config{}).Deploy(rt)
-	return &fixture{clock: clock, browser: b, page: page, store: store, rt: rt, err: err}
+	return &fixture{clock: clock, browser: b, page: page, store: store, rec: rec, rt: rt, err: err}
 }
 
 func (f *fixture) has(typ beacon.EventType) bool {
-	for _, e := range f.store.Events() {
+	for _, e := range f.rec.Events() {
 		if e.Type == typ && e.Source == beacon.SourceCommercial {
 			return true
 		}
@@ -176,6 +178,7 @@ func TestVideoCriteria(t *testing.T) {
 	frame := doc.Root().AttachIframe(dsp, geom.Rect{X: 0, Y: 0, W: 640, H: 360})
 	creative := frame.Root().AppendChild("creative", geom.Rect{W: 640, H: 360})
 	store := beacon.NewStore()
+	rec := beacon.Record(store)
 	rt := adtag.NewRuntime(page, creative, store, adtag.Impression{
 		ID: "v", CampaignID: "c", Format: viewability.Video,
 	})
@@ -183,19 +186,19 @@ func TestVideoCriteria(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.Advance(1500 * time.Millisecond)
-	if inViews(store) != 0 {
+	if inViews(rec) != 0 {
 		t.Error("video in-view before 2s")
 	}
 	clock.Advance(800 * time.Millisecond)
-	if inViews(store) != 1 {
+	if inViews(rec) != 1 {
 		t.Error("video in-view missing after 2.3s")
 	}
 }
 
-// inViews counts the commercial in-view beacons a store holds.
-func inViews(store *beacon.Store) int {
+// inViews counts the commercial in-view beacons rec holds.
+func inViews(rec *beacon.Recorder) int {
 	n := 0
-	for _, e := range store.Events() {
+	for _, e := range rec.Events() {
 		if e.Type == beacon.EventInView && e.Source == beacon.SourceCommercial {
 			n++
 		}
@@ -219,17 +222,18 @@ func TestCriteriaOverride(t *testing.T) {
 	frame := doc.Root().AttachIframe(dsp, geom.Rect{X: 0, Y: 0, W: 300, H: 250})
 	creative := frame.Root().AppendChild("creative", geom.Rect{W: 300, H: 250})
 	store := beacon.NewStore()
+	rec := beacon.Record(store)
 	rt := adtag.NewRuntime(page, creative, store, adtag.Impression{ID: "i", CampaignID: "c"})
 	crit := viewability.Criteria{AreaFraction: 0.5, Dwell: 4 * time.Second}
 	if err := New(Config{Criteria: &crit}).Deploy(rt); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(3 * time.Second)
-	if inViews(store) != 0 {
+	if inViews(rec) != 0 {
 		t.Error("override dwell ignored")
 	}
 	clock.Advance(2 * time.Second)
-	if inViews(store) != 1 {
+	if inViews(rec) != 1 {
 		t.Error("in-view missing after override dwell")
 	}
 }

@@ -2,12 +2,11 @@
 // layout" and "Observer layout"): one record per impression, from its
 // first beacon to its close. A record holds the impression's seen set —
 // which of its beacons have arrived, the set that decides whether a
-// beacon is first-seen or a duplicate — and the handle of its archive
-// anchor in the store's arena, beside what internal/aggregate keeps of
-// it: whether it was served, its format, how far each solution has got,
-// and the cycle stamps waiting for their partner. A Table is one shard
-// of it: internal/beacon's store shards own one each, and a standalone
-// aggregator shards its own.
+// beacon is first-seen or a duplicate — and its key, beside what
+// internal/aggregate keeps of it: whether it was served, its format, how
+// far each solution has got, and the cycle stamps waiting for their
+// partner. A Table is one shard of it: internal/beacon's store shards own
+// one each, and a standalone aggregator shards its own.
 //
 // Q-Tag's protocol holds every impression open (an in-view waits for its
 // out-of-view, "not measured" is what never arrived), so this is the one
@@ -20,8 +19,8 @@
 // past the seen set's bits — spills (see Entry), so the table is exact,
 // never lossy.
 //
-// A closing table (NewClosing) keeps a compact closed record — the
-// anchor and the seen set — of every impression the TTL sweep or the cap
+// A closing table (NewClosing) keeps a compact closed record — the key
+// and the seen set — of every impression the TTL sweep or the cap
 // closes, behind a second index that stays empty while nothing closes:
 // a re-sent beacon of a closed impression is still a duplicate, and a new
 // one reopens it with its seen set.
@@ -39,13 +38,14 @@ import (
 )
 
 const (
-	// InlineKey is the longest key an Entry holds itself. An impression
-	// key is a length byte, the campaign id and the impression id
-	// (beacon.Event.AppendImpressionKey); the simulator's and the
-	// benchmark's are 20–27 bytes, and 28 rounds the record to 96 — a
-	// cache line and a half. A longer key (a UUID impression id, say)
-	// goes to 64-byte key blocks, which cost it one or two more lines.
-	InlineKey = 28
+	// InlineKey is the longest key an Entry or a closed record holds
+	// itself. An impression key is a length byte, the campaign id and the
+	// impression id (beacon.Event.AppendImpressionKey); the simulator's
+	// and the benchmark's are 20–27 bytes, and 32 rounds the record to 96
+	// — a cache line and a half — and the closed record to 48. A longer
+	// key (a UUID impression id, say) goes to 64-byte key blocks, which
+	// cost it one or two more lines.
+	InlineKey = 32
 
 	// inlineSources is how many solutions an Entry tracks itself.
 	inlineSources = 2
@@ -65,11 +65,11 @@ const (
 	chunkSize = 1 << chunkBits
 
 	// none ends a collision chain, a recency list, a free list and a key's
-	// block chain, and stands for no anchor. A shard cannot hold 2^32-1
-	// records (412 GB), so it is never an index.
+	// block chain. A shard cannot hold 2^32-1 records (412 GB), so it is
+	// never an index.
 	none = ^uint32(0)
 
-	spilledKey = 0xFF // Entry.klen of a key held in blocks
+	spilledKey = 0xFF // keyField.n of a key held in blocks
 	blockData  = 60
 )
 
@@ -79,7 +79,8 @@ const (
 // What spills, and where:
 //
 //   - a key longer than InlineKey: its length and first block index take
-//     the key field's first eight bytes, its bytes a chain of key blocks;
+//     the key field's first eight bytes, its bytes a chain of key blocks,
+//     which go with the key to its closed record and back;
 //   - a solution beyond the first two, one whose name the shard's
 //     254-name table has no room for, a waiting stamp pairing.Pending
 //     cannot hold, a format beyond the shard's 65 534, a beacon the seen
@@ -92,15 +93,20 @@ type Entry struct {
 	touched      int64  // arrival clock of the last Open, Unix nanoseconds
 
 	pending  pairing.Pending
-	anchor   uint32 // the owner's handle of the impression's archive anchor
 	format   uint16 // names id; formatSpilled: see overflow
 	seen     seenSet
 	srcFlags [inlineSources]uint8
 	Served   bool
 	spilled  bool // the side map has an overflow for this entry
 
-	klen uint8
-	key  [InlineKey]byte
+	key keyField
+}
+
+// keyField is an impression's key: inline up to InlineKey bytes, or
+// spilled to key blocks.
+type keyField struct {
+	n     uint8 // the key's length; spilledKey: see Entry
+	bytes [InlineKey]byte
 }
 
 // seenSet is which beacons of an impression have arrived, as bits (see
@@ -134,14 +140,14 @@ func seenBit(kind Kind, pos, seq int) (i int, mask uint8, ok bool) {
 	return 0, 0, false
 }
 
-// closedRec is a closed impression: its anchor and its seen set, on the
-// chain of its key's hash. The key is not kept — the anchor leads to it
-// (NewClosing) — and what the seen set spilled is in Table.closedOver.
+// closedRec is a closed impression: its key and its seen set, on the
+// chain of its key's hash; what the seen set spilled is in
+// Table.closedOver. It is 48 bytes without a pointer.
 type closedRec struct {
 	next    uint32 // older closed record with the same hash; next free one once freed
-	anchor  uint32
 	seen    seenSet
 	spilled bool
+	key     keyField
 }
 
 // formatSpilled and nameSpilled are the ids of a format and of a solution
@@ -264,15 +270,13 @@ type Table struct {
 	sources names[uint8]
 	formats names[uint16]
 
-	// The closed records, kept when same is set: same reports whether
-	// anchor is the anchor of the impression with this key.
-	same       func(anchor uint32, key []byte) bool
+	// The closed records, kept when closing is set.
+	closing    bool
 	closed     map[uint32]uint32 // key hash → newest closed record of its chain; nil until one closes
 	closedRecs slab[closedRec]
 	freeClosed uint32
 	nclosed    int
 	closedOver map[uint32]*overflow
-	sameKey    []byte // the key same is handed: a copy, so that a caller's stays on its stack
 
 	visits int // see Visits
 
@@ -295,12 +299,10 @@ func New() *Table {
 }
 
 // NewClosing returns an empty table that keeps a closed record of every
-// impression it closes; same reports whether an anchor, as Admit was
-// given it, is the anchor of the impression with a key — it is how a
-// closed record, which keeps no key, is told from another of its chain.
-func NewClosing(same func(anchor uint32, key []byte) bool) *Table {
+// impression it closes.
+func NewClosing() *Table {
 	t := New()
-	t.same = same
+	t.closing = true
 	return t
 }
 
@@ -335,7 +337,7 @@ func (t *Table) lookup(key []byte, h uint32) (at, head uint32) {
 		// is the one whose key bytes are these, whatever else shares its
 		// chain.
 		t.visits++
-		if t.holds(t.recs.at(at), key) {
+		if t.holds(&t.recs.at(at).key, key) {
 			return at, head
 		}
 	}
@@ -364,15 +366,15 @@ func (t *Table) open(h, at, head uint32, key []byte, now int64) (e *Entry, creat
 		at = t.recs.grow()
 	}
 	e = t.recs.at(at)
-	*e = Entry{hash: h, next: head, touched: now, anchor: NoAnchor}
-	t.setKey(e, key)
+	*e = Entry{hash: h, next: head, touched: now}
+	t.setKey(&e.key, key)
 	t.index[h] = at
 	t.pushNewest(at, e)
 	t.n++
 	return e, true
 }
 
-// Probe is Find's lookup of one beacon, for Anchor and Admit.
+// Probe is Find's lookup of one beacon, for Admit.
 type Probe struct {
 	hash, at, head uint32 // at: the open record, or none; head: its chain's
 	closed         uint32 // the closed record when there is no open one, or none
@@ -399,11 +401,10 @@ func (t *Table) Find(key []byte, kind Kind, src string, seq int) (p Probe, seen 
 	if !ok {
 		return p, false
 	}
-	t.sameKey = append(t.sameKey[:0], key...)
 	for at := head; at != none; at = t.closedRecs.at(at).next {
 		c := t.closedRecs.at(at)
 		t.visits++
-		if t.same(c.anchor, t.sameKey) {
+		if t.holds(&c.key, key) {
 			p.closed = at
 			var o *overflow
 			if c.spilled {
@@ -455,21 +456,6 @@ func (t *Table) position(s *seenSet, o *overflow, name string) int {
 	return -1
 }
 
-// NoAnchor is the anchor of an impression no record holds one for.
-const NoAnchor = none
-
-// Anchor returns the anchor of the record p found, open or closed, or
-// NoAnchor.
-func (t *Table) Anchor(p *Probe) uint32 {
-	switch {
-	case p.at != none:
-		return t.recs.at(p.at).anchor
-	case p.closed != none:
-		return t.closedRecs.at(p.closed).anchor
-	}
-	return NoAnchor
-}
-
 // Admission is what Admit did with a first-seen beacon.
 type Admission struct {
 	Entry   *Entry
@@ -480,15 +466,13 @@ type Admission struct {
 
 // Admit files the beacon Find found p not to have seen, with the
 // impression's key: it makes the impression the most recently opened as
-// of now — opening it, from its closed record if it has one — marks the
-// beacon seen, and sets the impression's anchor. Nothing may change the
-// table between Find and Admit.
-func (t *Table) Admit(p *Probe, key []byte, now int64, anchor uint32) Admission {
+// of now — opening it, from its closed record if it has one — and marks
+// the beacon seen. Nothing may change the table between Find and Admit.
+func (t *Table) Admit(p *Probe, key []byte, now int64) Admission {
 	e, created := t.open(p.hash, p.at, p.head, key, now)
 	if p.closed != none {
 		t.reopen(e, p.hash, p.closed)
 	}
-	e.anchor = anchor
 	a := Admission{Entry: e, Created: created, Src: -1}
 	if p.kind != Served {
 		a.Src, _, a.Fresh = t.source(e, p.src, p.pos)
@@ -505,10 +489,12 @@ func (t *Table) Admit(p *Probe, key []byte, now int64, anchor uint32) Admission 
 	return a
 }
 
-// reopen gives e, just opened, the seen set and the solutions of the
-// closed record at c, on the chain of hash h, and frees the record.
+// reopen gives e, just opened with its own copy of the key, the seen set
+// and the solutions of the closed record at c, on the chain of hash h,
+// and frees the record and its key.
 func (t *Table) reopen(e *Entry, h, c uint32) {
 	rec := t.closedRecs.at(c)
+	t.freeKey(&rec.key)
 	e.seen = rec.seen
 	if rec.spilled {
 		if t.over == nil {
@@ -523,9 +509,9 @@ func (t *Table) reopen(e *Entry, h, c uint32) {
 }
 
 // close files e, which is leaving the open records, as a closed record:
-// its anchor, and its seen set and solutions without what they held of
-// the open impression (the flags, the since-open marks, the stamps, the
-// format).
+// its key — key blocks and all — and its seen set and solutions without
+// what they held of the open impression (the flags, the since-open
+// marks, the stamps, the format).
 func (t *Table) close(e *Entry) {
 	c := t.freeClosed
 	if c != none {
@@ -541,7 +527,7 @@ func (t *Table) close(e *Entry) {
 		head = none
 	}
 	rec := t.closedRecs.at(c)
-	*rec = closedRec{next: head, anchor: e.anchor, seen: e.seen}
+	*rec = closedRec{next: head, seen: e.seen, key: e.key}
 	rec.seen.bits[0] &^= hereBits
 	if o := t.more(e); o != nil {
 		o.pending, o.format = pairing.Overflow{}, ""
@@ -598,23 +584,16 @@ func (t *Table) unlink(e *Entry) {
 }
 
 // remove frees the record at index at: out of its chain and the recency
-// list, closed in a closing table, its key blocks and its overflow
-// released (the overflow to its closed record in a closing table), its
-// slot the next one open hands out.
+// list, its key blocks and its overflow released — to its closed record
+// in a closing table — its slot the next one open hands out.
 func (t *Table) remove(at uint32) {
 	e := t.recs.at(at)
 	unchain(t.index, e.hash, at, func(i uint32) *uint32 { return &t.recs.at(i).next })
 	t.unlink(e)
-	if e.klen == spilledKey {
-		for b := binary.LittleEndian.Uint32(e.key[4:]); b != none; {
-			blk := t.blocks.at(b)
-			rest := blk.next
-			blk.next, t.freeBlock = t.freeBlock, b
-			b = rest
-		}
-	}
-	if t.same != nil {
+	if t.closing {
 		t.close(e)
+	} else {
+		t.freeKey(&e.key)
 	}
 	if e.spilled {
 		delete(t.over, e)
@@ -623,11 +602,11 @@ func (t *Table) remove(at uint32) {
 	t.n--
 }
 
-// setKey stores key in e: inline, or — back to front, so that each block
+// setKey stores key in k: inline, or — back to front, so that each block
 // knows its successor — in key blocks.
-func (t *Table) setKey(e *Entry, key []byte) {
+func (t *Table) setKey(k *keyField, key []byte) {
 	if len(key) <= InlineKey {
-		e.klen = uint8(copy(e.key[:], key))
+		k.n = uint8(copy(k.bytes[:], key))
 		return
 	}
 	next := none
@@ -644,20 +623,33 @@ func (t *Table) setKey(e *Entry, key []byte) {
 		copy(blk.data[:], key[start:end])
 		next, end = b, start
 	}
-	e.klen = spilledKey
-	binary.LittleEndian.PutUint32(e.key[0:], uint32(len(key)))
-	binary.LittleEndian.PutUint32(e.key[4:], next)
+	k.n = spilledKey
+	binary.LittleEndian.PutUint32(k.bytes[0:], uint32(len(key)))
+	binary.LittleEndian.PutUint32(k.bytes[4:], next)
 }
 
-// holds reports whether e's key is key, byte for byte.
-func (t *Table) holds(e *Entry, key []byte) bool {
-	if e.klen != spilledKey {
-		return string(e.key[:e.klen]) == string(key)
+// freeKey releases k's key blocks, if it has any.
+func (t *Table) freeKey(k *keyField) {
+	if k.n != spilledKey {
+		return
 	}
-	if int(binary.LittleEndian.Uint32(e.key[0:])) != len(key) {
+	for b := binary.LittleEndian.Uint32(k.bytes[4:]); b != none; {
+		blk := t.blocks.at(b)
+		rest := blk.next
+		blk.next, t.freeBlock = t.freeBlock, b
+		b = rest
+	}
+}
+
+// holds reports whether k is key, byte for byte.
+func (t *Table) holds(k *keyField, key []byte) bool {
+	if k.n != spilledKey {
+		return string(k.bytes[:k.n]) == string(key)
+	}
+	if int(binary.LittleEndian.Uint32(k.bytes[0:])) != len(key) {
 		return false
 	}
-	for b := binary.LittleEndian.Uint32(e.key[4:]); len(key) > 0; {
+	for b := binary.LittleEndian.Uint32(k.bytes[4:]); len(key) > 0; {
 		blk := t.blocks.at(b)
 		n := min(len(key), blockData)
 		if string(blk.data[:n]) != string(key[:n]) {

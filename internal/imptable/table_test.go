@@ -11,10 +11,11 @@ import (
 	"unsafe"
 )
 
-// TestRecordsHoldNoPointer: what the table keeps per open impression is
-// memory the garbage collector never scans — no pointer, string, slice,
-// map, interface, channel or func anywhere in it, which also rules out
-// time.Time (it carries a *Location) — and a record is 96 bytes.
+// TestRecordsHoldNoPointer: what the table keeps per open or closed
+// impression is memory the garbage collector never scans — no pointer,
+// string, slice, map, interface, channel or func anywhere in it, which
+// also rules out time.Time (it carries a *Location) — and a record is 96
+// bytes, a closed one 48.
 func TestRecordsHoldNoPointer(t *testing.T) {
 	var flat func(path string, typ reflect.Type)
 	flat = func(path string, typ reflect.Type) {
@@ -32,9 +33,13 @@ func TestRecordsHoldNoPointer(t *testing.T) {
 		}
 	}
 	flat("Entry", reflect.TypeOf(Entry{}))
+	flat("closedRec", reflect.TypeOf(closedRec{}))
 	flat("keyBlock", reflect.TypeOf(keyBlock{}))
 	if got := unsafe.Sizeof(Entry{}); got != 96 {
 		t.Errorf("Entry is %d bytes, want 96", got)
+	}
+	if got := unsafe.Sizeof(closedRec{}); got != 48 {
+		t.Errorf("closedRec is %d bytes, want 48", got)
 	}
 	if got := unsafe.Sizeof(keyBlock{}); got != 64 {
 		t.Errorf("keyBlock is %d bytes, want 64", got)

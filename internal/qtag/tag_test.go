@@ -26,6 +26,7 @@ type fixture struct {
 	page     *browser.Page
 	creative *dom.Element
 	store    *beacon.Store
+	rec      *beacon.Recorder
 	rt       *adtag.Runtime
 }
 
@@ -40,17 +41,18 @@ func deployFixture(t *testing.T, prof browser.Profile, adY float64, format viewa
 	inner := outer.Root().AttachIframe(dspOrigin, geom.Rect{X: 0, Y: 0, W: 300, H: 250})
 	creative := inner.Root().AppendChild("creative", geom.Rect{X: 0, Y: 0, W: 300, H: 250})
 	store := beacon.NewStore()
+	rec := beacon.Record(store)
 	rt := adtag.NewRuntime(page, creative, store, adtag.Impression{
 		ID: "imp-1", CampaignID: "camp-1", Format: format,
 	})
 	if err := New(cfg).Deploy(rt); err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}
-	return &fixture{clock: clock, browser: b, page: page, creative: creative, store: store, rt: rt}
+	return &fixture{clock: clock, browser: b, page: page, creative: creative, store: store, rec: rec, rt: rt}
 }
 
 func (f *fixture) has(typ beacon.EventType) bool {
-	for _, e := range f.store.Events() {
+	for _, e := range f.rec.Events() {
 		if e.Type == typ && e.Source == beacon.SourceQTag {
 			return true
 		}
@@ -58,10 +60,10 @@ func (f *fixture) has(typ beacon.EventType) bool {
 	return false
 }
 
-// sent counts the Q-Tag beacons of one type a store holds.
-func sent(store *beacon.Store, typ beacon.EventType) int {
+// sent counts the Q-Tag beacons of one type rec holds.
+func sent(rec *beacon.Recorder, typ beacon.EventType) int {
 	n := 0
-	for _, e := range store.Events() {
+	for _, e := range rec.Events() {
 		if e.Type == typ && e.Source == beacon.SourceQTag {
 			n++
 		}
@@ -70,7 +72,7 @@ func sent(store *beacon.Store, typ beacon.EventType) int {
 }
 
 func (f *fixture) eventTime(typ beacon.EventType) (time.Duration, bool) {
-	for _, e := range f.store.Events() {
+	for _, e := range f.rec.Events() {
 		if e.Type == typ && e.Source == beacon.SourceQTag {
 			return e.At.Sub(simclock.Epoch), true
 		}
@@ -86,7 +88,7 @@ func TestDeploySendsLoaded(t *testing.T) {
 	if !f.has(beacon.EventLoaded) {
 		t.Fatal("loaded beacon missing after deploy")
 	}
-	if sent(f.store, beacon.EventLoaded) != 1 {
+	if sent(f.rec, beacon.EventLoaded) != 1 {
 		t.Error("store should hold 1 loaded")
 	}
 }
@@ -278,11 +280,12 @@ func TestNoFrameCallbacksFailsDeploy(t *testing.T) {
 	frame := doc.Root().AttachIframe(dspOrigin, geom.Rect{X: 0, Y: 0, W: 300, H: 250})
 	creative := frame.Root().AppendChild("creative", geom.Rect{W: 300, H: 250})
 	store := beacon.NewStore()
+	rec := beacon.Record(store)
 	rt := adtag.NewRuntime(page, creative, store, adtag.Impression{ID: "i", CampaignID: "c"})
 	if err := New(Config{}).Deploy(rt); err == nil {
 		t.Fatal("Deploy should fail without frame callbacks")
 	}
-	if sent(store, beacon.EventLoaded) != 0 {
+	if sent(rec, beacon.EventLoaded) != 0 {
 		t.Error("no loaded beacon may be sent when deployment fails")
 	}
 }
@@ -292,7 +295,7 @@ func TestInViewSentExactlyOnce(t *testing.T) {
 	defer f.browser.Close()
 	f.clock.Advance(5 * time.Second)
 	count := 0
-	for _, e := range f.store.Events() {
+	for _, e := range f.rec.Events() {
 		if e.Type == beacon.EventInView {
 			count++
 		}
@@ -413,6 +416,7 @@ func TestSmallBannerMeasured(t *testing.T) {
 	frame := doc.Root().AttachIframe(dspOrigin, geom.Rect{X: 46, Y: 100, W: 320, H: 50})
 	creative := frame.Root().AppendChild("creative", geom.Rect{W: 320, H: 50})
 	store := beacon.NewStore()
+	rec := beacon.Record(store)
 	rt := adtag.NewRuntime(page, creative, store, adtag.Impression{
 		ID: "i", CampaignID: "c", Format: viewability.Display,
 	})
@@ -420,7 +424,7 @@ func TestSmallBannerMeasured(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.Advance(1500 * time.Millisecond)
-	if sent(store, beacon.EventInView) != 1 {
+	if sent(rec, beacon.EventInView) != 1 {
 		t.Error("320x50 banner in-view missing")
 	}
 }

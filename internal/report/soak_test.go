@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"qtag/internal/aggregate"
+	"qtag/internal/beacon"
 	"qtag/internal/collector"
 	"qtag/internal/collector/collectortest"
 	"qtag/internal/report"
@@ -62,6 +63,7 @@ func TestReportSoakConcurrentReads(t *testing.T) {
 	cfg.IngestShards, cfg.WALDir, cfg.DurableSync = 8, t.TempDir(), true
 	cfg.AdmissionMinInflight = 32
 	srv, url, shutdown := collectortest.Boot(t, cfg)
+	kept := beacon.Record(srv.Store)
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -115,7 +117,7 @@ func TestReportSoakConcurrentReads(t *testing.T) {
 	if err := shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	batch := aggregate.Recompute(srv.Store.Events(), aggregate.Options{Shards: 8}).Snapshot()
+	batch := aggregate.Recompute(kept.Events(), aggregate.Options{Shards: 8}).Snapshot()
 	if len(streaming.Rows) == 0 {
 		t.Fatal("no aggregate rows after load")
 	}

@@ -112,11 +112,12 @@ type Event = beacon.Event
 type Sink = beacon.Sink
 
 // Collector is the monitoring server's state: the idempotent in-memory
-// event store, and the aggregator that counts its impressions as
-// qtag-server does. It is a Sink.
+// event store, the aggregator that counts its impressions as qtag-server
+// does, and a copy of every distinct event for Events. It is a Sink.
 type Collector struct {
 	*beacon.Store
 	agg *aggregate.Aggregator
+	rec *beacon.Recorder
 }
 
 // CollectionServer is the HTTP collection API over a Collector.
@@ -128,8 +129,13 @@ type HTTPSink = beacon.HTTPSink
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	store := beacon.NewStore()
-	return &Collector{Store: store, agg: aggregate.Attach(store, aggregate.Options{TTL: -1})}
+	agg := aggregate.Attach(store, aggregate.Options{TTL: -1})
+	return &Collector{Store: store, agg: agg, rec: beacon.Record(store)}
 }
+
+// Events returns every distinct event the collector took, sorted by
+// (campaign, impression, source, type, seq).
+func (c *Collector) Events() []Event { return c.rec.Events() }
 
 // Counts are impressions as the paper counts them: served, and per
 // solution measured (a loaded beacon) and viewed (an in-view) — a
@@ -236,8 +242,8 @@ var GenerateJS = qtag.GenerateJS
 // each row with its Violations; Clean reports whether no row has one.
 type AuditReport = detect.Snapshot
 
-// Audit checks the beacons of a Collector, or of a SimResult's Store,
-// against the protocol and the standard's timing — the paper's
+// Audit checks the beacons of a Collector, or of a SimResult, against
+// the protocol and the standard's timing — the paper's
 // transparency claim made operational — by replaying c.Events() through
 // a fresh detector: the fold qtag-server runs on every beacon and
 // `qtag-replay -report-json -detect` over a WAL.
