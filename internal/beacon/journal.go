@@ -3,7 +3,6 @@ package beacon
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -63,8 +62,8 @@ func (st *ReplayStats) replayLine(line []byte, sink Sink) {
 	if len(line) == 0 {
 		return
 	}
-	var e Event
-	if json.Unmarshal(line, &e) != nil || sink.Submit(e) != nil {
+	e, err := decodeEvent(string(line))
+	if err != nil || sink.Submit(e) != nil {
 		st.Skipped++
 		return
 	}

@@ -19,6 +19,12 @@ type RecoverResult struct {
 	Quarantined int
 	// QuarantinedBytes is the total size of quarantined data.
 	QuarantinedBytes int64
+	// QuarantinedSpans gives, chunk by chunk, the indices the quarantined
+	// records held: its own index for a checksum-failed record, the rest
+	// of its segment — up to the next segment's first index, unbounded in
+	// the final one — for a lost-framing remainder or an unreadable
+	// header.
+	QuarantinedSpans []Span
 	// QuarantineFiles lists the sidecar/renamed files recovery produced
 	// (empty for a read-only Scan).
 	QuarantineFiles []string
@@ -32,12 +38,16 @@ type RecoverResult struct {
 	Duration time.Duration
 }
 
+// Span is the WAL indices First through Last.
+type Span struct{ First, Last uint64 }
+
 // segmentScan is the outcome of scanning one segment's bytes.
 type segmentScan struct {
 	next        uint64   // index after the last frame seen
 	good        int64    // end offset of the last structurally sound frame
 	records     int      // valid records replayed
 	quarantined [][]byte // checksum-failed frames, in order
+	badIndex    []uint64 // the index of each checksum-failed frame
 	torn        bool     // data ends in an incomplete / unframeable region
 	tornChunk   []byte   // the unframeable remainder (aliases data)
 }
@@ -66,6 +76,7 @@ func scanSegment(data []byte, firstIndex uint64, maxRecord int, replay func(uint
 			// resynchronise at the next record boundary. The corrupted
 			// record still consumed its index when it was written.
 			sc.quarantined = append(sc.quarantined, data[off:off+n])
+			sc.badIndex = append(sc.badIndex, sc.next)
 			sc.next++
 			off += n
 			sc.good = int64(off)
@@ -78,6 +89,29 @@ func scanSegment(data []byte, firstIndex uint64, maxRecord int, replay func(uint
 		}
 	}
 	return sc, nil
+}
+
+// segmentEnd is the last index segment i of segs can hold: the one before
+// the next segment's first, unbounded for the final segment.
+func segmentEnd(segs []sealedSeg, i int) uint64 {
+	if i+1 < len(segs) {
+		return segs[i+1].first - 1
+	}
+	return ^uint64(0)
+}
+
+// quarantinedSpans returns the spans of sc's quarantined chunks: the
+// checksum-failed frames, then, when torn counts as quarantined, the
+// remainder up to end.
+func (sc *segmentScan) quarantinedSpans(torn bool, end uint64) []Span {
+	var spans []Span
+	for _, i := range sc.badIndex {
+		spans = append(spans, Span{i, i})
+	}
+	if torn {
+		spans = append(spans, Span{sc.next, end})
+	}
+	return spans
 }
 
 // recover scans the segments of w.opts.Dir in order, replaying valid
@@ -117,6 +151,7 @@ func (w *WAL) recover(replay func(uint64, []byte) error, res *RecoverResult) err
 			}
 			res.Quarantined++
 			res.QuarantinedBytes += int64(len(data))
+			res.QuarantinedSpans = append(res.QuarantinedSpans, Span{seg.first, segmentEnd(segs, i)})
 			res.QuarantineFiles = append(res.QuarantineFiles, qpath)
 			continue
 		}
@@ -145,6 +180,7 @@ func (w *WAL) recover(replay func(uint64, []byte) error, res *RecoverResult) err
 			for _, c := range chunks {
 				res.QuarantinedBytes += int64(len(c))
 			}
+			res.QuarantinedSpans = append(res.QuarantinedSpans, sc.quarantinedSpans(sc.torn && !isLast, segmentEnd(segs, i))...)
 			res.QuarantineFiles = append(res.QuarantineFiles, qpath)
 		}
 
@@ -236,6 +272,7 @@ func Scan(fsys FS, dir string, replay func(index uint64, payload []byte) error) 
 			}
 			res.Quarantined++
 			res.QuarantinedBytes += int64(len(data))
+			res.QuarantinedSpans = append(res.QuarantinedSpans, Span{seg.first, segmentEnd(segs, i)})
 			continue
 		}
 		sc, err := scanSegment(data, firstIndex, 0, replay)
@@ -247,6 +284,7 @@ func Scan(fsys FS, dir string, replay func(index uint64, payload []byte) error) 
 		for _, c := range sc.quarantined {
 			res.QuarantinedBytes += int64(len(c))
 		}
+		res.QuarantinedSpans = append(res.QuarantinedSpans, sc.quarantinedSpans(sc.torn && !isLast, segmentEnd(segs, i))...)
 		if sc.torn {
 			if isLast {
 				res.TornTail = true
